@@ -19,7 +19,16 @@ from . import serialize as ser
 from .errors import (InvalidInput, PrecisionExhausted, SearchBoundExhausted,
                      ToleranceNotMet)
 
-DEFAULT_PRECISION = int(os.environ.get("MAHLER_PREC", "20"))
+
+def _precision(args) -> int:
+    """--prec if given, else MAHLER_PREC, else 20; read when the command runs."""
+    if args.prec is not None:
+        return args.prec
+    text = os.environ.get("MAHLER_PREC", "20")
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidInput(f"MAHLER_PREC must be an integer, not {text!r}") from None
 
 
 def _emit(obj):
@@ -73,7 +82,7 @@ def _cmd_padic_vfact(args):
 
 
 def _cmd_padic_binom(args):
-    z = padic.PadicScalar.from_rational(Fraction(args.z), args.p, args.prec)
+    z = padic.PadicScalar.from_rational(Fraction(args.z), args.p, _precision(args))
     _emit(ser.encode_series(padic.binomial_series(z, args.order)))
 
 
@@ -172,13 +181,14 @@ def _cmd_hecke_pair(args):
 def _cmd_hecke_avatar(args):
     G = heckechar.class_group(args.disc)
     chars = heckechar.characters(G)
-    emb = heckechar.admissible_embedding(G, args.p, args.prec)
+    prec = _precision(args)
+    emb = heckechar.admissible_embedding(G, args.p, prec)
     picks = range(len(chars)) if args.chi is None else [args.chi]
     table = {}
     for i in picks:
         table[str(i)] = [ser.encode_padic(x)
                          for x in heckechar.padic_avatar(chars[i], emb)]
-    _emit({"D": args.disc, "p": args.p, "prec": args.prec, "avatars": table})
+    _emit({"D": args.disc, "p": args.p, "prec": prec, "avatars": table})
 
 
 # -- archimedean ------------------------------------------------------------------
@@ -296,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = ps.add_parser("binomial-series")
     q.add_argument("--z", required=True)
     q.add_argument("--p", type=int, required=True)
-    q.add_argument("--prec", type=int, default=DEFAULT_PRECISION)
+    q.add_argument("--prec", type=int, default=None)
     q.add_argument("--order", type=int, default=8)
     q.set_defaults(func=_cmd_padic_binom)
 
@@ -375,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = hk.add_parser("avatar")
     q.add_argument("--disc", type=int, required=True)
     q.add_argument("--p", type=int, required=True)
-    q.add_argument("--prec", type=int, default=DEFAULT_PRECISION)
+    q.add_argument("--prec", type=int, default=None)
     q.add_argument("--chi", type=int, default=None)
     q.set_defaults(func=_cmd_hecke_avatar)
 

@@ -5,8 +5,12 @@ through the Stirling transforms (an exact, triangular change of basis), and
 restriction to the units is done entirely in the (1+T)^m basis with integer
 weights, so no root-of-unity arithmetic ever appears.
 
-Coefficients may be exact (int / Fraction, p-integral) or `PadicScalar`;
-exact inputs stay exact through every operation that permits it.
+Coefficients may be exact (int / Fraction, p-integral) or `PadicScalar`,
+mixed freely; every sum below is plain `+`/`*` under the scalar rule stated
+in `padic`: exact zeros (int/Fraction 0, the infinite-precision PadicScalar
+zero) drop out, an inexact zero keeps its precision, and an exact result is
+an int when integral, else a Fraction.  Exact inputs stay exact through
+every operation that permits it.
 """
 
 from __future__ import annotations
@@ -16,71 +20,19 @@ from fractions import Fraction
 
 
 from .errors import InvalidInput, PrecisionExhausted
-from .padic import (INF, PadicScalar, binomial_series, checked_prime,
+from .padic import (PadicScalar, binomial_series, checked_prime, exact,
                     is_p_integral, stirling_first_signed, stirling_second)
-
-
-# -- scalar coercion helpers (exact values stay exact) ----------------------
-
-def _is_exact(x) -> bool:
-    return not isinstance(x, PadicScalar)
-
-
-def _norm_exact(q):
-    q = Fraction(q)
-    return int(q) if q.denominator == 1 else q
-
-
-def _sadd(x, y):
-    if isinstance(x, PadicScalar) and x.precision is INF:
-        return y
-    if isinstance(y, PadicScalar) and y.precision is INF:
-        return x
-    if _is_exact(x) and _is_exact(y):
-        return _norm_exact(Fraction(x) + Fraction(y))
-    if _is_exact(x):
-        return y + x
-    return x + y
-
-
-def _smul(x, y):
-    if _is_exact(x) and _is_exact(y):
-        return _norm_exact(Fraction(x) * Fraction(y))
-    if _is_exact(x):
-        return 0 if Fraction(x) == 0 else y.scale(x)
-    if _is_exact(y):
-        return 0 if Fraction(y) == 0 else x.scale(y)
-    return x * y
-
-
-def _sdiv_exact(x, q):
-    """Divide a scalar by an exact nonzero rational."""
-    q = Fraction(q)
-    if q == 0:
-        raise InvalidInput("division by zero")
-    if _is_exact(x):
-        return _norm_exact(Fraction(x) / q)
-    return x.scale(1 / q)
-
-
-def _szero_q(x) -> bool:
-    if _is_exact(x):
-        return Fraction(x) == 0
-    return x.is_zero
 
 
 def _cap_precision(x, p: int, precision: int) -> PadicScalar:
     """Force a scalar into PadicScalar form known (at most) mod p^precision."""
-    pad = PadicScalar.zero(p, precision)
-    if _is_exact(x):
-        return PadicScalar.from_rational(x, p, precision) + pad
-    return x + pad
+    return x + PadicScalar.zero(p, precision)
 
 
 def _integral(x, p: int) -> bool:
-    if _is_exact(x):
-        return is_p_integral(x, p)
-    return x.is_zero or x.valuation >= 0
+    if isinstance(x, PadicScalar):
+        return x.is_zero or x.valuation >= 0
+    return is_p_integral(x, p)
 
 
 class Measure:
@@ -120,13 +72,13 @@ class Measure:
     def support_degree(self) -> int:
         """Largest index with a nonzero stored coefficient."""
         for n in range(self.order - 1, -1, -1):
-            if not _szero_q(self.mahler[n]):
+            if self.mahler[n] != 0:
                 return n
         return 0
 
     def scale(self, scalar) -> "Measure":
         """Multiply by a p-integral scalar (boundedness is preserved)."""
-        return Measure(self.prime, [_smul(scalar, a) for a in self.mahler],
+        return Measure(self.prime, [exact(scalar * a) for a in self.mahler],
                        finite=self.finite)
 
     def __repr__(self):
@@ -155,11 +107,8 @@ def moments(mu: Measure, r: int):
         raise InvalidInput("moment index must be nonnegative")
     if r >= mu.order and not mu.finite:
         raise InvalidInput(f"moment {r} needs order > {r} or a finite measure")
-    total = 0
-    for n in range(min(r, mu.order - 1) + 1):
-        total = _sadd(total, _smul(stirling_second(r, n) * math.factorial(n),
-                                   mu.mahler[n]))
-    return total
+    return exact(sum(stirling_second(r, n) * math.factorial(n) * mu.mahler[n]
+                     for n in range(min(r, mu.order - 1) + 1)))
 
 
 def mahler_from_moments(b, prime: int) -> Measure:
@@ -174,10 +123,8 @@ def mahler_from_moments(b, prime: int) -> Measure:
         raise InvalidInput("need at least the 0-th moment")
     coeffs = []
     for n in range(len(b)):
-        total = 0
-        for i in range(n + 1):
-            total = _sadd(total, _smul(stirling_first_signed(n, i), b[i]))
-        a_n = _sdiv_exact(total, math.factorial(n))
+        total = sum(stirling_first_signed(n, i) * b[i] for i in range(n + 1))
+        a_n = exact(total * Fraction(1, math.factorial(n)))
         if not _integral(a_n, prime):
             raise InvalidInput(f"non-integral Mahler coefficient at n={n}: "
                                "moments do not define a bounded measure")
@@ -193,25 +140,16 @@ def plus_basis(mu: Measure):
     Exact for finite measures; in general c_m mixes all stored a_k.
     """
     K = mu.order
-    out = []
-    for m in range(K):
-        total = 0
-        for k in range(m, K):
-            w = (-1) ** (k - m) * math.comb(k, m)
-            total = _sadd(total, _smul(w, mu.mahler[k]))
-        out.append(total)
-    return out
+    return [exact(sum((-1) ** (k - m) * math.comb(k, m) * mu.mahler[k]
+                      for k in range(m, K)))
+            for m in range(K)]
 
 
 def from_plus_basis(c, prime: int, finite: bool) -> Measure:
     """Mahler coefficients a_n = Σ_m c_m C(m, n) from (1+T)^m coefficients."""
     K = len(c)
-    mahler = []
-    for n in range(K):
-        total = 0
-        for m in range(n, K):
-            total = _sadd(total, _smul(math.comb(m, n), c[m]))
-        mahler.append(total)
+    mahler = [exact(sum(math.comb(m, n) * c[m] for m in range(n, K)))
+              for n in range(K)]
     return Measure(prime, mahler, finite=finite)
 
 
@@ -272,7 +210,8 @@ def cell_mass(mu: Measure, a: int, nu: int, precision: int | None = None):
     total = 0
     for k in range(mu.order):
         w = sum((-1) ** (k - m) * math.comb(k, m) for m in range(a % q, k + 1, q))
-        total = _sadd(total, _smul(w, mu.mahler[k]))
+        total += w * mu.mahler[k]
+    total = exact(total)
     if mu.finite:
         return total
     return _cap_precision(total, p, precision)
@@ -287,10 +226,7 @@ def integrate_step(mu: Measure, phi, precision: int | None = None):
         nu += 1
     if p ** nu != size or nu == 0:
         raise InvalidInput("phi must list its values on all of Z/p^nu, nu >= 1")
-    total = 0
-    for a in range(size):
-        total = _sadd(total, _smul(phi[a], cell_mass(mu, a, nu, precision)))
-    return total
+    return exact(sum(phi[a] * cell_mass(mu, a, nu, precision) for a in range(size)))
 
 
 def mult_pushforward(mu1: Measure, mu2: Measure, r_max: int) -> Measure:
@@ -304,7 +240,7 @@ def mult_pushforward(mu1: Measure, mu2: Measure, r_max: int) -> Measure:
         raise InvalidInput("prime mismatch")
     if r_max < 0:
         raise InvalidInput("r_max must be >= 0")
-    b = [_smul(moments(mu1, r), moments(mu2, r)) for r in range(r_max + 1)]
+    b = [moments(mu1, r) * moments(mu2, r) for r in range(r_max + 1)]
     out = mahler_from_moments(b, mu1.prime)
     if mu1.finite and mu2.finite and \
             mu1.support_degree() * mu2.support_degree() <= r_max:
@@ -320,16 +256,13 @@ def pairing_measure(pairs, r_max: int) -> Measure:
         raise InvalidInput("need at least one pair")
     p = pairs[0][0].prime
     h = len(pairs)
-    padic_mode = any(not _is_exact(a) for m1, m2 in pairs
+    padic_mode = any(isinstance(a, PadicScalar) for m1, m2 in pairs
                      for a in m1.mahler + m2.mahler)
     if padic_mode and h % p == 0:
         raise InvalidInput("class count divisible by p in p-adic-only mode")
-    b = []
-    for r in range(r_max + 1):
-        total = 0
-        for m1, m2 in pairs:
-            if m1.prime != p or m2.prime != p:
-                raise InvalidInput("prime mismatch")
-            total = _sadd(total, _smul(moments(m1, r), moments(m2, r)))
-        b.append(_sdiv_exact(total, h))
+    if any(m1.prime != p or m2.prime != p for m1, m2 in pairs):
+        raise InvalidInput("prime mismatch")
+    b = [exact(sum(moments(m1, r) * moments(m2, r) for m1, m2 in pairs)
+               * Fraction(1, h))
+         for r in range(r_max + 1)]
     return mahler_from_moments(b, p)

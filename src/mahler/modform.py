@@ -14,6 +14,7 @@ from fractions import Fraction
 from sympy import bernoulli
 
 from .errors import InvalidInput
+from .padic import checked_prime, exact
 
 
 class DirichletCharacter:
@@ -23,7 +24,7 @@ class DirichletCharacter:
     __slots__ = ("modulus", "values")
 
     def __init__(self, modulus: int, values):
-        values = tuple(_norm(v) for v in values)
+        values = tuple(exact(v) for v in values)
         if modulus < 1 or len(values) != modulus:
             raise InvalidInput("value table must have length equal to the modulus")
         for n, v in enumerate(values):
@@ -33,7 +34,7 @@ class DirichletCharacter:
         if modulus <= 100:
             for i in range(modulus):
                 for j in range(modulus):
-                    if values[i * j % modulus] != _norm(Fraction(values[i]) * Fraction(values[j])):
+                    if values[i * j % modulus] != values[i] * values[j]:
                         raise InvalidInput("value table is not multiplicative")
         self.modulus = modulus
         self.values = values
@@ -56,11 +57,6 @@ class DirichletCharacter:
         return f"DirichletCharacter(mod {self.modulus})"
 
 
-def _norm(v):
-    f = Fraction(v)
-    return int(f) if f.denominator == 1 else f
-
-
 class QExpansion:
     """A modular-form q-expansion known through q^trunc."""
 
@@ -74,7 +70,7 @@ class QExpansion:
         self.weight = weight
         self.level = level
         self.eps = eps
-        self.coeffs = tuple(_norm(c) if isinstance(c, (int, Fraction)) else c
+        self.coeffs = tuple(exact(c) if isinstance(c, (int, Fraction)) else c
                             for c in coeffs)
         if not self.coeffs:
             raise InvalidInput("empty coefficient list")
@@ -102,9 +98,9 @@ class QExpansion:
         return self + other.scale(-1)
 
     def scale(self, scalar) -> "QExpansion":
+        scalar = exact(scalar)
         return QExpansion(self.weight, self.level, self.eps,
-                          [_norm(Fraction(scalar) * Fraction(c)) if isinstance(c, (int, Fraction))
-                           else c * scalar for c in self.coeffs])
+                          [c * scalar for c in self.coeffs])
 
     def __eq__(self, other):
         return isinstance(other, QExpansion) and \
@@ -122,6 +118,8 @@ class QExpansion:
 
 def u_operator(f: QExpansion, p: int) -> QExpansion:
     """U_p: a_n -> a_{np}; truncation drops to floor(M/p)."""
+    if not checked_prime(p):
+        raise InvalidInput(f"{p} is not prime")
     if f.trunc < p:
         raise InvalidInput("truncation too short for U_p")
     return QExpansion(f.weight, f.level, f.eps, f.coeffs[::p])
@@ -130,6 +128,8 @@ def u_operator(f: QExpansion, p: int) -> QExpansion:
 def v_operator(f: QExpansion, p: int) -> QExpansion:
     """V_p: (Vf)(q) = f(q^p); every coefficient of the result is determined,
     so the truncation stretches to p*M."""
+    if not checked_prime(p):
+        raise InvalidInput(f"{p} is not prime")
     out = [0] * (p * f.trunc + 1)
     for n, c in enumerate(f.coeffs):
         out[n * p] = c
@@ -148,6 +148,8 @@ def hecke_operator(f: QExpansion, p: int) -> QExpansion:
 
 def p_deplete(f: QExpansion, p: int) -> QExpansion:
     """(1 - VU): zero every coefficient with p | n."""
+    if not checked_prime(p):
+        raise InvalidInput(f"{p} is not prime")
     return QExpansion(f.weight, f.level, f.eps,
                       [0 if n % p == 0 else c for n, c in enumerate(f.coeffs)])
 
@@ -167,6 +169,8 @@ def interpolation_euler_factor(a_p, eps_p, chi_value, kappa: int, p: int) -> Fra
     p-depleted toric period to the original one."""
     if kappa < 1:
         raise InvalidInput("kappa must be >= 1")
+    if not checked_prime(p):
+        raise InvalidInput(f"{p} is not prime")
     a_p, eps_p, chi_value = Fraction(a_p), Fraction(eps_p), Fraction(chi_value)
     q = Fraction(1, p ** (2 * kappa))
     return 1 - a_p * chi_value * q + eps_p * chi_value ** 2 * q / p
@@ -188,7 +192,7 @@ class NearlyHolomorphic:
                 raise InvalidInput("cell indices must be nonnegative")
             if n > trunc:
                 continue
-            c = _norm(c)
+            c = exact(c)
             if c != 0:
                 table[(n, j)] = c
         self.cells = table
@@ -214,9 +218,9 @@ class NearlyHolomorphic:
         return NearlyHolomorphic(self.weight, trunc, cells)
 
     def scale(self, scalar) -> "NearlyHolomorphic":
+        scalar = exact(scalar)
         return NearlyHolomorphic(self.weight, self.trunc,
-                                 {k: Fraction(scalar) * Fraction(c)
-                                  for k, c in self.cells.items()})
+                                 {k: scalar * c for k, c in self.cells.items()})
 
     def __mul__(self, other: "NearlyHolomorphic") -> "NearlyHolomorphic":
         trunc = min(self.trunc, other.trunc)
@@ -225,7 +229,7 @@ class NearlyHolomorphic:
             for (n2, j2), c2 in other.cells.items():
                 if n1 + n2 <= trunc:
                     key = (n1 + n2, j1 + j2)
-                    cells[key] = cells.get(key, 0) + Fraction(c1) * Fraction(c2)
+                    cells[key] = cells.get(key, 0) + c1 * c2
         return NearlyHolomorphic(self.weight + other.weight, trunc, cells)
 
     def __repr__(self):

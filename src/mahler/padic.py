@@ -3,6 +3,15 @@ between the monomial basis t^r and the binomial basis C(t,n).
 
 Everything here is exact: Python integers, `fractions.Fraction`, or
 `PadicScalar` values carried modulo an explicit power of p.  No floats.
+
+Scalars of the three kinds combine through the ordinary `+`, `*` and `/`
+(a PadicScalar takes an int/Fraction operand from either side), under one
+exactness rule:
+
+* exact zeros -- int/Fraction 0 and the infinite-precision PadicScalar zero
+  -- drop out of sums, and an exact rational 0 times a PadicScalar is 0;
+* an inexact zero (a PadicScalar zero known mod p^k) keeps its precision;
+* an exact result is normalised by `exact`: int when integral, else Fraction.
 """
 
 from __future__ import annotations
@@ -21,6 +30,15 @@ INF = math.inf
 @lru_cache(maxsize=None)
 def checked_prime(p: int) -> bool:
     return bool(isprime(p))
+
+
+def exact(q):
+    """Normal form of a scalar: an integral rational as int, any other
+    rational as Fraction; a PadicScalar is returned unchanged."""
+    if isinstance(q, PadicScalar):
+        return q
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
 
 
 def int_valuation(n: int, p: int) -> int:
@@ -164,6 +182,8 @@ class PadicScalar:
         return NotImplemented
 
     def __add__(self, other):
+        if self.precision is INF and isinstance(other, (int, Fraction)):
+            return other  # the exact zero drops out
         other = self._coerce(other)
         if other is NotImplemented:
             return other
@@ -205,8 +225,8 @@ class PadicScalar:
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)) and other != 0:
-            return self.scale(other)
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other) if other else 0
         other = self._coerce(other)
         if other is NotImplemented:
             return other
@@ -322,6 +342,8 @@ def factorial_valuation(n: int, p: int) -> int:
     """v_p(n!) by Legendre's digit-sum formula."""
     if n < 0:
         raise InvalidInput("n must be nonnegative")
+    if not checked_prime(p):
+        raise InvalidInput(f"{p} is not prime")
     digit_sum, m = 0, n
     while m:
         digit_sum += m % p
@@ -375,10 +397,7 @@ def binomial_value(z, n: int):
     acc = Fraction(1)
     for t in range(n):
         acc *= Fraction(z) - t
-    acc /= math.factorial(n)
-    if acc.denominator == 1:
-        return int(acc)
-    return acc
+    return exact(acc / math.factorial(n))
 
 
 # ---------------------------------------------------------------------------

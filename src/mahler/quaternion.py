@@ -15,6 +15,7 @@ from sympy import factorint, isprime, nextprime
 from sympy.ntheory.residue_ntheory import sqrt_mod
 
 from .errors import InvalidInput, SearchBoundExhausted
+from .heckechar import fundamental_decomposition
 
 INFINITE_PLACE = math.inf
 
@@ -241,7 +242,7 @@ def embedding_conductor(emb: MatrixEmbedding) -> int:
     if disc.denominator != 1:
         raise AssertionError("intersection lattice is not an order")
     disc = int(disc)
-    _, d_K = _fundamental(disc)
+    _, d_K = fundamental_decomposition(disc)
     c2 = disc // d_K
     c = math.isqrt(c2)
     if c * c != c2:
@@ -249,18 +250,6 @@ def embedding_conductor(emb: MatrixEmbedding) -> int:
     # sanity: x0 + y0 sqrt(d) generates together with 1 (x0 in [0,1))
     assert 0 <= x0 < 1
     return c
-
-
-def _fundamental(D: int):
-    if D >= 0 or D % 4 not in (0, 1):
-        raise InvalidInput(f"{D} is not a negative discriminant")
-    square = 1
-    for qq, e in factorint(-D).items():
-        square *= qq ** (e // 2)
-    m = D // square ** 2
-    if m % 4 == 1:
-        return square, m
-    return square // 2, 4 * m
 
 
 class SkolemNoetherData(NamedTuple):

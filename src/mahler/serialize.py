@@ -13,7 +13,7 @@ from .errors import InvalidInput
 from .heckechar import AlgebraicValue
 from .measure import Measure
 from .modform import DirichletCharacter, NearlyHolomorphic, QExpansion
-from .padic import INF, PadicScalar, TruncatedSeries
+from .padic import INF, PadicScalar, TruncatedSeries, exact
 
 
 def encode_exact(q) -> str:
@@ -25,8 +25,7 @@ def decode_exact(s):
     if isinstance(s, int):
         return s
     if isinstance(s, str):
-        f = Fraction(s)
-        return int(f) if f.denominator == 1 else f
+        return exact(s)
     raise InvalidInput(f"expected an exact number, got {s!r}")
 
 

@@ -50,6 +50,58 @@ class TestExitCodes:
         assert code == 5 and "tolerance" in err
 
 
+class TestPrimeArguments:
+    """A --p that is not prime is invalid input (exit 2): no hang, no
+    traceback, no silent result."""
+
+    @pytest.fixture
+    def delta_file(self, capsys, tmp_path):
+        code, out, _ = run(capsys, ["modform", "delta", "--trunc", "24"])
+        assert code == 0
+        path = tmp_path / "delta.json"
+        path.write_text(out)
+        return str(path)
+
+    @pytest.mark.parametrize("p", ["1", "0"])
+    def test_factorial_valuation(self, capsys, p):
+        code, out, err = run(capsys, ["padic", "factorial-valuation",
+                                      "--n", "25", "--p", p])
+        assert code == 2 and out == "" and "not prime" in err
+
+    def test_deplete(self, capsys, delta_file):
+        code, out, err = run(capsys, ["modform", "deplete", "--file", delta_file,
+                                      "--p", "0"])
+        assert code == 2 and out == "" and "not prime" in err
+
+    def test_hecke(self, capsys, delta_file):
+        code, out, err = run(capsys, ["modform", "hecke", "--file", delta_file,
+                                      "--p", "4"])
+        assert code == 2 and out == "" and "not prime" in err
+
+    def test_euler_factor(self, capsys):
+        code, out, err = run(capsys, ["modform", "euler-factor", "--a-p", "1",
+                                      "--kappa", "1", "--p", "0"])
+        assert code == 2 and out == "" and "not prime" in err
+
+
+class TestPrecisionEnvironment:
+    def test_default_precision_comes_from_the_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("MAHLER_PREC", "7")
+        code, out, _ = run(capsys, ["padic", "binomial-series", "--z", "3",
+                                    "--p", "5", "--order", "2"])
+        assert code == 0
+        assert json.loads(out)["coeffs"][1]["prec"] == 7
+
+    def test_malformed_precision_is_invalid_input(self, capsys, monkeypatch):
+        monkeypatch.setenv("MAHLER_PREC", "abc")
+        code, out, err = run(capsys, ["padic", "binomial-series", "--z", "3",
+                                      "--p", "5"])
+        assert code == 2 and out == "" and "MAHLER_PREC" in err
+        # commands that take no precision do not read it
+        code, _, _ = run(capsys, ["class-group", "--disc", "-23"])
+        assert code == 0
+
+
 class TestPadicCommands:
     def test_arith_add_and_round_trip(self, capsys):
         a = json.dumps({"p": 5, "val": 0, "unit": "2", "prec": 10})

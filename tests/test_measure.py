@@ -7,7 +7,7 @@ from mahler.errors import InvalidInput, PrecisionExhausted
 from mahler.measure import (Measure, cell_mass, dirac, integrate_step,
                             mahler_from_moments, moments, mult_pushforward,
                             pairing_measure, plus_basis, restrict_to_units)
-from mahler.padic import PadicScalar, rational_valuation
+from mahler.padic import INF, PadicScalar, rational_valuation
 
 
 def random_finite_measure(rng, p, max_len=8, spread=9):
@@ -340,3 +340,79 @@ class TestPlusBasisInternals:
     def test_plus_basis_of_dirac_is_delta(self):
         c = plus_basis(dirac(4, 7, 9))
         assert c[4] == 1 and all(x == 0 for i, x in enumerate(c) if i != 4)
+
+
+def typed(x):
+    """A value with its type: (type, value), or (PadicScalar, valuation, unit,
+    precision) for a p-adic scalar."""
+    if isinstance(x, PadicScalar):
+        return (PadicScalar, x.valuation, x.unit, x.precision)
+    return (type(x), x)
+
+
+class TestScalarRule:
+    """Exact zeros (int/Fraction 0 and the exact PadicScalar zero) drop out of
+    sums, an inexact zero keeps its precision, and an integral rational comes
+    back as an int."""
+
+    p = 5
+    EXACT_ZERO = (PadicScalar, INF, 0, INF)
+
+    def mixed(self, with_inexact_zero):
+        second = PadicScalar.zero(self.p, 3) if with_inexact_zero \
+            else PadicScalar.zero(self.p)
+        return Measure(self.p, [1, second, 2, PadicScalar.zero(self.p)], finite=True)
+
+    def test_moments(self):
+        mu, nu = self.mixed(False), self.mixed(True)
+        assert [typed(moments(mu, r)) for r in range(5)] == \
+            [(int, 1), (int, 0), (int, 4), (int, 12), (int, 28)]
+        assert [typed(moments(nu, r)) for r in range(5)] == \
+            [(int, 1), (PadicScalar, INF, 0, 3), (PadicScalar, 0, 4, 3),
+             (PadicScalar, 0, 12, 3), (PadicScalar, 0, 28, 3)]
+
+    def test_restrict_to_units(self):
+        assert [typed(a) for a in restrict_to_units(self.mixed(False)).mahler] == \
+            [(int, -2), (int, 0), (int, 2), (int, 0)]
+        assert [typed(a) for a in restrict_to_units(self.mixed(True)).mahler] == \
+            [(PadicScalar, 0, 123, 3), (PadicScalar, INF, 0, 3), (int, 2), (int, 0)]
+
+    def test_cell_mass(self):
+        mu, nu = self.mixed(False), self.mixed(True)
+        assert [typed(cell_mass(mu, a, 1)) for a in range(5)] == \
+            [(int, 3), (int, -4), (int, 2), (int, 0), (int, 0)]
+        assert [typed(cell_mass(nu, a, 1)) for a in range(5)] == \
+            [(PadicScalar, 0, 3, 3), (PadicScalar, 0, 121, 3), (int, 2), (int, 0),
+             (int, 0)]
+
+    def test_mahler_from_moments(self):
+        b = [1, PadicScalar.zero(self.p), 2, PadicScalar.zero(self.p, 3)]
+        assert [typed(a) for a in mahler_from_moments(b, self.p).mahler] == \
+            [(int, 1), (int, 0), (int, 1), (PadicScalar, 0, 124, 3)]
+        b = [1, Fraction(3), Fraction(9)]
+        assert [typed(a) for a in mahler_from_moments(b, self.p).mahler] == \
+            [(int, 1), (int, 3), (int, 3)]
+
+    def test_pairing_measure(self):
+        mu, nu = self.mixed(False), self.mixed(True)
+        one = Measure(self.p, [1], finite=True)
+        assert [typed(a) for a in pairing_measure([(mu, mu), (mu, one)], 3).mahler] == \
+            [(int, 1), (int, 0), (int, 4), (int, 8)]
+        assert [typed(a) for a in pairing_measure([(mu, nu), (nu, mu)], 3).mahler] == \
+            [(int, 1), (int, 0), (PadicScalar, 0, 8, 3), (PadicScalar, 0, 16, 3)]
+
+    def test_scale(self):
+        mu = self.mixed(False)
+        assert [typed(a) for a in mu.scale(0).mahler] == [(int, 0)] * 4
+        assert [typed(a) for a in mu.scale(3).mahler] == \
+            [(int, 3), self.EXACT_ZERO, (int, 6), self.EXACT_ZERO]
+
+    def test_dirac_at_exact_zero(self):
+        mu = dirac(PadicScalar.zero(self.p), self.p, 2)
+        assert [typed(a) for a in mu.mahler] == \
+            [(PadicScalar, 0, 1, 1), self.EXACT_ZERO]
+        assert not mu.finite
+        # C(0, n) for n >= 2 needs 0 - 1: a nonzero rational against the
+        # exact zero, which has no precision to carry it
+        with pytest.raises(InvalidInput):
+            dirac(PadicScalar.zero(self.p), self.p, 3)
