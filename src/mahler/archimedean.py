@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import InvalidInput
 
 
@@ -297,7 +295,10 @@ def local_integral_quadrature(params: LocalFactorParams, nodes_a: int = 64,
                               nodes_theta: int = 256) -> complex:
     """Evaluate (1/pi) * phase * |nu|^(-1/2) * ∫∫ a^(2k+r+s-1/2) e^(-4pi a)
     * sum delta_coeffs (cos t)^(a+b) e^((2r-a-b) i t) da dt with Gauss-Laguerre
-    nodes in the radial variable (u = 4 pi a) and a uniform angular grid."""
+    nodes in the radial variable (u = 4 pi a) and a uniform angular grid.
+    numpy is imported here, its only use, so that no other command pays for it."""
+    import numpy as np
+
     if nodes_a < 2 or nodes_theta < 4:
         raise InvalidInput("insufficient node counts")
     kappa, r, l = params.kappa, params.r, params.l

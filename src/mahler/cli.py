@@ -31,6 +31,15 @@ def _precision(args) -> int:
         raise InvalidInput(f"MAHLER_PREC must be an integer, not {text!r}") from None
 
 
+def _rational(text) -> Fraction:
+    """An exact rational argument ("3", "-4/7", "0.25"); a zero denominator
+    is invalid input."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise InvalidInput(f"{text!r} has a zero denominator") from None
+
+
 def _emit(obj):
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -46,6 +55,8 @@ def _apply_config(args):
     cfg = getattr(args, "config", None)
     if cfg:
         overrides = _read_json(cfg)
+        if not isinstance(overrides, dict):
+            raise InvalidInput("--config must hold a JSON object")
         for key, value in overrides.items():
             attr = key.replace("-", "_")
             if hasattr(args, attr):
@@ -82,7 +93,7 @@ def _cmd_padic_vfact(args):
 
 
 def _cmd_padic_binom(args):
-    z = padic.PadicScalar.from_rational(Fraction(args.z), args.p, _precision(args))
+    z = padic.PadicScalar.from_rational(_rational(args.z), args.p, _precision(args))
     _emit(ser.encode_series(padic.binomial_series(z, args.order)))
 
 
@@ -112,9 +123,7 @@ def _cmd_measure_push(args):
 
 
 def _cmd_measure_pair(args):
-    data = _read_json(args.file)
-    pairs = [(ser.decode_measure(a), ser.decode_measure(b))
-             for a, b in data["pairs"]]
+    pairs = ser.decode_measure_pairs(_read_json(args.file))
     _emit(ser.encode_measure(measure.pairing_measure(pairs, args.rmax)))
 
 
@@ -145,7 +154,7 @@ def _cmd_modform_theta(args):
 
 def _cmd_modform_euler(args):
     value = modform.interpolation_euler_factor(
-        Fraction(args.a_p), Fraction(args.eps_p), Fraction(args.chi),
+        _rational(args.a_p), _rational(args.eps_p), _rational(args.chi),
         args.kappa, args.p)
     _emit({"euler_factor": ser.encode_exact(value)})
 
@@ -234,14 +243,14 @@ def _parse_place(text: str):
 
 
 def _cmd_quat_hilbert(args):
-    symbol = quaternion.hilbert_symbol(Fraction(args.a), Fraction(args.b),
+    symbol = quaternion.hilbert_symbol(_rational(args.a), _rational(args.b),
                                        _parse_place(args.place))
     _emit({"a": args.a, "b": args.b, "place": args.place, "symbol": symbol})
 
 
 def _cmd_quat_ramified(args):
     ram = quaternion.ramified_set(
-        quaternion.QuaternionAlgebra(Fraction(args.a), Fraction(args.b)))
+        quaternion.QuaternionAlgebra(_rational(args.a), _rational(args.b)))
     finite = sorted(p for p in ram if p is not quaternion.INFINITE_PLACE)
     _emit({"a": args.a, "b": args.b,
            "finite_places": finite,
@@ -263,13 +272,13 @@ def _parse_matrix(text: str):
         cells = row.split(",")
         if len(cells) != 2:
             raise InvalidInput('matrix must look like "a,b;c,d"')
-        out.append(tuple(Fraction(c.strip()) for c in cells))
+        out.append(tuple(_rational(c.strip()) for c in cells))
     return tuple(out)
 
 
 def _cmd_quat_conductor(args):
     emb = quaternion.MatrixEmbedding(_parse_matrix(args.matrix), args.level)
-    if args.disc is not None and Fraction(args.disc) != emb.d:
+    if args.disc is not None and _rational(args.disc) != emb.d:
         raise InvalidInput(f"M^2 = {emb.d} I, not {args.disc}")
     _emit({"matrix": args.matrix, "level": args.level,
            "d": ser.encode_exact(emb.d),

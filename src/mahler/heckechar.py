@@ -12,8 +12,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import Symbol, cyclotomic_poly, factorint, isprime
-
+from .arith import cyclotomic_coeffs, factorint, isprime
 from .errors import InvalidInput
 from .measure import dirac
 from .padic import PadicScalar
@@ -256,9 +255,7 @@ def class_group(D: int) -> IdealClassGroup:
 @lru_cache(maxsize=None)
 def _cyclo_context(m: int):
     """Monic integer coefficients of Phi_m and reduction rows for z^k."""
-    x = Symbol("x")
-    poly = cyclotomic_poly(m, x).as_poly(x)
-    coeffs = [int(c) for c in reversed(poly.all_coeffs())]  # ascending
+    coeffs = cyclotomic_coeffs(m)  # ascending
     deg = len(coeffs) - 1
     # rows[i] expresses z^(deg+i) in the basis 1, z, ..., z^(deg-1)
     base = [Fraction(-c) for c in coeffs[:deg]]

@@ -11,8 +11,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from sympy import bernoulli
-
+from .arith import bernoulli
 from .errors import InvalidInput
 from .padic import checked_prime, exact
 
@@ -142,7 +141,7 @@ def hecke_operator(f: QExpansion, p: int) -> QExpansion:
     eps_p = 0 if f.level % p == 0 else f.eps(p)
     if eps_p == 0:
         return u
-    v = v_operator(f, p).scale(Fraction(eps_p) * p ** (f.weight - 1))
+    v = v_operator(f, p).scale(Fraction(eps_p) * Fraction(p) ** (f.weight - 1))
     return u + v
 
 
@@ -295,13 +294,11 @@ def eisenstein_qexpansion(k: int, trunc: int) -> QExpansion:
     """E_k = 1 - (2k/B_k) Σ σ_{k-1}(n) q^n for even k >= 4, exact rationals."""
     if k < 4 or k % 2:
         raise InvalidInput("Eisenstein weight must be even and >= 4")
-    b = bernoulli(k)
-    bk = Fraction(int(b.p), int(b.q))
     sigma = [0] * (trunc + 1)
     for d in range(1, trunc + 1):
         step = d ** (k - 1)
         for n in range(d, trunc + 1, d):
             sigma[n] += step
-    factor = Fraction(-2 * k) / bk
+    factor = Fraction(-2 * k) / bernoulli(k)
     coeffs = [Fraction(1)] + [factor * sigma[n] for n in range(1, trunc + 1)]
     return QExpansion(k, 1, DirichletCharacter.trivial(), coeffs)

@@ -20,8 +20,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import isprime
-
+from .arith import isprime
 from .errors import InvalidInput, PrecisionExhausted
 
 INF = math.inf
@@ -29,7 +28,7 @@ INF = math.inf
 
 @lru_cache(maxsize=None)
 def checked_prime(p: int) -> bool:
-    return bool(isprime(p))
+    return isprime(p)
 
 
 def exact(q):

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from sympy import factorint, isprime, nextprime
-from sympy.ntheory.residue_ntheory import sqrt_mod
-
+from .arith import factorint, isprime, nextprime, sqrt_mod_prime
 from .errors import InvalidInput, SearchBoundExhausted
 from .heckechar import fundamental_decomposition
 
@@ -122,7 +120,7 @@ def hashimoto_search(delta: int, p: int, bound: int) -> HashimotoData:
     delta_primes = set(factors)
     q = 2
     while True:
-        q = int(nextprime(q))
+        q = nextprime(q)
         if q > bound:
             raise SearchBoundExhausted(
                 f"no admissible q <= {bound} (existence is guaranteed; raise the bound)")
@@ -135,10 +133,10 @@ def hashimoto_search(delta: int, p: int, bound: int) -> HashimotoData:
         if ramified_set(QuaternionAlgebra(q, -delta)) != delta_primes:
             continue
         target = (-pow(delta, -1, q)) % q
-        roots = sqrt_mod(target, q, all_roots=True)
+        roots = sqrt_mod_prime(target, q)
         if not roots:
             continue
-        b = min(int(r) for r in roots)
+        b = min(roots)
         if (b * b * delta + 1) % q:
             raise AssertionError("square root of -1/Delta failed verification")
         return HashimotoData(delta, q, b)

@@ -16,6 +16,16 @@ from .modform import DirichletCharacter, NearlyHolomorphic, QExpansion
 from .padic import INF, PadicScalar, TruncatedSeries, exact
 
 
+def _fields(obj, *arrays) -> dict:
+    """obj, checked to be a JSON object whose fields `arrays` are arrays."""
+    if not isinstance(obj, dict):
+        raise InvalidInput(f"expected a JSON object, got {type(obj).__name__}")
+    for key in arrays:
+        if not isinstance(obj.get(key), list):
+            raise InvalidInput(f"field {key!r} must be a JSON array")
+    return obj
+
+
 def encode_exact(q) -> str:
     q = Fraction(q)
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
@@ -39,6 +49,7 @@ def encode_padic(x: PadicScalar) -> dict:
 
 
 def decode_padic(obj: dict) -> PadicScalar:
+    _fields(obj)
     val = INF if obj["val"] == "inf" else int(obj["val"])
     prec = INF if obj["prec"] == "inf" else int(obj["prec"])
     return PadicScalar(int(obj["p"]), val, int(obj["unit"]), prec)
@@ -65,6 +76,7 @@ def encode_series(ts: TruncatedSeries) -> dict:
 
 
 def decode_series(obj: dict) -> TruncatedSeries:
+    _fields(obj, "coeffs")
     coeffs = [decode_scalar(c) for c in obj["coeffs"]]
     return TruncatedSeries(coeffs, obj.get("p"))
 
@@ -75,8 +87,17 @@ def encode_measure(mu: Measure) -> dict:
 
 
 def decode_measure(obj: dict) -> Measure:
+    _fields(obj, "mahler")
     return Measure(int(obj["p"]), [decode_scalar(a) for a in obj["mahler"]],
                    finite=bool(obj["finite"]))
+
+
+def decode_measure_pairs(obj: dict) -> list:
+    """{"pairs": [[mu, nu], ...]} as a list of (Measure, Measure)."""
+    pairs = _fields(obj, "pairs")["pairs"]
+    if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
+        raise InvalidInput("each pair must be a JSON array of two measures")
+    return [(decode_measure(a), decode_measure(b)) for a, b in pairs]
 
 
 def encode_qexpansion(f: QExpansion) -> dict:
@@ -86,6 +107,7 @@ def encode_qexpansion(f: QExpansion) -> dict:
 
 
 def decode_qexpansion(obj: dict) -> QExpansion:
+    _fields(obj, "eps", "coeffs")
     eps = DirichletCharacter(len(obj["eps"]), [decode_exact(v) for v in obj["eps"]])
     return QExpansion(int(obj["k"]), int(obj["N"]), eps,
                       [decode_scalar(c) for c in obj["coeffs"]])
@@ -97,6 +119,7 @@ def encode_nearly_holomorphic(f: NearlyHolomorphic) -> dict:
 
 
 def decode_nearly_holomorphic(obj: dict) -> NearlyHolomorphic:
+    _fields(obj, "cells")
     cells = {(int(n), int(j)): decode_exact(c) for n, j, c in obj["cells"]}
     return NearlyHolomorphic(int(obj["k"]), int(obj["trunc"]), cells)
 
@@ -107,6 +130,7 @@ def encode_algebraic(v: AlgebraicValue) -> dict:
 
 
 def decode_algebraic(obj: dict) -> AlgebraicValue:
+    _fields(obj, "coeffs")
     return AlgebraicValue(int(obj["d"]), int(obj["m"]),
                           [(decode_exact(a), decode_exact(b))
                            for a, b in obj["coeffs"]])

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import mahler
+from mahler import serialize
 from mahler.cli import main
+from mahler.errors import InvalidInput
 from mahler.measure import dirac
 from mahler.serialize import encode_measure
 
@@ -82,6 +88,111 @@ class TestPrimeArguments:
         code, out, err = run(capsys, ["modform", "euler-factor", "--a-p", "1",
                                       "--kappa", "1", "--p", "0"])
         assert code == 2 and out == "" and "not prime" in err
+
+
+class TestZeroDenominator:
+    """A rational argument with a zero denominator is invalid input (exit 2),
+    not a ZeroDivisionError traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["padic", "binomial-series", "--z", "1/0", "--p", "3"],
+        ["modform", "euler-factor", "--a-p", "1/0", "--kappa", "1", "--p", "5"],
+        ["modform", "euler-factor", "--a-p", "1", "--eps-p", "1/0", "--kappa", "1",
+         "--p", "5"],
+        ["modform", "euler-factor", "--a-p", "1", "--chi", "1/0", "--kappa", "1",
+         "--p", "5"],
+        ["quat", "hilbert", "--a=1/0", "--b=3", "--place", "3"],
+        ["quat", "hilbert", "--a=3", "--b=-2/0", "--place", "3"],
+        ["quat", "ramified", "--a", "1/0", "--b", "3"],
+        ["quat", "conductor", "--matrix", "0,1/0;-4,0"],
+        ["quat", "conductor", "--matrix", "0,1;-4,0", "--disc=-4/0"],
+    ])
+    def test_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and "zero denominator" in err
+
+
+class TestJsonShape:
+    """A JSON input whose top level is not an object, or whose coefficient
+    field is not an array, is invalid input (exit 2)."""
+
+    TOPS = [[1, 2], "abc", 5]
+
+    @pytest.fixture(params=TOPS, ids=["list", "string", "number"])
+    def bad_file(self, request, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(request.param))
+        return str(path)
+
+    @pytest.mark.parametrize("command", [
+        ["measure", "moments", "--r", "2"],
+        ["measure", "restrict"],
+        ["measure", "pair", "--rmax", "2"],
+        ["modform", "hecke", "--p", "3"],
+        ["modform", "maass"],
+    ])
+    def test_top_level(self, capsys, bad_file, command):
+        code, out, err = run(capsys, command + ["--file", bad_file])
+        assert code == 2 and out == "" and "JSON object" in err
+
+    def test_config_top_level(self, capsys, bad_file):
+        code, out, err = run(capsys, ["--config", bad_file, "class-group",
+                                      "--disc", "-23"])
+        assert code == 2 and out == "" and "JSON object" in err
+
+    def test_inline_padic_top_level(self, capsys):
+        code, out, err = run(capsys, ["padic", "arith", "--op", "inv",
+                                      "--a", "[1, 2]"])
+        assert code == 2 and out == "" and "JSON object" in err
+
+    @pytest.mark.parametrize("decode, obj", [
+        (serialize.decode_measure, {"p": 3, "order": 2, "finite": True, "mahler": "12"}),
+        (serialize.decode_series, {"coeffs": 7}),
+        (serialize.decode_qexpansion, {"k": 12, "N": 1, "eps": 1, "coeffs": []}),
+        (serialize.decode_qexpansion, {"k": 12, "N": 1, "eps": ["1"], "coeffs": {"0": "1"}}),
+        (serialize.decode_nearly_holomorphic, {"k": 0, "trunc": 2, "cells": 3}),
+        (serialize.decode_algebraic, {"d": -1, "m": 1, "coeffs": "1"}),
+        (serialize.decode_measure_pairs, {"pairs": [[{}]]}),
+    ])
+    def test_fields(self, decode, obj):
+        with pytest.raises(InvalidInput):
+            decode(obj)
+
+    @pytest.mark.parametrize("top", TOPS)
+    @pytest.mark.parametrize("decode", [
+        serialize.decode_padic, serialize.decode_series, serialize.decode_measure,
+        serialize.decode_qexpansion, serialize.decode_nearly_holomorphic,
+        serialize.decode_algebraic, serialize.decode_measure_pairs])
+    def test_decoders(self, decode, top):
+        with pytest.raises(InvalidInput):
+            decode(top)
+
+
+class TestImportFloor:
+    """Importing the CLI loads neither sympy nor numpy; `arch` loads numpy
+    when it runs."""
+
+    def python(self, code: str) -> str:
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mahler.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.splitlines()[-1]
+
+    def test_cli_import_loads_no_heavy_module(self):
+        last = self.python("import sys, mahler.cli; "
+                           "print(sorted({'sympy', 'numpy'} & set(sys.modules)))")
+        assert last == "[]"
+
+    def test_arch_loads_numpy_on_demand(self):
+        last = self.python(
+            "import sys\n"
+            "from mahler.cli import main\n"
+            "before = 'numpy' in sys.modules\n"
+            "code = main(['arch', 'local-factor', '--kappa', '1', '--r', '1', '--l', '1'])\n"
+            "print(code, before, 'numpy' in sys.modules)")
+        assert last == "0 False True"
 
 
 class TestPrecisionEnvironment:

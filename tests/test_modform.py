@@ -105,6 +105,13 @@ class TestHeckeOperator:
         tf = hecke_operator(f, 3)
         assert list(tf.coeffs) == [f.coefficient(3 * n) for n in range(3)]
 
+    def test_nonpositive_weight_stays_exact(self):
+        # p^(k-1) with k <= 0 is a rational, never a float
+        f = QExpansion(0, 1, DirichletCharacter.trivial(), list(range(1, 8)))
+        tf = hecke_operator(f, 3)
+        assert tf.coefficient(0) == Fraction(4, 3)
+        assert all(type(c) in (int, Fraction) for c in tf.coeffs)
+
 
 class TestDepletion:
     def test_delta_depleted_at_11(self):
