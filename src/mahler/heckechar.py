@@ -2,8 +2,9 @@
 quadratic forms, weight functions with their zero-weight pairing, finite-order
 characters, and p-adic avatars feeding the measure layer.
 
-All algebraic values live in the explicit tower Q(sqrt(d))(zeta_m), stored as
-polynomials with rational coefficients; arithmetic is exact throughout.
+All algebraic values live in the tower Q(sqrt(d))(zeta_m), stored in the group
+ring Q(sqrt(d))[z]/(z^m - 1); their `coeffs`, the form reduced mod Phi_m, is
+what equality, printing and encoding read. Arithmetic is exact throughout.
 """
 
 from __future__ import annotations
@@ -253,42 +254,37 @@ def class_group(D: int) -> IdealClassGroup:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _cyclo_context(m: int):
-    """Monic integer coefficients of Phi_m and reduction rows for z^k."""
-    coeffs = cyclotomic_coeffs(m)  # ascending
-    deg = len(coeffs) - 1
-    # rows[i] expresses z^(deg+i) in the basis 1, z, ..., z^(deg-1)
-    base = [Fraction(-c) for c in coeffs[:deg]]
-    rows = [base]
-    for _ in range(deg - 1):
-        prev = rows[-1]
-        shifted = [Fraction(0)] + prev[:-1]
-        top = prev[-1]
-        nxt = [shifted[i] + top * base[i] for i in range(deg)]
-        rows.append(nxt)
-    return deg, tuple(coeffs), tuple(tuple(r) for r in rows)
+def _cyclotomic(m: int) -> tuple:
+    """Ascending coefficients of the monic Phi_m, computed once per m."""
+    return tuple(cyclotomic_coeffs(m))
 
 
 class AlgebraicValue:
-    """An element of Q(sqrt(d))(zeta_m): sum_j (a_j + b_j sqrt(d)) z^j with
-    z a primitive m-th root of unity, reduced mod the m-th cyclotomic
-    polynomial."""
+    """An element of Q(sqrt(d))(zeta_m) in the group ring Q(sqrt(d))[z]/(z^m - 1):
+    `terms` maps k mod m to (a_k, b_k), meaning sum_k (a_k + b_k sqrt(d)) z^k,
+    so a root of unity is one term.  `coeffs` is the canonical form: the
+    power-basis vector of length phi(m), reduced mod Phi_m."""
 
-    __slots__ = ("d", "m", "coeffs")
+    __slots__ = ("d", "m", "terms")
 
     def __init__(self, d: int, m: int, coeffs):
         if d == 0 or math.isqrt(abs(d)) ** 2 == d:
             raise InvalidInput("d must be a non-square")
-        deg = _cyclo_context(m)[0]
         coeffs = [(Fraction(a), Fraction(b)) for a, b in coeffs]
-        if len(coeffs) > deg:
+        if len(coeffs) > len(_cyclotomic(m)) - 1:
             raise InvalidInput("coefficient vector too long")
-        coeffs += [(Fraction(0), Fraction(0))] * (deg - len(coeffs))
         self.d = d
         self.m = m
-        self.coeffs = tuple(coeffs)
+        self.terms = {k: c for k, c in enumerate(coeffs) if c[0] or c[1]}
 
     # -- constructors --
+
+    @classmethod
+    def _from_terms(cls, d: int, m: int, terms: dict) -> "AlgebraicValue":
+        """sum_k terms[k] z^k, zero terms dropped."""
+        value = cls(d, m, [])
+        value.terms = {k: c for k, c in terms.items() if c[0] or c[1]}
+        return value
 
     @classmethod
     def from_rational(cls, q, d: int, m: int = 1) -> "AlgebraicValue":
@@ -305,13 +301,27 @@ class AlgebraicValue:
 
     @classmethod
     def root_of_unity(cls, exponent: int, d: int, m: int) -> "AlgebraicValue":
-        if _cyclo_context(m)[0] > 1:
-            base = cls(d, m, [(0, 0), (1, 0)])
-        else:
-            base = cls.from_rational(1 if m == 1 else -1, d, m)
-        return base ** (exponent % m)
+        return cls._from_terms(d, m, {exponent % m: (Fraction(1), Fraction(0))})
 
     # -- structure --
+
+    @property
+    def coeffs(self) -> tuple:
+        """((a_j, b_j) for j < phi(m)): the terms reduced mod Phi_m."""
+        phi = _cyclotomic(self.m)
+        deg = len(phi) - 1
+        xs = [Fraction(0)] * self.m
+        ys = [Fraction(0)] * self.m
+        for k, (a, b) in self.terms.items():
+            xs[k], ys[k] = a, b
+        for k in range(self.m - 1, deg - 1, -1):
+            a, b = xs[k], ys[k]
+            if a or b:  # z^k = -z^(k-deg) sum_{i<deg} phi_i z^i mod Phi_m
+                for i, c in enumerate(phi[:deg]):
+                    if c:
+                        xs[k - deg + i] -= a * c
+                        ys[k - deg + i] -= b * c
+        return tuple(zip(xs[:deg], ys[:deg]))
 
     def promote(self, m_new: int) -> "AlgebraicValue":
         if m_new == self.m:
@@ -319,15 +329,8 @@ class AlgebraicValue:
         if m_new % self.m:
             raise InvalidInput("can only promote along divisibility")
         t = m_new // self.m
-        out = AlgebraicValue.from_rational(0, self.d, m_new)
-        zpow = AlgebraicValue.root_of_unity(t, self.d, m_new)
-        acc = AlgebraicValue.from_rational(1, self.d, m_new)
-        for j, (a, b) in enumerate(self.coeffs):
-            if a or b:
-                out = out + acc * AlgebraicValue.quadratic(a, b, self.d, m_new)
-            if j + 1 < len(self.coeffs):
-                acc = acc * zpow
-        return out
+        return AlgebraicValue._from_terms(
+            self.d, m_new, {k * t: c for k, c in self.terms.items()})
 
     def _align(self, other: "AlgebraicValue"):
         if not isinstance(other, AlgebraicValue):
@@ -341,53 +344,42 @@ class AlgebraicValue:
 
     def __add__(self, other):
         a, b = self._align(other)
-        return AlgebraicValue(a.d, a.m, [(x1 + x2, y1 + y2) for (x1, y1), (x2, y2)
-                                         in zip(a.coeffs, b.coeffs)])
+        terms = dict(a.terms)
+        for k, (x, y) in b.terms.items():
+            x0, y0 = terms.get(k, (0, 0))
+            terms[k] = (x0 + x, y0 + y)
+        return AlgebraicValue._from_terms(a.d, a.m, terms)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return AlgebraicValue(self.d, self.m, [(-a, -b) for a, b in self.coeffs])
+        return self.scale(-1)
 
     def __sub__(self, other):
-        a, b = self._align(other)
-        return a + (-b)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
+        """The cyclic convolution of the terms, exponents mod m."""
         a, b = self._align(other)
-        deg, _, rows = _cyclo_context(a.m)
-        conv = [(Fraction(0), Fraction(0))] * (2 * deg - 1)
-        d = a.d
-        for i, (ax, ay) in enumerate(a.coeffs):
-            if not (ax or ay):
-                continue
-            for j, (bx, by) in enumerate(b.coeffs):
-                if not (bx or by):
-                    continue
-                cx, cy = conv[i + j]
-                conv[i + j] = (cx + ax * bx + ay * by * d,
-                               cy + ax * by + ay * bx)
-        out = list(conv[:deg])
-        for k in range(deg, 2 * deg - 1):
-            cx, cy = conv[k]
-            if cx or cy:
-                row = rows[k - deg]
-                for i in range(deg):
-                    ox, oy = out[i]
-                    out[i] = (ox + cx * row[i], oy + cy * row[i])
-        return AlgebraicValue(a.d, a.m, out)
+        terms = {}
+        for i, (ax, ay) in a.terms.items():
+            for j, (bx, by) in b.terms.items():
+                k = (i + j) % a.m
+                cx, cy = terms.get(k, (0, 0))
+                terms[k] = (cx + ax * bx + ay * by * a.d, cy + ax * by + ay * bx)
+        return AlgebraicValue._from_terms(a.d, a.m, terms)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def scale(self, q) -> "AlgebraicValue":
         q = Fraction(q)
-        return AlgebraicValue(self.d, self.m,
-                              [(a * q, b * q) for a, b in self.coeffs])
+        return AlgebraicValue._from_terms(
+            self.d, self.m, {k: (a * q, b * q) for k, (a, b) in self.terms.items()})
 
     def __pow__(self, n: int):
         if n < 0:
@@ -404,27 +396,23 @@ class AlgebraicValue:
 
     def conjugate(self) -> "AlgebraicValue":
         """The Q(zeta_m)-linear involution sqrt(d) -> -sqrt(d)."""
-        return AlgebraicValue(self.d, self.m, [(a, -b) for a, b in self.coeffs])
+        return AlgebraicValue._from_terms(
+            self.d, self.m, {k: (a, -b) for k, (a, b) in self.terms.items()})
 
     def inverse(self) -> "AlgebraicValue":
-        """Invert by solving the 2*deg-dimensional linear system over Q."""
-        deg = _cyclo_context(self.m)[0]
-        dim = 2 * deg
-        basis = []
-        for j in range(deg):
-            for part in (0, 1):
-                coeffs = [(Fraction(0), Fraction(0))] * deg
-                coeffs[j] = (Fraction(1), Fraction(0)) if part == 0 else \
-                    (Fraction(0), Fraction(1))
-                basis.append(AlgebraicValue(self.d, self.m, coeffs))
-        cols = [self * e for e in basis]
-        mat = [[_flatten(c)[r] for c in cols] for r in range(dim)]
-        rhs = [Fraction(1)] + [Fraction(0)] * (dim - 1)
-        sol = _solve_linear(mat, rhs)
-        if sol is None:
+        """Invert through the norm: n = x conj(x) lies in Q(zeta_m), the
+        product c of its conjugates sigma_a(n), a in (Z/m)^x with a != 1,
+        makes N = n c rational, and 1/x = conj(x) c / N."""
+        n = self * self.conjugate()
+        c = AlgebraicValue.from_rational(1, self.d, self.m)
+        for a in range(2, self.m):
+            if math.gcd(a, self.m) == 1:  # sigma_a: z -> z^a
+                c = c * AlgebraicValue._from_terms(
+                    self.d, self.m, {k * a % self.m: t for k, t in n.terms.items()})
+        N = (n * c).as_rational()
+        if N == 0:
             raise InvalidInput("value is a zero divisor in the stated tower")
-        out = [(sol[2 * j], sol[2 * j + 1]) for j in range(deg)]
-        return AlgebraicValue(self.d, self.m, out)
+        return (self.conjugate() * c).scale(1 / N)
 
     # -- queries --
 
@@ -433,7 +421,7 @@ class AlgebraicValue:
 
     def as_rational(self):
         """The Fraction value if the element is rational, else None."""
-        (a0, b0), rest = self.coeffs[0], self.coeffs[1:]
+        (a0, b0), *rest = self.coeffs
         if b0 == 0 and all(a == 0 and b == 0 for a, b in rest):
             return a0
         return None
@@ -443,8 +431,7 @@ class AlgebraicValue:
             other = AlgebraicValue.from_rational(other, self.d, 1)
         if not isinstance(other, AlgebraicValue) or self.d != other.d:
             return NotImplemented
-        a, b = self._align(other)
-        return a.coeffs == b.coeffs
+        return (self - other).is_zero()
 
     __hash__ = None
 
@@ -455,31 +442,6 @@ class AlgebraicValue:
                 zpart = "" if j == 0 else f"*z^{j}"
                 terms.append(f"({a}+{b}*sqrt({self.d})){zpart}")
         return " + ".join(terms) if terms else "0"
-
-
-def _flatten(v: AlgebraicValue):
-    out = []
-    for a, b in v.coeffs:
-        out.extend((a, b))
-    return out
-
-
-def _solve_linear(mat, rhs):
-    """Gaussian elimination over Q; returns None when singular."""
-    n = len(rhs)
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[r][n] for r in range(n)]
 
 
 # ---------------------------------------------------------------------------
@@ -691,27 +653,23 @@ class PadicEmbedding:
                 raise InvalidInput("value needs a larger cyclotomic layer than the embedding")
             value = value.promote(self.m)
         p, prec = self.prime, self.precision
-        has_sqrt = any(b for _, b in value.coeffs)
+        # sqrt(d) parts that cancel mod Phi_m need no square root of d mod p
+        has_sqrt = any(b for _, b in value.terms.values()) and \
+            any(b for _, b in value.coeffs)
         if has_sqrt:
             if value.d != self.d:
                 raise InvalidInput("quadratic field mismatch")
             if self.sqrt_lift in ("ramified", "inert"):
                 raise InvalidInput(f"p is {self.sqrt_lift} in Q(sqrt({self.d}))")
-        total = PadicScalar.zero(p, prec)
-        zpow = PadicScalar.from_int(1, p, prec)
-        zeta = None if self.zeta_lift is None else \
-            PadicScalar.from_int(self.zeta_lift, p, prec)
-        sq = None
-        if has_sqrt:
             sq = PadicScalar.from_int(self.sqrt_lift, p, prec)
-        for j, (a, b) in enumerate(value.coeffs):
-            if a or b:
-                term = PadicScalar.from_rational(a, p, prec)
-                if b:
-                    term = term + sq.scale(b)
-                total = total + term * zpow
-            if j + 1 < len(value.coeffs):
-                zpow = zpow * zeta
+        # zeta_lift is a root of z^m - 1 mod p^prec, so z^k maps to its k-th power
+        zeta, mod = self.zeta_lift or 1, p ** prec
+        total = PadicScalar.zero(p, prec)
+        for k, (a, b) in value.terms.items():
+            term = PadicScalar.from_rational(a, p, prec)
+            if b and has_sqrt:
+                term = term + sq.scale(b)
+            total = total + term * PadicScalar.from_int(pow(zeta, k, mod), p, prec)
         return total
 
 

@@ -7,6 +7,7 @@ only in archimedean results and are rendered with 17 significant digits.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import InvalidInput
@@ -24,6 +25,23 @@ def _fields(obj, *arrays) -> dict:
         if not isinstance(obj.get(key), list):
             raise InvalidInput(f"field {key!r} must be a JSON array")
     return obj
+
+
+def _rows(obj, key: str, n: int) -> list:
+    """The array field `key` of the JSON object obj, checked to hold arrays
+    of n entries."""
+    rows = _fields(obj, key)[key]
+    if not all(isinstance(row, list) and len(row) == n for row in rows):
+        raise InvalidInput(f"each entry of {key!r} must be a JSON array of {n}")
+    return rows
+
+
+def _int(value) -> int:
+    """An integer field: a JSON number or a decimal string, as int() reads it;
+    any other JSON value is invalid input."""
+    if isinstance(value, (int, str)) or isinstance(value, float) and math.isfinite(value):
+        return int(value)
+    raise InvalidInput(f"expected an integer, got {value!r}")
 
 
 def encode_exact(q) -> str:
@@ -50,9 +68,9 @@ def encode_padic(x: PadicScalar) -> dict:
 
 def decode_padic(obj: dict) -> PadicScalar:
     _fields(obj)
-    val = INF if obj["val"] == "inf" else int(obj["val"])
-    prec = INF if obj["prec"] == "inf" else int(obj["prec"])
-    return PadicScalar(int(obj["p"]), val, int(obj["unit"]), prec)
+    val = INF if obj["val"] == "inf" else _int(obj["val"])
+    prec = INF if obj["prec"] == "inf" else _int(obj["prec"])
+    return PadicScalar(_int(obj["p"]), val, _int(obj["unit"]), prec)
 
 
 def encode_scalar(x):
@@ -88,16 +106,13 @@ def encode_measure(mu: Measure) -> dict:
 
 def decode_measure(obj: dict) -> Measure:
     _fields(obj, "mahler")
-    return Measure(int(obj["p"]), [decode_scalar(a) for a in obj["mahler"]],
+    return Measure(_int(obj["p"]), [decode_scalar(a) for a in obj["mahler"]],
                    finite=bool(obj["finite"]))
 
 
 def decode_measure_pairs(obj: dict) -> list:
     """{"pairs": [[mu, nu], ...]} as a list of (Measure, Measure)."""
-    pairs = _fields(obj, "pairs")["pairs"]
-    if not all(isinstance(pair, list) and len(pair) == 2 for pair in pairs):
-        raise InvalidInput("each pair must be a JSON array of two measures")
-    return [(decode_measure(a), decode_measure(b)) for a, b in pairs]
+    return [(decode_measure(a), decode_measure(b)) for a, b in _rows(obj, "pairs", 2)]
 
 
 def encode_qexpansion(f: QExpansion) -> dict:
@@ -109,7 +124,7 @@ def encode_qexpansion(f: QExpansion) -> dict:
 def decode_qexpansion(obj: dict) -> QExpansion:
     _fields(obj, "eps", "coeffs")
     eps = DirichletCharacter(len(obj["eps"]), [decode_exact(v) for v in obj["eps"]])
-    return QExpansion(int(obj["k"]), int(obj["N"]), eps,
+    return QExpansion(_int(obj["k"]), _int(obj["N"]), eps,
                       [decode_scalar(c) for c in obj["coeffs"]])
 
 
@@ -119,9 +134,8 @@ def encode_nearly_holomorphic(f: NearlyHolomorphic) -> dict:
 
 
 def decode_nearly_holomorphic(obj: dict) -> NearlyHolomorphic:
-    _fields(obj, "cells")
-    cells = {(int(n), int(j)): decode_exact(c) for n, j, c in obj["cells"]}
-    return NearlyHolomorphic(int(obj["k"]), int(obj["trunc"]), cells)
+    cells = {(_int(n), _int(j)): decode_exact(c) for n, j, c in _rows(obj, "cells", 3)}
+    return NearlyHolomorphic(_int(obj["k"]), _int(obj["trunc"]), cells)
 
 
 def encode_algebraic(v: AlgebraicValue) -> dict:
@@ -130,10 +144,8 @@ def encode_algebraic(v: AlgebraicValue) -> dict:
 
 
 def decode_algebraic(obj: dict) -> AlgebraicValue:
-    _fields(obj, "coeffs")
-    return AlgebraicValue(int(obj["d"]), int(obj["m"]),
-                          [(decode_exact(a), decode_exact(b))
-                           for a, b in obj["coeffs"]])
+    coeffs = [(decode_exact(a), decode_exact(b)) for a, b in _rows(obj, "coeffs", 2)]
+    return AlgebraicValue(_int(obj["d"]), _int(obj["m"]), coeffs)
 
 
 def format_float(x: float) -> str:

@@ -113,8 +113,9 @@ class TestZeroDenominator:
 
 
 class TestJsonShape:
-    """A JSON input whose top level is not an object, or whose coefficient
-    field is not an array, is invalid input (exit 2)."""
+    """A JSON input whose top level is not an object, whose coefficient field
+    is not an array, or whose integer fields and array entries have the wrong
+    JSON type or shape, is invalid input (exit 2)."""
 
     TOPS = [[1, 2], "abc", 5]
 
@@ -157,6 +158,43 @@ class TestJsonShape:
     def test_fields(self, decode, obj):
         with pytest.raises(InvalidInput):
             decode(obj)
+
+    PADIC = {"p": 3, "val": 0, "unit": "1", "prec": 5}
+
+    @pytest.mark.parametrize("decode, obj", [
+        (serialize.decode_padic, dict(PADIC, p=[3])),
+        (serialize.decode_padic, dict(PADIC, val={"v": 0})),
+        (serialize.decode_padic, dict(PADIC, unit=None)),
+        (serialize.decode_padic, dict(PADIC, prec=float("inf"))),
+        (serialize.decode_measure, {"p": [3], "order": 2, "finite": True, "mahler": ["1"]}),
+        (serialize.decode_qexpansion, {"k": [12], "N": 1, "eps": ["1"], "coeffs": ["0"]}),
+        (serialize.decode_qexpansion, {"k": 12, "N": {}, "eps": ["1"], "coeffs": ["0"]}),
+        (serialize.decode_nearly_holomorphic, {"k": None, "trunc": 2, "cells": []}),
+        (serialize.decode_nearly_holomorphic, {"k": 0, "trunc": [2], "cells": []}),
+        (serialize.decode_nearly_holomorphic, {"k": 0, "trunc": 2, "cells": [5]}),
+        (serialize.decode_nearly_holomorphic, {"k": 0, "trunc": 2, "cells": [[[1], 0, "1"]]}),
+        (serialize.decode_algebraic, {"d": [-3], "m": 1, "coeffs": []}),
+        (serialize.decode_algebraic, {"d": -3, "m": {"m": 3}, "coeffs": []}),
+        (serialize.decode_algebraic, {"d": -3, "m": 3, "coeffs": [5]}),
+    ])
+    def test_scalar_and_entry_types(self, decode, obj):
+        with pytest.raises(InvalidInput):
+            decode(obj)
+
+    @pytest.mark.parametrize("command, obj", [
+        (["measure", "moments", "--r", "2"],
+         {"p": [3], "order": 2, "finite": True, "mahler": ["1"]}),
+        (["measure", "moments", "--r", "2"],
+         {"p": 3, "order": 1, "finite": True, "mahler": [dict(PADIC, val=[0])]}),
+        (["modform", "hecke", "--p", "3"], {"k": [12], "N": 1, "eps": ["1"], "coeffs": ["0"]}),
+        (["modform", "maass"], {"k": 0, "trunc": 2, "cells": [5]}),
+        (["modform", "maass"], {"k": 0, "trunc": {}, "cells": []}),
+    ])
+    def test_scalar_and_entry_types_exit_2(self, capsys, tmp_path, command, obj):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, out, _ = run(capsys, command + ["--file", str(path)])
+        assert code == 2 and out == ""
 
     @pytest.mark.parametrize("top", TOPS)
     @pytest.mark.parametrize("decode", [
@@ -346,6 +384,34 @@ class TestModformCommands:
         assert [0, 1, "-4"] in cells and [1, 0, "5"] in cells
 
 
+GOLDEN_AVATAR = (
+    '{"D":-47,"avatars":{"0":[{"p":11,"prec":4,"unit":"1","val":0},'
+    '{"p":11,"prec":4,"unit":"1","val":0},{"p":11,"prec":4,"unit":"1","val":0},'
+    '{"p":11,"prec":4,"unit":"1","val":0},'
+    '{"p":11,"prec":4,"unit":"1","val":0}],'
+    '"1":[{"p":11,"prec":4,"unit":"1","val":0},'
+    '{"p":11,"prec":4,"unit":"2786","val":0},'
+    '{"p":11,"prec":4,"unit":"7825","val":0},'
+    '{"p":11,"prec":4,"unit":"1963","val":0},'
+    '{"p":11,"prec":4,"unit":"2066","val":0}],'
+    '"2":[{"p":11,"prec":4,"unit":"1","val":0},'
+    '{"p":11,"prec":4,"unit":"2066","val":0},'
+    '{"p":11,"prec":4,"unit":"1963","val":0},'
+    '{"p":11,"prec":4,"unit":"2786","val":0},'
+    '{"p":11,"prec":4,"unit":"7825","val":0}],'
+    '"3":[{"p":11,"prec":4,"unit":"1","val":0},'
+    '{"p":11,"prec":4,"unit":"1963","val":0},'
+    '{"p":11,"prec":4,"unit":"2066","val":0},'
+    '{"p":11,"prec":4,"unit":"7825","val":0},'
+    '{"p":11,"prec":4,"unit":"2786","val":0}],'
+    '"4":[{"p":11,"prec":4,"unit":"1","val":0},'
+    '{"p":11,"prec":4,"unit":"7825","val":0},'
+    '{"p":11,"prec":4,"unit":"2786","val":0},'
+    '{"p":11,"prec":4,"unit":"2066","val":0},'
+    '{"p":11,"prec":4,"unit":"1963","val":0}]},"p":11,"prec":4}'
+    '\n')
+
+
 class TestHeckeCommands:
     def test_class_group(self, capsys):
         code, out, _ = run(capsys, ["class-group", "--disc", "-23"])
@@ -380,6 +446,23 @@ class TestHeckeCommands:
         assert code == 0
         data = json.loads(out)
         assert set(data["avatars"]) == {"0", "1", "2"}
+
+    # h = 5, so the values live in Q(sqrt(-47))(zeta_5): the pairing is reduced
+    # mod Phi_5 and the avatar embeds powers of zeta_5
+    GOLDEN = {
+        "avatar": (["hecke", "avatar", "--disc", "-47", "--p", "11", "--prec", "4"],
+                   GOLDEN_AVATAR),
+        "pair": (["hecke", "pair", "--disc", "-47", "--chi", "1", "--psi", "2",
+                  "--twist-inverse"],
+                 '{"D":-47,"chi":1,"pairing":{"coeffs":'
+                 '[["0","0"],["0","0"],["0","0"],["0","0"]],"d":-47,"m":5},"psi":2}\n'),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_golden_stdout(self, capsys, name):
+        argv, expected = self.GOLDEN[name]
+        code, out, _ = run(capsys, argv)
+        assert code == 0 and out == expected
 
 
 class TestArchCommands:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -250,6 +251,32 @@ class TestAlgebraicValue:
     def test_inverse(self):
         v = AlgebraicValue.quadratic(2, 3, -7) * AlgebraicValue.root_of_unity(1, -7, 5)
         assert v * v.inverse() == 1
+        rng = random.Random(11)
+        for m in (1, 2, 3, 4, 5, 6, 8, 12, 13):
+            for d in (-7, -23, 5):
+                for _ in range(3):
+                    deg = len(AlgebraicValue.from_rational(0, d, m).coeffs)
+                    v = AlgebraicValue(d, m, [
+                        (Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                         Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+                        for _ in range(deg)])
+                    if not v.is_zero():
+                        assert v * v.inverse() == 1
+
+    def test_zero_divisor_refused(self):
+        # 2 zeta_3 + 1 = sqrt(-3): (2z + 1)^2 + 3 vanishes mod Phi_3
+        with pytest.raises(InvalidInput):
+            AlgebraicValue(-3, 3, [(1, -1), (2, 0)]).inverse()
+
+    def test_canonical_form(self):
+        for m in range(1, 31):
+            phi = sum(1 for a in range(1, m + 1) if math.gcd(a, m) == 1)
+            for e in range(m):
+                r = AlgebraicValue.root_of_unity(e, -7, m)
+                assert len(r.coeffs) == phi
+                assert AlgebraicValue(-7, m, r.coeffs) == r
+        # zeta_6^5 = 1 - zeta_6
+        assert AlgebraicValue.root_of_unity(5, -7, 6).coeffs == ((1, 0), (-1, 0))
 
     def test_promotion_consistency(self):
         z3 = AlgebraicValue.root_of_unity(1, -7, 3)
