@@ -51,17 +51,49 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _apply_config(args):
+def _command_options(parser, args) -> dict:
+    """dest -> action for every option of the (sub)command `args` names."""
+    options = {}
+    while parser is not None:
+        chosen = None
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                chosen = action.choices[getattr(args, action.dest)]
+            elif hasattr(args, action.dest):
+                options[action.dest] = action
+        parser = chosen
+    return options
+
+
+def _config_value(action, key: str, value):
+    """A --config value converted as argparse converts the same option in
+    argv: its text through the option's type, then checked against its
+    choices; a flag takes a JSON boolean."""
+    if action.nargs == 0:
+        if isinstance(value, bool):
+            return value
+        raise InvalidInput(f"--config {key!r} must be true or false, not {value!r}")
+    try:
+        converted = (action.type or str)(str(value))
+    except ValueError:
+        raise InvalidInput(f"--config {key!r}: invalid value {value!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise InvalidInput(f"--config {key!r}: {value!r} is not one of "
+                           f"{list(action.choices)}")
+    return converted
+
+
+def _apply_config(parser, args):
     cfg = getattr(args, "config", None)
     if cfg:
         overrides = _read_json(cfg)
         if not isinstance(overrides, dict):
             raise InvalidInput("--config must hold a JSON object")
+        options = _command_options(parser, args)
         for key, value in overrides.items():
             attr = key.replace("-", "_")
-            if hasattr(args, attr):
-                setattr(args, attr, value)
-    return args
+            if attr in options:
+                setattr(args, attr, _config_value(options[attr], key, value))
 
 
 # -- padic ---------------------------------------------------------------------
@@ -446,7 +478,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
+        _apply_config(parser, args)
         args.func(args)
         return 0
     except InvalidInput as exc:

@@ -402,7 +402,13 @@ class AlgebraicValue:
     def inverse(self) -> "AlgebraicValue":
         """Invert through the norm: n = x conj(x) lies in Q(zeta_m), the
         product c of its conjugates sigma_a(n), a in (Z/m)^x with a != 1,
-        makes N = n c rational, and 1/x = conj(x) c / N."""
+        makes N = n c rational, and 1/x = conj(x) c / N.  One term is inverted
+        directly: (a + b sqrt(d)) z^k -> (a - b sqrt(d)) / (a^2 - d b^2) z^(m-k),
+        where a^2 - d b^2 != 0 because d is not a square."""
+        if len(self.terms) == 1:
+            (k, (a, b)), = self.terms.items()
+            N = Fraction(a * a - self.d * b * b)
+            return AlgebraicValue._from_terms(self.d, self.m, {-k % self.m: (a / N, -b / N)})
         n = self * self.conjugate()
         c = AlgebraicValue.from_rational(1, self.d, self.m)
         for a in range(2, self.m):

@@ -17,11 +17,33 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-
+from itertools import accumulate, repeat
+from operator import mul, sub
 
 from .errors import InvalidInput, PrecisionExhausted
-from .padic import (PadicScalar, binomial_series, checked_prime, exact,
-                    is_p_integral, stirling_first_signed, stirling_second)
+from .padic import (PadicScalar, _falling_factorial_coeffs, _stirling_second_row,
+                    binomial_series, checked_prime, exact, is_p_integral)
+
+_FACTORIALS = (1,)  # n! at index n; replaced whole by a longer table when needed
+
+
+def _factorials(n: int) -> tuple:
+    """0!, 1!, ..., (n-1)!: a prefix of one shared table."""
+    global _FACTORIALS
+    table = _FACTORIALS
+    if len(table) < n:
+        table = _FACTORIALS = tuple(accumulate(range(1, 2 * n), mul, initial=1))
+    return table[:n]
+
+
+def _binomial_columns(size: int):
+    """For m = 0, 1, ..., size-1 the column [C(m, m), C(m+1, m), ...,
+    C(size-1, m)] of Pascal's triangle: column m+1 is the running sum of
+    column m without its last entry."""
+    col = [1] * size
+    while col:
+        yield col
+        col = list(accumulate(col[:-1]))
 
 
 def _cap_precision(x, p: int, precision: int) -> PadicScalar:
@@ -107,8 +129,9 @@ def moments(mu: Measure, r: int):
         raise InvalidInput("moment index must be nonnegative")
     if r >= mu.order and not mu.finite:
         raise InvalidInput(f"moment {r} needs order > {r} or a finite measure")
-    return exact(sum(stirling_second(r, n) * math.factorial(n) * mu.mahler[n]
-                     for n in range(min(r, mu.order - 1) + 1)))
+    n = min(r, mu.order - 1) + 1
+    weights = map(mul, _stirling_second_row(r), _factorials(n))
+    return exact(sum(map(mul, weights, mu.mahler[:n])))
 
 
 def mahler_from_moments(b, prime: int) -> Measure:
@@ -123,7 +146,7 @@ def mahler_from_moments(b, prime: int) -> Measure:
         raise InvalidInput("need at least the 0-th moment")
     coeffs = []
     for n in range(len(b)):
-        total = sum(stirling_first_signed(n, i) * b[i] for i in range(n + 1))
+        total = sum(map(mul, _falling_factorial_coeffs(n), b))
         a_n = exact(total * Fraction(1, math.factorial(n)))
         if not _integral(a_n, prime):
             raise InvalidInput(f"non-integral Mahler coefficient at n={n}: "
@@ -140,16 +163,15 @@ def plus_basis(mu: Measure):
     Exact for finite measures; in general c_m mixes all stored a_k.
     """
     K = mu.order
-    return [exact(sum((-1) ** (k - m) * math.comb(k, m) * mu.mahler[k]
-                      for k in range(m, K)))
-            for m in range(K)]
+    signs = [(-1) ** j for j in range(K)]
+    return [exact(sum(map(mul, map(mul, signs, col), mu.mahler[m:])))
+            for m, col in enumerate(_binomial_columns(K))]
 
 
 def from_plus_basis(c, prime: int, finite: bool) -> Measure:
     """Mahler coefficients a_n = Σ_m c_m C(m, n) from (1+T)^m coefficients."""
-    K = len(c)
-    mahler = [exact(sum(math.comb(m, n) * c[m] for m in range(n, K)))
-              for n in range(K)]
+    mahler = [exact(sum(map(mul, col, c[n:])))
+              for n, col in enumerate(_binomial_columns(len(c)))]
     return Measure(prime, mahler, finite=finite)
 
 
@@ -191,6 +213,24 @@ def cell_tail_valuation(order: int, nu: int, p: int) -> int:
     return math.ceil(Fraction(order, p ** (nu - 1) * (p - 1)) - nu)
 
 
+def _cell_weights(a: int, q: int, size: int):
+    """w_k = Σ_{m ≡ a mod q} (-1)^(k-m) C(k, m) for k < size, from row k of
+    Pascal's triangle folded mod q with signs: row k+1 at residue r is row k
+    at r-1 minus row k at r.
+
+    The row is kept at length min(q, size): for q > size, row k < size has
+    no entry at index size or above, so folding mod size changes no weight
+    that is read, and every weight is 0 when a >= size."""
+    width = min(q, size)
+    if a >= width:
+        yield from repeat(0, size)
+        return
+    row = [1] + [0] * (width - 1)
+    for _ in range(size):
+        yield row[a]
+        row = list(map(sub, row[-1:] + row[:-1], row))
+
+
 def cell_mass(mu: Measure, a: int, nu: int, precision: int | None = None):
     """µ(a + p^nu Z_p) = Σ_k a_k Σ_{m ≡ a mod p^nu} (-1)^{k-m} C(k, m)."""
     p = mu.prime
@@ -207,11 +247,7 @@ def cell_mass(mu: Measure, a: int, nu: int, precision: int | None = None):
             raise PrecisionExhausted(
                 f"order {mu.order} supports level-{nu} cell masses to precision "
                 f"at most {bound}")
-    total = 0
-    for k in range(mu.order):
-        w = sum((-1) ** (k - m) * math.comb(k, m) for m in range(a % q, k + 1, q))
-        total += w * mu.mahler[k]
-    total = exact(total)
+    total = exact(sum(map(mul, _cell_weights(a, q, mu.order), mu.mahler)))
     if mu.finite:
         return total
     return _cap_precision(total, p, precision)

@@ -2,8 +2,10 @@
 operator, the interpolation Euler factor, and nearly-holomorphic raising.
 
 Coefficients are exact rationals (or p-adic scalars); built-in generators
-supply the weight-12 level-1 cusp form (eta-product) and Eisenstein series
-as a test corpus.
+supply the weight-12 level-1 cusp form Δ and Eisenstein series as a test
+corpus.  Δ = q Π (1-q^n)^24 is built on integers: Jacobi's sparse series for
+Π (1-q^n)^3, squared three times by Kronecker substitution, each squaring
+one big-integer product.
 """
 
 from __future__ import annotations
@@ -136,13 +138,17 @@ def v_operator(f: QExpansion, p: int) -> QExpansion:
 
 
 def hecke_operator(f: QExpansion, p: int) -> QExpansion:
-    """T_p = U_p + eps(p) p^(k-1) V_p, with eps(p) = 0 when p | level."""
+    """T_p = U_p + eps(p) p^(k-1) V_p, with eps(p) = 0 when p | level:
+    b_n = a_{np} + eps(p) p^(k-1) a_{n/p}, the second term 0 when p ∤ n."""
     u = u_operator(f, p)
     eps_p = 0 if f.level % p == 0 else f.eps(p)
     if eps_p == 0:
         return u
-    v = v_operator(f, p).scale(Fraction(eps_p) * Fraction(p) ** (f.weight - 1))
-    return u + v
+    scalar = exact(Fraction(eps_p) * Fraction(p) ** (f.weight - 1))
+    a = f.coeffs
+    return QExpansion(f.weight, f.level, f.eps,
+                      [u_n + (a[n // p] * scalar if n % p == 0 else 0)
+                       for n, u_n in enumerate(u.coeffs)])
 
 
 def p_deplete(f: QExpansion, p: int) -> QExpansion:
@@ -252,42 +258,45 @@ def maass_raise(f: NearlyHolomorphic, iterations: int = 1) -> NearlyHolomorphic:
 
 # -- generators ----------------------------------------------------------------
 
-def _poly_mul_trunc(a, b, trunc):
-    out = [0] * (trunc + 1)
-    for i, x in enumerate(a):
-        if x == 0 or i > trunc:
-            continue
-        for j, y in enumerate(b):
-            if i + j > trunc:
-                break
-            if y:
-                out[i + j] += x * y
-    return out
+def _kronecker_square(a, trunc: int) -> list:
+    """The square of an integer polynomial (coefficient list, constant term
+    first) through q^trunc, by Kronecker substitution: the polynomial is
+    packed into one int in base 2^(8w), with w bytes per coefficient enough
+    to hold every coefficient of the square, the int is squared once, and
+    the digits are read back with a bias of half the base that makes every
+    digit nonnegative (Harvey, J. Symb. Comput. 44, 2009)."""
+    a = a[:trunc + 1]
+    top = max(map(abs, a))
+    bound = max(len(a) * top * top, top)
+    w = bound.bit_length() // 8 + 1  # |coefficient| <= bound < 2^(8w - 1)
+    half = 1 << (8 * w - 1)
+    one = (1).to_bytes(w, "little")
+    digits = b"".join([(x + half).to_bytes(w, "little") for x in a])
+    x = int.from_bytes(digits, "little") - half * int.from_bytes(one * len(a), "little")
+    n = 2 * len(a) - 1
+    digits = (x * x + half * int.from_bytes(one * n, "little")).to_bytes(n * w, "little")
+    out = [int.from_bytes(digits[i:i + w], "little") - half
+           for i in range(0, min(n, trunc + 1) * w, w)]
+    return out + [0] * (trunc + 1 - len(out))
 
 
 def delta_qexpansion(trunc: int) -> QExpansion:
-    """The discriminant cusp form q Π (1-q^n)^24 as an exact eta-product."""
+    """The discriminant cusp form q Π (1-q^n)^24, exact.
+
+    Jacobi's identity Π (1-q^n)^3 = Σ_k (-1)^k (2k+1) q^(k(k+1)/2) gives the
+    cube as a sparse series; three squarings by Kronecker substitution
+    (`_kronecker_square`) give its 8th power, the 24th power of the product."""
     if trunc < 1:
         raise InvalidInput("truncation must be >= 1")
     m = trunc - 1
-    euler = [0] * (m + 1)
+    power = [0] * (m + 1)
     k = 0
-    while True:  # pentagonal-number expansion of Π(1-q^n)
-        done = True
-        for kk in (k, -k) if k else (0,):
-            idx = kk * (3 * kk - 1) // 2
-            if idx <= m:
-                euler[idx] += 1 if kk % 2 == 0 else -1
-                done = False
-        if k and done:
-            break
+    while k * (k + 1) // 2 <= m:
+        power[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
         k += 1
-    p2 = _poly_mul_trunc(euler, euler, m)
-    p4 = _poly_mul_trunc(p2, p2, m)
-    p8 = _poly_mul_trunc(p4, p4, m)
-    p16 = _poly_mul_trunc(p8, p8, m)
-    p24 = _poly_mul_trunc(p16, p8, m)
-    return QExpansion(12, 1, DirichletCharacter.trivial(), [0] + p24)
+    for _ in range(3):
+        power = _kronecker_square(power, m)
+    return QExpansion(12, 1, DirichletCharacter.trivial(), [0] + power)
 
 
 def eisenstein_qexpansion(k: int, trunc: int) -> QExpansion:

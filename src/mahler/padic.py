@@ -34,7 +34,7 @@ def checked_prime(p: int) -> bool:
 def exact(q):
     """Normal form of a scalar: an integral rational as int, any other
     rational as Fraction; a PadicScalar is returned unchanged."""
-    if isinstance(q, PadicScalar):
+    if type(q) is int or isinstance(q, PadicScalar):  # bool and int subclasses become int
         return q
     q = Fraction(q)
     return q.numerator if q.denominator == 1 else q

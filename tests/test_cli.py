@@ -307,6 +307,15 @@ class TestMeasureCommands:
                                     "--a", "2", "--nu", "1"])
         assert code == 0 and json.loads(out)["mass"] == "1"
 
+    @pytest.mark.parametrize("nu", [12, 40])
+    def test_cell_mass_deep_level(self, capsys, tmp_path, nu):
+        # 7^nu residues, far above the order: no table of that size is built
+        path = write_measure(tmp_path, "m.json", dirac(2, 7, 6))
+        for a, mass in ((2, "1"), (3, "0"), (7 ** nu - 5, "0")):
+            code, out, _ = run(capsys, ["measure", "cell-mass", "--file", path,
+                                        "--a", str(a), "--nu", str(nu)])
+            assert code == 0 and json.loads(out)["mass"] == mass
+
     def test_padic_coefficient_measure(self, capsys, tmp_path):
         from mahler.padic import PadicScalar
         z = PadicScalar.from_int(4, 3, 8)
@@ -531,3 +540,39 @@ class TestConfig:
         assert code == 0
         data = json.loads(out)
         assert data["prec"] == 3
+
+    @pytest.mark.parametrize("overrides", [
+        {"disc": [1]}, {"prec": "abc"}, {"prec": 2.5}, {"prec": True},
+        {"prec": None}, {"p": {"x": 1}},
+    ])
+    def test_value_argparse_rejects_is_invalid_input(self, capsys, tmp_path, overrides):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(overrides))
+        code, out, err = run(capsys, ["--config", str(cfg), "hecke", "avatar",
+                                      "--disc", "-23", "--p", "7"])
+        assert code == 2 and out == "" and "--config" in err
+
+    def test_value_converted_like_argv(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"prec": "3"}))
+        argv = ["hecke", "avatar", "--disc", "-23", "--p", "7"]
+        code, out, _ = run(capsys, ["--config", str(cfg)] + argv)
+        assert code == 0
+        assert out == run(capsys, argv + ["--prec", "3"])[1]
+
+    def test_choices_checked(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"op": "div"}))
+        code, out, err = run(capsys, ["--config", str(cfg), "padic", "arith", "--op", "add",
+                                      "--a", "{}", "--b", "{}"])
+        assert code == 2 and out == "" and "--config" in err
+
+    @pytest.mark.parametrize("flag, code", [(True, 0), (False, 0), (1, 2), ("yes", 2)])
+    def test_flag_takes_a_boolean(self, capsys, tmp_path, flag, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"twist-inverse": flag}))
+        argv = ["hecke", "pair", "--disc", "-23", "--chi", "1", "--psi", "0"]
+        got, out, _ = run(capsys, ["--config", str(cfg)] + argv)
+        assert got == code
+        if code == 0:
+            assert out == run(capsys, argv + ["--twist-inverse"] * flag)[1]

@@ -13,6 +13,7 @@ from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
                               class_group, compose_forms, padic_avatar,
                               pairing, reduce_form, smallest_admissible_prime,
                               twisted_pairing, weight_value_on_principal)
+from mahler.arith import cyclotomic_coeffs
 from mahler.measure import moments, pairing_measure, restrict_to_units
 
 ALL_DISCS_200 = [D for D in range(-3, -201, -1) if D % 4 in (0, 1)]
@@ -262,6 +263,31 @@ class TestAlgebraicValue:
                         for _ in range(deg)])
                     if not v.is_zero():
                         assert v * v.inverse() == 1
+
+    def test_one_term_inverse_matches_general_path(self):
+        # Adding Phi_m(z) as group-ring terms leaves the value unchanged mod
+        # Phi_m but gives it several terms, so its inverse takes the norm path.
+        rng = random.Random(12)
+        for m in (2, 3, 4, 5, 6, 8, 12, 13, 48):
+            phi = cyclotomic_coeffs(m)
+            for d in (-7, -23, 5, -39999):
+                for _ in range(4):
+                    k = rng.randrange(m)
+                    term = (Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                            Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+                    if term == (0, 0):
+                        continue
+                    one = AlgebraicValue._from_terms(d, m, {k: term})
+                    padded = one + AlgebraicValue._from_terms(
+                        d, m, {j: (Fraction(c), Fraction(0)) for j, c in enumerate(phi)})
+                    assert len(one.terms) == 1 and len(padded.terms) > 1
+                    assert padded == one
+                    assert one.inverse() == padded.inverse()
+                    assert one * one.inverse() == 1
+
+    def test_zero_has_no_inverse(self):
+        with pytest.raises(InvalidInput):
+            AlgebraicValue.from_rational(0, -7, 5).inverse()
 
     def test_zero_divisor_refused(self):
         # 2 zeta_3 + 1 = sqrt(-3): (2z + 1)^2 + 3 vanishes mod Phi_3

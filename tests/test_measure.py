@@ -3,11 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+import math
+
 from mahler.errors import InvalidInput, PrecisionExhausted
-from mahler.measure import (Measure, cell_mass, dirac, integrate_step,
-                            mahler_from_moments, moments, mult_pushforward,
-                            pairing_measure, plus_basis, restrict_to_units)
-from mahler.padic import INF, PadicScalar, rational_valuation
+from mahler.measure import (Measure, cell_mass, dirac, from_plus_basis,
+                            integrate_step, mahler_from_moments, moments,
+                            mult_pushforward, pairing_measure, plus_basis,
+                            restrict_to_units)
+from mahler.padic import (INF, PadicScalar, exact, rational_valuation,
+                          stirling_first_signed, stirling_second)
 
 
 def random_finite_measure(rng, p, max_len=8, spread=9):
@@ -416,3 +420,128 @@ class TestScalarRule:
         # exact zero, which has no precision to carry it
         with pytest.raises(InvalidInput):
             dirac(PadicScalar.zero(self.p), self.p, 3)
+
+
+class TestKernelsAgainstTermwiseSums:
+    """The row-wise kernels against the term-by-term sums they replace, on
+    exact, p-adic and mixed coefficients: same values, same types, same
+    precisions."""
+
+    @staticmethod
+    def moment(mu, r):
+        return exact(sum(stirling_second(r, n) * math.factorial(n) * mu.mahler[n]
+                         for n in range(min(r, mu.order - 1) + 1)))
+
+    @staticmethod
+    def from_moments(b):
+        return [exact(exact(sum(stirling_first_signed(n, i) * b[i] for i in range(n + 1)))
+                      * Fraction(1, math.factorial(n)))
+                for n in range(len(b))]
+
+    @staticmethod
+    def plus(mu):
+        K = mu.order
+        return [exact(sum((-1) ** (k - m) * math.comb(k, m) * mu.mahler[k]
+                          for k in range(m, K)))
+                for m in range(K)]
+
+    @staticmethod
+    def from_plus(c):
+        K = len(c)
+        return [exact(sum(math.comb(m, n) * c[m] for m in range(n, K)))
+                for n in range(K)]
+
+    @staticmethod
+    def cell(mu, a, q):
+        total = 0
+        for k in range(mu.order):
+            w = sum((-1) ** (k - m) * math.comb(k, m) for m in range(a % q, k + 1, q))
+            total += w * mu.mahler[k]
+        return exact(total)
+
+    @staticmethod
+    def scalar(rng, kind, p):
+        if kind == "int":
+            return rng.randint(-10 ** 4, 10 ** 4)
+        if kind == "fraction":
+            return Fraction(rng.randint(-50, 50),
+                            rng.choice([d for d in (1, 2, 3, 4, 5, 7, 11) if d % p]))
+        choice = rng.randrange(5)
+        if choice == 0:
+            return PadicScalar.zero(p)
+        if choice == 1:
+            return PadicScalar.zero(p, rng.randint(1, 6))
+        return PadicScalar(p, rng.randint(0, 3), rng.randint(1, 10 ** 4), rng.randint(4, 9))
+
+    def measures(self, kind):
+        rng = random.Random(kind)
+        for p in (2, 3, 5, 7):
+            for order in (1, 2, 5, 13, 30):
+                kinds = ["int", "fraction", "padic"] if kind == "mixed" else [kind]
+                yield Measure(p, [self.scalar(rng, rng.choice(kinds), p)
+                                  for _ in range(order)], finite=True)
+
+    KINDS = ["int", "fraction", "padic", "mixed"]
+
+    @staticmethod
+    def outcome(fn, *args):
+        """typed(...) of the result (each entry of a list), or the error
+        raised: adding an int of valuation >= a scalar's precision raises
+        PrecisionExhausted in both versions."""
+        try:
+            value = fn(*args)
+        except (InvalidInput, PrecisionExhausted) as exc:
+            return type(exc)
+        if isinstance(value, Measure):
+            value = value.mahler
+        return [typed(x) for x in value] if isinstance(value, list) else typed(value)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_moments(self, kind):
+        for mu in self.measures(kind):
+            for r in range(mu.order + 3):
+                assert self.outcome(moments, mu, r) == self.outcome(self.moment, mu, r)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_mahler_from_moments(self, kind):
+        rng = random.Random(kind)
+        for p in (2, 3, 5, 7):
+            for size in (1, 2, 6, 12):
+                kinds = ["int", "fraction", "padic"] if kind == "mixed" else [kind]
+                factorial = math.factorial(size)
+                # p-integral multiples of size! keep every Mahler coefficient
+                # p-integral
+                b = [self.scalar(rng, rng.choice(kinds), p) * factorial
+                     for _ in range(size)]
+                assert self.outcome(mahler_from_moments, b, p) == \
+                    self.outcome(self.from_moments, b)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_plus_basis_and_back(self, kind):
+        for mu in self.measures(kind):
+            assert self.outcome(plus_basis, mu) == self.outcome(self.plus, mu)
+            c = mu.mahler
+            assert self.outcome(from_plus_basis, c, mu.prime, True) == \
+                self.outcome(self.from_plus, c)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cell_mass(self, kind):
+        for mu in self.measures(kind):
+            p = mu.prime
+            for nu in (1, 2):
+                for a in range(p ** nu):
+                    assert self.outcome(cell_mass, mu, a, nu) == \
+                        self.outcome(self.cell, mu, a, p ** nu)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cell_mass_deep_levels(self, kind):
+        # p^nu at, between and far above the order: the folded row is kept
+        # at length min(p^nu, order), so nu = 40 costs no more than nu = 3
+        for mu in self.measures(kind):
+            p = mu.prime
+            for nu in (3, 4, 12, 40):
+                q = p ** nu
+                residues = {0, 1, 5, 29, 30, mu.order - 1, mu.order, q - 1, q - 30}
+                for a in sorted(r for r in residues if 0 <= r < q):
+                    assert self.outcome(cell_mass, mu, a, nu) == \
+                        self.outcome(self.cell, mu, a, q)

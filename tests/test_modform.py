@@ -5,10 +5,11 @@ import pytest
 
 from mahler.errors import InvalidInput
 from mahler.modform import (DirichletCharacter, NearlyHolomorphic, QExpansion,
-                            delta_qexpansion, eisenstein_qexpansion,
-                            hecke_operator, interpolation_euler_factor,
-                            maass_raise, p_deplete, theta_operator, u_operator,
-                            v_operator)
+                            _kronecker_square, delta_qexpansion,
+                            eisenstein_qexpansion, hecke_operator,
+                            interpolation_euler_factor, maass_raise, p_deplete,
+                            theta_operator, u_operator, v_operator)
+from mahler.padic import INF, PadicScalar
 
 # Independent oracle for the cusp-form coefficients: expand
 # q * prod (1 - q^n)^24 directly, term by term, with no pentagonal shortcut.
@@ -24,6 +25,31 @@ def eta24_bruteforce(trunc):
     return [0] + coeffs
 
 
+def schoolbook_mul(a, b, trunc):
+    """Oracle for `_kronecker_square`: the truncated product term by term."""
+    out = [0] * (trunc + 1)
+    for i, x in enumerate(a[:trunc + 1]):
+        for j, y in enumerate(b[:trunc + 1 - i]):
+            out[i + j] += x * y
+    return out
+
+
+def delta_schoolbook(trunc):
+    """Oracle for `delta_qexpansion`: Euler's pentagonal series for
+    prod (1 - q^n), raised to the 24th power by schoolbook products."""
+    m = trunc - 1
+    euler = [0] * (m + 1)
+    for k in range(-m - 1, m + 2):
+        idx = k * (3 * k - 1) // 2
+        if idx <= m:
+            euler[idx] += (-1) ** (k % 2)
+    p2 = schoolbook_mul(euler, euler, m)
+    p4 = schoolbook_mul(p2, p2, m)
+    p8 = schoolbook_mul(p4, p4, m)
+    p16 = schoolbook_mul(p8, p8, m)
+    return [0] + schoolbook_mul(p16, p8, m)
+
+
 DELTA_50 = delta_qexpansion(50)
 TAU = {n: DELTA_50.coefficient(n) for n in range(1, 51)}
 
@@ -31,6 +57,18 @@ TAU = {n: DELTA_50.coefficient(n) for n in range(1, 51)}
 class TestGenerators:
     def test_delta_against_bruteforce(self):
         assert list(delta_qexpansion(30).coeffs) == eta24_bruteforce(30)
+
+    def test_delta_against_schoolbook(self):
+        want = delta_schoolbook(300)
+        for trunc in range(1, 301):
+            assert list(delta_qexpansion(trunc).coeffs) == want[:trunc + 1]
+        assert list(delta_qexpansion(1000).coeffs) == delta_schoolbook(1000)
+
+    def test_tau_at_truncation_4000(self):
+        f = delta_qexpansion(4000)
+        assert f.trunc == 4000
+        assert list(f.coeffs[:11]) == [0, 1, -24, 252, -1472, 4830, -6048, -16744,
+                                       84480, -113643, -115920]
 
     def test_frozen_tau_values(self):
         assert TAU[1] == 1
@@ -48,6 +86,32 @@ class TestGenerators:
     def test_bad_weight(self):
         with pytest.raises(InvalidInput):
             eisenstein_qexpansion(3, 5)
+
+
+class TestKroneckerSquare:
+    CASES = [
+        ([3, -1, 4], 7),  # signed, truncation above the degree of the square
+        ([0, 0, 5, 0, -2], 9),  # zeros inside and at both ends
+        ([0, 0, 0], 3),  # all zero
+        ([0], 0),
+        ([-7], 0),  # length 1
+        ([-7], 2),
+        ([10 ** 40, -(10 ** 39), 3, -(2 ** 130), 1, 2 ** 64 - 1], 12),  # big
+        ([1, -2, 3, -4, 5, -6], 2),  # below the length
+        ([1, -2, 3, -4, 5, -6], 5),
+    ]
+
+    @pytest.mark.parametrize("a, trunc", CASES)
+    def test_against_schoolbook(self, a, trunc):
+        assert _kronecker_square(a, trunc) == schoolbook_mul(a, a, trunc)
+
+    def test_random(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            bits = rng.choice((1, 8, 63, 200))
+            a = [rng.randint(-2 ** bits, 2 ** bits) for _ in range(rng.randrange(1, 30))]
+            trunc = rng.randrange(0, 70)
+            assert _kronecker_square(a, trunc) == schoolbook_mul(a, a, trunc)
 
 
 class TestUVOperators:
@@ -111,6 +175,54 @@ class TestHeckeOperator:
         tf = hecke_operator(f, 3)
         assert tf.coefficient(0) == Fraction(4, 3)
         assert all(type(c) in (int, Fraction) for c in tf.coeffs)
+
+
+def typed(x):
+    if isinstance(x, PadicScalar):
+        return (PadicScalar, x.valuation, x.unit, x.precision)
+    return (type(x), x)
+
+
+class TestDirectHecke:
+    """hecke_operator computes b_n = a_{np} + eps(p) p^(k-1) a_{n/p} directly;
+    it must agree, value and type, with U_p + eps(p) p^(k-1) V_p."""
+
+    @staticmethod
+    def via_v(f, p):
+        scalar = Fraction(f.eps(p)) * Fraction(p) ** (f.weight - 1)
+        return u_operator(f, p) + v_operator(f, p).scale(scalar)
+
+    @staticmethod
+    def coefficient(rng, kind, p):
+        if kind == "int":
+            return rng.randint(-10 ** 6, 10 ** 6)
+        if kind == "fraction":
+            return Fraction(rng.randint(-50, 50), rng.randint(1, 9))
+        choice = rng.randrange(4)
+        if choice == 0:
+            return PadicScalar.zero(p)
+        if choice == 1:
+            return PadicScalar.zero(p, rng.randint(1, 6))
+        return PadicScalar.from_int(rng.randint(1, 10 ** 4), p, rng.randint(1, 8))
+
+    @pytest.mark.parametrize("kind", ["int", "fraction", "padic", "mixed"])
+    @pytest.mark.parametrize("weight", [12, 2, 1, 0, -3])
+    @pytest.mark.parametrize("p", [2, 3, 7])
+    def test_matches_u_plus_v(self, kind, weight, p):
+        rng = random.Random(f"{kind}:{weight}:{p}")
+        kinds = ["int", "fraction", "padic"] if kind == "mixed" else [kind]
+        coeffs = [self.coefficient(rng, rng.choice(kinds), 5) for _ in range(60)]
+        eps = DirichletCharacter.trivial()
+        f = QExpansion(weight, 1, eps, coeffs)
+        got, want = hecke_operator(f, p), self.via_v(f, p)
+        assert [typed(c) for c in got.coeffs] == [typed(c) for c in want.coeffs]
+
+    def test_quadratic_nebentypus(self):
+        eps = DirichletCharacter(4, (0, 1, 0, -1))
+        f = QExpansion(3, 4, eps, list(range(-20, 21)))
+        for p in (3, 7):
+            assert [typed(c) for c in hecke_operator(f, p).coeffs] == \
+                [typed(c) for c in self.via_v(f, p).coeffs]
 
 
 class TestDepletion:

@@ -5,8 +5,9 @@ import pytest
 
 from mahler.errors import InvalidInput, PrecisionExhausted
 from mahler.padic import (INF, PadicScalar, TruncatedSeries, binomial_series,
-                          binomial_value, factorial_valuation, scalar_arith,
-                          series_arith, stirling_first_signed, stirling_second)
+                          binomial_value, exact, factorial_valuation,
+                          scalar_arith, series_arith, stirling_first_signed,
+                          stirling_second)
 
 
 def xgcd(a, b):
@@ -127,6 +128,29 @@ class TestFactorialValuation:
                 m //= p
                 v += 1
             assert factorial_valuation(n, p) == v
+
+
+class TestExact:
+    def test_int_returned_unchanged(self):
+        n = 10 ** 40 + 1
+        assert exact(n) is n
+        assert exact(-3) == -3 and type(exact(-3)) is int
+
+    def test_bool_and_int_subclass_become_int(self):
+        class Tagged(int):
+            pass
+
+        for value, want in ((True, 1), (False, 0), (Tagged(7), 7)):
+            got = exact(value)
+            assert type(got) is int and got == want
+
+    def test_fractions(self):
+        assert type(exact(Fraction(6, 3))) is int and exact(Fraction(6, 3)) == 2
+        assert type(exact(Fraction(1, 3))) is Fraction and exact(Fraction(2, 6)) == Fraction(1, 3)
+
+    def test_padic_returned_unchanged(self):
+        x = PadicScalar.from_int(7, 5, 4)
+        assert exact(x) is x
 
 
 class TestStirling:
