@@ -10,6 +10,7 @@ what equality, printing and encoding read. Arithmetic is exact throughout.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -171,7 +172,6 @@ class IdealClassGroup:
             a, b, c = self.forms[i]
             inverse[i] = self._index[reduce_form((a, -b, c), D)]
         self.inverse = inverse
-        _verify_group_axioms(self)
 
     @property
     def h(self) -> int:
@@ -231,21 +231,10 @@ def _enumerate_reduced_forms(D: int):
     return forms
 
 
-def _verify_group_axioms(G: IdealClassGroup):
-    h, e = G.h, G.identity_index
-    for i in range(h):
-        if G.mul(e, i) != i or G.mul(i, G.inverse[i]) != e:
-            raise AssertionError("identity/inverse axiom failed")
-    for i in range(h):
-        for j in range(h):
-            for k in range(h):
-                if G.mul(G.mul(i, j), k) != G.mul(i, G.mul(j, k)):
-                    raise AssertionError("associativity failed")
-
-
 def class_group(D: int) -> IdealClassGroup:
     """Enumerate reduced primitive forms of discriminant D and build the
-    composition table (group axioms are verified)."""
+    composition table (closed under composition by construction; the tests
+    check the group axioms)."""
     return IdealClassGroup(D)
 
 
@@ -546,14 +535,47 @@ def characters(G: IdealClassGroup):
             for tab in tables]
 
 
+def _weights_cancel(phi1: WeightFunction, phi2: WeightFunction) -> bool:
+    return (phi1.weight[0] + phi2.weight[0], phi1.weight[1] + phi2.weight[1]) == (0, 0)
+
+
+def _histogram(d: int, h: int, *phis: WeightFunction):
+    """(1/h) Σ_s Π_i φ_i(I_s) when every value is a root of unity z^e of
+    Q(sqrt(d))(zeta_m) with coefficient (1, 0), else None: the product at s
+    is z^(Σ e) in the lcm of the layers, so the sum is the histogram of the
+    exponent sums, with counts / h as coefficients."""
+    rows = []
+    for phi in phis:
+        row = []
+        for v in phi.values:
+            if type(v) is not AlgebraicValue or v.d != d or len(v.terms) != 1:
+                return None
+            (e, c), = v.terms.items()
+            if c != (1, 0):
+                return None
+            row.append((v.m, e))
+        rows.append(row)
+    m = math.lcm(*(mi for row in rows for mi, _ in row))
+    counts = Counter(sum(e * (m // mi) for mi, e in col) % m for col in zip(*rows))
+    return AlgebraicValue._from_terms(
+        d, m, {k: (Fraction(n, h), Fraction(0)) for k, n in counts.items()})
+
+
 def pairing(phi1: WeightFunction, phi2: WeightFunction) -> AlgebraicValue:
-    """(1/h) Σ_s φ1(I_s) φ2(I_s) when the weights cancel, else exact 0."""
+    """(1/h) Σ_s φ1(I_s) φ2(I_s) when the weights cancel, else exact 0.
+
+    Values that are all roots of unity with coefficient 1 (every
+    finite-order character) are paired through `_histogram`, one count per
+    class instead of one group-ring product; any other value is multiplied
+    out."""
     if phi1.group.discriminant != phi2.group.discriminant:
         raise InvalidInput("group mismatch")
     d = phi1.group.order_data.d_K
-    w = (phi1.weight[0] + phi2.weight[0], phi1.weight[1] + phi2.weight[1])
-    if w != (0, 0):
+    if not _weights_cancel(phi1, phi2):
         return AlgebraicValue.from_rational(0, d, 1)
+    total = _histogram(d, phi1.group.h, phi1, phi2)
+    if total is not None:
+        return total
     total = AlgebraicValue.from_rational(0, d, 1)
     for a, b in zip(phi1.values, phi2.values):
         total = total + a * b
@@ -562,9 +584,18 @@ def pairing(phi1: WeightFunction, phi2: WeightFunction) -> AlgebraicValue:
 
 def twisted_pairing(phi1: WeightFunction, phi2: WeightFunction,
                     psi: WeightFunction) -> AlgebraicValue:
-    """The psi-twist <φ1, ψ·φ2>."""
+    """The psi-twist <φ1, ψ·φ2>.  When the three groups agree, the weights
+    cancel and all values are roots of unity with coefficient 1, ψ's
+    exponent joins the `_histogram` count and ψ·φ2 is never formed;
+    otherwise this is `pairing(phi1, psi * phi2)`."""
     if psi.weight != (0, 0):
         raise InvalidInput("twists must have weight (0,0)")
+    G = phi1.group
+    if G.discriminant == phi2.group.discriminant == psi.group.discriminant and \
+            _weights_cancel(phi1, phi2):
+        total = _histogram(G.order_data.d_K, G.h, phi1, phi2, psi)
+        if total is not None:
+            return total
     return pairing(phi1, psi * phi2)
 
 

@@ -11,6 +11,12 @@ in `padic`: exact zeros (int/Fraction 0, the infinite-precision PadicScalar
 zero) drop out, an inexact zero keeps its precision, and an exact result is
 an int when integral, else a Fraction.  Exact inputs stay exact through
 every operation that permits it.
+
+Each transform is a dot product of an integer row with the coefficients,
+taken by `_dot`.  A row over PadicScalars of one prime and exact zeros is
+summed on integers: the value Σ c·lift(x) mod p^P with P = min(prec(x) +
+v_p(c)), which is what `+` and `*` give term by term; any other row is
+summed with `+` and `*`.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from itertools import accumulate, repeat
 from operator import mul, sub
 
 from .errors import InvalidInput, PrecisionExhausted
-from .padic import (PadicScalar, _falling_factorial_coeffs, _stirling_second_row,
+from .padic import (INF, PadicScalar, _falling_factorial_coeffs, _stirling_second_row,
                     binomial_series, checked_prime, exact, is_p_integral)
 
 _FACTORIALS = (1,)  # n! at index n; replaced whole by a longer table when needed
@@ -44,6 +50,48 @@ def _binomial_columns(size: int):
     while col:
         yield col
         col = list(accumulate(col[:-1]))
+
+
+def _holds_padic(xs) -> bool:
+    return PadicScalar in map(type, xs)
+
+
+def _dot(row, xs, padic: bool):
+    """Σ c·x over zip(row, xs), for a row of ints; `padic` is
+    `_holds_padic` of xs or of a list that xs is a slice of, so a kernel
+    summing many rows over one list looks at it once.
+
+    When every x is a PadicScalar of one prime p or an exact zero (int 0,
+    the exact p-adic zero), the sum is formed on integers: Σ c·lift(x) mod
+    p^P, where P is the minimum of prec(x) + v_p(c) over the terms with c ≠ 0
+    and x not an exact zero, as PadicScalar's `+` and `*` give term by term;
+    int 0 when no term contributes.  Any other row, and a p-adic x of
+    negative valuation, is summed with `+` and `*`."""
+    if not padic:
+        return sum(map(mul, row, xs))
+    pairs = list(zip(row, xs))
+    p, P, total = None, INF, 0
+    for c, x in pairs:
+        if type(x) is not PadicScalar:
+            if type(x) is int and x == 0:
+                continue
+            break
+        if p is None:
+            p = x.prime
+        prec = x.precision
+        if x.prime != p or (x.unit and x.valuation < 0):
+            break
+        if not c or prec is INF:
+            continue
+        if x.unit:
+            total += c * x.unit * p ** x.valuation
+        while prec < P and c % p == 0:  # prec + v_p(c), as far as it can lower P
+            c //= p
+            prec += 1
+        P = min(P, prec)
+    else:
+        return 0 if P is INF else PadicScalar(p, 0, total, P)
+    return sum(c * x for c, x in pairs)
 
 
 def _cap_precision(x, p: int, precision: int) -> PadicScalar:
@@ -75,9 +123,12 @@ class Measure:
             if not _integral(a, prime):
                 raise InvalidInput("Mahler coefficient with negative valuation: "
                                    "this is a distribution, not a measure")
-        self.prime = prime
-        self.mahler = mahler
-        self.finite = finite
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "mahler", mahler)
+        object.__setattr__(self, "finite", finite)
+
+    def __setattr__(self, *args):
+        raise AttributeError("Measure is immutable")
 
     @property
     def order(self) -> int:
@@ -131,7 +182,8 @@ def moments(mu: Measure, r: int):
         raise InvalidInput(f"moment {r} needs order > {r} or a finite measure")
     n = min(r, mu.order - 1) + 1
     weights = map(mul, _stirling_second_row(r), _factorials(n))
-    return exact(sum(map(mul, weights, mu.mahler[:n])))
+    coeffs = mu.mahler[:n]
+    return exact(_dot(weights, coeffs, _holds_padic(coeffs)))
 
 
 def mahler_from_moments(b, prime: int) -> Measure:
@@ -145,8 +197,9 @@ def mahler_from_moments(b, prime: int) -> Measure:
     if not b:
         raise InvalidInput("need at least the 0-th moment")
     coeffs = []
+    padic = _holds_padic(b)
     for n in range(len(b)):
-        total = sum(map(mul, _falling_factorial_coeffs(n), b))
+        total = _dot(_falling_factorial_coeffs(n), b, padic)
         a_n = exact(total * Fraction(1, math.factorial(n)))
         if not _integral(a_n, prime):
             raise InvalidInput(f"non-integral Mahler coefficient at n={n}: "
@@ -164,13 +217,15 @@ def plus_basis(mu: Measure):
     """
     K = mu.order
     signs = [(-1) ** j for j in range(K)]
-    return [exact(sum(map(mul, map(mul, signs, col), mu.mahler[m:])))
+    padic = _holds_padic(mu.mahler)
+    return [exact(_dot(map(mul, signs, col), mu.mahler[m:], padic))
             for m, col in enumerate(_binomial_columns(K))]
 
 
 def from_plus_basis(c, prime: int, finite: bool) -> Measure:
     """Mahler coefficients a_n = Σ_m c_m C(m, n) from (1+T)^m coefficients."""
-    mahler = [exact(sum(map(mul, col, c[n:])))
+    padic = _holds_padic(c)
+    mahler = [exact(_dot(col, c[n:], padic))
               for n, col in enumerate(_binomial_columns(len(c)))]
     return Measure(prime, mahler, finite=finite)
 
@@ -247,7 +302,7 @@ def cell_mass(mu: Measure, a: int, nu: int, precision: int | None = None):
             raise PrecisionExhausted(
                 f"order {mu.order} supports level-{nu} cell masses to precision "
                 f"at most {bound}")
-    total = exact(sum(map(mul, _cell_weights(a, q, mu.order), mu.mahler)))
+    total = exact(_dot(_cell_weights(a, q, mu.order), mu.mahler, _holds_padic(mu.mahler)))
     if mu.finite:
         return total
     return _cap_precision(total, p, precision)

@@ -420,8 +420,11 @@ class TruncatedSeries:
             if len(padic) != len(coeffs):
                 raise InvalidInput("mixed p-adic and exact coefficients")
             prime = padic[0].prime
-        self.coeffs = coeffs
-        self.prime = prime
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "prime", prime)
+
+    def __setattr__(self, *args):
+        raise AttributeError("TruncatedSeries is immutable")
 
     @property
     def order(self) -> int:
@@ -506,18 +509,20 @@ def binomial_series(z, order: int) -> TruncatedSeries:
     """The Amice series (1+T)^z = sum_n C(z,n) T^n for z in Z_p.
 
     Exact int/Fraction inputs give exact coefficients; a PadicScalar input
-    tracks the v_p(n!) precision cost of the divisions.
+    tracks the v_p(n!) precision cost of the divisions (see
+    `_binomial_triples`).  The exact p-adic zero gives 1 + O(p) and then
+    exact zeros, C(0, n) = 0 for n >= 1.
     """
     if order < 1:
         raise InvalidInput("order must be >= 1")
     if isinstance(z, PadicScalar):
         if not z.is_zero and z.valuation < 0:
             raise InvalidInput("z must lie in Z_p")
-        prec = z.precision if z.precision is not INF else 1
-        coeffs = [PadicScalar.from_int(1, z.prime, prec)]
-        for n in range(1, order):
-            coeffs.append(coeffs[-1] * (z - (n - 1)) / n)
-        return TruncatedSeries(coeffs, z.prime)
+        p = z.prime
+        if z.precision is INF:
+            return TruncatedSeries([PadicScalar.from_int(1, p, 1)]
+                                   + [PadicScalar.zero(p)] * (order - 1), p)
+        return TruncatedSeries([PadicScalar(p, *t) for t in _binomial_triples(z, order)], p)
     z = Fraction(z)
     coeffs = [Fraction(1)]
     for n in range(1, order):
@@ -525,3 +530,46 @@ def binomial_series(z, order: int) -> TruncatedSeries:
     if all(c.denominator == 1 for c in coeffs):
         return TruncatedSeries([int(c) for c in coeffs])
     return TruncatedSeries(coeffs)
+
+
+def _binomial_triples(z: PadicScalar, order: int) -> list:
+    """(valuation, unit, precision) of C(z, n) for n < order, z in Z_p known
+    mod p^P: the recurrence C(z, n) = C(z, n-1) (z - n + 1) / n on integers,
+    each step the PadicScalar `-`, `*` and `/` it replaces, with the same
+    error: dividing a zero known mod p^e by n needs e > v_p(n).
+
+    In PadicScalar arithmetic z - k also refuses v_p(k) >= P, first at
+    k = p^P, but that step is never reached.  With Z < p^P the lift of z,
+    the factor at k = Z is the first zero, known mod p^P, and the product
+    C(z, Z) before it has valuation 0.  At n = p^P the zero is known mod p^e
+    with e = P + v_p((p^P - 1 - Z)!) - v_p((p^P)!) + v_p(Z!), which is
+    minus the number of carries in the base-p sum Z + (p^P - 1 - Z), so
+    e = 0 and the division error is raised at some n <= p^P."""
+    p, P = z.prime, z.precision
+    top = p ** P
+    zl = z.lift()
+    v, u, prec = 0, 1, P  # 1 + O(p^P)
+    out = [(v, u, prec)]
+    for n in range(1, order):
+        t = (zl - n + 1) % top  # z - (n-1), known mod p^P
+        tv = int_valuation(t, p) if t else INF
+        if v is INF or tv is INF:  # a zero factor: v + v' or precision in its place
+            prec = (prec if v is INF else v) + (P if tv is INF else tv)
+            v, u = INF, 0
+        else:
+            rel = min(prec - v, P - tv)
+            v += tv
+            u = u * (t // p ** tv) % p ** rel
+            prec = v + rel
+        s = int_valuation(n, p)
+        if v is INF:
+            prec -= s
+            if prec <= 0:
+                raise PrecisionExhausted("zero known to no precision")
+        else:
+            rel = prec - v
+            u = u * pow(n // p ** s, -1, p ** rel) % p ** rel
+            v -= s
+            prec = v + rel
+        out.append((v, u, prec))
+    return out

@@ -9,7 +9,7 @@ import mahler
 from mahler import serialize
 from mahler.cli import main
 from mahler.errors import InvalidInput
-from mahler.measure import dirac
+from mahler.measure import Measure, dirac
 from mahler.serialize import encode_measure
 
 
@@ -36,8 +36,7 @@ class TestExitCodes:
         assert code == 2 and "discriminant" in err
 
     def test_precision_exhausted(self, capsys, tmp_path):
-        mu = dirac(2, 3, 6)
-        mu.finite = False
+        mu = Measure(3, dirac(2, 3, 6).mahler, finite=False)
         path = write_measure(tmp_path, "m.json", mu)
         code, _, err = run(capsys, ["measure", "restrict", "--file", path,
                                     "--prec", "9"])
@@ -240,6 +239,15 @@ class TestPrecisionEnvironment:
                                     "--p", "5", "--order", "2"])
         assert code == 0
         assert json.loads(out)["coeffs"][1]["prec"] == 7
+
+    def test_binomial_series_at_zero(self, capsys):
+        # z = 0 embeds as the exact zero: C(0, n) = 0 exactly for n >= 1
+        code, out, _ = run(capsys, ["padic", "binomial-series", "--z", "0",
+                                    "--p", "3", "--order", "4"])
+        assert code == 0
+        coeffs = json.loads(out)["coeffs"]
+        assert coeffs[0] == {"p": 3, "prec": 1, "unit": "1", "val": 0}
+        assert coeffs[1:] == [{"p": 3, "prec": "inf", "unit": "0", "val": "inf"}] * 3
 
     def test_malformed_precision_is_invalid_input(self, capsys, monkeypatch):
         monkeypatch.setenv("MAHLER_PREC", "abc")

@@ -14,9 +14,24 @@ from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
                               pairing, reduce_form, smallest_admissible_prime,
                               twisted_pairing, weight_value_on_principal)
 from mahler.arith import cyclotomic_coeffs
+from mahler.heckechar import _histogram
+from mahler.serialize import encode_algebraic
 from mahler.measure import moments, pairing_measure, restrict_to_units
 
 ALL_DISCS_200 = [D for D in range(-3, -201, -1) if D % 4 in (0, 1)]
+
+
+def verify_group_axioms(G):
+    """Oracle: identity, inverses and associativity of the composition
+    table, O(h^3)."""
+    h, e = G.h, G.identity_index
+    for i in range(h):
+        assert G.mul(e, i) == i and G.mul(i, G.inverse[i]) == e
+    for i in range(h):
+        for j in range(h):
+            ij = G.mul(i, j)
+            for k in range(h):
+                assert G.mul(ij, k) == G.mul(i, G.mul(j, k))
 
 
 class TestClassGroups:
@@ -41,13 +56,20 @@ class TestClassGroups:
             class_group(7)
 
     def test_axioms_all_small_discriminants(self):
-        # constructor re-verifies closure/identity/inverse/associativity;
-        # build every group with |D| <= 500
+        # the constructor checks closure; every group with |D| <= 500 (so
+        # every D the suite builds below -39999, including -263, -215 and
+        # -407) is checked for identity, inverses and associativity here
         for D in range(-3, -501, -1):
             if D % 4 in (0, 1):
                 G = class_group(D)
                 assert G.h >= 1
                 assert G.forms[G.identity_index] == (1, D % 2, ((D % 2) - D) // 4)
+                verify_group_axioms(G)
+
+    def test_axioms_large_discriminant(self):
+        G = class_group(-39999)
+        assert G.h == 96
+        verify_group_axioms(G)
 
     def test_commutative(self):
         for D in (-23, -47, -84, -120):
@@ -191,6 +213,52 @@ class TestPairing:
                             assert value == 1
                         else:
                             assert value.is_zero()
+
+    @staticmethod
+    def product_sum(phi1, phi2):
+        """Oracle: (1/h) Σ_s φ1(I_s) φ2(I_s) as h group-ring products."""
+        d = phi1.group.order_data.d_K
+        total = AlgebraicValue.from_rational(0, d, 1)
+        for a, b in zip(phi1.values, phi2.values):
+            total = total + a * b
+        return total.scale(Fraction(1, phi1.group.h))
+
+    @staticmethod
+    def same(x, y):
+        """Equal as stored and as printed: d, m, terms, repr, encoding."""
+        return (x.d, x.m, x.terms, repr(x), encode_algebraic(x)) == \
+            (y.d, y.m, y.terms, repr(y), encode_algebraic(y))
+
+    HISTOGRAM_DISCS = [D for D in range(-3, -61, -1) if D % 4 in (0, 1)] + [-263, -215, -407]
+
+    def test_histogram_against_products(self):
+        for D in self.HISTOGRAM_DISCS:
+            G = class_group(D)
+            chars = characters(G)
+            psi = chars[D % G.h]
+            for c1 in chars:
+                for c2 in chars:
+                    assert _histogram(G.order_data.d_K, G.h, c1, c2) is not None
+                    assert self.same(pairing(c1, c2), self.product_sum(c1, c2))
+            c1 = chars[-1]
+            for c2 in chars:
+                assert self.same(twisted_pairing(c1, c2, psi),
+                                 self.product_sum(c1, psi * c2))
+
+    def test_non_unit_coefficient_takes_general_path(self):
+        # 2·χ is not a root of unity with coefficient 1: it is multiplied out
+        for D in (-23, -47, -84, -263):
+            G = class_group(D)
+            chars = characters(G)
+            d = G.order_data.d_K
+            doubled = WeightFunction(G, (0, 0), [v.scale(2) for v in chars[1].values])
+            assert _histogram(d, G.h, doubled, chars[0]) is None
+            for c in chars:
+                assert self.same(pairing(doubled, c), self.product_sum(doubled, c))
+                assert self.same(pairing(c, doubled), self.product_sum(c, doubled))
+                assert self.same(twisted_pairing(c, chars[-1], doubled),
+                                 self.product_sum(c, doubled * chars[-1]))
+                assert pairing(doubled, c) == pairing(chars[1], c).scale(2)
 
     def test_column_orthogonality_sum(self):
         G = class_group(-23)

@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 
 import math
+import operator
 
 from mahler.errors import InvalidInput, PrecisionExhausted
-from mahler.measure import (Measure, cell_mass, dirac, from_plus_basis,
+from mahler.measure import (Measure, _dot, cell_mass, dirac, from_plus_basis,
                             integrate_step, mahler_from_moments, moments,
                             mult_pushforward, pairing_measure, plus_basis,
                             restrict_to_units)
@@ -30,6 +31,14 @@ def brute_force_moment(mu, r, nu):
 
 
 class TestDirac:
+    def test_immutable(self):
+        mu = dirac(2, 3, 6)
+        for name, value in (("finite", False), ("mahler", [1]), ("prime", 5),
+                            ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(mu, name, value)
+        assert mu.finite and mu.prime == 3 and mu.mahler == [1, 2, 1, 0, 0, 0]
+
     def test_dirac_one(self):
         mu = dirac(1, 5, 6)
         assert mu.mahler == [1, 1, 0, 0, 0, 0] and mu.finite
@@ -412,14 +421,12 @@ class TestScalarRule:
             [(int, 3), self.EXACT_ZERO, (int, 6), self.EXACT_ZERO]
 
     def test_dirac_at_exact_zero(self):
-        mu = dirac(PadicScalar.zero(self.p), self.p, 2)
-        assert [typed(a) for a in mu.mahler] == \
-            [(PadicScalar, 0, 1, 1), self.EXACT_ZERO]
-        assert not mu.finite
-        # C(0, n) for n >= 2 needs 0 - 1: a nonzero rational against the
-        # exact zero, which has no precision to carry it
-        with pytest.raises(InvalidInput):
-            dirac(PadicScalar.zero(self.p), self.p, 3)
+        # C(0, n) = 0 exactly for n >= 1: 1 + O(p), then exact zeros
+        for order in (1, 2, 3, 4, 12):
+            mu = dirac(PadicScalar.zero(self.p), self.p, order)
+            assert [typed(a) for a in mu.mahler] == \
+                [(PadicScalar, 0, 1, 1)] + [self.EXACT_ZERO] * (order - 1)
+            assert not mu.finite
 
 
 class TestKernelsAgainstTermwiseSums:
@@ -459,8 +466,27 @@ class TestKernelsAgainstTermwiseSums:
             total += w * mu.mahler[k]
         return exact(total)
 
+    @classmethod
+    def restrict(cls, mu, precision=None):
+        """Restriction as the term-by-term sums: the (1+T)^m coefficients
+        with p | m replaced by int 0, back to Mahler coefficients, and for
+        a truncated measure the first n_out of them capped at precision."""
+        p = mu.prime
+        c = cls.plus(mu)
+        mahler = cls.from_plus([0 if m % p == 0 else x for m, x in enumerate(c)])
+        if mu.finite:
+            return mahler
+        n_out = mu.order - (precision + 1) * (p - 1)
+        if n_out < 1:
+            raise PrecisionExhausted("order does not support the precision")
+        return [a + PadicScalar.zero(p, precision) for a in mahler[:n_out]]
+
     @staticmethod
     def scalar(rng, kind, p):
+        if kind == "zeros":  # p-adic, with int 0 beside exact and inexact p-adic zeros
+            if rng.randrange(4) == 0:
+                return 0
+            kind = "padic"
         if kind == "int":
             return rng.randint(-10 ** 4, 10 ** 4)
         if kind == "fraction":
@@ -481,7 +507,7 @@ class TestKernelsAgainstTermwiseSums:
                 yield Measure(p, [self.scalar(rng, rng.choice(kinds), p)
                                   for _ in range(order)], finite=True)
 
-    KINDS = ["int", "fraction", "padic", "mixed"]
+    KINDS = ["int", "fraction", "padic", "zeros", "mixed"]
 
     @staticmethod
     def outcome(fn, *args):
@@ -545,3 +571,33 @@ class TestKernelsAgainstTermwiseSums:
                 for a in sorted(r for r in residues if 0 <= r < q):
                     assert self.outcome(cell_mass, mu, a, nu) == \
                         self.outcome(self.cell, mu, a, q)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_restriction(self, kind):
+        # the kept (1+T)^m coefficients hold int 0 at every m divisible by p
+        for mu in self.measures(kind):
+            assert self.outcome(restrict_to_units, mu) == self.outcome(self.restrict, mu)
+            truncated = Measure(mu.prime, mu.mahler, finite=False)
+            for precision in (1, 2, 4):
+                assert self.outcome(restrict_to_units, truncated, precision) == \
+                    self.outcome(self.restrict, truncated, precision)
+
+    def test_dot_falls_back(self):
+        # a negative valuation, a second prime or a nonzero exact number
+        # sends the row through + and *, with its result or its error
+        p = 5
+        rows = [
+            [PadicScalar(p, -1, 2, 3), PadicScalar(p, 0, 7, 4)],
+            [PadicScalar(p, 0, 3, 4), PadicScalar(7, 0, 3, 4)],
+            [PadicScalar(7, 0, 3, 4), PadicScalar(p, 0, 3, 4)],
+            [PadicScalar.zero(7), PadicScalar(p, 0, 3, 4)],
+            [PadicScalar(p, 0, 3, 4), 1],
+            [PadicScalar(p, 0, 3, 4), Fraction(1, 2)],
+            [PadicScalar(p, 0, 1, 2), 25],
+            [0, PadicScalar.zero(p)],
+            [PadicScalar.zero(p, 2), 0],
+        ]
+        for xs in rows:
+            for row in ([1, 1], [0, 3], [5, 10], [25, 0]):
+                assert self.outcome(_dot, row, xs, True) == \
+                    self.outcome(lambda r, x: sum(map(operator.mul, r, x)), row, xs)

@@ -219,12 +219,88 @@ class TestBinomialSeries:
             binomial_series(PadicScalar.from_rational(Fraction(1, 5), 5, 6), 4)
 
 
+def scalar_binomial_series(z, order):
+    """Oracle: C(z, n) = C(z, n-1) (z - n + 1) / n in PadicScalar arithmetic."""
+    coeffs = [PadicScalar.from_int(1, z.prime, z.precision)]
+    for n in range(1, order):
+        coeffs.append(coeffs[-1] * (z - (n - 1)) / n)
+    return coeffs
+
+
+class TestBinomialSeriesKernel:
+    """The integer recurrence of `binomial_series` against the scalar one:
+    same values, types, valuations and precisions, or the same error."""
+
+    @staticmethod
+    def outcome(fn, z, order):
+        try:
+            coeffs = fn(z, order)
+        except (InvalidInput, PrecisionExhausted) as exc:
+            return type(exc), str(exc)
+        return [(type(c), c.valuation, c.unit, c.precision) for c in coeffs]
+
+    @staticmethod
+    def random_z(rng, p, prec, kind):
+        if kind == "zero":
+            return PadicScalar.zero(p, prec)
+        v = 0 if kind == "unit" else rng.randint(1, prec)
+        if v >= prec:
+            return PadicScalar.zero(p, prec)
+        unit = rng.randrange(1, p ** (prec - v))
+        while unit % p == 0:
+            unit = rng.randrange(1, p ** (prec - v))
+        return PadicScalar(p, v, unit, prec)
+
+    def test_against_scalar_recurrence(self):
+        rng = random.Random(60)
+        raised = 0
+        for p in (3, 5, 7, 11, 13):
+            for prec in range(1, 15):
+                for kind in ("unit", "nonunit", "zero"):
+                    for _ in range(2):
+                        z = self.random_z(rng, p, prec, kind)
+                        for order in (rng.randint(1, 60), 60):
+                            want = self.outcome(scalar_binomial_series, z, order)
+                            got = self.outcome(
+                                lambda z, K: binomial_series(z, K).coeffs, z, order)
+                            assert got == want, (z, order)
+                            raised += isinstance(want, tuple)
+        assert raised  # the error paths are exercised too
+
+    def test_small_primes_and_edges(self):
+        # z = p^k - 1 style values and z congruent to small integers
+        for p in (3, 5):
+            for prec in (1, 2, 3, 6):
+                for zl in (0, 1, 2, p - 1, p, p + 1, p ** 2 - 1):
+                    z = PadicScalar(p, 0, zl, prec) if zl % p ** prec \
+                        else PadicScalar.zero(p, prec)
+                    for order in (1, 2, p + 2, 2 * p ** 2 + 1):
+                        assert self.outcome(
+                            lambda z, K: binomial_series(z, K).coeffs, z, order) == \
+                            self.outcome(scalar_binomial_series, z, order)
+
+    def test_exact_zero(self):
+        # C(0, n) = 0 exactly for n >= 1, at every order
+        for p in (3, 5, 7):
+            for order in (1, 2, 3, 4, 25):
+                coeffs = binomial_series(PadicScalar.zero(p), order).coeffs
+                assert [(c.valuation, c.unit, c.precision) for c in coeffs] == \
+                    [(0, 1, 1)] + [(INF, 0, INF)] * (order - 1)
+
+
 def c_eq(padic, exact, p):
     return padic == PadicScalar.from_rational(exact, p, padic.precision
                                               if padic.precision is not INF else 1)
 
 
 class TestSeries:
+    def test_immutable(self):
+        f = TruncatedSeries([1, 1, 0])
+        for name, value in (("coeffs", [2]), ("prime", 3), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(f, name, value)
+        assert f.coeffs == [1, 1, 0] and f.prime is None
+
     def test_mul(self):
         f = TruncatedSeries([1, 1, 0])
         g = TruncatedSeries([1, -1, 0])
