@@ -3,21 +3,22 @@ quadratic forms, weight functions with their zero-weight pairing, finite-order
 characters, and p-adic avatars feeding the measure layer.
 
 All algebraic values live in the tower Q(sqrt(d))(zeta_m), stored in the group
-ring Q(sqrt(d))[z]/(z^m - 1); their `coeffs`, the form reduced mod Phi_m, is
-what equality, printing and encoding read. Arithmetic is exact throughout.
+ring Q(sqrt(d))[z]/(z^m - 1) with coefficients in `padic.exact` normal form (int
+while integral, else Fraction); their `coeffs`, the form reduced mod Phi_m, is
+what equality, printing and encoding read. Arithmetic is exact throughout, and
+every pairing is one sum of group-ring products, divided by h once.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import cyclotomic_coeffs, factorint, isprime
+from .arith import cyclotomic_coeffs, factorint, isprime, sqrt_mod_prime
 from .errors import InvalidInput
 from .measure import dirac
-from .padic import PadicScalar
+from .padic import PadicScalar, exact
 
 # ---------------------------------------------------------------------------
 # discriminants and orders
@@ -147,31 +148,31 @@ class IdealClassGroup:
     forms under composition, with the full multiplication table."""
 
     __slots__ = ("discriminant", "order_data", "forms", "table",
-                 "identity_index", "inverse", "_index")
+                 "identity_index", "inverse")
 
     def __init__(self, D: int):
         if not is_discriminant(D):
             raise InvalidInput(f"{D} is not a negative discriminant")
-        self.discriminant = D
-        self.order_data = QuadOrder.from_discriminant(D)
-        self.forms = _enumerate_reduced_forms(D)
-        self._index = {f: i for i, f in enumerate(self.forms)}
-        h = len(self.forms)
-        ident = self._index[principal_form(D)]
+        forms = _enumerate_reduced_forms(D)
+        index = {f: i for i, f in enumerate(forms)}
+        h = len(forms)
         table = [[0] * h for _ in range(h)]
         for i in range(h):
             for j in range(i, h):
-                prod = compose_forms(self.forms[i], self.forms[j], D)
-                if prod not in self._index:
+                prod = compose_forms(forms[i], forms[j], D)
+                if prod not in index:
                     raise AssertionError("composition left the reduced set")
-                table[i][j] = table[j][i] = self._index[prod]
-        self.table = table
-        self.identity_index = ident
-        inverse = [None] * h
-        for i in range(h):
-            a, b, c = self.forms[i]
-            inverse[i] = self._index[reduce_form((a, -b, c), D)]
-        self.inverse = inverse
+                table[i][j] = table[j][i] = index[prod]
+        for name, value in (
+                ("discriminant", D), ("order_data", QuadOrder.from_discriminant(D)),
+                ("forms", tuple(forms)),
+                ("table", tuple(map(tuple, table))),
+                ("identity_index", index[principal_form(D)]),
+                ("inverse", tuple(index[reduce_form((a, -b, c), D)] for a, b, c in forms))):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *args):
+        raise AttributeError("IdealClassGroup is immutable")
 
     @property
     def h(self) -> int:
@@ -179,19 +180,6 @@ class IdealClassGroup:
 
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
-
-    def pow(self, i: int, n: int) -> int:
-        if n < 0:
-            return self.pow(self.inverse[i], -n)
-        acc = self.identity_index
-        base, e = i, n
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return acc
 
     def element_order(self, i: int) -> int:
         n, acc = 1, i
@@ -248,49 +236,73 @@ def _cyclotomic(m: int) -> tuple:
     return tuple(cyclotomic_coeffs(m))
 
 
+def _rational(q):
+    """`exact` of a rational; anything Fraction() refuses, a PadicScalar
+    included, is refused."""
+    return exact(q if type(q) is int else Fraction(q))
+
+
+def _convolve(xs: dict, ys: dict, m: int, d: int, out: dict) -> dict:
+    """Add the cyclic convolution of two group-ring term dicts, exponents
+    mod m, into `out`; zero terms may remain."""
+    for i, (ax, ay) in xs.items():
+        for j, (bx, by) in ys.items():
+            k = (i + j) % m
+            cx, cy = out.get(k, (0, 0))
+            out[k] = (cx + ax * bx + ay * by * d, cy + ax * by + ay * bx)
+    return out
+
+
 class AlgebraicValue:
     """An element of Q(sqrt(d))(zeta_m) in the group ring Q(sqrt(d))[z]/(z^m - 1):
     `terms` maps k mod m to (a_k, b_k), meaning sum_k (a_k + b_k sqrt(d)) z^k,
-    so a root of unity is one term.  `coeffs` is the canonical form: the
-    power-basis vector of length phi(m), reduced mod Phi_m."""
+    so a root of unity is one term; a_k and b_k are int while integral, else
+    Fraction.  `coeffs` is the canonical form: the power-basis vector of length
+    phi(m), reduced mod Phi_m."""
 
     __slots__ = ("d", "m", "terms")
 
     def __init__(self, d: int, m: int, coeffs):
         if d == 0 or math.isqrt(abs(d)) ** 2 == d:
             raise InvalidInput("d must be a non-square")
-        coeffs = [(Fraction(a), Fraction(b)) for a, b in coeffs]
+        coeffs = [(_rational(a), _rational(b)) for a, b in coeffs]
         if len(coeffs) > len(_cyclotomic(m)) - 1:
             raise InvalidInput("coefficient vector too long")
-        self.d = d
-        self.m = m
-        self.terms = {k: c for k, c in enumerate(coeffs) if c[0] or c[1]}
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "terms",
+                           {k: c for k, c in enumerate(coeffs) if c[0] or c[1]})
+
+    def __setattr__(self, *args):
+        raise AttributeError("AlgebraicValue is immutable")
 
     # -- constructors --
 
     @classmethod
     def _from_terms(cls, d: int, m: int, terms: dict) -> "AlgebraicValue":
-        """sum_k terms[k] z^k, zero terms dropped."""
+        """sum_k terms[k] z^k, coefficients in `exact` normal form, zero terms
+        dropped."""
         value = cls(d, m, [])
-        value.terms = {k: c for k, c in terms.items() if c[0] or c[1]}
+        object.__setattr__(value, "terms", {k: (exact(a), exact(b))
+                                            for k, (a, b) in terms.items() if a or b})
         return value
 
     @classmethod
     def from_rational(cls, q, d: int, m: int = 1) -> "AlgebraicValue":
-        return cls(d, m, [(Fraction(q), Fraction(0))])
+        return cls(d, m, [(q, 0)])
 
     @classmethod
     def sqrt_d(cls, d: int, m: int = 1) -> "AlgebraicValue":
-        return cls(d, m, [(Fraction(0), Fraction(1))])
+        return cls(d, m, [(0, 1)])
 
     @classmethod
     def quadratic(cls, a, b, d: int, m: int = 1) -> "AlgebraicValue":
         """a + b sqrt(d)."""
-        return cls(d, m, [(Fraction(a), Fraction(b))])
+        return cls(d, m, [(a, b)])
 
     @classmethod
     def root_of_unity(cls, exponent: int, d: int, m: int) -> "AlgebraicValue":
-        return cls._from_terms(d, m, {exponent % m: (Fraction(1), Fraction(0))})
+        return cls._from_terms(d, m, {exponent % m: (1, 0)})
 
     # -- structure --
 
@@ -299,8 +311,8 @@ class AlgebraicValue:
         """((a_j, b_j) for j < phi(m)): the terms reduced mod Phi_m."""
         phi = _cyclotomic(self.m)
         deg = len(phi) - 1
-        xs = [Fraction(0)] * self.m
-        ys = [Fraction(0)] * self.m
+        xs = [0] * self.m
+        ys = [0] * self.m
         for k, (a, b) in self.terms.items():
             xs[k], ys[k] = a, b
         for k in range(self.m - 1, deg - 1, -1):
@@ -310,7 +322,7 @@ class AlgebraicValue:
                     if c:
                         xs[k - deg + i] -= a * c
                         ys[k - deg + i] -= b * c
-        return tuple(zip(xs[:deg], ys[:deg]))
+        return tuple((exact(a), exact(b)) for a, b in zip(xs[:deg], ys[:deg]))
 
     def promote(self, m_new: int) -> "AlgebraicValue":
         if m_new == self.m:
@@ -354,19 +366,13 @@ class AlgebraicValue:
     def __mul__(self, other):
         """The cyclic convolution of the terms, exponents mod m."""
         a, b = self._align(other)
-        terms = {}
-        for i, (ax, ay) in a.terms.items():
-            for j, (bx, by) in b.terms.items():
-                k = (i + j) % a.m
-                cx, cy = terms.get(k, (0, 0))
-                terms[k] = (cx + ax * bx + ay * by * a.d, cy + ax * by + ay * bx)
-        return AlgebraicValue._from_terms(a.d, a.m, terms)
+        return AlgebraicValue._from_terms(a.d, a.m, _convolve(a.terms, b.terms, a.m, a.d, {}))
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def scale(self, q) -> "AlgebraicValue":
-        q = Fraction(q)
+        q = _rational(q)
         return AlgebraicValue._from_terms(
             self.d, self.m, {k: (a * q, b * q) for k, (a, b) in self.terms.items()})
 
@@ -407,7 +413,7 @@ class AlgebraicValue:
         N = (n * c).as_rational()
         if N == 0:
             raise InvalidInput("value is a zero divisor in the stated tower")
-        return (self.conjugate() * c).scale(1 / N)
+        return (self.conjugate() * c).scale(Fraction(1, N))
 
     # -- queries --
 
@@ -415,7 +421,8 @@ class AlgebraicValue:
         return all(a == 0 and b == 0 for a, b in self.coeffs)
 
     def as_rational(self):
-        """The Fraction value if the element is rational, else None."""
+        """The value if the element is rational (an int when integral, else a
+        Fraction), else None."""
         (a0, b0), *rest = self.coeffs
         if b0 == 0 and all(a == 0 and b == 0 for a, b in rest):
             return a0
@@ -423,10 +430,11 @@ class AlgebraicValue:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = AlgebraicValue.from_rational(other, self.d, 1)
+            return self.as_rational() == other
         if not isinstance(other, AlgebraicValue) or self.d != other.d:
             return NotImplemented
-        return (self - other).is_zero()
+        a, b = self._align(other)
+        return a.coeffs == b.coeffs
 
     __hash__ = None
 
@@ -454,9 +462,12 @@ class WeightFunction:
         values = tuple(values)
         if len(values) != group.h:
             raise InvalidInput("need one value per ideal class")
-        self.group = group
-        self.weight = (int(w1), int(ws))
-        self.values = values
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "weight", (int(w1), int(ws)))
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, *args):
+        raise AttributeError("WeightFunction is immutable")
 
     def __mul__(self, other: "WeightFunction") -> "WeightFunction":
         if other.group.discriminant != self.group.discriminant:
@@ -535,68 +546,48 @@ def characters(G: IdealClassGroup):
             for tab in tables]
 
 
-def _weights_cancel(phi1: WeightFunction, phi2: WeightFunction) -> bool:
-    return (phi1.weight[0] + phi2.weight[0], phi1.weight[1] + phi2.weight[1]) == (0, 0)
-
-
-def _histogram(d: int, h: int, *phis: WeightFunction):
-    """(1/h) Σ_s Π_i φ_i(I_s) when every value is a root of unity z^e of
-    Q(sqrt(d))(zeta_m) with coefficient (1, 0), else None: the product at s
-    is z^(Σ e) in the lcm of the layers, so the sum is the histogram of the
-    exponent sums, with counts / h as coefficients."""
-    rows = []
-    for phi in phis:
-        row = []
-        for v in phi.values:
-            if type(v) is not AlgebraicValue or v.d != d or len(v.terms) != 1:
-                return None
-            (e, c), = v.terms.items()
-            if c != (1, 0):
-                return None
-            row.append((v.m, e))
-        rows.append(row)
-    m = math.lcm(*(mi for row in rows for mi, _ in row))
-    counts = Counter(sum(e * (m // mi) for mi, e in col) % m for col in zip(*rows))
+def _class_sum(phi1: WeightFunction, phi2: WeightFunction, *twist: WeightFunction):
+    """(1/h) Σ_s φ1(I_s) φ2(I_s) Π ψ(I_s) over the twists ψ when the weights of
+    φ1 and φ2 cancel, else exact 0.  Per class, the values' terms are
+    multiplied in the lcm of their layers and added into one term dict, which
+    is divided by h once.  A value that is not an AlgebraicValue is coerced as
+    `_align` coerces it."""
+    G = phi1.group
+    if any(phi.group.discriminant != G.discriminant for phi in (phi2, *twist)):
+        raise InvalidInput("group mismatch")
+    d = G.order_data.d_K
+    if (phi1.weight[0] + phi2.weight[0], phi1.weight[1] + phi2.weight[1]) != (0, 0):
+        return AlgebraicValue.from_rational(0, d, 1)
+    rows = [[v if isinstance(v, AlgebraicValue) else AlgebraicValue.from_rational(v, d, 1)
+             for v in phi.values] for phi in (phi1, phi2, *twist)]
+    if any(v.d != d for row in rows for v in row):
+        raise InvalidInput("mixed quadratic fields")
+    m = math.lcm(*(v.m for row in rows for v in row))
+    rows = [[v.promote(m).terms for v in row] for row in rows]
+    total = {}
+    for first, *middle, last in zip(*rows):
+        for terms in middle:
+            first = _convolve(first, terms, m, d, {})
+        _convolve(first, last, m, d, total)
+    h = G.h
+    def share(c):  # c / h, an int when h divides c
+        return c // h if c % h == 0 else Fraction(c, h)
     return AlgebraicValue._from_terms(
-        d, m, {k: (Fraction(n, h), Fraction(0)) for k, n in counts.items()})
+        d, m, {k: (share(a), share(b)) for k, (a, b) in total.items()})
 
 
 def pairing(phi1: WeightFunction, phi2: WeightFunction) -> AlgebraicValue:
-    """(1/h) Σ_s φ1(I_s) φ2(I_s) when the weights cancel, else exact 0.
-
-    Values that are all roots of unity with coefficient 1 (every
-    finite-order character) are paired through `_histogram`, one count per
-    class instead of one group-ring product; any other value is multiplied
-    out."""
-    if phi1.group.discriminant != phi2.group.discriminant:
-        raise InvalidInput("group mismatch")
-    d = phi1.group.order_data.d_K
-    if not _weights_cancel(phi1, phi2):
-        return AlgebraicValue.from_rational(0, d, 1)
-    total = _histogram(d, phi1.group.h, phi1, phi2)
-    if total is not None:
-        return total
-    total = AlgebraicValue.from_rational(0, d, 1)
-    for a, b in zip(phi1.values, phi2.values):
-        total = total + a * b
-    return total.scale(Fraction(1, phi1.group.h))
+    """(1/h) Σ_s φ1(I_s) φ2(I_s) when the weights cancel, else exact 0."""
+    return _class_sum(phi1, phi2)
 
 
 def twisted_pairing(phi1: WeightFunction, phi2: WeightFunction,
                     psi: WeightFunction) -> AlgebraicValue:
-    """The psi-twist <φ1, ψ·φ2>.  When the three groups agree, the weights
-    cancel and all values are roots of unity with coefficient 1, ψ's
-    exponent joins the `_histogram` count and ψ·φ2 is never formed;
-    otherwise this is `pairing(phi1, psi * phi2)`."""
+    """The psi-twist <φ1, ψ·φ2> = (1/h) Σ_s φ1(I_s) φ2(I_s) ψ(I_s), taken
+    in the same sum as `pairing` (ψ·φ2 is never formed)."""
     if psi.weight != (0, 0):
         raise InvalidInput("twists must have weight (0,0)")
-    G = phi1.group
-    if G.discriminant == phi2.group.discriminant == psi.group.discriminant and \
-            _weights_cancel(phi1, phi2):
-        total = _histogram(G.order_data.d_K, G.h, phi1, phi2, psi)
-        if total is not None:
-            return total
-    return pairing(phi1, psi * phi2)
+    return _class_sum(phi1, phi2, psi)
 
 
 def canonical_weight_character(order: QuadOrder, w) -> WeightFunction:
@@ -656,8 +647,9 @@ class PadicEmbedding:
                 self._pick_sqrt(sqrt_residue))
 
     def _pick_sqrt(self, residue):
-        p, d = self.prime, self.d
-        roots = [r for r in range(1, p) if (r * r - d) % p == 0]
+        """The chosen square root of d mod p, else the smaller one."""
+        p = self.prime
+        roots = sqrt_mod_prime(self.d, p)
         if residue is not None:
             if residue % p not in roots:
                 raise InvalidInput("chosen residue is not a square root of d mod p")
@@ -665,15 +657,19 @@ class PadicEmbedding:
         return min(roots)
 
     def _pick_zeta(self, residue):
+        """The chosen primitive m-th root of unity mod p, else the least one:
+        x = t^((p-1)/m) for the first t of order exactly m, and then the least
+        x^j with j prime to m."""
         p, m = self.prime, self.m
-        q_factors = [q for q in factorint(m)]
+        q_factors = list(factorint(m))
         def primitive(t):
             return pow(t, m, p) == 1 and all(pow(t, m // q, p) != 1 for q in q_factors)
         if residue is not None:
             if not primitive(residue % p):
                 raise InvalidInput("chosen residue is not a primitive m-th root mod p")
             return residue % p
-        return next(t for t in range(1, p) if primitive(t))
+        x = next(x for x in (pow(t, (p - 1) // m, p) for t in range(2, p)) if primitive(x))
+        return min(pow(x, j, p) for j in range(1, m) if math.gcd(j, m) == 1)
 
     def _lift_root(self, f, df, x0: int) -> int:
         p, target = self.prime, self.precision

@@ -174,10 +174,6 @@ def mat_trace(x: Mat):
     return x[0][0] + x[1][1]
 
 
-def mat_det(x: Mat):
-    return x[0][0] * x[1][1] - x[0][1] * x[1][0]
-
-
 IDENTITY: Mat = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
 
 

@@ -473,6 +473,14 @@ class TestHeckeCommands:
                   "--twist-inverse"],
                  '{"D":-47,"chi":1,"pairing":{"coeffs":'
                  '[["0","0"],["0","0"],["0","0"],["0","0"]],"d":-47,"m":5},"psi":2}\n'),
+        # h = 13 and h = 16: characters of order 13 and 16
+        "pair-263": (["hecke", "pair", "--disc", "-263", "--chi", "1", "--psi", "12"],
+                     '{"D":-263,"chi":1,"pairing":{"coeffs":[["1","0"]'
+                     + ',["0","0"]' * 11 + '],"d":-263,"m":13},"psi":12}\n'),
+        "pair-407": (["hecke", "pair", "--disc", "-407", "--chi", "3", "--psi", "5",
+                      "--twist-inverse"],
+                     '{"D":-407,"chi":3,"pairing":{"coeffs":[["0","0"]'
+                     + ',["0","0"]' * 7 + '],"d":-407,"m":16},"psi":5}\n'),
     }
 
     @pytest.mark.parametrize("name", list(GOLDEN))

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,8 @@ from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
                               class_group, compose_forms, padic_avatar,
                               pairing, reduce_form, smallest_admissible_prime,
                               twisted_pairing, weight_value_on_principal)
-from mahler.arith import cyclotomic_coeffs
-from mahler.heckechar import _histogram
+from mahler.arith import cyclotomic_coeffs, isprime
+from mahler.padic import PadicScalar
 from mahler.serialize import encode_algebraic
 from mahler.measure import moments, pairing_measure, restrict_to_units
 
@@ -65,6 +66,14 @@ class TestClassGroups:
                 assert G.h >= 1
                 assert G.forms[G.identity_index] == (1, D % 2, ((D % 2) - D) // 4)
                 verify_group_axioms(G)
+
+    def test_immutable(self):
+        G = class_group(-23)
+        with pytest.raises(AttributeError):
+            G.table = ()
+        with pytest.raises(AttributeError):
+            G.discriminant = -47
+        assert G.discriminant == -23 and G.h == 3
 
     def test_axioms_large_discriminant(self):
         G = class_group(-39999)
@@ -165,6 +174,14 @@ class TestCharacters:
         assert len(nontrivial) == 2
         assert nontrivial[0].values[1] == nontrivial[1].values[2]
 
+    def test_weight_function_immutable(self):
+        chi = characters(class_group(-23))[1]
+        with pytest.raises(AttributeError):
+            chi.values = ()
+        with pytest.raises(AttributeError):
+            chi.weight = (2, 0)
+        assert chi.weight == (0, 0) and len(chi.values) == 3
+
     def test_homomorphism_property(self):
         rng = random.Random(29)
         for D in (-23, -47, -71, -84, -120):
@@ -182,7 +199,7 @@ class TestCharacters:
                 for j, c2 in enumerate(chars):
                     value = pairing(c1, c2)
                     if (c1 * c2).is_trivial():
-                        assert value == 1
+                        assert value == 1 and type(value.as_rational()) is int
                     else:
                         assert value.is_zero()
 
@@ -229,36 +246,124 @@ class TestPairing:
         return (x.d, x.m, x.terms, repr(x), encode_algebraic(x)) == \
             (y.d, y.m, y.terms, repr(y), encode_algebraic(y))
 
-    HISTOGRAM_DISCS = [D for D in range(-3, -61, -1) if D % 4 in (0, 1)] + [-263, -215, -407]
+    @staticmethod
+    def normal(x):
+        """Every coefficient, stored and canonical, in `padic.exact` normal
+        form: an int when integral (so every integral character pairing has
+        int coefficients), else a Fraction."""
+        pairs = list(x.terms.values()) + list(x.coeffs)
+        return all(type(c) is int or (type(c) is Fraction and c.denominator != 1)
+                   for pair in pairs for c in pair)
 
-    def test_histogram_against_products(self):
-        for D in self.HISTOGRAM_DISCS:
+    CHARACTER_DISCS = [D for D in range(-3, -61, -1) if D % 4 in (0, 1)] + [-263, -215, -407]
+
+    def test_characters_against_products(self):
+        for D in self.CHARACTER_DISCS:
             G = class_group(D)
             chars = characters(G)
             psi = chars[D % G.h]
             for c1 in chars:
                 for c2 in chars:
-                    assert _histogram(G.order_data.d_K, G.h, c1, c2) is not None
-                    assert self.same(pairing(c1, c2), self.product_sum(c1, c2))
+                    value = pairing(c1, c2)
+                    assert self.same(value, self.product_sum(c1, c2))
+                    assert self.normal(value)
             c1 = chars[-1]
             for c2 in chars:
-                assert self.same(twisted_pairing(c1, c2, psi),
-                                 self.product_sum(c1, psi * c2))
+                value = twisted_pairing(c1, c2, psi)
+                assert self.same(value, self.product_sum(c1, psi * c2))
+                assert self.normal(value)
 
-    def test_non_unit_coefficient_takes_general_path(self):
-        # 2·χ is not a root of unity with coefficient 1: it is multiplied out
+    def test_non_unit_coefficient_against_products(self):
+        # 2·χ is not a root of unity with coefficient 1
         for D in (-23, -47, -84, -263):
             G = class_group(D)
             chars = characters(G)
-            d = G.order_data.d_K
             doubled = WeightFunction(G, (0, 0), [v.scale(2) for v in chars[1].values])
-            assert _histogram(d, G.h, doubled, chars[0]) is None
             for c in chars:
                 assert self.same(pairing(doubled, c), self.product_sum(doubled, c))
                 assert self.same(pairing(c, doubled), self.product_sum(c, doubled))
                 assert self.same(twisted_pairing(c, chars[-1], doubled),
                                  self.product_sum(c, doubled * chars[-1]))
                 assert pairing(doubled, c) == pairing(chars[1], c).scale(2)
+
+    @staticmethod
+    def random_value(rng, d, layers):
+        """A value with a few terms, sqrt(d) parts and Fraction or int
+        coefficients, in a random layer m."""
+        m = rng.choice(layers)
+        def coefficient():
+            return rng.choice([rng.randint(-4, 4),
+                               Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+        terms = {rng.randrange(m): (coefficient(), coefficient())
+                 for _ in range(rng.randint(1, 3))}
+        return AlgebraicValue._from_terms(d, m, terms)
+
+    def test_general_values_against_products(self):
+        rng = random.Random(7)
+        for D, layers in ((-23, (1, 2, 3, 6)), (-47, (1, 5, 10)), (-84, (1, 2, 4)),
+                          (-263, (1, 13, 26))):
+            G = class_group(D)
+            d = G.order_data.d_K
+            chars = characters(G)
+            for _ in range(6):
+                phis = [WeightFunction(G, w, [self.random_value(rng, d, layers)
+                                              for _ in range(G.h)])
+                        for w in ((3, -1), (-3, 1), (0, 0))]
+                phi1, phi2, psi = phis
+                # a value that is not an AlgebraicValue is coerced
+                phi3 = WeightFunction(G, (0, 0), [Fraction(1, 3)] + list(psi.values[1:]))
+                for a, b in ((phi1, phi2), (psi, phi3), (phi3, chars[-1]), (chars[1], psi)):
+                    value = pairing(a, b)
+                    assert self.same(value, self.product_sum(a, b))
+                    assert self.normal(value)
+                for a, b, t in ((phi1, phi2, psi), (phi1, phi2, chars[-1]),
+                                (psi, chars[1], phi3), (phi3, psi, psi)):
+                    value = twisted_pairing(a, b, t)
+                    assert self.same(value, self.product_sum(a, t * b))
+                    assert self.normal(value)
+                assert pairing(phi1, psi).is_zero()  # the weights do not cancel
+                assert twisted_pairing(phi1, psi, chars[1]).is_zero()
+
+    def test_mixed_quadratic_fields_refused(self):
+        G = class_group(-23)
+        chars = characters(G)
+        foreign = WeightFunction(G, (0, 0), [AlgebraicValue.root_of_unity(1, -7, 3)]
+                                 + list(chars[1].values[1:]))
+        for call in (lambda: pairing(foreign, chars[1]),
+                     lambda: pairing(chars[1], foreign),
+                     lambda: twisted_pairing(chars[1], chars[2], foreign),
+                     lambda: twisted_pairing(foreign, chars[2], chars[1]),
+                     lambda: self.product_sum(foreign, chars[1])):
+            with pytest.raises(InvalidInput, match="mixed quadratic fields"):
+                call()
+
+    def test_check_order(self):
+        G, H = class_group(-23), class_group(-47)
+        chi, eta = characters(G)[1], characters(H)[1]
+        weighted = WeightFunction(G, (2, 0), chi.values)
+        with pytest.raises(InvalidInput, match="group mismatch"):
+            pairing(chi, eta)
+        with pytest.raises(InvalidInput, match="twists must have weight"):
+            twisted_pairing(chi, eta, weighted)
+        for args in ((chi, eta, chi), (chi, chi, eta), (eta, chi, chi)):
+            with pytest.raises(InvalidInput, match="group mismatch"):
+                twisted_pairing(*args)
+
+    def test_padic_coefficient_refused(self):
+        x = PadicScalar.from_int(3, 7, 4)
+        one = AlgebraicValue.from_rational(1, -7)
+        for call in (lambda: AlgebraicValue(-7, 1, [(x, 0)]),
+                     lambda: AlgebraicValue(-7, 3, [(1, 0), (0, x)]),
+                     lambda: AlgebraicValue.from_rational(x, -7),
+                     lambda: one.scale(x), lambda: one * x, lambda: one + x):
+            with pytest.raises(TypeError):
+                call()
+        G = class_group(-23)
+        chi = characters(G)[1]
+        padic = WeightFunction(G, (0, 0), [x] * G.h)
+        for call in (lambda: pairing(padic, chi), lambda: self.product_sum(padic, chi)):
+            with pytest.raises(TypeError):
+                call()
 
     def test_column_orthogonality_sum(self):
         G = class_group(-23)
@@ -377,6 +482,23 @@ class TestAlgebraicValue:
         z6 = AlgebraicValue.root_of_unity(2, -7, 6)
         assert z3 == z6
 
+    def test_exact_normal_form(self):
+        v = AlgebraicValue(-7, 3, [(Fraction(4, 2), 1.5), (True, Fraction(0))])
+        assert v.terms == {0: (2, Fraction(3, 2)), 1: (1, 0)}
+        assert [type(c) for c in v.terms[0] + v.terms[1]] == [int, Fraction, int, int]
+        half = AlgebraicValue.quadratic(Fraction(1, 2), 0, -7)
+        assert type((half + half).as_rational()) is int
+        assert type((half * 4).terms[0][0]) is int
+        assert (half + half) == 1 and half == Fraction(1, 2) and half != 1
+        assert AlgebraicValue.sqrt_d(-7).as_rational() is None
+
+    def test_immutable(self):
+        v = AlgebraicValue.root_of_unity(1, -7, 3)
+        for name, value in (("terms", {}), ("m", 6), ("d", -3)):
+            with pytest.raises(AttributeError):
+                setattr(v, name, value)
+        assert v.terms == {1: (1, 0)} and (v.d, v.m) == (-7, 3)
+
     def test_conjugation(self):
         v = AlgebraicValue.quadratic(2, 3, -7)
         assert v + v.conjugate() == 4
@@ -429,6 +551,58 @@ class TestAvatars:
     def test_p_not_one_mod_m(self):
         with pytest.raises(InvalidInput):
             PadicEmbedding(7, 4, -7, 5)
+
+
+class TestEmbeddingResidues:
+    @staticmethod
+    def scan(p, d, m):
+        """Oracle: the least square root of d and the least primitive m-th
+        root of unity in [1, p), by trying every residue."""
+        sqrt = next((r for r in range(1, p) if (r * r - d) % p == 0), None)
+        zeta = next(t for t in range(1, p) if pow(t, m, p) == 1 and
+                    all(pow(t, k, p) != 1 for k in range(1, m)))
+        return sqrt, zeta
+
+    def test_residues_match_scan(self):
+        for D in (-23, -47, -84, -87, -104, -263, -407):
+            G = class_group(D)
+            m, d = G.exponent, G.order_data.d_K
+            for p in range(3, 2000, 2):
+                if not isprime(p) or (p - 1) % m:
+                    continue
+                emb = admissible_embedding(G, p, 1)
+                sqrt, zeta = self.scan(p, d, m)
+                assert emb.zeta_lift == (zeta if m > 1 else None)
+                if d % p == 0:
+                    assert emb.sqrt_lift == "ramified"
+                elif sqrt is None:
+                    assert emb.sqrt_lift == "inert"
+                else:
+                    assert emb.sqrt_lift == sqrt
+                    other = p - sqrt
+                    assert admissible_embedding(G, p, 1, sqrt_residue=other).sqrt_lift == other
+                    bad = next(r for r in range(1, p) if (r * r - d) % p)
+                    with pytest.raises(InvalidInput):
+                        admissible_embedding(G, p, 1, sqrt_residue=bad)
+                if m > 2:
+                    other = pow(zeta, m - 1, p)
+                    assert admissible_embedding(G, p, 1, zeta_residue=other).zeta_lift == other
+                    with pytest.raises(InvalidInput):
+                        admissible_embedding(G, p, 1, zeta_residue=1)
+
+    def test_large_prime(self):
+        # p > 10^12, p = 1 mod 3 and -23 a square mod p: both residues are chosen
+        G = class_group(-23)
+        p = next(q for q in range(10 ** 12 + 3, 10 ** 12 + 10 ** 5, 6)
+                 if isprime(q) and pow(-23 % q, (q - 1) // 2, q) == 1)
+        start = time.perf_counter()
+        emb = admissible_embedding(G, p, 4)
+        chi = characters(G)[1]
+        avatar = padic_avatar(chi, emb)
+        assert time.perf_counter() - start < 1.0
+        assert (emb.sqrt_lift ** 2 + 23) % p ** 4 == 0
+        assert (emb.zeta_lift ** 3 - 1) % p ** 4 == 0 and emb.zeta_lift % p != 1
+        assert all((x * x * x - 1).valuation >= 4 for x in avatar)
 
 
 class TestAvatarMeasureFamily:
