@@ -21,8 +21,8 @@ from .modform import (DirichletCharacter, NearlyHolomorphic, QExpansion,
                       interpolation_euler_factor, maass_raise, p_deplete,
                       theta_operator, u_operator, v_operator)
 from .padic import (PadicScalar, TruncatedSeries, binomial_series,
-                    binomial_value, factorial_valuation, scalar_arith,
-                    series_arith, stirling_first_signed, stirling_second)
+                    factorial_valuation, scalar_arith, stirling_first_signed,
+                    stirling_second)
 from .quaternion import (HashimotoData, MatrixEmbedding, QuaternionAlgebra,
                          embedding_conductor, hashimoto_search, hilbert_symbol,
                          ramified_set, skolem_noether_complement)

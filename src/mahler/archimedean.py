@@ -26,7 +26,10 @@ class PiPolynomial:
             coeff = Fraction(coeff)
             if coeff:
                 clean[int(power)] = coeff
-        self.terms = clean
+        object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, *args):
+        raise AttributeError("PiPolynomial is immutable")
 
     @classmethod
     def term(cls, coeff, power: int = 0) -> "PiPolynomial":

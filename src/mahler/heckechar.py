@@ -56,8 +56,11 @@ class QuadOrder:
         cc, dd = fundamental_decomposition(d_K)
         if cc != 1 or dd != d_K:
             raise InvalidInput(f"{d_K} is not a fundamental discriminant")
-        self.d_K = d_K
-        self.c = c
+        object.__setattr__(self, "d_K", d_K)
+        object.__setattr__(self, "c", c)
+
+    def __setattr__(self, *args):
+        raise AttributeError("QuadOrder is immutable")
 
     @classmethod
     def from_discriminant(cls, D: int) -> "QuadOrder":
@@ -628,23 +631,27 @@ class PadicEmbedding:
             raise InvalidInput("need an odd prime")
         if precision < 1:
             raise InvalidInput("precision must be >= 1")
-        self.prime = prime
-        self.precision = precision
-        self.d = d
-        self.m = m
+        for name, value in (("prime", prime), ("precision", precision),
+                            ("d", d), ("m", m)):
+            object.__setattr__(self, name, value)
         if m > 1 and (prime - 1) % m:
             raise InvalidInput(f"p = {prime} is not 1 mod {m}: mu_{m} not in Z_p")
-        self.zeta_lift = None if m == 1 else self._lift_root(
+        zeta_lift = None if m == 1 else self._lift_root(
             lambda x: x ** m - 1, lambda x: m * x ** (m - 1),
             self._pick_zeta(zeta_residue))
         if d % prime == 0:
-            self.sqrt_lift = "ramified"
+            sqrt_lift = "ramified"
         elif pow(d % prime, (prime - 1) // 2, prime) != 1:
-            self.sqrt_lift = "inert"
+            sqrt_lift = "inert"
         else:
-            self.sqrt_lift = self._lift_root(
+            sqrt_lift = self._lift_root(
                 lambda x: x * x - d, lambda x: 2 * x,
                 self._pick_sqrt(sqrt_residue))
+        object.__setattr__(self, "zeta_lift", zeta_lift)
+        object.__setattr__(self, "sqrt_lift", sqrt_lift)
+
+    def __setattr__(self, *args):
+        raise AttributeError("PadicEmbedding is immutable")
 
     def _pick_sqrt(self, residue):
         """The chosen square root of d mod p, else the smaller one."""

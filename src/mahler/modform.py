@@ -37,8 +37,11 @@ class DirichletCharacter:
                 for j in range(modulus):
                     if values[i * j % modulus] != values[i] * values[j]:
                         raise InvalidInput("value table is not multiplicative")
-        self.modulus = modulus
-        self.values = values
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, *args):
+        raise AttributeError("DirichletCharacter is immutable")
 
     @classmethod
     def trivial(cls, modulus: int = 1) -> "DirichletCharacter":
@@ -68,13 +71,17 @@ class QExpansion:
             raise InvalidInput("level must be >= 1")
         if level % eps.modulus != 0:
             raise InvalidInput("nebentypus modulus must divide the level")
-        self.weight = weight
-        self.level = level
-        self.eps = eps
-        self.coeffs = tuple(exact(c) if isinstance(c, (int, Fraction)) else c
-                            for c in coeffs)
-        if not self.coeffs:
+        coeffs = tuple(exact(c) if isinstance(c, (int, Fraction)) else c
+                       for c in coeffs)
+        if not coeffs:
             raise InvalidInput("empty coefficient list")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "eps", eps)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, *args):
+        raise AttributeError("QExpansion is immutable")
 
     @property
     def trunc(self) -> int:
@@ -189,8 +196,6 @@ class NearlyHolomorphic:
     __slots__ = ("weight", "trunc", "cells")
 
     def __init__(self, weight: int, trunc: int, cells):
-        self.weight = weight
-        self.trunc = trunc
         table = {}
         for (n, j), c in dict(cells).items():
             if n < 0 or j < 0:
@@ -200,7 +205,12 @@ class NearlyHolomorphic:
             c = exact(c)
             if c != 0:
                 table[(n, j)] = c
-        self.cells = table
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "cells", table)
+
+    def __setattr__(self, *args):
+        raise AttributeError("NearlyHolomorphic is immutable")
 
     @classmethod
     def from_qexpansion(cls, f: QExpansion) -> "NearlyHolomorphic":

@@ -36,7 +36,8 @@ def exact(q):
     rational as Fraction; a PadicScalar is returned unchanged."""
     if type(q) is int or isinstance(q, PadicScalar):  # bool and int subclasses become int
         return q
-    q = Fraction(q)
+    if type(q) is not Fraction:  # a Fraction is already in lowest terms
+        q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
 
 
@@ -391,14 +392,6 @@ def stirling_second(r: int, n: int) -> int:
     return _stirling_second_row(r)[n]
 
 
-def binomial_value(z, n: int):
-    """C(z, n) for an exact int/Fraction z."""
-    acc = Fraction(1)
-    for t in range(n):
-        acc *= Fraction(z) - t
-    return exact(acc / math.factorial(n))
-
-
 # ---------------------------------------------------------------------------
 # truncated power series
 # ---------------------------------------------------------------------------
@@ -449,80 +442,53 @@ class TruncatedSeries:
         more = ", ..." if self.order > 6 else ""
         return f"TruncatedSeries([{shown}{more}] + O(T^{self.order}))"
 
-    def _zero(self):
-        if self.domain == "padic":
-            return PadicScalar.zero(self.prime)
-        return 0
-
-    def _compatible(self, other: "TruncatedSeries"):
-        if not isinstance(other, TruncatedSeries):
-            raise InvalidInput("expected a TruncatedSeries")
-        if self.prime != other.prime:
-            raise InvalidInput("coefficient domain mismatch")
-
-    def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._compatible(other)
-        n = min(self.order, other.order)
-        return TruncatedSeries(
-            [self.coeffs[i] + other.coeffs[i] for i in range(n)], self.prime)
-
-    def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._compatible(other)
-        n = min(self.order, other.order)
-        out = [self._zero()] * n
-        for i in range(n):
-            a = self.coeffs[i]
-            for j in range(n - i):
-                out[i + j] = out[i + j] + a * other.coeffs[j]
-        return TruncatedSeries(out, self.prime)
-
-    def compose(self, inner: "TruncatedSeries") -> "TruncatedSeries":
-        """self(inner(T)); the inner constant term must be topologically nilpotent."""
-        self._compatible(inner)
-        c0 = inner.coeffs[0]
-        if isinstance(c0, PadicScalar):
-            nilpotent = c0.is_zero or c0.valuation >= 1
-        else:
-            nilpotent = Fraction(c0) == 0
-        if not nilpotent:
-            raise InvalidInput("compose needs an inner constant term of positive valuation")
-        n = min(self.order, inner.order)
-        inner_t = TruncatedSeries(inner.coeffs[:n], self.prime)
-        result = TruncatedSeries([self._zero()] * n, self.prime)
-        for c in reversed(self.coeffs[:n]):
-            result = result.mul(inner_t)
-            result.coeffs[0] = result.coeffs[0] + c
-        return result
-
-
-def series_arith(f: TruncatedSeries, g: TruncatedSeries, op: str) -> TruncatedSeries:
-    if op == "add":
-        return f.add(g)
-    if op == "mul":
-        return f.mul(g)
-    if op == "compose":
-        return f.compose(g)
-    raise InvalidInput(f"unknown op {op!r}")
-
 
 def binomial_series(z, order: int) -> TruncatedSeries:
     """The Amice series (1+T)^z = sum_n C(z,n) T^n for z in Z_p.
 
-    Exact int/Fraction inputs give exact coefficients; a PadicScalar input
-    tracks the v_p(n!) precision cost of the divisions (see
-    `_binomial_triples`).  The exact p-adic zero gives 1 + O(p) and then
-    exact zeros, C(0, n) = 0 for n >= 1.
+    Exact int/Fraction inputs give exact coefficients.  The exact p-adic
+    zero gives 1 + O(p) and then exact zeros, C(0, n) = 0 for n >= 1.
+
+    A PadicScalar z known mod p^P gives what the recurrence
+    C(z, n) = C(z, n-1) (z - n + 1) / n gives in PadicScalar arithmetic,
+    read off the integer Z = lift(z) in [0, p^P).  The factor z - k is known
+    mod p^P and has valuation w_k = min(v_p(Z - k), P): P at k = Z, and
+    v_p(Z - k) < P at any other k < p^P.  Dividing by n is exact and lowers
+    the valuation by v_p(n).
+    * For n <= Z no factor is 0 mod p^P: a product keeps the lesser
+      relative precision, so C(z, n) is C(Z, n), of valuation
+      sum_{k<n} w_k - v_p(n!) and relative precision P - max_{k<n} w_k.
+    * The factor at k = Z is the first zero, known mod p^P, and a zero
+      known mod p^e times a factor of valuation w is known mod p^(e + w):
+      for n > Z, C(z, n) is the zero C(Z, n) = 0 known mod
+      p^(sum_{k<n} w_k - v_p(n!)), and there max_{k<n} w_k = P.
+    Both are PadicScalar(p, 0, C(Z, n), P_n) with
+    P_n = P + sum_{k<n} w_k - max_{k<n} w_k - v_p(n!); a zero with P_n <= 0
+    is refused as PadicScalar refuses it.  Over k < p^P the w_k are
+    min(v_p(j), P) for j running through Z/p^P, which sum to v_p((p^P)!), so
+    the refusal comes by n = p^P: no factor z - k with k >= p^P is formed.
     """
     if order < 1:
         raise InvalidInput("order must be >= 1")
     if isinstance(z, PadicScalar):
         if not z.is_zero and z.valuation < 0:
             raise InvalidInput("z must lie in Z_p")
-        p = z.prime
-        if z.precision is INF:
+        p, P = z.prime, z.precision
+        if P is INF:
             return TruncatedSeries([PadicScalar.from_int(1, p, 1)]
                                    + [PadicScalar.zero(p)] * (order - 1), p)
-        return TruncatedSeries([PadicScalar(p, *t) for t in _binomial_triples(z, order)], p)
+        Z = z.lift()
+        c, w_sum, w_max, fact = 1, 0, 0, 0  # C(Z, n), sum/max of w_k, v_p(n!)
+        coeffs = [PadicScalar(p, 0, 1, P)]
+        for n in range(1, order):
+            t = Z - n + 1
+            w = int_valuation(t, p) if t else P
+            w_sum += w
+            w_max = max(w_max, w)
+            fact += int_valuation(n, p)
+            c = c * t // n
+            coeffs.append(PadicScalar(p, 0, c, P + w_sum - w_max - fact))
+        return TruncatedSeries(coeffs, p)
     z = Fraction(z)
     coeffs = [Fraction(1)]
     for n in range(1, order):
@@ -530,46 +496,3 @@ def binomial_series(z, order: int) -> TruncatedSeries:
     if all(c.denominator == 1 for c in coeffs):
         return TruncatedSeries([int(c) for c in coeffs])
     return TruncatedSeries(coeffs)
-
-
-def _binomial_triples(z: PadicScalar, order: int) -> list:
-    """(valuation, unit, precision) of C(z, n) for n < order, z in Z_p known
-    mod p^P: the recurrence C(z, n) = C(z, n-1) (z - n + 1) / n on integers,
-    each step the PadicScalar `-`, `*` and `/` it replaces, with the same
-    error: dividing a zero known mod p^e by n needs e > v_p(n).
-
-    In PadicScalar arithmetic z - k also refuses v_p(k) >= P, first at
-    k = p^P, but that step is never reached.  With Z < p^P the lift of z,
-    the factor at k = Z is the first zero, known mod p^P, and the product
-    C(z, Z) before it has valuation 0.  At n = p^P the zero is known mod p^e
-    with e = P + v_p((p^P - 1 - Z)!) - v_p((p^P)!) + v_p(Z!), which is
-    minus the number of carries in the base-p sum Z + (p^P - 1 - Z), so
-    e = 0 and the division error is raised at some n <= p^P."""
-    p, P = z.prime, z.precision
-    top = p ** P
-    zl = z.lift()
-    v, u, prec = 0, 1, P  # 1 + O(p^P)
-    out = [(v, u, prec)]
-    for n in range(1, order):
-        t = (zl - n + 1) % top  # z - (n-1), known mod p^P
-        tv = int_valuation(t, p) if t else INF
-        if v is INF or tv is INF:  # a zero factor: v + v' or precision in its place
-            prec = (prec if v is INF else v) + (P if tv is INF else tv)
-            v, u = INF, 0
-        else:
-            rel = min(prec - v, P - tv)
-            v += tv
-            u = u * (t // p ** tv) % p ** rel
-            prec = v + rel
-        s = int_valuation(n, p)
-        if v is INF:
-            prec -= s
-            if prec <= 0:
-                raise PrecisionExhausted("zero known to no precision")
-        else:
-            rel = prec - v
-            u = u * pow(n // p ** s, -1, p ** rel) % p ** rel
-            v -= s
-            prec = v + rel
-        out.append((v, u, prec))
-    return out

@@ -222,3 +222,10 @@ class TestPiPolynomial:
     def test_evaluate(self):
         v = PiPolynomial({2: 1, 0: -1})
         assert abs(v.evaluate() - (math.pi ** 2 - 1)) < 1e-15
+
+    def test_immutable(self):
+        v = PiPolynomial({2: 1})
+        for name, value in (("terms", {}), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(v, name, value)
+        assert v == PiPolynomial.term(1, 2)

@@ -259,6 +259,35 @@ class TestPrecisionEnvironment:
         assert code == 0
 
 
+GOLDEN_SERIES_5 = (
+    '{"coeffs":['
+    '{"p":5,"prec":6,"unit":"1","val":0},{"p":5,"prec":6,"unit":"10419","val":0},'
+    '{"p":5,"prec":6,"unit":"6946","val":0},{"p":5,"prec":6,"unit":"4244","val":0},'
+    '{"p":5,"prec":6,"unit":"4501","val":0},{"p":5,"prec":5,"unit":"583","val":0},'
+    '{"p":5,"prec":5,"unit":"1477","val":0},{"p":5,"prec":5,"unit":"268","val":0},'
+    '{"p":5,"prec":5,"unit":"1927","val":0},{"p":5,"prec":5,"unit":"1333","val":0},'
+    '{"p":5,"prec":5,"unit":"153","val":0},{"p":5,"prec":5,"unit":"1882","val":0},'
+    '{"p":5,"prec":5,"unit":"2113","val":0},{"p":5,"prec":5,"unit":"432","val":0},'
+    '{"p":5,"prec":5,"unit":"1903","val":0},{"p":5,"prec":5,"unit":"256","val":0},'
+    '{"p":5,"prec":5,"unit":"839","val":0},{"p":5,"prec":5,"unit":"551","val":0},'
+    '{"p":5,"prec":5,"unit":"14","val":0},{"p":5,"prec":5,"unit":"756","val":0},'
+    '{"p":5,"prec":5,"unit":"499","val":1},{"p":5,"prec":5,"unit":"106","val":1},'
+    '{"p":5,"prec":5,"unit":"554","val":1},{"p":5,"prec":5,"unit":"106","val":1},'
+    '{"p":5,"prec":5,"unit":"499","val":1},{"p":5,"prec":4,"unit":"546","val":0},'
+    '{"p":5,"prec":4,"unit":"149","val":0},{"p":5,"prec":4,"unit":"16","val":0},'
+    '{"p":5,"prec":4,"unit":"224","val":0},{"p":5,"prec":4,"unit":"46","val":0}'
+    '],"domain":"padic","order":30,"p":5}\n')
+
+# C(2, n) for z = 2 known mod 3^4: the factor z - 2 is a zero known mod 3^4,
+# and the zeros C(2, n), n >= 3, are known mod 3^3 and, from n = 9, mod 3^2
+GOLDEN_SERIES_3 = (
+    '{"coeffs":[{"p":3,"prec":4,"unit":"1","val":0},'
+    '{"p":3,"prec":4,"unit":"2","val":0},{"p":3,"prec":4,"unit":"1","val":0}'
+    + ',{"p":3,"prec":3,"unit":"0","val":"inf"}' * 6
+    + ',{"p":3,"prec":2,"unit":"0","val":"inf"}' * 3
+    + '],"domain":"padic","order":12,"p":3}\n')
+
+
 class TestPadicCommands:
     def test_arith_add_and_round_trip(self, capsys):
         a = json.dumps({"p": 5, "val": 0, "unit": "2", "prec": 10})
@@ -290,6 +319,22 @@ class TestPadicCommands:
         assert code == 0
         coeffs = json.loads(out)["coeffs"]
         assert [c["val"] for c in coeffs] == [0, 0, 0, 0]
+
+    # (argv, exit code, stdout)
+    GOLDEN = {
+        "series-zero-factor": (["padic", "binomial-series", "--z", "2", "--p", "3",
+                                "--prec", "4", "--order", "12"], 0, GOLDEN_SERIES_3),
+        "series-rational": (["padic", "binomial-series", "--z", "7/3", "--p", "5",
+                             "--prec", "6", "--order", "30"], 0, GOLDEN_SERIES_5),
+        # the zero C(1, n), n >= 2, known mod 3^(1 - v_3(n!)), is lost at n = 3
+        "series-exhausted": (["padic", "binomial-series", "--z", "1", "--p", "3",
+                              "--prec", "1", "--order", "10"], 3, ""),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_golden_stdout(self, capsys, name):
+        argv, code, expected = self.GOLDEN[name]
+        assert run(capsys, argv)[:2] == (code, expected)
 
 
 class TestMeasureCommands:

@@ -75,6 +75,13 @@ class TestClassGroups:
             G.discriminant = -47
         assert G.discriminant == -23 and G.h == 3
 
+    def test_order_immutable(self):
+        order = QuadOrder(-4, 3)
+        for name, value in (("d_K", -3), ("c", 1)):
+            with pytest.raises(AttributeError):
+                setattr(order, name, value)
+        assert (order.d_K, order.c) == (-4, 3)
+
     def test_axioms_large_discriminant(self):
         G = class_group(-39999)
         assert G.h == 96
@@ -562,6 +569,16 @@ class TestEmbeddingResidues:
         zeta = next(t for t in range(1, p) if pow(t, m, p) == 1 and
                     all(pow(t, k, p) != 1 for k in range(1, m)))
         return sqrt, zeta
+
+    def test_immutable(self):
+        emb = PadicEmbedding(7, 5, -3, 3)
+        for name, value in (("prime", 13), ("precision", 2), ("d", -7), ("m", 1),
+                            ("sqrt_lift", "inert"), ("zeta_lift", None)):
+            with pytest.raises(AttributeError):
+                setattr(emb, name, value)
+        assert (emb.prime, emb.precision, emb.d, emb.m) == (7, 5, -3, 3)
+        assert pow(emb.zeta_lift, 3, 7 ** 5) == 1 and emb.zeta_lift % 7 != 1
+        assert (emb.sqrt_lift ** 2 + 3) % 7 ** 5 == 0
 
     def test_residues_match_scan(self):
         for D in (-23, -47, -84, -87, -104, -263, -407):

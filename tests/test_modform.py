@@ -298,6 +298,13 @@ class TestMaass:
         up = maass_raise(one)
         assert up.cells == {(0, 1): -10}
 
+    def test_immutable(self):
+        one = NearlyHolomorphic(10, 4, {(0, 0): 1})
+        for name, value in (("cells", {}), ("weight", 12), ("trunc", 5)):
+            with pytest.raises(AttributeError):
+                setattr(one, name, value)
+        assert (one.weight, one.trunc, one.cells) == (10, 4, {(0, 0): 1})
+
     def test_leibniz_rule(self):
         rng = random.Random(17)
         for _ in range(10):
@@ -347,6 +354,21 @@ class TestDirichletCharacter:
     def test_non_multiplicative_rejected(self):
         with pytest.raises(InvalidInput):
             DirichletCharacter(5, [0, 1, 2, 3, 4])
+
+    def test_immutable(self):
+        chi = DirichletCharacter(4, [0, 1, 0, -1])
+        for name, value in (("values", (0, 1, 0, 1)), ("modulus", 8), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(chi, name, value)
+        assert chi.values == (0, 1, 0, -1) and chi.modulus == 4
+
+    def test_qexpansion_immutable(self):
+        f = QExpansion(4, 1, DirichletCharacter.trivial(), [1, 5, 7])
+        for name, value in (("coeffs", (0,)), ("weight", 6), ("level", 2),
+                            ("eps", DirichletCharacter.trivial(2))):
+            with pytest.raises(AttributeError):
+                setattr(f, name, value)
+        assert (f.weight, f.level, f.coeffs) == (4, 1, (1, 5, 7))
 
     def test_modulus_divides_level(self):
         with pytest.raises(InvalidInput):
