@@ -1,4 +1,5 @@
-"""Exception types shared across the package, one per CLI exit class."""
+"""Exception types shared across the package, one per CLI exit class, and
+the immutable base of the value classes."""
 
 
 class InvalidInput(ValueError):
@@ -15,3 +16,15 @@ class SearchBoundExhausted(RuntimeError):
 
 class ToleranceNotMet(RuntimeError):
     """A numerical comparison missed its stated tolerance (exit code 5)."""
+
+
+class Frozen:
+    """Base of every value class: its fields refuse assignment and deletion.
+    A constructor sets them through `object.__setattr__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, *args):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__

@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 
 from .arith import cyclotomic_coeffs, factorint, isprime, sqrt_mod_prime
-from .errors import InvalidInput
+from .errors import Frozen, InvalidInput
 from .measure import dirac
 from .padic import PadicScalar, exact
 
@@ -44,7 +45,7 @@ def fundamental_decomposition(D: int):
     return square // 2, 4 * m
 
 
-class QuadOrder:
+class QuadOrder(Frozen):
     """The order of conductor c in the imaginary quadratic field of
     fundamental discriminant d_K."""
 
@@ -58,9 +59,6 @@ class QuadOrder:
             raise InvalidInput(f"{d_K} is not a fundamental discriminant")
         object.__setattr__(self, "d_K", d_K)
         object.__setattr__(self, "c", c)
-
-    def __setattr__(self, *args):
-        raise AttributeError("QuadOrder is immutable")
 
     @classmethod
     def from_discriminant(cls, D: int) -> "QuadOrder":
@@ -146,7 +144,7 @@ def compose_forms(f1, f2, D: int):
     return reduce_form((A, B, C), D)
 
 
-class IdealClassGroup:
+class IdealClassGroup(Frozen):
     """The form class group of a negative discriminant: reduced primitive
     forms under composition, with the full multiplication table."""
 
@@ -173,9 +171,6 @@ class IdealClassGroup:
                 ("identity_index", index[principal_form(D)]),
                 ("inverse", tuple(index[reduce_form((a, -b, c), D)] for a, b, c in forms))):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, *args):
-        raise AttributeError("IdealClassGroup is immutable")
 
     @property
     def h(self) -> int:
@@ -239,6 +234,14 @@ def _cyclotomic(m: int) -> tuple:
     return tuple(cyclotomic_coeffs(m))
 
 
+def _check_tower(d: int, m: int):
+    """Refuse the tower Q(sqrt(d))(zeta_m) unless d is a non-square and m >= 1."""
+    if d == 0 or math.isqrt(abs(d)) ** 2 == d:
+        raise InvalidInput("d must be a non-square")
+    if m < 1:
+        raise InvalidInput("the cyclotomic layer m must be >= 1")
+
+
 def _rational(q):
     """`exact` of a rational; anything Fraction() refuses, a PadicScalar
     included, is refused."""
@@ -256,7 +259,7 @@ def _convolve(xs: dict, ys: dict, m: int, d: int, out: dict) -> dict:
     return out
 
 
-class AlgebraicValue:
+class AlgebraicValue(Frozen):
     """An element of Q(sqrt(d))(zeta_m) in the group ring Q(sqrt(d))[z]/(z^m - 1):
     `terms` maps k mod m to (a_k, b_k), meaning sum_k (a_k + b_k sqrt(d)) z^k,
     so a root of unity is one term; a_k and b_k are int while integral, else
@@ -266,28 +269,26 @@ class AlgebraicValue:
     __slots__ = ("d", "m", "terms")
 
     def __init__(self, d: int, m: int, coeffs):
-        if d == 0 or math.isqrt(abs(d)) ** 2 == d:
-            raise InvalidInput("d must be a non-square")
+        _check_tower(d, m)
         coeffs = [(_rational(a), _rational(b)) for a, b in coeffs]
         if len(coeffs) > len(_cyclotomic(m)) - 1:
             raise InvalidInput("coefficient vector too long")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "terms",
-                           {k: c for k, c in enumerate(coeffs) if c[0] or c[1]})
-
-    def __setattr__(self, *args):
-        raise AttributeError("AlgebraicValue is immutable")
+        object.__setattr__(self, "terms", MappingProxyType(
+            {k: c for k, c in enumerate(coeffs) if c[0] or c[1]}))
 
     # -- constructors --
 
     @classmethod
     def _from_terms(cls, d: int, m: int, terms: dict) -> "AlgebraicValue":
         """sum_k terms[k] z^k, coefficients in `exact` normal form, zero terms
-        dropped."""
-        value = cls(d, m, [])
-        object.__setattr__(value, "terms", {k: (exact(a), exact(b))
-                                            for k, (a, b) in terms.items() if a or b})
+        dropped; (d, m) are taken as valid."""
+        value = object.__new__(cls)
+        object.__setattr__(value, "d", d)
+        object.__setattr__(value, "m", m)
+        object.__setattr__(value, "terms", MappingProxyType(
+            {k: (exact(a), exact(b)) for k, (a, b) in terms.items() if a or b}))
         return value
 
     @classmethod
@@ -305,6 +306,7 @@ class AlgebraicValue:
 
     @classmethod
     def root_of_unity(cls, exponent: int, d: int, m: int) -> "AlgebraicValue":
+        _check_tower(d, m)
         return cls._from_terms(d, m, {exponent % m: (1, 0)})
 
     # -- structure --
@@ -330,8 +332,8 @@ class AlgebraicValue:
     def promote(self, m_new: int) -> "AlgebraicValue":
         if m_new == self.m:
             return self
-        if m_new % self.m:
-            raise InvalidInput("can only promote along divisibility")
+        if m_new < 1 or m_new % self.m:
+            raise InvalidInput("can only promote to a positive multiple of m")
         t = m_new // self.m
         return AlgebraicValue._from_terms(
             self.d, m_new, {k * t: c for k, c in self.terms.items()})
@@ -454,7 +456,7 @@ class AlgebraicValue:
 # weight functions, characters, pairings
 # ---------------------------------------------------------------------------
 
-class WeightFunction:
+class WeightFunction(Frozen):
     """A function on ideal classes transforming with weight (w1, ws) on
     principal ideals; finite-order characters are the weight-(0,0) case."""
 
@@ -468,9 +470,6 @@ class WeightFunction:
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "weight", (int(w1), int(ws)))
         object.__setattr__(self, "values", values)
-
-    def __setattr__(self, *args):
-        raise AttributeError("WeightFunction is immutable")
 
     def __mul__(self, other: "WeightFunction") -> "WeightFunction":
         if other.group.discriminant != self.group.discriminant:
@@ -608,18 +607,11 @@ def canonical_weight_character(order: QuadOrder, w) -> WeightFunction:
     return WeightFunction(G, (w1, ws), [one])
 
 
-def weight_value_on_principal(lam: AlgebraicValue, w) -> AlgebraicValue:
-    """λ^{w1} conj(λ)^{ws} — the transformation factor on a principal ideal
-    with chosen generator λ."""
-    w1, ws = w
-    return lam ** w1 * lam.conjugate() ** ws
-
-
 # ---------------------------------------------------------------------------
 # p-adic avatars
 # ---------------------------------------------------------------------------
 
-class PadicEmbedding:
+class PadicEmbedding(Frozen):
     """A ring map from the value tower into Z_p given by a chosen square root
     of d mod p and a primitive m-th root of unity mod p (Hensel-lifted)."""
 
@@ -649,9 +641,6 @@ class PadicEmbedding:
                 self._pick_sqrt(sqrt_residue))
         object.__setattr__(self, "zeta_lift", zeta_lift)
         object.__setattr__(self, "sqrt_lift", sqrt_lift)
-
-    def __setattr__(self, *args):
-        raise AttributeError("PadicEmbedding is immutable")
 
     def _pick_sqrt(self, residue):
         """The chosen square root of d mod p, else the smaller one."""

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul, sub
 
-from .errors import InvalidInput, PrecisionExhausted
+from .errors import Frozen, InvalidInput, PrecisionExhausted
 from .padic import (INF, PadicScalar, _falling_factorial_coeffs, _stirling_second_row,
                     binomial_series, checked_prime, exact, is_p_integral)
 
@@ -105,7 +105,7 @@ def _integral(x, p: int) -> bool:
     return is_p_integral(x, p)
 
 
-class Measure:
+class Measure(Frozen):
     """A bounded measure on Z_p, known through its first `order` Mahler
     coefficients; `finite` marks a complete expansion (all higher a_n = 0)."""
 
@@ -114,7 +114,7 @@ class Measure:
     def __init__(self, prime: int, mahler, finite: bool = False):
         if not checked_prime(prime):
             raise InvalidInput(f"{prime} is not prime")
-        mahler = list(mahler)
+        mahler = tuple(mahler)
         if not mahler:
             raise InvalidInput("a measure needs at least one Mahler coefficient")
         for a in mahler:
@@ -126,9 +126,6 @@ class Measure:
         object.__setattr__(self, "prime", prime)
         object.__setattr__(self, "mahler", mahler)
         object.__setattr__(self, "finite", finite)
-
-    def __setattr__(self, *args):
-        raise AttributeError("Measure is immutable")
 
     @property
     def order(self) -> int:
@@ -156,7 +153,7 @@ class Measure:
 
     def __repr__(self):
         flag = "finite" if self.finite else f"order {self.order}"
-        return f"Measure(p={self.prime}, {flag}, mahler={self.mahler[:5]}...)"
+        return f"Measure(p={self.prime}, {flag}, mahler={list(self.mahler[:5])}...)"
 
 
 def dirac(z, prime: int, order: int) -> Measure:

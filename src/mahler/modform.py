@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 
 from .arith import bernoulli
-from .errors import InvalidInput
+from .errors import Frozen, InvalidInput
 from .padic import checked_prime, exact
 
 
-class DirichletCharacter:
+class DirichletCharacter(Frozen):
     """A character mod q stored by its value table (exact values; real
     characters suffice for every computation here)."""
 
@@ -40,9 +41,6 @@ class DirichletCharacter:
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "values", values)
 
-    def __setattr__(self, *args):
-        raise AttributeError("DirichletCharacter is immutable")
-
     @classmethod
     def trivial(cls, modulus: int = 1) -> "DirichletCharacter":
         return cls(modulus, tuple(1 if math.gcd(n, modulus) == 1 else 0
@@ -61,7 +59,7 @@ class DirichletCharacter:
         return f"DirichletCharacter(mod {self.modulus})"
 
 
-class QExpansion:
+class QExpansion(Frozen):
     """A modular-form q-expansion known through q^trunc."""
 
     __slots__ = ("weight", "level", "eps", "coeffs")
@@ -79,9 +77,6 @@ class QExpansion:
         object.__setattr__(self, "level", level)
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *args):
-        raise AttributeError("QExpansion is immutable")
 
     @property
     def trunc(self) -> int:
@@ -190,7 +185,7 @@ def interpolation_euler_factor(a_p, eps_p, chi_value, kappa: int, p: int) -> Fra
 
 # -- nearly-holomorphic forms and Maass raising -------------------------------
 
-class NearlyHolomorphic:
+class NearlyHolomorphic(Frozen):
     """Σ c(n,j) q^n X^j with X = 1/(4πy); finite table, explicit truncation."""
 
     __slots__ = ("weight", "trunc", "cells")
@@ -207,10 +202,7 @@ class NearlyHolomorphic:
                 table[(n, j)] = c
         object.__setattr__(self, "weight", weight)
         object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "cells", table)
-
-    def __setattr__(self, *args):
-        raise AttributeError("NearlyHolomorphic is immutable")
+        object.__setattr__(self, "cells", MappingProxyType(table))
 
     @classmethod
     def from_qexpansion(cls, f: QExpansion) -> "NearlyHolomorphic":

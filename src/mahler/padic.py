@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import isprime
-from .errors import InvalidInput, PrecisionExhausted
+from .errors import Frozen, InvalidInput, PrecisionExhausted
 
 INF = math.inf
 
@@ -63,7 +63,7 @@ def is_p_integral(q, p: int) -> bool:
     return Fraction(q).denominator % p != 0
 
 
-class PadicScalar:
+class PadicScalar(Frozen):
     """An element of Q_p known modulo p^precision.
 
     Stored as unit * p^valuation with 0 <= unit < p^(precision - valuation)
@@ -107,9 +107,6 @@ class PadicScalar:
         object.__setattr__(self, "valuation", valuation)
         object.__setattr__(self, "unit", unit)
         object.__setattr__(self, "precision", precision)
-
-    def __setattr__(self, *args):
-        raise AttributeError("PadicScalar is immutable")
 
     # -- constructors --------------------------------------------------
 
@@ -351,17 +348,29 @@ def factorial_valuation(n: int, p: int) -> int:
     return (n - digit_sum) // (p - 1)
 
 
-@lru_cache(maxsize=None)
+def _grown(table: tuple, n: int, step) -> tuple:
+    """`table` extended through index n, each new row `step(row before it)`."""
+    rows = list(table)
+    while len(rows) <= n:
+        rows.append(step(rows[-1]))
+    return tuple(rows)
+
+
+# Row n at index n.  A table is replaced whole by a longer one, never extended
+# in place, so a reader in another thread never sees a partial table.
+_FALLING_FACTORIAL = ((1,),)
+_STIRLING_SECOND = ((1,),)
+
+
 def _falling_factorial_coeffs(n: int) -> tuple:
-    """Monomial coefficients of X(X-1)...(X-n+1)."""
-    coeffs = [1]
-    for t in range(n):
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= t * c
-        coeffs = nxt
-    return tuple(coeffs)
+    """Monomial coefficients of X(X-1)...(X-n+1): row n is row n-1 times
+    (X - n + 1), c_i = c'_(i-1) - (n-1) c'_i."""
+    global _FALLING_FACTORIAL
+    table = _FALLING_FACTORIAL
+    if len(table) <= n:
+        table = _FALLING_FACTORIAL = _grown(table, n, lambda row: tuple(
+            b - (len(row) - 1) * a for a, b in zip(row + (0,), (0,) + row)))
+    return table[n]
 
 
 def stirling_first_signed(n: int, i: int) -> int:
@@ -371,18 +380,14 @@ def stirling_first_signed(n: int, i: int) -> int:
     return _falling_factorial_coeffs(n)[i]
 
 
-@lru_cache(maxsize=None)
 def _stirling_second_row(r: int) -> tuple:
-    if r == 0:
-        return (1,)
-    prev = _stirling_second_row(r - 1)
-    row = [0] * (r + 1)
-    for n in range(r + 1):
-        if n <= r - 1:
-            row[n] += n * prev[n]
-        if n >= 1:
-            row[n] += prev[n - 1]
-    return tuple(row)
+    """S(r, 0), ..., S(r, r), from row r-1: S(r, n) = n S(r-1, n) + S(r-1, n-1)."""
+    global _STIRLING_SECOND
+    table = _STIRLING_SECOND
+    if len(table) <= r:
+        table = _STIRLING_SECOND = _grown(table, r, lambda row: tuple(
+            n * a + b for n, a, b in zip(range(len(row) + 1), row + (0,), (0,) + row)))
+    return table[r]
 
 
 def stirling_second(r: int, n: int) -> int:
@@ -396,13 +401,13 @@ def stirling_second(r: int, n: int) -> int:
 # truncated power series
 # ---------------------------------------------------------------------------
 
-class TruncatedSeries:
+class TruncatedSeries(Frozen):
     """A power series known modulo T^order, coefficients in one exact domain."""
 
     __slots__ = ("coeffs", "prime")
 
     def __init__(self, coeffs, prime=None):
-        coeffs = list(coeffs)
+        coeffs = tuple(coeffs)
         if not coeffs:
             raise InvalidInput("a series needs at least one known coefficient")
         padic = [c for c in coeffs if isinstance(c, PadicScalar)]
@@ -415,9 +420,6 @@ class TruncatedSeries:
             prime = padic[0].prime
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "prime", prime)
-
-    def __setattr__(self, *args):
-        raise AttributeError("TruncatedSeries is immutable")
 
     @property
     def order(self) -> int:

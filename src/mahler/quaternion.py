@@ -174,9 +174,6 @@ def mat_trace(x: Mat):
     return x[0][0] + x[1][1]
 
 
-IDENTITY: Mat = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-
-
 @dataclass(frozen=True)
 class MatrixEmbedding:
     """A traceless rational M with M^2 = d I, d < 0, defining Q(sqrt d) inside
@@ -284,9 +281,3 @@ def skolem_noether_complement(emb: MatrixEmbedding) -> SkolemNoetherData:
                          Fraction(1, 2))
 
     return SkolemNoetherData(u, project)
-
-
-def trace_pairing(x: Mat, y: Mat):
-    """tr(x * conj(y)) with conj the quaternionic involution tr(y) I - y."""
-    conj_y = mat_add(mat_scale(IDENTITY, mat_trace(y)), mat_scale(y, -1))
-    return mat_trace(mat_mul(mat(x), conj_y))

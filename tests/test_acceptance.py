@@ -8,8 +8,7 @@ from fractions import Fraction
 from mahler.archimedean import (LocalFactorParams, delta_diagonal_sum,
                                 delta_diagonal_target,
                                 local_factor_closed_form,
-                                local_integral_quadrature, quadrature_report,
-                                raising_operator_check)
+                                local_integral_quadrature, quadrature_report)
 from mahler.heckechar import (admissible_embedding, avatar_measure_family,
                               characters, class_group, padic_avatar, pairing,
                               smallest_admissible_prime, twisted_pairing)
@@ -24,6 +23,7 @@ from mahler.quaternion import (INFINITE_PLACE, MatrixEmbedding,
                                hashimoto_search, hilbert_symbol, mat_mul,
                                mat_scale, ramified_set,
                                skolem_noether_complement)
+from paper_oracles import raising_operator_check
 
 PRIMES = (3, 5, 7, 11)
 

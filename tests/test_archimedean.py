@@ -6,16 +6,14 @@ from math import comb
 
 import pytest
 
-from mahler.archimedean import (LocalFactorParams, PiPolynomial,
-                                apply_raising_operator,
-                                closed_form_pi_polynomial, delta_coeff,
+from mahler.archimedean import (LocalFactorParams, PiPolynomial, delta_coeff,
                                 delta_diagonal_sum, delta_diagonal_target,
-                                gamma_coeff, gaussian_basis_value,
-                                local_factor_closed_form,
-                                local_integral_quadrature, quadrature_report,
-                                raising_operator_check,
-                                raising_operator_finite_difference)
+                                gamma_coeff, local_factor_closed_form,
+                                local_integral_quadrature, quadrature_report)
 from mahler.errors import InvalidInput
+from paper_oracles import (apply_raising_operator, closed_form_pi_polynomial,
+                           gaussian_basis_value, raising_operator_check,
+                           raising_operator_finite_difference)
 
 # ---------------------------------------------------------------------------
 # Gaussian-moment oracle.  The Fourier transform of (|z|^2)^l e^(-2pi|z|^2)

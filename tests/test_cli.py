@@ -337,6 +337,30 @@ class TestPadicCommands:
         assert run(capsys, argv)[:2] == (code, expected)
 
 
+class TestDeepStirlingRows:
+    """Row 600 of the Stirling table in a fresh process, whose tables start
+    empty: the rows are built in a loop, so no depth limit applies."""
+
+    def mahler(self, *argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mahler.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", "from mahler.cli import entrypoint; entrypoint()", *argv],
+            env=env, capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    def test_stirling_second(self):
+        code, out, err = self.mahler("padic", "stirling-second", "--r", "600", "--n", "2")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == str(2 ** 599 - 1)
+
+    def test_moment(self, tmp_path):
+        path = write_measure(tmp_path, "m.json", dirac(2, 3, 3))
+        code, out, err = self.mahler("measure", "moments", "--file", path, "--r", "600")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["moment"] == str(2 ** 600)
+
+
 class TestMeasureCommands:
     def test_moments_of_dirac(self, capsys, tmp_path):
         path = write_measure(tmp_path, "m.json", dirac(2, 5, 6))

@@ -13,11 +13,12 @@ from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
                               canonical_weight_character, characters,
                               class_group, compose_forms, padic_avatar,
                               pairing, reduce_form, smallest_admissible_prime,
-                              twisted_pairing, weight_value_on_principal)
+                              twisted_pairing)
 from mahler.arith import cyclotomic_coeffs, isprime
 from mahler.padic import PadicScalar
 from mahler.serialize import encode_algebraic
 from mahler.measure import moments, pairing_measure, restrict_to_units
+from paper_oracles import weight_value_on_principal
 
 ALL_DISCS_200 = [D for D in range(-3, -201, -1) if D % 4 in (0, 1)]
 
@@ -488,6 +489,19 @@ class TestAlgebraicValue:
         z3 = AlgebraicValue.root_of_unity(1, -7, 3)
         z6 = AlgebraicValue.root_of_unity(2, -7, 6)
         assert z3 == z6
+
+    def test_tower_refused(self):
+        # a layer below 1, a square d, or a layer that is not a multiple
+        z3 = AlgebraicValue.root_of_unity(1, -7, 3)
+        for bad in (lambda: z3.promote(0), lambda: z3.promote(-3), lambda: z3.promote(4),
+                    lambda: AlgebraicValue.root_of_unity(1, -7, 0),
+                    lambda: AlgebraicValue.root_of_unity(1, -7, -2),
+                    lambda: AlgebraicValue.root_of_unity(1, 9, 3),
+                    lambda: AlgebraicValue.root_of_unity(1, 0, 3),
+                    lambda: AlgebraicValue(-7, 0, []),
+                    lambda: AlgebraicValue(4, 1, [(1, 0)])):
+            with pytest.raises(InvalidInput):
+                bad()
 
     def test_exact_normal_form(self):
         v = AlgebraicValue(-7, 3, [(Fraction(4, 2), 1.5), (True, Fraction(0))])

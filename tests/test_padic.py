@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from mahler import padic
 from mahler.errors import InvalidInput, PrecisionExhausted
 from mahler.padic import (INF, PadicScalar, TruncatedSeries, binomial_series,
                           exact, factorial_valuation, scalar_arith,
@@ -187,6 +188,49 @@ class TestStirling:
                         for n in range(i, 13)) for i in range(13)]
             assert back == poly
 
+    @staticmethod
+    def falling_factorial_table_from_scratch(top):
+        """Oracle: rows 0..top, row n the coefficients of X(X-1)...(X-n+1),
+        multiplied out one factor at a time."""
+        rows = [(1,)]
+        for t in range(top):
+            coeffs = rows[-1]
+            nxt = [0] * (len(coeffs) + 1)
+            for i, c in enumerate(coeffs):
+                nxt[i + 1] += c
+                nxt[i] -= t * c
+            rows.append(tuple(nxt))
+        return rows
+
+    @staticmethod
+    def stirling_second_table_from_scratch(top):
+        """Oracle: rows 0..top of S(r, n) = n S(r-1, n) + S(r-1, n-1)."""
+        rows = [(1,)]
+        for r in range(1, top + 1):
+            prev = rows[-1]
+            row = [0] * (r + 1)
+            for n in range(r + 1):
+                if n <= r - 1:
+                    row[n] += n * prev[n]
+                if n >= 1:
+                    row[n] += prev[n - 1]
+            rows.append(tuple(row))
+        return rows
+
+    def test_row_tables_against_from_scratch_builds(self, monkeypatch):
+        # from empty tables, grown in uneven steps and read back below the top
+        monkeypatch.setattr(padic, "_FALLING_FACTORIAL", ((1,),))
+        monkeypatch.setattr(padic, "_STIRLING_SECOND", ((1,),))
+        for top in (3, 4, 40, 300, 17):
+            padic._falling_factorial_coeffs(top)
+            padic._stirling_second_row(top)
+        falling = self.falling_factorial_table_from_scratch(300)
+        stirling = self.stirling_second_table_from_scratch(300)
+        for n in range(301):
+            assert padic._falling_factorial_coeffs(n) == falling[n]
+            assert padic._stirling_second_row(n) == stirling[n]
+        assert len(padic._FALLING_FACTORIAL) == len(padic._STIRLING_SECOND) == 301
+
     def test_index_errors(self):
         with pytest.raises(InvalidInput):
             stirling_first_signed(3, 4)
@@ -196,11 +240,11 @@ class TestStirling:
 
 class TestBinomialSeries:
     def test_z_one(self):
-        assert binomial_series(1, 5).coeffs == [1, 1, 0, 0, 0]
+        assert binomial_series(1, 5).coeffs == (1, 1, 0, 0, 0)
 
     def test_z_minus_one_is_geometric(self):
         # oracle: 1/(1+T) expanded by hand
-        assert binomial_series(-1, 8).coeffs == [(-1) ** n for n in range(8)]
+        assert binomial_series(-1, 8).coeffs == tuple((-1) ** n for n in range(8))
 
     def test_z_three(self):
         assert binomial_series(3, 6).coeffs[2] == 3
@@ -301,7 +345,7 @@ class TestSeries:
         for name, value in (("coeffs", [2]), ("prime", 3), ("other", 0)):
             with pytest.raises(AttributeError):
                 setattr(f, name, value)
-        assert f.coeffs == [1, 1, 0] and f.prime is None
+        assert f.coeffs == (1, 1, 0) and f.prime is None
 
     def test_mixed_primes_rejected(self):
         with pytest.raises(InvalidInput):
