@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -281,13 +280,13 @@ def _cmd_quat_hilbert(args):
 
 
 def _cmd_quat_ramified(args):
-    ram = quaternion.ramified_set(
-        quaternion.QuaternionAlgebra(_rational(args.a), _rational(args.b)))
+    alg = quaternion.QuaternionAlgebra(_rational(args.a), _rational(args.b))
+    ram = quaternion.ramified_set(alg)
     finite = sorted(p for p in ram if p is not quaternion.INFINITE_PLACE)
     _emit({"a": args.a, "b": args.b,
            "finite_places": finite,
            "infinite": quaternion.INFINITE_PLACE in ram,
-           "discriminant": math.prod(finite) if finite else 1})
+           "discriminant": quaternion.discriminant(alg)})
 
 
 def _cmd_quat_hashimoto(args):
@@ -493,10 +492,14 @@ def main(argv=None) -> int:
     except ToleranceNotMet as exc:
         print(f"tolerance not met: {exc}", file=sys.stderr)
         return 5
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
 
 def entrypoint():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

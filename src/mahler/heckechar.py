@@ -642,6 +642,16 @@ class PadicEmbedding(Frozen):
         object.__setattr__(self, "zeta_lift", zeta_lift)
         object.__setattr__(self, "sqrt_lift", sqrt_lift)
 
+    def __eq__(self, other):
+        return isinstance(other, PadicEmbedding) and \
+            all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"PadicEmbedding({fields})"
+
     def _pick_sqrt(self, residue):
         """The chosen square root of d mod p, else the smaller one."""
         p = self.prime

@@ -90,7 +90,7 @@ def _dot(row, xs, padic: bool):
             prec += 1
         P = min(P, prec)
     else:
-        return 0 if P is INF else PadicScalar(p, 0, total, P)
+        return 0 if P is INF else PadicScalar._make(p, 0, total, P)
     return sum(c * x for c, x in pairs)
 
 
@@ -150,6 +150,13 @@ class Measure(Frozen):
         """Multiply by a p-integral scalar (boundedness is preserved)."""
         return Measure(self.prime, [exact(scalar * a) for a in self.mahler],
                        finite=self.finite)
+
+    def __eq__(self, other):
+        return isinstance(other, Measure) and \
+            (self.prime, self.finite, self.order) == (other.prime, other.finite, other.order) \
+            and all(a == b for a, b in zip(self.mahler, other.mahler))
+
+    __hash__ = None
 
     def __repr__(self):
         flag = "finite" if self.finite else f"order {self.order}"

@@ -12,6 +12,14 @@ exactness rule:
   -- drop out of sums, and an exact rational 0 times a PadicScalar is 0;
 * an inexact zero (a PadicScalar zero known mod p^k) keeps its precision;
 * an exact result is normalised by `exact`: int when integral, else Fraction.
+
+PadicScalar arithmetic has one precision rule (the capped-relative model of
+Caruso, arXiv:1701.06794, section 2): a zero known mod p^N counts as
+valuation N and relative precision 0; a sum takes the least precision; a
+product takes valuation v1 + v2 and relative precision min(rel1, rel2), and
+an exact factor q shifts the valuation by v_p(q); a zero known to no
+precision (N <= 0) is refused with PrecisionExhausted.  Every result goes
+through one normalising constructor, `PadicScalar._make`.
 """
 
 from __future__ import annotations
@@ -74,47 +82,43 @@ class PadicScalar(Frozen):
 
     __slots__ = ("prime", "valuation", "unit", "precision")
 
-    def __init__(self, prime: int, valuation, unit: int, precision):
+    def __new__(cls, prime: int, valuation, unit: int, precision):
         if not checked_prime(prime):
             raise InvalidInput(f"{prime} is not prime")
-        if valuation is INF or unit == 0:
-            if valuation is not INF and unit == 0:
-                valuation = INF
-            if unit != 0:
-                raise InvalidInput("infinite valuation with nonzero unit")
-            if precision is not INF and precision <= 0:
-                raise PrecisionExhausted("zero known to no precision")
-            object.__setattr__(self, "prime", prime)
-            object.__setattr__(self, "valuation", INF)
-            object.__setattr__(self, "unit", 0)
-            object.__setattr__(self, "precision", precision)
-            return
-        if precision is INF:
+        if valuation is INF and unit != 0:
+            raise InvalidInput("infinite valuation with nonzero unit")
+        if unit != 0 and precision is INF:
             raise InvalidInput("nonzero scalars need a finite precision")
-        rel = precision - valuation
-        if rel <= 0:
+        if unit != 0 and precision <= valuation:
             raise PrecisionExhausted(
                 f"scalar with valuation {valuation} known only mod p^{precision}")
-        unit %= prime ** rel
-        if unit == 0:
-            self.__init__(prime, INF, 0, precision)
-            return
-        shift = int_valuation(unit, prime)
-        if shift:
-            valuation += shift
-            unit = (unit // prime ** shift) % prime ** (precision - valuation)
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "valuation", valuation)
-        object.__setattr__(self, "unit", unit)
-        object.__setattr__(self, "precision", precision)
+        return PadicScalar._make(prime, valuation, unit, precision)
+
+    @staticmethod
+    def _make(p: int, v, n: int, N) -> "PadicScalar":
+        """n * p^v known mod p^N, normalised: n is reduced mod p^(N - v) and
+        its power of p moved into the valuation.  When n vanishes the result
+        is the zero known mod p^N (the exact zero for N = INF, which needs
+        n = 0), and a zero known to no precision is refused.  p is taken to
+        be a checked prime."""
+        n = n % p ** (N - v) if n and N > v else 0
+        if n == 0 and N <= 0:
+            raise PrecisionExhausted("zero known to no precision")
+        while n and n % p == 0:
+            n //= p
+            v += 1
+        self = object.__new__(PadicScalar)
+        object.__setattr__(self, "prime", p)
+        object.__setattr__(self, "valuation", v if n else INF)
+        object.__setattr__(self, "unit", n)
+        object.__setattr__(self, "precision", N)
+        return self
 
     # -- constructors --------------------------------------------------
 
     @classmethod
     def from_int(cls, n: int, prime: int, precision: int) -> "PadicScalar":
-        if n == 0:
-            return cls(prime, INF, 0, INF)
-        return cls(prime, 0, n, precision)
+        return cls(prime, 0, n, precision if n else INF)  # int 0 is the exact zero
 
     @classmethod
     def from_rational(cls, q, prime: int, precision: int) -> "PadicScalar":
@@ -122,9 +126,10 @@ class PadicScalar(Frozen):
         q = Fraction(q)
         if q == 0:
             return cls(prime, INF, 0, INF)
+        if not checked_prime(prime):  # before int_valuation, which never ends for p = 1
+            raise InvalidInput(f"{prime} is not prime")
         num, den = q.numerator, q.denominator
-        vn = int_valuation(num, prime)
-        vd = int_valuation(den, prime)
+        vn, vd = int_valuation(num, prime), int_valuation(den, prime)
         v = vn - vd
         rel = precision - v
         if rel <= 0:
@@ -146,6 +151,11 @@ class PadicScalar(Frozen):
     def rel_precision(self):
         return 0 if self.is_zero else self.precision - self.valuation
 
+    @property
+    def _val(self):
+        """The valuation, reading a zero known mod p^N as valuation N."""
+        return self.precision if self.valuation is INF else self.valuation
+
     def lift(self):
         """Representative unit * p^valuation (a Fraction when valuation < 0)."""
         if self.is_zero:
@@ -162,7 +172,7 @@ class PadicScalar(Frozen):
             raise PrecisionExhausted(f"known only mod p^{self.precision}")
         return int(self.lift()) % self.prime ** k
 
-    # -- arithmetic --------------------------------------------------------
+    # -- arithmetic: the precision rule of the module docstring ---------------
 
     def _coerce(self, other):
         if isinstance(other, PadicScalar):
@@ -171,7 +181,7 @@ class PadicScalar(Frozen):
             return other
         if isinstance(other, (int, Fraction)):
             if Fraction(other) == 0:
-                return PadicScalar(self.prime, INF, 0, INF)
+                return PadicScalar._make(self.prime, INF, 0, INF)
             if self.precision is INF:
                 raise InvalidInput(
                     "coercing a nonzero rational against an exact zero loses exactness")
@@ -182,35 +192,20 @@ class PadicScalar(Frozen):
         if self.precision is INF and isinstance(other, (int, Fraction)):
             return other  # the exact zero drops out
         other = self._coerce(other)
-        if other is NotImplemented:
+        if other is NotImplemented or self.precision is INF:
             return other
-        p = self.prime
-        prec = min(self.precision, other.precision)
-        if self.is_zero and other.is_zero:
-            return PadicScalar(p, INF, 0, prec)
-        if self.is_zero or other.is_zero:
-            x = other if self.is_zero else self
-            if prec is INF or prec >= x.precision:
-                return x
-            if x.valuation >= prec:
-                return PadicScalar(p, INF, 0, prec)
-            return PadicScalar(p, x.valuation, x.unit, prec)
-        v0 = min(self.valuation, other.valuation)
-        rel = prec - v0
-        n = self.unit * p ** (self.valuation - v0) \
-            + other.unit * p ** (other.valuation - v0)
-        n %= p ** rel
-        if n == 0:
-            return PadicScalar(p, INF, 0, prec)
-        return PadicScalar(p, v0, n, prec)
+        if other.precision is INF:  # exact zeros drop out of every sum
+            return self
+        p, v1, v2 = self.prime, self._val, other._val
+        v = min(v1, v2)
+        n = self.unit * p ** (v1 - v) + other.unit * p ** (v2 - v)
+        return PadicScalar._make(p, v, n, min(self.precision, other.precision))
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        if self.is_zero:
-            return self
-        return PadicScalar(self.prime, self.valuation, -self.unit, self.precision)
+        return PadicScalar._make(self.prime, self._val, -self.unit, self.precision)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -227,48 +222,35 @@ class PadicScalar(Frozen):
         other = self._coerce(other)
         if other is NotImplemented:
             return other
-        p = self.prime
-        if self.is_zero or other.is_zero:
-            bound = 0
-            for x in (self, other):
-                term = x.precision if x.is_zero else x.valuation
-                if term is INF:
-                    return PadicScalar(p, INF, 0, INF)
-                bound += term
-            return PadicScalar(p, INF, 0, max(bound, 1))
-        v = self.valuation + other.valuation
+        if self.precision is INF or other.precision is INF:
+            return PadicScalar._make(self.prime, INF, 0, INF)
+        v = self._val + other._val
         rel = min(self.rel_precision, other.rel_precision)
-        return PadicScalar(p, v, self.unit * other.unit, v + rel)
+        return PadicScalar._make(self.prime, v, self.unit * other.unit, v + rel)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def scale(self, q) -> "PadicScalar":
-        """Multiply by an exact nonzero int/Fraction: no precision loss."""
+        """Multiply by an exact int/Fraction: the valuation shifts by v_p(q)
+        and the relative precision is kept."""
         q = Fraction(q)
-        if q == 0:
-            return PadicScalar(self.prime, INF, 0, INF)
         p = self.prime
-        shift = rational_valuation(q, p)
-        if self.is_zero:
-            prec = self.precision if self.precision is INF else self.precision + shift
-            return PadicScalar(p, INF, 0, prec)
+        if q == 0 or self.precision is INF:
+            return PadicScalar._make(p, INF, 0, INF)
         rel = self.rel_precision
-        vn = int_valuation(q.numerator, p)
-        vd = int_valuation(q.denominator, p)
+        vn, vd = int_valuation(q.numerator, p), int_valuation(q.denominator, p)
         num = q.numerator // p ** vn
         den = q.denominator // p ** vd
-        unit = self.unit * num * pow(den, -1, p ** rel)
-        v = self.valuation + shift
-        return PadicScalar(p, v, unit, v + rel)
+        v = self._val + vn - vd
+        return PadicScalar._make(p, v, self.unit * num * pow(den, -1, p ** rel), v + rel)
 
     def inverse(self) -> "PadicScalar":
         if self.is_zero:
             raise InvalidInput("inversion of zero")
         p, rel = self.prime, self.rel_precision
-        unit = pow(self.unit, -1, p ** rel)
         v = -self.valuation
-        return PadicScalar(p, v, unit, v + rel)
+        return PadicScalar._make(p, v, pow(self.unit, -1, p ** rel), v + rel)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -289,14 +271,10 @@ class PadicScalar(Frozen):
             if self.precision is INF:
                 raise InvalidInput("0^0 on an exact zero")
             return PadicScalar.from_int(1, self.prime, self.precision)
-        result, base, e = None, self, n
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        if self.precision is INF:
+            return self
+        p, v, rel = self.prime, n * self._val, self.rel_precision
+        return PadicScalar._make(p, v, pow(self.unit, n, p ** rel), v + rel)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -305,8 +283,6 @@ class PadicScalar(Frozen):
             other = self._coerce(other)
         if not isinstance(other, PadicScalar) or other.prime != self.prime:
             return NotImplemented
-        if self.precision is INF and other.precision is INF:
-            return True  # both exact zeros
         return (self - other).is_zero
 
     __hash__ = None
@@ -481,7 +457,7 @@ def binomial_series(z, order: int) -> TruncatedSeries:
                                    + [PadicScalar.zero(p)] * (order - 1), p)
         Z = z.lift()
         c, w_sum, w_max, fact = 1, 0, 0, 0  # C(Z, n), sum/max of w_k, v_p(n!)
-        coeffs = [PadicScalar(p, 0, 1, P)]
+        coeffs = [PadicScalar._make(p, 0, 1, P)]
         for n in range(1, order):
             t = Z - n + 1
             w = int_valuation(t, p) if t else P
@@ -489,7 +465,7 @@ def binomial_series(z, order: int) -> TruncatedSeries:
             w_max = max(w_max, w)
             fact += int_valuation(n, p)
             c = c * t // n
-            coeffs.append(PadicScalar(p, 0, c, P + w_sum - w_max - fact))
+            coeffs.append(PadicScalar._make(p, 0, c, P + w_sum - w_max - fact))
         return TruncatedSeries(coeffs, p)
     z = Fraction(z)
     coeffs = [Fraction(1)]

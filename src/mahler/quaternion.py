@@ -89,11 +89,8 @@ def ramified_set(alg: QuaternionAlgebra) -> set:
 
 
 def discriminant(alg: QuaternionAlgebra) -> int:
-    out = 1
-    for p in ramified_set(alg):
-        if p is not INFINITE_PLACE:
-            out *= p
-    return out
+    """The product of the finite ramified primes."""
+    return math.prod(p for p in ramified_set(alg) if p is not INFINITE_PLACE)
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,10 @@ def decode_exact(s):
     if isinstance(s, int):
         return s
     if isinstance(s, str):
-        return exact(s)
+        try:
+            return exact(s)
+        except ZeroDivisionError:
+            raise InvalidInput(f"{s!r} has a zero denominator") from None
     raise InvalidInput(f"expected an exact number, got {s!r}")
 
 

@@ -88,6 +88,12 @@ class TestPrimeArguments:
                                       "--kappa", "1", "--p", "0"])
         assert code == 2 and out == "" and "not prime" in err
 
+    @pytest.mark.parametrize("p", ["1", "0", "-1"])
+    def test_binomial_series(self, capsys, p):
+        code, out, err = run(capsys, ["padic", "binomial-series", "--z", "3",
+                                      "--p", p, "--prec", "4"])
+        assert code == 2 and out == "" and "not prime" in err
+
 
 class TestZeroDenominator:
     """A rational argument with a zero denominator is invalid input (exit 2),
@@ -108,6 +114,19 @@ class TestZeroDenominator:
     ])
     def test_exits_2(self, capsys, argv):
         code, out, err = run(capsys, argv)
+        assert code == 2 and out == "" and "zero denominator" in err
+
+    @pytest.mark.parametrize("command, obj", [
+        (["measure", "moments", "--r", "1"],
+         {"p": 3, "order": 2, "finite": True, "mahler": ["1", "2/0"]}),
+        (["modform", "hecke", "--p", "3"], {"k": 12, "N": 1, "eps": ["1"], "coeffs": ["1/0"]}),
+        (["modform", "theta"], {"k": 12, "N": 2, "eps": ["0", "-1/0"], "coeffs": ["1"]}),
+        (["modform", "maass"], {"k": 0, "trunc": 2, "cells": [[0, 0, "3/0"]]}),
+    ])
+    def test_json_exits_2(self, capsys, tmp_path, command, obj):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, command + ["--file", str(path)])
         assert code == 2 and out == "" and "zero denominator" in err
 
 
@@ -302,6 +321,14 @@ class TestPadicCommands:
                                       "--a", out.strip()])
         assert code2 == 0
 
+    def test_arith_zero_times_negative_valuation(self, capsys):
+        # 0 + O(3) times 3^-3 is known only mod 3^-2: no precision is left
+        a = json.dumps({"p": 3, "val": "inf", "unit": "0", "prec": 1})
+        b = json.dumps({"p": 3, "val": -3, "unit": "1", "prec": 2})
+        code, out, err = run(capsys, ["padic", "arith", "--op", "mul",
+                                      "--a", a, "--b", b])
+        assert code == 3 and out == "" and "no precision" in err
+
     def test_arith_missing_operand(self, capsys):
         a = json.dumps({"p": 5, "val": 0, "unit": "2", "prec": 10})
         code, _, err = run(capsys, ["padic", "arith", "--op", "mul", "--a", a])
@@ -359,6 +386,27 @@ class TestDeepStirlingRows:
         code, out, err = self.mahler("measure", "moments", "--file", path, "--r", "600")
         assert (code, err) == (0, "")
         assert json.loads(out)["moment"] == str(2 ** 600)
+
+
+class TestModuleEntry:
+    """`python -m mahler.cli` runs the command line, as `mahler` does."""
+
+    def run_module(self, *argv):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mahler.__file__)))
+        done = subprocess.run([sys.executable, "-m", "mahler.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        return done.returncode, done.stdout, done.stderr
+
+    def test_success(self):
+        code, out, err = self.run_module("padic", "factorial-valuation",
+                                         "--n", "25", "--p", "5")
+        assert (code, err) == (0, "") and json.loads(out)["value"] == 6
+
+    def test_invalid_input(self):
+        code, out, err = self.run_module("padic", "factorial-valuation",
+                                         "--n", "25", "--p", "1")
+        assert code == 2 and out == "" and "not prime" in err
 
 
 class TestMeasureCommands:

@@ -1,0 +1,105 @@
+"""Fuzz the CLI's JSON decoders and the inline scalars of `padic arith`:
+whatever the input, `main` returns a documented exit code (0, 2, 3, 4 or 5)
+within a per-case deadline and never raises.  The runs are derandomized, so
+the suite sees the same cases every time."""
+
+import contextlib
+import io
+import json
+from datetime import timedelta
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from mahler.cli import main
+
+EXIT_CODES = {0, 2, 3, 4, 5}
+
+FUZZ = settings(max_examples=200, derandomize=True, database=None,
+                deadline=timedelta(seconds=5),
+                suppress_health_check=[HealthCheck.too_slow])
+
+small = st.integers(-4, 12)
+junk = st.recursive(
+    st.none() | st.booleans() | small | st.sampled_from([0.5, "", "x", "inf", "1/0"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["p", "k", "x"]), inner, max_size=2),
+    max_leaves=5)
+prime = st.one_of(st.sampled_from([2, 3, 5, 7]), small, junk)
+int_field = st.one_of(small, small.map(str), st.just("inf"), junk)
+exact = st.one_of(small, st.builds("{}/{}".format, small, small), small.map(str), junk)
+padic = st.fixed_dictionaries({"p": prime, "val": int_field, "unit": int_field,
+                               "prec": int_field})
+scalar = st.one_of(exact, padic)
+measure = st.one_of(
+    st.fixed_dictionaries({"p": prime, "order": int_field, "finite": st.booleans() | junk,
+                           "mahler": st.lists(scalar, max_size=8) | junk}),
+    junk)
+qexpansion = st.one_of(
+    st.fixed_dictionaries({"k": int_field, "N": int_field,
+                           "eps": st.lists(exact, max_size=4) | junk,
+                           "coeffs": st.lists(scalar, max_size=10) | junk}),
+    junk)
+nearly_holomorphic = st.one_of(
+    st.fixed_dictionaries({"k": int_field, "trunc": int_field,
+                           "cells": st.lists(st.tuples(int_field, int_field, exact)
+                                             .map(list), max_size=4) | junk}),
+    junk)
+optional_prec = st.one_of(st.just([]), st.integers(-1, 5).map(lambda k: ["--prec", str(k)]))
+flag = st.integers(-1, 8).map(str)
+
+
+@pytest.fixture(scope="module")
+def json_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+
+    def write(obj) -> str:
+        path.write_text(json.dumps(obj))
+        return str(path)
+    return write
+
+
+def exit_code(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@FUZZ
+@given(command=st.sampled_from(["moments", "restrict", "cell-mass"]), mu=measure,
+       r=flag, a=flag, nu=st.integers(0, 2).map(str), prec=optional_prec)
+def test_measure_file(json_file, command, mu, r, a, nu, prec):
+    argv = {"moments": ["--r", r], "restrict": prec,
+            "cell-mass": ["--a", a, "--nu", nu] + prec}[command]
+    assert exit_code(["measure", command, "--file", json_file(mu)] + argv) in EXIT_CODES
+
+
+@FUZZ
+@given(pairs=st.one_of(
+    st.fixed_dictionaries({"pairs": st.lists(st.tuples(measure, measure).map(list),
+                                             max_size=3) | junk}),
+    junk), rmax=st.integers(-1, 4).map(str))
+def test_measure_pair(json_file, pairs, rmax):
+    assert exit_code(["measure", "pair", "--file", json_file(pairs),
+                      "--rmax", rmax]) in EXIT_CODES
+
+
+@FUZZ
+@given(command=st.sampled_from(["hecke", "deplete", "theta"]), f=qexpansion,
+       p=st.integers(-1, 7).map(str), r=st.integers(0, 3).map(str))
+def test_modform_file(json_file, command, f, p, r):
+    argv = ["--r", r] if command == "theta" else ["--p", p]
+    assert exit_code(["modform", command, "--file", json_file(f)] + argv) in EXIT_CODES
+
+
+@FUZZ
+@given(f=nearly_holomorphic, r=st.integers(0, 3).map(str))
+def test_modform_maass(json_file, f, r):
+    assert exit_code(["modform", "maass", "--file", json_file(f), "--r", r]) in EXIT_CODES
+
+
+@FUZZ
+@given(op=st.sampled_from(["add", "sub", "mul", "inv"]), a=padic | junk, b=padic | junk)
+def test_padic_arith(op, a, b):
+    argv = ["padic", "arith", "--op", op, "--a", json.dumps(a), "--b", json.dumps(b)]
+    assert exit_code(argv) in EXIT_CODES

@@ -594,6 +594,22 @@ class TestEmbeddingResidues:
         assert pow(emb.zeta_lift, 3, 7 ** 5) == 1 and emb.zeta_lift % 7 != 1
         assert (emb.sqrt_lift ** 2 + 3) % 7 ** 5 == 0
 
+    def test_value_equality_and_repr(self):
+        emb = PadicEmbedding(7, 8, -3, 3)
+        assert emb == PadicEmbedding(7, 8, -3, 3)
+        assert emb != PadicEmbedding(7, 9, -3, 3)
+        assert emb != PadicEmbedding(7, 8, -3, 3, zeta_residue=4)
+        assert emb != PadicEmbedding(7, 8, -3, 3, sqrt_residue=5)
+        assert emb != PadicEmbedding(13, 8, -3, 3)
+        assert emb != "PadicEmbedding"
+        assert repr(emb) == (f"PadicEmbedding(prime=7, precision=8, d=-3, m=3, "
+                             f"sqrt_lift={emb.sqrt_lift}, zeta_lift={emb.zeta_lift})")
+        assert repr(PadicEmbedding(7, 3, 14)) == (
+            "PadicEmbedding(prime=7, precision=3, d=14, m=1, "
+            "sqrt_lift='ramified', zeta_lift=None)")
+        with pytest.raises(TypeError):
+            hash(emb)
+
     def test_residues_match_scan(self):
         for D in (-23, -47, -84, -87, -104, -263, -407):
             G = class_group(D)

@@ -39,6 +39,19 @@ class TestDirac:
                 setattr(mu, name, value)
         assert mu.finite and mu.prime == 3 and mu.mahler == (1, 2, 1, 0, 0, 0)
 
+    def test_value_equality(self):
+        assert dirac(1, 3, 4) == dirac(1, 3, 4)
+        assert dirac(1, 3, 4) == Measure(3, [1, 1, 0, 0], finite=True)
+        assert dirac(1, 3, 4) != dirac(2, 3, 4)
+        assert dirac(1, 3, 4) != dirac(1, 5, 4)
+        assert dirac(1, 3, 4) != dirac(1, 3, 5)
+        assert dirac(1, 3, 4) != Measure(3, [1, 1, 0, 0], finite=False)
+        x = PadicScalar.from_int(4, 3, 5)
+        assert dirac(x, 3, 4) == dirac(x + PadicScalar.zero(3, 6), 3, 4)
+        assert dirac(1, 3, 4) != (1, 1, 0, 0)
+        with pytest.raises(TypeError):
+            hash(dirac(1, 3, 4))
+
     def test_dirac_one(self):
         mu = dirac(1, 5, 6)
         assert mu.mahler == (1, 1, 0, 0, 0, 0) and mu.finite

@@ -112,6 +112,92 @@ class TestScalarArith:
                 assert s.valuation == min(va, vb)
 
 
+class TestPrecisionIsLowerBound:
+    """Every stated precision is a lower bound: a result known mod p^N is
+    congruent mod p^N to the exact rational result of the same operation on
+    the rationals its operands approximate, or the operation refuses with
+    PrecisionExhausted."""
+
+    PRIMES = (2, 3, 5, 7)
+
+    @staticmethod
+    def rational(rng, p):
+        if rng.random() < 0.1:
+            return Fraction(0)
+        num = rng.choice([1, -1]) * rng.randrange(1, 60) * p ** rng.randrange(5)
+        den = rng.randrange(1, 20) * p ** rng.choice([0, 0, 1, 3])
+        return Fraction(num, den)
+
+    @staticmethod
+    def approximate(rng, q, p):
+        """q known mod p^N for a random N: the zero known mod p^N when
+        p^N divides q, else `from_rational`; sometimes the exact zero for 0."""
+        if q == 0 and rng.random() < 0.3:
+            return PadicScalar.zero(p)
+        N = rng.randrange(-3, 8)
+        if q == 0 or N > 0 and padic.rational_valuation(q, p) >= N:
+            return PadicScalar.zero(p, max(N, 1))
+        if padic.rational_valuation(q, p) >= N:
+            N = padic.rational_valuation(q, p) + 1
+        return PadicScalar.from_rational(q, p, N)
+
+    @staticmethod
+    def holds(result, exact_value, p) -> bool:
+        if not isinstance(result, PadicScalar):
+            return result == exact_value
+        if result.precision is INF:
+            return exact_value == 0
+        diff = Fraction(result.lift()) - exact_value
+        return diff == 0 or padic.rational_valuation(diff, p) >= result.precision
+
+    @staticmethod
+    def outcomes(x, y, q, r):
+        """(operation, result thunk, exact value) over the approximations x
+        of q and y of r, and the exact rational r itself."""
+        yield "x + y", lambda: x + y, q + r
+        yield "x - y", lambda: x - y, q - r
+        yield "x * y", lambda: x * y, q * r
+        yield "x + r", lambda: x + r, q + r
+        yield "r - x", lambda: r - x, r - q
+        yield "r * x", lambda: r * x, r * q
+        yield "x.scale(r)", lambda: x.scale(r), q * r
+        if r:
+            yield "x / r", lambda: x / r, q / r
+        if not y.is_zero:
+            yield "x / y", lambda: x / y, q / r
+            yield "y.inverse()", y.inverse, 1 / r
+
+    def check(self, p, x, y, q, r):
+        for name, thunk, exact_value in self.outcomes(x, y, q, r):
+            try:
+                result = thunk()
+            except PrecisionExhausted:
+                continue
+            assert self.holds(result, exact_value, p), (name, x, y, q, r, result)
+
+    def test_random_operations(self):
+        rng = random.Random(1701)
+        for _ in range(3000):
+            p = rng.choice(self.PRIMES)
+            q, r = self.rational(rng, p), self.rational(rng, p)
+            x, y = self.approximate(rng, q, p), self.approximate(rng, r, p)
+            self.check(p, x, y, q, r)
+            self.check(p, y, x, r, q)
+
+    def test_zero_times_negative_valuation(self):
+        # 3 known mod 3 is the zero 0 + O(3); times 3^-3 it is 1/9, which no
+        # zero known mod a positive power of 3 approximates
+        x = PadicScalar.zero(3, 1)
+        y = PadicScalar.from_rational(Fraction(1, 27), 3, 2)
+        assert (y.valuation, y.precision) == (-3, 2)
+        self.check(3, x, y, Fraction(3), Fraction(1, 27))
+        self.check(3, y, x, Fraction(1, 27), Fraction(3))
+        with pytest.raises(PrecisionExhausted, match="no precision"):
+            x * y
+        with pytest.raises(PrecisionExhausted, match="no precision"):
+            x / PadicScalar.from_int(27, 3, 5)
+
+
 class TestFactorialValuation:
     def test_examples(self):
         assert factorial_valuation(25, 5) == 6
