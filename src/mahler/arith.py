@@ -1,6 +1,6 @@
 """Integer primitives on the standard library only: primality, the next
-prime, factorisation, square roots modulo a prime, cyclotomic polynomials
-and Bernoulli numbers.
+prime, factorisation, the fundamental part of a quadratic discriminant,
+square roots modulo a prime, cyclotomic polynomials and Bernoulli numbers.
 
 Primality is trial division, then strong Miller-Rabin to the first thirteen
 prime bases, which is deterministic below psi_13 ~ 3.3e24 (Sorenson and
@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+
+from .errors import InvalidInput
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 _MR_BASES = _SMALL_PRIMES[:13]
@@ -167,6 +169,25 @@ def factorint(n) -> dict:
             d = _rho(m)
             pending += [d, m // d]
     return dict(sorted(factors.items()))
+
+
+def is_discriminant(D: int) -> bool:
+    return D < 0 and D % 4 in (0, 1)
+
+
+def fundamental_decomposition(D: int):
+    """Write a discriminant as D = c^2 * d_K with d_K fundamental."""
+    if not is_discriminant(D):
+        raise InvalidInput(f"{D} is not a negative discriminant")
+    square = 1
+    for q, e in factorint(-D).items():
+        square *= q ** (e // 2)
+    m = D // square ** 2  # squarefree part, negative
+    if m % 4 == 1:
+        return square, m
+    if square % 2:
+        raise InvalidInput(f"{D} is not a valid discriminant")
+    return square // 2, 4 * m
 
 
 def sqrt_mod_prime(a: int, p: int) -> list:

@@ -1,6 +1,12 @@
 """Command-line front end: one subcommand tree over every module, JSON in and
 out, deterministic output, machine-readable exit codes.
 
+COMMANDS is the table of commands: per command its group, name, help, the
+modules its handler takes, the handler and its options.  `build_parser`
+builds the argparse tree from it, once per process for `main`, and `main`
+imports a command's modules only when it runs, so a call loads only what its
+command uses.
+
 Exit codes: 0 success, 2 invalid input, 3 precision exhausted, 4 search bound
 exhausted, 5 numerical tolerance not met.  Diagnostics go to stderr only.
 """
@@ -8,13 +14,13 @@ exhausted, 5 numerical tolerance not met.  Diagnostics go to stderr only.
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import json
 import os
 import sys
 from fractions import Fraction
 
-from . import archimedean, heckechar, measure, modform, padic, quaternion
-from . import serialize as ser
 from .errors import (InvalidInput, PrecisionExhausted, SearchBoundExhausted,
                      ToleranceNotMet)
 
@@ -97,7 +103,7 @@ def _apply_config(parser, args):
 
 # -- padic ---------------------------------------------------------------------
 
-def _cmd_padic_arith(args):
+def _cmd_padic_arith(args, padic, ser):
     a = ser.decode_padic(json.loads(args.a))
     if args.op == "inv":
         b = a
@@ -108,96 +114,96 @@ def _cmd_padic_arith(args):
     _emit(ser.encode_padic(padic.scalar_arith(a, b, args.op)))
 
 
-def _cmd_padic_stirling1(args):
+def _cmd_padic_stirling1(args, padic):
     _emit({"n": args.n, "i": args.i,
            "value": str(padic.stirling_first_signed(args.n, args.i))})
 
 
-def _cmd_padic_stirling2(args):
+def _cmd_padic_stirling2(args, padic):
     _emit({"r": args.r, "n": args.n,
            "value": str(padic.stirling_second(args.r, args.n))})
 
 
-def _cmd_padic_vfact(args):
+def _cmd_padic_vfact(args, padic):
     _emit({"n": args.n, "p": args.p,
            "value": padic.factorial_valuation(args.n, args.p)})
 
 
-def _cmd_padic_binom(args):
+def _cmd_padic_binom(args, padic, ser):
     z = padic.PadicScalar.from_rational(_rational(args.z), args.p, _precision(args))
     _emit(ser.encode_series(padic.binomial_series(z, args.order)))
 
 
 # -- measure ---------------------------------------------------------------------
 
-def _cmd_measure_moments(args):
+def _cmd_measure_moments(args, measure, ser):
     mu = ser.decode_measure(_read_json(args.file))
     _emit({"r": args.r, "moment": ser.encode_scalar(measure.moments(mu, args.r))})
 
 
-def _cmd_measure_restrict(args):
+def _cmd_measure_restrict(args, measure, ser):
     mu = ser.decode_measure(_read_json(args.file))
     out = measure.restrict_to_units(mu, precision=args.prec)
     _emit(ser.encode_measure(out))
 
 
-def _cmd_measure_cell_mass(args):
+def _cmd_measure_cell_mass(args, measure, ser):
     mu = ser.decode_measure(_read_json(args.file))
     mass = measure.cell_mass(mu, args.a, args.nu, precision=args.prec)
     _emit({"a": args.a, "nu": args.nu, "mass": ser.encode_scalar(mass)})
 
 
-def _cmd_measure_push(args):
+def _cmd_measure_push(args, measure, ser):
     mu1 = ser.decode_measure(_read_json(args.file1))
     mu2 = ser.decode_measure(_read_json(args.file2))
     _emit(ser.encode_measure(measure.mult_pushforward(mu1, mu2, args.rmax)))
 
 
-def _cmd_measure_pair(args):
+def _cmd_measure_pair(args, measure, ser):
     pairs = ser.decode_measure_pairs(_read_json(args.file))
     _emit(ser.encode_measure(measure.pairing_measure(pairs, args.rmax)))
 
 
 # -- modform ---------------------------------------------------------------------
 
-def _cmd_modform_delta(args):
+def _cmd_modform_delta(args, modform, ser):
     _emit(ser.encode_qexpansion(modform.delta_qexpansion(args.trunc)))
 
 
-def _cmd_modform_eisenstein(args):
+def _cmd_modform_eisenstein(args, modform, ser):
     _emit(ser.encode_qexpansion(modform.eisenstein_qexpansion(args.k, args.trunc)))
 
 
-def _cmd_modform_deplete(args):
+def _cmd_modform_deplete(args, modform, ser):
     f = ser.decode_qexpansion(_read_json(args.file))
     _emit(ser.encode_qexpansion(modform.p_deplete(f, args.p)))
 
 
-def _cmd_modform_hecke(args):
+def _cmd_modform_hecke(args, modform, ser):
     f = ser.decode_qexpansion(_read_json(args.file))
     _emit(ser.encode_qexpansion(modform.hecke_operator(f, args.p)))
 
 
-def _cmd_modform_theta(args):
+def _cmd_modform_theta(args, modform, ser):
     f = ser.decode_qexpansion(_read_json(args.file))
     _emit(ser.encode_qexpansion(modform.theta_operator(f, args.r)))
 
 
-def _cmd_modform_euler(args):
+def _cmd_modform_euler(args, modform, ser):
     value = modform.interpolation_euler_factor(
         _rational(args.a_p), _rational(args.eps_p), _rational(args.chi),
         args.kappa, args.p)
     _emit({"euler_factor": ser.encode_exact(value)})
 
 
-def _cmd_modform_maass(args):
+def _cmd_modform_maass(args, modform, ser):
     f = ser.decode_nearly_holomorphic(_read_json(args.file))
     _emit(ser.encode_nearly_holomorphic(modform.maass_raise(f, args.r)))
 
 
 # -- class groups and characters -------------------------------------------------
 
-def _cmd_class_group(args):
+def _cmd_class_group(args, heckechar):
     G = heckechar.class_group(args.disc)
     _emit({"D": G.discriminant, "h": G.h,
            "forms": [list(f) for f in G.forms],
@@ -205,7 +211,7 @@ def _cmd_class_group(args):
            "table": G.table})
 
 
-def _cmd_hecke_pair(args):
+def _cmd_hecke_pair(args, heckechar, ser):
     G = heckechar.class_group(args.disc)
     chars = heckechar.characters(G)
     if not (0 <= args.chi < len(chars) and 0 <= args.psi < len(chars)):
@@ -218,11 +224,13 @@ def _cmd_hecke_pair(args):
            "pairing": ser.encode_algebraic(value)})
 
 
-def _cmd_hecke_avatar(args):
+def _cmd_hecke_avatar(args, heckechar, ser):
     G = heckechar.class_group(args.disc)
     chars = heckechar.characters(G)
     prec = _precision(args)
     emb = heckechar.admissible_embedding(G, args.p, prec)
+    if args.chi is not None and not 0 <= args.chi < len(chars):
+        raise InvalidInput("character index out of range")
     picks = range(len(chars)) if args.chi is None else [args.chi]
     table = {}
     for i in picks:
@@ -233,7 +241,7 @@ def _cmd_hecke_avatar(args):
 
 # -- archimedean ------------------------------------------------------------------
 
-def _cmd_arch_local_factor(args):
+def _cmd_arch_local_factor(args, archimedean, ser):
     params = archimedean.LocalFactorParams(
         kappa=args.kappa, r=args.r, l=args.l, s=args.s,
         nu_u_abs=args.nu_abs, zeta_u=complex(args.zeta_re, args.zeta_im))
@@ -257,7 +265,7 @@ def _cmd_arch_local_factor(args):
             raise ToleranceNotMet("vanishing case is not numerically zero")
 
 
-def _cmd_arch_identity(args):
+def _cmd_arch_identity(args, archimedean):
     got = archimedean.delta_diagonal_sum(args.r)
     want = archimedean.delta_diagonal_target(args.r)
     if got != want:
@@ -267,19 +275,19 @@ def _cmd_arch_identity(args):
 
 # -- quaternion -------------------------------------------------------------------
 
-def _parse_place(text: str):
+def _parse_place(text: str, quaternion):
     if text in ("inf", "oo", "infinity"):
         return quaternion.INFINITE_PLACE
     return int(text)
 
 
-def _cmd_quat_hilbert(args):
+def _cmd_quat_hilbert(args, quaternion):
     symbol = quaternion.hilbert_symbol(_rational(args.a), _rational(args.b),
-                                       _parse_place(args.place))
+                                       _parse_place(args.place, quaternion))
     _emit({"a": args.a, "b": args.b, "place": args.place, "symbol": symbol})
 
 
-def _cmd_quat_ramified(args):
+def _cmd_quat_ramified(args, quaternion):
     alg = quaternion.QuaternionAlgebra(_rational(args.a), _rational(args.b))
     ram = quaternion.ramified_set(alg)
     finite = sorted(p for p in ram if p is not quaternion.INFINITE_PLACE)
@@ -289,7 +297,7 @@ def _cmd_quat_ramified(args):
            "discriminant": quaternion.discriminant(alg)})
 
 
-def _cmd_quat_hashimoto(args):
+def _cmd_quat_hashimoto(args, quaternion):
     data = quaternion.hashimoto_search(args.delta, args.p, args.bound)
     _emit({"q": data.q, "b": data.b_param})
 
@@ -307,7 +315,7 @@ def _parse_matrix(text: str):
     return tuple(out)
 
 
-def _cmd_quat_conductor(args):
+def _cmd_quat_conductor(args, quaternion, ser):
     emb = quaternion.MatrixEmbedding(_parse_matrix(args.matrix), args.level)
     if args.disc is not None and _rational(args.disc) != emb.d:
         raise InvalidInput(f"M^2 = {emb.d} I, not {args.disc}")
@@ -316,169 +324,125 @@ def _cmd_quat_conductor(args):
            "conductor": quaternion.embedding_conductor(emb)})
 
 
-# -- parser ----------------------------------------------------------------------
+# -- the command table ------------------------------------------------------------
+
+_REQUIRED = {"required": True}
+_REQUIRED_INT = {"type": int, "required": True}
+
+
+def _default(value, type=int) -> dict:
+    return {"type": type, "default": value}
+
+
+GROUPS = {"padic": "scalar and transform utilities", "measure": "measures on Z_p",
+          "modform": "q-expansion operators", "hecke": "characters, pairings, avatars",
+          "arch": "archimedean local factor", "quat": "quaternion algebra utilities"}
+
+# (group or None for a top-level command, name, help, modules the handler takes
+# after args, handler, [(option, add_argument keywords)]), in --help order
+COMMANDS = (
+    ("padic", "arith", None, ("padic", "serialize"), _cmd_padic_arith, [
+        ("--op", {"required": True, "choices": ["add", "sub", "mul", "inv"]}),
+        ("--a", {"required": True, "help": "inline JSON scalar"}),
+        ("--b", {"help": "inline JSON scalar (unused for inv)"})]),
+    ("padic", "stirling-first", None, ("padic",), _cmd_padic_stirling1,
+     [("--n", _REQUIRED_INT), ("--i", _REQUIRED_INT)]),
+    ("padic", "stirling-second", None, ("padic",), _cmd_padic_stirling2,
+     [("--r", _REQUIRED_INT), ("--n", _REQUIRED_INT)]),
+    ("padic", "factorial-valuation", None, ("padic",), _cmd_padic_vfact,
+     [("--n", _REQUIRED_INT), ("--p", _REQUIRED_INT)]),
+    ("padic", "binomial-series", None, ("padic", "serialize"), _cmd_padic_binom,
+     [("--z", _REQUIRED), ("--p", _REQUIRED_INT), ("--prec", _default(None)),
+      ("--order", _default(8))]),
+    ("measure", "moments", None, ("measure", "serialize"), _cmd_measure_moments,
+     [("--file", _REQUIRED), ("--r", _REQUIRED_INT)]),
+    ("measure", "restrict", None, ("measure", "serialize"), _cmd_measure_restrict,
+     [("--file", _REQUIRED), ("--prec", _default(None))]),
+    ("measure", "cell-mass", None, ("measure", "serialize"), _cmd_measure_cell_mass,
+     [("--file", _REQUIRED), ("--a", _REQUIRED_INT), ("--nu", _default(1)),
+      ("--prec", _default(None))]),
+    ("measure", "push", None, ("measure", "serialize"), _cmd_measure_push,
+     [("--file1", _REQUIRED), ("--file2", _REQUIRED), ("--rmax", _REQUIRED_INT)]),
+    ("measure", "pair", None, ("measure", "serialize"), _cmd_measure_pair,
+     [("--file", {"required": True, "help": 'JSON {"pairs": [[mu, mu], ...]}'}),
+      ("--rmax", _REQUIRED_INT)]),
+    ("modform", "delta", None, ("modform", "serialize"), _cmd_modform_delta,
+     [("--trunc", _default(50))]),
+    ("modform", "eisenstein", None, ("modform", "serialize"), _cmd_modform_eisenstein,
+     [("--k", _REQUIRED_INT), ("--trunc", _default(50))]),
+    ("modform", "deplete", None, ("modform", "serialize"), _cmd_modform_deplete,
+     [("--file", _REQUIRED), ("--p", _REQUIRED_INT)]),
+    ("modform", "hecke", None, ("modform", "serialize"), _cmd_modform_hecke,
+     [("--file", _REQUIRED), ("--p", _REQUIRED_INT)]),
+    ("modform", "theta", None, ("modform", "serialize"), _cmd_modform_theta,
+     [("--file", _REQUIRED), ("--r", _default(1))]),
+    ("modform", "euler-factor", None, ("modform", "serialize"), _cmd_modform_euler,
+     [("--a-p", _REQUIRED), ("--eps-p", _default("1", None)),
+      ("--chi", _default("1", None)), ("--kappa", _REQUIRED_INT), ("--p", _REQUIRED_INT)]),
+    ("modform", "maass", None, ("modform", "serialize"), _cmd_modform_maass,
+     [("--file", _REQUIRED), ("--r", _default(1))]),
+    (None, "class-group", "reduced forms and composition", ("heckechar",), _cmd_class_group,
+     [("--disc", _REQUIRED_INT)]),
+    ("hecke", "pair", None, ("heckechar", "serialize"), _cmd_hecke_pair, [
+        ("--disc", _REQUIRED_INT), ("--chi", _REQUIRED_INT), ("--psi", _REQUIRED_INT),
+        ("--twist-inverse", {"action": "store_true",
+                             "help": "compute <chi, chi^-1>^psi instead of <chi, psi>"})]),
+    ("hecke", "avatar", None, ("heckechar", "serialize"), _cmd_hecke_avatar,
+     [("--disc", _REQUIRED_INT), ("--p", _REQUIRED_INT), ("--prec", _default(None)),
+      ("--chi", _default(None))]),
+    ("arch", "local-factor", None, ("archimedean", "serialize"), _cmd_arch_local_factor,
+     [("--kappa", _REQUIRED_INT), ("--r", _REQUIRED_INT), ("--l", _REQUIRED_INT),
+      ("--s", _default(0.5, float)), ("--nu-abs", _default(1.0, float)),
+      ("--zeta-re", _default(1.0, float)), ("--zeta-im", _default(0.0, float)),
+      ("--nodes-a", _default(64)), ("--nodes-theta", _default(256)),
+      ("--tol", _default(1e-6, float)), ("--vanish-tol", _default(1e-8, float))]),
+    ("arch", "identity", None, ("archimedean",), _cmd_arch_identity,
+     [("--r", _REQUIRED_INT)]),
+    ("quat", "hilbert", None, ("quaternion",), _cmd_quat_hilbert,
+     [("--a", _REQUIRED), ("--b", _REQUIRED), ("--place", _REQUIRED)]),
+    ("quat", "ramified", None, ("quaternion",), _cmd_quat_ramified,
+     [("--a", _REQUIRED), ("--b", _REQUIRED)]),
+    ("quat", "hashimoto", None, ("quaternion",), _cmd_quat_hashimoto,
+     [("--delta", _REQUIRED_INT), ("--p", _REQUIRED_INT), ("--bound", _default(10000))]),
+    ("quat", "conductor", None, ("quaternion", "serialize"), _cmd_quat_conductor, [
+        ("--matrix", {"required": True, "help": '"a,b;c,d" with rational entries'}),
+        ("--disc", {}), ("--level", _default(1))]),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of COMMANDS; a leaf's defaults name its handler and
+    the modules the handler takes."""
     top = argparse.ArgumentParser(prog="mahler",
                                   description="p-adic measures and friends")
     top.add_argument("--config", help="JSON file overriding argument defaults")
     sub = top.add_subparsers(dest="command", required=True)
-
-    p_padic = sub.add_parser("padic", help="scalar and transform utilities")
-    ps = p_padic.add_subparsers(dest="sub", required=True)
-    q = ps.add_parser("arith")
-    q.add_argument("--op", required=True, choices=["add", "sub", "mul", "inv"])
-    q.add_argument("--a", required=True, help="inline JSON scalar")
-    q.add_argument("--b", help="inline JSON scalar (unused for inv)")
-    q.set_defaults(func=_cmd_padic_arith)
-    q = ps.add_parser("stirling-first")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--i", type=int, required=True)
-    q.set_defaults(func=_cmd_padic_stirling1)
-    q = ps.add_parser("stirling-second")
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.set_defaults(func=_cmd_padic_stirling2)
-    q = ps.add_parser("factorial-valuation")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--p", type=int, required=True)
-    q.set_defaults(func=_cmd_padic_vfact)
-    q = ps.add_parser("binomial-series")
-    q.add_argument("--z", required=True)
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--prec", type=int, default=None)
-    q.add_argument("--order", type=int, default=8)
-    q.set_defaults(func=_cmd_padic_binom)
-
-    p_meas = sub.add_parser("measure", help="measures on Z_p")
-    ms = p_meas.add_subparsers(dest="sub", required=True)
-    q = ms.add_parser("moments")
-    q.add_argument("--file", required=True)
-    q.add_argument("--r", type=int, required=True)
-    q.set_defaults(func=_cmd_measure_moments)
-    q = ms.add_parser("restrict")
-    q.add_argument("--file", required=True)
-    q.add_argument("--prec", type=int, default=None)
-    q.set_defaults(func=_cmd_measure_restrict)
-    q = ms.add_parser("cell-mass")
-    q.add_argument("--file", required=True)
-    q.add_argument("--a", type=int, required=True)
-    q.add_argument("--nu", type=int, default=1)
-    q.add_argument("--prec", type=int, default=None)
-    q.set_defaults(func=_cmd_measure_cell_mass)
-    q = ms.add_parser("push")
-    q.add_argument("--file1", required=True)
-    q.add_argument("--file2", required=True)
-    q.add_argument("--rmax", type=int, required=True)
-    q.set_defaults(func=_cmd_measure_push)
-    q = ms.add_parser("pair")
-    q.add_argument("--file", required=True, help='JSON {"pairs": [[mu, mu], ...]}')
-    q.add_argument("--rmax", type=int, required=True)
-    q.set_defaults(func=_cmd_measure_pair)
-
-    p_mf = sub.add_parser("modform", help="q-expansion operators")
-    mf = p_mf.add_subparsers(dest="sub", required=True)
-    q = mf.add_parser("delta")
-    q.add_argument("--trunc", type=int, default=50)
-    q.set_defaults(func=_cmd_modform_delta)
-    q = mf.add_parser("eisenstein")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--trunc", type=int, default=50)
-    q.set_defaults(func=_cmd_modform_eisenstein)
-    q = mf.add_parser("deplete")
-    q.add_argument("--file", required=True)
-    q.add_argument("--p", type=int, required=True)
-    q.set_defaults(func=_cmd_modform_deplete)
-    q = mf.add_parser("hecke")
-    q.add_argument("--file", required=True)
-    q.add_argument("--p", type=int, required=True)
-    q.set_defaults(func=_cmd_modform_hecke)
-    q = mf.add_parser("theta")
-    q.add_argument("--file", required=True)
-    q.add_argument("--r", type=int, default=1)
-    q.set_defaults(func=_cmd_modform_theta)
-    q = mf.add_parser("euler-factor")
-    q.add_argument("--a-p", required=True)
-    q.add_argument("--eps-p", default="1")
-    q.add_argument("--chi", default="1")
-    q.add_argument("--kappa", type=int, required=True)
-    q.add_argument("--p", type=int, required=True)
-    q.set_defaults(func=_cmd_modform_euler)
-    q = mf.add_parser("maass")
-    q.add_argument("--file", required=True)
-    q.add_argument("--r", type=int, default=1)
-    q.set_defaults(func=_cmd_modform_maass)
-
-    q = sub.add_parser("class-group", help="reduced forms and composition")
-    q.add_argument("--disc", type=int, required=True)
-    q.set_defaults(func=_cmd_class_group)
-
-    p_hk = sub.add_parser("hecke", help="characters, pairings, avatars")
-    hk = p_hk.add_subparsers(dest="sub", required=True)
-    q = hk.add_parser("pair")
-    q.add_argument("--disc", type=int, required=True)
-    q.add_argument("--chi", type=int, required=True)
-    q.add_argument("--psi", type=int, required=True)
-    q.add_argument("--twist-inverse", action="store_true",
-                   help="compute <chi, chi^-1>^psi instead of <chi, psi>")
-    q.set_defaults(func=_cmd_hecke_pair)
-    q = hk.add_parser("avatar")
-    q.add_argument("--disc", type=int, required=True)
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--prec", type=int, default=None)
-    q.add_argument("--chi", type=int, default=None)
-    q.set_defaults(func=_cmd_hecke_avatar)
-
-    p_arch = sub.add_parser("arch", help="archimedean local factor")
-    ar = p_arch.add_subparsers(dest="sub", required=True)
-    q = ar.add_parser("local-factor")
-    q.add_argument("--kappa", type=int, required=True)
-    q.add_argument("--r", type=int, required=True)
-    q.add_argument("--l", type=int, required=True)
-    q.add_argument("--s", type=float, default=0.5)
-    q.add_argument("--nu-abs", type=float, default=1.0)
-    q.add_argument("--zeta-re", type=float, default=1.0)
-    q.add_argument("--zeta-im", type=float, default=0.0)
-    q.add_argument("--nodes-a", type=int, default=64)
-    q.add_argument("--nodes-theta", type=int, default=256)
-    q.add_argument("--tol", type=float, default=1e-6)
-    q.add_argument("--vanish-tol", type=float, default=1e-8)
-    q.set_defaults(func=_cmd_arch_local_factor)
-    q = ar.add_parser("identity")
-    q.add_argument("--r", type=int, required=True)
-    q.set_defaults(func=_cmd_arch_identity)
-
-    p_qu = sub.add_parser("quat", help="quaternion algebra utilities")
-    qu = p_qu.add_subparsers(dest="sub", required=True)
-    q = qu.add_parser("hilbert")
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q.add_argument("--place", required=True)
-    q.set_defaults(func=_cmd_quat_hilbert)
-    q = qu.add_parser("ramified")
-    q.add_argument("--a", required=True)
-    q.add_argument("--b", required=True)
-    q.set_defaults(func=_cmd_quat_ramified)
-    q = qu.add_parser("hashimoto")
-    q.add_argument("--delta", type=int, required=True)
-    q.add_argument("--p", type=int, required=True)
-    q.add_argument("--bound", type=int, default=10000)
-    q.set_defaults(func=_cmd_quat_hashimoto)
-    q = qu.add_parser("conductor")
-    q.add_argument("--matrix", required=True, help='"a,b;c,d" with rational entries')
-    q.add_argument("--disc", default=None)
-    q.add_argument("--level", type=int, default=1)
-    q.set_defaults(func=_cmd_quat_conductor)
-
+    groups = {}
+    for group, name, summary, uses, handler, options in COMMANDS:
+        if group is not None and group not in groups:
+            groups[group] = sub.add_parser(group, help=GROUPS[group]).add_subparsers(
+                dest="sub", required=True)
+        parent = sub if group is None else groups[group]
+        q = parent.add_parser(name, **({} if summary is None else {"help": summary}))
+        for flag, keywords in options:
+            q.add_argument(flag, **keywords)
+        q.set_defaults(func=handler, uses=uses)
     return top
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser() once per process: parsing leaves the parser unchanged."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         _apply_config(parser, args)
-        args.func(args)
+        args.func(args, *[importlib.import_module(f"{__package__}.{name}")
+                          for name in args.uses])
         return 0
     except InvalidInput as exc:
         print(f"error: {exc}", file=sys.stderr)

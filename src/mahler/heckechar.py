@@ -16,33 +16,14 @@ from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .arith import cyclotomic_coeffs, factorint, isprime, sqrt_mod_prime
+from .arith import (cyclotomic_coeffs, factorint, fundamental_decomposition,
+                    is_discriminant, isprime, sqrt_mod_prime)
 from .errors import Frozen, InvalidInput
-from .measure import dirac
 from .padic import PadicScalar, exact
 
 # ---------------------------------------------------------------------------
 # discriminants and orders
 # ---------------------------------------------------------------------------
-
-
-def is_discriminant(D: int) -> bool:
-    return D < 0 and D % 4 in (0, 1)
-
-
-def fundamental_decomposition(D: int):
-    """Write a discriminant as D = c^2 * d_K with d_K fundamental."""
-    if not is_discriminant(D):
-        raise InvalidInput(f"{D} is not a negative discriminant")
-    square = 1
-    for q, e in factorint(-D).items():
-        square *= q ** (e // 2)
-    m = D // square ** 2  # squarefree part, negative
-    if m % 4 == 1:
-        return square, m
-    if square % 2:
-        raise InvalidInput(f"{D} is not a valid discriminant")
-    return square // 2, 4 * m
 
 
 class QuadOrder(Frozen):
@@ -543,9 +524,8 @@ def characters(G: IdealClassGroup):
         subgroup = new_sub
         member = set(subgroup)
     tables = sorted(tuple(chi[i] for i in range(G.h)) for chi in chars)
-    return [WeightFunction(G, (0, 0),
-                           [AlgebraicValue.root_of_unity(e, d, m) for e in tab])
-            for tab in tables]
+    roots = [AlgebraicValue.root_of_unity(e, d, m) for e in range(m)]
+    return [WeightFunction(G, (0, 0), [roots[e] for e in tab]) for tab in tables]
 
 
 def _class_sum(phi1: WeightFunction, phi2: WeightFunction, *twist: WeightFunction):
@@ -742,6 +722,7 @@ def avatar_measure_family(chi0: WeightFunction, chi: WeightFunction,
     """Per ideal class s, the measure chi0^(p)(s) · dirac(chi^(p)(s)): its
     r-th moment is the avatar of chi0·chi^r at s, and the family is supported
     on Z_p^× (unit avatar values are required)."""
+    from .measure import dirac
     if chi0.group.discriminant != chi.group.discriminant:
         raise InvalidInput("group mismatch")
     p = embedding.prime

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .arith import factorint, isprime, nextprime, sqrt_mod_prime
+from .arith import factorint, fundamental_decomposition, isprime, nextprime, sqrt_mod_prime
 from .errors import InvalidInput, SearchBoundExhausted
-from .heckechar import fundamental_decomposition
 
 INFINITE_PLACE = math.inf
 

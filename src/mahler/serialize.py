@@ -3,6 +3,8 @@
 Exact numbers travel as decimal strings ("123", "-4/7"); p-adic scalars as
 {"p", "val", "unit", "prec"} with "inf" for infinite fields.  Floats appear
 only in archimedean results and are rendered with 17 significant digits.
+A decoder imports the module of the class it builds when it runs, so that
+loading this module loads no compute module but `padic`.
 """
 
 from __future__ import annotations
@@ -11,9 +13,6 @@ import math
 from fractions import Fraction
 
 from .errors import InvalidInput
-from .heckechar import AlgebraicValue
-from .measure import Measure
-from .modform import DirichletCharacter, NearlyHolomorphic, QExpansion
 from .padic import INF, PadicScalar, TruncatedSeries, exact
 
 
@@ -108,6 +107,7 @@ def encode_measure(mu: Measure) -> dict:
 
 
 def decode_measure(obj: dict) -> Measure:
+    from .measure import Measure
     _fields(obj, "mahler")
     return Measure(_int(obj["p"]), [decode_scalar(a) for a in obj["mahler"]],
                    finite=bool(obj["finite"]))
@@ -125,6 +125,7 @@ def encode_qexpansion(f: QExpansion) -> dict:
 
 
 def decode_qexpansion(obj: dict) -> QExpansion:
+    from .modform import DirichletCharacter, QExpansion
     _fields(obj, "eps", "coeffs")
     eps = DirichletCharacter(len(obj["eps"]), [decode_exact(v) for v in obj["eps"]])
     return QExpansion(_int(obj["k"]), _int(obj["N"]), eps,
@@ -137,6 +138,7 @@ def encode_nearly_holomorphic(f: NearlyHolomorphic) -> dict:
 
 
 def decode_nearly_holomorphic(obj: dict) -> NearlyHolomorphic:
+    from .modform import NearlyHolomorphic
     cells = {(_int(n), _int(j)): decode_exact(c) for n, j, c in _rows(obj, "cells", 3)}
     return NearlyHolomorphic(_int(obj["k"]), _int(obj["trunc"]), cells)
 
@@ -147,6 +149,7 @@ def encode_algebraic(v: AlgebraicValue) -> dict:
 
 
 def decode_algebraic(obj: dict) -> AlgebraicValue:
+    from .heckechar import AlgebraicValue
     coeffs = [(decode_exact(a), decode_exact(b)) for a, b in _rows(obj, "coeffs", 2)]
     return AlgebraicValue(_int(obj["d"]), _int(obj["m"]), coeffs)
 

@@ -2,12 +2,13 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import mahler
 from mahler import serialize
-from mahler.cli import main
+from mahler.cli import COMMANDS, main
 from mahler.errors import InvalidInput
 from mahler.measure import Measure, dirac
 from mahler.serialize import encode_measure
@@ -226,7 +227,8 @@ class TestJsonShape:
 
 class TestImportFloor:
     """Importing the CLI loads neither sympy nor numpy; `arch` loads numpy
-    when it runs."""
+    when it runs; a command loads only the modules it uses, and `import
+    mahler` loads none."""
 
     def python(self, code: str) -> str:
         src = os.path.dirname(os.path.dirname(os.path.abspath(mahler.__file__)))
@@ -249,6 +251,49 @@ class TestImportFloor:
             "code = main(['arch', 'local-factor', '--kappa', '1', '--r', '1', '--l', '1'])\n"
             "print(code, before, 'numpy' in sys.modules)")
         assert last == "0 False True"
+
+    def test_package_import_loads_no_compute_module(self):
+        last = self.python("import sys, mahler; "
+                           "print(sorted(m for m in sys.modules if m.startswith('mahler')))")
+        assert last == "['mahler']"
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["padic", "factorial-valuation", "--n", "25", "--p", "5"],
+         ["archimedean", "heckechar", "measure", "modform", "quaternion", "serialize"]),
+        (["measure", "restrict", "--file", "MEASURE"],
+         ["archimedean", "heckechar", "modform", "quaternion"]),
+        (["quat", "ramified", "--a", "-1", "--b", "-1"], ["heckechar", "measure"]),
+    ])
+    def test_command_loads_only_its_modules(self, tmp_path, argv, absent):
+        path = write_measure(tmp_path, "m.json", dirac(2, 3, 4))
+        argv = [path if a == "MEASURE" else a for a in argv]
+        last = self.python(
+            "import sys\n"
+            "from mahler.cli import main\n"
+            f"code = main({argv!r})\n"
+            f"print(code, sorted({{'mahler.' + m for m in {absent!r}}} & set(sys.modules)))")
+        assert last == "0 []"
+
+
+HELP_GOLDEN = json.loads((Path(__file__).parent / "cli_help.json").read_text())
+
+
+class TestHelp:
+    """`--help` at every level, byte for byte as recorded at 80 columns."""
+
+    def test_golden_covers_every_level(self):
+        paths = {""}
+        for group, name, *_ in COMMANDS:
+            paths |= {group or name, f"{group} {name}" if group else name}
+        assert set(HELP_GOLDEN) == paths
+
+    @pytest.mark.parametrize("path", list(HELP_GOLDEN))
+    def test_help_text(self, capsys, monkeypatch, path):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as exc:
+            main(path.split() + ["--help"])
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out, out.err) == (0, HELP_GOLDEN[path], "")
 
 
 class TestPrecisionEnvironment:
@@ -580,6 +625,12 @@ class TestHeckeCommands:
         assert code == 0
         data = json.loads(out)
         assert set(data["avatars"]) == {"0", "1", "2"}
+
+    @pytest.mark.parametrize("chi", ["-1", "3", "-84"])
+    def test_avatar_character_out_of_range(self, capsys, chi):
+        code, out, err = run(capsys, ["hecke", "avatar", "--disc", "-23", "--p", "7",
+                                      "--prec", "5", "--chi", chi])
+        assert (code, out) == (2, "") and "out of range" in err
 
     # h = 5, so the values live in Q(sqrt(-47))(zeta_5): the pairing is reduced
     # mod Phi_5 and the avatar embeds powers of zeta_5

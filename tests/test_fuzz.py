@@ -1,7 +1,8 @@
-"""Fuzz the CLI's JSON decoders and the inline scalars of `padic arith`:
-whatever the input, `main` returns a documented exit code (0, 2, 3, 4 or 5)
-within a per-case deadline and never raises.  The runs are derandomized, so
-the suite sees the same cases every time."""
+"""Fuzz the CLI's JSON decoders, the inline scalars of `padic arith` and the
+argv grammar of every command in the command table: whatever the input,
+`main` returns a documented exit code (0, 2, 3, 4 or 5; argparse's refusal
+counts as 2) within a per-case deadline and never raises.  The runs are
+derandomized, so the suite sees the same cases every time."""
 
 import contextlib
 import io
@@ -12,7 +13,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mahler.cli import main
+from mahler.cli import COMMANDS, main
+from mahler.measure import dirac
+from mahler.modform import delta_qexpansion
+from mahler.serialize import encode_measure, encode_qexpansion
 
 EXIT_CODES = {0, 2, 3, 4, 5}
 
@@ -103,3 +107,67 @@ def test_modform_maass(json_file, f, r):
 def test_padic_arith(op, a, b):
     argv = ["padic", "arith", "--op", op, "--a", json.dumps(a), "--b", json.dumps(b)]
     assert exit_code(argv) in EXIT_CODES
+
+
+# -- the argv grammar -------------------------------------------------------------
+
+word = st.sampled_from(["0", "1", "-3", "2/3", "-4/7", "0.25", "1/0", "x", "", "inf",
+                        '{"p": 3, "val": 0, "unit": "2", "prec": 4}'])
+TEXT = {"--place": st.sampled_from(["inf", "oo", "2", "3", "5", "-1", "0", "x"]),
+        "--matrix": st.sampled_from(["1,2;3,-1", "0,1;-2,0", "1/2,1;-1,-1/2", "0,0;0,0",
+                                     "1,1", "a,b;c,d", "1/0,1;1,-1"])}
+NUMBER = {int: st.sampled_from([str(n) for n in (*range(13), -1, -3, -4, -15, -20, -23)]
+                               + ["x", "1.5", ""]),
+          float: st.sampled_from(["0", "0.5", "1", "-1", "2.5", "1e-9", "nan", "inf", "x"])}
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """A strategy over input paths: a valid input of each kind the commands
+    read, a --config file and a missing file."""
+    folder = tmp_path_factory.mktemp("argv")
+    inputs = {"measure": encode_measure(dirac(2, 3, 4)),
+              "qexpansion": encode_qexpansion(delta_qexpansion(6)),
+              "nearly": {"k": 12, "trunc": 4, "cells": [[1, 0, "1"], [2, 1, "-3/2"]]},
+              "pairs": {"pairs": [[encode_measure(dirac(1, 3, 3)),
+                                   encode_measure(dirac(2, 3, 3))]]},
+              "config": {"r": 2, "p": "5", "prec": 3, "trunc": 7, "twist-inverse": True}}
+    paths = [str(folder / "missing.json")]
+    for name, obj in inputs.items():
+        path = folder / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        paths.append(str(path))
+    return st.sampled_from(paths)
+
+
+def one_in(data, n: int) -> bool:
+    """True about once in n draws: the middle value, because Hypothesis
+    draws the bounds of a range more often."""
+    return data.draw(st.integers(0, n - 1)) == n // 2
+
+
+@FUZZ
+@given(row=st.sampled_from(COMMANDS), data=st.data())
+def test_argv(argv_files, row, data):
+    group, name, _, _, _, options = row
+    argv = [name] if group is None else [group, name]
+    if one_in(data, 8):
+        argv = ["--config", data.draw(argv_files)] + argv
+    for flag, keywords in options:
+        if one_in(data, 16):  # the option left out
+            continue
+        if keywords.get("action") == "store_true":
+            argv.append(flag)
+        elif "choices" in keywords:
+            argv += [flag, data.draw(st.sampled_from(keywords["choices"] + ["div"]))]
+        elif flag.startswith("--file"):
+            argv += [flag, data.draw(argv_files)]
+        else:
+            argv += [flag, data.draw(NUMBER.get(keywords.get("type"), TEXT.get(flag, word)))]
+    if one_in(data, 16):
+        argv.append(data.draw(st.sampled_from(["--unknown", "--unknown=1", "extra"])))
+    try:
+        code = exit_code(argv)
+    except SystemExit as exc:  # argparse refuses argv
+        code = exc.code
+    assert code in EXIT_CODES

@@ -199,6 +199,26 @@ class TestCharacters:
                     i, j = rng.randrange(G.h), rng.randrange(G.h)
                     assert chi.values[G.mul(i, j)] == chi.values[i] * chi.values[j]
 
+    @pytest.mark.parametrize("discs", [[-39999], ALL_DISCS_200])
+    def test_values_are_shared_roots_in_table_order(self, discs):
+        """Each value is the root of unity its one group-ring term names, one
+        object per exponent, and the characters come in ascending order of
+        their exponent tables."""
+        for D in discs:
+            G = class_group(D)
+            d, m = G.order_data.d_K, G.exponent
+            fresh = [AlgebraicValue.root_of_unity(e, d, m) for e in range(m)]
+            shared, tables = {}, []
+            for chi in characters(G):
+                table = []
+                for value in chi.values:
+                    (e, term), = value.terms.items()
+                    assert term == (1, 0) and value == fresh[e]
+                    assert shared.setdefault(e, value) is value
+                    table.append(e)
+                tables.append(tuple(table))
+            assert tables == sorted(set(tables)) and len(tables) == G.h
+
     def test_orthogonality_up_to_200(self):
         for D in ALL_DISCS_200:
             G = class_group(D)
