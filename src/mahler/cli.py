@@ -45,6 +45,15 @@ def _rational(text) -> Fraction:
         raise InvalidInput(f"{text!r} has a zero denominator") from None
 
 
+def _finite_float(text) -> float:
+    """A float argument that is a finite number: "nan" and "inf", which
+    float() takes, are invalid input (exit 2)."""
+    value = float(text)
+    if not abs(value) < float("inf"):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 def _emit(obj):
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
@@ -392,10 +401,11 @@ COMMANDS = (
       ("--chi", _default(None))]),
     ("arch", "local-factor", None, ("archimedean", "serialize"), _cmd_arch_local_factor,
      [("--kappa", _REQUIRED_INT), ("--r", _REQUIRED_INT), ("--l", _REQUIRED_INT),
-      ("--s", _default(0.5, float)), ("--nu-abs", _default(1.0, float)),
-      ("--zeta-re", _default(1.0, float)), ("--zeta-im", _default(0.0, float)),
+      ("--s", _default(0.5, _finite_float)), ("--nu-abs", _default(1.0, _finite_float)),
+      ("--zeta-re", _default(1.0, _finite_float)), ("--zeta-im", _default(0.0, _finite_float)),
       ("--nodes-a", _default(64)), ("--nodes-theta", _default(256)),
-      ("--tol", _default(1e-6, float)), ("--vanish-tol", _default(1e-8, float))]),
+      ("--tol", _default(1e-6, _finite_float)),
+      ("--vanish-tol", _default(1e-8, _finite_float))]),
     ("arch", "identity", None, ("archimedean",), _cmd_arch_identity,
      [("--r", _REQUIRED_INT)]),
     ("quat", "hilbert", None, ("quaternion",), _cmd_quat_hilbert,

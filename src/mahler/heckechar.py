@@ -7,6 +7,15 @@ ring Q(sqrt(d))[z]/(z^m - 1) with coefficients in `padic.exact` normal form (int
 while integral, else Fraction); their `coeffs`, the form reduced mod Phi_m, is
 what equality, printing and encoding read. Arithmetic is exact throughout, and
 every pairing is one sum of group-ring products, divided by h once.
+
+A p-adic embedding maps a value to one PadicScalar known mod p^prec: the sum
+of (a_k + b_k s) zeta^k over the group-ring terms is taken on integers mod
+p^prec, s and zeta the Hensel lifts of sqrt(d) and of the root of unity, as
+`padic`'s `+` and `*` would take it term by term; a value with a coefficient
+that is not p-integral, or with a nonzero a_k that vanishes mod p^prec, is
+embedded in PadicScalar arithmetic, with its result or its refusal.  The
+avatar measure family scales each Dirac measure by a PadicScalar, which
+`measure` also does on integers.
 """
 
 from __future__ import annotations
@@ -229,6 +238,15 @@ def _rational(q):
     return exact(q if type(q) is int else Fraction(q))
 
 
+def _residue(q, p: int, mod: int):
+    """q mod `mod`, a power of p, for a p-integral int or Fraction; else None."""
+    if type(q) is int:
+        return q % mod
+    if q.denominator % p == 0:
+        return None
+    return q.numerator * pow(q.denominator, -1, mod) % mod
+
+
 def _convolve(xs: dict, ys: dict, m: int, d: int, out: dict) -> dict:
     """Add the cyclic convolution of two group-ring term dicts, exponents
     mod m, into `out`; zero terms may remain."""
@@ -275,10 +293,6 @@ class AlgebraicValue(Frozen):
     @classmethod
     def from_rational(cls, q, d: int, m: int = 1) -> "AlgebraicValue":
         return cls(d, m, [(q, 0)])
-
-    @classmethod
-    def sqrt_d(cls, d: int, m: int = 1) -> "AlgebraicValue":
-        return cls(d, m, [(0, 1)])
 
     @classmethod
     def quadratic(cls, a, b, d: int, m: int = 1) -> "AlgebraicValue":
@@ -465,9 +479,6 @@ class WeightFunction(Frozen):
 
     def inverse(self) -> "WeightFunction":
         return self ** (-1)
-
-    def is_trivial(self) -> bool:
-        return self.weight == (0, 0) and all(v == 1 for v in self.values)
 
     def __eq__(self, other):
         return isinstance(other, WeightFunction) \
@@ -667,6 +678,12 @@ class PadicEmbedding(Frozen):
         return x % p ** target
 
     def embed(self, value: AlgebraicValue) -> PadicScalar:
+        """The image of sum_k (a_k + b_k sqrt(d)) z^k: on integers mod p^prec,
+        sum_k (a_k + b_k s) zeta^k for the lifts s of sqrt(d) and zeta, made one
+        PadicScalar known mod p^prec, which is what the sum of its terms in
+        PadicScalar arithmetic gives when every a_k and b_k is p-integral and
+        no nonzero a_k vanishes mod p^prec; any other value is embedded term
+        by term."""
         if value.m != self.m:
             if self.m % value.m:
                 raise InvalidInput("value needs a larger cyclotomic layer than the embedding")
@@ -680,14 +697,28 @@ class PadicEmbedding(Frozen):
                 raise InvalidInput("quadratic field mismatch")
             if self.sqrt_lift in ("ramified", "inert"):
                 raise InvalidInput(f"p is {self.sqrt_lift} in Q(sqrt({self.d}))")
-            sq = PadicScalar.from_int(self.sqrt_lift, p, prec)
         # zeta_lift is a root of z^m - 1 mod p^prec, so z^k maps to its k-th power
+        zeta, mod = self.zeta_lift or 1, p ** prec
+        root = self.sqrt_lift if has_sqrt else 0
+        total = 0
+        for k, (a, b) in value.terms.items():
+            x, y = _residue(a, p, mod), _residue(b, p, mod)
+            if x is None or y is None or (a and not x):
+                return self._embed_termwise(value, has_sqrt)
+            total += (x + root * y) * pow(zeta, k, mod)
+        return PadicScalar._make(p, 0, total, prec)
+
+    def _embed_termwise(self, value: AlgebraicValue, has_sqrt: bool) -> PadicScalar:
+        """`embed` in PadicScalar arithmetic, for a value with a coefficient
+        that is not p-integral or an a_k of valuation >= precision, which
+        `from_rational` refuses."""
+        p, prec = self.prime, self.precision
         zeta, mod = self.zeta_lift or 1, p ** prec
         total = PadicScalar.zero(p, prec)
         for k, (a, b) in value.terms.items():
             term = PadicScalar.from_rational(a, p, prec)
             if b and has_sqrt:
-                term = term + sq.scale(b)
+                term = term + PadicScalar.from_int(self.sqrt_lift, p, prec).scale(b)
             total = total + term * PadicScalar.from_int(pow(zeta, k, mod), p, prec)
         return total
 

@@ -6,17 +6,33 @@ restriction to the units is done entirely in the (1+T)^m basis with integer
 weights, so no root-of-unity arithmetic ever appears.
 
 Coefficients may be exact (int / Fraction, p-integral) or `PadicScalar`,
-mixed freely; every sum below is plain `+`/`*` under the scalar rule stated
-in `padic`: exact zeros (int/Fraction 0, the infinite-precision PadicScalar
+mixed freely; every result below is what plain `+`/`*` give under the scalar
+rule stated in `padic`: exact zeros (int/Fraction 0, the infinite-precision PadicScalar
 zero) drop out, an inexact zero keeps its precision, and an exact result is
 an int when integral, else a Fraction.  Exact inputs stay exact through
 every operation that permits it.
 
 Each transform is a dot product of an integer row with the coefficients,
 taken by `_dot`.  A row over PadicScalars of one prime and exact zeros is
-summed on integers: the value Σ c·lift(x) mod p^P with P = min(prec(x) +
-v_p(c)), which is what `+` and `*` give term by term; any other row is
-summed with `+` and `*`.
+summed on integers (`_residue_dot`): the value Σ c·lift(x) mod p^P with
+P = min(prec(x) + v_p(c)), which is what `+` and `*` give term by term; any
+other row is summed with `+` and `*`.
+
+Where every coefficient is such a scalar, the measure operations stay on
+integer residues (value, N), x known mod p^N, and make one PadicScalar per
+output through `PadicScalar._make`, with the precision `+` and `*` would give:
+* `Measure.scale` by a PadicScalar: valuation v1 + v2 and precision
+  v1 + v2 + min(rel1, rel2), for each coefficient known to finite precision;
+* `restrict_to_units`: the (1+T)^m coefficients c_m for p ∤ m as residues,
+  then only the n_out outputs, each sum started at the target precision, so
+  the cap is the least precision and costs no scalar;
+* `cell_mass` and the other restrictions cap a PadicScalar x by integer
+  reduction, x mod p^min(prec(x), N), as x + O(p^N) would;
+* `pairing_measure`: the moment products m_r(µ1_s) m_r(µ2_s) (precision
+  min(N1 + v2, N2 + v1)), their sum over the classes and the 1/h, one
+  scalar per moment.
+Exact and mixed coefficients take the `+`/`*` path with its results and
+refusals.
 """
 
 from __future__ import annotations
@@ -56,52 +72,84 @@ def _holds_padic(xs) -> bool:
     return PadicScalar in map(type, xs)
 
 
+def _residues(xs):
+    """(p, [(lift(x), prec(x))]) when every x is a PadicScalar of one prime p
+    with valuation >= 0 or int 0, which gives (0, INF) as the exact zero does;
+    None for any other list and for one without a PadicScalar."""
+    p, out = None, []
+    for x in xs:
+        if type(x) is PadicScalar:
+            if p is None:
+                p = x.prime
+            if x.prime != p or (x.unit and x.valuation < 0):
+                return None
+            out.append((x.unit * p ** x.valuation if x.unit else 0, x.precision))
+        elif type(x) is int and x == 0:
+            out.append((0, INF))
+        else:
+            return None
+    return None if p is None else (p, out)
+
+
+def _residue_dot(row, residues, p: int, P=INF):
+    """Σ c·x over zip(row, residues) on integers, each (x, N) standing for x
+    known mod p^N: (total, P') with P' the minimum of P and of N + v_p(c) over
+    the terms with c ≠ 0 and N finite, the precision PadicScalar's `+` and `*`
+    give the sum term by term; total is its value mod p^P'.  P' is INF when
+    no term contributes and P is INF: the sum is the exact zero."""
+    total = 0
+    for c, (x, N) in zip(row, residues):
+        if not c or N is INF:
+            continue
+        total += c * x
+        while N < P and c % p == 0:  # N + v_p(c), as far as it can lower P
+            c //= p
+            N += 1
+        if N < P:
+            P = N
+    return total, P
+
+
+def _valuation(x: int, p: int, N: int) -> int:
+    """v_p of x known mod p^N, reading a zero mod p^N as valuation N."""
+    v = 0
+    while v < N and x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
 def _dot(row, xs, padic: bool):
     """Σ c·x over zip(row, xs), for a row of ints; `padic` is
     `_holds_padic` of xs or of a list that xs is a slice of, so a kernel
     summing many rows over one list looks at it once.
 
-    When every x is a PadicScalar of one prime p or an exact zero (int 0,
-    the exact p-adic zero), the sum is formed on integers: Σ c·lift(x) mod
-    p^P, where P is the minimum of prec(x) + v_p(c) over the terms with c ≠ 0
-    and x not an exact zero, as PadicScalar's `+` and `*` give term by term;
-    int 0 when no term contributes.  Any other row, and a p-adic x of
-    negative valuation, is summed with `+` and `*`."""
+    When `_residues` takes the xs the row reaches, the sum is `_residue_dot`:
+    one PadicScalar known mod p^P, or int 0 when no term contributes.  Any
+    other row is summed with `+` and `*`."""
     if not padic:
         return sum(map(mul, row, xs))
     pairs = list(zip(row, xs))
-    p, P, total = None, INF, 0
-    for c, x in pairs:
-        if type(x) is not PadicScalar:
-            if type(x) is int and x == 0:
-                continue
-            break
-        if p is None:
-            p = x.prime
-        prec = x.precision
-        if x.prime != p or (x.unit and x.valuation < 0):
-            break
-        if not c or prec is INF:
-            continue
-        if x.unit:
-            total += c * x.unit * p ** x.valuation
-        while prec < P and c % p == 0:  # prec + v_p(c), as far as it can lower P
-            c //= p
-            prec += 1
-        P = min(P, prec)
-    else:
-        return 0 if P is INF else PadicScalar._make(p, 0, total, P)
-    return sum(c * x for c, x in pairs)
+    res = _residues([x for _, x in pairs])
+    if res is None:
+        return sum(c * x for c, x in pairs)
+    p, residues = res
+    total, P = _residue_dot([c for c, _ in pairs], residues, p)
+    return 0 if P is INF else PadicScalar._make(p, 0, total, P)
 
 
-def _cap_precision(x, p: int, precision: int) -> PadicScalar:
-    """Force a scalar into PadicScalar form known (at most) mod p^precision."""
+def _cap_precision(x, p: int, precision: int):
+    """x + O(p^precision): a PadicScalar is reduced mod p^min(prec(x),
+    precision), which is what adding the zero known mod p^precision gives; an
+    exact x is added to that zero, and refused as `+` refuses it."""
+    if type(x) is PadicScalar:
+        return PadicScalar._make(p, x.valuation, x.unit, min(x.precision, precision))
     return x + PadicScalar.zero(p, precision)
 
 
 def _integral(x, p: int) -> bool:
-    if isinstance(x, PadicScalar):
-        return x.is_zero or x.valuation >= 0
+    if type(x) is PadicScalar:
+        return not x.unit or x.valuation >= 0
     return is_p_integral(x, p)
 
 
@@ -118,7 +166,7 @@ class Measure(Frozen):
         if not mahler:
             raise InvalidInput("a measure needs at least one Mahler coefficient")
         for a in mahler:
-            if isinstance(a, PadicScalar) and a.prime != prime:
+            if type(a) is PadicScalar and a.prime != prime:
                 raise InvalidInput("coefficient prime mismatch")
             if not _integral(a, prime):
                 raise InvalidInput("Mahler coefficient with negative valuation: "
@@ -147,9 +195,25 @@ class Measure(Frozen):
         return 0
 
     def scale(self, scalar) -> "Measure":
-        """Multiply by a p-integral scalar (boundedness is preserved)."""
-        return Measure(self.prime, [exact(scalar * a) for a in self.mahler],
-                       finite=self.finite)
+        """Multiply by a p-integral scalar (boundedness is preserved).  A
+        PadicScalar of the measure's prime, not the exact zero, multiplies each
+        coefficient known to finite precision on integers, as `*` does;
+        every other product is taken with `*`."""
+        p = self.prime
+        if type(scalar) is not PadicScalar or scalar.prime != p or scalar.precision is INF:
+            return Measure(p, [exact(scalar * a) for a in self.mahler], finite=self.finite)
+        v1 = scalar._val
+        unit, rel1 = scalar.unit, scalar.precision - v1
+        out = []
+        for a in self.mahler:
+            if type(a) is PadicScalar and a.precision is not INF:
+                v2 = a.precision if a.valuation is INF else a.valuation
+                v = v1 + v2
+                a = PadicScalar._make(p, v, unit * a.unit, v + min(rel1, a.precision - v2))
+            else:
+                a = scalar * a
+            out.append(a)
+        return Measure(p, out, finite=self.finite)
 
     def __eq__(self, other):
         return isinstance(other, Measure) and \
@@ -178,15 +242,20 @@ def dirac(z, prime: int, order: int) -> Measure:
     return Measure(prime, series.coeffs, finite=finite)
 
 
-def moments(mu: Measure, r: int):
-    """m_r(µ) = ∫ t^r dµ = Σ_n S(r,n) n! a_n — a finite exact sum."""
+def _moment_weights(mu: Measure, r: int) -> list:
+    """S(r, n) n! for n <= min(r, order - 1): m_r(µ) = Σ_n S(r, n) n! a_n."""
     if r < 0:
         raise InvalidInput("moment index must be nonnegative")
     if r >= mu.order and not mu.finite:
         raise InvalidInput(f"moment {r} needs order > {r} or a finite measure")
     n = min(r, mu.order - 1) + 1
-    weights = map(mul, _stirling_second_row(r), _factorials(n))
-    coeffs = mu.mahler[:n]
+    return list(map(mul, _stirling_second_row(r), _factorials(n)))
+
+
+def moments(mu: Measure, r: int):
+    """m_r(µ) = ∫ t^r dµ = Σ_n S(r,n) n! a_n — a finite exact sum."""
+    weights = _moment_weights(mu, r)
+    coeffs = mu.mahler[:len(weights)]
     return exact(_dot(weights, coeffs, _holds_padic(coeffs)))
 
 
@@ -246,9 +315,21 @@ def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
 
     Finite measures restrict exactly.  For a truncated measure the caller
     must name a target precision; the call refuses when the truncation-tail
-    valuation bound cannot support it.
+    valuation bound cannot support it, before any transform.  Its first
+    n_out coefficients are kept, capped at the target precision; a missing
+    or bad target is reported after the transform, whose own refusal of
+    mixed coefficients comes first.
     """
     p = mu.prime
+    if not mu.finite and precision is not None and precision >= 1:
+        n_out = mu.order - (precision + 1) * (p - 1)
+        if n_out < 1:
+            best = restriction_tail_valuation(mu.order, 0, p)
+            raise PrecisionExhausted(
+                f"order {mu.order} supports restriction precision at most {best}")
+        res = _residues(mu.mahler)
+        if res is not None:
+            return Measure(p, _restricted_residues(res[1], p, n_out, precision), finite=False)
     c = plus_basis(mu)
     kept = [0 if m % p == 0 else c[m] for m in range(len(c))]
     if mu.finite:
@@ -257,14 +338,25 @@ def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
         raise InvalidInput("restricting a truncated measure needs a target precision")
     if precision < 1:
         raise InvalidInput("target precision must be >= 1")
-    n_out = mu.order - (precision + 1) * (p - 1)
-    if n_out < 1:
-        best = restriction_tail_valuation(mu.order, 0, p)
-        raise PrecisionExhausted(
-            f"order {mu.order} supports restriction precision at most {best}")
     raw = from_plus_basis(kept, p, finite=False)
     capped = [_cap_precision(a, p, precision) for a in raw.mahler[:n_out]]
     return Measure(p, capped, finite=False)
+
+
+def _restricted_residues(residues, p: int, n_out: int, precision: int) -> list:
+    """The first n_out restricted coefficients of a truncated measure whose
+    coefficients are the residues, known at most mod p^precision: the
+    (1+T)^m coefficients c_m for p ∤ m as residues, then each output sum
+    started at the target precision, so the cap is its least precision."""
+    K = len(residues)
+    signs = [(-1) ** j for j in range(K)]
+    kept = [(0, INF)] * K
+    for m, col in enumerate(_binomial_columns(K)):
+        if m % p:
+            total, P = _residue_dot(map(mul, signs, col), residues[m:], p)
+            kept[m] = (total, P) if P is INF else (total % p ** P, P)
+    return [PadicScalar._make(p, 0, *_residue_dot(col, kept[n:], p, precision))
+            for n, col in zip(range(n_out), _binomial_columns(K))]
 
 
 def cell_tail_valuation(order: int, nu: int, p: int) -> int:
@@ -357,7 +449,28 @@ def pairing_measure(pairs, r_max: int) -> Measure:
         raise InvalidInput("class count divisible by p in p-adic-only mode")
     if any(m1.prime != p or m2.prime != p for m1, m2 in pairs):
         raise InvalidInput("prime mismatch")
-    b = [exact(sum(moments(m1, r) * moments(m2, r) for m1, m2 in pairs)
-               * Fraction(1, h))
-         for r in range(r_max + 1)]
+    residues = [(_residues(m1.mahler), _residues(m2.mahler)) for m1, m2 in pairs]
+    if any(res is None for pair in residues for res in pair):  # exact or mixed: `+`, `*`
+        b = [exact(sum(moments(m1, r) * moments(m2, r) for m1, m2 in pairs)
+                   * Fraction(1, h))
+             for r in range(r_max + 1)]
+    else:
+        b = [_paired_moment(pairs, residues, r, p, h) for r in range(r_max + 1)]
     return mahler_from_moments(b, p)
+
+
+def _paired_moment(pairs, residues, r: int, p: int, h: int):
+    """(1/h) Σ_s m_r(µ1_s) m_r(µ2_s) on integers, each measure given with its
+    `_residues`: a product of moments known mod p^N1 and p^N2, of valuations
+    v1 and v2, is known mod p^min(N1 + v2, N2 + v1), as `*` gives it; the
+    sum takes the least precision and 1/h, a unit, keeps it.  One
+    PadicScalar, or int 0 when every product is an exact zero."""
+    total, P = 0, INF
+    for (m1, m2), ((_, res1), (_, res2)) in zip(pairs, residues):
+        t1, P1 = _residue_dot(_moment_weights(m1, r), res1, p)
+        t2, P2 = _residue_dot(_moment_weights(m2, r), res2, p)
+        if P1 is INF or P2 is INF:  # an exact zero moment drops out
+            continue
+        total += t1 * t2
+        P = min(P, P1 + _valuation(t2, p, P2), P2 + _valuation(t1, p, P1))
+    return 0 if P is INF else PadicScalar._make(p, 0, total * pow(h, -1, p ** P), P)

@@ -204,11 +204,6 @@ class NearlyHolomorphic(Frozen):
         object.__setattr__(self, "trunc", trunc)
         object.__setattr__(self, "cells", MappingProxyType(table))
 
-    @classmethod
-    def from_qexpansion(cls, f: QExpansion) -> "NearlyHolomorphic":
-        return cls(f.weight, f.trunc,
-                   {(n, 0): c for n, c in enumerate(f.coeffs)})
-
     def __eq__(self, other):
         return isinstance(other, NearlyHolomorphic) and \
             (self.weight, self.trunc, self.cells) == (other.weight, other.trunc, other.cells)

@@ -60,12 +60,6 @@ def int_valuation(n: int, p: int) -> int:
     return v
 
 
-def rational_valuation(q, p: int) -> int:
-    """v_p of a nonzero int or Fraction."""
-    q = Fraction(q)
-    return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
-
-
 def is_p_integral(q, p: int) -> bool:
     """True when the int/Fraction lies in Z_p (denominator prime to p)."""
     return Fraction(q).denominator % p != 0

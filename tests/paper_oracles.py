@@ -2,7 +2,9 @@
 library because no command calls them: the second-order raising recurrence
 on the two-variable Gaussian basis with its finite-difference cross-check,
 the exact l = r closed form of the archimedean local factor, the weight
-factor of a principal ideal, and the quaternionic trace pairing."""
+factor of a principal ideal, the quaternionic trace pairing, and small
+helpers: the valuation of a rational, sqrt(d) as an algebraic value, a
+q-expansion as a nearly-holomorphic form, and the trivial-character test."""
 
 import cmath
 import math
@@ -10,7 +12,9 @@ from fractions import Fraction
 
 from mahler.archimedean import PiPolynomial
 from mahler.errors import InvalidInput
-from mahler.heckechar import AlgebraicValue
+from mahler.heckechar import AlgebraicValue, WeightFunction
+from mahler.modform import NearlyHolomorphic, QExpansion
+from mahler.padic import int_valuation
 from mahler.quaternion import Mat, mat, mat_add, mat_mul, mat_scale, mat_trace
 
 # ---------------------------------------------------------------------------
@@ -167,3 +171,28 @@ def trace_pairing(x: Mat, y: Mat):
     """tr(x * conj(y)) with conj the quaternionic involution tr(y) I - y."""
     conj_y = mat_add(mat_scale(IDENTITY, mat_trace(y)), mat_scale(y, -1))
     return mat_trace(mat_mul(mat(x), conj_y))
+
+
+# ---------------------------------------------------------------------------
+# small helpers
+# ---------------------------------------------------------------------------
+
+def rational_valuation(q, p: int) -> int:
+    """v_p of a nonzero int or Fraction."""
+    q = Fraction(q)
+    return int_valuation(q.numerator, p) - int_valuation(q.denominator, p)
+
+
+def sqrt_d(d: int, m: int = 1) -> AlgebraicValue:
+    """sqrt(d) in Q(sqrt(d))(zeta_m)."""
+    return AlgebraicValue(d, m, [(0, 1)])
+
+
+def nearly_holomorphic(f: QExpansion) -> NearlyHolomorphic:
+    """A q-expansion as the nearly-holomorphic form with only the cells (n, 0)."""
+    return NearlyHolomorphic(f.weight, f.trunc, {(n, 0): c for n, c in enumerate(f.coeffs)})
+
+
+def is_trivial(phi: WeightFunction) -> bool:
+    """The weight-(0, 0) function with every value 1."""
+    return phi.weight == (0, 0) and all(v == 1 for v in phi.values)

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -678,8 +680,37 @@ class TestArchCommands:
         code, out, _ = run(capsys, ["arch", "identity", "--r", "12"])
         assert code == 0 and json.loads(out)["holds"] is True
 
+    @pytest.mark.parametrize("option, value", [("--s", "nan"), ("--tol", "nan"),
+                                               ("--s", "inf")])
+    def test_non_finite_float_exits_2(self, capsys, option, value):
+        # a NaN argument used to print NaN everywhere and exit 0
+        with pytest.raises(SystemExit) as exc:
+            main(["arch", "local-factor", "--kappa", "1", "--r", "1", "--l", "1",
+                  option, value])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert f"argument {option}: invalid" in out.err
+
+    def test_non_finite_float_in_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"nu-abs": "inf"}')
+        code, out, err = run(capsys, ["--config", str(cfg), "arch", "local-factor",
+                                      "--kappa", "1", "--r", "1", "--l", "1"])
+        assert (code, out) == (2, "") and "--config" in err
+
 
 class TestQuatCommands:
+    def test_negative_fraction_needs_the_equals_form(self, capsys):
+        # README: argparse reads a separate "-4/7" as an option
+        with pytest.raises(SystemExit) as exc:
+            main(["quat", "hilbert", "--a", "-4/7", "--b", "3", "--place", "7"])
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        assert "argument --a: expected one argument" in out.err
+        code, out, _ = run(capsys, ["quat", "hilbert", "--a=-4/7", "--b", "3",
+                                    "--place", "7"])
+        assert (code, out) == (0, '{"a":"-4/7","b":"3","place":"7","symbol":-1}\n')
+
     def test_hilbert(self, capsys):
         code, out, _ = run(capsys, ["quat", "hilbert", "--a", "-1", "--b",
                                     "-1", "--place", "2"])
@@ -760,3 +791,104 @@ class TestConfig:
         assert got == code
         if code == 0:
             assert out == run(capsys, argv + ["--twist-inverse"] * flag)[1]
+
+
+def padic_json(a: int, p: int, prec: int) -> dict:
+    """The integer `a` known mod p^prec, as the CLI reads a p-adic scalar."""
+    a %= p ** prec
+    if a == 0:
+        return {"p": p, "val": "inf", "unit": "0", "prec": prec}
+    v = 0
+    while a % p == 0:
+        a //= p
+        v += 1
+    return {"p": p, "val": v, "unit": str(a), "prec": prec}
+
+
+def truncated_json(points, p: int, order: int, prec: int) -> dict:
+    """Σ w·δ_z over (w, z) in points, Dirac masses beyond the order, its
+    first `order` Mahler coefficients Σ w C(z, n) known mod p^prec."""
+    return {"p": p, "order": order, "finite": False,
+            "mahler": [padic_json(sum(w * math.comb(z, n) for w, z in points), p, prec)
+                       for n in range(order)]}
+
+
+GOLDEN_RESTRICT = (
+    '{"finite":false,"mahler":[{"p":3,"prec":4,"unit":"4","val":0},'
+    '{"p":3,"prec":4,"unit":"11","val":0},{"p":3,"prec":4,"unit":"58","val":0},'
+    '{"p":3,"prec":4,"unit":"62","val":0},{"p":3,"prec":4,"unit":"77","val":0},'
+    '{"p":3,"prec":4,"unit":"8","val":1},{"p":3,"prec":4,"unit":"59","val":0},'
+    '{"p":3,"prec":4,"unit":"11","val":0},{"p":3,"prec":4,"unit":"0","val":"inf"},'
+    '{"p":3,"prec":4,"unit":"37","val":0},{"p":3,"prec":4,"unit":"61","val":0},'
+    '{"p":3,"prec":4,"unit":"1","val":2},{"p":3,"prec":4,"unit":"1","val":0},'
+    '{"p":3,"prec":4,"unit":"34","val":0}],"order":14,"p":3}\n')
+
+GOLDEN_PAIR = (
+    '{"finite":false,"mahler":[{"p":3,"prec":3,"unit":"2","val":1},'
+    '{"p":3,"prec":3,"unit":"5","val":1},{"p":3,"prec":3,"unit":"8","val":1},'
+    '{"p":3,"prec":2,"unit":"7","val":0},{"p":3,"prec":2,"unit":"5","val":0},'
+    '{"p":3,"prec":2,"unit":"4","val":0},{"p":3,"prec":1,"unit":"2","val":0},'
+    '{"p":3,"prec":1,"unit":"0","val":"inf"},{"p":3,"prec":1,"unit":"1","val":0}],'
+    '"order":9,"p":3}\n')
+
+GOLDEN_AVATAR_407 = (
+    '{"D":-407,"avatars":{"5":[{"p":17,"prec":6,"unit":"1","val":0}'
+    + "".join(',{"p":17,"prec":6,"unit":"%s","val":0}' % u for u in (
+        "14139772", "21460637", "20689665", "21444846", "3447904", "2692723",
+        "15511168", "2676932", "9997797", "8503601", "15633968", "8626401",
+        "390112", "23747457", "24137568"))
+    + ']},"p":17,"prec":6}\n')
+
+
+class TestPadicMeasureGoldens:
+    """Stdout of the p-adic measure and avatar commands, recorded before
+    their kernels moved to integer residues: a truncated measure on Z_3 of
+    order 24 with coefficients known mod 3^16 (restriction and cell masses,
+    one accepted and one refused target each), the pairing measure of two
+    pairs of truncated measures, one known only mod 3^3, and the avatars at
+    D = -407 (h = 16)."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        mu = truncated_json([(1, 29), (-2, 40), (5, 61)], 3, 24, 16)
+        nu = truncated_json([(2, 31), (1, 52)], 3, 24, 16)
+        low = truncated_json([(1, 26), (-1, 44)], 3, 24, 3)
+        (tmp_path / "mu.json").write_text(json.dumps(mu))
+        (tmp_path / "pairs.json").write_text(json.dumps({"pairs": [[mu, nu], [low, mu]]}))
+        return tmp_path
+
+    # (argv with {} for the file directory, exit code, stdout)
+    GOLDEN = {
+        "restrict": (["measure", "restrict", "--file", "{}/mu.json", "--prec", "4"],
+                     0, GOLDEN_RESTRICT),
+        # order 24 supports restriction precision at most 10
+        "restrict-refused": (["measure", "restrict", "--file", "{}/mu.json", "--prec", "11"],
+                             3, ""),
+        "cell-mass": (["measure", "cell-mass", "--file", "{}/mu.json", "--a", "4",
+                       "--nu", "2", "--prec", "2"],
+                      0, '{"a":4,"mass":{"p":3,"prec":2,"unit":"7","val":0},"nu":2}\n'),
+        "cell-mass-nu1": (["measure", "cell-mass", "--file", "{}/mu.json", "--a", "2",
+                           "--nu", "1", "--prec", "11"],
+                          0, '{"a":2,"mass":{"p":3,"prec":11,"unit":"1","val":0},"nu":1}\n'),
+        # the level-2 tail bound of order 24 is 2
+        "cell-mass-refused": (["measure", "cell-mass", "--file", "{}/mu.json", "--a", "4",
+                               "--nu", "2", "--prec", "3"], 3, ""),
+        "pair": (["measure", "pair", "--file", "{}/pairs.json", "--rmax", "8"],
+                 0, GOLDEN_PAIR),
+        "avatar-407": (["hecke", "avatar", "--disc", "-407", "--p", "17", "--prec", "6",
+                        "--chi", "5"], 0, GOLDEN_AVATAR_407),
+    }
+
+    @pytest.mark.parametrize("name", list(GOLDEN))
+    def test_golden_stdout(self, capsys, files, name):
+        argv, code, expected = self.GOLDEN[name]
+        argv = [a.format(files) for a in argv]
+        assert run(capsys, argv)[:2] == (code, expected)
+
+    def test_all_avatars_407(self, capsys):
+        # all 16 characters: 10957 bytes, pinned by their SHA-256
+        code, out, _ = run(capsys, ["hecke", "avatar", "--disc", "-407", "--p", "17",
+                                    "--prec", "6"])
+        assert code == 0 and len(out) == 10957
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "ab86d48e3d3b501553c9449d41486f5917ddd225781b84c996ea20d449851774"

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mahler.errors import InvalidInput
+from mahler.errors import InvalidInput, PrecisionExhausted
 from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
                               WeightFunction,
                               admissible_embedding, fundamental_decomposition,
@@ -17,8 +17,8 @@ from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
 from mahler.arith import cyclotomic_coeffs, isprime
 from mahler.padic import PadicScalar
 from mahler.serialize import encode_algebraic
-from mahler.measure import moments, pairing_measure, restrict_to_units
-from paper_oracles import weight_value_on_principal
+from mahler.measure import cell_mass, moments, pairing_measure, restrict_to_units
+from paper_oracles import is_trivial, sqrt_d, weight_value_on_principal
 
 ALL_DISCS_200 = [D for D in range(-3, -201, -1) if D % 4 in (0, 1)]
 
@@ -165,7 +165,7 @@ class TestCharacters:
             G = class_group(D)
             chars = characters(G)
             assert len(chars) == G.h
-            assert sum(1 for c in chars if c.is_trivial()) == 1
+            assert sum(1 for c in chars if is_trivial(c)) == 1
 
     def test_closed_under_product(self):
         G = class_group(-84)  # h = 4, (2,2) group
@@ -178,7 +178,7 @@ class TestCharacters:
     def test_conjugate_pair_for_cyclic_3(self):
         G = class_group(-23)
         chars = characters(G)
-        nontrivial = [c for c in chars if not c.is_trivial()]
+        nontrivial = [c for c in chars if not is_trivial(c)]
         assert len(nontrivial) == 2
         assert nontrivial[0].values[1] == nontrivial[1].values[2]
 
@@ -226,7 +226,7 @@ class TestCharacters:
             for i, c1 in enumerate(chars):
                 for j, c2 in enumerate(chars):
                     value = pairing(c1, c2)
-                    if (c1 * c2).is_trivial():
+                    if is_trivial(c1 * c2):
                         assert value == 1 and type(value.as_rational()) is int
                     else:
                         assert value.is_zero()
@@ -242,7 +242,7 @@ class TestPairing:
     def test_twisted_reduces_to_plain(self):
         G = class_group(-23)
         chars = characters(G)
-        triv = next(c for c in chars if c.is_trivial())
+        triv = next(c for c in chars if is_trivial(c))
         for c1 in chars:
             for c2 in chars:
                 assert twisted_pairing(c1, c2, triv) == pairing(c1, c2)
@@ -254,7 +254,7 @@ class TestPairing:
                 for c2 in chars:
                     for psi in chars:
                         value = twisted_pairing(c1, c2, psi)
-                        if (c1 * c2 * psi).is_trivial():
+                        if is_trivial(c1 * c2 * psi):
                             assert value == 1
                         else:
                             assert value.is_zero()
@@ -396,7 +396,7 @@ class TestPairing:
     def test_column_orthogonality_sum(self):
         G = class_group(-23)
         chars = characters(G)
-        triv = next(c for c in chars if c.is_trivial())
+        triv = next(c for c in chars if is_trivial(c))
         total = Fraction(0)
         for psi in chars:
             val = twisted_pairing(triv, triv, psi).as_rational()
@@ -531,7 +531,7 @@ class TestAlgebraicValue:
         assert type((half + half).as_rational()) is int
         assert type((half * 4).terms[0][0]) is int
         assert (half + half) == 1 and half == Fraction(1, 2) and half != 1
-        assert AlgebraicValue.sqrt_d(-7).as_rational() is None
+        assert sqrt_d(-7).as_rational() is None
 
     def test_immutable(self):
         v = AlgebraicValue.root_of_unity(1, -7, 3)
@@ -556,7 +556,7 @@ class TestAvatars:
     def test_trivial_character_all_ones(self):
         G = class_group(-23)
         emb = admissible_embedding(G, smallest_admissible_prime(G), 8)
-        triv = next(c for c in characters(G) if c.is_trivial())
+        triv = next(c for c in characters(G) if is_trivial(c))
         assert all(x == 1 for x in padic_avatar(triv, emb))
 
     def test_multiplicative(self):
@@ -587,7 +587,7 @@ class TestAvatars:
         emb = PadicEmbedding(11, 4, -23, 1) if pow(-23 % 11, 5, 11) == 1 else None
         if emb is None:
             with pytest.raises(InvalidInput):
-                PadicEmbedding(11, 4, -23, 1).embed(AlgebraicValue.sqrt_d(-23))
+                PadicEmbedding(11, 4, -23, 1).embed(sqrt_d(-23))
 
     def test_p_not_one_mod_m(self):
         with pytest.raises(InvalidInput):
@@ -682,7 +682,7 @@ class TestAvatarMeasureFamily:
     def test_trivial_chi_gives_dirac_one(self):
         G, p, emb = self._setup()
         chars = characters(G)
-        triv = next(c for c in chars if c.is_trivial())
+        triv = next(c for c in chars if is_trivial(c))
         fam = avatar_measure_family(triv, triv, emb, order=8)
         for mu in fam:
             for r in range(5):
@@ -732,7 +732,7 @@ class TestAvatarFamilyErrors:
         p = smallest_admissible_prime(G)
         emb = admissible_embedding(G, p, 6)
         chars = characters(G)
-        triv = next(c for c in chars if c.is_trivial())
+        triv = next(c for c in chars if is_trivial(c))
         d = G.order_data.d_K
         bad = WeightFunction(G, (0, 0),
                              [AlgebraicValue.from_rational(p, d)] * G.h)
@@ -747,6 +747,117 @@ class TestAvatarFamilyErrors:
         emb = admissible_embedding(G1, p, 6)
         with pytest.raises(InvalidInput):
             avatar_measure_family(c1, c2, emb, order=6)
+
+
+class TestEmbedAgainstOperators:
+    """`PadicEmbedding.embed`, summed on integers mod p^prec, against the sum
+    of its terms in PadicScalar arithmetic, on random values for p in
+    {3, 5, 7}: int and Fraction coefficients, p-adic denominators, a_k that
+    vanish mod p^prec, sqrt(d) parts, split, inert and ramified d: the same
+    value, valuation and stated precision, or the same exception type."""
+
+    @staticmethod
+    def termwise(emb, value):
+        if value.m != emb.m:
+            if emb.m % value.m:
+                raise InvalidInput("larger layer")
+            value = value.promote(emb.m)
+        p, prec = emb.prime, emb.precision
+        has_sqrt = any(b for _, b in value.coeffs)
+        if has_sqrt and (value.d != emb.d or emb.sqrt_lift in ("ramified", "inert")):
+            raise InvalidInput("no square root of d")
+        total = PadicScalar.zero(p, prec)
+        for k, (a, b) in value.terms.items():
+            term = PadicScalar.from_rational(a, p, prec)
+            if b and has_sqrt:
+                term = term + PadicScalar.from_int(emb.sqrt_lift, p, prec).scale(b)
+            zeta = pow(emb.zeta_lift or 1, k, p ** prec)
+            total = total + term * PadicScalar.from_int(zeta, p, prec)
+        return total
+
+    @staticmethod
+    def outcome(fn, *args):
+        try:
+            x = fn(*args)
+        except (InvalidInput, PrecisionExhausted) as exc:
+            return type(exc)
+        return (type(x), x.prime, x.valuation, x.unit, x.precision)
+
+    @staticmethod
+    def coefficient(rng, p, prec):
+        choice = rng.randrange(6)
+        if choice == 0:
+            return 0
+        if choice == 1:
+            return rng.randint(-10 ** 4, 10 ** 4)
+        if choice == 2:  # valuation at or above the precision
+            return rng.choice([-1, 1]) * p ** rng.randint(prec, prec + 3)
+        if choice == 3:
+            return rng.choice([-1, 1]) * p ** rng.randint(0, prec)
+        return Fraction(rng.randint(-99, 99), rng.choice([2, 4, 11, p, p * p, 13 * p]))
+
+    def test_random_values(self):
+        rng = random.Random("embed")
+        checked = 0
+        for _ in range(600):
+            p = rng.choice((3, 5, 7))
+            m = rng.choice([k for k in range(1, p) if (p - 1) % k == 0])
+            d = rng.choice([dd for dd in (-1, -2, -3, -5, -6, -7, -11, 2, 3, 5, 7, 10)
+                            if math.isqrt(abs(dd)) ** 2 != dd])
+            prec = rng.randint(1, 6)
+            emb = PadicEmbedding(p, prec, d, m)
+            layer = rng.choice([k for k in range(1, m + 1) if m % k == 0] + [2 * m])
+            size = len(cyclotomic_coeffs(layer)) - 1
+            value = AlgebraicValue(rng.choice([d, d, d, -19]), layer, [
+                (self.coefficient(rng, p, prec),
+                 self.coefficient(rng, p, prec) if rng.randrange(2) else 0)
+                for _ in range(rng.randint(0, size))])
+            got = self.outcome(emb.embed, value)
+            assert got == self.outcome(self.termwise, emb, value)
+            checked += got is not PrecisionExhausted and got is not InvalidInput
+        assert checked > 200
+
+
+class TestAvatarPathScalarOperations:
+    """A guard on the integer-residue paths: at D = -407 (h = 16, p = 17,
+    family order 48) the avatar families, their pairing measure, a restriction,
+    a refused restriction and a cell mass call a PadicScalar operator only to
+    divide each of the pairing measure's 9 Mahler coefficients by n! (`*` by
+    1/n!, which calls `scale`): 18 calls, where arithmetic per coefficient
+    makes thousands, so a fallback to it fails here."""
+
+    OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                 "__neg__", "__truediv__", "__pow__", "scale", "inverse")
+    BOUND = 18
+
+    def test_operator_calls(self, monkeypatch):
+        G = class_group(-407)
+        chars = characters(G)
+        p = smallest_admissible_prime(G)
+        emb = admissible_embedding(G, p, 12)
+        calls = []
+
+        def counting(name):
+            method = getattr(PadicScalar, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
+            return wrapper
+        for name in self.OPERATORS:
+            monkeypatch.setattr(PadicScalar, name, counting(name))
+        fam1 = avatar_measure_family(chars[3], chars[5], emb, 48)
+        fam2 = avatar_measure_family(chars[3].inverse(), chars[7], emb, 48)
+        paired = pairing_measure(list(zip(fam1, fam2)), 8)
+        restricted = restrict_to_units(fam1[0], 1)
+        with pytest.raises(PrecisionExhausted):
+            restrict_to_units(fam1[1], 2)
+        mass = cell_mass(fam1[0], 4, 1, 2)
+        monkeypatch.undo()
+        assert len(calls) <= self.BOUND, sorted(set(calls))
+        # the results are the avatars' measures, not empty work
+        assert (G.h, p, paired.order, restricted.order) == (16, 17, 9, 16)
+        assert mass.precision == 2 and all(mu.order == 48 for mu in fam1 + fam2)
 
 
 class TestAdmissiblePrimes:

@@ -7,12 +7,13 @@ import math
 import operator
 
 from mahler.errors import InvalidInput, PrecisionExhausted
-from mahler.measure import (Measure, _dot, cell_mass, dirac, from_plus_basis,
-                            integrate_step, mahler_from_moments, moments,
-                            mult_pushforward, pairing_measure, plus_basis,
+from mahler.measure import (Measure, _dot, cell_mass, cell_tail_valuation, dirac,
+                            from_plus_basis, integrate_step, mahler_from_moments,
+                            moments, mult_pushforward, pairing_measure, plus_basis,
                             restrict_to_units)
-from mahler.padic import (INF, PadicScalar, exact, rational_valuation,
-                          stirling_first_signed, stirling_second)
+from mahler.padic import (INF, PadicScalar, exact, stirling_first_signed,
+                          stirling_second)
+from paper_oracles import rational_valuation
 
 
 def random_finite_measure(rng, p, max_len=8, spread=9):
@@ -615,3 +616,144 @@ class TestKernelsAgainstTermwiseSums:
             for row in ([1, 1], [0, 3], [5, 10], [25, 0]):
                 assert self.outcome(_dot, row, xs, True) == \
                     self.outcome(lambda r, x: sum(map(operator.mul, r, x)), row, xs)
+
+
+class TestResiduePathsAgainstOperators:
+    """The integer-residue paths of `Measure.scale`, `restrict_to_units`,
+    `cell_mass` and `pairing_measure` against the same
+    operations taken in PadicScalar `+`, `*` and `scale`, entry by entry, on
+    random exact, p-adic and mixed coefficients for p in {3, 5, 7}, with
+    zeros known mod p^N, exact zeros and refused targets: the same value,
+    type, valuation and stated precision, or the same exception type."""
+
+    sums = TestKernelsAgainstTermwiseSums
+    outcome = staticmethod(TestKernelsAgainstTermwiseSums.outcome)
+    KINDS = ["exact", "padic", "mixed", "avatar"]
+
+    @staticmethod
+    def scalar(rng, kind, p):
+        if kind == "exact":
+            return rng.choice([0, rng.randint(-10 ** 4, 10 ** 4),
+                               rng.choice([-1, 1]) * p ** rng.randint(1, 9),
+                               Fraction(rng.randint(-50, 50),
+                                        rng.choice([d for d in (1, 2, 4, 11, 13) if d % p]))])
+        choice = rng.randrange(6)
+        if choice == 0:
+            return PadicScalar.zero(p)
+        if choice == 1:
+            return PadicScalar.zero(p, rng.randint(1, 6))
+        if choice == 2:
+            return 0
+        return PadicScalar(p, rng.randint(0, 3), rng.randint(1, 10 ** 4), rng.randint(4, 12))
+
+    def measure(self, rng, p, kind, order, finite=False):
+        if kind == "avatar":  # a Dirac mass at a unit known mod p^P, scaled by a unit
+            P = rng.randint(2, 8)
+            Z = rng.randrange(p ** P // p) * p + rng.randrange(1, p)
+            try:  # C(Z, n) = 0 for n > Z is known mod p^(P - ...), refused below p^1
+                mu = dirac(PadicScalar.from_int(Z, p, P), p, order)
+            except PrecisionExhausted:
+                return self.measure(rng, p, kind, order)
+            return mu.scale(PadicScalar.from_int(rng.randrange(1, p ** P), p, P)) \
+                if rng.randrange(2) else mu
+        kinds = ["exact", "padic"] if kind == "mixed" else [kind]
+        return Measure(p, [self.scalar(rng, rng.choice(kinds), p) for _ in range(order)],
+                       finite=finite)
+
+    def cases(self, kind, count=40):
+        rng = random.Random(f"residues:{kind}")
+        for _ in range(count):
+            p = rng.choice((3, 5, 7))
+            yield rng, p, self.measure(rng, p, kind, rng.choice((1, 2, 5, 9, 13, 20, 30)),
+                                       finite=kind != "avatar" and rng.randrange(4) == 0)
+
+    # -- the operator path ------------------------------------------------------
+
+    @staticmethod
+    def scale(mu, s):
+        return Measure(mu.prime, [exact(s * a) for a in mu.mahler], finite=mu.finite)
+
+    @classmethod
+    def restrict(cls, mu, precision):
+        if not mu.finite and (precision is None or precision < 1):
+            cls.sums.plus(mu)  # the transform's own refusal comes first
+            raise InvalidInput("no valid target precision")
+        return cls.sums.restrict(mu, precision)
+
+    @classmethod
+    def cell(cls, mu, a, nu, precision):
+        p = mu.prime
+        if not mu.finite:
+            if precision is None:
+                raise InvalidInput("needs a target precision")
+            if precision > cell_tail_valuation(mu.order, nu, p):
+                raise PrecisionExhausted("above the tail bound")
+        total = cls.sums.cell(mu, a, p ** nu)
+        return total if mu.finite else total + PadicScalar.zero(p, precision)
+
+    @staticmethod
+    def from_moments(b, p):
+        coeffs = []
+        for n in range(len(b)):
+            a = exact(exact(sum(stirling_first_signed(n, i) * b[i] for i in range(n + 1)))
+                      * Fraction(1, math.factorial(n)))
+            integral = a.is_zero or a.valuation >= 0 if isinstance(a, PadicScalar) \
+                else Fraction(a).denominator % p != 0
+            if not integral:
+                raise InvalidInput("non-integral Mahler coefficient")
+            coeffs.append(a)
+        return Measure(p, coeffs, finite=False)
+
+    @classmethod
+    def pairing(cls, pairs, r_max):
+        p, h = pairs[0][0].prime, len(pairs)
+        if h % p == 0 and any(isinstance(a, PadicScalar) for pair in pairs
+                              for mu in pair for a in mu.mahler):
+            raise InvalidInput("class count divisible by p")
+
+        def moment(mu, r):
+            if r >= mu.order and not mu.finite:
+                raise InvalidInput("moment beyond the order")
+            return cls.sums.moment(mu, r)
+        b = [exact(sum(moment(m1, r) * moment(m2, r) for m1, m2 in pairs) * Fraction(1, h))
+             for r in range(r_max + 1)]
+        return cls.from_moments(b, p)
+
+    # -- the comparisons --------------------------------------------------------
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_scale(self, kind):
+        for rng, p, mu in self.cases(kind):
+            q = 11 if p != 11 else 13
+            for s in (PadicScalar(p, rng.randint(-1, 3), rng.randint(1, 999), rng.randint(4, 9)),
+                      PadicScalar.zero(p, rng.randint(1, 5)), PadicScalar.zero(p),
+                      PadicScalar(q, 0, 2, 3), rng.randint(-9, 9), Fraction(2, 11)):
+                assert self.outcome(mu.scale, s) == self.outcome(self.scale, mu, s)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_restrict(self, kind):
+        for rng, p, mu in self.cases(kind):
+            for precision in (None, 0, 1, 2, 3, 5, 9):
+                assert self.outcome(restrict_to_units, mu, precision) == \
+                    self.outcome(self.restrict, mu, precision)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cell_mass(self, kind):
+        for rng, p, mu in self.cases(kind, 25):
+            for nu in (1, 2):
+                for precision in (None, -1, 0, 1, 2, 4, 12):
+                    a = rng.randrange(p ** nu)
+                    assert self.outcome(cell_mass, mu, a, nu, precision) == \
+                        self.outcome(self.cell, mu, a, nu, precision)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_pairing_measure(self, kind):
+        rng = random.Random(f"pairing:{kind}")
+        for _ in range(30):
+            p = rng.choice((3, 5, 7))
+            order = rng.choice((2, 5, 9, 13))
+            pairs = [(self.measure(rng, p, kind, order), self.measure(rng, p, kind, order))
+                     for _ in range(rng.randint(1, 4))]
+            for r_max in (0, 3, 8):
+                assert self.outcome(pairing_measure, pairs, r_max) == \
+                    self.outcome(self.pairing, pairs, r_max)

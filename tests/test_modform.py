@@ -10,6 +10,7 @@ from mahler.modform import (DirichletCharacter, NearlyHolomorphic, QExpansion,
                             interpolation_euler_factor, maass_raise, p_deplete,
                             theta_operator, u_operator, v_operator)
 from mahler.padic import INF, PadicScalar
+from paper_oracles import nearly_holomorphic
 
 # Independent oracle for the cusp-form coefficients: expand
 # q * prod (1 - q^n)^24 directly, term by term, with no pentagonal shortcut.
@@ -288,7 +289,7 @@ class TestEulerFactor:
 class TestMaass:
     def test_holomorphic_single_band(self):
         f = QExpansion(4, 1, DirichletCharacter.trivial(), [1, 5, 7])
-        up = maass_raise(NearlyHolomorphic.from_qexpansion(f))
+        up = maass_raise(nearly_holomorphic(f))
         assert up.weight == 6
         assert up.cells == {(0, 1): -4, (1, 0): 5, (1, 1): -20,
                             (2, 0): 14, (2, 1): -28}
