@@ -6,11 +6,11 @@ restriction to the units is done entirely in the (1+T)^m basis with integer
 weights, so no root-of-unity arithmetic ever appears.
 
 Coefficients may be exact (int / Fraction, p-integral) or `PadicScalar`,
-mixed freely; every result below is what plain `+`/`*` give under the scalar
-rule stated in `padic`: exact zeros (int/Fraction 0, the infinite-precision PadicScalar
-zero) drop out, an inexact zero keeps its precision, and an exact result is
-an int when integral, else a Fraction.  Exact inputs stay exact through
-every operation that permits it.
+mixed freely; every result below is what plain `+`/`*` give under the
+scalar rule stated in `padic`: exact zeros (int/Fraction 0, the
+infinite-precision PadicScalar zero) drop out, an inexact zero keeps its
+precision, and an exact result is an int when integral, else a Fraction.
+Exact inputs stay exact through every operation that permits it.
 
 Each transform is a dot product of an integer row with the coefficients,
 taken by `_dot`.  A row over PadicScalars of one prime and exact zeros is
