@@ -7,11 +7,10 @@ radial-angular integral against its Gamma closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import Frozen, InvalidInput
+from .errors import Frozen, InvalidInput, Record
 
 
 class PiPolynomial(Frozen):
@@ -25,7 +24,7 @@ class PiPolynomial(Frozen):
             coeff = Fraction(coeff)
             if coeff:
                 clean[int(power)] = coeff
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        self._set(MappingProxyType(clean))
 
     @classmethod
     def term(cls, coeff, power: int = 0) -> "PiPolynomial":
@@ -65,8 +64,6 @@ class PiPolynomial(Frozen):
         if isinstance(other, (int, Fraction)):
             other = PiPolynomial.term(other)
         return isinstance(other, PiPolynomial) and self.terms == other.terms
-
-    __hash__ = None
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -145,24 +142,20 @@ def delta_diagonal_target(r: int) -> PiPolynomial:
 # the local integral
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LocalFactorParams:
-    kappa: int
-    r: int
-    l: int
-    s: float = 0.5
-    nu_u_abs: float = 1.0
-    zeta_u: complex = 1.0 + 0.0j
+class LocalFactorParams(Record):
+    __slots__ = ("kappa", "r", "l", "s", "nu_u_abs", "zeta_u")
 
-    def __post_init__(self):
-        if self.kappa < 1:
+    def __init__(self, kappa: int, r: int, l: int, s: float = 0.5,
+                 nu_u_abs: float = 1.0, zeta_u: complex = 1.0 + 0.0j):
+        if kappa < 1:
             raise InvalidInput("kappa must be >= 1")
-        if not 0 <= self.l <= self.r:
+        if not 0 <= l <= r:
             raise InvalidInput("need 0 <= l <= r")
-        if self.s <= 0:
+        if s <= 0:
             raise InvalidInput("s must be positive (convergent range)")
-        if self.nu_u_abs <= 0:
+        if nu_u_abs <= 0:
             raise InvalidInput("|nu(u)| must be positive")
+        self._set(kappa, r, l, s, nu_u_abs, zeta_u)
 
 
 def _phase(params: LocalFactorParams) -> complex:

@@ -65,49 +65,35 @@ def _read_json(path: str):
         return json.load(fh)
 
 
-def _command_options(parser, args) -> dict:
-    """dest -> action for every option of the (sub)command `args` names."""
-    options = {}
-    while parser is not None:
-        chosen = None
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                chosen = action.choices[getattr(args, action.dest)]
-            elif hasattr(args, action.dest):
-                options[action.dest] = action
-        parser = chosen
-    return options
-
-
-def _config_value(action, key: str, value):
+def _config_value(keywords: dict, key: str, value):
     """A --config value converted as argparse converts the same option in
-    argv: its text through the option's type, then checked against its
-    choices; a flag takes a JSON boolean."""
-    if action.nargs == 0:
+    argv, read from the option's add_argument keywords: its text through the
+    option's type, then checked against its choices; a flag takes a JSON
+    boolean."""
+    if keywords.get("action") == "store_true":
         if isinstance(value, bool):
             return value
         raise InvalidInput(f"--config {key!r} must be true or false, not {value!r}")
     try:
-        converted = (action.type or str)(str(value))
+        converted = (keywords.get("type") or str)(str(value))
     except ValueError:
         raise InvalidInput(f"--config {key!r}: invalid value {value!r}") from None
-    if action.choices is not None and converted not in action.choices:
-        raise InvalidInput(f"--config {key!r}: {value!r} is not one of "
-                           f"{list(action.choices)}")
+    choices = keywords.get("choices")
+    if choices is not None and converted not in choices:
+        raise InvalidInput(f"--config {key!r}: {value!r} is not one of {list(choices)}")
     return converted
 
 
-def _apply_config(parser, args):
+def _apply_config(args):
     cfg = getattr(args, "config", None)
     if cfg:
         overrides = _read_json(cfg)
         if not isinstance(overrides, dict):
             raise InvalidInput("--config must hold a JSON object")
-        options = _command_options(parser, args)
         for key, value in overrides.items():
             attr = key.replace("-", "_")
-            if attr in options:
-                setattr(args, attr, _config_value(options[attr], key, value))
+            if attr in args.options:
+                setattr(args, attr, _config_value(args.options[attr], key, value))
 
 
 # -- padic ---------------------------------------------------------------------
@@ -421,8 +407,9 @@ COMMANDS = (
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The argparse tree of COMMANDS; a leaf's defaults name its handler and
-    the modules the handler takes."""
+    """The argparse tree of COMMANDS; a leaf's defaults name its handler, the
+    modules the handler takes and its options as {dest: add_argument
+    keywords}, which --config reads."""
     top = argparse.ArgumentParser(prog="mahler",
                                   description="p-adic measures and friends")
     top.add_argument("--config", help="JSON file overriding argument defaults")
@@ -436,7 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
         q = parent.add_parser(name, **({} if summary is None else {"help": summary}))
         for flag, keywords in options:
             q.add_argument(flag, **keywords)
-        q.set_defaults(func=handler, uses=uses)
+        q.set_defaults(func=handler, uses=uses, options={
+            flag[2:].replace("-", "_"): keywords for flag, keywords in options})
     return top
 
 
@@ -450,7 +438,7 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(parser, args)
+        _apply_config(args)
         args.func(args, *[importlib.import_module(f"{__package__}.{name}")
                           for name in args.uses])
         return 0

@@ -1,5 +1,5 @@
 """Exception types shared across the package, one per CLI exit class, and
-the immutable base of the value classes."""
+the immutable bases of the value and record classes."""
 
 
 class InvalidInput(ValueError):
@@ -19,8 +19,12 @@ class ToleranceNotMet(RuntimeError):
 
 
 class Frozen:
-    """Base of every value class: its fields refuse assignment and deletion.
-    A constructor sets them through `object.__setattr__`."""
+    """Base of every value class, and its protocol over the `__slots__`
+    fields: they refuse assignment and deletion, so constructors, copy and
+    pickle set them through `object.__setattr__`, mostly by `_set`; two
+    values of one class are equal when their fields are; values are
+    unhashable; a value prints as `Name(field=<repr>, ...)`.  A class may
+    override `__eq__` or `__repr__`."""
 
     __slots__ = ()
 
@@ -28,3 +32,41 @@ class Frozen:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+    def _set(self, *fields):
+        """Set every field, in `__slots__` order."""
+        for name, field in zip(self.__slots__, fields, strict=True):
+            object.__setattr__(self, name, field)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, f) for f in self.__slots__)
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self._fields())
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+def _rebuild(cls, fields):
+    """The value of class `cls` with these fields, in `__slots__` order."""
+    value = object.__new__(cls)
+    value._set(*fields)
+    return value
+
+
+class Record(Frozen):
+    """A parameter record: a Frozen value that hashes by its fields."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())

@@ -47,8 +47,7 @@ class QuadOrder(Frozen):
         cc, dd = fundamental_decomposition(d_K)
         if cc != 1 or dd != d_K:
             raise InvalidInput(f"{d_K} is not a fundamental discriminant")
-        object.__setattr__(self, "d_K", d_K)
-        object.__setattr__(self, "c", c)
+        self._set(d_K, c)
 
     @classmethod
     def from_discriminant(cls, D: int) -> "QuadOrder":
@@ -58,15 +57,6 @@ class QuadOrder(Frozen):
     @property
     def discriminant(self) -> int:
         return self.c ** 2 * self.d_K
-
-    def __eq__(self, other):
-        return isinstance(other, QuadOrder) and \
-            (self.d_K, self.c) == (other.d_K, other.c)
-
-    __hash__ = None
-
-    def __repr__(self):
-        return f"QuadOrder(d_K={self.d_K}, c={self.c})"
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +144,9 @@ class IdealClassGroup(Frozen):
                 if prod not in index:
                     raise AssertionError("composition left the reduced set")
                 table[i][j] = table[j][i] = index[prod]
-        for name, value in (
-                ("discriminant", D), ("order_data", QuadOrder.from_discriminant(D)),
-                ("forms", tuple(forms)),
-                ("table", tuple(map(tuple, table))),
-                ("identity_index", index[principal_form(D)]),
-                ("inverse", tuple(index[reduce_form((a, -b, c), D)] for a, b, c in forms))):
-            object.__setattr__(self, name, value)
+        self._set(D, QuadOrder.from_discriminant(D), tuple(forms),
+                  tuple(map(tuple, table)), index[principal_form(D)],
+                  tuple(index[reduce_form((a, -b, c), D)] for a, b, c in forms))
 
     @property
     def h(self) -> int:
@@ -272,9 +258,7 @@ class AlgebraicValue(Frozen):
         coeffs = [(_rational(a), _rational(b)) for a, b in coeffs]
         if len(coeffs) > len(_cyclotomic(m)) - 1:
             raise InvalidInput("coefficient vector too long")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "terms", MappingProxyType(
+        self._set(d, m, MappingProxyType(
             {k: c for k, c in enumerate(coeffs) if c[0] or c[1]}))
 
     # -- constructors --
@@ -284,9 +268,7 @@ class AlgebraicValue(Frozen):
         """sum_k terms[k] z^k, coefficients in `exact` normal form, zero terms
         dropped; (d, m) are taken as valid."""
         value = object.__new__(cls)
-        object.__setattr__(value, "d", d)
-        object.__setattr__(value, "m", m)
-        object.__setattr__(value, "terms", MappingProxyType(
+        value._set(d, m, MappingProxyType(
             {k: (exact(a), exact(b)) for k, (a, b) in terms.items() if a or b}))
         return value
 
@@ -436,8 +418,6 @@ class AlgebraicValue(Frozen):
         a, b = self._align(other)
         return a.coeffs == b.coeffs
 
-    __hash__ = None
-
     def __repr__(self):
         terms = []
         for j, (a, b) in enumerate(self.coeffs):
@@ -462,9 +442,7 @@ class WeightFunction(Frozen):
         values = tuple(values)
         if len(values) != group.h:
             raise InvalidInput("need one value per ideal class")
-        object.__setattr__(self, "group", group)
-        object.__setattr__(self, "weight", (int(w1), int(ws)))
-        object.__setattr__(self, "values", values)
+        self._set(group, (int(w1), int(ws)), values)
 
     def __mul__(self, other: "WeightFunction") -> "WeightFunction":
         if other.group.discriminant != self.group.discriminant:
@@ -480,14 +458,6 @@ class WeightFunction(Frozen):
     def inverse(self) -> "WeightFunction":
         return self ** (-1)
 
-    def __eq__(self, other):
-        return isinstance(other, WeightFunction) \
-            and self.group.discriminant == other.group.discriminant \
-            and self.weight == other.weight and \
-            all(a == b for a, b in zip(self.values, other.values))
-
-    __hash__ = None
-
     def __repr__(self):
         return f"WeightFunction(D={self.group.discriminant}, w={self.weight})"
 
@@ -499,41 +469,28 @@ def characters(G: IdealClassGroup):
     d = G.order_data.d_K
     chars = [{G.identity_index: 0}]
     subgroup = [G.identity_index]
-    member = {G.identity_index}
     while len(subgroup) < G.h:
+        member = set(subgroup)
         g = next(i for i in range(G.h) if i not in member)
-        k, acc = 1, g
-        while acc not in member:
-            acc = G.mul(acc, g)
+        # the cells (hh·g^j, hh, j) of the larger subgroup, j below the order
+        # k of g modulo the subgroup; `power` ends at g^k, in the subgroup
+        cells, power, k = [], G.identity_index, 0
+        while k == 0 or power not in member:
+            cells += [(G.mul(hh, power), hh, k) for hh in subgroup]
+            power = G.mul(power, g)
             k += 1
         new_chars = []
         for chi in chars:
             # chi(g^k) has exponent c with k | c; extensions chi(g) = x solve
             # k x ≡ c (mod m), i.e. x = c/k + t m/k  (k divides m here)
-            c = chi[acc]
+            c = chi[power]
             if c % k or m % k:
                 raise AssertionError("character extension arithmetic broke")
-            step = m // k
             for t in range(k):
-                x = (c // k + t * step) % m
-                ext = {}
-                power = G.identity_index
-                val = 0
-                for j in range(k):
-                    for hh in subgroup:
-                        ext[G.mul(hh, power)] = (chi[hh] + val) % m
-                    power = G.mul(power, g)
-                    val = (val + x) % m
-                new_chars.append(ext)
+                x = c // k + t * (m // k)
+                new_chars.append({cell: (chi[hh] + j * x) % m for cell, hh, j in cells})
         chars = new_chars
-        new_sub = []
-        power = G.identity_index
-        for _ in range(k):
-            for hh in subgroup:
-                new_sub.append(G.mul(hh, power))
-            power = G.mul(power, g)
-        subgroup = new_sub
-        member = set(subgroup)
+        subgroup = [cell for cell, _, _ in cells]
     tables = sorted(tuple(chi[i] for i in range(G.h)) for chi in chars)
     roots = [AlgebraicValue.root_of_unity(e, d, m) for e in range(m)]
     return [WeightFunction(G, (0, 0), [roots[e] for e in tab]) for tab in tables]
@@ -632,16 +589,6 @@ class PadicEmbedding(Frozen):
                 self._pick_sqrt(sqrt_residue))
         object.__setattr__(self, "zeta_lift", zeta_lift)
         object.__setattr__(self, "sqrt_lift", sqrt_lift)
-
-    def __eq__(self, other):
-        return isinstance(other, PadicEmbedding) and \
-            all(getattr(self, f) == getattr(other, f) for f in self.__slots__)
-
-    __hash__ = None
-
-    def __repr__(self):
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"PadicEmbedding({fields})"
 
     def _pick_sqrt(self, residue):
         """The chosen square root of d mod p, else the smaller one."""

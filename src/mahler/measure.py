@@ -171,9 +171,7 @@ class Measure(Frozen):
             if not _integral(a, prime):
                 raise InvalidInput("Mahler coefficient with negative valuation: "
                                    "this is a distribution, not a measure")
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "mahler", mahler)
-        object.__setattr__(self, "finite", finite)
+        self._set(prime, mahler, finite)
 
     @property
     def order(self) -> int:
@@ -214,13 +212,6 @@ class Measure(Frozen):
                 a = scalar * a
             out.append(a)
         return Measure(p, out, finite=self.finite)
-
-    def __eq__(self, other):
-        return isinstance(other, Measure) and \
-            (self.prime, self.finite, self.order) == (other.prime, other.finite, other.order) \
-            and all(a == b for a, b in zip(self.mahler, other.mahler))
-
-    __hash__ = None
 
     def __repr__(self):
         flag = "finite" if self.finite else f"order {self.order}"

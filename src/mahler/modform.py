@@ -38,8 +38,7 @@ class DirichletCharacter(Frozen):
                 for j in range(modulus):
                     if values[i * j % modulus] != values[i] * values[j]:
                         raise InvalidInput("value table is not multiplicative")
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "values", values)
+        self._set(modulus, values)
 
     @classmethod
     def trivial(cls, modulus: int = 1) -> "DirichletCharacter":
@@ -48,12 +47,6 @@ class DirichletCharacter(Frozen):
 
     def __call__(self, n: int):
         return self.values[n % self.modulus]
-
-    def __eq__(self, other):
-        return isinstance(other, DirichletCharacter) and \
-            self.modulus == other.modulus and self.values == other.values
-
-    __hash__ = None
 
     def __repr__(self):
         return f"DirichletCharacter(mod {self.modulus})"
@@ -73,10 +66,7 @@ class QExpansion(Frozen):
                        for c in coeffs)
         if not coeffs:
             raise InvalidInput("empty coefficient list")
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "eps", eps)
-        object.__setattr__(self, "coeffs", coeffs)
+        self._set(weight, level, eps, coeffs)
 
     @property
     def trunc(self) -> int:
@@ -104,13 +94,6 @@ class QExpansion(Frozen):
         scalar = exact(scalar)
         return QExpansion(self.weight, self.level, self.eps,
                           [c * scalar for c in self.coeffs])
-
-    def __eq__(self, other):
-        return isinstance(other, QExpansion) and \
-            (self.weight, self.level, self.eps) == (other.weight, other.level, other.eps) \
-            and self.coeffs == other.coeffs
-
-    __hash__ = None
 
     def __repr__(self):
         return (f"QExpansion(k={self.weight}, N={self.level}, "
@@ -200,15 +183,7 @@ class NearlyHolomorphic(Frozen):
             c = exact(c)
             if c != 0:
                 table[(n, j)] = c
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "cells", MappingProxyType(table))
-
-    def __eq__(self, other):
-        return isinstance(other, NearlyHolomorphic) and \
-            (self.weight, self.trunc, self.cells) == (other.weight, other.trunc, other.cells)
-
-    __hash__ = None
+        self._set(weight, trunc, MappingProxyType(table))
 
     def __add__(self, other: "NearlyHolomorphic") -> "NearlyHolomorphic":
         if self.weight != other.weight:

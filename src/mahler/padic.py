@@ -279,8 +279,6 @@ class PadicScalar(Frozen):
             return NotImplemented
         return (self - other).is_zero
 
-    __hash__ = None
-
     def __repr__(self):
         if self.is_zero:
             tail = "" if self.precision is INF else f" + O({self.prime}^{self.precision})"
@@ -388,8 +386,7 @@ class TruncatedSeries(Frozen):
             if len(padic) != len(coeffs):
                 raise InvalidInput("mixed p-adic and exact coefficients")
             prime = padic[0].prime
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "prime", prime)
+        self._set(coeffs, prime)
 
     @property
     def order(self) -> int:
@@ -406,8 +403,6 @@ class TruncatedSeries(Frozen):
     def __eq__(self, other):
         return isinstance(other, TruncatedSeries) and self.order == other.order \
             and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
-    __hash__ = None
 
     def __repr__(self):
         shown = ", ".join(repr(c) for c in self.coeffs[:6])

@@ -7,12 +7,11 @@ an embedded imaginary quadratic field with its projection idempotent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
 from .arith import factorint, fundamental_decomposition, isprime, nextprime, sqrt_mod_prime
-from .errors import InvalidInput, SearchBoundExhausted
+from .errors import InvalidInput, Record, SearchBoundExhausted
 
 INFINITE_PLACE = math.inf
 
@@ -61,18 +60,15 @@ def hilbert_symbol(a, b, place) -> int:
     return -1 if e % 2 else 1
 
 
-@dataclass(frozen=True)
-class QuaternionAlgebra:
+class QuaternionAlgebra(Record):
     """The algebra with i^2 = a, j^2 = b, ij = -ji over Q."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        if Fraction(self.a) == 0 or Fraction(self.b) == 0:
+    def __init__(self, a: Fraction, b: Fraction):
+        if Fraction(a) == 0 or Fraction(b) == 0:
             raise InvalidInput("a and b must be nonzero")
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        self._set(Fraction(a), Fraction(b))
 
 
 def ramified_set(alg: QuaternionAlgebra) -> set:
@@ -92,14 +88,14 @@ def discriminant(alg: QuaternionAlgebra) -> int:
     return math.prod(p for p in ramified_set(alg) if p is not INFINITE_PLACE)
 
 
-@dataclass(frozen=True)
-class HashimotoData:
+class HashimotoData(Record):
     """Parameters (q, b) of the explicit model i^2 = -Delta, j^2 = q with its
     distinguished maximal order Z + Z(1+j)/2 + Z(i+ij)/2 + Z(b Delta j + ij)/q."""
 
-    delta: int
-    q: int
-    b_param: int
+    __slots__ = ("delta", "q", "b_param")
+
+    def __init__(self, delta: int, q: int, b_param: int):
+        self._set(delta, q, b_param)
 
 
 def hashimoto_search(delta: int, p: int, bound: int) -> HashimotoData:
@@ -170,26 +166,25 @@ def mat_trace(x: Mat):
     return x[0][0] + x[1][1]
 
 
-@dataclass(frozen=True)
-class MatrixEmbedding:
+class MatrixEmbedding(Record):
     """A traceless rational M with M^2 = d I, d < 0, defining Q(sqrt d) inside
     the split algebra, together with the level of the upper-triangular-mod-N
     order it is intersected with."""
 
-    m: Mat
-    level: int = 1
+    __slots__ = ("m", "level")
 
-    def __post_init__(self):
-        object.__setattr__(self, "m", mat(self.m))
-        if self.level < 1:
+    def __init__(self, m: Mat, level: int = 1):
+        m = mat(m)
+        if level < 1:
             raise InvalidInput("level must be >= 1")
-        if mat_trace(self.m) != 0:
+        if mat_trace(m) != 0:
             raise InvalidInput("M must be traceless")
-        sq = mat_mul(self.m, self.m)
+        sq = mat_mul(m, m)
         if sq[0][1] or sq[1][0] or sq[0][0] != sq[1][1]:
             raise InvalidInput("M^2 is not scalar")
         if sq[0][0] >= 0:
             raise InvalidInput("M^2 must be a negative scalar (imaginary quadratic)")
+        self._set(m, level)
 
     @property
     def d(self) -> Fraction:

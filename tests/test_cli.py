@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mahler
-from mahler import serialize
+from mahler import cli, serialize
 from mahler.cli import COMMANDS, main
 from mahler.errors import InvalidInput
 from mahler.measure import Measure, dirac
@@ -230,7 +230,7 @@ class TestJsonShape:
 class TestImportFloor:
     """Importing the CLI loads neither sympy nor numpy; `arch` loads numpy
     when it runs; a command loads only the modules it uses, and `import
-    mahler` loads none."""
+    mahler` loads none; `quat` and `arch` load no dataclasses."""
 
     def python(self, code: str) -> str:
         src = os.path.dirname(os.path.dirname(os.path.abspath(mahler.__file__)))
@@ -275,6 +275,17 @@ class TestImportFloor:
             f"code = main({argv!r})\n"
             f"print(code, sorted({{'mahler.' + m for m in {absent!r}}} & set(sys.modules)))")
         assert last == "0 []"
+
+    @pytest.mark.parametrize("argv", [["quat", "ramified", "--a", "-1", "--b", "-1"],
+                                      ["arch", "identity", "--r", "3"]])
+    def test_records_load_no_dataclasses(self, argv):
+        # dataclasses imports inspect, which a cold call does not need
+        last = self.python(
+            "import sys\n"
+            "from mahler.cli import main\n"
+            f"code = main({argv!r})\n"
+            "print(code, 'dataclasses' in sys.modules)")
+        assert last == "0 False"
 
 
 HELP_GOLDEN = json.loads((Path(__file__).parent / "cli_help.json").read_text())
@@ -791,6 +802,57 @@ class TestConfig:
         assert got == code
         if code == 0:
             assert out == run(capsys, argv + ["--twist-inverse"] * flag)[1]
+
+
+def _option_cases():
+    for group, name, _, _, _, options in COMMANDS:
+        for flag, keywords in options:
+            yield pytest.param(group, name, options, flag, keywords,
+                               id=f"{group or ''} {name} {flag}".strip())
+
+
+class TestConfigMatchesArgv:
+    """For every option of every command, a --config value converts, or is
+    refused, exactly as its text does in argv; the refusal names --config."""
+
+    VALUES = ["7", 7, "-3", "0", "2.5", 2.5, "1/2", "-4/7", "nan", "1e400",
+              "x", "", "add", "inv", True, None]
+
+    @staticmethod
+    def base_argv(group, name, options):
+        argv = [group, name] if group else [name]
+        for flag, keywords in options:
+            if keywords.get("required"):
+                argv += [flag, keywords["choices"][0] if "choices" in keywords else "1"]
+        return argv
+
+    @pytest.mark.parametrize("group, name, options, flag, keywords", _option_cases())
+    def test_option(self, capsys, tmp_path, group, name, options, flag, keywords):
+        parser = cli._parser()
+        argv = self.base_argv(group, name, options)
+        key, dest = flag[2:], flag[2:].replace("-", "_")
+        store_true = keywords.get("action") == "store_true"
+        for value in [True, False, 1, "true", None] if store_true else self.VALUES:
+            if store_true:  # argv says true by naming the flag; it takes no text
+                from_argv = getattr(parser.parse_args(argv + [flag] * (value is True)), dest) \
+                    if isinstance(value, bool) else "refused"
+            else:
+                try:
+                    from_argv = getattr(parser.parse_args(argv + [f"{flag}={value}"]), dest)
+                except SystemExit as exc:
+                    assert exc.code == 2
+                    from_argv = "refused"
+                capsys.readouterr()
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            args = parser.parse_args(["--config", str(cfg)] + argv)
+            try:
+                cli._apply_config(args)
+                from_config = getattr(args, dest)
+            except InvalidInput as exc:
+                assert str(exc).startswith(f"--config {key!r}")
+                from_config = "refused"
+            assert (from_config, type(from_config)) == (from_argv, type(from_argv)), value
 
 
 def padic_json(a: int, p: int, prec: int) -> dict:

@@ -1,7 +1,9 @@
+import json
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,10 @@ from mahler.measure import cell_mass, moments, pairing_measure, restrict_to_unit
 from paper_oracles import is_trivial, sqrt_d, weight_value_on_principal
 
 ALL_DISCS_200 = [D for D in range(-3, -201, -1) if D % 4 in (0, 1)]
+
+
+CHARACTER_TABLES = json.loads(
+    (Path(__file__).parent / "character_tables.json").read_text())
 
 
 def verify_group_axioms(G):
@@ -218,6 +224,16 @@ class TestCharacters:
                     table.append(e)
                 tables.append(tuple(table))
             assert tables == sorted(set(tables)) and len(tables) == G.h
+
+    @pytest.mark.parametrize("D", [-407, -420, -3299, -3896])
+    def test_exponent_tables_golden(self, D):
+        """The exponent of each character value, recorded before the
+        characters were built in one pass per generator."""
+        golden = CHARACTER_TABLES[str(D)]
+        G = class_group(D)
+        tables = [[next(iter(value.terms)) for value in chi.values]
+                  for chi in characters(G)]
+        assert (G.h, G.exponent, tables) == (golden["h"], golden["m"], golden["tables"])
 
     def test_orthogonality_up_to_200(self):
         for D in ALL_DISCS_200:

@@ -1,7 +1,12 @@
 """Every value is immutable: no field of a value class can be assigned or
-deleted, and no container a value holds can be changed in place."""
+deleted, and no container a value holds can be changed in place.  Every value
+and record class follows the one protocol of `Frozen`: equal when its fields
+are, unhashable unless it is a record, printed as its fields unless its class
+prints a shorter form."""
 
-import dataclasses
+import copy
+import pickle
+from fractions import Fraction
 
 import pytest
 
@@ -37,19 +42,35 @@ RECORDS = {
     "LocalFactorParams": lambda: LocalFactorParams(1, 1, 1),
 }
 
+# each entry of VALUES and RECORDS with one field changed
+CHANGED = {
+    "PadicScalar": lambda: PadicScalar.from_int(7, 3, 4),
+    "TruncatedSeries": lambda: binomial_series(4, 4),
+    "Measure": lambda: dirac(2, 3, 4),
+    "DirichletCharacter": lambda: DirichletCharacter(4, [0, 1, 0, -1]),
+    "QExpansion": lambda: delta_qexpansion(11),
+    "NearlyHolomorphic": lambda: NearlyHolomorphic(10, 4, {(0, 0): 1, (1, 1): 3}),
+    "QuadOrder": lambda: QuadOrder(-7, 2),
+    "IdealClassGroup": lambda: class_group(-47),
+    "AlgebraicValue": lambda: AlgebraicValue.root_of_unity(2, -7, 3),
+    "WeightFunction": lambda: characters(class_group(-23))[2],
+    "PadicEmbedding": lambda: PadicEmbedding(7, 9, -3, 3),
+    "PiPolynomial": lambda: PiPolynomial({1: 1, -2: 4}),
+    "QuaternionAlgebra": lambda: QuaternionAlgebra(-1, -3),
+    "HashimotoData": lambda: HashimotoData(6, 5, 3),
+    "MatrixEmbedding": lambda: MatrixEmbedding(((0, 1), (-4, 0)), 2),
+    "LocalFactorParams": lambda: LocalFactorParams(1, 1, 1, 0.25),
+}
 
-def fields(value):
-    if dataclasses.is_dataclass(value):
-        return [f.name for f in dataclasses.fields(value)]
-    return list(type(value).__slots__)
+ALL = {**VALUES, **RECORDS}
 
 
-@pytest.mark.parametrize("name", list(VALUES) + list(RECORDS))
+@pytest.mark.parametrize("name", list(ALL))
 def test_fields_refuse_assignment_and_deletion(name):
-    value = {**VALUES, **RECORDS}[name]()
+    value = ALL[name]()
     assert type(value).__name__ == name
-    assert isinstance(value, Frozen) == (name in VALUES)
-    before = {field: getattr(value, field) for field in fields(value)}
+    assert isinstance(value, Frozen)
+    before = {field: getattr(value, field) for field in type(value).__slots__}
     assert before
     for field in [*before, "other"]:
         with pytest.raises(AttributeError):
@@ -77,3 +98,86 @@ def test_containers_refuse_change_in_place(name):
     with pytest.raises(TypeError):
         container[key] = item
     assert container == getattr(make(), field)
+
+
+@pytest.mark.parametrize("name", list(ALL))
+def test_equal_to_a_fresh_copy_and_not_to_a_changed_one(name):
+    value, copy, changed = ALL[name](), ALL[name](), CHANGED[name]()
+    assert value is not copy
+    assert value == copy and not value != copy
+    assert value != changed and not value == changed
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_values_are_unhashable(name):
+    with pytest.raises(TypeError):
+        hash(VALUES[name]())
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_records_hash_by_their_fields(name):
+    value, copy = RECORDS[name](), RECORDS[name]()
+    fields = tuple(getattr(value, field) for field in type(value).__slots__)
+    assert hash(value) == hash(copy) == hash(fields)
+    assert len({value, copy, CHANGED[name]()}) == 2
+
+
+@pytest.mark.parametrize("name", list(ALL))
+def test_equality_with_another_type_is_not_implemented(name):
+    value = ALL[name]()
+    assert value != object() and value != (value,)
+    if type(value).__eq__ is Frozen.__eq__:
+        assert value.__eq__(object()) is NotImplemented
+
+
+@pytest.mark.parametrize("name", list(ALL))
+def test_copies_are_rebuilt_from_the_fields(name):
+    value = ALL[name]()
+    copies = [copy.copy(value)]
+    if name in RECORDS:  # every field of a record pickles
+        copies += [copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
+    for other in copies:
+        assert type(other) is type(value) and other == value
+        assert repr(other) == repr(value)
+        with pytest.raises(AttributeError):
+            setattr(other, type(value).__slots__[0], 0)
+
+
+# recorded while the records were frozen dataclasses and QuadOrder and
+# PadicEmbedding each wrote their own repr
+REPRS = [
+    (lambda: QuadOrder(-7), "QuadOrder(d_K=-7, c=1)"),
+    (lambda: QuadOrder.from_discriminant(-36), "QuadOrder(d_K=-4, c=3)"),
+    (lambda: PadicEmbedding(7, 8, -3, 3),
+     "PadicEmbedding(prime=7, precision=8, d=-3, m=3, sqrt_lift=988906, "
+     "zeta_lift=2387947)"),
+    (lambda: PadicEmbedding(7, 3, 14),
+     "PadicEmbedding(prime=7, precision=3, d=14, m=1, sqrt_lift='ramified', "
+     "zeta_lift=None)"),
+    (lambda: QuaternionAlgebra(-1, -1),
+     "QuaternionAlgebra(a=Fraction(-1, 1), b=Fraction(-1, 1))"),
+    (lambda: QuaternionAlgebra(a=Fraction(3, 2), b=-5),
+     "QuaternionAlgebra(a=Fraction(3, 2), b=Fraction(-5, 1))"),
+    (lambda: HashimotoData(delta=10, q=13, b_param=4),
+     "HashimotoData(delta=10, q=13, b_param=4)"),
+    (lambda: MatrixEmbedding(((0, 1), (-4, 0))),
+     "MatrixEmbedding(m=((Fraction(0, 1), Fraction(1, 1)), "
+     "(Fraction(-4, 1), Fraction(0, 1))), level=1)"),
+    (lambda: MatrixEmbedding(m=((1, 1), (-2, -1)), level=3),
+     "MatrixEmbedding(m=((Fraction(1, 1), Fraction(1, 1)), "
+     "(Fraction(-2, 1), Fraction(-1, 1))), level=3)"),
+    (lambda: LocalFactorParams(1, 1, 1),
+     "LocalFactorParams(kappa=1, r=1, l=1, s=0.5, nu_u_abs=1.0, zeta_u=(1+0j))"),
+    (lambda: LocalFactorParams(kappa=2, r=3, l=1, s=0.25, nu_u_abs=2.0,
+                               zeta_u=complex(0.6, 0.8)),
+     "LocalFactorParams(kappa=2, r=3, l=1, s=0.25, nu_u_abs=2.0, zeta_u=(0.6+0.8j))"),
+]
+
+
+@pytest.mark.parametrize("make, text", REPRS, ids=[text for _, text in REPRS])
+def test_field_repr(make, text):
+    assert repr(make()) == text
+
+
+def test_class_groups_compare_by_value():
+    assert class_group(-23) == class_group(-23) != class_group(-47)
