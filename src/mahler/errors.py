@@ -34,7 +34,10 @@ class Frozen:
     __delattr__ = __setattr__
 
     def _set(self, *fields):
-        """Set every field, in `__slots__` order."""
+        """Set every field, in `__slots__` order.  The constructors in the
+        inner loops of the avatar path (`PadicScalar._make`,
+        `AlgebraicValue._from_terms`, `Measure`) call `object.__setattr__`
+        per field instead, which costs half as much."""
         for name, field in zip(self.__slots__, fields, strict=True):
             object.__setattr__(self, name, field)
 

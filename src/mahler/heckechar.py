@@ -268,7 +268,9 @@ class AlgebraicValue(Frozen):
         """sum_k terms[k] z^k, coefficients in `exact` normal form, zero terms
         dropped; (d, m) are taken as valid."""
         value = object.__new__(cls)
-        value._set(d, m, MappingProxyType(
+        object.__setattr__(value, "d", d)
+        object.__setattr__(value, "m", m)
+        object.__setattr__(value, "terms", MappingProxyType(
             {k: (exact(a), exact(b)) for k, (a, b) in terms.items() if a or b}))
         return value
 

@@ -171,7 +171,9 @@ class Measure(Frozen):
             if not _integral(a, prime):
                 raise InvalidInput("Mahler coefficient with negative valuation: "
                                    "this is a distribution, not a measure")
-        self._set(prime, mahler, finite)
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "mahler", mahler)
+        object.__setattr__(self, "finite", finite)
 
     @property
     def order(self) -> int:

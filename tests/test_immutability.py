@@ -2,7 +2,7 @@
 deleted, and no container a value holds can be changed in place.  Every value
 and record class follows the one protocol of `Frozen`: equal when its fields
 are, unhashable unless it is a record, printed as its fields unless its class
-prints a shorter form."""
+prints a shorter form, and copied by rebuilding it from its fields."""
 
 import copy
 import pickle
