@@ -1,6 +1,8 @@
 """Exception types shared across the package, one per CLI exit class, and
 the immutable bases of the value and record classes."""
 
+from types import MappingProxyType
+
 
 class InvalidInput(ValueError):
     """Arguments violate a documented precondition (exit code 2)."""
@@ -44,8 +46,9 @@ class Frozen:
     def _fields(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)
 
-    def __reduce__(self):
-        return _rebuild, (type(self), self._fields())
+    def __reduce__(self):  # a read-only map travels as a dict, which pickles
+        return _rebuild, (type(self), tuple(
+            dict(f) if type(f) is MappingProxyType else f for f in self._fields()))
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -60,9 +63,9 @@ class Frozen:
 
 
 def _rebuild(cls, fields):
-    """The value of class `cls` with these fields, in `__slots__` order."""
+    """The value of class `cls` with these fields, a dict as a read-only map."""
     value = object.__new__(cls)
-    value._set(*fields)
+    value._set(*(MappingProxyType(f) if type(f) is dict else f for f in fields))
     return value
 
 

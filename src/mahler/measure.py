@@ -12,17 +12,17 @@ infinite-precision PadicScalar zero) drop out, an inexact zero keeps its
 precision, and an exact result is an int when integral, else a Fraction.
 Exact inputs stay exact through every operation that permits it.
 
-Each transform is a dot product of an integer row with the coefficients,
-taken by `_dot`.  A row over PadicScalars of one prime and exact zeros is
-summed on integers (`_residue_dot`): the value Σ c·lift(x) mod p^P with
-P = min(prec(x) + v_p(c)), which is what `+` and `*` give term by term; any
-other row is summed with `+` and `*`.
+Each transform is a dot product of integer rows with one coefficient list,
+taken by `_dot`, and `_residues` chooses once per list: over PadicScalars of
+one prime and exact zeros every row is summed on integers (`_residue_dot`),
+the value Σ c·lift(x) mod p^P with P = min(prec(x) + v_p(c)), which is what
+`+` and `*` give term by term; over any other list, with `+` and `*`.
 
 Where every coefficient is such a scalar, the measure operations stay on
 integer residues (value, N), x known mod p^N, and make one PadicScalar per
 output through `PadicScalar._make`, with the precision `+` and `*` would give:
-* `Measure.scale` by a PadicScalar: valuation v1 + v2 and precision
-  v1 + v2 + min(rel1, rel2), for each coefficient known to finite precision;
+* `Measure.scale` by a PadicScalar: `PadicScalar._times`, the product
+  formula of `*`, for each coefficient known to finite precision;
 * `restrict_to_units`: the (1+T)^m coefficients c_m for p ∤ m as residues,
   then only the n_out outputs, each sum started at the target precision, so
   the cap is the least precision and costs no scalar;
@@ -66,10 +66,6 @@ def _binomial_columns(size: int):
     while col:
         yield col
         col = list(accumulate(col[:-1]))
-
-
-def _holds_padic(xs) -> bool:
-    return PadicScalar in map(type, xs)
 
 
 def _residues(xs):
@@ -119,22 +115,14 @@ def _valuation(x: int, p: int, N: int) -> int:
     return v
 
 
-def _dot(row, xs, padic: bool):
-    """Σ c·x over zip(row, xs), for a row of ints; `padic` is
-    `_holds_padic` of xs or of a list that xs is a slice of, so a kernel
-    summing many rows over one list looks at it once.
-
-    When `_residues` takes the xs the row reaches, the sum is `_residue_dot`:
-    one PadicScalar known mod p^P, or int 0 when no term contributes.  Any
-    other row is summed with `+` and `*`."""
-    if not padic:
-        return sum(map(mul, row, xs))
-    pairs = list(zip(row, xs))
-    res = _residues([x for _, x in pairs])
+def _dot(row, xs, res, start=0):
+    """Σ c·x over zip(row, xs[start:]) for a row of ints, res = `_residues(xs)`:
+    with residues, `_residue_dot`, one PadicScalar known mod p^P or int 0 when
+    no term contributes; without, `+` and `*`."""
     if res is None:
-        return sum(c * x for c, x in pairs)
+        return sum(map(mul, row, xs[start:]))
     p, residues = res
-    total, P = _residue_dot([c for c, _ in pairs], residues, p)
+    total, P = _residue_dot(row, residues[start:], p)
     return 0 if P is INF else PadicScalar._make(p, 0, total, P)
 
 
@@ -197,23 +185,14 @@ class Measure(Frozen):
     def scale(self, scalar) -> "Measure":
         """Multiply by a p-integral scalar (boundedness is preserved).  A
         PadicScalar of the measure's prime, not the exact zero, multiplies each
-        coefficient known to finite precision on integers, as `*` does;
-        every other product is taken with `*`."""
+        coefficient known to finite precision by `PadicScalar._times`, as `*`
+        does without its dispatch; every other product is taken with `*`."""
         p = self.prime
         if type(scalar) is not PadicScalar or scalar.prime != p or scalar.precision is INF:
             return Measure(p, [exact(scalar * a) for a in self.mahler], finite=self.finite)
-        v1 = scalar._val
-        unit, rel1 = scalar.unit, scalar.precision - v1
-        out = []
-        for a in self.mahler:
-            if type(a) is PadicScalar and a.precision is not INF:
-                v2 = a.precision if a.valuation is INF else a.valuation
-                v = v1 + v2
-                a = PadicScalar._make(p, v, unit * a.unit, v + min(rel1, a.precision - v2))
-            else:
-                a = scalar * a
-            out.append(a)
-        return Measure(p, out, finite=self.finite)
+        return Measure(p, [scalar._times(a) if type(a) is PadicScalar
+                           and a.precision is not INF else scalar * a
+                           for a in self.mahler], finite=self.finite)
 
     def __repr__(self):
         flag = "finite" if self.finite else f"order {self.order}"
@@ -249,7 +228,7 @@ def moments(mu: Measure, r: int):
     """m_r(µ) = ∫ t^r dµ = Σ_n S(r,n) n! a_n — a finite exact sum."""
     weights = _moment_weights(mu, r)
     coeffs = mu.mahler[:len(weights)]
-    return exact(_dot(weights, coeffs, _holds_padic(coeffs)))
+    return exact(_dot(weights, coeffs, _residues(coeffs)))
 
 
 def mahler_from_moments(b, prime: int) -> Measure:
@@ -263,9 +242,9 @@ def mahler_from_moments(b, prime: int) -> Measure:
     if not b:
         raise InvalidInput("need at least the 0-th moment")
     coeffs = []
-    padic = _holds_padic(b)
+    res = _residues(b)
     for n in range(len(b)):
-        total = _dot(_falling_factorial_coeffs(n), b, padic)
+        total = _dot(_falling_factorial_coeffs(n), b, res)
         a_n = exact(total * Fraction(1, math.factorial(n)))
         if not _integral(a_n, prime):
             raise InvalidInput(f"non-integral Mahler coefficient at n={n}: "
@@ -283,16 +262,15 @@ def plus_basis(mu: Measure):
     """
     K = mu.order
     signs = [(-1) ** j for j in range(K)]
-    padic = _holds_padic(mu.mahler)
-    return [exact(_dot(map(mul, signs, col), mu.mahler[m:], padic))
+    res = _residues(mu.mahler)
+    return [exact(_dot(map(mul, signs, col), mu.mahler, res, m))
             for m, col in enumerate(_binomial_columns(K))]
 
 
 def from_plus_basis(c, prime: int, finite: bool) -> Measure:
     """Mahler coefficients a_n = Σ_m c_m C(m, n) from (1+T)^m coefficients."""
-    padic = _holds_padic(c)
-    mahler = [exact(_dot(col, c[n:], padic))
-              for n, col in enumerate(_binomial_columns(len(c)))]
+    res = _residues(c)
+    mahler = [exact(_dot(col, c, res, n)) for n, col in enumerate(_binomial_columns(len(c)))]
     return Measure(prime, mahler, finite=finite)
 
 
@@ -391,7 +369,7 @@ def cell_mass(mu: Measure, a: int, nu: int, precision: int | None = None):
             raise PrecisionExhausted(
                 f"order {mu.order} supports level-{nu} cell masses to precision "
                 f"at most {bound}")
-    total = exact(_dot(_cell_weights(a, q, mu.order), mu.mahler, _holds_padic(mu.mahler)))
+    total = exact(_dot(_cell_weights(a, q, mu.order), mu.mahler, _residues(mu.mahler)))
     if mu.finite:
         return total
     return _cap_precision(total, p, precision)
@@ -411,21 +389,15 @@ def integrate_step(mu: Measure, phi, precision: int | None = None):
 
 def mult_pushforward(mu1: Measure, mu2: Measure, r_max: int) -> Measure:
     """The measure with m_r = m_r(µ1) m_r(µ2) for r <= r_max (image of
-    µ1 ⊗ µ2 under multiplication), realized moments -> Mahler.
+    µ1 ⊗ µ2 under multiplication): the pairing measure of the one pair
+    (µ1, µ2), finite when both are and r_max reaches the product's degree.
 
     The Stirling transforms are triangular, so the first r_max+1 Mahler
     coefficients computed this way are exactly those of the product measure.
     """
-    if mu1.prime != mu2.prime:
-        raise InvalidInput("prime mismatch")
-    if r_max < 0:
-        raise InvalidInput("r_max must be >= 0")
-    b = [moments(mu1, r) * moments(mu2, r) for r in range(r_max + 1)]
-    out = mahler_from_moments(b, mu1.prime)
-    if mu1.finite and mu2.finite and \
-            mu1.support_degree() * mu2.support_degree() <= r_max:
-        return Measure(mu1.prime, out.mahler, finite=True)
-    return out
+    out = pairing_measure([(mu1, mu2)], r_max)
+    finite = mu1.finite and mu2.finite and mu1.support_degree() * mu2.support_degree() <= r_max
+    return Measure(mu1.prime, out.mahler, finite=True) if finite else out
 
 
 def pairing_measure(pairs, r_max: int) -> Measure:
@@ -442,11 +414,14 @@ def pairing_measure(pairs, r_max: int) -> Measure:
         raise InvalidInput("class count divisible by p in p-adic-only mode")
     if any(m1.prime != p or m2.prime != p for m1, m2 in pairs):
         raise InvalidInput("prime mismatch")
+    if r_max < 0:
+        raise InvalidInput("r_max must be >= 0")
     residues = [(_residues(m1.mahler), _residues(m2.mahler)) for m1, m2 in pairs]
     if any(res is None for pair in residues for res in pair):  # exact or mixed: `+`, `*`
-        b = [exact(sum(moments(m1, r) * moments(m2, r) for m1, m2 in pairs)
-                   * Fraction(1, h))
+        b = [exact(sum(moments(m1, r) * moments(m2, r) for m1, m2 in pairs))
              for r in range(r_max + 1)]
+        if h > 1:  # a pushforward's one pair is not multiplied by 1/1
+            b = [exact(m * Fraction(1, h)) for m in b]
     else:
         b = [_paired_moment(pairs, residues, r, p, h) for r in range(r_max + 1)]
     return mahler_from_moments(b, p)

@@ -218,9 +218,16 @@ class PadicScalar(Frozen):
             return other
         if self.precision is INF or other.precision is INF:
             return PadicScalar._make(self.prime, INF, 0, INF)
-        v = self._val + other._val
-        rel = min(self.rel_precision, other.rel_precision)
-        return PadicScalar._make(self.prime, v, self.unit * other.unit, v + rel)
+        return self._times(other)
+
+    def _times(self, other: "PadicScalar") -> "PadicScalar":
+        """The product of two scalars of one prime known to finite precision,
+        read from the fields: valuation v1 + v2, relative precision min(rel1, rel2)."""
+        v1 = self.precision if self.valuation is INF else self.valuation
+        v2 = other.precision if other.valuation is INF else other.valuation
+        v = v1 + v2
+        return PadicScalar._make(self.prime, v, self.unit * other.unit,
+                                 v + min(self.precision - v1, other.precision - v2))
 
     def __rmul__(self, other):
         return self.__mul__(other)

@@ -56,9 +56,10 @@ flag = st.integers(-1, 8).map(str)
 
 @pytest.fixture(scope="module")
 def json_file(tmp_path_factory):
-    path = tmp_path_factory.mktemp("fuzz") / "input.json"
+    folder = tmp_path_factory.mktemp("fuzz")
 
-    def write(obj) -> str:
+    def write(obj, name="input.json") -> str:
+        path = folder / name
         path.write_text(json.dumps(obj))
         return str(path)
     return write
@@ -86,6 +87,26 @@ def test_measure_file(json_file, command, mu, r, a, nu, prec):
 def test_measure_pair(json_file, pairs, rmax):
     assert exit_code(["measure", "pair", "--file", json_file(pairs),
                       "--rmax", rmax]) in EXIT_CODES
+
+
+def decodable_measure(p):
+    """Measures of prime p, exact or p-adic coefficients, that the decoder
+    mostly takes, so the command's own checks and arithmetic run."""
+    scalar = st.one_of(small.map(str), st.fixed_dictionaries({
+        "p": st.just(p), "val": st.integers(0, 2), "unit": st.integers(1, 50).map(str),
+        "prec": st.integers(1, 6)}))
+    return st.fixed_dictionaries({"p": st.just(p), "finite": st.booleans(),
+                                  "mahler": st.lists(scalar, min_size=1, max_size=6)})
+
+
+@FUZZ
+@given(pair=st.one_of(st.tuples(measure, measure), st.sampled_from([2, 3, 5, 7]).flatmap(
+           lambda p: st.tuples(decodable_measure(p), decodable_measure(p)))),
+       rmax=st.integers(-1, 4).map(str))
+def test_measure_push(json_file, pair, rmax):
+    mu1, mu2 = pair
+    assert exit_code(["measure", "push", "--file1", json_file(mu1, "first.json"),
+                      "--file2", json_file(mu2, "second.json"), "--rmax", rmax]) in EXIT_CODES
 
 
 @FUZZ

@@ -19,7 +19,8 @@ from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
 from mahler.arith import cyclotomic_coeffs, isprime
 from mahler.padic import PadicScalar
 from mahler.serialize import encode_algebraic
-from mahler.measure import cell_mass, moments, pairing_measure, restrict_to_units
+from mahler.measure import (cell_mass, moments, mult_pushforward, pairing_measure,
+                            restrict_to_units)
 from paper_oracles import is_trivial, sqrt_d, weight_value_on_principal
 
 ALL_DISCS_200 = [D for D in range(-3, -201, -1) if D % 4 in (0, 1)]
@@ -840,17 +841,24 @@ class TestAvatarPathScalarOperations:
     a refused restriction and a cell mass call a PadicScalar operator only to
     divide each of the pairing measure's 9 Mahler coefficients by n! (`*` by
     1/n!, which calls `scale`): 18 calls, where arithmetic per coefficient
-    makes thousands, so a fallback to it fails here."""
+    makes thousands, so a fallback to it fails here.  A pushforward, the
+    pairing measure of one pair, makes the same 18."""
 
     OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__neg__", "__truediv__", "__pow__", "scale", "inverse")
     BOUND = 18
 
-    def test_operator_calls(self, monkeypatch):
+    @staticmethod
+    def families():
         G = class_group(-407)
         chars = characters(G)
         p = smallest_admissible_prime(G)
         emb = admissible_embedding(G, p, 12)
+        return G, p, (avatar_measure_family(chars[3], chars[5], emb, 48),
+                      avatar_measure_family(chars[3].inverse(), chars[7], emb, 48))
+
+    def count_operators(self, monkeypatch):
+        """The list each PadicScalar operator call appends its name to."""
         calls = []
 
         def counting(name):
@@ -862,8 +870,11 @@ class TestAvatarPathScalarOperations:
             return wrapper
         for name in self.OPERATORS:
             monkeypatch.setattr(PadicScalar, name, counting(name))
-        fam1 = avatar_measure_family(chars[3], chars[5], emb, 48)
-        fam2 = avatar_measure_family(chars[3].inverse(), chars[7], emb, 48)
+        return calls
+
+    def test_operator_calls(self, monkeypatch):
+        calls = self.count_operators(monkeypatch)
+        G, p, (fam1, fam2) = self.families()
         paired = pairing_measure(list(zip(fam1, fam2)), 8)
         restricted = restrict_to_units(fam1[0], 1)
         with pytest.raises(PrecisionExhausted):
@@ -874,6 +885,16 @@ class TestAvatarPathScalarOperations:
         # the results are the avatars' measures, not empty work
         assert (G.h, p, paired.order, restricted.order) == (16, 17, 9, 16)
         assert mass.precision == 2 and all(mu.order == 48 for mu in fam1 + fam2)
+
+    def test_pushforward_operator_calls(self, monkeypatch):
+        # the 9 moment products stay on integers: no `*` per moment pair
+        _, _, (fam1, fam2) = self.families()
+        calls = self.count_operators(monkeypatch)
+        pushed = mult_pushforward(fam1[0], fam2[0], 8)
+        monkeypatch.undo()
+        assert len(calls) <= self.BOUND, sorted(set(calls))
+        assert pushed.order == 9 and not pushed.finite
+        assert all(isinstance(a, PadicScalar) for a in pushed.mahler)
 
 
 class TestAdmissiblePrimes:

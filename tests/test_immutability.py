@@ -2,11 +2,13 @@
 deleted, and no container a value holds can be changed in place.  Every value
 and record class follows the one protocol of `Frozen`: equal when its fields
 are, unhashable unless it is a record, printed as its fields unless its class
-prints a shorter form, and copied by rebuilding it from its fields."""
+prints a shorter form, and copied, deep-copied and pickled by rebuilding it
+from its fields, a read-only map as a read-only map."""
 
 import copy
 import pickle
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
@@ -133,14 +135,17 @@ def test_equality_with_another_type_is_not_implemented(name):
 @pytest.mark.parametrize("name", list(ALL))
 def test_copies_are_rebuilt_from_the_fields(name):
     value = ALL[name]()
-    copies = [copy.copy(value)]
-    if name in RECORDS:  # every field of a record pickles
-        copies += [copy.deepcopy(value), pickle.loads(pickle.dumps(value))]
-    for other in copies:
+    for other in [copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))]:
         assert type(other) is type(value) and other == value
         assert repr(other) == repr(value)
         with pytest.raises(AttributeError):
             setattr(other, type(value).__slots__[0], 0)
+        for field in type(value).__slots__:  # a rebuilt map is read-only again
+            if isinstance(getattr(value, field), MappingProxyType):
+                rebuilt = getattr(other, field)
+                assert type(rebuilt) is MappingProxyType and rebuilt == getattr(value, field)
+                with pytest.raises(TypeError):
+                    rebuilt[next(iter(rebuilt))] = 0
 
 
 # recorded while the records were frozen dataclasses and QuadOrder and

@@ -7,8 +7,8 @@ import math
 import operator
 
 from mahler.errors import InvalidInput, PrecisionExhausted
-from mahler.measure import (Measure, _dot, cell_mass, cell_tail_valuation, dirac,
-                            from_plus_basis, integrate_step, mahler_from_moments,
+from mahler.measure import (Measure, _dot, _residues, cell_mass, cell_tail_valuation,
+                            dirac, from_plus_basis, integrate_step, mahler_from_moments,
                             moments, mult_pushforward, pairing_measure, plus_basis,
                             restrict_to_units)
 from mahler.padic import (INF, PadicScalar, exact, stirling_first_signed,
@@ -247,6 +247,78 @@ class TestCellMass:
     def test_range_check(self):
         with pytest.raises(InvalidInput):
             cell_mass(dirac(1, 3, 4), 9, 1)
+
+
+class TestTruncationTailOracle:
+    """The tail bounds against exact answers: a Dirac mass at z in Z_p,
+    truncated to its first K Mahler coefficients C(z, n), each given as a
+    PadicScalar known mod p^60.  Up to the largest target the order supports,
+    every coefficient of the restriction is C(z, n)·[z a unit] mod p^target
+    and every level-nu cell mass is [z ≡ a mod p^nu] mod p^target, each
+    stating precision target; the next target is refused."""
+
+    PRECISION = 60
+    ORDERS = (4, 8, 13, 24, 40)
+
+    @staticmethod
+    def points(p):
+        """Units, then non-units."""
+        return [Fraction(-1), Fraction(1, p + 1), Fraction(-p), Fraction(p, p + 1),
+                Fraction(p * p, 1 - p)]
+
+    @staticmethod
+    def binomial(z, n):
+        out = Fraction(1)
+        for i in range(n):
+            out = out * (z - i) / (i + 1)
+        return out
+
+    @staticmethod
+    def congruent(x, q, p, target):
+        """x is a PadicScalar known mod exactly p^target and congruent to the
+        p-integral rational q mod p^target."""
+        q = Fraction(q)
+        if x.precision != target:
+            return False
+        return (x.lift() - q.numerator * pow(q.denominator, -1, p ** target)) \
+            % p ** target == 0
+
+    def truncated_dirac(self, z, p, order):
+        return Measure(p, [PadicScalar.from_rational(self.binomial(z, n), p, self.PRECISION)
+                           for n in range(order)], finite=False)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_restriction_and_cell_masses(self, p):
+        compared = 0
+        for z in self.points(p):
+            unit = z.numerator % p != 0
+            for order in self.ORDERS:
+                mu = self.truncated_dirac(z, p, order)
+                # output n is kept while (order - n)/(p - 1) - 1 > target, so
+                # the largest target keeps n = 0 alone
+                bound = (order - 1) // (p - 1) - 1
+                for target in range(1, bound + 1):
+                    restricted = restrict_to_units(mu, target).mahler
+                    assert len(restricted) == order - (target + 1) * (p - 1)
+                    for n, a in enumerate(restricted):
+                        want = self.binomial(z, n) if unit else 0
+                        assert self.congruent(a, want, p, target), (z, order, target, n)
+                    compared += len(restricted)
+                with pytest.raises(PrecisionExhausted):
+                    restrict_to_units(mu, max(bound, 0) + 1)
+                for nu in (1, 2):
+                    q = p ** nu
+                    bound = math.ceil(Fraction(order, q // p * (p - 1)) - nu)
+                    for target in range(1, bound + 1):
+                        for a in range(q):
+                            d = z - a  # z ≡ a mod p^nu: p^nu divides z - a in Z_p
+                            want = int(d.numerator * pow(d.denominator, -1, q) % q == 0)
+                            assert self.congruent(cell_mass(mu, a, nu, target), want, p,
+                                                  target), (z, order, nu, target, a)
+                        compared += q
+                    with pytest.raises(PrecisionExhausted):
+                        cell_mass(mu, 0, nu, max(bound, 0) + 1)
+        assert compared > 900  # 12 650 comparisons over the four primes
 
 
 class TestIntegrateStep:
@@ -614,7 +686,7 @@ class TestKernelsAgainstTermwiseSums:
         ]
         for xs in rows:
             for row in ([1, 1], [0, 3], [5, 10], [25, 0]):
-                assert self.outcome(_dot, row, xs, True) == \
+                assert self.outcome(_dot, row, xs, _residues(xs)) == \
                     self.outcome(lambda r, x: sum(map(operator.mul, r, x)), row, xs)
 
 
