@@ -28,9 +28,9 @@ output through `PadicScalar._make`, with the precision `+` and `*` would give:
   the cap is the least precision and costs no scalar;
 * `cell_mass` and the other restrictions cap a PadicScalar x by integer
   reduction, x mod p^min(prec(x), N), as x + O(p^N) would;
-* `pairing_measure`: the moment products m_r(µ1_s) m_r(µ2_s) (precision
-  min(N1 + v2, N2 + v1)), their sum over the classes and the 1/h, one
-  scalar per moment.
+* `pairing_measure` and its one-pair case `mult_pushforward`: the moment
+  products m_r(µ1_s) m_r(µ2_s) (precision min(N1 + v2, N2 + v1)), their sum
+  over the classes and the 1/h, one scalar per moment.
 Exact and mixed coefficients take the `+`/`*` path with its results and
 refusals.
 """
