@@ -68,8 +68,8 @@ class PiPolynomial(Frozen):
     def is_zero(self) -> bool:
         return not self.terms
 
-    def evaluate(self, pi_value: float = math.pi) -> float:
-        return float(sum(float(c) * pi_value ** k for k, c in self.terms.items()))
+    def evaluate(self) -> float:
+        return float(sum(float(c) * math.pi ** k for k, c in self.terms.items()))
 
     def __repr__(self):
         if not self.terms:

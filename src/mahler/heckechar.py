@@ -126,10 +126,15 @@ def compose_forms(f1, f2, D: int):
 
 class IdealClassGroup(Frozen):
     """The form class group of a negative discriminant: reduced primitive
-    forms under composition, with the full multiplication table."""
+    forms under composition, with the full multiplication table, built along
+    one subgroup chain.  For H the subgroup so far and g the least class
+    outside it, g's row is composed (h `compose_forms` calls) and each coset
+    g^j H takes its rows from it, as (x g) y = x (g y), until g^k lies in H.
+    `chain` holds each (g, k, g^k); `walk` the classes in the order found,
+    mixed radix with the last generator varying slowest."""
 
     __slots__ = ("discriminant", "order_data", "forms", "table",
-                 "identity_index", "inverse")
+                 "identity_index", "inverse", "chain", "walk")
 
     def __init__(self, D: int):
         if not is_discriminant(D):
@@ -137,16 +142,25 @@ class IdealClassGroup(Frozen):
         forms = _enumerate_reduced_forms(D)
         index = {f: i for i, f in enumerate(forms)}
         h = len(forms)
-        table = [[0] * h for _ in range(h)]
-        for i in range(h):
-            for j in range(i, h):
-                prod = compose_forms(forms[i], forms[j], D)
-                if prod not in index:
-                    raise AssertionError("composition left the reduced set")
-                table[i][j] = table[j][i] = index[prod]
+        e = index[principal_form(D)]
+        rows, walk, chain = {e: tuple(range(h))}, [e], []
+        while len(walk) < h:
+            g = next(i for i in range(h) if i not in rows)
+            g_row = [index.get(compose_forms(forms[g], f, D)) for f in forms]
+            if None in g_row:
+                raise AssertionError("composition left the reduced set")
+            subgroup, prev, k = set(walk), walk, 1
+            coset = [g_row[x] for x in walk]
+            while coset[0] not in subgroup:  # coset is g^k H, led by g^k
+                for x, y in zip(coset, prev):  # x = g y, so x z = y (g z)
+                    rows[x] = tuple(map(rows[y].__getitem__, g_row))
+                walk, prev, k = walk + coset, coset, k + 1
+                coset = [g_row[x] for x in coset]
+            chain.append((g, k, coset[0]))
         self._set(D, QuadOrder.from_discriminant(D), tuple(forms),
-                  tuple(map(tuple, table)), index[principal_form(D)],
-                  tuple(index[reduce_form((a, -b, c), D)] for a, b, c in forms))
+                  tuple(rows[i] for i in range(h)), e,
+                  tuple(index[reduce_form((a, -b, c), D)] for a, b, c in forms),
+                  tuple(chain), tuple(walk))
 
     @property
     def h(self) -> int:
@@ -164,10 +178,8 @@ class IdealClassGroup(Frozen):
 
     @property
     def exponent(self) -> int:
-        m = 1
-        for i in range(self.h):
-            m = math.lcm(m, self.element_order(i))
-        return m
+        """The lcm of the orders of the chain's generators, which generate G."""
+        return math.lcm(*(self.element_order(g) for g, _, _ in self.chain))
 
     def __repr__(self):
         return f"IdealClassGroup(D={self.discriminant}, h={self.h})"
@@ -465,35 +477,26 @@ class WeightFunction(Frozen):
 
 
 def characters(G: IdealClassGroup):
-    """All h homomorphisms G -> mu_m (m the exponent), built by extending
-    along a subgroup chain; values are exact roots of unity."""
+    """All h homomorphisms G -> mu_m (m the exponent), extended along
+    `G.chain` as lists of exponents in `G.walk` order; values are exact roots
+    of unity, one shared object per exponent."""
     m = G.exponent
     d = G.order_data.d_K
-    chars = [{G.identity_index: 0}]
-    subgroup = [G.identity_index]
-    while len(subgroup) < G.h:
-        member = set(subgroup)
-        g = next(i for i in range(G.h) if i not in member)
-        # the cells (hh·g^j, hh, j) of the larger subgroup, j below the order
-        # k of g modulo the subgroup; `power` ends at g^k, in the subgroup
-        cells, power, k = [], G.identity_index, 0
-        while k == 0 or power not in member:
-            cells += [(G.mul(hh, power), hh, k) for hh in subgroup]
-            power = G.mul(power, g)
-            k += 1
+    position = {x: i for i, x in enumerate(G.walk)}
+    chars = [[0]]
+    for _, k, power in G.chain:
         new_chars = []
         for chi in chars:
             # chi(g^k) has exponent c with k | c; extensions chi(g) = x solve
             # k x ≡ c (mod m), i.e. x = c/k + t m/k  (k divides m here)
-            c = chi[power]
+            c = chi[position[power]]
             if c % k or m % k:
                 raise AssertionError("character extension arithmetic broke")
             for t in range(k):
                 x = c // k + t * (m // k)
-                new_chars.append({cell: (chi[hh] + j * x) % m for cell, hh, j in cells})
+                new_chars.append([(u + j * x) % m for j in range(k) for u in chi])
         chars = new_chars
-        subgroup = [cell for cell, _, _ in cells]
-    tables = sorted(tuple(chi[i] for i in range(G.h)) for chi in chars)
+    tables = sorted(tuple(chi[position[i]] for i in range(G.h)) for chi in chars)
     roots = [AlgebraicValue.root_of_unity(e, d, m) for e in range(m)]
     return [WeightFunction(G, (0, 0), [roots[e] for e in tab]) for tab in tables]
 
@@ -684,16 +687,14 @@ def admissible_embedding(G: IdealClassGroup, prime: int, precision: int,
     return PadicEmbedding(prime, precision, G.order_data.d_K, G.exponent, **kwargs)
 
 
-def smallest_admissible_prime(G: IdealClassGroup, split: bool = False) -> int:
-    """The least odd prime p ≡ 1 mod exponent(G), prime to h and D (and split
-    in the field when avatars of weight characters are needed)."""
+def smallest_admissible_prime(G: IdealClassGroup) -> int:
+    """The least odd prime p ≡ 1 mod exponent(G), prime to h and D."""
     m = G.exponent
     D = G.discriminant
     p = 3
     while True:
         if isprime(p) and (p - 1) % m == 0 and G.h % p and D % p:
-            if not split or pow(G.order_data.d_K % p, (p - 1) // 2, p) == 1:
-                return p
+            return p
         p += 2
 
 

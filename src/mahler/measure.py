@@ -274,13 +274,6 @@ def from_plus_basis(c, prime: int, finite: bool) -> Measure:
     return Measure(prime, mahler, finite=finite)
 
 
-def restriction_tail_valuation(order: int, n: int, p: int) -> int:
-    """Lower bound for v_p of the truncation error in the n-th restricted
-    coefficient: every dropped band k >= order contributes at least
-    (k-n)/(p-1) - 1, coming from the µ_p averaging."""
-    return math.ceil(Fraction(order - n, p - 1) - 1)
-
-
 def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
     """Restriction of µ to Z_p^×: drop every (1+T)^m component with p | m.
 
@@ -295,9 +288,8 @@ def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
     if not mu.finite and precision is not None and precision >= 1:
         n_out = mu.order - (precision + 1) * (p - 1)
         if n_out < 1:
-            best = restriction_tail_valuation(mu.order, 0, p)
-            raise PrecisionExhausted(
-                f"order {mu.order} supports restriction precision at most {best}")
+            raise PrecisionExhausted(f"order {mu.order} supports restriction "
+                                     f"precision at most {(mu.order - 1) // (p - 1) - 1}")
         res = _residues(mu.mahler)
         if res is not None:
             return Measure(p, _restricted_residues(res[1], p, n_out, precision), finite=False)

@@ -2,7 +2,8 @@
 library because no command calls them: the second-order raising recurrence
 on the two-variable Gaussian basis with its finite-difference cross-check,
 the exact l = r closed form of the archimedean local factor, the weight
-factor of a principal ideal, the quaternionic trace pairing, and small
+factor of a principal ideal, the class-group table composed pair by pair,
+the quaternionic trace pairing, and small
 helpers: the valuation of a rational, sqrt(d) as an algebraic value, a
 q-expansion as a nearly-holomorphic form, and the trivial-character test."""
 
@@ -12,7 +13,8 @@ from fractions import Fraction
 
 from mahler.archimedean import PiPolynomial
 from mahler.errors import InvalidInput
-from mahler.heckechar import AlgebraicValue, WeightFunction
+from mahler.heckechar import (AlgebraicValue, WeightFunction, _enumerate_reduced_forms,
+                              compose_forms)
 from mahler.modform import NearlyHolomorphic, QExpansion
 from mahler.padic import int_valuation
 from mahler.quaternion import Mat, mat, mat_add, mat_mul, mat_scale, mat_trace
@@ -150,8 +152,21 @@ def closed_form_pi_polynomial(kappa: int, r: int) -> PiPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# heckechar: the weight factor on principal ideals
+# heckechar: the composition table and the weight factor on principal ideals
 # ---------------------------------------------------------------------------
+
+def composition_table(D: int) -> tuple:
+    """The multiplication table of the reduced forms of discriminant D, one
+    `compose_forms` call per unordered pair, h(h+1)/2 in all."""
+    forms = _enumerate_reduced_forms(D)
+    index = {f: i for i, f in enumerate(forms)}
+    h = len(forms)
+    table = [[0] * h for _ in range(h)]
+    for i in range(h):
+        for j in range(i, h):
+            table[i][j] = table[j][i] = index[compose_forms(forms[i], forms[j], D)]
+    return tuple(map(tuple, table))
+
 
 def weight_value_on_principal(lam: AlgebraicValue, w) -> AlgebraicValue:
     """λ^{w1} conj(λ)^{ws} — the transformation factor on a principal ideal

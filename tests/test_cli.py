@@ -603,6 +603,29 @@ GOLDEN_AVATAR = (
     '{"p":11,"prec":4,"unit":"1963","val":0}]},"p":11,"prec":4}'
     '\n')
 
+# h = 16, one generator of order 16
+GOLDEN_CLASS_GROUP_407 = (
+    '{"D":-407,"forms":[[1,1,102],[2,-1,51],[2,1,51],[3,-1,34],[3,1,34],'
+    '[4,-3,26],[4,3,26],[6,-5,18],[6,-1,17],[6,1,17],[6,5,18],[8,-3,13],'
+    '[8,3,13],[9,-5,12],[9,5,12],[11,11,12]],"h":16,"identity":0,"table":['
+    '[0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15],'
+    '[1,6,0,8,7,2,12,14,15,4,3,5,13,10,11,9],'
+    '[2,0,5,10,9,11,1,4,3,15,13,14,6,12,7,8],'
+    '[3,8,10,14,0,13,15,1,11,2,7,12,9,4,6,5],'
+    '[4,7,9,0,13,15,14,10,1,12,2,8,11,5,3,6],'
+    '[5,2,11,13,15,14,0,9,10,8,12,7,1,6,4,3],'
+    '[6,12,1,15,14,0,13,11,9,7,8,2,10,3,5,4],'
+    '[7,14,4,1,10,9,11,3,6,13,0,15,5,2,8,12],'
+    '[8,15,3,11,1,10,9,6,5,0,14,13,4,7,12,2],'
+    '[9,4,15,2,12,8,7,13,0,6,5,3,14,11,10,1],'
+    '[10,3,13,7,2,12,8,0,14,5,4,6,15,9,1,11],'
+    '[11,5,14,12,8,7,2,15,13,3,6,4,0,1,9,10],'
+    '[12,13,6,9,11,1,10,5,4,14,15,0,3,8,2,7],'
+    '[13,10,12,4,5,6,3,2,7,11,9,1,8,15,0,14],'
+    '[14,11,7,6,3,4,5,8,12,10,1,9,2,0,15,13],'
+    '[15,9,8,5,6,3,4,12,2,1,11,10,7,14,13,0]]}\n'
+)
+
 
 class TestHeckeCommands:
     def test_class_group(self, capsys):
@@ -610,6 +633,15 @@ class TestHeckeCommands:
         assert code == 0
         data = json.loads(out)
         assert data["h"] == 3 and [1, 1, 6] in data["forms"]
+
+    def test_class_group_3299(self, capsys):
+        # h = 27, generators of order 9 and 3 modulo the first: 2314 bytes,
+        # recorded before the table was built from one row per generator and
+        # pinned by their SHA-256
+        code, out, _ = run(capsys, ["class-group", "--disc", "-3299"])
+        assert code == 0 and len(out) == 2314
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "27ef73584e404c5d1c32bebc97b52bb1dcbaaddb6190446ad2314fd1568343e3"
 
     def test_pair_orthogonality(self, capsys):
         code, out, _ = run(capsys, ["hecke", "pair", "--disc", "-23",
@@ -648,6 +680,7 @@ class TestHeckeCommands:
     # h = 5, so the values live in Q(sqrt(-47))(zeta_5): the pairing is reduced
     # mod Phi_5 and the avatar embeds powers of zeta_5
     GOLDEN = {
+        "class-group-407": (["class-group", "--disc", "-407"], GOLDEN_CLASS_GROUP_407),
         "avatar": (["hecke", "avatar", "--disc", "-47", "--p", "11", "--prec", "4"],
                    GOLDEN_AVATAR),
         "pair": (["hecke", "pair", "--disc", "-47", "--chi", "1", "--psi", "2",

@@ -70,25 +70,6 @@ def exit_code(argv) -> int:
         return main(argv)
 
 
-@FUZZ
-@given(command=st.sampled_from(["moments", "restrict", "cell-mass"]), mu=measure,
-       r=flag, a=flag, nu=st.integers(0, 2).map(str), prec=optional_prec)
-def test_measure_file(json_file, command, mu, r, a, nu, prec):
-    argv = {"moments": ["--r", r], "restrict": prec,
-            "cell-mass": ["--a", a, "--nu", nu] + prec}[command]
-    assert exit_code(["measure", command, "--file", json_file(mu)] + argv) in EXIT_CODES
-
-
-@FUZZ
-@given(pairs=st.one_of(
-    st.fixed_dictionaries({"pairs": st.lists(st.tuples(measure, measure).map(list),
-                                             max_size=3) | junk}),
-    junk), rmax=st.integers(-1, 4).map(str))
-def test_measure_pair(json_file, pairs, rmax):
-    assert exit_code(["measure", "pair", "--file", json_file(pairs),
-                      "--rmax", rmax]) in EXIT_CODES
-
-
 def decodable_measure(p):
     """Measures of prime p, exact or p-adic coefficients, that the decoder
     mostly takes, so the command's own checks and arithmetic run."""
@@ -99,10 +80,32 @@ def decodable_measure(p):
                                   "mahler": st.lists(scalar, min_size=1, max_size=6)})
 
 
+small_prime = st.sampled_from([2, 3, 5, 7])
+measure_pair = st.one_of(st.tuples(measure, measure), small_prime.flatmap(
+    lambda p: st.tuples(decodable_measure(p), decodable_measure(p))))
+
+
 @FUZZ
-@given(pair=st.one_of(st.tuples(measure, measure), st.sampled_from([2, 3, 5, 7]).flatmap(
-           lambda p: st.tuples(decodable_measure(p), decodable_measure(p)))),
-       rmax=st.integers(-1, 4).map(str))
+@given(command=st.sampled_from(["moments", "restrict", "cell-mass"]),
+       mu=st.one_of(measure, small_prime.flatmap(decodable_measure)),
+       r=flag, a=flag, nu=st.integers(0, 2).map(str), prec=optional_prec)
+def test_measure_file(json_file, command, mu, r, a, nu, prec):
+    argv = {"moments": ["--r", r], "restrict": prec,
+            "cell-mass": ["--a", a, "--nu", nu] + prec}[command]
+    assert exit_code(["measure", command, "--file", json_file(mu)] + argv) in EXIT_CODES
+
+
+@FUZZ
+@given(pairs=st.one_of(
+    st.fixed_dictionaries({"pairs": st.lists(measure_pair.map(list), max_size=3) | junk}),
+    junk), rmax=st.integers(-1, 4).map(str))
+def test_measure_pair(json_file, pairs, rmax):
+    assert exit_code(["measure", "pair", "--file", json_file(pairs),
+                      "--rmax", rmax]) in EXIT_CODES
+
+
+@FUZZ
+@given(pair=measure_pair, rmax=st.integers(-1, 4).map(str))
 def test_measure_push(json_file, pair, rmax):
     mu1, mu2 = pair
     assert exit_code(["measure", "push", "--file1", json_file(mu1, "first.json"),

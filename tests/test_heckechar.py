@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from mahler import heckechar
 from mahler.errors import InvalidInput, PrecisionExhausted
 from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
                               WeightFunction,
@@ -21,7 +22,7 @@ from mahler.padic import PadicScalar
 from mahler.serialize import encode_algebraic
 from mahler.measure import (cell_mass, moments, mult_pushforward, pairing_measure,
                             restrict_to_units)
-from paper_oracles import is_trivial, sqrt_d, weight_value_on_principal
+from paper_oracles import composition_table, is_trivial, sqrt_d, weight_value_on_principal
 
 ALL_DISCS_200 = [D for D in range(-3, -201, -1) if D % 4 in (0, 1)]
 
@@ -94,6 +95,27 @@ class TestClassGroups:
         G = class_group(-39999)
         assert G.h == 96
         verify_group_axioms(G)
+
+    @pytest.mark.parametrize("discs", [
+        [D for D in range(-3, -501, -1) if D % 4 in (0, 1)], [-1999999]])
+    def test_table_against_pairwise_composition(self, discs):
+        # the table built from one composed row per generator is the table
+        # of h(h+1)/2 compositions, for every |D| <= 500 and at h = 800
+        for D in discs:
+            assert class_group(D).table == composition_table(D)
+
+    def test_one_composed_row_per_generator(self, monkeypatch):
+        # h = 96 = 48 * 2: two rows of 96 compositions, where a composition
+        # per unordered pair makes 4656
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return compose_forms(*args)
+        monkeypatch.setattr(heckechar, "compose_forms", counting)
+        G = class_group(-39999)
+        assert [k for _, k, _ in G.chain] == [48, 2]
+        assert len(calls) == G.h * len(G.chain) == 192
 
     def test_commutative(self):
         for D in (-23, -47, -84, -120):

@@ -5,6 +5,7 @@ import pytest
 
 import math
 import operator
+import re
 
 from mahler.errors import InvalidInput, PrecisionExhausted
 from mahler.measure import (Measure, _dot, _residues, cell_mass, cell_tail_valuation,
@@ -319,6 +320,21 @@ class TestTruncationTailOracle:
                     with pytest.raises(PrecisionExhausted):
                         cell_mass(mu, 0, nu, max(bound, 0) + 1)
         assert compared > 900  # 12 650 comparisons over the four primes
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_restriction_refusal_names_the_largest_target(self, p):
+        # the refusal names floor((order - 1)/(p - 1)) - 1: accepted when it
+        # is a target at all, and one more is refused
+        for order in range(2, 41):
+            mu = self.truncated_dirac(Fraction(-1), p, order)
+            with pytest.raises(PrecisionExhausted) as refused:
+                restrict_to_units(mu, order)
+            best = int(re.search(r"at most (-?\d+)$", str(refused.value)).group(1))
+            assert best == (order - 1) // (p - 1) - 1
+            if best >= 1:
+                assert restrict_to_units(mu, best).order >= 1
+            with pytest.raises(PrecisionExhausted if best + 1 >= 1 else InvalidInput):
+                restrict_to_units(mu, best + 1)
 
 
 class TestIntegrateStep:
