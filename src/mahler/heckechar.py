@@ -189,9 +189,7 @@ def _enumerate_reduced_forms(D: int):
     forms = []
     a_max = math.isqrt(-D // 3)
     for a in range(1, a_max + 1):
-        for b in range(-a, a + 1):
-            if (b - D) % 2:
-                continue
+        for b in range(-a + (a + D) % 2, a + 1, 2):  # b ≡ D mod 2
             num = b * b - D
             if num % (4 * a):
                 continue
