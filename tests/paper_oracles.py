@@ -3,9 +3,9 @@ library because no command calls them: the second-order raising recurrence
 on the two-variable Gaussian basis with its finite-difference cross-check,
 the exact l = r closed form of the archimedean local factor, the weight
 factor of a principal ideal, the class-group table composed pair by pair,
-the quaternionic trace pairing, and small
-helpers: the valuation of a rational, sqrt(d) as an algebraic value, a
-q-expansion as a nearly-holomorphic form, and the trivial-character test."""
+the quaternionic trace pairing, and small helpers: the valuation of a
+rational, sqrt(d) as an algebraic value, a q-expansion as a
+nearly-holomorphic form, and the trivial-character test."""
 
 import cmath
 import math
