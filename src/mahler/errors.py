@@ -1,5 +1,5 @@
 """Exception types shared across the package, one per CLI exit class, and
-the immutable bases of the value and record classes."""
+the immutable bases of the value and record classes and their field builder."""
 
 from types import MappingProxyType
 
@@ -22,11 +22,12 @@ class ToleranceNotMet(RuntimeError):
 
 class Frozen:
     """Base of every value class, and its protocol over the `__slots__`
-    fields: they refuse assignment and deletion, so constructors, copy and
-    pickle set them through `object.__setattr__`, mostly by `_set`; two
-    values of one class are equal when their fields are; values are
-    unhashable; a value prints as `Name(field=<repr>, ...)`.  A class may
-    override `__eq__` or `__repr__`."""
+    fields: they refuse assignment and deletion, so a public constructor
+    checks and sets them through `object.__setattr__`, mostly by `_set`, and
+    copies, unpickled and derived values come from `_from_fields`; two values
+    of one class are equal when their fields are; values are unhashable; a
+    value prints as `Name(field=<repr>, ...)`.  A class may override
+    `__eq__` or `__repr__`."""
 
     __slots__ = ()
 
@@ -36,19 +37,26 @@ class Frozen:
     __delattr__ = __setattr__
 
     def _set(self, *fields):
-        """Set every field, in `__slots__` order.  The constructors in the
-        inner loops of the avatar path (`PadicScalar._make`,
-        `AlgebraicValue._from_terms`, `Measure`) call `object.__setattr__`
-        per field instead, which costs half as much."""
+        """Set every field, in `__slots__` order.  `PadicScalar._make` and
+        `AlgebraicValue._from_terms`, in the inner loops of the avatar path,
+        call `object.__setattr__` per field instead: half the cost."""
         for name, field in zip(self.__slots__, fields, strict=True):
             object.__setattr__(self, name, field)
+
+    @classmethod
+    def _from_fields(cls, *fields):
+        """The value with these fields, unchecked, a dict as a read-only map:
+        a copy, an unpickled value, or one derived from checked values."""
+        value = object.__new__(cls)
+        value._set(*(MappingProxyType(f) if type(f) is dict else f for f in fields))
+        return value
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)
 
     def __reduce__(self):  # a read-only map travels as a dict, which pickles
-        return _rebuild, (type(self), tuple(
-            dict(f) if type(f) is MappingProxyType else f for f in self._fields()))
+        return type(self)._from_fields, tuple(
+            dict(f) if type(f) is MappingProxyType else f for f in self._fields())
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -60,13 +68,6 @@ class Frozen:
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
-
-
-def _rebuild(cls, fields):
-    """The value of class `cls` with these fields, a dict as a read-only map."""
-    value = object.__new__(cls)
-    value._set(*(MappingProxyType(f) if type(f) is dict else f for f in fields))
-    return value
 
 
 class Record(Frozen):

@@ -460,12 +460,12 @@ class WeightFunction(Frozen):
         if other.group.discriminant != self.group.discriminant:
             raise InvalidInput("group mismatch")
         w = (self.weight[0] + other.weight[0], self.weight[1] + other.weight[1])
-        return WeightFunction(self.group, w,
-                              [a * b for a, b in zip(self.values, other.values)])
+        values = tuple(a * b for a, b in zip(self.values, other.values))
+        return WeightFunction._from_fields(self.group, w, values)
 
     def __pow__(self, n: int) -> "WeightFunction":
-        w = (n * self.weight[0], n * self.weight[1])
-        return WeightFunction(self.group, w, [v ** n for v in self.values])
+        w = (int(n * self.weight[0]), int(n * self.weight[1]))
+        return WeightFunction._from_fields(self.group, w, tuple(v ** n for v in self.values))
 
     def inverse(self) -> "WeightFunction":
         return self ** (-1)
@@ -496,7 +496,7 @@ def characters(G: IdealClassGroup):
         chars = new_chars
     tables = sorted(tuple(chi[position[i]] for i in range(G.h)) for chi in chars)
     roots = [AlgebraicValue.root_of_unity(e, d, m) for e in range(m)]
-    return [WeightFunction(G, (0, 0), [roots[e] for e in tab]) for tab in tables]
+    return [WeightFunction._from_fields(G, (0, 0), tuple(roots[e] for e in t)) for t in tables]
 
 
 def _class_sum(phi1: WeightFunction, phi2: WeightFunction, *twist: WeightFunction):

@@ -159,9 +159,7 @@ class Measure(Frozen):
             if not _integral(a, prime):
                 raise InvalidInput("Mahler coefficient with negative valuation: "
                                    "this is a distribution, not a measure")
-        object.__setattr__(self, "prime", prime)
-        object.__setattr__(self, "mahler", mahler)
-        object.__setattr__(self, "finite", finite)
+        self._set(prime, mahler, finite)
 
     @property
     def order(self) -> int:
@@ -186,13 +184,18 @@ class Measure(Frozen):
         """Multiply by a p-integral scalar (boundedness is preserved).  A
         PadicScalar of the measure's prime, not the exact zero, multiplies each
         coefficient known to finite precision by `PadicScalar._times`, as `*`
-        does without its dispatch; every other product is taken with `*`."""
+        does without its dispatch; every other product is taken with `*`.  The
+        products are checked as `Measure` checks unless the scalar is a
+        p-integral int, Fraction or PadicScalar of the measure's prime."""
         p = self.prime
+        known = (scalar.prime == p if type(scalar) is PadicScalar
+                 else type(scalar) in (int, Fraction))
+        build = Measure._from_fields if known and _integral(scalar, p) else Measure
         if type(scalar) is not PadicScalar or scalar.prime != p or scalar.precision is INF:
-            return Measure(p, [exact(scalar * a) for a in self.mahler], finite=self.finite)
-        return Measure(p, [scalar._times(a) if type(a) is PadicScalar
-                           and a.precision is not INF else scalar * a
-                           for a in self.mahler], finite=self.finite)
+            return build(p, tuple(exact(scalar * a) for a in self.mahler), self.finite)
+        return build(p, tuple(scalar._times(a) if type(a) is PadicScalar
+                              and a.precision is not INF else scalar * a
+                              for a in self.mahler), self.finite)
 
     def __repr__(self):
         flag = "finite" if self.finite else f"order {self.order}"
@@ -204,14 +207,15 @@ def dirac(z, prime: int, order: int) -> Measure:
     if isinstance(z, PadicScalar):
         if z.prime != prime:
             raise InvalidInput("prime mismatch")
-        series = binomial_series(z, order)
-        return Measure(prime, series.coeffs, finite=False)
-    z = Fraction(z)
-    if not is_p_integral(z, prime):
-        raise InvalidInput("z must lie in Z_p")
-    series = binomial_series(z, order)
-    finite = z.denominator == 1 and 0 <= z < order
-    return Measure(prime, series.coeffs, finite=finite)
+        series, finite = binomial_series(z, order), False
+    else:
+        z = Fraction(z)
+        if not is_p_integral(z, prime):
+            raise InvalidInput("z must lie in Z_p")
+        series, finite = binomial_series(z, order), z.denominator == 1 and 0 <= z < order
+    if not checked_prime(prime):
+        raise InvalidInput(f"{prime} is not prime")
+    return Measure._from_fields(prime, series.coeffs, finite)
 
 
 def _moment_weights(mu: Measure, r: int) -> list:
@@ -242,10 +246,10 @@ def mahler_from_moments(b, prime: int) -> Measure:
     if not b:
         raise InvalidInput("need at least the 0-th moment")
     coeffs = []
-    res = _residues(b)
+    res, factorials = _residues(b), _factorials(len(b))
     for n in range(len(b)):
         total = _dot(_falling_factorial_coeffs(n), b, res)
-        a_n = exact(total * Fraction(1, math.factorial(n)))
+        a_n = exact(total * Fraction(1, factorials[n]))
         if not _integral(a_n, prime):
             raise InvalidInput(f"non-integral Mahler coefficient at n={n}: "
                                "moments do not define a bounded measure")
@@ -292,7 +296,7 @@ def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
                                      f"precision at most {(mu.order - 1) // (p - 1) - 1}")
         res = _residues(mu.mahler)
         if res is not None:
-            return Measure(p, _restricted_residues(res[1], p, n_out, precision), finite=False)
+            return Measure._from_fields(p, _restricted(res[1], p, n_out, precision), False)
     c = plus_basis(mu)
     kept = [0 if m % p == 0 else c[m] for m in range(len(c))]
     if mu.finite:
@@ -302,11 +306,11 @@ def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
     if precision < 1:
         raise InvalidInput("target precision must be >= 1")
     raw = from_plus_basis(kept, p, finite=False)
-    capped = [_cap_precision(a, p, precision) for a in raw.mahler[:n_out]]
-    return Measure(p, capped, finite=False)
+    return Measure._from_fields(
+        p, tuple(_cap_precision(a, p, precision) for a in raw.mahler[:n_out]), False)
 
 
-def _restricted_residues(residues, p: int, n_out: int, precision: int) -> list:
+def _restricted(residues, p: int, n_out: int, precision: int) -> tuple:
     """The first n_out restricted coefficients of a truncated measure whose
     coefficients are the residues, known at most mod p^precision: the
     (1+T)^m coefficients c_m for p ∤ m as residues, then each output sum
@@ -318,8 +322,8 @@ def _restricted_residues(residues, p: int, n_out: int, precision: int) -> list:
         if m % p:
             total, P = _residue_dot(map(mul, signs, col), residues[m:], p)
             kept[m] = (total, P) if P is INF else (total % p ** P, P)
-    return [PadicScalar._make(p, 0, *_residue_dot(col, kept[n:], p, precision))
-            for n, col in zip(range(n_out), _binomial_columns(K))]
+    return tuple(PadicScalar._make(p, 0, *_residue_dot(col, kept[n:], p, precision))
+                 for n, col in zip(range(n_out), _binomial_columns(K)))
 
 
 def cell_tail_valuation(order: int, nu: int, p: int) -> int:
@@ -389,7 +393,7 @@ def mult_pushforward(mu1: Measure, mu2: Measure, r_max: int) -> Measure:
     """
     out = pairing_measure([(mu1, mu2)], r_max)
     finite = mu1.finite and mu2.finite and mu1.support_degree() * mu2.support_degree() <= r_max
-    return Measure(mu1.prime, out.mahler, finite=True) if finite else out
+    return Measure._from_fields(mu1.prime, out.mahler, True) if finite else out
 
 
 def pairing_measure(pairs, r_max: int) -> Measure:

@@ -108,7 +108,7 @@ def u_operator(f: QExpansion, p: int) -> QExpansion:
         raise InvalidInput(f"{p} is not prime")
     if f.trunc < p:
         raise InvalidInput("truncation too short for U_p")
-    return QExpansion(f.weight, f.level, f.eps, f.coeffs[::p])
+    return QExpansion._from_fields(f.weight, f.level, f.eps, f.coeffs[::p])
 
 
 def v_operator(f: QExpansion, p: int) -> QExpansion:
@@ -119,7 +119,7 @@ def v_operator(f: QExpansion, p: int) -> QExpansion:
     out = [0] * (p * f.trunc + 1)
     for n, c in enumerate(f.coeffs):
         out[n * p] = c
-    return QExpansion(f.weight, f.level, f.eps, out)
+    return QExpansion._from_fields(f.weight, f.level, f.eps, tuple(out))
 
 
 def hecke_operator(f: QExpansion, p: int) -> QExpansion:
@@ -140,8 +140,8 @@ def p_deplete(f: QExpansion, p: int) -> QExpansion:
     """(1 - VU): zero every coefficient with p | n."""
     if not checked_prime(p):
         raise InvalidInput(f"{p} is not prime")
-    return QExpansion(f.weight, f.level, f.eps,
-                      [0 if n % p == 0 else c for n, c in enumerate(f.coeffs)])
+    coeffs = tuple(0 if n % p == 0 else c for n, c in enumerate(f.coeffs))
+    return QExpansion._from_fields(f.weight, f.level, f.eps, coeffs)
 
 
 def theta_operator(f: QExpansion, iterations: int = 1) -> QExpansion:
@@ -268,7 +268,7 @@ def delta_qexpansion(trunc: int) -> QExpansion:
         k += 1
     for _ in range(3):
         power = _kronecker_square(power, m)
-    return QExpansion(12, 1, DirichletCharacter.trivial(), [0] + power)
+    return QExpansion._from_fields(12, 1, DirichletCharacter.trivial(), (0, *power))
 
 
 def eisenstein_qexpansion(k: int, trunc: int) -> QExpansion:

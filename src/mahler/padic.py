@@ -449,8 +449,8 @@ def binomial_series(z, order: int) -> TruncatedSeries:
             raise InvalidInput("z must lie in Z_p")
         p, P = z.prime, z.precision
         if P is INF:
-            return TruncatedSeries([PadicScalar.from_int(1, p, 1)]
-                                   + [PadicScalar.zero(p)] * (order - 1), p)
+            return TruncatedSeries._from_fields(
+                (PadicScalar.from_int(1, p, 1),) + (PadicScalar.zero(p),) * (order - 1), p)
         Z = z.lift()
         c, w_sum, w_max, fact = 1, 0, 0, 0  # C(Z, n), sum/max of w_k, v_p(n!)
         coeffs = [PadicScalar._make(p, 0, 1, P)]
@@ -462,11 +462,10 @@ def binomial_series(z, order: int) -> TruncatedSeries:
             fact += int_valuation(n, p)
             c = c * t // n
             coeffs.append(PadicScalar._make(p, 0, c, P + w_sum - w_max - fact))
-        return TruncatedSeries(coeffs, p)
+        return TruncatedSeries._from_fields(tuple(coeffs), p)
     z = Fraction(z)
     coeffs = [Fraction(1)]
     for n in range(1, order):
         coeffs.append(coeffs[-1] * (z - (n - 1)) / n)
-    if all(c.denominator == 1 for c in coeffs):
-        return TruncatedSeries([int(c) for c in coeffs])
-    return TruncatedSeries(coeffs)
+    integral = all(c.denominator == 1 for c in coeffs)
+    return TruncatedSeries._from_fields(tuple(map(int, coeffs) if integral else coeffs), None)

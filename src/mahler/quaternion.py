@@ -210,16 +210,14 @@ def _fraction_lattice_generator(constraints) -> Fraction:
 
 
 def embedding_conductor(emb: MatrixEmbedding) -> int:
-    """The unique c > 0 with rho(O_{K,c}) = rho(K) ∩ R_N: intersect the plane
-    Q + Q M with the order, read the lattice Z + Z(x0 + y0 sqrt d), and
-    compare discriminants."""
+    """The unique c > 0 with rho(O_{K,c}) = rho(K) ∩ R_N: the plane Q + Q M
+    meets the order in a lattice Z + Z(x0 + y0 sqrt d), and c is read from
+    its discriminant 4 y0^2 d = c^2 d_K, which depends on y0 only."""
     M, N = emb.m, emb.level
     # x I + y M integral and lower-left entry divisible by N:
     #   y m12 in Z,  y m21 in N Z,  2 y m11 in Z,  x = -y m11 (mod Z)
     y0 = _fraction_lattice_generator(
         [M[0][1], Fraction(M[1][0], N), 2 * M[0][0]])
-    x_shift = -y0 * M[0][0]
-    x0 = x_shift - math.floor(x_shift)
     disc = 4 * y0 * y0 * emb.d
     if disc.denominator != 1:
         raise AssertionError("intersection lattice is not an order")
@@ -229,8 +227,6 @@ def embedding_conductor(emb: MatrixEmbedding) -> int:
     c = math.isqrt(c2)
     if c * c != c2:
         raise AssertionError("conductor index is not a perfect square")
-    # sanity: x0 + y0 sqrt(d) generates together with 1 (x0 in [0,1))
-    assert 0 <= x0 < 1
     return c
 
 
