@@ -7,6 +7,7 @@ derandomized, so the suite sees the same cases every time."""
 import contextlib
 import io
 import json
+import math
 from datetime import timedelta
 
 import pytest
@@ -70,19 +71,45 @@ def exit_code(argv) -> int:
         return main(argv)
 
 
+def decodable_padic(p):
+    """p-adic scalars of prime p that the decoder mostly takes."""
+    return st.fixed_dictionaries({
+        "p": st.just(p), "val": st.integers(0, 2), "unit": st.integers(1, 50).map(str),
+        "prec": st.integers(1, 6)})
+
+
 def decodable_measure(p):
     """Measures of prime p, exact or p-adic coefficients, that the decoder
     mostly takes, so the command's own checks and arithmetic run."""
-    scalar = st.one_of(small.map(str), st.fixed_dictionaries({
-        "p": st.just(p), "val": st.integers(0, 2), "unit": st.integers(1, 50).map(str),
-        "prec": st.integers(1, 6)}))
+    scalar = st.one_of(small.map(str), decodable_padic(p))
     return st.fixed_dictionaries({"p": st.just(p), "finite": st.booleans(),
                                   "mahler": st.lists(scalar, min_size=1, max_size=6)})
 
 
+def decodable_pair(p):
+    return st.tuples(decodable_measure(p), decodable_measure(p)).map(list)
+
+
+# a character the decoder takes: the trivial one mod m, or the real ones mod 4 and 3
+character = st.one_of(
+    st.integers(1, 6).map(lambda m: [str(int(math.gcd(n, m) == 1)) for n in range(m)]),
+    st.sampled_from([["0", "1", "0", "-1"], ["0", "1", "-1"]]))
+
+
+def decodable_qexpansion(p):
+    """q-expansions that the decoder mostly takes, so the operators run: a
+    level that the character's modulus divides, exact or p-adic coefficients
+    of prime p."""
+    scalar = st.one_of(small.map(str), st.builds("{}/{}".format, small, st.integers(1, 6)),
+                       decodable_padic(p))
+    return character.flatmap(lambda eps: st.fixed_dictionaries({
+        "k": st.integers(0, 12), "N": st.integers(1, 4).map(lambda j: j * len(eps)),
+        "eps": st.just(eps), "coeffs": st.lists(scalar, min_size=1, max_size=10)}))
+
+
 small_prime = st.sampled_from([2, 3, 5, 7])
-measure_pair = st.one_of(st.tuples(measure, measure), small_prime.flatmap(
-    lambda p: st.tuples(decodable_measure(p), decodable_measure(p))))
+measure_pair = st.one_of(st.tuples(measure, measure).map(list),
+                         small_prime.flatmap(decodable_pair))
 
 
 @FUZZ
@@ -97,7 +124,9 @@ def test_measure_file(json_file, command, mu, r, a, nu, prec):
 
 @FUZZ
 @given(pairs=st.one_of(
-    st.fixed_dictionaries({"pairs": st.lists(measure_pair.map(list), max_size=3) | junk}),
+    st.fixed_dictionaries({"pairs": st.lists(measure_pair, max_size=3) | junk}),
+    small_prime.flatmap(lambda p: st.fixed_dictionaries(
+        {"pairs": st.lists(decodable_pair(p), min_size=1, max_size=3)})),
     junk), rmax=st.integers(-1, 4).map(str))
 def test_measure_pair(json_file, pairs, rmax):
     assert exit_code(["measure", "pair", "--file", json_file(pairs),
@@ -113,7 +142,8 @@ def test_measure_push(json_file, pair, rmax):
 
 
 @FUZZ
-@given(command=st.sampled_from(["hecke", "deplete", "theta"]), f=qexpansion,
+@given(command=st.sampled_from(["hecke", "deplete", "theta"]),
+       f=st.one_of(qexpansion, small_prime.flatmap(decodable_qexpansion)),
        p=st.integers(-1, 7).map(str), r=st.integers(0, 3).map(str))
 def test_modform_file(json_file, command, f, p, r):
     argv = ["--r", r] if command == "theta" else ["--p", p]

@@ -7,6 +7,8 @@ from its fields, a read-only map as a read-only map."""
 
 import copy
 import pickle
+import sys
+from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
 
@@ -14,12 +16,14 @@ import pytest
 
 from mahler.archimedean import LocalFactorParams, PiPolynomial
 from mahler.errors import Frozen
-from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder, characters,
-                              class_group)
-from mahler.measure import dirac
-from mahler.modform import (DirichletCharacter, NearlyHolomorphic,
-                            delta_qexpansion)
-from mahler.padic import PadicScalar, binomial_series
+from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
+                              WeightFunction, admissible_embedding,
+                              avatar_measure_family, characters, class_group,
+                              smallest_admissible_prime)
+from mahler.measure import Measure, dirac, pairing_measure, restrict_to_units
+from mahler.modform import (DirichletCharacter, NearlyHolomorphic, QExpansion,
+                            delta_qexpansion, p_deplete, u_operator, v_operator)
+from mahler.padic import PadicScalar, TruncatedSeries, binomial_series, factorial_valuation
 from mahler.quaternion import HashimotoData, MatrixEmbedding, QuaternionAlgebra
 
 VALUES = {
@@ -186,3 +190,53 @@ def test_field_repr(make, text):
 
 def test_class_groups_compare_by_value():
     assert class_group(-23) == class_group(-23) != class_group(-47)
+
+
+def exactly(value):
+    """A value's class and fields, down to the type of every coefficient."""
+    if isinstance(value, Frozen):
+        return type(value), tuple(exactly(field) for field in value._fields())
+    if type(value) is tuple:
+        return tuple(exactly(item) for item in value)
+    return type(value), value
+
+
+def test_derived_values_skip_the_checks_and_equal_checked_builds(monkeypatch):
+    """Values derived from checked ones come from `_from_fields`: over a small
+    avatar pipeline and U, V and depletion of Delta, only
+    `mahler_from_moments` enters `Measure.__init__` and nothing enters the
+    `TruncatedSeries` or `QExpansion` constructors.  Each value so built
+    equals the public constructor's value on its fields."""
+    entered, built = Counter(), []
+    for cls in (Measure, TruncatedSeries, QExpansion):
+        def init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            entered[_cls.__name__, sys._getframe(1).f_code.co_name] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", init)
+    from_fields = Frozen._from_fields.__func__
+
+    def record(cls, *fields):
+        built.append(from_fields(cls, *fields))
+        return built[-1]
+    monkeypatch.setattr(Frozen, "_from_fields", classmethod(record))
+
+    for D in (-23, -407):
+        G = class_group(D)
+        chars = characters(G)
+        p = smallest_admissible_prime(G)
+        emb = admissible_embedding(G, p, factorial_valuation(47, p) + 4)
+        fam1 = avatar_measure_family(chars[0], chars[1] * chars[-1], emb, 48)
+        fam2 = avatar_measure_family(chars[0].inverse(), chars[-1] ** 2, emb, 48)
+        paired = pairing_measure(list(zip(fam1, fam2)), 40)
+        restrict_to_units(fam1[0], 1)
+        restrict_to_units(paired, 1)
+    delta = delta_qexpansion(30)
+    for operator, p in ((u_operator, 2), (v_operator, 3), (p_deplete, 5)):
+        operator(delta, p)
+
+    assert set(entered) == {("Measure", "mahler_from_moments")}
+    assert {type(value) for value in built} \
+        == {Measure, TruncatedSeries, QExpansion, WeightFunction}
+    monkeypatch.undo()
+    for value in built:
+        assert exactly(type(value)(*value._fields())) == exactly(value)
