@@ -44,8 +44,6 @@ class PiPolynomial(Frozen):
         return PiPolynomial({k: -v for k, v in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PiPolynomial.term(other)
         return self + (-other)
 
     def __mul__(self, other):

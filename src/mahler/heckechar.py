@@ -77,9 +77,7 @@ def reduce_form(form, D: int):
         if c < a or (c == a and b < 0):
             a, b, c = c, -b, a
             continue
-        if -a < b <= a:
-            if a == c and b < 0:
-                b = -b
+        if -a < b <= a:  # a = c came through the swap above, so b >= 0
             return (a, b, c)
         # normalize b into (-a, a]
         t = (a - b) // (2 * a)
@@ -345,8 +343,7 @@ class AlgebraicValue(Frozen):
             terms[k] = (x0 + x, y0 + y)
         return AlgebraicValue._from_terms(a.d, a.m, terms)
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self):
         return self.scale(-1)
@@ -362,8 +359,7 @@ class AlgebraicValue(Frozen):
         a, b = self._align(other)
         return AlgebraicValue._from_terms(a.d, a.m, _convolve(a.terms, b.terms, a.m, a.d, {}))
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def scale(self, q) -> "AlgebraicValue":
         q = _rational(q)
@@ -562,6 +558,41 @@ def canonical_weight_character(order: QuadOrder, w) -> WeightFunction:
 # p-adic avatars
 # ---------------------------------------------------------------------------
 
+def _pick_sqrt(d: int, p: int, residue) -> int:
+    """The chosen square root of d mod p, else the smaller one."""
+    roots = sqrt_mod_prime(d, p)
+    if residue is not None:
+        if residue % p not in roots:
+            raise InvalidInput("chosen residue is not a square root of d mod p")
+        return residue % p
+    return min(roots)
+
+
+def _pick_zeta(p: int, m: int, residue) -> int:
+    """The chosen primitive m-th root of unity mod p, else the least one:
+    x = t^((p-1)/m) for the first t of order exactly m, and then the least
+    x^j with j prime to m."""
+    q_factors = list(factorint(m))
+    def primitive(t):
+        return pow(t, m, p) == 1 and all(pow(t, m // q, p) != 1 for q in q_factors)
+    if residue is not None:
+        if not primitive(residue % p):
+            raise InvalidInput("chosen residue is not a primitive m-th root mod p")
+        return residue % p
+    x = next(x for x in (pow(t, (p - 1) // m, p) for t in range(2, p)) if primitive(x))
+    return min(pow(x, j, p) for j in range(1, m) if math.gcd(j, m) == 1)
+
+
+def _lift_root(f, df, x0: int, p: int, target: int) -> int:
+    """The Hensel lift mod p^target of the simple root x0 of f mod p."""
+    x, k = x0, 1
+    while k < target:
+        k = min(2 * k, target)
+        mod = p ** k
+        x = (x - f(x) * pow(df(x), -1, mod)) % mod
+    return x % p ** target
+
+
 class PadicEmbedding(Frozen):
     """A ring map from the value tower into Z_p given by a chosen square root
     of d mod p and a primitive m-th root of unity mod p (Hensel-lifted)."""
@@ -574,58 +605,19 @@ class PadicEmbedding(Frozen):
             raise InvalidInput("need an odd prime")
         if precision < 1:
             raise InvalidInput("precision must be >= 1")
-        for name, value in (("prime", prime), ("precision", precision),
-                            ("d", d), ("m", m)):
-            object.__setattr__(self, name, value)
         if m > 1 and (prime - 1) % m:
             raise InvalidInput(f"p = {prime} is not 1 mod {m}: mu_{m} not in Z_p")
-        zeta_lift = None if m == 1 else self._lift_root(
+        zeta_lift = None if m == 1 else _lift_root(
             lambda x: x ** m - 1, lambda x: m * x ** (m - 1),
-            self._pick_zeta(zeta_residue))
+            _pick_zeta(prime, m, zeta_residue), prime, precision)
         if d % prime == 0:
             sqrt_lift = "ramified"
         elif pow(d % prime, (prime - 1) // 2, prime) != 1:
             sqrt_lift = "inert"
         else:
-            sqrt_lift = self._lift_root(
-                lambda x: x * x - d, lambda x: 2 * x,
-                self._pick_sqrt(sqrt_residue))
-        object.__setattr__(self, "zeta_lift", zeta_lift)
-        object.__setattr__(self, "sqrt_lift", sqrt_lift)
-
-    def _pick_sqrt(self, residue):
-        """The chosen square root of d mod p, else the smaller one."""
-        p = self.prime
-        roots = sqrt_mod_prime(self.d, p)
-        if residue is not None:
-            if residue % p not in roots:
-                raise InvalidInput("chosen residue is not a square root of d mod p")
-            return residue % p
-        return min(roots)
-
-    def _pick_zeta(self, residue):
-        """The chosen primitive m-th root of unity mod p, else the least one:
-        x = t^((p-1)/m) for the first t of order exactly m, and then the least
-        x^j with j prime to m."""
-        p, m = self.prime, self.m
-        q_factors = list(factorint(m))
-        def primitive(t):
-            return pow(t, m, p) == 1 and all(pow(t, m // q, p) != 1 for q in q_factors)
-        if residue is not None:
-            if not primitive(residue % p):
-                raise InvalidInput("chosen residue is not a primitive m-th root mod p")
-            return residue % p
-        x = next(x for x in (pow(t, (p - 1) // m, p) for t in range(2, p)) if primitive(x))
-        return min(pow(x, j, p) for j in range(1, m) if math.gcd(j, m) == 1)
-
-    def _lift_root(self, f, df, x0: int) -> int:
-        p, target = self.prime, self.precision
-        x, k = x0, 1
-        while k < target:
-            k = min(2 * k, target)
-            mod = p ** k
-            x = (x - f(x) * pow(df(x), -1, mod)) % mod
-        return x % p ** target
+            sqrt_lift = _lift_root(lambda x: x * x - d, lambda x: 2 * x,
+                                   _pick_sqrt(d, prime, sqrt_residue), prime, precision)
+        self._set(prime, precision, d, m, sqrt_lift, zeta_lift)
 
     def embed(self, value: AlgebraicValue) -> PadicScalar:
         """The image of sum_k (a_k + b_k sqrt(d)) z^k: on integers mod p^prec,

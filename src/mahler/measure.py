@@ -165,14 +165,6 @@ class Measure(Frozen):
     def order(self) -> int:
         return len(self.mahler)
 
-    def coefficient(self, n: int):
-        if n < self.order:
-            return self.mahler[n]
-        if self.finite:
-            return 0
-        raise InvalidInput(f"coefficient {n} beyond order {self.order} "
-                           "of a non-finite measure")
-
     def support_degree(self) -> int:
         """Largest index with a nonzero stored coefficient."""
         for n in range(self.order - 1, -1, -1):

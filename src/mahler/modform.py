@@ -27,7 +27,9 @@ class DirichletCharacter(Frozen):
 
     def __init__(self, modulus: int, values):
         values = tuple(exact(v) for v in values)
-        if modulus < 1 or len(values) != modulus:
+        if modulus < 1:
+            raise InvalidInput("the modulus must be >= 1")
+        if len(values) != modulus:
             raise InvalidInput("value table must have length equal to the modulus")
         for n, v in enumerate(values):
             coprime = math.gcd(n, modulus) == 1
@@ -77,12 +79,9 @@ class QExpansion(Frozen):
             raise InvalidInput(f"coefficient {n} beyond truncation {self.trunc}")
         return self.coeffs[n]
 
-    def _same_type(self, other: "QExpansion"):
+    def __add__(self, other: "QExpansion") -> "QExpansion":
         if (self.weight, self.level, self.eps) != (other.weight, other.level, other.eps):
             raise InvalidInput("weight/level/nebentypus mismatch")
-
-    def __add__(self, other: "QExpansion") -> "QExpansion":
-        self._same_type(other)
         n = min(self.trunc, other.trunc)
         return QExpansion(self.weight, self.level, self.eps,
                           [self.coeffs[i] + other.coeffs[i] for i in range(n + 1)])
@@ -193,11 +192,6 @@ class NearlyHolomorphic(Frozen):
         for key, c in other.cells.items():
             cells[key] = cells.get(key, 0) + c
         return NearlyHolomorphic(self.weight, trunc, cells)
-
-    def scale(self, scalar) -> "NearlyHolomorphic":
-        scalar = exact(scalar)
-        return NearlyHolomorphic(self.weight, self.trunc,
-                                 {k: scalar * c for k, c in self.cells.items()})
 
     def __mul__(self, other: "NearlyHolomorphic") -> "NearlyHolomorphic":
         trunc = min(self.trunc, other.trunc)

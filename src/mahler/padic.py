@@ -195,8 +195,7 @@ class PadicScalar(Frozen):
         n = self.unit * p ** (v1 - v) + other.unit * p ** (v2 - v)
         return PadicScalar._make(p, v, n, min(self.precision, other.precision))
 
-    def __radd__(self, other):
-        return self.__add__(other)
+    __radd__ = __add__
 
     def __neg__(self):
         return PadicScalar._make(self.prime, self._val, -self.unit, self.precision)
@@ -229,8 +228,7 @@ class PadicScalar(Frozen):
         return PadicScalar._make(self.prime, v, self.unit * other.unit,
                                  v + min(self.precision - v1, other.precision - v2))
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
+    __rmul__ = __mul__
 
     def scale(self, q) -> "PadicScalar":
         """Multiply by an exact int/Fraction: the valuation shifts by v_p(q)

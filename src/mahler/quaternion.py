@@ -125,10 +125,7 @@ def hashimoto_search(delta: int, p: int, bound: int) -> HashimotoData:
         if ramified_set(QuaternionAlgebra(q, -delta)) != delta_primes:
             continue
         target = (-pow(delta, -1, q)) % q
-        roots = sqrt_mod_prime(target, q)
-        if not roots:
-            continue
-        b = min(roots)
+        b = min(sqrt_mod_prime(target, q))  # a square: (q, -Delta)_q = (-Delta/q) = 1
         if (b * b * delta + 1) % q:
             raise AssertionError("square root of -1/Delta failed verification")
         return HashimotoData(delta, q, b)

@@ -9,36 +9,38 @@ loading this module loads no compute module but `padic`.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .errors import InvalidInput
 from .padic import INF, PadicScalar, TruncatedSeries, exact
 
 
-def _fields(obj, *arrays) -> dict:
-    """obj, checked to be a JSON object whose fields `arrays` are arrays."""
+def _fields(obj, keys=(), arrays=()) -> dict:
+    """obj, checked to be a JSON object with the fields `keys` and arrays `arrays`."""
     if not isinstance(obj, dict):
         raise InvalidInput(f"expected a JSON object, got {type(obj).__name__}")
+    for key in keys:
+        if key not in obj:
+            raise InvalidInput(f"missing field {key!r}")
     for key in arrays:
         if not isinstance(obj.get(key), list):
             raise InvalidInput(f"field {key!r} must be a JSON array")
     return obj
 
 
-def _rows(obj, key: str, n: int) -> list:
-    """The array field `key` of the JSON object obj, checked to hold arrays
-    of n entries."""
-    rows = _fields(obj, key)[key]
+def _rows(obj, key: str, n: int, keys=()) -> list:
+    """The array field `key` of the JSON object obj with the fields `keys`,
+    checked to hold arrays of n entries."""
+    rows = _fields(obj, keys, (key,))[key]
     if not all(isinstance(row, list) and len(row) == n for row in rows):
         raise InvalidInput(f"each entry of {key!r} must be a JSON array of {n}")
     return rows
 
 
 def _int(value) -> int:
-    """An integer field: a JSON number or a decimal string, as int() reads it;
-    any other JSON value is invalid input."""
-    if isinstance(value, (int, str)) or isinstance(value, float) and math.isfinite(value):
+    """An integer field: an integral JSON number or a decimal string, as int()
+    reads it; any other JSON value, a boolean or 4.5 among them, is invalid."""
+    if type(value) in (int, str) or type(value) is float and value.is_integer():
         return int(value)
     raise InvalidInput(f"expected an integer, got {value!r}")
 
@@ -49,7 +51,7 @@ def encode_exact(q) -> str:
 
 
 def decode_exact(s):
-    if isinstance(s, int):
+    if type(s) is int:
         return s
     if isinstance(s, str):
         try:
@@ -69,7 +71,7 @@ def encode_padic(x: PadicScalar) -> dict:
 
 
 def decode_padic(obj: dict) -> PadicScalar:
-    _fields(obj)
+    _fields(obj, ("p", "val", "unit", "prec"))
     val = INF if obj["val"] == "inf" else _int(obj["val"])
     prec = INF if obj["prec"] == "inf" else _int(obj["prec"])
     return PadicScalar(_int(obj["p"]), val, _int(obj["unit"]), prec)
@@ -96,7 +98,7 @@ def encode_series(ts: TruncatedSeries) -> dict:
 
 
 def decode_series(obj: dict) -> TruncatedSeries:
-    _fields(obj, "coeffs")
+    _fields(obj, arrays=("coeffs",))
     coeffs = [decode_scalar(c) for c in obj["coeffs"]]
     return TruncatedSeries(coeffs, obj.get("p"))
 
@@ -108,9 +110,11 @@ def encode_measure(mu: Measure) -> dict:
 
 def decode_measure(obj: dict) -> Measure:
     from .measure import Measure
-    _fields(obj, "mahler")
+    _fields(obj, ("p", "finite"), ("mahler",))
+    if type(obj["finite"]) is not bool:
+        raise InvalidInput("field 'finite' must be true or false")
     return Measure(_int(obj["p"]), [decode_scalar(a) for a in obj["mahler"]],
-                   finite=bool(obj["finite"]))
+                   finite=obj["finite"])
 
 
 def decode_measure_pairs(obj: dict) -> list:
@@ -126,7 +130,7 @@ def encode_qexpansion(f: QExpansion) -> dict:
 
 def decode_qexpansion(obj: dict) -> QExpansion:
     from .modform import DirichletCharacter, QExpansion
-    _fields(obj, "eps", "coeffs")
+    _fields(obj, ("k", "N"), ("eps", "coeffs"))
     eps = DirichletCharacter(len(obj["eps"]), [decode_exact(v) for v in obj["eps"]])
     return QExpansion(_int(obj["k"]), _int(obj["N"]), eps,
                       [decode_scalar(c) for c in obj["coeffs"]])
@@ -139,7 +143,8 @@ def encode_nearly_holomorphic(f: NearlyHolomorphic) -> dict:
 
 def decode_nearly_holomorphic(obj: dict) -> NearlyHolomorphic:
     from .modform import NearlyHolomorphic
-    cells = {(_int(n), _int(j)): decode_exact(c) for n, j, c in _rows(obj, "cells", 3)}
+    rows = _rows(obj, "cells", 3, ("k", "trunc"))
+    cells = {(_int(n), _int(j)): decode_exact(c) for n, j, c in rows}
     return NearlyHolomorphic(_int(obj["k"]), _int(obj["trunc"]), cells)
 
 
@@ -150,7 +155,8 @@ def encode_algebraic(v: AlgebraicValue) -> dict:
 
 def decode_algebraic(obj: dict) -> AlgebraicValue:
     from .heckechar import AlgebraicValue
-    coeffs = [(decode_exact(a), decode_exact(b)) for a, b in _rows(obj, "coeffs", 2)]
+    rows = _rows(obj, "coeffs", 2, ("d", "m"))
+    coeffs = [(decode_exact(a), decode_exact(b)) for a, b in rows]
     return AlgebraicValue(_int(obj["d"]), _int(obj["m"]), coeffs)
 
 

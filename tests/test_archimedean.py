@@ -217,6 +217,13 @@ class TestPiPolynomial:
         assert (a + a) == PiPolynomial.term(1, -1)
         assert (a - a).is_zero()
 
+    def test_int_operands(self):
+        a = PiPolynomial.term(Fraction(1, 2), -1)
+        assert a + 1 == 1 + a == PiPolynomial({-1: Fraction(1, 2), 0: 1})
+        assert a - 1 == PiPolynomial({-1: Fraction(1, 2), 0: -1})
+        assert (a + 1) - a == 1 and PiPolynomial.term(3) == 3
+        assert PiPolynomial() == 0 and a != 0
+
     def test_evaluate(self):
         v = PiPolynomial({2: 1, 0: -1})
         assert abs(v.evaluate() - (math.pi ** 2 - 1)) < 1e-15

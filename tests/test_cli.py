@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import math
 import os
@@ -210,12 +211,69 @@ class TestJsonShape:
         (["modform", "hecke", "--p", "3"], {"k": [12], "N": 1, "eps": ["1"], "coeffs": ["0"]}),
         (["modform", "maass"], {"k": 0, "trunc": 2, "cells": [5]}),
         (["modform", "maass"], {"k": 0, "trunc": {}, "cells": []}),
+        # "finite" is a JSON boolean; a number is no boolean and 12.5 no integer
+        (["measure", "restrict"],
+         {"p": 3, "order": 2, "finite": "false", "mahler": ["1", "0"]}),
+        (["measure", "restrict"], {"p": 3, "order": 2, "finite": 1, "mahler": ["1", "0"]}),
+        (["measure", "moments", "--r", "1"],
+         {"p": 3, "order": 2, "finite": True, "mahler": [True, "0"]}),
+        (["measure", "moments", "--r", "1"],
+         {"p": 3, "order": 1, "finite": True, "mahler": [dict(PADIC, prec=True)]}),
+        (["modform", "maass"], {"k": 0, "trunc": 2, "cells": [[0, 0, False]]}),
+        (["modform", "hecke", "--p", "3"], {"k": 12.5, "N": 1, "eps": ["1"], "coeffs": ["0"]}),
     ])
     def test_scalar_and_entry_types_exit_2(self, capsys, tmp_path, command, obj):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(obj))
         code, out, _ = run(capsys, command + ["--file", str(path)])
         assert code == 2 and out == ""
+
+    def test_integral_float_is_an_integer(self):
+        x = serialize.decode_padic({"p": 3.0, "val": 0.0, "unit": "2", "prec": 4.0})
+        assert (x.prime, x.valuation, x.unit, x.precision) == (3, 0, 2, 4)
+        assert type(x.prime) is int and type(x.precision) is int
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("p", 3.9, "expected an integer, got 3.9"),
+        ("prec", 4.7, "expected an integer, got 4.7"),
+        ("prec", True, "expected an integer, got True"),
+        ("val", False, "expected an integer, got False"),
+    ])
+    def test_inline_padic_misread_values_exit_2(self, capsys, field, value, message):
+        a = json.dumps(dict(self.PADIC, unit="2", **{field: value}))
+        code, out, err = run(capsys, ["padic", "arith", "--op", "inv", "--a", a])
+        assert (code, out) == (2, "") and message in err
+
+    MISSING = [
+        (serialize.decode_padic, PADIC, "p"), (serialize.decode_padic, PADIC, "val"),
+        (serialize.decode_padic, PADIC, "unit"), (serialize.decode_padic, PADIC, "prec"),
+        (serialize.decode_measure, {"p": 3, "finite": True, "mahler": ["1"]}, "p"),
+        (serialize.decode_measure, {"p": 3, "finite": True, "mahler": ["1"]}, "finite"),
+        (serialize.decode_qexpansion, {"k": 12, "N": 1, "eps": ["1"], "coeffs": ["0"]}, "k"),
+        (serialize.decode_qexpansion, {"k": 12, "N": 1, "eps": ["1"], "coeffs": ["0"]}, "N"),
+        (serialize.decode_nearly_holomorphic, {"k": 0, "trunc": 2, "cells": []}, "k"),
+        (serialize.decode_nearly_holomorphic, {"k": 0, "trunc": 2, "cells": []}, "trunc"),
+        (serialize.decode_algebraic, {"d": -3, "m": 1, "coeffs": []}, "d"),
+        (serialize.decode_algebraic, {"d": -3, "m": 1, "coeffs": []}, "m"),
+    ]
+
+    @pytest.mark.parametrize("decode, obj, key", MISSING)
+    def test_missing_field_is_named(self, decode, obj, key):
+        decode(obj)
+        with pytest.raises(InvalidInput, match=f"missing field '{key}'"):
+            decode({k: v for k, v in obj.items() if k != key})
+
+    def test_missing_field_exits_2(self, capsys):
+        # the message names the field, where a KeyError's repr gave "error: 'val'"
+        a = json.dumps({"p": 3, "unit": "2", "prec": 4})
+        code, out, err = run(capsys, ["padic", "arith", "--op", "inv", "--a", a])
+        assert (code, out, err) == (2, "", "error: missing field 'val'\n")
+
+    def test_empty_character_table_names_the_modulus(self, capsys, tmp_path):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"k": 12, "N": 1, "eps": [], "coeffs": ["0"]}))
+        code, out, err = run(capsys, ["modform", "theta", "--file", str(path)])
+        assert (code, out) == (2, "") and "the modulus must be >= 1" in err
 
     @pytest.mark.parametrize("top", TOPS)
     @pytest.mark.parametrize("decode", [
@@ -387,6 +445,14 @@ class TestPadicCommands:
                                       "--a", a, "--b", b])
         assert code == 3 and out == "" and "no precision" in err
 
+    def test_arith_sub(self, capsys):
+        a = json.dumps({"p": 5, "val": 0, "unit": "7", "prec": 10})
+        b = json.dumps({"p": 5, "val": 0, "unit": "2", "prec": 10})
+        code, out, _ = run(capsys, ["padic", "arith", "--op", "sub",
+                                    "--a", a, "--b", b])
+        assert code == 0
+        assert json.loads(out) == {"p": 5, "val": 1, "unit": "1", "prec": 10}
+
     def test_arith_missing_operand(self, capsys):
         a = json.dumps({"p": 5, "val": 0, "unit": "2", "prec": 10})
         code, _, err = run(capsys, ["padic", "arith", "--op", "mul", "--a", a])
@@ -472,6 +538,12 @@ class TestMeasureCommands:
         path = write_measure(tmp_path, "m.json", dirac(2, 5, 6))
         code, out, _ = run(capsys, ["measure", "moments", "--file", path,
                                     "--r", "3"])
+        assert code == 0 and json.loads(out)["moment"] == "8"
+
+    def test_moments_from_stdin(self, capsys, monkeypatch):
+        text = json.dumps(encode_measure(dirac(2, 5, 6)))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code, out, _ = run(capsys, ["measure", "moments", "--file", "-", "--r", "3"])
         assert code == 0 and json.loads(out)["moment"] == "8"
 
     def test_restrict_round_trips_own_output(self, capsys, tmp_path):
@@ -664,6 +736,12 @@ class TestHeckeCommands:
         assert code == 0
         assert all(c == ["0", "0"] for c in json.loads(out)["pairing"]["coeffs"])
 
+    @pytest.mark.parametrize("chi, psi", [("3", "0"), ("0", "-1")])
+    def test_pair_character_out_of_range(self, capsys, chi, psi):
+        code, out, err = run(capsys, ["hecke", "pair", "--disc", "-23",
+                                      "--chi", chi, "--psi", psi])
+        assert (code, out) == (2, "") and "out of range" in err
+
     def test_avatar(self, capsys):
         code, out, _ = run(capsys, ["hecke", "avatar", "--disc", "-23",
                                     "--p", "7", "--prec", "5"])
@@ -720,6 +798,26 @@ class TestArchCommands:
         assert abs(complex(float(data["quadrature"]["re"]),
                            float(data["quadrature"]["im"]))) < 1e-10
 
+    def test_vanishing_case_reads_rel_error_with_zeta(self, capsys):
+        # |zeta_u| = 10 scales the diagonal closed form that rel_error divides by
+        code, out, err = run(capsys, ["arch", "local-factor", "--kappa", "1", "--r", "3",
+                                      "--l", "1", "--zeta-re", "10"])
+        assert (code, err) == (0, "")
+        assert float(json.loads(out)["rel_error"]) < 1e-8
+
+    def test_vanishing_case_fails_on_starved_nodes(self, capsys):
+        code, out, err = run(capsys, ["arch", "local-factor", "--kappa", "1", "--r", "3",
+                                      "--l", "1", "--nodes-theta", "4"])
+        assert code == 5 and "vanishing case is not numerically zero" in err
+        assert float(json.loads(out)["rel_error"]) > 1
+
+    @pytest.mark.parametrize("l", ["0", "1"])
+    def test_zero_zeta_exits_5(self, capsys, l):
+        # the diagonal closed form is 0, so rel_error is inf for every l
+        code, out, _ = run(capsys, ["arch", "local-factor", "--kappa", "1", "--r", "1",
+                                    "--l", l, "--zeta-re", "0"])
+        assert code == 5 and json.loads(out)["rel_error"] == "inf"
+
     def test_identity(self, capsys):
         code, out, _ = run(capsys, ["arch", "identity", "--r", "12"])
         assert code == 0 and json.loads(out)["holds"] is True
@@ -774,6 +872,26 @@ class TestQuatCommands:
         code, out, _ = run(capsys, ["quat", "conductor", "--matrix",
                                     "0,1;-4,0", "--level", "1"])
         assert code == 0 and json.loads(out)["conductor"] == 2
+
+    def test_conductor_disc_must_match(self, capsys):
+        code, out, _ = run(capsys, ["quat", "conductor", "--matrix", "0,1;-4,0",
+                                    "--disc=-4"])
+        assert code == 0 and json.loads(out)["d"] == "-4"
+        code, out, err = run(capsys, ["quat", "conductor", "--matrix", "0,1;-4,0",
+                                      "--disc=-3"])
+        assert (code, out) == (2, "") and "M^2 = -4 I, not -3" in err
+
+    @pytest.mark.parametrize("matrix", ["0,1", "0,1;-4,0;1,1", "0,1,2;-4,0", "0;-4,0"])
+    def test_conductor_malformed_matrix(self, capsys, matrix):
+        code, out, err = run(capsys, ["quat", "conductor", "--matrix", matrix])
+        assert (code, out) == (2, "") and 'matrix must look like "a,b;c,d"' in err
+
+    def test_hilbert_infinite_place(self, capsys):
+        for a, symbol in (("-1", -1), ("2", 1)):
+            code, out, _ = run(capsys, ["quat", "hilbert", "--a", a, "--b", "-1",
+                                        "--place", "inf"])
+            assert code == 0 and json.loads(out) == {"a": a, "b": "-1", "place": "inf",
+                                                     "symbol": symbol}
 
 
 class TestDeterminism:

@@ -487,6 +487,15 @@ class TestAlgebraicValue:
         assert not (z ** 2).is_zero()
         assert z * z ** 2 == 1
 
+    def test_subtraction_and_rational_operands(self):
+        z = AlgebraicValue.root_of_unity(1, -7, 3)
+        v = AlgebraicValue.quadratic(2, 3, -7)
+        assert v - z == AlgebraicValue(-7, 3, [(2, 3), (-1, 0)])
+        assert (v - z) + z == v and z - z == 0
+        assert 1 + z == AlgebraicValue(-7, 3, [(1, 0), (1, 0)]) == z + 1
+        assert 1 - z == AlgebraicValue(-7, 3, [(1, 0), (-1, 0)])
+        assert 1 + z + z ** 2 == 0 and (1 - z) + z == 1
+
     def test_inverse(self):
         v = AlgebraicValue.quadratic(2, 3, -7) * AlgebraicValue.root_of_unity(1, -7, 5)
         assert v * v.inverse() == 1

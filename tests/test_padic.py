@@ -58,6 +58,19 @@ class TestScalarArith:
         with pytest.raises(InvalidInput):
             PadicScalar.zero(5, 4).inverse()
 
+    def test_negative_power(self):
+        x = PadicScalar.from_int(2, 5, 4)
+        y = x ** -2
+        assert y.lift() == 469 and y.precision == 4 and y * x ** 2 == 1
+
+    def test_exact_zero_edges(self):
+        zero = PadicScalar.zero(5)
+        assert repr(zero) == "0" and repr(PadicScalar.zero(5, 3)) == "0 + O(5^3)"
+        with pytest.raises(InvalidInput, match="0\\^0 on an exact zero"):
+            zero ** 0
+        with pytest.raises(InvalidInput, match="division by zero"):
+            PadicScalar.from_int(2, 5, 4) / 0
+
     def test_sum_precision_is_min(self):
         a = PadicScalar.from_int(4, 3, 9)
         b = PadicScalar.from_int(5, 3, 4)
