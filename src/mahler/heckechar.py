@@ -6,7 +6,7 @@ All algebraic values live in the tower Q(sqrt(d))(zeta_m), stored in the group
 ring Q(sqrt(d))[z]/(z^m - 1) with coefficients in `padic.exact` normal form (int
 while integral, else Fraction); their `coeffs`, the form reduced mod Phi_m, is
 what equality, printing and encoding read. Arithmetic is exact throughout, and
-every pairing is one sum of group-ring products, divided by h once.
+every pairing is one sum, divided by h once (a count, for characters).
 
 A p-adic embedding maps a value to one PadicScalar known mod p^prec: the sum
 of (a_k + b_k s) zeta^k over the group-ring terms is taken on integers mod
@@ -21,6 +21,7 @@ avatar measure family scales each Dirac measure by a PadicScalar, which
 from __future__ import annotations
 
 import math
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
@@ -62,14 +63,6 @@ class QuadOrder(Frozen):
 # ---------------------------------------------------------------------------
 # reduced binary quadratic forms and Gauss composition
 # ---------------------------------------------------------------------------
-
-def _is_reduced(a: int, b: int, c: int) -> bool:
-    if not (abs(b) <= a <= c):
-        return False
-    if (abs(b) == a or a == c) and b < 0:
-        return False
-    return True
-
 
 def reduce_form(form, D: int):
     a, b, c = form
@@ -192,9 +185,8 @@ def _enumerate_reduced_forms(D: int):
             if num % (4 * a):
                 continue
             c = num // (4 * a)
-            if not _is_reduced(a, b, c):
-                continue
-            if math.gcd(math.gcd(a, abs(b)), c) != 1:
+            # reduced (|b| <= a <= c, b >= 0 if |b| = a or a = c) and primitive
+            if c < a or b < 0 and (b == -a or a == c) or math.gcd(a, b, c) != 1:
                 continue
             forms.append((a, b, c))
     forms.sort()
@@ -387,13 +379,7 @@ class AlgebraicValue(Frozen):
     def inverse(self) -> "AlgebraicValue":
         """Invert through the norm: n = x conj(x) lies in Q(zeta_m), the
         product c of its conjugates sigma_a(n), a in (Z/m)^x with a != 1,
-        makes N = n c rational, and 1/x = conj(x) c / N.  One term is inverted
-        directly: (a + b sqrt(d)) z^k -> (a - b sqrt(d)) / (a^2 - d b^2) z^(m-k),
-        where a^2 - d b^2 != 0 because d is not a square."""
-        if len(self.terms) == 1:
-            (k, (a, b)), = self.terms.items()
-            N = Fraction(a * a - self.d * b * b)
-            return AlgebraicValue._from_terms(self.d, self.m, {-k % self.m: (a / N, -b / N)})
+        makes N = n c rational, and 1/x = conj(x) c / N."""
         n = self * self.conjugate()
         c = AlgebraicValue.from_rational(1, self.d, self.m)
         for a in range(2, self.m):
@@ -441,27 +427,42 @@ class AlgebraicValue(Frozen):
 
 class WeightFunction(Frozen):
     """A function on ideal classes transforming with weight (w1, ws) on
-    principal ideals; finite-order characters are the weight-(0,0) case."""
+    principal ideals; finite-order characters are the weight-(0,0) case.  At
+    weight (0, 0), if each value is z^e (coefficient (1, 0)) in the layer m =
+    G.exponent < 2^16, `exponents` is the e row as `array("H")` bytes, else None."""
 
-    __slots__ = ("group", "weight", "values")
+    __slots__ = ("group", "weight", "values", "exponents")
 
-    def __init__(self, group: IdealClassGroup, weight, values):
+    def __init__(self, group: IdealClassGroup, weight, values, exponents=None):
         w1, ws = weight
         values = tuple(values)
         if len(values) != group.h:
             raise InvalidInput("need one value per ideal class")
-        self._set(group, (int(w1), int(ws)), values)
+        d, m = group.order_data.d_K, group.exponent
+        row = array("H", [next(iter(v.terms)) for v in values]).tobytes() if (
+            (int(w1), int(ws)) == (0, 0) and m < 1 << 16 and all(
+                isinstance(v, AlgebraicValue) and (v.d, v.m) == (d, m)
+                and list(v.terms.values()) == [(1, 0)] for v in values)) else None
+        if exponents is not None and exponents != row:
+            raise InvalidInput("exponent row disagrees with the values")
+        self._set(group, (int(w1), int(ws)), values, row)
 
     def __mul__(self, other: "WeightFunction") -> "WeightFunction":
         if other.group.discriminant != self.group.discriminant:
             raise InvalidInput("group mismatch")
+        if self.exponents and other.exponents:  # both valued in the layer G.exponent
+            m = self.values[0].m
+            x, y = (memoryview(f.exponents).cast("H") for f in (self, other))
+            return _from_row(self.group, m, array("H", [(a + b) % m for a, b in zip(x, y)]))
         w = (self.weight[0] + other.weight[0], self.weight[1] + other.weight[1])
-        values = tuple(a * b for a, b in zip(self.values, other.values))
-        return WeightFunction._from_fields(self.group, w, values)
+        return WeightFunction(self.group, w, (a * b for a, b in zip(self.values, other.values)))
 
     def __pow__(self, n: int) -> "WeightFunction":
+        if self.exponents:
+            m, row = self.values[0].m, memoryview(self.exponents).cast("H")
+            return _from_row(self.group, m, array("H", [e * n % m for e in row]))
         w = (int(n * self.weight[0]), int(n * self.weight[1]))
-        return WeightFunction._from_fields(self.group, w, tuple(v ** n for v in self.values))
+        return WeightFunction(self.group, w, (v ** n for v in self.values))
 
     def inverse(self) -> "WeightFunction":
         return self ** (-1)
@@ -470,14 +471,26 @@ class WeightFunction(Frozen):
         return f"WeightFunction(D={self.group.discriminant}, w={self.weight})"
 
 
+@lru_cache(maxsize=64)
+def _roots(d: int, m: int) -> tuple:
+    """The roots z^e, e < m, of the layer m of Q(sqrt(d)), one object each."""
+    return tuple(AlgebraicValue.root_of_unity(e, d, m) for e in range(m))
+
+
+def _from_row(G: IdealClassGroup, m: int, row: array) -> WeightFunction:
+    """The character of G, m = G.exponent, with these exponents."""
+    roots = _roots(G.order_data.d_K, m)
+    return WeightFunction._from_fields(G, (0, 0), tuple([roots[e] for e in row]), row.tobytes())
+
+
 def characters(G: IdealClassGroup):
     """All h homomorphisms G -> mu_m (m the exponent), extended along
-    `G.chain` as lists of exponents in `G.walk` order; values are exact roots
-    of unity, one shared object per exponent."""
+    `G.chain` as exponents in `G.walk` order, each in class order once complete;
+    values are exact roots of unity, one shared object per exponent."""
     m = G.exponent
-    d = G.order_data.d_K
     position = {x: i for i, x in enumerate(G.walk)}
-    chars = [[0]]
+    order = [position[i] for i in range(G.h)]
+    chars = [array("H", [0])]
     for _, k, power in G.chain:
         new_chars = []
         for chi in chars:
@@ -488,27 +501,37 @@ def characters(G: IdealClassGroup):
                 raise AssertionError("character extension arithmetic broke")
             for t in range(k):
                 x = c // k + t * (m // k)
-                new_chars.append([(u + j * x) % m for j in range(k) for u in chi])
+                new = [(u + j * x) % m for j in range(k) for u in chi]
+                new_chars.append(array("H", [new[i] for i in order] if len(new) == G.h else new))
         chars = new_chars
-    tables = sorted(tuple(chi[position[i]] for i in range(G.h)) for chi in chars)
-    roots = [AlgebraicValue.root_of_unity(e, d, m) for e in range(m)]
-    return [WeightFunction._from_fields(G, (0, 0), tuple(roots[e] for e in t)) for t in tables]
+    return [_from_row(G, m, row) for row in sorted(chars)]
 
 
 def _class_sum(phi1: WeightFunction, phi2: WeightFunction, *twist: WeightFunction):
     """(1/h) Σ_s φ1(I_s) φ2(I_s) Π ψ(I_s) over the twists ψ when the weights of
-    φ1 and φ2 cancel, else exact 0.  Per class, the values' terms are
-    multiplied in the lcm of their layers and added into one term dict, which
-    is divided by h once.  A value that is not an AlgebraicValue is coerced as
-    `_align` coerces it."""
+    φ1 and φ2 cancel, else exact 0: (1/h) Σ_k n_k z^k, n_k the number of
+    classes whose exponents add to k mod m, when every factor has exponents;
+    else per class the values' terms are multiplied in the lcm of their layers
+    and added into one term dict.  A value that is not an AlgebraicValue is
+    coerced as `_align` coerces it."""
     G = phi1.group
     if any(phi.group.discriminant != G.discriminant for phi in (phi2, *twist)):
         raise InvalidInput("group mismatch")
     d = G.order_data.d_K
     if (phi1.weight[0] + phi2.weight[0], phi1.weight[1] + phi2.weight[1]) != (0, 0):
         return AlgebraicValue.from_rational(0, d, 1)
+    h = G.h
+    def share(c):  # c / h, an int when h divides c
+        return c // h if c % h == 0 else Fraction(c, h)
+    phis = (phi1, phi2, *twist)
+    if all(phi.exponents for phi in phis):  # all valued in the layer G.exponent
+        m, counts = phi1.values[0].m, {}
+        for e in map(sum, zip(*(memoryview(phi.exponents).cast("H") for phi in phis))):
+            counts[e % m] = counts.get(e % m, 0) + 1
+        shares = {n: (share(n), 0) for n in set(counts.values())}
+        return AlgebraicValue._from_terms(d, m, {k: shares[n] for k, n in counts.items()})
     rows = [[v if isinstance(v, AlgebraicValue) else AlgebraicValue.from_rational(v, d, 1)
-             for v in phi.values] for phi in (phi1, phi2, *twist)]
+             for v in phi.values] for phi in phis]
     if any(v.d != d for row in rows for v in row):
         raise InvalidInput("mixed quadratic fields")
     m = math.lcm(*(v.m for row in rows for v in row))
@@ -518,9 +541,6 @@ def _class_sum(phi1: WeightFunction, phi2: WeightFunction, *twist: WeightFunctio
         for terms in middle:
             first = _convolve(first, terms, m, d, {})
         _convolve(first, last, m, d, total)
-    h = G.h
-    def share(c):  # c / h, an int when h divides c
-        return c // h if c % h == 0 else Fraction(c, h)
     return AlgebraicValue._from_terms(
         d, m, {k: (share(a), share(b)) for k, (a, b) in total.items()})
 

@@ -113,8 +113,11 @@ def decode_measure(obj: dict) -> Measure:
     _fields(obj, ("p", "finite"), ("mahler",))
     if type(obj["finite"]) is not bool:
         raise InvalidInput("field 'finite' must be true or false")
-    return Measure(_int(obj["p"]), [decode_scalar(a) for a in obj["mahler"]],
-                   finite=obj["finite"])
+    mu = Measure(_int(obj["p"]), [decode_scalar(a) for a in obj["mahler"]],
+                 finite=obj["finite"])
+    if "order" in obj and _int(obj["order"]) != mu.order:
+        raise InvalidInput(f"field 'order' is {obj['order']}, but 'mahler' has {mu.order} entries")
+    return mu
 
 
 def decode_measure_pairs(obj: dict) -> list:

@@ -228,6 +228,29 @@ class TestJsonShape:
         code, out, _ = run(capsys, command + ["--file", str(path)])
         assert code == 2 and out == ""
 
+    @pytest.mark.parametrize("order", [6, "6", 1])
+    def test_measure_order_disagreeing_with_its_coefficients_exits_2(
+            self, capsys, tmp_path, order):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"p": 3, "order": order, "finite": True,
+                                    "mahler": ["1", "2"]}))
+        code, out, err = run(capsys, ["measure", "restrict", "--file", str(path)])
+        assert (code, out) == (2, "")
+        assert f"field 'order' is {order}, but 'mahler' has 2 entries" in err
+
+    def test_measure_order_agreeing_with_its_coefficients_is_read(self, capsys, tmp_path):
+        outputs = []
+        for obj in ({"p": 3, "order": 2, "finite": True, "mahler": ["1", "2"]},
+                    {"p": 3, "order": "2", "finite": True, "mahler": ["1", "2"]},
+                    {"p": 3, "finite": True, "mahler": ["1", "2"]}):
+            path = tmp_path / "m.json"
+            path.write_text(json.dumps(obj))
+            code, out, err = run(capsys, ["measure", "restrict", "--file", str(path)])
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert json.loads(outputs[0])["order"] == 2
+
     def test_integral_float_is_an_integer(self):
         x = serialize.decode_padic({"p": 3.0, "val": 0.0, "unit": "2", "prec": 4.0})
         assert (x.prime, x.valuation, x.unit, x.precision) == (3, 0, 2, 4)

@@ -440,6 +440,142 @@ class TestPairing:
             total += val
         assert total == 1  # only psi = 1 survives
 
+    @staticmethod
+    def convolutions(monkeypatch):
+        """A list that counts the `_convolve` calls made from now on."""
+        calls = []
+        convolve = heckechar._convolve
+
+        def counted(*args):
+            calls.append(1)
+            return convolve(*args)
+        monkeypatch.setattr(heckechar, "_convolve", counted)
+        return calls
+
+    def test_character_sums_are_counted(self, monkeypatch):
+        """Characters, their products, powers and inverses carry exponent rows,
+        so their plain and twisted sums make no group-ring product."""
+        for D in (-23, -84, -263, -407):
+            G = class_group(D)
+            chars = characters(G)
+            derived = [chars[1] * chars[-1], chars[-1] ** 3, chars[1] ** -2,
+                       chars[-1].inverse()]
+            calls = self.convolutions(monkeypatch)
+            for a in chars + derived:
+                assert a.exponents is not None
+                for b in derived:
+                    assert self.same(pairing(a, b), pairing(b, a))
+                    twisted_pairing(a, b, chars[-1])
+                    twisted_pairing(chars[1], a, b)
+            assert calls == []
+            monkeypatch.undo()
+            for a in derived:
+                for b in chars[:3]:
+                    assert self.same(pairing(a, b), self.product_sum(a, b))
+                    assert self.same(twisted_pairing(a, b, chars[-1]),
+                                     self.product_sum(a, chars[-1] * b))
+
+    def test_other_weight_functions_take_the_group_ring_path(self, monkeypatch):
+        for D in (-23, -84):
+            G = class_group(D)
+            chars = characters(G)
+            doubled = WeightFunction(G, (0, 0), [v.scale(2) for v in chars[1].values])
+            coerced = WeightFunction(G, (0, 0), [Fraction(1, 3)] + list(chars[1].values[1:]))
+            for phi in (doubled, coerced):
+                assert phi.exponents is None
+                calls = self.convolutions(monkeypatch)
+                pairing(phi, chars[-1])
+                twisted_pairing(chars[1], chars[-1], phi)
+                assert len(calls) >= 2 * G.h
+                monkeypatch.undo()
+            # a foreign field carries no row and meets the group-ring path's
+            # refusal before any product is formed
+            foreign = WeightFunction(G, (0, 0), [AlgebraicValue.root_of_unity(e, -7, G.exponent)
+                                                 for e in range(G.h)])
+            assert foreign.exponents is None
+            calls = self.convolutions(monkeypatch)
+            with pytest.raises(InvalidInput, match="mixed quadratic fields"):
+                pairing(chars[1], foreign)
+            assert calls == []
+            monkeypatch.undo()
+
+    def test_powers_of_other_weight_functions_are_taken_per_value(self):
+        G = class_group(-47)
+        chars = characters(G)
+        doubled = WeightFunction(G, (0, 0), [v.scale(2) for v in chars[1].values])
+        weighted = WeightFunction(G, (2, -1), chars[1].values)
+        for phi in (doubled, weighted):
+            for n in (2, -1, -3):
+                power = phi ** n
+                assert power.exponents is None
+                assert power.weight == (n * phi.weight[0], n * phi.weight[1])
+                for v, w in zip(phi.values, power.values):
+                    assert w * v ** -n == 1
+            assert phi.inverse() == phi ** -1
+        # halving the doubled values again gives a character, which gets its row back
+        halved = WeightFunction(G, (0, 0), [v.scale(Fraction(1, 2)) for v in chars[1].values])
+        assert (doubled * halved ** -1).exponents is None
+        assert doubled * halved == chars[1] ** 2 and (doubled * halved).exponents is not None
+
+    def test_products_and_powers_take_the_shared_roots(self):
+        for D in (-23, -84, -407):
+            G = class_group(D)
+            chars = characters(G)
+            shared = {next(iter(v.terms)): v for chi in chars for v in chi.values}
+            assert len(shared) == G.exponent
+            for phi in (chars[1] * chars[-1], chars[-1] ** 5, chars[1] ** -1,
+                        chars[-1].inverse()):
+                for value in phi.values:
+                    assert value is shared[next(iter(value.terms))]
+
+    def test_rows_of_products_and_powers(self):
+        for D in (-23, -84, -407):
+            G = class_group(D)
+            chars = characters(G)
+            m = G.exponent
+            rows = [memoryview(chi.exponents).cast("H").tolist() for chi in chars]
+            for chi, row in zip(chars, rows):
+                assert row == [next(iter(v.terms)) for v in chi.values]
+                assert memoryview((chi ** 3).exponents).cast("H").tolist() \
+                    == [3 * e % m for e in row]
+                assert memoryview(chi.inverse().exponents).cast("H").tolist() \
+                    == [-e % m for e in row]
+                assert memoryview((chi * chars[-1]).exponents).cast("H").tolist() \
+                    == [(e + f) % m for e, f in zip(row, rows[-1])]
+
+    def test_values_in_a_smaller_layer_keep_their_layer(self):
+        """A weight-(0, 0) function of roots in a proper divisor layer of
+        G.exponent carries no row, and its pairings keep that layer."""
+        for D in (-23, -84, -263, -407):
+            G = class_group(D)
+            d, m = G.order_data.d_K, G.exponent
+            chars = characters(G)
+            ones = WeightFunction(G, (0, 0), [AlgebraicValue.from_rational(1, d, 1)] * G.h)
+            assert ones.exponents is None
+            q = next(q for q in range(2, m + 1) if m % q == 0)  # a proper divisor m/q
+            low = WeightFunction(G, (0, 0), [AlgebraicValue.root_of_unity(e, d, m // q)
+                                             for e in range(G.h)])
+            assert low.exponents is None
+            for phi in (ones, low):
+                assert self.same(pairing(phi, phi), self.product_sum(phi, phi))
+                for chi in chars:
+                    assert self.same(pairing(phi, chi), self.product_sum(phi, chi))
+                    assert self.same(pairing(chi, phi), self.product_sum(chi, phi))
+            assert pairing(ones, ones).m == 1 and pairing(ones, ones) == 1
+
+    def test_constructor_derives_and_checks_the_row(self):
+        G = class_group(-47)
+        chars = characters(G)
+        for chi in chars:
+            rebuilt = WeightFunction(G, (0, 0), chi.values)
+            assert rebuilt == chi and rebuilt.exponents == chi.exponents
+            assert WeightFunction(G, (0, 0), chi.values, chi.exponents) == chi
+        other = chars[1].exponents
+        with pytest.raises(InvalidInput, match="exponent row disagrees"):
+            WeightFunction(G, (0, 0), chars[2].values, other)
+        with pytest.raises(InvalidInput, match="exponent row disagrees"):
+            WeightFunction(G, (2, 0), chars[1].values, other)  # no row at weight (2, 0)
+
 
 class TestCanonicalWeightCharacter:
     def test_square_of_norm_two_generator(self):

@@ -93,6 +93,7 @@ CONTAINERS = {
     "pi-polynomial terms": (lambda: PiPolynomial({1: 1}), "terms", 2, 5),
     "measure mahler": (lambda: dirac(1, 3, 4), "mahler", 0, 7),
     "algebraic terms": (lambda: AlgebraicValue.root_of_unity(1, -7, 3), "terms", 0, (1, 0)),
+    "character exponents": (lambda: characters(class_group(-23))[1], "exponents", 0, 1),
 }
 
 
