@@ -1,6 +1,7 @@
 """Integer primitives on the standard library only: primality, the next
-prime, factorisation, the fundamental part of a quadratic discriminant,
-square roots modulo a prime, cyclotomic polynomials and Bernoulli numbers.
+prime, factorisation, the Jacobi symbol, the p-adic valuation of an
+integer, the fundamental part of a quadratic discriminant, square roots
+modulo a prime, cyclotomic polynomials and Bernoulli numbers.
 
 Primality is trial division, then strong Miller-Rabin to the first thirteen
 prime bases, which is deterministic below psi_13 ~ 3.3e24 (Sorenson and
@@ -49,8 +50,8 @@ def _strong_probable_prime(n: int, a: int) -> bool:
     return False
 
 
-def _jacobi(a: int, n: int) -> int:
-    """The Jacobi symbol (a/n) for odd n > 0."""
+def jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0: the Legendre symbol when n is prime."""
     a %= n
     sign = 1
     while a:
@@ -72,7 +73,7 @@ def _strong_lucas_probable_prime(n: int) -> bool:
         return False
     D = 5
     while True:
-        j = _jacobi(D, n)
+        j = jacobi(D, n)
         if j == -1:
             break
         if j == 0:
@@ -169,6 +170,17 @@ def factorint(n) -> dict:
             d = _rho(m)
             pending += [d, m // d]
     return dict(sorted(factors.items()))
+
+
+def int_valuation(n: int, p: int) -> int:
+    """v_p(n) for a nonzero integer."""
+    if n == 0:
+        raise InvalidInput("valuation of 0 is infinite")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
 
 def is_discriminant(D: int) -> bool:

@@ -27,7 +27,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .arith import (cyclotomic_coeffs, factorint, fundamental_decomposition,
-                    is_discriminant, isprime, sqrt_mod_prime)
+                    is_discriminant, isprime, jacobi, sqrt_mod_prime)
 from .errors import Frozen, InvalidInput
 from .padic import PadicScalar, exact
 
@@ -122,10 +122,11 @@ class IdealClassGroup(Frozen):
     outside it, g's row is composed (h `compose_forms` calls) and each coset
     g^j H takes its rows from it, as (x g) y = x (g y), until g^k lies in H.
     `chain` holds each (g, k, g^k); `walk` the classes in the order found,
-    mixed radix with the last generator varying slowest."""
+    mixed radix with the last generator varying slowest; `exponent` the lcm
+    of the orders of the chain's generators, which generate G."""
 
     __slots__ = ("discriminant", "order_data", "forms", "table",
-                 "identity_index", "inverse", "chain", "walk")
+                 "identity_index", "inverse", "chain", "walk", "exponent")
 
     def __init__(self, D: int):
         if not is_discriminant(D):
@@ -148,10 +149,11 @@ class IdealClassGroup(Frozen):
                 walk, prev, k = walk + coset, coset, k + 1
                 coset = [g_row[x] for x in coset]
             chain.append((g, k, coset[0]))
-        self._set(D, QuadOrder.from_discriminant(D), tuple(forms),
-                  tuple(rows[i] for i in range(h)), e,
+        table = tuple(rows[i] for i in range(h))
+        self._set(D, QuadOrder.from_discriminant(D), tuple(forms), table, e,
                   tuple(index[reduce_form((a, -b, c), D)] for a, b, c in forms),
-                  tuple(chain), tuple(walk))
+                  tuple(chain), tuple(walk),
+                  math.lcm(*(_element_order(table, e, g) for g, _, _ in chain)))
 
     @property
     def h(self) -> int:
@@ -161,19 +163,18 @@ class IdealClassGroup(Frozen):
         return self.table[i][j]
 
     def element_order(self, i: int) -> int:
-        n, acc = 1, i
-        while acc != self.identity_index:
-            acc = self.mul(acc, i)
-            n += 1
-        return n
-
-    @property
-    def exponent(self) -> int:
-        """The lcm of the orders of the chain's generators, which generate G."""
-        return math.lcm(*(self.element_order(g) for g, _, _ in self.chain))
+        return _element_order(self.table, self.identity_index, i)
 
     def __repr__(self):
         return f"IdealClassGroup(D={self.discriminant}, h={self.h})"
+
+
+def _element_order(table: tuple, identity: int, i: int) -> int:
+    n, acc = 1, i
+    while acc != identity:
+        acc = table[acc][i]
+        n += 1
+    return n
 
 
 def _enumerate_reduced_forms(D: int):
@@ -528,8 +529,9 @@ def _class_sum(phi1: WeightFunction, phi2: WeightFunction, *twist: WeightFunctio
         m, counts = phi1.values[0].m, {}
         for e in map(sum, zip(*(memoryview(phi.exponents).cast("H") for phi in phis))):
             counts[e % m] = counts.get(e % m, 0) + 1
+        # every count is >= 1, so every share is in `exact` normal form and nonzero
         shares = {n: (share(n), 0) for n in set(counts.values())}
-        return AlgebraicValue._from_terms(d, m, {k: shares[n] for k, n in counts.items()})
+        return AlgebraicValue._from_fields(d, m, {k: shares[n] for k, n in counts.items()})
     rows = [[v if isinstance(v, AlgebraicValue) else AlgebraicValue.from_rational(v, d, 1)
              for v in phi.values] for phi in phis]
     if any(v.d != d for row in rows for v in row):
@@ -632,7 +634,7 @@ class PadicEmbedding(Frozen):
             _pick_zeta(prime, m, zeta_residue), prime, precision)
         if d % prime == 0:
             sqrt_lift = "ramified"
-        elif pow(d % prime, (prime - 1) // 2, prime) != 1:
+        elif jacobi(d, prime) != 1:
             sqrt_lift = "inert"
         else:
             sqrt_lift = _lift_root(lambda x: x * x - d, lambda x: 2 * x,

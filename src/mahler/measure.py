@@ -42,6 +42,7 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul, sub
 
+from .arith import int_valuation
 from .errors import Frozen, InvalidInput, PrecisionExhausted
 from .padic import (INF, PadicScalar, _falling_factorial_coeffs, _stirling_second_row,
                     binomial_series, checked_prime, exact, is_p_integral)
@@ -108,11 +109,7 @@ def _residue_dot(row, residues, p: int, P=INF):
 
 def _valuation(x: int, p: int, N: int) -> int:
     """v_p of x known mod p^N, reading a zero mod p^N as valuation N."""
-    v = 0
-    while v < N and x % p == 0:
-        x //= p
-        v += 1
-    return v
+    return min(int_valuation(x, p), N) if x else N
 
 
 def _dot(row, xs, res, start=0):
@@ -135,12 +132,6 @@ def _cap_precision(x, p: int, precision: int):
     return x + PadicScalar.zero(p, precision)
 
 
-def _integral(x, p: int) -> bool:
-    if type(x) is PadicScalar:
-        return not x.unit or x.valuation >= 0
-    return is_p_integral(x, p)
-
-
 class Measure(Frozen):
     """A bounded measure on Z_p, known through its first `order` Mahler
     coefficients; `finite` marks a complete expansion (all higher a_n = 0)."""
@@ -148,15 +139,14 @@ class Measure(Frozen):
     __slots__ = ("prime", "mahler", "finite")
 
     def __init__(self, prime: int, mahler, finite: bool = False):
-        if not checked_prime(prime):
-            raise InvalidInput(f"{prime} is not prime")
+        checked_prime(prime)
         mahler = tuple(mahler)
         if not mahler:
             raise InvalidInput("a measure needs at least one Mahler coefficient")
         for a in mahler:
             if type(a) is PadicScalar and a.prime != prime:
                 raise InvalidInput("coefficient prime mismatch")
-            if not _integral(a, prime):
+            if not is_p_integral(a, prime):
                 raise InvalidInput("Mahler coefficient with negative valuation: "
                                    "this is a distribution, not a measure")
         self._set(prime, mahler, finite)
@@ -182,7 +172,7 @@ class Measure(Frozen):
         p = self.prime
         known = (scalar.prime == p if type(scalar) is PadicScalar
                  else type(scalar) in (int, Fraction))
-        build = Measure._from_fields if known and _integral(scalar, p) else Measure
+        build = Measure._from_fields if known and is_p_integral(scalar, p) else Measure
         if type(scalar) is not PadicScalar or scalar.prime != p or scalar.precision is INF:
             return build(p, tuple(exact(scalar * a) for a in self.mahler), self.finite)
         return build(p, tuple(scalar._times(a) if type(a) is PadicScalar
@@ -205,8 +195,7 @@ def dirac(z, prime: int, order: int) -> Measure:
         if not is_p_integral(z, prime):
             raise InvalidInput("z must lie in Z_p")
         series, finite = binomial_series(z, order), z.denominator == 1 and 0 <= z < order
-    if not checked_prime(prime):
-        raise InvalidInput(f"{prime} is not prime")
+    checked_prime(prime)
     return Measure._from_fields(prime, series.coeffs, finite)
 
 
@@ -242,7 +231,7 @@ def mahler_from_moments(b, prime: int) -> Measure:
     for n in range(len(b)):
         total = _dot(_falling_factorial_coeffs(n), b, res)
         a_n = exact(total * Fraction(1, factorials[n]))
-        if not _integral(a_n, prime):
+        if not is_p_integral(a_n, prime):
             raise InvalidInput(f"non-integral Mahler coefficient at n={n}: "
                                "moments do not define a bounded measure")
         coeffs.append(a_n)

@@ -103,8 +103,7 @@ class QExpansion(Frozen):
 
 def u_operator(f: QExpansion, p: int) -> QExpansion:
     """U_p: a_n -> a_{np}; truncation drops to floor(M/p)."""
-    if not checked_prime(p):
-        raise InvalidInput(f"{p} is not prime")
+    checked_prime(p)
     if f.trunc < p:
         raise InvalidInput("truncation too short for U_p")
     return QExpansion._from_fields(f.weight, f.level, f.eps, f.coeffs[::p])
@@ -113,8 +112,7 @@ def u_operator(f: QExpansion, p: int) -> QExpansion:
 def v_operator(f: QExpansion, p: int) -> QExpansion:
     """V_p: (Vf)(q) = f(q^p); every coefficient of the result is determined,
     so the truncation stretches to p*M."""
-    if not checked_prime(p):
-        raise InvalidInput(f"{p} is not prime")
+    checked_prime(p)
     out = [0] * (p * f.trunc + 1)
     for n, c in enumerate(f.coeffs):
         out[n * p] = c
@@ -137,8 +135,7 @@ def hecke_operator(f: QExpansion, p: int) -> QExpansion:
 
 def p_deplete(f: QExpansion, p: int) -> QExpansion:
     """(1 - VU): zero every coefficient with p | n."""
-    if not checked_prime(p):
-        raise InvalidInput(f"{p} is not prime")
+    checked_prime(p)
     coeffs = tuple(0 if n % p == 0 else c for n, c in enumerate(f.coeffs))
     return QExpansion._from_fields(f.weight, f.level, f.eps, coeffs)
 
@@ -158,8 +155,7 @@ def interpolation_euler_factor(a_p, eps_p, chi_value, kappa: int, p: int) -> Fra
     p-depleted toric period to the original one."""
     if kappa < 1:
         raise InvalidInput("kappa must be >= 1")
-    if not checked_prime(p):
-        raise InvalidInput(f"{p} is not prime")
+    checked_prime(p)
     a_p, eps_p, chi_value = Fraction(a_p), Fraction(eps_p), Fraction(chi_value)
     q = Fraction(1, p ** (2 * kappa))
     return 1 - a_p * chi_value * q + eps_p * chi_value ** 2 * q / p

@@ -28,15 +28,18 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import isprime
+from .arith import int_valuation, isprime
 from .errors import Frozen, InvalidInput, PrecisionExhausted
 
 INF = math.inf
 
 
 @lru_cache(maxsize=None)
-def checked_prime(p: int) -> bool:
-    return isprime(p)
+def checked_prime(p: int) -> int:
+    """p, once it is known to be prime; any other p is refused."""
+    if not isprime(p):
+        raise InvalidInput(f"{p} is not prime")
+    return p
 
 
 def exact(q):
@@ -49,19 +52,11 @@ def exact(q):
     return q.numerator if q.denominator == 1 else q
 
 
-def int_valuation(n: int, p: int) -> int:
-    """v_p(n) for a nonzero integer."""
-    if n == 0:
-        raise InvalidInput("valuation of 0 is infinite")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
-
-
 def is_p_integral(q, p: int) -> bool:
-    """True when the int/Fraction lies in Z_p (denominator prime to p)."""
+    """True when q lies in Z_p: a PadicScalar of valuation >= 0 or a zero,
+    an int/Fraction with denominator prime to p."""
+    if type(q) is PadicScalar:
+        return not q.unit or q.valuation >= 0
     return Fraction(q).denominator % p != 0
 
 
@@ -77,8 +72,7 @@ class PadicScalar(Frozen):
     __slots__ = ("prime", "valuation", "unit", "precision")
 
     def __new__(cls, prime: int, valuation, unit: int, precision):
-        if not checked_prime(prime):
-            raise InvalidInput(f"{prime} is not prime")
+        checked_prime(prime)
         if valuation is INF and unit != 0:
             raise InvalidInput("infinite valuation with nonzero unit")
         if unit != 0 and precision is INF:
@@ -120,8 +114,7 @@ class PadicScalar(Frozen):
         q = Fraction(q)
         if q == 0:
             return cls(prime, INF, 0, INF)
-        if not checked_prime(prime):  # before int_valuation, which never ends for p = 1
-            raise InvalidInput(f"{prime} is not prime")
+        checked_prime(prime)  # before int_valuation, which never ends for p = 1
         num, den = q.numerator, q.denominator
         vn, vd = int_valuation(num, prime), int_valuation(den, prime)
         v = vn - vd
@@ -176,9 +169,6 @@ class PadicScalar(Frozen):
         if isinstance(other, (int, Fraction)):
             if Fraction(other) == 0:
                 return PadicScalar._make(self.prime, INF, 0, INF)
-            if self.precision is INF:
-                raise InvalidInput(
-                    "coercing a nonzero rational against an exact zero loses exactness")
             return PadicScalar.from_rational(other, self.prime, self.precision)
         return NotImplemented
 
@@ -201,10 +191,7 @@ class PadicScalar(Frozen):
         return PadicScalar._make(self.prime, self._val, -self.unit, self.precision)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self.__add__(-other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
@@ -312,8 +299,7 @@ def factorial_valuation(n: int, p: int) -> int:
     """v_p(n!) by Legendre's digit-sum formula."""
     if n < 0:
         raise InvalidInput("n must be nonnegative")
-    if not checked_prime(p):
-        raise InvalidInput(f"{p} is not prime")
+    checked_prime(p)
     digit_sum, m = 0, n
     while m:
         digit_sum += m % p

@@ -10,7 +10,8 @@ import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-from .arith import factorint, fundamental_decomposition, isprime, nextprime, sqrt_mod_prime
+from .arith import (factorint, fundamental_decomposition, int_valuation, isprime, jacobi,
+                    nextprime, sqrt_mod_prime)
 from .errors import InvalidInput, Record, SearchBoundExhausted
 
 INFINITE_PLACE = math.inf
@@ -24,11 +25,6 @@ def _square_class(q) -> int:
     return q.numerator * q.denominator
 
 
-def _legendre(u: int, p: int) -> int:
-    r = pow(u % p, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
-
-
 def hilbert_symbol(a, b, place) -> int:
     """(a, b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial local solution."""
     a, b = _square_class(a), _square_class(b)
@@ -37,22 +33,17 @@ def hilbert_symbol(a, b, place) -> int:
     p = int(place)
     if not isprime(p):
         raise InvalidInput(f"{place} is not a place")
-    va, vb = 0, 0
-    while a % p == 0:
-        a //= p
-        va += 1
-    while b % p == 0:
-        b //= p
-        vb += 1
+    va, vb = int_valuation(a, p), int_valuation(b, p)
+    a, b = a // p ** va, b // p ** vb
     va, vb = va % 2, vb % 2
     if p != 2:
         sign = 1
         if va and vb and (p - 1) // 2 % 2:
             sign = -sign
         if vb:
-            sign *= _legendre(a, p)
+            sign *= jacobi(a, p)
         if va:
-            sign *= _legendre(b, p)
+            sign *= jacobi(b, p)
         return sign
     eps_a, eps_b = (a - 1) // 2 % 2, (b - 1) // 2 % 2
     om_a, om_b = (a * a - 1) // 8 % 2, (b * b - 1) // 8 % 2
@@ -120,7 +111,7 @@ def hashimoto_search(delta: int, p: int, bound: int) -> HashimotoData:
             continue
         if q in delta_primes:
             continue
-        if _legendre(q, p) != 1:
+        if jacobi(q, p) != 1:
             continue
         if ramified_set(QuaternionAlgebra(q, -delta)) != delta_primes:
             continue

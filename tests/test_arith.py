@@ -91,6 +91,13 @@ class TestSqrtModPrime:
                 assert arith.sqrt_mod_prime(a, p) == sorted(sqrt_mod(a, p, all_roots=True))
 
 
+class TestJacobi:
+    def test_legendre_symbol_mod_every_odd_prime_below_300(self):
+        for p in sympy.primerange(3, 300):
+            for a in range(-p, 2 * p):
+                assert arith.jacobi(a, p) == sympy.legendre_symbol(a % p, p), (a, p)
+
+
 class TestCyclotomic:
     def test_up_to_300(self):
         x = sympy.Symbol("x")

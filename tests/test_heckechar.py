@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -18,7 +20,7 @@ from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
                               pairing, reduce_form, smallest_admissible_prime,
                               twisted_pairing)
 from mahler.arith import cyclotomic_coeffs, isprime
-from mahler.padic import PadicScalar
+from mahler.padic import PadicScalar, exact
 from mahler.serialize import encode_algebraic
 from mahler.measure import (cell_mass, moments, mult_pushforward, pairing_measure,
                             restrict_to_units)
@@ -114,6 +116,28 @@ class TestClassGroups:
         G = class_group(-39999)
         assert [k for _, k, _ in G.chain] == [48, 2]
         assert len(calls) == G.h * len(G.chain) == 192
+
+    def test_exponent_is_read_not_computed(self, monkeypatch):
+        # the exponent is set once, in the constructor, from the table
+        G = class_group(-39999)
+        assert G.exponent == math.lcm(*(G.element_order(i) for i in range(G.h))) == 48
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args):
+                calls.append(name)
+                return fn(*args)
+            return counted
+        monkeypatch.setattr(heckechar.IdealClassGroup, "mul",
+                            counting("mul", heckechar.IdealClassGroup.mul))
+        monkeypatch.setattr(heckechar, "_element_order",
+                            counting("walk", heckechar._element_order))
+        assert [G.exponent for _ in range(3)] == [48] * 3
+        assert calls == []
+        monkeypatch.undo()
+        assert G == class_group(-39999) != class_group(-39995)
+        assert copy.copy(G) == G == pickle.loads(pickle.dumps(G))
+        assert pickle.loads(pickle.dumps(G)).exponent == 48
 
     def test_commutative(self):
         for D in (-23, -47, -84, -120):
@@ -474,6 +498,26 @@ class TestPairing:
                     assert self.same(pairing(a, b), self.product_sum(a, b))
                     assert self.same(twisted_pairing(a, b, chars[-1]),
                                      self.product_sum(a, chars[-1] * b))
+
+    def test_counted_sums_are_built_in_normal_form(self, monkeypatch):
+        """The counting path builds its terms already in `exact` normal form,
+        so it calls `exact` on none of them."""
+        for D in (-23, -84, -407):
+            chars = characters(class_group(D))
+            calls = []
+
+            def counted(q):
+                calls.append(q)
+                return exact(q)
+            monkeypatch.setattr(heckechar, "exact", counted)
+            sums = [(pairing(a, b), twisted_pairing(a, b, chars[-1]))
+                    for a in chars[:4] for b in chars]
+            assert calls == []
+            monkeypatch.undo()
+            assert all(self.normal(x) for pair in sums for x in pair)
+            a, b = chars[1], chars[-1]
+            assert self.same(pairing(a, b), self.product_sum(a, b))
+            assert self.same(twisted_pairing(a, b, b), self.product_sum(a, b * b))
 
     def test_other_weight_functions_take_the_group_ring_path(self, monkeypatch):
         for D in (-23, -84):

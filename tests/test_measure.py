@@ -78,6 +78,10 @@ class TestDirac:
         with pytest.raises(InvalidInput):
             dirac(Fraction(1, 5), 5, 4)
 
+    def test_non_prime_rejected(self):
+        with pytest.raises(InvalidInput, match="^4 is not prime$"):
+            dirac(1, 4, 3)
+
     def test_finite_flag(self):
         assert dirac(3, 5, 6).finite
         assert not dirac(-1, 5, 6).finite

@@ -147,6 +147,10 @@ class TestUVOperators:
         with pytest.raises(InvalidInput):
             u_operator(f, 5)
 
+    def test_v_needs_a_prime(self):
+        with pytest.raises(InvalidInput, match="^4 is not prime$"):
+            v_operator(delta_qexpansion(5), 4)
+
 
 class TestHeckeOperator:
     @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])

@@ -70,6 +70,26 @@ class TestScalarArith:
             zero ** 0
         with pytest.raises(InvalidInput, match="division by zero"):
             PadicScalar.from_int(2, 5, 4) / 0
+        cube = zero ** 3
+        assert cube.is_zero and cube.precision is INF
+        assert (zero == 3) is False and (zero == 0) is True
+        with pytest.raises(TypeError):
+            PadicScalar.from_int(2, 5, 4) / "2"
+
+    def test_exact_zero_minus_a_rational(self):
+        # subtraction is adding the negative, so it drops the exact zero as + does
+        zero = PadicScalar.zero(5)
+        for q in (3, Fraction(2, 7), Fraction(-1, 25)):
+            assert zero - q == zero + (-q) == -q
+            assert type(zero - q) is type(q)
+            assert q - zero == q
+
+    def test_p_integrality(self):
+        assert padic.is_p_integral(Fraction(5, 3), 5)
+        assert not padic.is_p_integral(Fraction(3, 5), 5)
+        assert padic.is_p_integral(PadicScalar.from_int(10, 5, 4), 5)
+        assert padic.is_p_integral(PadicScalar.zero(5, 2), 5)
+        assert not padic.is_p_integral(PadicScalar.from_rational(Fraction(1, 5), 5, 4), 5)
 
     def test_sum_precision_is_min(self):
         a = PadicScalar.from_int(4, 3, 9)
