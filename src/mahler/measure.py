@@ -17,6 +17,10 @@ taken by `_dot`, and `_residues` chooses once per list: over PadicScalars of
 one prime and exact zeros every row is summed on integers (`_residue_dot`),
 the value Σ c·lift(x) mod p^P with P = min(prec(x) + v_p(c)), which is what
 `+` and `*` give term by term; over any other list, with `+` and `*`.
+A list of ints and Fractions alone takes recurrences, with the same values:
+falling factors in `mahler_from_moments`, Taylor shifts in the (1+T)^m basis.
+Other lists keep the rows: P, the least of prec(x) + v_p(c) over one row's
+entries, is a precision that a recurrence's partial sums do not carry.
 
 Where every coefficient is such a scalar, the measure operations stay on
 integer residues (value, N), x known mod p^N, and make one PadicScalar per
@@ -44,19 +48,29 @@ from operator import mul, sub
 
 from .arith import int_valuation
 from .errors import Frozen, InvalidInput, PrecisionExhausted
-from .padic import (INF, PadicScalar, _falling_factorial_coeffs, _stirling_second_row,
+from .padic import (INF, PadicScalar, _falling_factorial_coeffs, _surjection_row,
                     binomial_series, checked_prime, exact, is_p_integral)
 
-_FACTORIALS = (1,)  # n! at index n; replaced whole by a longer table when needed
+
+def _is_exact(xs) -> bool:
+    """True when every x is an int or a Fraction (a bool is neither)."""
+    return all(type(x) is int or type(x) is Fraction for x in xs)
 
 
-def _factorials(n: int) -> tuple:
-    """0!, 1!, ..., (n-1)!: a prefix of one shared table."""
-    global _FACTORIALS
-    table = _FACTORIALS
-    if len(table) < n:
-        table = _FACTORIALS = tuple(accumulate(range(1, 2 * n), mul, initial=1))
-    return table[:n]
+def _taylor_shift(xs) -> list:
+    """The coefficients of f(X + 1), f = Σ xs[k] X^k, by additions only: the
+    suffix sums are Horner's scheme at 1, f(1) and then (f(X) - f(1))/(X - 1),
+    shifted in turn (von zur Gathen and Gerhard, ISSAC 1997)."""
+    rev, out = xs[::-1], []
+    while rev:
+        rev = list(accumulate(rev))
+        out.append(exact(rev.pop()))
+    return out
+
+
+def _alternated(xs) -> list:
+    """xs[k] times (-1)^k: f(X) to f(-X)."""
+    return [-x if k % 2 else x for k, x in enumerate(xs)]
 
 
 def _binomial_columns(size: int):
@@ -205,8 +219,7 @@ def _moment_weights(mu: Measure, r: int) -> list:
         raise InvalidInput("moment index must be nonnegative")
     if r >= mu.order and not mu.finite:
         raise InvalidInput(f"moment {r} needs order > {r} or a finite measure")
-    n = min(r, mu.order - 1) + 1
-    return list(map(mul, _stirling_second_row(r), _factorials(n)))
+    return _surjection_row(r)[:min(r, mu.order - 1) + 1]
 
 
 def moments(mu: Measure, r: int):
@@ -219,6 +232,8 @@ def moments(mu: Measure, r: int):
 def mahler_from_moments(b, prime: int) -> Measure:
     """Invert the moment map: a_n = (1/n!) Σ_i γ_{n,i} b_i.
 
+    On exact moments, c_i = ∫ t^i t(t-1)...(t-n+1) dµ: a_n = c_0 / n!, and the
+    factor (t - n) makes c_i of c_(i+1) - n c_i.  Other lists take the rows γ_n.
     The division by n! costs v_p(n!) of absolute precision on p-adic input;
     a coefficient that fails integrality at the available precision means the
     moments were not those of a bounded measure.
@@ -226,11 +241,15 @@ def mahler_from_moments(b, prime: int) -> Measure:
     b = list(b)
     if not b:
         raise InvalidInput("need at least the 0-th moment")
-    coeffs = []
-    res, factorials = _residues(b), _factorials(len(b))
+    coeffs, factorial = [], 1
+    res, c = _residues(b), b if _is_exact(b) else None
     for n in range(len(b)):
-        total = _dot(_falling_factorial_coeffs(n), b, res)
-        a_n = exact(total * Fraction(1, factorials[n]))
+        factorial *= n or 1
+        if c is None:
+            a_n = exact(_dot(_falling_factorial_coeffs(n), b, res) * Fraction(1, factorial))
+        else:
+            a_n = exact(Fraction(c[0], factorial))
+            c = [y - n * x for x, y in zip(c, c[1:])]
         if not is_p_integral(a_n, prime):
             raise InvalidInput(f"non-integral Mahler coefficient at n={n}: "
                                "moments do not define a bounded measure")
@@ -243,8 +262,12 @@ def mahler_from_moments(b, prime: int) -> Measure:
 def plus_basis(mu: Measure):
     """Coefficients c_m with F(T) = Σ c_m (1+T)^m, m < order.
 
-    Exact for finite measures; in general c_m mixes all stored a_k.
+    Exact for finite measures; in general c_m mixes all stored a_k.  On
+    exact coefficients, F(T) = G(-T) with G(Y) = Σ (-1)^k a_k (1 + Y)^k: the
+    Taylor shift by 1 of the alternated coefficients, alternated.
     """
+    if _is_exact(mu.mahler):
+        return _alternated(_taylor_shift(_alternated(mu.mahler)))
     K = mu.order
     signs = [(-1) ** j for j in range(K)]
     res = _residues(mu.mahler)
@@ -253,7 +276,10 @@ def plus_basis(mu: Measure):
 
 
 def from_plus_basis(c, prime: int, finite: bool) -> Measure:
-    """Mahler coefficients a_n = Σ_m c_m C(m, n) from (1+T)^m coefficients."""
+    """Mahler coefficients a_n = Σ_m c_m C(m, n) from (1+T)^m coefficients:
+    on exact ones, the Taylor shift by 1."""
+    if _is_exact(c):
+        return Measure(prime, _taylor_shift(c), finite=finite)
     res = _residues(c)
     mahler = [exact(_dot(col, c, res, n)) for n, col in enumerate(_binomial_columns(len(c)))]
     return Measure(prime, mahler, finite=finite)
@@ -312,48 +338,55 @@ def cell_tail_valuation(order: int, nu: int, p: int) -> int:
     return math.ceil(Fraction(order, p ** (nu - 1) * (p - 1)) - nu)
 
 
-def _cell_weights(a: int, q: int, size: int):
-    """w_k = Σ_{m ≡ a mod q} (-1)^(k-m) C(k, m) for k < size, from row k of
-    Pascal's triangle folded mod q with signs: row k+1 at residue r is row k
-    at r-1 minus row k at r.
+def _cell_rows(q: int, size: int):
+    """Rows k < size of Pascal's triangle folded mod q with signs: entry a of
+    row k is w_k(a) = Σ_{m ≡ a mod q} (-1)^(k-m) C(k, m), and row k+1 at
+    residue r is row k at r-1 minus row k at r.
 
-    The row is kept at length min(q, size): for q > size, row k < size has
+    A row is kept at length min(q, size): for q > size, row k < size has
     no entry at index size or above, so folding mod size changes no weight
     that is read, and every weight is 0 when a >= size."""
-    width = min(q, size)
-    if a >= width:
-        yield from repeat(0, size)
-        return
-    row = [1] + [0] * (width - 1)
-    for _ in range(size):
-        yield row[a]
+    row = [1] + [0] * (min(q, size) - 1)
+    yield row
+    for _ in range(size - 1):
         row = list(map(sub, row[-1:] + row[:-1], row))
+        yield row
+
+
+def _cell_gate(mu: Measure, nu: int, precision) -> None:
+    """The refusals of a level-nu cell mass of µ, the same for every cell."""
+    if not mu.finite:
+        if precision is None:
+            raise InvalidInput("cell mass of a truncated measure needs a target precision")
+        bound = cell_tail_valuation(mu.order, nu, mu.prime)
+        if precision > bound:
+            raise PrecisionExhausted(f"order {mu.order} supports level-{nu} cell masses "
+                                     f"to precision at most {bound}")
+
+
+def _cell(mu: Measure, weights, res, precision):
+    """Σ_k w_k a_k over one cell's weights, res = `_residues(mu.mahler)`,
+    capped at the target precision for a truncated measure."""
+    total = exact(_dot(weights, mu.mahler, res))
+    return total if mu.finite else _cap_precision(total, mu.prime, precision)
 
 
 def cell_mass(mu: Measure, a: int, nu: int, precision: int | None = None):
     """µ(a + p^nu Z_p) = Σ_k a_k Σ_{m ≡ a mod p^nu} (-1)^{k-m} C(k, m)."""
-    p = mu.prime
     if nu < 1:
         raise InvalidInput("level nu must be >= 1")
-    q = p ** nu
+    q = mu.prime ** nu
     if not 0 <= a < q:
         raise InvalidInput("residue out of range")
-    if not mu.finite:
-        if precision is None:
-            raise InvalidInput("cell mass of a truncated measure needs a target precision")
-        bound = cell_tail_valuation(mu.order, nu, p)
-        if precision > bound:
-            raise PrecisionExhausted(
-                f"order {mu.order} supports level-{nu} cell masses to precision "
-                f"at most {bound}")
-    total = exact(_dot(_cell_weights(a, q, mu.order), mu.mahler, _residues(mu.mahler)))
-    if mu.finite:
-        return total
-    return _cap_precision(total, p, precision)
+    _cell_gate(mu, nu, precision)
+    K = mu.order
+    weights = [row[a] for row in _cell_rows(q, K)] if a < min(q, K) else repeat(0, K)
+    return _cell(mu, weights, _residues(mu.mahler), precision)
 
 
 def integrate_step(mu: Measure, phi, precision: int | None = None):
-    """∫ φ dµ for a step function φ given by its values on Z/p^nu."""
+    """∫ φ dµ for a step function φ given by its values on Z/p^nu: the
+    cell masses µ(a + p^nu Z_p), read from one set of folded rows."""
     p = mu.prime
     size = len(phi)
     nu = 0
@@ -361,7 +394,11 @@ def integrate_step(mu: Measure, phi, precision: int | None = None):
         nu += 1
     if p ** nu != size or nu == 0:
         raise InvalidInput("phi must list its values on all of Z/p^nu, nu >= 1")
-    return exact(sum(phi[a] * cell_mass(mu, a, nu, precision) for a in range(size)))
+    _cell_gate(mu, nu, precision)
+    columns = list(zip(*_cell_rows(size, mu.order)))
+    zeros, res = (0,) * mu.order, _residues(mu.mahler)
+    return exact(sum(phi[a] * _cell(mu, columns[a] if a < len(columns) else zeros, res,
+                                    precision) for a in range(size)))
 
 
 def mult_pushforward(mu1: Measure, mu2: Measure, r_max: int) -> Measure:

@@ -318,7 +318,7 @@ def _grown(table: tuple, n: int, step) -> tuple:
 # Row n at index n.  A table is replaced whole by a longer one, never extended
 # in place, so a reader in another thread never sees a partial table.
 _FALLING_FACTORIAL = ((1,),)
-_STIRLING_SECOND = ((1,),)
+_SURJECTIONS = ((1,),)
 
 
 def _falling_factorial_coeffs(n: int) -> tuple:
@@ -339,21 +339,24 @@ def stirling_first_signed(n: int, i: int) -> int:
     return _falling_factorial_coeffs(n)[i]
 
 
-def _stirling_second_row(r: int) -> tuple:
-    """S(r, 0), ..., S(r, r), from row r-1: S(r, n) = n S(r-1, n) + S(r-1, n-1)."""
-    global _STIRLING_SECOND
-    table = _STIRLING_SECOND
+def _surjection_row(r: int) -> tuple:
+    """S(r, 0) 0!, ..., S(r, r) r!, the numbers of maps of an r-set onto an
+    n-set, from row r-1: S(r, n) n! = n (S(r-1, n) n! + S(r-1, n-1) (n-1)!)."""
+    global _SURJECTIONS
+    table = _SURJECTIONS
     if len(table) <= r:
-        table = _STIRLING_SECOND = _grown(table, r, lambda row: tuple(
-            n * a + b for n, a, b in zip(range(len(row) + 1), row + (0,), (0,) + row)))
+        table = _SURJECTIONS = _grown(table, r, lambda row: tuple(
+            n * (a + b) for n, a, b in zip(range(len(row) + 1), row + (0,), (0,) + row)))
     return table[r]
 
 
 def stirling_second(r: int, n: int) -> int:
-    """S(r, n) in t^r = sum_n S(r,n) n! C(t,n)."""
+    """S(r, n) in t^r = sum_n S(r,n) n! C(t,n), from the n + 1 terms of
+    S(r, n) n! = sum_j (-1)^(n-j) C(n, j) j^r: no row of the table is built."""
     if not 0 <= n <= r:
         raise InvalidInput("need 0 <= n <= r")
-    return _stirling_second_row(r)[n]
+    return sum((-1) ** (n - j) * math.comb(n, j) * j ** r
+               for j in range(n + 1)) // math.factorial(n)
 
 
 # ---------------------------------------------------------------------------

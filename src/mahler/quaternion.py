@@ -30,9 +30,9 @@ def hilbert_symbol(a, b, place) -> int:
     a, b = _square_class(a), _square_class(b)
     if place is INFINITE_PLACE or place in ("inf", "oo"):
         return -1 if a < 0 and b < 0 else 1
-    p = int(place)
-    if not isprime(p):
+    if type(place) is not int or not isprime(place):
         raise InvalidInput(f"{place} is not a place")
+    p = place
     va, vb = int_valuation(a, p), int_valuation(b, p)
     a, b = a // p ** va, b // p ** vb
     va, vb = va % 2, vb % 2

@@ -512,21 +512,29 @@ class TestPadicCommands:
 
 
 class TestDeepStirlingRows:
-    """Row 600 of the Stirling table in a fresh process, whose tables start
-    empty: the rows are built in a loop, so no depth limit applies."""
+    """Deep Stirling numbers and moments in a fresh process, whose tables
+    start empty: the rows are built in a loop, so no depth limit applies,
+    and S(r, n) is a sum of n + 1 terms, so no row is built for it."""
 
-    def mahler(self, *argv):
+    def mahler(self, *argv, timeout=60):
         src = os.path.dirname(os.path.dirname(os.path.abspath(mahler.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run(
             [sys.executable, "-c", "from mahler.cli import entrypoint; entrypoint()", *argv],
-            env=env, capture_output=True, text=True, timeout=60)
+            env=env, capture_output=True, text=True, timeout=timeout)
         return done.returncode, done.stdout, done.stderr
 
     def test_stirling_second(self):
         code, out, err = self.mahler("padic", "stirling-second", "--r", "600", "--n", "2")
         assert (code, err) == (0, "")
         assert json.loads(out)["value"] == str(2 ** 599 - 1)
+
+    def test_stirling_second_far_row(self):
+        # 4215 digits, below the 4300-digit limit of int-to-str conversion
+        code, out, err = self.mahler("padic", "stirling-second", "--r", "14000", "--n", "2",
+                                     timeout=10)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == str(2 ** 13999 - 1)
 
     def test_moment(self, tmp_path):
         path = write_measure(tmp_path, "m.json", dirac(2, 3, 3))

@@ -589,6 +589,8 @@ class TestKernelsAgainstTermwiseSums:
 
     @staticmethod
     def scalar(rng, kind, p):
+        if kind == "bool":  # ints beside bools, which take the rows, not the recurrences
+            return rng.choice([True, False, rng.randint(-10 ** 4, 10 ** 4)])
         if kind == "zeros":  # p-adic, with int 0 beside exact and inexact p-adic zeros
             if rng.randrange(4) == 0:
                 return 0
@@ -613,7 +615,7 @@ class TestKernelsAgainstTermwiseSums:
                 yield Measure(p, [self.scalar(rng, rng.choice(kinds), p)
                                   for _ in range(order)], finite=True)
 
-    KINDS = ["int", "fraction", "padic", "zeros", "mixed"]
+    KINDS = ["int", "fraction", "padic", "zeros", "mixed", "bool"]
 
     @staticmethod
     def outcome(fn, *args):
@@ -708,6 +710,97 @@ class TestKernelsAgainstTermwiseSums:
             for row in ([1, 1], [0, 3], [5, 10], [25, 0]):
                 assert self.outcome(_dot, row, xs, _residues(xs)) == \
                     self.outcome(lambda r, x: sum(map(operator.mul, r, x)), row, xs)
+
+
+class TestExactRecurrences:
+    """The recurrences that lists of ints and Fractions take -- one falling
+    factor per Mahler coefficient, the Taylor shifts of the (1+T)^m basis and
+    one set of folded Pascal rows per step integral -- against the row
+    formulas of `TestKernelsAgainstTermwiseSums`: same values, same types,
+    same refusals with the same messages."""
+
+    SIZES = (1, 2, 7, 60)
+    rows = TestKernelsAgainstTermwiseSums
+
+    @staticmethod
+    def outcome(fn, *args):
+        """typed(...) of each entry of the result, or the error and its message."""
+        try:
+            value = fn(*args)
+        except (InvalidInput, PrecisionExhausted) as exc:
+            return type(exc), str(exc)
+        if isinstance(value, Measure):
+            value = value.mahler
+        return [typed(x) for x in value] if isinstance(value, (list, tuple)) \
+            else typed(value)
+
+    def lists(self, kind):
+        rng = random.Random(f"recurrence {kind}")
+        for p in (2, 3, 5, 7):
+            for size in self.SIZES:
+                yield p, [self.rows.scalar(rng, kind, p) for _ in range(size)]
+
+    @pytest.mark.parametrize("kind", ["int", "fraction"])
+    def test_mahler_from_moments(self, kind):
+        for p, xs in self.lists(kind):
+            # p-integral multiples of K! keep every Mahler coefficient p-integral
+            b = [x * math.factorial(len(xs)) for x in xs]
+            got = self.outcome(mahler_from_moments, b, p)
+            assert got == self.outcome(self.rows.from_moments, b)
+            assert all(t in (int, Fraction) for t, _ in got)
+
+    @pytest.mark.parametrize("kind", ["int", "fraction"])
+    def test_non_integral_moments_refused_at_the_first_n(self, kind):
+        # moments that are multiples of j! only: the row formula names the
+        # first non-p-integral coefficient, the recurrence must stop there
+        rng = random.Random(f"refusal {kind}")
+        refused = set()
+        for p, xs in self.lists(kind):
+            b = [x * math.factorial(rng.randrange(len(xs))) for x in xs]
+            want = self.rows.from_moments(b)
+            bad = [n for n, a in enumerate(want) if Fraction(a).denominator % p == 0]
+            got = self.outcome(mahler_from_moments, b, p)
+            if bad:
+                refused.add(bad[0])
+                assert got == (InvalidInput, f"non-integral Mahler coefficient at n={bad[0]}: "
+                               "moments do not define a bounded measure")
+            else:
+                assert got == [typed(a) for a in want]
+        assert len(refused) > 2  # refusals at several depths, not only at n = 1
+
+    @pytest.mark.parametrize("kind", ["int", "fraction"])
+    def test_plus_basis_both_ways(self, kind):
+        for p, xs in self.lists(kind):
+            mu = Measure(p, xs, finite=True)
+            assert self.outcome(plus_basis, mu) == self.outcome(self.rows.plus, mu)
+            assert self.outcome(from_plus_basis, xs, p, True) == \
+                self.outcome(self.rows.from_plus, xs)
+
+    @staticmethod
+    def cell_sum(mu, phi, nu, precision):
+        return exact(sum(phi[a] * cell_mass(mu, a, nu, precision) for a in range(len(phi))))
+
+    @pytest.mark.parametrize("kind", ["int", "fraction"])
+    def test_integrate_step_on_a_finite_measure(self, kind):
+        rng = random.Random(f"step {kind}")
+        for p, xs in self.lists(kind):
+            mu = Measure(p, xs, finite=True)
+            for nu in (1, 2, 3):
+                phi = [rng.randint(-5, 5) for _ in range(p ** nu)]
+                assert self.outcome(integrate_step, mu, phi) == \
+                    self.outcome(self.cell_sum, mu, phi, nu, None)
+
+    def test_integrate_step_on_a_truncated_padic_measure(self):
+        # at the level-nu cell bound and one above it, where every cell refuses
+        rng = random.Random("step padic")
+        for p, xs in self.lists("zeros"):
+            mu = Measure(p, xs, finite=False)
+            for nu in (1, 2):
+                phi = [rng.randint(-5, 5) for _ in range(p ** nu)]
+                bound = cell_tail_valuation(mu.order, nu, p)
+                for precision in (bound, bound + 1, None):
+                    assert self.outcome(integrate_step, mu, phi, precision) == \
+                        self.outcome(self.cell_sum, mu, phi, nu, precision)
 
 
 class TestResiduePathsAgainstOperators:

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -340,16 +341,24 @@ class TestStirling:
     def test_row_tables_against_from_scratch_builds(self, monkeypatch):
         # from empty tables, grown in uneven steps and read back below the top
         monkeypatch.setattr(padic, "_FALLING_FACTORIAL", ((1,),))
-        monkeypatch.setattr(padic, "_STIRLING_SECOND", ((1,),))
+        monkeypatch.setattr(padic, "_SURJECTIONS", ((1,),))
         for top in (3, 4, 40, 300, 17):
             padic._falling_factorial_coeffs(top)
-            padic._stirling_second_row(top)
+            padic._surjection_row(top)
         falling = self.falling_factorial_table_from_scratch(300)
         stirling = self.stirling_second_table_from_scratch(300)
         for n in range(301):
             assert padic._falling_factorial_coeffs(n) == falling[n]
-            assert padic._stirling_second_row(n) == stirling[n]
-        assert len(padic._FALLING_FACTORIAL) == len(padic._STIRLING_SECOND) == 301
+            # the surjection row is the Stirling row times n!, entry by entry
+            assert padic._surjection_row(n) == tuple(
+                s * math.factorial(k) for k, s in enumerate(stirling[n]))
+        assert len(padic._FALLING_FACTORIAL) == len(padic._SURJECTIONS) == 301
+
+    def test_second_kind_against_recurrence(self):
+        # the public S(r, n) is a sum of n + 1 powers, not a row of a table
+        stirling = self.stirling_second_table_from_scratch(60)
+        for r in range(61):
+            assert [stirling_second(r, n) for n in range(r + 1)] == list(stirling[r])
 
     def test_index_errors(self):
         with pytest.raises(InvalidInput):
