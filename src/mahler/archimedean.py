@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import Frozen, InvalidInput, Record
+from .errors import Frozen, InvalidInput, Record, ToleranceNotMet
 
 
 class PiPolynomial(Frozen):
@@ -126,6 +126,8 @@ def delta_coeff(l: int, alpha: int, beta: int) -> PiPolynomial:
 
 def delta_diagonal_sum(r: int) -> PiPolynomial:
     """Sum over the diagonal a + b = r; equals (4 pi)^-r 2^r r! exactly."""
+    if r < 0:
+        raise InvalidInput("need r >= 0")
     total = PiPolynomial()
     for alpha in range(r + 1):
         total = total + delta_coeff(r, alpha, r - alpha)
@@ -133,6 +135,8 @@ def delta_diagonal_sum(r: int) -> PiPolynomial:
 
 
 def delta_diagonal_target(r: int) -> PiPolynomial:
+    if r < 0:
+        raise InvalidInput("need r >= 0")
     return PiPolynomial.term(Fraction(2 ** r * math.factorial(r), 4 ** r), -r)
 
 
@@ -200,14 +204,17 @@ def local_factor_closed_form(params: LocalFactorParams) -> complex:
 
 def quadrature_report(params: LocalFactorParams, nodes_a: int = 64,
                       nodes_theta: int = 256) -> dict:
-    """Quadrature at the stated and doubled resolutions plus the closed form;
-    used by the CLI and the acceptance suite."""
-    q1 = local_integral_quadrature(params, nodes_a, nodes_theta)
-    q2 = local_integral_quadrature(params, 2 * nodes_a, 2 * nodes_theta)
-    closed = local_factor_closed_form(params)
-    scale = abs(local_factor_closed_form(
-        LocalFactorParams(params.kappa, params.r, params.r, params.s,
-                          params.nu_u_abs, params.zeta_u)))
+    """Quadrature at the stated and doubled resolutions plus the closed form,
+    for the CLI and the acceptance suite; a float overflow is ToleranceNotMet."""
+    try:
+        q1 = local_integral_quadrature(params, nodes_a, nodes_theta)
+        q2 = local_integral_quadrature(params, 2 * nodes_a, 2 * nodes_theta)
+        closed = local_factor_closed_form(params)
+        scale = abs(local_factor_closed_form(
+            LocalFactorParams(params.kappa, params.r, params.r, params.s,
+                              params.nu_u_abs, params.zeta_u)))
+    except OverflowError as exc:
+        raise ToleranceNotMet(f"a value left the float range: {exc.args[-1]}") from None
     rel_error = abs(q1 - closed) / scale if scale else math.inf
     return {
         "quadrature": q1,

@@ -37,9 +37,9 @@ class Frozen:
     __delattr__ = __setattr__
 
     def _set(self, *fields):
-        """Set every field, in `__slots__` order.  `PadicScalar._make` and
-        `AlgebraicValue._from_terms`, in the inner loops of the avatar path,
-        call `object.__setattr__` per field instead: half the cost."""
+        """Set every field, in `__slots__` order.  `PadicScalar._make` (the
+        avatar path's inner loops) and `AlgebraicValue._from_terms` (every ring
+        result of the value tower) call `object.__setattr__` per field: half the cost."""
         for name, field in zip(self.__slots__, fields, strict=True):
             object.__setattr__(self, name, field)
 

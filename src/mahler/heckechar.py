@@ -53,7 +53,7 @@ class QuadOrder(Frozen):
     @classmethod
     def from_discriminant(cls, D: int) -> "QuadOrder":
         c, d_K = fundamental_decomposition(D)
-        return cls(d_K, c)
+        return cls._from_fields(d_K, c)
 
     @property
     def discriminant(self) -> int:
@@ -126,7 +126,7 @@ class IdealClassGroup(Frozen):
     of the orders of the chain's generators, which generate G."""
 
     __slots__ = ("discriminant", "order_data", "forms", "table",
-                 "identity_index", "inverse", "chain", "walk", "exponent")
+                 "identity_index", "chain", "walk", "exponent")
 
     def __init__(self, D: int):
         if not is_discriminant(D):
@@ -151,7 +151,6 @@ class IdealClassGroup(Frozen):
             chain.append((g, k, coset[0]))
         table = tuple(rows[i] for i in range(h))
         self._set(D, QuadOrder.from_discriminant(D), tuple(forms), table, e,
-                  tuple(index[reduce_form((a, -b, c), D)] for a, b, c in forms),
                   tuple(chain), tuple(walk),
                   math.lcm(*(_element_order(table, e, g) for g, _, _ in chain)))
 
@@ -234,9 +233,10 @@ def _residue(q, p: int, mod: int):
     return q.numerator * pow(q.denominator, -1, mod) % mod
 
 
-def _convolve(xs: dict, ys: dict, m: int, d: int, out: dict) -> dict:
-    """Add the cyclic convolution of two group-ring term dicts, exponents
-    mod m, into `out`; zero terms may remain."""
+def _convolve(xs: dict, ys: dict, m: int, d: int) -> dict:
+    """The cyclic convolution of two group-ring term dicts, exponents mod m;
+    zero terms may remain."""
+    out = {}
     for i, (ax, ay) in xs.items():
         for j, (bx, by) in ys.items():
             k = (i + j) % m
@@ -350,7 +350,7 @@ class AlgebraicValue(Frozen):
     def __mul__(self, other):
         """The cyclic convolution of the terms, exponents mod m."""
         a, b = self._align(other)
-        return AlgebraicValue._from_terms(a.d, a.m, _convolve(a.terms, b.terms, a.m, a.d, {}))
+        return AlgebraicValue._from_terms(a.d, a.m, _convolve(a.terms, b.terms, a.m, a.d))
 
     __rmul__ = __mul__
 
@@ -512,9 +512,9 @@ def _class_sum(phi1: WeightFunction, phi2: WeightFunction, *twist: WeightFunctio
     """(1/h) Σ_s φ1(I_s) φ2(I_s) Π ψ(I_s) over the twists ψ when the weights of
     φ1 and φ2 cancel, else exact 0: (1/h) Σ_k n_k z^k, n_k the number of
     classes whose exponents add to k mod m, when every factor has exponents;
-    else per class the values' terms are multiplied in the lcm of their layers
-    and added into one term dict.  A value that is not an AlgebraicValue is
-    coerced as `_align` coerces it."""
+    else the per-class products and their sum are taken with `AlgebraicValue`'s
+    `*` and `+` and scaled by 1/h.  A value that is not an AlgebraicValue is
+    coerced first, as `_align` coerces it."""
     G = phi1.group
     if any(phi.group.discriminant != G.discriminant for phi in (phi2, *twist)):
         raise InvalidInput("group mismatch")
@@ -522,29 +522,19 @@ def _class_sum(phi1: WeightFunction, phi2: WeightFunction, *twist: WeightFunctio
     if (phi1.weight[0] + phi2.weight[0], phi1.weight[1] + phi2.weight[1]) != (0, 0):
         return AlgebraicValue.from_rational(0, d, 1)
     h = G.h
-    def share(c):  # c / h, an int when h divides c
-        return c // h if c % h == 0 else Fraction(c, h)
     phis = (phi1, phi2, *twist)
     if all(phi.exponents for phi in phis):  # all valued in the layer G.exponent
         m, counts = phi1.values[0].m, {}
         for e in map(sum, zip(*(memoryview(phi.exponents).cast("H") for phi in phis))):
             counts[e % m] = counts.get(e % m, 0) + 1
         # every count is >= 1, so every share is in `exact` normal form and nonzero
-        shares = {n: (share(n), 0) for n in set(counts.values())}
+        shares = {n: (n // h if n % h == 0 else Fraction(n, h), 0) for n in set(counts.values())}
         return AlgebraicValue._from_fields(d, m, {k: shares[n] for k, n in counts.items()})
     rows = [[v if isinstance(v, AlgebraicValue) else AlgebraicValue.from_rational(v, d, 1)
              for v in phi.values] for phi in phis]
-    if any(v.d != d for row in rows for v in row):
-        raise InvalidInput("mixed quadratic fields")
-    m = math.lcm(*(v.m for row in rows for v in row))
-    rows = [[v.promote(m).terms for v in row] for row in rows]
-    total = {}
-    for first, *middle, last in zip(*rows):
-        for terms in middle:
-            first = _convolve(first, terms, m, d, {})
-        _convolve(first, last, m, d, total)
-    return AlgebraicValue._from_terms(
-        d, m, {k: (share(a), share(b)) for k, (a, b) in total.items()})
+    total = sum((math.prod(rest, start=first) for first, *rest in zip(*rows)),
+                AlgebraicValue.from_rational(0, d, 1))
+    return total.scale(Fraction(1, h))
 
 
 def pairing(phi1: WeightFunction, phi2: WeightFunction) -> AlgebraicValue:

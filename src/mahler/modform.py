@@ -206,6 +206,8 @@ class NearlyHolomorphic(Frozen):
 def maass_raise(f: NearlyHolomorphic, iterations: int = 1) -> NearlyHolomorphic:
     """The weight-raising operator: c(n,j) contributes n·c at (n,j) and
     (j-k)·c at (n,j+1); each application raises the weight by 2."""
+    if iterations < 0:
+        raise InvalidInput("iteration count must be >= 0")
     out = f
     for _ in range(iterations):
         k = out.weight
@@ -265,6 +267,8 @@ def eisenstein_qexpansion(k: int, trunc: int) -> QExpansion:
     """E_k = 1 - (2k/B_k) Σ σ_{k-1}(n) q^n for even k >= 4, exact rationals."""
     if k < 4 or k % 2:
         raise InvalidInput("Eisenstein weight must be even and >= 4")
+    if trunc < 0:
+        raise InvalidInput("truncation must be >= 0")
     sigma = [0] * (trunc + 1)
     for d in range(1, trunc + 1):
         step = d ** (k - 1)

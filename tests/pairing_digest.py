@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/pairing_digest.py [--limit-chars 3000] [--limit-pairs 1200]
 
-Three digests, one per line:
+Four digests, one per line:
 
 * `character-terms`: d, m and the group-ring terms, in stored order, of every
   value of every character of every discriminant D with |D| <= limit-chars,
@@ -13,20 +13,32 @@ Three digests, one per line:
 * `pairing-terms`: d, m and the stored terms of `pairing(a, b)` for every pair
   of characters of every D with |D| <= limit-pairs, and of
   `twisted_pairing(a, b, psi)` with psi drawn per pair from a seeded
-  generator.
+  generator;
+* `weight-function-terms`: d, m and the stored terms, sorted by exponent, or
+  the exception type and message, of `pairing` and `twisted_pairing` over a
+  seeded corpus of weight functions that are not characters: scaled
+  characters, int and Fraction constants, roots of unity in a smaller layer,
+  general values of cancelling nonzero weights, and values of another
+  quadratic field, a PadicScalar or a str, which are refused.  The terms are
+  sorted because the order in which a sum of products first meets its
+  exponents is not part of its value.
 
 Two trees compute the same characters and pairings, term for term, when they
-print the same `character-terms` and `pairing-terms` lines.  The defaults take
-about half a minute on one core.
+print the same `character-terms`, `pairing-terms` and `weight-function-terms`
+lines.  The defaults take about half a minute on one core.
 """
 
 import argparse
 import hashlib
 import random
+from fractions import Fraction
 
-from mahler.heckechar import characters, class_group, pairing, twisted_pairing
+from mahler.heckechar import (AlgebraicValue, WeightFunction, characters, class_group,
+                              pairing, twisted_pairing)
+from mahler.padic import PadicScalar
 
 EXTRA_DISCS = (-1999999,)
+WEIGHT_FUNCTION_DISCS = (-23, -39, -47, -56, -84, -104, -263, -407)
 
 
 def discriminants(limit: int) -> list:
@@ -35,6 +47,48 @@ def discriminants(limit: int) -> list:
 
 def stored(value) -> bytes:
     return repr((value.d, value.m, tuple(value.terms.items()))).encode()
+
+
+def rational(rng):
+    return rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+
+
+def weight_functions(rng, G) -> list:
+    """Weight functions of G that are not characters, one of each kind, and
+    two characters."""
+    d, m, h = G.order_data.d_K, G.exponent, G.h
+    chars = characters(G)
+    chi = chars[rng.randrange(h)]
+    low = m // min(q for q in range(2, m + 1) if m % q == 0)  # a proper divisor of m
+    def general(w):
+        def value():
+            layer = rng.choice([1, low, m])
+            size = len(AlgebraicValue.root_of_unity(0, d, layer).coeffs)
+            return AlgebraicValue(d, layer, [(rational(rng), rational(rng))
+                                             for _ in range(rng.randint(1, size))])
+        return WeightFunction(G, w, [value() for _ in range(h)])
+    w = (rng.randint(1, 4), rng.randint(-4, 4))
+    return [
+        WeightFunction(G, (0, 0), [v.scale(rational(rng) or 2) for v in chi.values]),
+        WeightFunction(G, (0, 0), [rng.randint(-3, 3)] * h),
+        WeightFunction(G, (0, 0), [rational(rng) for _ in range(h)]),
+        WeightFunction(G, (0, 0), [AlgebraicValue.root_of_unity(rng.randrange(low), d, low)
+                                   for _ in range(h)]),
+        general(w), general((-w[0], -w[1])), general((0, 0)),
+        WeightFunction(G, (0, 0), [AlgebraicValue.root_of_unity(e, -7 if d != -7 else -3, m)
+                                   for e in range(h)]),
+        WeightFunction(G, (0, 0), [PadicScalar.from_int(3, 7, 4)] + list(chi.values[1:])),
+        WeightFunction(G, (0, 0), list(chi.values[:-1]) + ["x"]),
+        chi, chars[-1],
+    ]
+
+
+def outcome(call, *args) -> bytes:
+    try:
+        value = call(*args)
+        return repr((value.d, value.m, sorted(value.terms.items()))).encode()
+    except Exception as exc:
+        return repr((type(exc).__name__, str(exc))).encode()
 
 
 def main(argv=None) -> int:
@@ -67,6 +121,15 @@ def main(argv=None) -> int:
                 psi = chars[rng.randrange(len(chars))]
                 pairs.update(stored(pairing(a, b)) + stored(twisted_pairing(a, b, psi)))
     print("pairing-terms", pairs.hexdigest())
+
+    weighted, rng = hashlib.sha256(), random.Random("weight-function-digest")
+    for D in WEIGHT_FUNCTION_DISCS:
+        phis = weight_functions(rng, class_group(D))
+        for a in phis:
+            for b in phis:
+                psi = phis[rng.randrange(len(phis))]
+                weighted.update(outcome(pairing, a, b) + outcome(twisted_pairing, a, b, psi))
+    print("weight-function-terms", weighted.hexdigest())
     return 0
 
 

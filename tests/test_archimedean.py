@@ -10,7 +10,7 @@ from mahler.archimedean import (LocalFactorParams, PiPolynomial, delta_coeff,
                                 delta_diagonal_sum, delta_diagonal_target,
                                 gamma_coeff, local_factor_closed_form,
                                 local_integral_quadrature, quadrature_report)
-from mahler.errors import InvalidInput
+from mahler.errors import InvalidInput, ToleranceNotMet
 from paper_oracles import (apply_raising_operator, closed_form_pi_polynomial,
                            gaussian_basis_value, raising_operator_check,
                            raising_operator_finite_difference)
@@ -87,6 +87,12 @@ class TestGammaDelta:
     def test_index_guard(self):
         with pytest.raises(InvalidInput):
             gamma_coeff(1, 1, 1)
+
+    @pytest.mark.parametrize("build", [delta_diagonal_sum, delta_diagonal_target])
+    def test_negative_r_refused(self, build):
+        assert build(0) == PiPolynomial.term(1)
+        with pytest.raises(InvalidInput, match="^need r >= 0$"):
+            build(-1)
 
 
 def _dfac(n):
@@ -197,6 +203,13 @@ class TestLocalIntegral:
             approx = complex(np.sum(np.exp(1j * freq * theta))) * (2 * math.pi / n)
             expected = 2 * math.pi if freq == 0 else 0.0
             assert abs(approx - expected) < 1e-12
+
+    def test_overflow_fails_the_tolerance(self):
+        # the r = 200 weights are Fractions past the float range; the other
+        # overflows meet numpy's RuntimeWarning first here (see test_cli.py)
+        params = LocalFactorParams(kappa=1, r=200, l=200)
+        with pytest.raises(ToleranceNotMet, match="^a value left the float range: "):
+            quadrature_report(params, 4, 4)
 
     def test_parameter_validation(self):
         with pytest.raises(InvalidInput):

@@ -678,6 +678,15 @@ class TestModformCommands:
         cells = json.loads(out)["cells"]
         assert [0, 1, "-4"] in cells and [1, 0, "5"] in cells
 
+    def test_negative_counts_exit_2(self, capsys, tmp_path):
+        fpath = tmp_path / "nh.json"
+        fpath.write_text(json.dumps({"k": 4, "trunc": 2, "cells": [[0, 0, "1"]]}))
+        for argv, message in ((["maass", "--file", str(fpath), "--r", "-2"],
+                               "iteration count must be >= 0"),
+                              (["eisenstein", "--k", "4", "--trunc", "-1"],
+                               "truncation must be >= 0")):
+            assert run(capsys, ["modform", *argv]) == (2, "", f"error: {message}\n")
+
 
 GOLDEN_AVATAR = (
     '{"D":-47,"avatars":{"0":[{"p":11,"prec":4,"unit":"1","val":0},'
@@ -852,6 +861,25 @@ class TestArchCommands:
     def test_identity(self, capsys):
         code, out, _ = run(capsys, ["arch", "identity", "--r", "12"])
         assert code == 0 and json.loads(out)["holds"] is True
+
+    def test_identity_refuses_negative_r(self, capsys):
+        # refused by the library, not by factorial() of a negative number
+        assert run(capsys, ["arch", "identity", "--r", "-1"]) == (2, "", "error: need r >= 0\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["--kappa", "1", "--r", "1", "--l", "1", "--s", "170"],  # math.gamma
+        ["--kappa", "1", "--r", "1", "--l", "1", "--s", "280"],  # a float power
+        ["--kappa", "1", "--r", "200", "--l", "200", "--nodes-a", "4",
+         "--nodes-theta", "4"]])  # a Fraction weight as a float
+    def test_overflow_exits_5(self, argv):
+        # in a fresh process, where numpy's overflow warnings are not errors
+        src = os.path.dirname(os.path.dirname(os.path.abspath(mahler.__file__)))
+        done = subprocess.run([sys.executable, "-m", "mahler.cli", "arch", "local-factor", *argv],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout) == (5, "")
+        assert "Traceback" not in done.stderr
+        assert "tolerance not met: a value left the float range: " in done.stderr
 
     @pytest.mark.parametrize("option, value", [("--s", "nan"), ("--tol", "nan"),
                                                ("--s", "inf")])

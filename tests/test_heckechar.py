@@ -35,10 +35,13 @@ CHARACTER_TABLES = json.loads(
 
 def verify_group_axioms(G):
     """Oracle: identity, inverses and associativity of the composition
-    table, O(h^3)."""
+    table, O(h^3).  The inverse of the reduced form (a, b, c) is (a, -b, c),
+    itself reduced unless b = a or a = c, where it is equivalent to (a, b, c)."""
     h, e = G.h, G.identity_index
-    for i in range(h):
-        assert G.mul(e, i) == i and G.mul(i, G.inverse[i]) == e
+    index = {f: i for i, f in enumerate(G.forms)}
+    for i, (a, b, c) in enumerate(G.forms):
+        inverse = i if b == a or a == c else index[(a, -b, c)]
+        assert G.mul(e, i) == i and G.mul(i, inverse) == e
     for i in range(h):
         for j in range(h):
             ij = G.mul(i, j)
@@ -413,6 +416,54 @@ class TestPairing:
                 assert pairing(phi1, psi).is_zero()  # the weights do not cancel
                 assert twisted_pairing(phi1, psi, chars[1]).is_zero()
 
+    @staticmethod
+    def embedded(value, d):
+        """The complex image of an int, a Fraction or an AlgebraicValue's
+        canonical coefficients under z -> e^(2 pi i/m), sqrt(d) -> i sqrt(|d|)."""
+        if not isinstance(value, AlgebraicValue):
+            return complex(value)
+        zeta = complex(math.cos(2 * math.pi / value.m), math.sin(2 * math.pi / value.m))
+        root = 1j * math.sqrt(-d)
+        return sum((float(a) + float(b) * root) * zeta ** j
+                   for j, (a, b) in enumerate(value.coeffs))
+
+    def test_weight_functions_against_the_complex_embedding(self):
+        """Pairings and twisted pairings of weight functions that are not
+        characters, against (1/h) Σ_s Π φ(I_s) taken in complex numbers."""
+        rng = random.Random(21)
+        for D in (-23, -47, -56, -84, -263, -407):
+            G = class_group(D)
+            d, m, h = G.order_data.d_K, G.exponent, G.h
+            chars = characters(G)
+            low = m // min(q for q in range(2, m + 1) if m % q == 0)
+            w = (rng.randint(1, 3), rng.randint(-3, 3))
+            phis = [
+                WeightFunction(G, (0, 0), [v.scale(Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+                                           for v in chars[rng.randrange(h)].values]),
+                WeightFunction(G, (0, 0), [rng.randint(-3, 3)] * h),
+                WeightFunction(G, (0, 0), [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                                           for _ in range(h)]),
+                WeightFunction(G, (0, 0), [AlgebraicValue.root_of_unity(rng.randrange(low), d, low)
+                                           for _ in range(h)]),
+                WeightFunction(G, w, [self.random_value(rng, d, (1, low, m)) for _ in range(h)]),
+                WeightFunction(G, (-w[0], -w[1]),
+                               [self.random_value(rng, d, (1, low, m)) for _ in range(h)]),
+                chars[-1],
+            ]
+            assert all(phi.exponents is None for phi in phis[:-1])
+            for i, a in enumerate(phis):
+                for b in phis[i + 1:]:
+                    cancel = (a.weight[0] + b.weight[0], a.weight[1] + b.weight[1]) == (0, 0)
+                    for twist in ((), (phis[rng.randrange(len(phis))],)):
+                        if twist and twist[0].weight != (0, 0):
+                            continue
+                        value = twisted_pairing(a, b, *twist) if twist else pairing(a, b)
+                        products = [math.prod(self.embedded(v, d) for v in vs)
+                                    for vs in zip(a.values, b.values, *(t.values for t in twist))]
+                        want = sum(products) / h if cancel else 0
+                        size = 1 + sum(map(abs, products)) / h
+                        assert abs(self.embedded(value, d) - want) <= 1e-9 * size
+
     def test_mixed_quadratic_fields_refused(self):
         G = class_group(-23)
         chars = characters(G)
@@ -532,8 +583,8 @@ class TestPairing:
                 twisted_pairing(chars[1], chars[-1], phi)
                 assert len(calls) >= 2 * G.h
                 monkeypatch.undo()
-            # a foreign field carries no row and meets the group-ring path's
-            # refusal before any product is formed
+            # a foreign field carries no row and meets `_align`'s refusal
+            # before any product is formed
             foreign = WeightFunction(G, (0, 0), [AlgebraicValue.root_of_unity(e, -7, G.exponent)
                                                  for e in range(G.h)])
             assert foreign.exponents is None

@@ -206,8 +206,9 @@ def test_derived_values_skip_the_checks_and_equal_checked_builds(monkeypatch):
     """Values derived from checked ones come from `_from_fields`: over a small
     avatar pipeline and U, V and depletion of Delta, only
     `mahler_from_moments` enters `Measure.__init__` and nothing enters the
-    `TruncatedSeries` or `QExpansion` constructors.  Each value so built
-    equals the public constructor's value on its fields."""
+    `TruncatedSeries` or `QExpansion` constructors; a class group's
+    `QuadOrder` is built from the parts of its discriminant.  Each value so
+    built equals the public constructor's value on its fields."""
     entered, built = Counter(), []
     for cls in (Measure, TruncatedSeries, QExpansion):
         def init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
@@ -237,7 +238,7 @@ def test_derived_values_skip_the_checks_and_equal_checked_builds(monkeypatch):
 
     assert set(entered) == {("Measure", "mahler_from_moments")}
     assert {type(value) for value in built} \
-        == {Measure, TruncatedSeries, QExpansion, WeightFunction}
+        == {Measure, TruncatedSeries, QExpansion, WeightFunction, QuadOrder}
     monkeypatch.undo()
     for value in built:
         assert exactly(type(value)(*value._fields())) == exactly(value)

@@ -88,6 +88,11 @@ class TestGenerators:
         with pytest.raises(InvalidInput):
             eisenstein_qexpansion(3, 5)
 
+    def test_negative_truncation_refused(self):
+        assert eisenstein_qexpansion(4, 0).coeffs == (1,)
+        with pytest.raises(InvalidInput, match="^truncation must be >= 0$"):
+            eisenstein_qexpansion(4, -1)
+
 
 class TestKroneckerSquare:
     CASES = [
@@ -324,6 +329,13 @@ class TestMaass:
     def test_weight_steps_by_two(self):
         f = NearlyHolomorphic(8, 5, {(1, 0): 1})
         assert maass_raise(f, 3).weight == 14
+
+    def test_negative_iteration_count_refused(self):
+        # refused as theta_operator refuses it
+        f = NearlyHolomorphic(8, 5, {(1, 0): 1})
+        assert maass_raise(f, 0) == f
+        with pytest.raises(InvalidInput, match="^iteration count must be >= 0$"):
+            maass_raise(f, -2)
 
 
 class TestMeasureBridge:

@@ -102,9 +102,10 @@ class TestHilbertSymbol:
         with pytest.raises(InvalidInput):
             hilbert_symbol(0, 3, 5)
 
-    @pytest.mark.parametrize("place", [3.5, "3", True])
+    @pytest.mark.parametrize("place", [3.5, "3", True, "inf", "oo"])
     def test_finite_place_must_be_an_int(self, place):
-        # no truncation to the prime 3, no parsing of a string, no bool as 1
+        # no truncation to the prime 3, no parsing of a string (the CLI maps
+        # the names of the infinite place), no bool as 1
         with pytest.raises(InvalidInput, match=f"^{place} is not a place$"):
             hilbert_symbol(2, 3, place)
 
