@@ -38,8 +38,7 @@ class Frozen:
 
     def _set(self, *fields):
         """Set every field, in `__slots__` order.  `PadicScalar._make` (the
-        avatar path's inner loops) and `AlgebraicValue._from_terms` (every ring
-        result of the value tower) call `object.__setattr__` per field: half the cost."""
+        avatar path's inner loops) calls `object.__setattr__` per field: half the cost."""
         for name, field in zip(self.__slots__, fields, strict=True):
             object.__setattr__(self, name, field)
 

@@ -268,12 +268,8 @@ class AlgebraicValue(Frozen):
     def _from_terms(cls, d: int, m: int, terms: dict) -> "AlgebraicValue":
         """sum_k terms[k] z^k, coefficients in `exact` normal form, zero terms
         dropped; (d, m) are taken as valid."""
-        value = object.__new__(cls)
-        object.__setattr__(value, "d", d)
-        object.__setattr__(value, "m", m)
-        object.__setattr__(value, "terms", MappingProxyType(
-            {k: (exact(a), exact(b)) for k, (a, b) in terms.items() if a or b}))
-        return value
+        return cls._from_fields(
+            d, m, {k: (exact(a), exact(b)) for k, (a, b) in terms.items() if a or b})
 
     @classmethod
     def from_rational(cls, q, d: int, m: int = 1) -> "AlgebraicValue":

@@ -48,7 +48,7 @@ from operator import mul, sub
 
 from .arith import int_valuation
 from .errors import Frozen, InvalidInput, PrecisionExhausted
-from .padic import (INF, PadicScalar, _falling_factorial_coeffs, _surjection_row,
+from .padic import (INF, PadicScalar, _falling_factorial_rows, _surjection_row,
                     binomial_series, checked_prime, exact, is_p_integral)
 
 
@@ -241,12 +241,12 @@ def mahler_from_moments(b, prime: int) -> Measure:
     b = list(b)
     if not b:
         raise InvalidInput("need at least the 0-th moment")
-    coeffs, factorial = [], 1
+    coeffs, factorial, rows = [], 1, _falling_factorial_rows()
     res, c = _residues(b), b if _is_exact(b) else None
     for n in range(len(b)):
         factorial *= n or 1
         if c is None:
-            a_n = exact(_dot(_falling_factorial_coeffs(n), b, res) * Fraction(1, factorial))
+            a_n = exact(_dot(next(rows), b, res) * Fraction(1, factorial))
         else:
             a_n = exact(Fraction(c[0], factorial))
             c = [y - n * x for x, y in zip(c, c[1:])]

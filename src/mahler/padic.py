@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
+from operator import add, mul, sub
 
 from .arith import int_valuation, isprime
 from .errors import Frozen, InvalidInput, PrecisionExhausted
@@ -307,36 +309,28 @@ def factorial_valuation(n: int, p: int) -> int:
     return (n - digit_sum) // (p - 1)
 
 
-def _grown(table: tuple, n: int, step) -> tuple:
-    """`table` extended through index n, each new row `step(row before it)`."""
-    rows = list(table)
-    while len(rows) <= n:
-        rows.append(step(rows[-1]))
-    return tuple(rows)
-
-
-# Row n at index n.  A table is replaced whole by a longer one, never extended
-# in place, so a reader in another thread never sees a partial table.
-_FALLING_FACTORIAL = ((1,),)
+# The rows of `_surjection_row`, row r at index r, kept because a run of
+# `moments` calls for r = 0, 1, ... re-reads them.  The table is replaced whole,
+# never extended in place, so a reader in another thread never sees a partial one.
 _SURJECTIONS = ((1,),)
 
 
-def _falling_factorial_coeffs(n: int) -> tuple:
-    """Monomial coefficients of X(X-1)...(X-n+1): row n is row n-1 times
-    (X - n + 1), c_i = c'_(i-1) - (n-1) c'_i."""
-    global _FALLING_FACTORIAL
-    table = _FALLING_FACTORIAL
-    if len(table) <= n:
-        table = _FALLING_FACTORIAL = _grown(table, n, lambda row: tuple(
-            b - (len(row) - 1) * a for a, b in zip(row + (0,), (0,) + row)))
-    return table[n]
+def _falling_factorial_rows():
+    """Rows n = 0, 1, ... of the monomial coefficients of X(X-1)...(X-n+1),
+    each from the one before, of which only the current row is kept: row n
+    is row n-1 times (X - n + 1), c_i = c'_(i-1) - (n-1) c'_i."""
+    row, n = (1,), 0
+    while True:
+        yield row
+        row = tuple(map(sub, (0,) + row, map(n.__mul__, row + (0,))))
+        n += 1
 
 
 def stirling_first_signed(n: int, i: int) -> int:
     """Coefficient of X^i in n! * C(X, n) (signed first-kind number)."""
     if not 0 <= i <= n:
         raise InvalidInput("need 0 <= i <= n")
-    return _falling_factorial_coeffs(n)[i]
+    return next(islice(_falling_factorial_rows(), n, None))[i]
 
 
 def _surjection_row(r: int) -> tuple:
@@ -345,8 +339,11 @@ def _surjection_row(r: int) -> tuple:
     global _SURJECTIONS
     table = _SURJECTIONS
     if len(table) <= r:
-        table = _SURJECTIONS = _grown(table, r, lambda row: tuple(
-            n * (a + b) for n, a, b in zip(range(len(row) + 1), row + (0,), (0,) + row)))
+        rows = list(table)
+        while len(rows) <= r:
+            row = rows[-1]
+            rows.append(tuple(map(mul, range(len(row) + 1), map(add, row + (0,), (0,) + row))))
+        table = _SURJECTIONS = tuple(rows)
     return table[r]
 
 
@@ -451,8 +448,7 @@ def binomial_series(z, order: int) -> TruncatedSeries:
             coeffs.append(PadicScalar._make(p, 0, c, P + w_sum - w_max - fact))
         return TruncatedSeries._from_fields(tuple(coeffs), p)
     z = Fraction(z)
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     for n in range(1, order):
-        coeffs.append(coeffs[-1] * (z - (n - 1)) / n)
-    integral = all(c.denominator == 1 for c in coeffs)
-    return TruncatedSeries._from_fields(tuple(map(int, coeffs) if integral else coeffs), None)
+        coeffs.append(exact(coeffs[-1] * (z - (n - 1)) / n))
+    return TruncatedSeries._from_fields(tuple(coeffs), None)

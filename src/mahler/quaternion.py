@@ -28,7 +28,7 @@ def _square_class(q) -> int:
 def hilbert_symbol(a, b, place) -> int:
     """(a, b)_v: +1 iff z^2 = a x^2 + b y^2 has a nontrivial local solution."""
     a, b = _square_class(a), _square_class(b)
-    if place is INFINITE_PLACE:
+    if place == INFINITE_PLACE:
         return -1 if a < 0 and b < 0 else 1
     if type(place) is not int or not isprime(place):
         raise InvalidInput(f"{place} is not a place")

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -516,13 +517,25 @@ class TestDeepStirlingRows:
     start empty: the rows are built in a loop, so no depth limit applies,
     and S(r, n) is a sum of n + 1 terms, so no row is built for it."""
 
-    def mahler(self, *argv, timeout=60):
+    def mahler(self, *argv, timeout=60, preexec_fn=None):
         src = os.path.dirname(os.path.dirname(os.path.abspath(mahler.__file__)))
         env = dict(os.environ, PYTHONPATH=src)
         done = subprocess.run(
             [sys.executable, "-c", "from mahler.cli import entrypoint; entrypoint()", *argv],
-            env=env, capture_output=True, text=True, timeout=timeout)
+            env=env, capture_output=True, text=True, timeout=timeout, preexec_fn=preexec_fn)
         return done.returncode, done.stdout, done.stderr
+
+    def test_stirling_first_in_bounded_memory(self):
+        # row 1500 is built from the rows before it, of which none is kept:
+        # the call fits in 512 MB of address space.  s(1500, 1) has 4112
+        # digits, below the 4300-digit limit of int-to-str conversion
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (512 * 2 ** 20, 512 * 2 ** 20))
+
+        code, out, err = self.mahler("padic", "stirling-first", "--n", "1500", "--i", "1",
+                                     preexec_fn=cap)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == str(-math.factorial(1499))
 
     def test_stirling_second(self):
         code, out, err = self.mahler("padic", "stirling-second", "--r", "600", "--n", "2")

@@ -12,8 +12,7 @@ from mahler.measure import (Measure, _dot, _residues, cell_mass, cell_tail_valua
                             dirac, from_plus_basis, integrate_step, mahler_from_moments,
                             moments, mult_pushforward, pairing_measure, plus_basis,
                             restrict_to_units)
-from mahler.padic import (INF, PadicScalar, exact, stirling_first_signed,
-                          stirling_second)
+from mahler.padic import INF, PadicScalar, exact, stirling_second
 from paper_oracles import rational_valuation
 
 
@@ -23,6 +22,19 @@ def random_finite_measure(rng, p, max_len=8, spread=9):
     if all(c == 0 for c in coeffs):
         coeffs[0] = 1
     return Measure(p, coeffs, finite=True)
+
+
+def falling_factorial_rows_from_scratch(size):
+    """Oracle: rows n < size of the signed first-kind Stirling numbers, row n
+    the coefficients of X(X-1)...(X-n+1), multiplied out one factor at a time."""
+    rows = [[1]]
+    for t in range(size - 1):
+        nxt = [0] * (len(rows[-1]) + 1)
+        for i, c in enumerate(rows[-1]):
+            nxt[i + 1] += c
+            nxt[i] -= t * c
+        rows.append(nxt)
+    return rows
 
 
 def brute_force_moment(mu, r, nu):
@@ -547,7 +559,8 @@ class TestKernelsAgainstTermwiseSums:
 
     @staticmethod
     def from_moments(b):
-        return [exact(exact(sum(stirling_first_signed(n, i) * b[i] for i in range(n + 1)))
+        rows = falling_factorial_rows_from_scratch(len(b))
+        return [exact(exact(sum(rows[n][i] * b[i] for i in range(n + 1)))
                       * Fraction(1, math.factorial(n)))
                 for n in range(len(b))]
 
@@ -878,9 +891,9 @@ class TestResiduePathsAgainstOperators:
 
     @staticmethod
     def from_moments(b, p):
-        coeffs = []
+        coeffs, rows = [], falling_factorial_rows_from_scratch(len(b))
         for n in range(len(b)):
-            a = exact(exact(sum(stirling_first_signed(n, i) * b[i] for i in range(n + 1)))
+            a = exact(exact(sum(rows[n][i] * b[i] for i in range(n + 1)))
                       * Fraction(1, math.factorial(n)))
             integral = a.is_zero or a.valuation >= 0 if isinstance(a, PadicScalar) \
                 else Fraction(a).denominator % p != 0

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -339,20 +340,21 @@ class TestStirling:
         return rows
 
     def test_row_tables_against_from_scratch_builds(self, monkeypatch):
-        # from empty tables, grown in uneven steps and read back below the top
-        monkeypatch.setattr(padic, "_FALLING_FACTORIAL", ((1,),))
+        # the first-kind rows stream from one generator; the surjection table
+        # starts empty, is grown in uneven steps and is read back below the top
         monkeypatch.setattr(padic, "_SURJECTIONS", ((1,),))
         for top in (3, 4, 40, 300, 17):
-            padic._falling_factorial_coeffs(top)
             padic._surjection_row(top)
         falling = self.falling_factorial_table_from_scratch(300)
         stirling = self.stirling_second_table_from_scratch(300)
+        assert list(itertools.islice(padic._falling_factorial_rows(), 301)) == falling
         for n in range(301):
-            assert padic._falling_factorial_coeffs(n) == falling[n]
             # the surjection row is the Stirling row times n!, entry by entry
             assert padic._surjection_row(n) == tuple(
                 s * math.factorial(k) for k, s in enumerate(stirling[n]))
-        assert len(padic._FALLING_FACTORIAL) == len(padic._SURJECTIONS) == 301
+        assert len(padic._SURJECTIONS) == 301
+        for n, i in ((0, 0), (17, 1), (17, 9), (300, 1), (300, 150), (300, 300)):
+            assert stirling_first_signed(n, i) == falling[n][i]
 
     def test_second_kind_against_recurrence(self):
         # the public S(r, n) is a sum of n + 1 powers, not a row of a table
@@ -377,6 +379,16 @@ class TestBinomialSeries:
 
     def test_z_three(self):
         assert binomial_series(3, 6).coeffs[2] == 3
+
+    @pytest.mark.parametrize("z", [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7), 3, -4])
+    def test_exact_coefficients_in_normal_form(self, z):
+        # oracle: C(z, n) = z(z-1)...(z-n+1)/n!; an integral one is an int,
+        # C(z, 0) = 1 included, whatever z is
+        for n, c in enumerate(binomial_series(z, 9).coeffs):
+            expected = Fraction(math.prod(z - k for k in range(n)), math.factorial(n))
+            assert c == expected
+            assert type(c) is (int if expected.denominator == 1 else Fraction)
+        assert binomial_series(z, 1).domain == "int"
 
     def test_padic_input_integrality(self):
         z = PadicScalar.from_rational(Fraction(1, 2), 7, 8)

@@ -102,12 +102,17 @@ class TestHilbertSymbol:
         with pytest.raises(InvalidInput):
             hilbert_symbol(0, 3, 5)
 
-    @pytest.mark.parametrize("place", [3.5, "3", True, "inf", "oo"])
+    @pytest.mark.parametrize("place", [3.5, "3", True, "inf", "oo", -math.inf])
     def test_finite_place_must_be_an_int(self, place):
         # no truncation to the prime 3, no parsing of a string (the CLI maps
-        # the names of the infinite place), no bool as 1
+        # the names of the infinite place), no bool as 1, no minus infinity
         with pytest.raises(InvalidInput, match=f"^{place} is not a place$"):
             hilbert_symbol(2, 3, place)
+
+    def test_infinite_place_by_value(self):
+        # an equal float infinity names the place, not only INFINITE_PLACE itself
+        assert hilbert_symbol(-1, -1, float("inf")) == -1
+        assert hilbert_symbol(-1, 3, float("inf")) == 1
 
 
 class TestRamifiedSet:
