@@ -29,7 +29,7 @@ _EXPORTS = {
                 "interpolation_euler_factor", "maass_raise", "p_deplete",
                 "theta_operator", "u_operator", "v_operator"),
     "padic": ("PadicScalar", "TruncatedSeries", "binomial_series",
-              "factorial_valuation", "scalar_arith", "stirling_first_signed",
+              "factorial_valuation", "stirling_first_signed",
               "stirling_second"),
     "quaternion": ("HashimotoData", "MatrixEmbedding", "QuaternionAlgebra",
                    "embedding_conductor", "hashimoto_search", "hilbert_symbol",

@@ -17,6 +17,7 @@ import argparse
 import functools
 import importlib
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -98,25 +99,25 @@ def _apply_config(args):
 
 # -- padic ---------------------------------------------------------------------
 
-def _cmd_padic_arith(args, padic, ser):
+def _cmd_padic_arith(args, ser):
     a = ser.decode_padic(json.loads(args.a))
     if args.op == "inv":
-        b = a
+        value = a.inverse()
     elif args.b is None:
         raise InvalidInput(f"op {args.op!r} needs --b")
     else:
-        b = ser.decode_padic(json.loads(args.b))
-    _emit(ser.encode_padic(padic.scalar_arith(a, b, args.op)))
+        value = getattr(operator, args.op)(a, ser.decode_padic(json.loads(args.b)))
+    _emit(ser.encode_padic(value))
 
 
-def _cmd_padic_stirling1(args, padic):
+def _cmd_padic_stirling1(args, padic, ser):
     _emit({"n": args.n, "i": args.i,
-           "value": str(padic.stirling_first_signed(args.n, args.i))})
+           "value": ser.encode_exact(padic.stirling_first_signed(args.n, args.i))})
 
 
-def _cmd_padic_stirling2(args, padic):
+def _cmd_padic_stirling2(args, padic, ser):
     _emit({"r": args.r, "n": args.n,
-           "value": str(padic.stirling_second(args.r, args.n))})
+           "value": ser.encode_exact(padic.stirling_second(args.r, args.n))})
 
 
 def _cmd_padic_vfact(args, padic):
@@ -331,13 +332,13 @@ GROUPS = {"padic": "scalar and transform utilities", "measure": "measures on Z_p
 # (group or None for a top-level command, name, help, modules the handler takes
 # after args, handler, [(option, add_argument keywords)]), in --help order
 COMMANDS = (
-    ("padic", "arith", None, ("padic", "serialize"), _cmd_padic_arith, [
+    ("padic", "arith", None, ("serialize",), _cmd_padic_arith, [
         ("--op", {"required": True, "choices": ["add", "sub", "mul", "inv"]}),
         ("--a", {"required": True, "help": "inline JSON scalar"}),
         ("--b", {"help": "inline JSON scalar (unused for inv)"})]),
-    ("padic", "stirling-first", None, ("padic",), _cmd_padic_stirling1,
+    ("padic", "stirling-first", None, ("padic", "serialize"), _cmd_padic_stirling1,
      [("--n", _REQUIRED_INT), ("--i", _REQUIRED_INT)]),
-    ("padic", "stirling-second", None, ("padic",), _cmd_padic_stirling2,
+    ("padic", "stirling-second", None, ("padic", "serialize"), _cmd_padic_stirling2,
      [("--r", _REQUIRED_INT), ("--n", _REQUIRED_INT)]),
     ("padic", "factorial-valuation", None, ("padic",), _cmd_padic_vfact,
      [("--n", _REQUIRED_INT), ("--p", _REQUIRED_INT)]),

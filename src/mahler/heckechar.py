@@ -78,11 +78,6 @@ def reduce_form(form, D: int):
         c = (b * b - D) // (4 * a)
 
 
-def principal_form(D: int):
-    b = D % 2
-    return (1, b, (b * b - D) // 4)
-
-
 def _solve_congruence(a: int, b: int, m: int):
     """Solutions x = x0 + t*(m/g) of a x ≡ b (mod m); returns (x0, m/g)."""
     g = math.gcd(a, m)
@@ -133,8 +128,7 @@ class IdealClassGroup(Frozen):
             raise InvalidInput(f"{D} is not a negative discriminant")
         forms = _enumerate_reduced_forms(D)
         index = {f: i for i, f in enumerate(forms)}
-        h = len(forms)
-        e = index[principal_form(D)]
+        h, e = len(forms), 0  # the principal form (1, D mod 2, ·) comes first
         rows, walk, chain = {e: tuple(range(h))}, [e], []
         while len(walk) < h:
             g = next(i for i in range(h) if i not in rows)
@@ -177,6 +171,7 @@ def _element_order(table: tuple, identity: int, i: int) -> int:
 
 
 def _enumerate_reduced_forms(D: int):
+    """The reduced primitive forms of discriminant D, sorted: a, then b, ascending."""
     forms = []
     a_max = math.isqrt(-D // 3)
     for a in range(1, a_max + 1):
@@ -189,7 +184,6 @@ def _enumerate_reduced_forms(D: int):
             if c < a or b < 0 and (b == -a or a == c) or math.gcd(a, b, c) != 1:
                 continue
             forms.append((a, b, c))
-    forms.sort()
     return forms
 
 

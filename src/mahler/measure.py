@@ -48,7 +48,7 @@ from operator import mul, sub
 
 from .arith import int_valuation
 from .errors import Frozen, InvalidInput, PrecisionExhausted
-from .padic import (INF, PadicScalar, _falling_factorial_rows, _surjection_row,
+from .padic import (INF, PadicScalar, _falling_factorial_rows, _surjection_head,
                     binomial_series, checked_prime, exact, is_p_integral)
 
 
@@ -219,7 +219,7 @@ def _moment_weights(mu: Measure, r: int) -> list:
         raise InvalidInput("moment index must be nonnegative")
     if r >= mu.order and not mu.finite:
         raise InvalidInput(f"moment {r} needs order > {r} or a finite measure")
-    return _surjection_row(r)[:min(r, mu.order - 1) + 1]
+    return _surjection_head(r, min(r, mu.order - 1) + 1)
 
 
 def moments(mu: Measure, r: int):

@@ -280,19 +280,6 @@ class PadicScalar(Frozen):
         return f"{self.unit}*{self.prime}^{self.valuation} + O({self.prime}^{self.precision})"
 
 
-def scalar_arith(a: PadicScalar, b: PadicScalar, op: str) -> PadicScalar:
-    """Dispatch {add, sub, mul, inv} with the documented precision rules."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "inv":
-        return a.inverse()
-    raise InvalidInput(f"unknown op {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # combinatorial transforms
 # ---------------------------------------------------------------------------
@@ -345,6 +332,21 @@ def _surjection_row(r: int) -> tuple:
             rows.append(tuple(map(mul, range(len(row) + 1), map(add, row + (0,), (0,) + row))))
         table = _SURJECTIONS = tuple(rows)
     return table[r]
+
+
+def _surjection_head(r: int, width: int) -> tuple:
+    """The first `width` <= r + 1 entries of `_surjection_row(r)`, with the
+    table grown to row width - 1 only: entries n < width of a row need only
+    those of the row before, so a row past the table is stepped on from its
+    last row in width-wide rows, none of them kept."""
+    _surjection_row(width - 1)
+    table = _SURJECTIONS
+    if r < len(table):
+        return table[r][:width]
+    row = table[-1][:width]
+    for _ in range(len(table), r + 1):
+        row = tuple(map(mul, range(width), map(add, row, (0,) + row)))
+    return row
 
 
 def stirling_second(r: int, n: int) -> int:

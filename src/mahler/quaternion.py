@@ -180,21 +180,13 @@ class MatrixEmbedding(Record):
 
 
 def _fraction_lattice_generator(constraints) -> Fraction:
-    """Positive generator of the group {y in Q : y*c in Z for each c}."""
-    gens = []
-    for c in constraints:
-        c = Fraction(c)
-        if c == 0:
-            continue
-        gens.append(Fraction(c.denominator, abs(c.numerator)))
-    if not gens:
+    """Positive generator of the group {y in Q : y*c in Z for each c}: the lcm
+    of the denominators over the gcd of the numerators of the nonzero c."""
+    cs = [Fraction(c) for c in constraints if c]
+    if not cs:
         raise InvalidInput("unconstrained lattice (degenerate embedding)")
-    num = gens[0].numerator
-    den = gens[0].denominator
-    for g in gens[1:]:
-        num = math.lcm(num, g.numerator)
-        den = math.gcd(den, g.denominator)
-    return Fraction(num, den)
+    return Fraction(math.lcm(*(c.denominator for c in cs)),
+                    math.gcd(*(c.numerator for c in cs)))
 
 
 def embedding_conductor(emb: MatrixEmbedding) -> int:
@@ -209,13 +201,7 @@ def embedding_conductor(emb: MatrixEmbedding) -> int:
     disc = 4 * y0 * y0 * emb.d
     if disc.denominator != 1:
         raise AssertionError("intersection lattice is not an order")
-    disc = int(disc)
-    _, d_K = fundamental_decomposition(disc)
-    c2 = disc // d_K
-    c = math.isqrt(c2)
-    if c * c != c2:
-        raise AssertionError("conductor index is not a perfect square")
-    return c
+    return fundamental_decomposition(int(disc))[0]
 
 
 class SkolemNoetherData(NamedTuple):

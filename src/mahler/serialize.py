@@ -45,9 +45,22 @@ def _int(value) -> int:
     raise InvalidInput(f"expected an integer, got {value!r}")
 
 
+def _decimal(n: int) -> str:
+    """str(n) at any length: Python refuses str() of an int past 4300 digits,
+    so an int of 14000 bits or more is written 4000 digits at a time."""
+    if n.bit_length() < 14000:  # fewer than 4215 digits
+        return str(n)
+    base, digits, chunks = 10 ** 4000, abs(n), []
+    while digits:
+        digits, low = divmod(digits, base)
+        chunks.append(f"{low:04000d}")
+    return "-" * (n < 0) + "".join(reversed(chunks)).lstrip("0")
+
+
 def encode_exact(q) -> str:
     q = Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    den = "" if q.denominator == 1 else f"/{_decimal(q.denominator)}"
+    return _decimal(q.numerator) + den
 
 
 def decode_exact(s):
@@ -65,7 +78,7 @@ def encode_padic(x: PadicScalar) -> dict:
     return {
         "p": x.prime,
         "val": "inf" if x.valuation is INF else x.valuation,
-        "unit": str(x.unit),
+        "unit": _decimal(x.unit),
         "prec": "inf" if x.precision is INF else x.precision,
     }
 

@@ -1,20 +1,33 @@
-"""List the library lines that no test runs.
+"""List the library lines that no test, or no benchmark workload, runs.
 
     PYTHONPATH=src python tests/line_trace.py [pytest arguments]
+    PYTHONPATH=src python tests/line_trace.py --workloads
 
 runs the suite (by default `tests`) in this process under a `sys.settrace`
 hook limited to the files of src/mahler, then prints, per module, each line
 that holds code and never ran.  Only this process is traced: a line reached
 only from a test's subprocess is listed.  The suite runs about four times
 slower than untraced.
+
+With --workloads it runs instead one cycle of each perfbench workload at
+seeds 0-3, in this process: avatar-pipeline and exact-transforms from their
+`Workload`s, and cli-cold's calls through `mahler.cli.main` in a temporary
+directory.  Set-up and each job's run are traced; checking a job's output
+against its oracle is not.  It imports perfbench and writes nothing there;
+it exits 1 if any job's output fails its check.
 """
 
+import contextlib
+import os
 import sys
+import tempfile
 import threading
 import types
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mahler"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mahler"
+SEEDS = range(4)
 hit: dict = {}
 
 
@@ -32,6 +45,17 @@ def _global(frame, event, arg):
     return _local
 
 
+@contextlib.contextmanager
+def traced():
+    sys.settrace(_global)
+    threading.settrace(_global)
+    try:
+        yield
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+
+
 def code_lines(code: types.CodeType) -> set:
     """The lines of `code` and of the code objects nested in it."""
     lines = {line for _, _, line in code.co_lines() if line is not None}
@@ -41,15 +65,42 @@ def code_lines(code: types.CodeType) -> set:
     return lines
 
 
+def run_workloads() -> int:
+    """One cycle of each workload per seed; the number of failed jobs."""
+    sys.dont_write_bytecode = True  # no __pycache__ under perfbench
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    os.environ.pop("MAHLER_PREC", None)  # as cli-cold's children run
+    import wl_avatar
+    import wl_cli
+    import wl_exact
+    failed = 0
+    for seed in SEEDS:
+        with tempfile.TemporaryDirectory() as workdir:
+            with traced():
+                jobs = [*wl_avatar.Workload(seed).jobs, *wl_exact.Workload(seed).jobs,
+                        *wl_cli.replay_jobs(wl_cli.build_commands(seed, workdir), workdir)]
+            for job in jobs:
+                try:
+                    with traced():
+                        raw = job.run()
+                    error = job.check(job.summarize(raw))
+                except Exception as exc:
+                    error = f"{type(exc).__name__}: {exc}"
+                if error is not None:
+                    failed += 1
+                    print(f"seed {seed}: {job.name}: {error}")
+        print(f"seed {seed}: {len(jobs)} jobs run")
+    return int(failed > 0)
+
+
 def main(argv) -> int:
-    import pytest
-    sys.settrace(_global)
-    threading.settrace(_global)
-    try:
-        code = pytest.main(["-q", "-p", "no:cacheprovider", *(argv or ["tests"])])
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+    if argv == ["--workloads"]:
+        code = run_workloads()
+    else:
+        import pytest
+        with traced():
+            code = pytest.main(["-q", "-p", "no:cacheprovider", *(argv or ["tests"])])
+    total = 0
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text(encoding="utf-8")
         missed = sorted(code_lines(compile(text, str(path), "exec"))
@@ -58,6 +109,8 @@ def main(argv) -> int:
         print(f"== {path.name}: {len(missed)} lines not run")
         for line in missed:
             print(f"{line:5d}  {rows[line - 1]}")
+        total += len(missed)
+    print(f"== {total} lines not run in all")
     return code
 
 

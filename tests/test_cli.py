@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -6,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -512,10 +514,26 @@ class TestPadicCommands:
         assert run(capsys, argv)[:2] == (code, expected)
 
 
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (512 * 2 ** 20, 512 * 2 ** 20))
+
+
+@contextlib.contextmanager
+def no_str_digit_limit():
+    """Lift Python's 4300-digit limit on int <-> str conversion in this process."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 class TestDeepStirlingRows:
     """Deep Stirling numbers and moments in a fresh process, whose tables
     start empty: the rows are built in a loop, so no depth limit applies,
-    and S(r, n) is a sum of n + 1 terms, so no row is built for it."""
+    and S(r, n) is a sum of n + 1 terms, so no row is built for it.  An
+    integer past the 4300-digit limit of str() is printed in chunks."""
 
     def mahler(self, *argv, timeout=60, preexec_fn=None):
         src = os.path.dirname(os.path.dirname(os.path.abspath(mahler.__file__)))
@@ -529,13 +547,40 @@ class TestDeepStirlingRows:
         # row 1500 is built from the rows before it, of which none is kept:
         # the call fits in 512 MB of address space.  s(1500, 1) has 4112
         # digits, below the 4300-digit limit of int-to-str conversion
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (512 * 2 ** 20, 512 * 2 ** 20))
-
         code, out, err = self.mahler("padic", "stirling-first", "--n", "1500", "--i", "1",
-                                     preexec_fn=cap)
+                                     preexec_fn=cap_address_space)
         assert (code, err) == (0, "")
         assert json.loads(out)["value"] == str(-math.factorial(1499))
+
+    def test_stirling_first_past_the_digit_limit(self):
+        # s(1700, 1) = -1699! has 4753 digits, printed in chunks
+        code, out, err = self.mahler("padic", "stirling-first", "--n", "1700", "--i", "1")
+        assert (code, err) == (0, "")
+        with no_str_digit_limit():
+            assert int(json.loads(out)["value"]) == -math.factorial(1699)
+
+    def test_inverse_past_the_digit_limit(self):
+        # the unit of 1/2 mod 3^9100 has 4342 digits
+        code, out, err = self.mahler("padic", "arith", "--op", "inv", "--a",
+                                     '{"p":3,"val":0,"unit":"2","prec":9100}')
+        assert (code, err) == (0, "")
+        got = json.loads(out)
+        assert (got["p"], got["val"], got["prec"], len(got["unit"])) == (3, 0, 9100, 4342)
+        with no_str_digit_limit():
+            assert int(got["unit"]) * 2 % 3 ** 9100 == 1
+
+    @pytest.mark.parametrize("n", [0, 7, -7, 10 ** 4214, 2 ** 13999 - 1, 2 ** 14000,
+                                   -(10 ** 4299), 10 ** 4300, 10 ** 8000 + 7,
+                                   -(3 ** 20000), 10 ** 12000],
+                             ids=["0", "7", "-7", "10^4214", "2^13999-1", "2^14000",
+                                  "-10^4299", "10^4300", "10^8000+7", "-3^20000",
+                                  "10^12000"])
+    def test_decimal_is_str(self, n):
+        with no_str_digit_limit():
+            expected = str(n)
+        assert serialize._decimal(n) == serialize.encode_exact(n) == expected
+        if n > 1:
+            assert serialize.encode_exact(Fraction(-1, n)) == f"-1/{expected}"
 
     def test_stirling_second(self):
         code, out, err = self.mahler("padic", "stirling-second", "--r", "600", "--n", "2")
@@ -554,6 +599,16 @@ class TestDeepStirlingRows:
         code, out, err = self.mahler("measure", "moments", "--file", path, "--r", "600")
         assert (code, err) == (0, "")
         assert json.loads(out)["moment"] == str(2 ** 600)
+
+    def test_moment_past_the_order_in_bounded_memory(self, tmp_path):
+        # the Dirac measure at 3 of order 6: row 3000 is stepped to from row 5
+        # through 6-wide rows, none kept, within 512 MB of address space
+        path = tmp_path / "dirac.json"
+        path.write_text('{"p":5,"order":6,"finite":true,"mahler":["1","3","3","1","0","0"]}')
+        code, out, err = self.mahler("measure", "moments", "--file", str(path), "--r", "3000",
+                                     preexec_fn=cap_address_space)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"r": 3000, "moment": str(3 ** 3000)}
 
 
 class TestModuleEntry:

@@ -80,7 +80,13 @@ class TestClassGroups:
                 G = class_group(D)
                 assert G.h >= 1 and G.table == composition_table(D)
                 assert G.forms[G.identity_index] == (1, D % 2, ((D % 2) - D) // 4)
+                assert G.identity_index == 0 and list(G.forms) == sorted(G.forms)
                 verify_group_axioms(G)
+
+    def test_forms_come_sorted(self):
+        # the principal form (1, D mod 2, ·) first, with no sort after enumeration
+        forms = heckechar._enumerate_reduced_forms(-4000031)
+        assert forms == sorted(forms) and forms[0] == (1, 1, 1000008)
 
     def test_immutable(self):
         G = class_group(-23)

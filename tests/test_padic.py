@@ -8,8 +8,8 @@ import pytest
 from mahler import padic
 from mahler.errors import InvalidInput, PrecisionExhausted
 from mahler.padic import (INF, PadicScalar, TruncatedSeries, binomial_series,
-                          exact, factorial_valuation, scalar_arith,
-                          stirling_first_signed, stirling_second)
+                          exact, factorial_valuation, stirling_first_signed,
+                          stirling_second)
 from paper_oracles import rational_valuation
 
 
@@ -29,7 +29,7 @@ class TestScalarArith:
     def test_carry_case(self):
         a = PadicScalar.from_int(2, 5, 10)
         b = PadicScalar.from_int(3, 5, 10)
-        s = scalar_arith(a, b, "add")
+        s = a + b
         assert s.valuation == 1 and s.unit == 1
 
     def test_inverse_against_xgcd(self):
@@ -38,7 +38,7 @@ class TestScalarArith:
         assert g == 1
         expected = inv % 125
         assert expected == 63
-        got = scalar_arith(PadicScalar.from_int(2, 5, 3), None, "inv")
+        got = PadicScalar.from_int(2, 5, 3).inverse()
         assert got.lift() == expected
 
     @pytest.mark.parametrize("p,n,prec", [(5, 7, 6), (3, 22, 8), (11, 160, 5)])
@@ -53,8 +53,7 @@ class TestScalarArith:
 
     def test_prime_mismatch(self):
         with pytest.raises(InvalidInput):
-            scalar_arith(PadicScalar.from_int(1, 5, 3),
-                         PadicScalar.from_int(1, 7, 3), "add")
+            PadicScalar.from_int(1, 5, 3) + PadicScalar.from_int(1, 7, 3)
 
     def test_inv_of_zero(self):
         with pytest.raises(InvalidInput):
@@ -355,6 +354,17 @@ class TestStirling:
         assert len(padic._SURJECTIONS) == 301
         for n, i in ((0, 0), (17, 1), (17, 9), (300, 1), (300, 150), (300, 300)):
             assert stirling_first_signed(n, i) == falling[n][i]
+
+    def test_row_heads_past_the_table(self, monkeypatch):
+        # a head past the table is stepped on from its last row; the table
+        # grows to row width - 1 only, and a head inside it is a slice
+        monkeypatch.setattr(padic, "_SURJECTIONS", ((1,),))
+        stirling = self.stirling_second_table_from_scratch(120)
+        for r, width, table_rows in ((50, 4, 4), (120, 1, 4), (30, 30, 30),
+                                     (120, 7, 30), (12, 5, 30), (29, 30, 30)):
+            assert padic._surjection_head(r, width) == tuple(
+                s * math.factorial(k) for k, s in enumerate(stirling[r][:width]))
+            assert len(padic._SURJECTIONS) == table_rows
 
     def test_second_kind_against_recurrence(self):
         # the public S(r, n) is a sum of n + 1 powers, not a row of a table

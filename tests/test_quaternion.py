@@ -4,13 +4,14 @@ from fractions import Fraction
 
 import pytest
 
+from mahler.arith import factorint
 from mahler.errors import InvalidInput, SearchBoundExhausted
 from mahler.quaternion import (INFINITE_PLACE, HashimotoData,
                                MatrixEmbedding, QuaternionAlgebra,
                                discriminant, embedding_conductor,
                                hashimoto_search, hilbert_symbol, mat, mat_mul,
                                mat_scale, ramified_set,
-                               skolem_noether_complement)
+                               skolem_noether_complement, _fraction_lattice_generator)
 from paper_oracles import IDENTITY, trace_pairing
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -212,6 +213,27 @@ class TestEmbeddingConductor:
         emb = MatrixEmbedding(((Fraction(1, 2), Fraction(5, 4)),
                                (Fraction(-3, 2), Fraction(-1, 2))), 1)
         assert embedding_conductor(emb) >= 1
+
+    def test_lattice_generator_defining_property(self):
+        # y0 > 0 generates {y in Q : y c in Z for each c}: y0 c is integral,
+        # and y0 / q is not in the group for any prime q that could divide
+        # y0 / g, g the generator (q divides y0's numerator, or cancelled
+        # against g's denominator, which divides every c's numerator)
+        rng = random.Random(24)
+        for _ in range(2000):
+            cs = [Fraction(rng.randrange(-60, 61), rng.randrange(1, 40))
+                  for _ in range(rng.randrange(1, 5))] + [0, 7, -12][:rng.randrange(4)]
+            if not any(cs):
+                continue
+            y0 = _fraction_lattice_generator(cs)
+            assert y0 > 0
+            assert all((y0 * c).denominator == 1 for c in cs)
+            nums = math.prod(abs(Fraction(c).numerator) for c in cs if c)
+            for q in factorint(y0.numerator * nums):
+                assert any((y0 / q * c).denominator != 1 for c in cs)
+        for zeros in ([0], [0, Fraction(0), 0]):
+            with pytest.raises(InvalidInput):
+                _fraction_lattice_generator(zeros)
 
     def test_invalid_matrix(self):
         with pytest.raises(InvalidInput):
