@@ -66,7 +66,7 @@ def code_lines(code: types.CodeType) -> set:
 
 
 def run_workloads() -> int:
-    """One cycle of each workload per seed; the number of failed jobs."""
+    """One cycle of each workload per seed; 1 if a job fails its check, else 0."""
     sys.dont_write_bytecode = True  # no __pycache__ under perfbench
     sys.path.insert(0, str(ROOT / "perfbench"))
     os.environ.pop("MAHLER_PREC", None)  # as cli-cold's children run
