@@ -70,15 +70,15 @@ class PiPolynomial(Frozen):
         return float(sum(float(c) * math.pi ** k for k, c in self.terms.items()))
 
     def __repr__(self):
+        """The terms c pi^k in ascending k, as c or c*pi^k joined by " + ", each
+        c written by `serialize.encode_exact`, which prints an int of any length."""
+        from .serialize import encode_exact
         if not self.terms:
             return "0"
         bits = []
         for k in sorted(self.terms):
-            c = self.terms[k]
-            if k == 0:
-                bits.append(f"{c}")
-            else:
-                bits.append(f"{c}*pi^{k}")
+            c = encode_exact(self.terms[k])
+            bits.append(c if k == 0 else f"{c}*pi^{k}")
         return " + ".join(bits)
 
 
@@ -86,11 +86,7 @@ def double_factorial(n: int) -> int:
     """n!! for odd n >= -1, with (-1)!! = 1."""
     if n < -1 or n % 2 == 0:
         raise InvalidInput("double factorial used only for odd n >= -1")
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
+    return math.prod(range(n, 0, -2))
 
 
 def gamma_coeff(l: int, alpha: int, beta: int) -> PiPolynomial:
@@ -177,7 +173,8 @@ def local_integral_quadrature(params: LocalFactorParams, nodes_a: int = 64,
     kappa, r, l = params.kappa, params.r, params.l
     exponent = 2 * kappa + r + params.s - 0.5
     u, w = np.polynomial.laguerre.laggauss(nodes_a)
-    radial = float(np.sum(w * u ** exponent)) / (4 * math.pi) ** (exponent + 1)
+    with np.errstate(over="raise"):  # an overflow raises: left as inf, it ends as NaN
+        radial = float(np.sum(w * u ** exponent)) / (4 * math.pi) ** (exponent + 1)
     deltas = [(alpha, beta, delta_coeff(l, alpha, beta).evaluate())
               for alpha in range(l + 1) for beta in range(l + 1 - alpha)]
     theta = 2 * math.pi * np.arange(nodes_theta) / nodes_theta
@@ -213,7 +210,7 @@ def quadrature_report(params: LocalFactorParams, nodes_a: int = 64,
         scale = abs(local_factor_closed_form(
             LocalFactorParams(params.kappa, params.r, params.r, params.s,
                               params.nu_u_abs, params.zeta_u)))
-    except OverflowError as exc:
+    except (OverflowError, FloatingPointError) as exc:
         raise ToleranceNotMet(f"a value left the float range: {exc.args[-1]}") from None
     rel_error = abs(q1 - closed) / scale if scale else math.inf
     return {

@@ -197,9 +197,7 @@ def fundamental_decomposition(D: int):
     m = D // square ** 2  # squarefree part, negative
     if m % 4 == 1:
         return square, m
-    if square % 2:
-        raise InvalidInput(f"{D} is not a valid discriminant")
-    return square // 2, 4 * m
+    return square // 2, 4 * m  # square is even: an odd one gives D = m = 2, 3 mod 4
 
 
 def sqrt_mod_prime(a: int, p: int) -> list:

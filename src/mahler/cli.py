@@ -17,6 +17,7 @@ import argparse
 import functools
 import importlib
 import json
+import math
 import operator
 import os
 import sys
@@ -285,7 +286,7 @@ def _cmd_quat_ramified(args, quaternion):
     _emit({"a": args.a, "b": args.b,
            "finite_places": finite,
            "infinite": quaternion.INFINITE_PLACE in ram,
-           "discriminant": quaternion.discriminant(alg)})
+           "discriminant": math.prod(finite)})
 
 
 def _cmd_quat_hashimoto(args, quaternion):

@@ -84,8 +84,6 @@ def _solve_congruence(a: int, b: int, m: int):
     if b % g:
         raise InvalidInput("congruence has no solution")
     m2 = m // g
-    if m2 == 1:
-        return 0, 1
     x0 = (b // g) * pow(a // g, -1, m2) % m2
     return x0, m2
 
@@ -124,8 +122,7 @@ class IdealClassGroup(Frozen):
                  "identity_index", "chain", "walk", "exponent")
 
     def __init__(self, D: int):
-        if not is_discriminant(D):
-            raise InvalidInput(f"{D} is not a negative discriminant")
+        order = QuadOrder.from_discriminant(D)  # refuses a non-discriminant
         forms = _enumerate_reduced_forms(D)
         index = {f: i for i, f in enumerate(forms)}
         h, e = len(forms), 0  # the principal form (1, D mod 2, ·) comes first
@@ -144,8 +141,7 @@ class IdealClassGroup(Frozen):
                 coset = [g_row[x] for x in coset]
             chain.append((g, k, coset[0]))
         table = tuple(rows[i] for i in range(h))
-        self._set(D, QuadOrder.from_discriminant(D), tuple(forms), table, e,
-                  tuple(chain), tuple(walk),
+        self._set(D, order, tuple(forms), table, e, tuple(chain), tuple(walk),
                   math.lcm(*(_element_order(table, e, g) for g, _, _ in chain)))
 
     @property
@@ -586,13 +582,13 @@ def _pick_zeta(p: int, m: int, residue) -> int:
 
 
 def _lift_root(f, df, x0: int, p: int, target: int) -> int:
-    """The Hensel lift mod p^target of the simple root x0 of f mod p."""
+    """The Hensel lift mod p^target of the simple root 0 <= x0 < p of f mod p."""
     x, k = x0, 1
     while k < target:
         k = min(2 * k, target)
         mod = p ** k
         x = (x - f(x) * pow(df(x), -1, mod)) % mod
-    return x % p ** target
+    return x
 
 
 class PadicEmbedding(Frozen):

@@ -296,7 +296,7 @@ def factorial_valuation(n: int, p: int) -> int:
     return (n - digit_sum) // (p - 1)
 
 
-# The rows of `_surjection_row`, row r at index r, kept because a run of
+# The rows of `_surjection_head`, row r at index r, kept because a run of
 # `moments` calls for r = 0, 1, ... re-reads them.  The table is replaced whole,
 # never extended in place, so a reader in another thread never sees a partial one.
 _SURJECTIONS = ((1,),)
@@ -320,27 +320,20 @@ def stirling_first_signed(n: int, i: int) -> int:
     return next(islice(_falling_factorial_rows(), n, None))[i]
 
 
-def _surjection_row(r: int) -> tuple:
-    """S(r, 0) 0!, ..., S(r, r) r!, the numbers of maps of an r-set onto an
-    n-set, from row r-1: S(r, n) n! = n (S(r-1, n) n! + S(r-1, n-1) (n-1)!)."""
+def _surjection_head(r: int, width: int) -> tuple:
+    """The first `width` <= r + 1 entries of S(r, 0) 0!, ..., S(r, r) r!, the
+    numbers of maps of an r-set onto an n-set: S(r, n) n! = n (S(r-1, n) n!
+    + S(r-1, n-1) (n-1)!).  The table grows to row width - 1 only, as entries
+    n < width of a row need only those of the row before; a row past the
+    table is stepped on from its last row in width-wide rows, none kept."""
     global _SURJECTIONS
     table = _SURJECTIONS
-    if len(table) <= r:
+    if len(table) < width:
         rows = list(table)
-        while len(rows) <= r:
+        while len(rows) < width:
             row = rows[-1]
             rows.append(tuple(map(mul, range(len(row) + 1), map(add, row + (0,), (0,) + row))))
         table = _SURJECTIONS = tuple(rows)
-    return table[r]
-
-
-def _surjection_head(r: int, width: int) -> tuple:
-    """The first `width` <= r + 1 entries of `_surjection_row(r)`, with the
-    table grown to row width - 1 only: entries n < width of a row need only
-    those of the row before, so a row past the table is stepped on from its
-    last row in width-wide rows, none of them kept."""
-    _surjection_row(width - 1)
-    table = _SURJECTIONS
     if r < len(table):
         return table[r][:width]
     row = table[-1][:width]

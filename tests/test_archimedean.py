@@ -8,7 +8,7 @@ import pytest
 
 from mahler.archimedean import (LocalFactorParams, PiPolynomial, delta_coeff,
                                 delta_diagonal_sum, delta_diagonal_target,
-                                gamma_coeff, local_factor_closed_form,
+                                double_factorial, gamma_coeff, local_factor_closed_form,
                                 local_integral_quadrature, quadrature_report)
 from mahler.errors import InvalidInput, ToleranceNotMet
 from paper_oracles import (apply_raising_operator, closed_form_pi_polynomial,
@@ -87,6 +87,13 @@ class TestGammaDelta:
     def test_index_guard(self):
         with pytest.raises(InvalidInput):
             gamma_coeff(1, 1, 1)
+
+    def test_double_factorial_against_a_loop(self):
+        for n in range(-1, 302, 2):
+            assert double_factorial(n) == _dfac(n)
+        for n in (*range(-8, 302, 2), -3, -5, -101):
+            with pytest.raises(InvalidInput, match="^double factorial used only for odd n >= -1$"):
+                double_factorial(n)
 
     @pytest.mark.parametrize("build", [delta_diagonal_sum, delta_diagonal_target])
     def test_negative_r_refused(self, build):
@@ -236,6 +243,11 @@ class TestPiPolynomial:
         assert a - 1 == PiPolynomial({-1: Fraction(1, 2), 0: -1})
         assert (a + 1) - a == 1 and PiPolynomial.term(3) == 3
         assert PiPolynomial() == 0 and a != 0
+
+    def test_repr(self):
+        assert repr(PiPolynomial()) == "0"
+        v = PiPolynomial({3: Fraction(1, 7), 0: Fraction(-3, 4), -2: 5})
+        assert repr(v) == "5*pi^-2 + -3/4 + 1/7*pi^3"
 
     def test_evaluate(self):
         v = PiPolynomial({2: 1, 0: -1})

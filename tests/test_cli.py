@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -930,6 +931,16 @@ class TestArchCommands:
         code, out, _ = run(capsys, ["arch", "identity", "--r", "12"])
         assert code == 0 and json.loads(out)["holds"] is True
 
+    def test_identity_past_the_digit_limit(self, capsys):
+        # r!/2^r has 4302 digits at r = 1719, past str()'s 4300: printed in chunks
+        code, out, err = run(capsys, ["arch", "identity", "--r", "1719"])
+        assert (code, err) == (0, "")
+        got = json.loads(out)
+        with no_str_digit_limit():
+            value = f"{Fraction(math.factorial(1719), 2 ** 1719)}*pi^-1719"
+        assert got == {"r": 1719, "holds": True, "value": value}
+        assert len(value.split("/")[0]) == 4302
+
     def test_identity_refuses_negative_r(self, capsys):
         # refused by the library, not by factorial() of a negative number
         assert run(capsys, ["arch", "identity", "--r", "-1"]) == (2, "", "error: need r >= 0\n")
@@ -938,7 +949,9 @@ class TestArchCommands:
         ["--kappa", "1", "--r", "1", "--l", "1", "--s", "170"],  # math.gamma
         ["--kappa", "1", "--r", "1", "--l", "1", "--s", "280"],  # a float power
         ["--kappa", "1", "--r", "200", "--l", "200", "--nodes-a", "4",
-         "--nodes-theta", "4"]])  # a Fraction weight as a float
+         "--nodes-theta", "4"],  # a Fraction weight as a float
+        # numpy's u ** 152.5 at the largest nodes, whose weights would bring it back
+        ["--kappa", "1", "--r", "1", "--l", "1", "--s", "150"]])
     def test_overflow_exits_5(self, argv):
         # in a fresh process, where numpy's overflow warnings are not errors
         src = os.path.dirname(os.path.dirname(os.path.abspath(mahler.__file__)))
@@ -989,6 +1002,17 @@ class TestQuatCommands:
         code, out, _ = run(capsys, ["quat", "ramified", "--a", "-1", "--b", "-1"])
         data = json.loads(out)
         assert data["finite_places"] == [2] and data["infinite"] is True
+
+    def test_ramified_discriminant_is_the_product_of_the_finite_places(self, capsys):
+        from mahler.quaternion import QuaternionAlgebra, discriminant
+        rng = random.Random(31)
+        for _ in range(200):
+            a, b = (Fraction(rng.choice([v for v in range(-90, 91) if v]), rng.randrange(1, 13))
+                    for _ in range(2))
+            code, out, _ = run(capsys, ["quat", "ramified", f"--a={a}", f"--b={b}"])
+            data = json.loads(out)
+            assert code == 0 and data["discriminant"] == math.prod(data["finite_places"]) \
+                == discriminant(QuaternionAlgebra(a, b))
 
     def test_hashimoto(self, capsys):
         code, out, _ = run(capsys, ["quat", "hashimoto", "--delta", "6",

@@ -65,10 +65,34 @@ class TestClassGroups:
         assert orders == {1, 5}
 
     def test_invalid_discriminant(self):
-        with pytest.raises(InvalidInput):
-            class_group(-5)
-        with pytest.raises(InvalidInput):
-            class_group(7)
+        # refused by fundamental_decomposition, before any form is enumerated
+        for D in (0, 1, 5, 7, -1, -2, -5, -6):
+            with pytest.raises(InvalidInput, match=f"^{D} is not a negative discriminant$"):
+                class_group(D)
+
+    def test_every_discriminant_is_a_square_times_a_fundamental_one(self):
+        # c^2 d_K = D, with d_K squarefree and 1 mod 4, or 4 m with m
+        # squarefree and 2 or 3 mod 4; an odd c with 4 d_K never occurs
+        def squarefree(n):
+            return all(n % (q * q) for q in range(2, math.isqrt(abs(n)) + 1))
+        for D in range(-20000, -2):
+            if D % 4 not in (0, 1):
+                continue
+            c, d_K = fundamental_decomposition(D)
+            assert c * c * d_K == D
+            assert squarefree(d_K) if d_K % 4 == 1 else \
+                d_K % 4 == 0 and d_K // 4 % 4 in (2, 3) and squarefree(d_K // 4)
+            assert QuadOrder(d_K) == QuadOrder.from_discriminant(d_K)
+
+    def test_congruence_modulo_a_divisor_of_a(self):
+        # a = 0 mod m: every x solves a x = b mod m when m | b, so x0 = 0 mod 1
+        for m in (1, 2, 3, 12, 97):
+            for a in (0, m, 2 * m):
+                for b in (0, m, -m, 5 * m):
+                    assert heckechar._solve_congruence(a, b, m) == (0, 1)
+            if m > 1:
+                with pytest.raises(InvalidInput, match="^congruence has no solution$"):
+                    heckechar._solve_congruence(2 * m, 1, m)
 
     def test_axioms_all_small_discriminants(self):
         # the constructor checks closure; every group with |D| <= 500 (so

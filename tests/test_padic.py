@@ -343,13 +343,13 @@ class TestStirling:
         # starts empty, is grown in uneven steps and is read back below the top
         monkeypatch.setattr(padic, "_SURJECTIONS", ((1,),))
         for top in (3, 4, 40, 300, 17):
-            padic._surjection_row(top)
+            padic._surjection_head(top, top + 1)
         falling = self.falling_factorial_table_from_scratch(300)
         stirling = self.stirling_second_table_from_scratch(300)
         assert list(itertools.islice(padic._falling_factorial_rows(), 301)) == falling
         for n in range(301):
             # the surjection row is the Stirling row times n!, entry by entry
-            assert padic._surjection_row(n) == tuple(
+            assert padic._surjection_head(n, n + 1) == tuple(
                 s * math.factorial(k) for k, s in enumerate(stirling[n]))
         assert len(padic._SURJECTIONS) == 301
         for n, i in ((0, 0), (17, 1), (17, 9), (300, 1), (300, 150), (300, 300)):

@@ -1,0 +1,116 @@
+"""Check that another tree's CLI prints what this tree's prints.
+
+    python tests/tree_diff.py OTHER_SRC
+
+OTHER_SRC is the `src` directory of the other tree, for example of a
+`git archive` of the parent commit unpacked in a scratch directory.  One
+corpus of `mahler` argvs is built:
+
+- cli-cold's calls at seeds 0-3 (`perfbench/wl_cli.build_commands`), with
+  their input files written once into a temporary directory that both
+  sides read;
+- `--help` on every command path of tests/cli_help.json;
+- the README's CLI block, run in seed 0's directory, which holds every file
+  it names;
+- `arch identity --r 1719`, whose value passes str()'s 4300 digits, and
+  `arch local-factor` at `--s 150`, whose radial power overflows.
+
+Each side runs the whole corpus in one subprocess with PYTHONPATH set to its
+`src`, every call through `mahler.cli.main` in-process
+(`perfbench/wl_cli.replay_call`).  Per case the exit code, the stdout bytes
+and the first line of stderr are compared.  The script prints one digest per
+side, then every case that differs, the first with both sides' results, and
+exits 1 on any difference.  It imports perfbench, writes nothing there, and
+takes about 7 s on 2 vCPUs.
+"""
+
+import hashlib
+import json
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+SEEDS = range(4)
+RANGE_CALLS = (["arch", "identity", "--r", "1719"],
+               ["arch", "local-factor", "--kappa", "1", "--r", "1", "--l", "1", "--s", "150"])
+
+# run in each side's subprocess: [[workdir, argv], ...] on stdin, one
+# [exit code, stdout, first stderr line] per case on stdout
+WORKER = """
+import json, sys
+sys.dont_write_bytecode = True
+sys.path.insert(0, sys.argv[1])
+import wl_cli
+results = []
+for workdir, argv in json.load(sys.stdin):
+    code, out, err = wl_cli.replay_call(argv, workdir)
+    results.append([code, out.decode(), err.decode().split("\\n", 1)[0]])
+json.dump(results, sys.stdout)
+"""
+
+
+def readme_argvs() -> list:
+    """The argvs of the ```sh block under the README's `## CLI`."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+def corpus(workdir: str) -> list:
+    """[[workdir, argv], ...]: every case, each with the directory it runs in."""
+    sys.dont_write_bytecode = True  # no __pycache__ under perfbench
+    sys.path.insert(0, str(PERFBENCH))
+    import wl_cli
+    cases = []
+    for seed in SEEDS:
+        seed_dir = os.path.join(workdir, f"seed{seed}")
+        cases += [[seed_dir, argv] for argv, _ in wl_cli.build_commands(seed, seed_dir)]
+    help_paths = json.loads((ROOT / "tests" / "cli_help.json").read_text(encoding="utf-8"))
+    home = os.path.join(workdir, "seed0")
+    cases += [[home, path.split() + ["--help"]] for path in help_paths]
+    cases += [[home, argv] for argv in readme_argvs()]
+    cases += [[home, list(argv)] for argv in RANGE_CALLS]
+    return cases
+
+
+def run_side(src: str, cases: list) -> list:
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("MAHLER_PREC", None)  # as cli-cold's children run
+    done = subprocess.run([sys.executable, "-c", WORKER, str(PERFBENCH)], env=env,
+                          input=json.dumps(cases), capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+def digest(results: list) -> str:
+    return hashlib.sha256(json.dumps(results).encode()).hexdigest()
+
+
+def main(argv) -> int:
+    if len(argv) != 1 or not os.path.isdir(argv[0]):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as workdir:
+        cases = corpus(workdir)
+        sides = {"this": run_side(str(ROOT / "src"), cases),
+                 "other": run_side(os.path.abspath(argv[0]), cases)}
+    for name, results in sides.items():
+        print(f"{name}: {digest(results)} over {len(results)} cases")
+    differing = [i for i, (a, b) in enumerate(zip(*sides.values())) if a != b]
+    for i in differing:
+        workdir, argv = cases[i]
+        print(f"differs, in {os.path.basename(workdir)}: mahler {shlex.join(argv)}")
+    if differing:
+        first = differing[0]
+        for name, results in sides.items():
+            code, out, err = results[first]
+            print(f"  {name}: exit {code}, stderr {err[:200]!r}, stdout {out[:200]!r}")
+    return int(bool(differing))
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
