@@ -172,7 +172,8 @@ def local_integral_quadrature(params: LocalFactorParams, nodes_a: int = 64,
         raise InvalidInput("insufficient node counts")
     kappa, r, l = params.kappa, params.r, params.l
     exponent = 2 * kappa + r + params.s - 0.5
-    u, w = np.polynomial.laguerre.laggauss(nodes_a)
+    with np.errstate(all="ignore"):  # from 187 nodes the rule is not finite
+        u, w = np.polynomial.laguerre.laggauss(nodes_a)
     with np.errstate(over="raise"):  # an overflow raises: left as inf, it ends as NaN
         radial = float(np.sum(w * u ** exponent)) / (4 * math.pi) ** (exponent + 1)
     deltas = [(alpha, beta, delta_coeff(l, alpha, beta).evaluate())
@@ -202,7 +203,7 @@ def local_factor_closed_form(params: LocalFactorParams) -> complex:
 def quadrature_report(params: LocalFactorParams, nodes_a: int = 64,
                       nodes_theta: int = 256) -> dict:
     """Quadrature at the stated and doubled resolutions plus the closed form,
-    for the CLI and the acceptance suite; a float overflow is ToleranceNotMet."""
+    for the CLI and the acceptance suite; an overflow or a non-finite value is ToleranceNotMet."""
     try:
         q1 = local_integral_quadrature(params, nodes_a, nodes_theta)
         q2 = local_integral_quadrature(params, 2 * nodes_a, 2 * nodes_theta)
@@ -212,6 +213,8 @@ def quadrature_report(params: LocalFactorParams, nodes_a: int = 64,
                               params.nu_u_abs, params.zeta_u)))
     except (OverflowError, FloatingPointError) as exc:
         raise ToleranceNotMet(f"a value left the float range: {exc.args[-1]}") from None
+    if not all(math.isfinite(z.real) and math.isfinite(z.imag) for z in (q1, q2, closed)):
+        raise ToleranceNotMet("a quadrature is not a finite number")
     rel_error = abs(q1 - closed) / scale if scale else math.inf
     return {
         "quadrature": q1,

@@ -12,10 +12,9 @@ A p-adic embedding maps a value to one PadicScalar known mod p^prec: the sum
 of (a_k + b_k s) zeta^k over the group-ring terms is taken on integers mod
 p^prec, s and zeta the Hensel lifts of sqrt(d) and of the root of unity, as
 `padic`'s `+` and `*` would take it term by term; a value with a coefficient
-that is not p-integral, or with a nonzero a_k that vanishes mod p^prec, is
-embedded in PadicScalar arithmetic, with its result or its refusal.  The
-avatar measure family scales each Dirac measure by a PadicScalar, which
-`measure` also does on integers.
+that is not p-integral is embedded in PadicScalar arithmetic.  The avatar
+measure family scales each Dirac measure by a PadicScalar, which `measure`
+also does on integers.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .arith import (cyclotomic_coeffs, factorint, fundamental_decomposition,
-                    is_discriminant, isprime, jacobi, sqrt_mod_prime)
+                    isprime, jacobi, sqrt_mod_prime)
 from .errors import Frozen, InvalidInput
 from .padic import PadicScalar, exact
 
@@ -621,9 +620,8 @@ class PadicEmbedding(Frozen):
         """The image of sum_k (a_k + b_k sqrt(d)) z^k: on integers mod p^prec,
         sum_k (a_k + b_k s) zeta^k for the lifts s of sqrt(d) and zeta, made one
         PadicScalar known mod p^prec, which is what the sum of its terms in
-        PadicScalar arithmetic gives when every a_k and b_k is p-integral and
-        no nonzero a_k vanishes mod p^prec; any other value is embedded term
-        by term."""
+        PadicScalar arithmetic gives when every a_k and b_k is p-integral; any
+        other value is embedded term by term."""
         if value.m != self.m:
             if self.m % value.m:
                 raise InvalidInput("value needs a larger cyclotomic layer than the embedding")
@@ -643,15 +641,14 @@ class PadicEmbedding(Frozen):
         total = 0
         for k, (a, b) in value.terms.items():
             x, y = _residue(a, p, mod), _residue(b, p, mod)
-            if x is None or y is None or (a and not x):
+            if x is None or y is None:
                 return self._embed_termwise(value, has_sqrt)
             total += (x + root * y) * pow(zeta, k, mod)
         return PadicScalar._make(p, 0, total, prec)
 
     def _embed_termwise(self, value: AlgebraicValue, has_sqrt: bool) -> PadicScalar:
         """`embed` in PadicScalar arithmetic, for a value with a coefficient
-        that is not p-integral or an a_k of valuation >= precision, which
-        `from_rational` refuses."""
+        that is not p-integral."""
         p, prec = self.prime, self.precision
         zeta, mod = self.zeta_lift or 1, p ** prec
         total = PadicScalar.zero(p, prec)

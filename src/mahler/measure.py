@@ -35,8 +35,8 @@ output through `PadicScalar._make`, with the precision `+` and `*` would give:
 * `pairing_measure` and its one-pair case `mult_pushforward`: the moment
   products m_r(µ1_s) m_r(µ2_s) (precision min(N1 + v2, N2 + v1)), their sum
   over the classes and the 1/h, one scalar per moment.
-Exact and mixed coefficients take the `+`/`*` path with its results and
-refusals.
+Exact and mixed coefficients take the `+`/`*` path, where an exact entry
+meets a PadicScalar known mod p^N as its class mod p^N.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ def _dot(row, xs, res, start=0):
 def _cap_precision(x, p: int, precision: int):
     """x + O(p^precision): a PadicScalar is reduced mod p^min(prec(x),
     precision), which is what adding the zero known mod p^precision gives; an
-    exact x is added to that zero, and refused as `+` refuses it."""
+    exact x is added to that zero, which gives its class mod p^precision."""
     if type(x) is PadicScalar:
         return PadicScalar._make(p, x.valuation, x.unit, min(x.precision, precision))
     return x + PadicScalar.zero(p, precision)
@@ -289,14 +289,17 @@ def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
     """Restriction of µ to Z_p^×: drop every (1+T)^m component with p | m.
 
     Finite measures restrict exactly.  For a truncated measure the caller
-    must name a target precision; the call refuses when the truncation-tail
-    valuation bound cannot support it, before any transform.  Its first
-    n_out coefficients are kept, capped at the target precision; a missing
-    or bad target is reported after the transform, whose own refusal of
-    mixed coefficients comes first.
+    must name a target precision >= 1; the call refuses a missing or bad
+    target, and one that the truncation-tail valuation bound cannot support,
+    before any transform.  Its first n_out coefficients are kept, capped at
+    the target precision.
     """
     p = mu.prime
-    if not mu.finite and precision is not None and precision >= 1:
+    if not mu.finite:
+        if precision is None:
+            raise InvalidInput("restricting a truncated measure needs a target precision")
+        if precision < 1:
+            raise InvalidInput("target precision must be >= 1")
         n_out = mu.order - (precision + 1) * (p - 1)
         if n_out < 1:
             raise PrecisionExhausted(f"order {mu.order} supports restriction "
@@ -308,10 +311,6 @@ def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
     kept = [0 if m % p == 0 else c[m] for m in range(len(c))]
     if mu.finite:
         return from_plus_basis(kept, p, finite=True)
-    if precision is None:
-        raise InvalidInput("restricting a truncated measure needs a target precision")
-    if precision < 1:
-        raise InvalidInput("target precision must be >= 1")
     raw = from_plus_basis(kept, p, finite=False)
     return Measure._from_fields(
         p, tuple(_cap_precision(a, p, precision) for a in raw.mahler[:n_out]), False)

@@ -15,11 +15,12 @@ exactness rule:
 
 PadicScalar arithmetic has one precision rule (the capped-relative model of
 Caruso, arXiv:1701.06794, section 2): a zero known mod p^N counts as
-valuation N and relative precision 0; a sum takes the least precision; a
-product takes valuation v1 + v2 and relative precision min(rel1, rel2), and
-an exact factor q shifts the valuation by v_p(q); a zero known to no
-precision (N <= 0) is refused with PrecisionExhausted.  Every result goes
-through one normalising constructor, `PadicScalar._make`.
+valuation N and relative precision 0, and an exact number enters at
+precision N as its class mod p^N; a sum takes the least precision; a product
+takes valuation v1 + v2 and relative precision min(rel1, rel2), and an exact
+factor q shifts the valuation by v_p(q); a zero known to no precision
+(N <= 0) is refused with PrecisionExhausted.  Every result goes through one
+normalising constructor, `PadicScalar._make`.
 """
 
 from __future__ import annotations
@@ -112,7 +113,7 @@ class PadicScalar(Frozen):
 
     @classmethod
     def from_rational(cls, q, prime: int, precision: int) -> "PadicScalar":
-        """Embed an int/Fraction with denominator prime to p."""
+        """The class of an int/Fraction q mod p^precision, as `from_int` reads an int."""
         q = Fraction(q)
         if q == 0:
             return cls(prime, INF, 0, INF)
@@ -120,11 +121,8 @@ class PadicScalar(Frozen):
         num, den = q.numerator, q.denominator
         vn, vd = int_valuation(num, prime), int_valuation(den, prime)
         v = vn - vd
-        rel = precision - v
-        if rel <= 0:
-            raise PrecisionExhausted("rational embeds below requested precision")
-        unit = (num // prime ** vn) * pow(den // prime ** vd, -1, prime ** rel)
-        return cls(prime, v, unit, precision)
+        inverse = pow(den // prime ** vd, -1, prime ** max(precision - v, 0))
+        return PadicScalar._make(prime, v, num // prime ** vn * inverse, precision)
 
     @classmethod
     def zero(cls, prime: int, precision=INF) -> "PadicScalar":

@@ -218,6 +218,13 @@ class TestLocalIntegral:
         with pytest.raises(ToleranceNotMet, match="^a value left the float range: "):
             quadrature_report(params, 4, 4)
 
+    def test_non_finite_rule_fails_the_tolerance(self):
+        # 94 nodes, and the 188 of the refined quadrature give NaN weights
+        params = LocalFactorParams(kappa=1, r=1, l=1)
+        assert math.isfinite(quadrature_report(params, 93)["self_consistency"])
+        with pytest.raises(ToleranceNotMet, match="^a quadrature is not a finite number$"):
+            quadrature_report(params, 94)
+
     def test_parameter_validation(self):
         with pytest.raises(InvalidInput):
             LocalFactorParams(kappa=0, r=0, l=0)

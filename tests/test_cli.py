@@ -702,6 +702,62 @@ class TestMeasureCommands:
         assert json.loads(out2)["mahler"] == pushed["mahler"]
 
 
+class TestExactNumbersAtThePrecision:
+    """An exact number that p^N divides enters p-adic arithmetic at
+    precision N as the zero known mod p^N, in every command that meets one."""
+
+    @staticmethod
+    def zeros(p, prec, count):
+        return [{"p": p, "prec": prec, "unit": "0", "val": "inf"}] * count
+
+    def measure_file(self, tmp_path, obj):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def test_binomial_series(self, capsys):
+        # z = 27 known mod 3^3: C(27, 1) and C(27, 2) = 351 vanish mod 27
+        code, out, err = run(capsys, ["padic", "binomial-series", "--z", "27", "--p", "3",
+                                      "--prec", "3", "--order", "3"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["coeffs"] == \
+            [{"p": 3, "prec": 3, "unit": "1", "val": 0}] + self.zeros(3, 3, 2)
+
+    @pytest.mark.parametrize("prec", ["0", "-1"])
+    def test_no_precision_is_refused(self, capsys, prec):
+        assert run(capsys, ["padic", "binomial-series", "--z", "27", "--p", "3",
+                            "--prec", prec, "--order", "3"]) == \
+            (3, "", "precision exhausted: zero known to no precision\n")
+
+    def test_restrict_of_exact_coefficients(self, capsys, tmp_path):
+        path = self.measure_file(tmp_path, {"p": 3, "finite": False,
+                                            "mahler": ["3", "3"] + ["0"] * 6})
+        code, out, _ = run(capsys, ["measure", "restrict", "--file", path, "--prec", "1"])
+        assert code == 0
+        assert json.loads(out) == {"finite": False, "mahler": self.zeros(3, 1, 4),
+                                   "order": 4, "p": 3}
+
+    def test_cell_mass_of_exact_coefficients(self, capsys, tmp_path):
+        path = self.measure_file(tmp_path, {"p": 3, "finite": False,
+                                            "mahler": ["1", "9"] + ["0"] * 6})
+        code, out, _ = run(capsys, ["measure", "cell-mass", "--file", path, "--a", "1",
+                                    "--nu", "1", "--prec", "1"])
+        assert code == 0
+        assert json.loads(out) == {"a": 1, "mass": self.zeros(3, 1, 1)[0], "nu": 1}
+
+    def test_mixed_coefficients(self, capsys, tmp_path):
+        # 16 meets 1 + O(2^4) as the zero known mod 2^4
+        path = self.measure_file(tmp_path, {"p": 2, "finite": True, "mahler": [
+            "16", {"p": 2, "val": 0, "unit": "1", "prec": 4}]})
+        code, out, _ = run(capsys, ["measure", "restrict", "--file", path])
+        assert code == 0
+        assert json.loads(out)["mahler"] == [{"p": 2, "prec": 4, "unit": "1", "val": 0}] * 2
+        code, out, _ = run(capsys, ["measure", "cell-mass", "--file", path, "--a", "0",
+                                    "--nu", "1"])
+        assert code == 0  # 16 - (1 + O(2^4))
+        assert json.loads(out)["mass"] == {"p": 2, "prec": 4, "unit": "15", "val": 0}
+
+
 class TestModformCommands:
     def test_delta_depletion_chain(self, capsys, tmp_path):
         code, out, _ = run(capsys, ["modform", "delta", "--trunc", "24"])
@@ -944,6 +1000,14 @@ class TestArchCommands:
     def test_identity_refuses_negative_r(self, capsys):
         # refused by the library, not by factorial() of a negative number
         assert run(capsys, ["arch", "identity", "--r", "-1"]) == (2, "", "error: need r >= 0\n")
+
+    @pytest.mark.parametrize("nodes", ["96", "256"])
+    def test_non_finite_rule_exits_5(self, capsys, nodes):
+        # numpy's Gauss-Laguerre rule is not finite from 187 nodes, and the
+        # report also runs twice the nodes; no RuntimeWarning reaches stderr
+        assert run(capsys, ["arch", "local-factor", "--kappa", "1", "--r", "1", "--l", "1",
+                            "--nodes-a", nodes]) == \
+            (5, "", "tolerance not met: a quadrature is not a finite number\n")
 
     @pytest.mark.parametrize("argv", [
         ["--kappa", "1", "--r", "1", "--l", "1", "--s", "170"],  # math.gamma

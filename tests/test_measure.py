@@ -187,6 +187,26 @@ class TestRestriction:
         mu = Measure(3, [1] * 10, finite=False)
         with pytest.raises(InvalidInput):
             restrict_to_units(mu)
+        # a missing or bad target is refused before any transform, of any
+        # coefficients, here 16 beside 1 + O(2^4)
+        mixed = Measure(2, [16, PadicScalar.from_int(1, 2, 4)] * 4, finite=False)
+        with pytest.raises(InvalidInput, match="needs a target precision"):
+            restrict_to_units(mixed)
+        with pytest.raises(InvalidInput, match="must be >= 1"):
+            restrict_to_units(mixed, 0)
+        # and 16 enters the sums as its class mod 2^4, as in the exact list
+        mixed_out, exact_out = [
+            [(a.valuation, a.unit, a.precision) for a in restrict_to_units(mu, 2).mahler]
+            for mu in (mixed, Measure(2, [16, 1] * 4, finite=False))]
+        assert mixed_out == exact_out
+
+    def test_truncated_exact_coefficients_vanishing_at_the_target(self):
+        # every restricted coefficient of 3 + 3 C(t, 1) is 0 mod 3
+        mu = Measure(3, [3, 3] + [0] * 6, finite=False)
+        assert [(a.valuation, a.precision) for a in restrict_to_units(mu, 1).mahler] == \
+            [(INF, 1)] * 4
+        assert cell_mass(Measure(3, [1, 9] + [0] * 6, finite=False), 1, 1, 1) == \
+            PadicScalar.zero(3, 1)
 
     def test_truncated_precision_gate(self):
         mu = Measure(3, [1] * 6, finite=False)
@@ -632,9 +652,8 @@ class TestKernelsAgainstTermwiseSums:
 
     @staticmethod
     def outcome(fn, *args):
-        """typed(...) of the result (each entry of a list or tuple), or the error
-        raised: adding an int of valuation >= a scalar's precision raises
-        PrecisionExhausted in both versions."""
+        """typed(...) of the result (each entry of a list or tuple), or the
+        type of the error raised."""
         try:
             value = fn(*args)
         except (InvalidInput, PrecisionExhausted) as exc:
@@ -703,6 +722,25 @@ class TestKernelsAgainstTermwiseSums:
             for precision in (1, 2, 4):
                 assert self.outcome(restrict_to_units, truncated, precision) == \
                     self.outcome(self.restrict, truncated, precision)
+
+    def test_mixed_rows_take_the_residue_rule(self):
+        # each exact entry counts as known to infinite precision: Σ c·x mod
+        # p^P, P the least prec(x) + v_p(c) over the PadicScalar terms with
+        # c ≠ 0 and a finite precision, exact when there is no such term
+        rng = random.Random("mixed rows")
+        for mu in self.measures("mixed"):
+            p, xs = mu.prime, mu.mahler
+            for _ in range(6):
+                row = [rng.choice([0, 1, -1, p, p ** 3, rng.randint(-99, 99)]) for _ in xs]
+                total, P = 0, INF
+                for c, x in zip(row, xs):
+                    if type(x) is not PadicScalar:
+                        total += c * x
+                    elif c and x.precision is not INF:
+                        total += c * x.lift()
+                        P = min(P, x.precision + rational_valuation(Fraction(c), p))
+                want = exact(total) if P is INF else PadicScalar.from_rational(total, p, P)
+                assert typed(exact(_dot(row, xs, None))) == typed(want), (row, xs)
 
     def test_dot_falls_back(self):
         # a negative valuation, a second prime or a nonzero exact number

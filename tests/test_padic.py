@@ -111,6 +111,34 @@ class TestScalarArith:
     def test_precision_zero_raises(self):
         with pytest.raises(PrecisionExhausted):
             PadicScalar(5, 3, 2, 3)
+        for N in (0, -2):  # every rational's class mod p^N for N <= 0
+            with pytest.raises(PrecisionExhausted, match="zero known to no precision"):
+                PadicScalar.from_rational(27, 3, N)
+
+    def test_exact_number_that_p_to_the_precision_divides(self):
+        # 16 known mod 2^4 is the zero known mod 2^4, however it is built
+        fields = [(x.prime, x.valuation, x.unit, x.precision) for x in (
+            PadicScalar.from_rational(16, 2, 4), PadicScalar.from_int(16, 2, 4),
+            PadicScalar(2, 0, 16, 4))]
+        assert fields == [(2, INF, 0, 4)] * 3
+        one = PadicScalar.from_int(1, 2, 4)
+        for total, unit in ((one + 16, 1), (one - 16, 1), (16 + one, 1), (16 - one, 15),
+                            (one + Fraction(48, 5), 1)):
+            assert (total.valuation, total.unit, total.precision) == (0, unit, 4)
+        assert PadicScalar.zero(2, 4) == 16 and 16 == PadicScalar.zero(2, 4)
+        assert one == 17 and one != 3
+
+    def test_from_rational_of_an_int_is_from_int(self):
+        rng = random.Random("from_rational")
+        below = 0
+        for _ in range(2000):
+            p, N = rng.choice((2, 3, 5, 7, 11)), rng.randint(1, 8)
+            q = rng.choice((-1, 1)) * rng.randrange(40) * p ** rng.randrange(12)
+            x, y = PadicScalar.from_rational(q, p, N), PadicScalar.from_int(q, p, N)
+            assert (x.prime, x.valuation, x.unit, x.precision) == \
+                (y.prime, y.valuation, y.unit, y.precision), (q, p, N)
+            below += q != 0 and x.is_zero
+        assert below > 300
 
     def test_rational_embedding(self):
         x = PadicScalar.from_rational(Fraction(1, 2), 5, 3)
@@ -165,14 +193,14 @@ class TestPrecisionIsLowerBound:
 
     @staticmethod
     def approximate(rng, q, p):
-        """q known mod p^N for a random N: the zero known mod p^N when
-        p^N divides q, else `from_rational`; sometimes the exact zero for 0."""
+        """q known mod p^N for a random N, by `from_rational`: the zero known
+        mod p^N when p^N divides q; sometimes the exact zero for 0."""
         if q == 0 and rng.random() < 0.3:
             return PadicScalar.zero(p)
         N = rng.randrange(-3, 8)
-        if q == 0 or N > 0 and rational_valuation(q, p) >= N:
+        if q == 0:
             return PadicScalar.zero(p, max(N, 1))
-        if rational_valuation(q, p) >= N:
+        if N <= 0 and rational_valuation(q, p) >= N:  # no zero is known mod p^N
             N = rational_valuation(q, p) + 1
         return PadicScalar.from_rational(q, p, N)
 

@@ -13,7 +13,12 @@ corpus of `mahler` argvs is built:
 - the README's CLI block, run in seed 0's directory, which holds every file
   it names;
 - `arch identity --r 1719`, whose value passes str()'s 4300 digits, and
-  `arch local-factor` at `--s 150`, whose radial power overflows.
+  `arch local-factor` at `--s 150`, whose radial power overflows;
+- exact numbers that p^N divides where a command embeds them at precision N
+  (`padic binomial-series --z 27 --p 3` at `--prec` 3 and 0, `measure
+  restrict` and `cell-mass` on exact and mixed coefficients, whose files
+  are written into the same directory), and `arch local-factor` at
+  `--nodes-a` 96 and 256, where the Laguerre rule is not finite.
 
 Each side runs the whole corpus in one subprocess with PYTHONPATH set to its
 `src`, every call through `mahler.cli.main` in-process
@@ -21,7 +26,7 @@ Each side runs the whole corpus in one subprocess with PYTHONPATH set to its
 and the first line of stderr are compared.  The script prints one digest per
 side, then every case that differs, the first with both sides' results, and
 exits 1 on any difference.  It imports perfbench, writes nothing there, and
-takes about 7 s on 2 vCPUs.
+takes about 4 s on 2 vCPUs.
 """
 
 import hashlib
@@ -38,6 +43,22 @@ PERFBENCH = ROOT / "perfbench"
 SEEDS = range(4)
 RANGE_CALLS = (["arch", "identity", "--r", "1719"],
                ["arch", "local-factor", "--kappa", "1", "--r", "1", "--l", "1", "--s", "150"])
+EDGE_FILES = {
+    "exact_restrict.json": {"p": 3, "finite": False, "mahler": ["3", "3"] + ["0"] * 6},
+    "exact_cell.json": {"p": 3, "finite": False, "mahler": ["1", "9"] + ["0"] * 6},
+    "mixed.json": {"p": 2, "finite": True,
+                   "mahler": ["16", {"p": 2, "val": 0, "unit": "1", "prec": 4}]},
+}
+EDGE_CALLS = tuple(
+    [["padic", "binomial-series", "--z", "27", "--p", "3", "--prec", prec, "--order", "3"]
+     for prec in ("3", "0")]
+    + [["measure", "restrict", "--file", "exact_restrict.json", "--prec", "1"],
+       ["measure", "cell-mass", "--file", "exact_cell.json", "--a", "1", "--nu", "1",
+        "--prec", "1"],
+       ["measure", "restrict", "--file", "mixed.json"],
+       ["measure", "cell-mass", "--file", "mixed.json", "--a", "0", "--nu", "1"]]
+    + [["arch", "local-factor", "--kappa", "1", "--r", "1", "--l", "1", "--nodes-a", nodes]
+       for nodes in ("96", "256")])
 
 # run in each side's subprocess: [[workdir, argv], ...] on stdin, one
 # [exit code, stdout, first stderr line] per case on stdout
@@ -75,6 +96,9 @@ def corpus(workdir: str) -> list:
     cases += [[home, path.split() + ["--help"]] for path in help_paths]
     cases += [[home, argv] for argv in readme_argvs()]
     cases += [[home, list(argv)] for argv in RANGE_CALLS]
+    for name, obj in EDGE_FILES.items():
+        Path(workdir, name).write_text(json.dumps(obj), encoding="utf-8")
+    cases += [[workdir, argv] for argv in EDGE_CALLS]
     return cases
 
 
