@@ -36,7 +36,10 @@ output through `PadicScalar._make`, with the precision `+` and `*` would give:
   products m_r(µ1_s) m_r(µ2_s) (precision min(N1 + v2, N2 + v1)), their sum
   over the classes and the 1/h, one scalar per moment.
 Exact and mixed coefficients take the `+`/`*` path, where an exact entry
-meets a PadicScalar known mod p^N as its class mod p^N.
+meets a PadicScalar known mod p^N as its class mod p^N.  Finite measures
+with exact coefficients take no moments in `pairing_measure`: Σ c_m δ_m
+over their (1+T)^m coefficients push forward atom by atom, and one Taylor
+shift of the product atoms gives the Mahler coefficients (`_pushed_atoms`).
 """
 
 from __future__ import annotations
@@ -57,12 +60,13 @@ def _is_exact(xs) -> bool:
     return all(type(x) is int or type(x) is Fraction for x in xs)
 
 
-def _taylor_shift(xs) -> list:
-    """The coefficients of f(X + 1), f = Σ xs[k] X^k, by additions only: the
-    suffix sums are Horner's scheme at 1, f(1) and then (f(X) - f(1))/(X - 1),
-    shifted in turn (von zur Gathen and Gerhard, ISSAC 1997)."""
+def _taylor_shift(xs, size=math.inf) -> list:
+    """The first `size` coefficients of f(X + 1), f = Σ xs[k] X^k, by additions
+    only: the suffix sums are Horner's scheme at 1, f(1) and then
+    (f(X) - f(1))/(X - 1), shifted in turn (von zur Gathen and Gerhard, ISSAC
+    1997); each pass gives one coefficient."""
     rev, out = xs[::-1], []
-    while rev:
+    while rev and len(out) < size:
         rev = list(accumulate(rev))
         out.append(exact(rev.pop()))
     return out
@@ -250,11 +254,16 @@ def mahler_from_moments(b, prime: int) -> Measure:
         else:
             a_n = exact(Fraction(c[0], factorial))
             c = [y - n * x for x, y in zip(c, c[1:])]
-        if not is_p_integral(a_n, prime):
-            raise InvalidInput(f"non-integral Mahler coefficient at n={n}: "
-                               "moments do not define a bounded measure")
-        coeffs.append(a_n)
+        coeffs.append(_bounded(a_n, prime, n))
     return Measure(prime, coeffs, finite=False)
+
+
+def _bounded(a_n, prime: int, n: int):
+    """a_n, refused unless p-integral: the n-th Mahler coefficient of moments."""
+    if not is_p_integral(a_n, prime):
+        raise InvalidInput(f"non-integral Mahler coefficient at n={n}: "
+                           "moments do not define a bounded measure")
+    return a_n
 
 
 # -- the (1+T)^m basis --------------------------------------------------------
@@ -415,7 +424,9 @@ def mult_pushforward(mu1: Measure, mu2: Measure, r_max: int) -> Measure:
 
 def pairing_measure(pairs, r_max: int) -> Measure:
     """Average of multiplicative pushforwards over class-indexed pairs:
-    m_r = (1/h) Σ_s m_r(µ1_s) m_r(µ2_s)."""
+    m_r = (1/h) Σ_s m_r(µ1_s) m_r(µ2_s).  When every measure is finite with
+    exact coefficients, the pairs push forward through their atoms
+    (`_pushed_atoms`); otherwise through r_max + 1 moments of each."""
     pairs = list(pairs)
     if not pairs:
         raise InvalidInput("need at least one pair")
@@ -429,6 +440,8 @@ def pairing_measure(pairs, r_max: int) -> Measure:
         raise InvalidInput("prime mismatch")
     if r_max < 0:
         raise InvalidInput("r_max must be >= 0")
+    if all(mu.finite and _is_exact(mu.mahler) for pair in pairs for mu in pair):
+        return _pushed_atoms(pairs, r_max, p, h)
     residues = [(_residues(m1.mahler), _residues(m2.mahler)) for m1, m2 in pairs]
     if any(res is None for pair in residues for res in pair):  # exact or mixed: `+`, `*`
         b = [exact(sum(moments(m1, r) * moments(m2, r) for m1, m2 in pairs))
@@ -438,6 +451,27 @@ def pairing_measure(pairs, r_max: int) -> Measure:
     else:
         b = [_paired_moment(pairs, residues, r, p, h) for r in range(r_max + 1)]
     return mahler_from_moments(b, p)
+
+
+def _pushed_atoms(pairs, r_max: int, p: int, h: int) -> Measure:
+    """The first r_max + 1 Mahler coefficients of (1/h) Σ_s of the images of
+    µ1_s ⊗ µ2_s under multiplication, for finite exact measures: µ = Σ c_m δ_m
+    (`plus_basis`), so each image is Σ c_m c'_n δ_(mn), whose a_n = Σ_k d_k
+    C(k, n) are a Taylor shift of the atoms d_k stopped after r_max + 1
+    passes.  The values, and the refusal, are `mahler_from_moments`' on the
+    moments: the Stirling transforms are triangular."""
+    atoms = {}
+    for pair in pairs:
+        left, right = ([(m, c) for m, c in enumerate(plus_basis(mu)) if c] for mu in pair)
+        for m, c in left:
+            for n, c2 in right:
+                atoms[m * n] = atoms.get(m * n, 0) + c * c2
+    d = [atoms.get(k, 0) for k in range(max(atoms, default=-1) + 1)]
+    coeffs = _taylor_shift(d, r_max + 1)
+    coeffs += [0] * (r_max + 1 - len(coeffs))
+    if h > 1:
+        coeffs = [exact(a * Fraction(1, h)) for a in coeffs]
+    return Measure._from_fields(p, tuple(_bounded(a, p, n) for n, a in enumerate(coeffs)), False)
 
 
 def _paired_moment(pairs, residues, r: int, p: int, h: int):

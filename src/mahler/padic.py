@@ -15,12 +15,13 @@ exactness rule:
 
 PadicScalar arithmetic has one precision rule (the capped-relative model of
 Caruso, arXiv:1701.06794, section 2): a zero known mod p^N counts as
-valuation N and relative precision 0, and an exact number enters at
-precision N as its class mod p^N; a sum takes the least precision; a product
-takes valuation v1 + v2 and relative precision min(rel1, rel2), and an exact
-factor q shifts the valuation by v_p(q); a zero known to no precision
-(N <= 0) is refused with PrecisionExhausted.  Every result goes through one
-normalising constructor, `PadicScalar._make`.
+valuation N and relative precision 0, and an exact number meets a scalar
+known mod p^N as its class mod p^max(N, 1); a sum takes the least precision;
+a product takes valuation v1 + v2 and relative precision min(rel1, rel2), and
+an exact factor q shifts the valuation by v_p(q); a zero known to no
+precision (N <= 0) is refused with PrecisionExhausted, and `==` reads such a
+difference as equality.  Every result goes through one normalising
+constructor, `PadicScalar._make`.
 """
 
 from __future__ import annotations
@@ -169,7 +170,7 @@ class PadicScalar(Frozen):
         if isinstance(other, (int, Fraction)):
             if Fraction(other) == 0:
                 return PadicScalar._make(self.prime, INF, 0, INF)
-            return PadicScalar.from_rational(other, self.prime, self.precision)
+            return PadicScalar.from_rational(other, self.prime, max(self.precision, 1))
         return NotImplemented
 
     def __add__(self, other):
@@ -269,7 +270,10 @@ class PadicScalar(Frozen):
             other = self._coerce(other)
         if not isinstance(other, PadicScalar) or other.prime != self.prime:
             return NotImplemented
-        return (self - other).is_zero
+        try:
+            return (self - other).is_zero
+        except PrecisionExhausted:  # the difference vanishes mod p^N, N <= 0
+            return True
 
     def __repr__(self):
         if self.is_zero:

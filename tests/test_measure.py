@@ -469,6 +469,117 @@ class TestPairingMeasure:
             pairing_measure([(mu, mu)] * 3, 4)
 
 
+class TestAtomRoute:
+    """`pairing_measure` and `mult_pushforward` of finite exact measures push
+    the atoms forward; the oracle is the moment route through the public
+    `moments` and `mahler_from_moments`: the same values, types and
+    `finite` flags, or the same refusal at the same n."""
+
+    @staticmethod
+    def moment_route(pairs, r_max):
+        p, h = pairs[0][0].prime, len(pairs)
+        b = [exact(Fraction(sum(moments(m1, r) * moments(m2, r) for m1, m2 in pairs), h))
+             for r in range(r_max + 1)]
+        return mahler_from_moments(b, p)
+
+    @staticmethod
+    def outcome(fn, *args):
+        """(typed coefficients, finite flag), or the error and its message."""
+        try:
+            mu = fn(*args)
+        except InvalidInput as exc:
+            return InvalidInput, str(exc)
+        return [typed(a) for a in mu.mahler], mu.finite
+
+    @staticmethod
+    def measure(rng, p, fractions):
+        dens = [d for d in (1, 2, 4, 5, 7, 11) if d % p] if fractions else [1]
+        return Measure(p, [Fraction(rng.randint(-9, 9), rng.choice(dens))
+                           for _ in range(rng.randint(1, 7))], finite=True)
+
+    @staticmethod
+    def top_atom(pairs):
+        """The largest product m·n of nonzero atoms over the pairs (-1 if none)."""
+        def atoms(mu):
+            return [m for m, c in enumerate(plus_basis(mu)) if c]
+        return max((m * n for m1, m2 in pairs for m in atoms(m1) for n in atoms(m2)),
+                   default=-1)
+
+    def test_against_the_moment_route(self):
+        rng = random.Random("atom route")
+        seen = set()
+        for _ in range(150):
+            p = rng.choice((2, 3, 5))
+            fractions = rng.randrange(2) == 0
+            h = rng.choice((1, 2, 3, 4, p))
+            pairs = [(self.measure(rng, p, fractions), self.measure(rng, p, fractions))
+                     for _ in range(h)]
+            Z = self.top_atom(pairs)
+            for r_max in (0, rng.randint(1, 12), Z - 1, Z, Z + 3):
+                if r_max < 0:
+                    continue
+                got = self.outcome(pairing_measure, pairs, r_max)
+                assert got == self.outcome(self.moment_route, pairs, r_max)
+                if h == 1:
+                    mu1, mu2 = pairs[0]
+                    finite = mu1.support_degree() * mu2.support_degree() <= r_max
+                    want = got if got[0] is InvalidInput else (got[0], finite)
+                    assert self.outcome(mult_pushforward, mu1, mu2, r_max) == want
+                seen.add(("h > 1", h > 1))
+                seen.add(("refused", got[0] is InvalidInput, h % p == 0))
+                seen.add(("Fraction", fractions))
+                seen.add(("Z vs r_max", (Z > r_max) - (Z < r_max)))
+        assert {("h > 1", True), ("h > 1", False), ("refused", True, True),
+                ("refused", False, True), ("Fraction", True), ("Fraction", False),
+                ("Z vs r_max", 1), ("Z vs r_max", 0), ("Z vs r_max", -1)} <= seen
+
+    def test_refusal_for_h_divisible_by_p_matches(self):
+        # δ1, δ2 and δ4 averaged over h = 3 = p: a_1 = 7/3
+        p = 3
+        one, two = dirac(1, p, 2), dirac(2, p, 3)
+        pairs = [(one, one), (one, two), (two, two)]
+        message = ("non-integral Mahler coefficient at n=1: "
+                   "moments do not define a bounded measure")
+        for r_max in (1, 4, 9):
+            for route in (pairing_measure, self.moment_route):
+                with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+                    route(pairs, r_max)
+        assert pairing_measure(pairs, 0).mahler == (1,)
+
+    def test_finite_pushforward_takes_no_moments(self, monkeypatch):
+        from mahler import measure
+
+        mu1, mu2 = self.measure(random.Random(5), 5, True), dirac(3, 5, 4)
+        want = mult_pushforward(mu1, mu2, 30)
+
+        def refuse(*args):
+            raise AssertionError("a moment was taken")
+        monkeypatch.setattr(measure, "moments", refuse)
+        monkeypatch.setattr(measure, "mahler_from_moments", refuse)
+        got = mult_pushforward(mu1, mu2, 30)
+        assert got.mahler == want.mahler and got.finite == want.finite
+
+    def test_r_max_far_past_the_top_atom(self):
+        # one atom, 3·3 = 9, and then zeros up to r_max
+        mu = mult_pushforward(dirac(3, 5, 4), dirac(3, 5, 4), 800)
+        assert mu.mahler == dirac(9, 5, 801).mahler and mu.finite
+
+
+class TestRefusalMessages:
+    def test_pairing_measure_prime_mismatch(self):
+        with pytest.raises(InvalidInput, match="^prime mismatch$"):
+            pairing_measure([(dirac(1, 3, 4), dirac(1, 3, 4)),
+                             (dirac(1, 3, 4), dirac(1, 5, 4))], 3)
+
+    def test_dirac_prime_mismatch(self):
+        with pytest.raises(InvalidInput, match="^prime mismatch$"):
+            dirac(PadicScalar.from_int(2, 3, 5), 5, 4)
+
+    def test_mahler_from_no_moments(self):
+        with pytest.raises(InvalidInput, match="^need at least the 0-th moment$"):
+            mahler_from_moments([], 3)
+
+
 class TestBoundedness:
     def test_all_ops_keep_integrality(self):
         rng = random.Random(14)

@@ -128,6 +128,20 @@ class TestScalarArith:
         assert PadicScalar.zero(2, 4) == 16 and 16 == PadicScalar.zero(2, 4)
         assert one == 17 and one != 3
 
+    def test_exact_operand_of_a_scalar_known_to_nonpositive_precision(self):
+        # 1/9 known mod 3^-1: an exact operand meets it at precision 1, so
+        # sums keep precision -1, and a difference that vanishes mod 3^-1 is
+        # equality, as for two such scalars
+        x = PadicScalar.from_rational(Fraction(1, 9), 3, -1)
+        for total, (v, unit) in ((x + 1, (-2, 1)), (x + 3, (-2, 1)), (1 - x, (-2, 2)),
+                                 (x - Fraction(1, 3), (-2, 1)), (x + Fraction(1, 27), (-3, 4))):
+            assert (total.valuation, total.unit, total.precision) == (v, unit, -1)
+        assert x == Fraction(28, 9) and Fraction(28, 9) == x and x == x
+        assert x == PadicScalar.from_rational(Fraction(4, 9), 3, -1)
+        assert x != Fraction(2, 9) and x != 0
+        with pytest.raises(PrecisionExhausted, match="zero known to no precision"):
+            x - Fraction(28, 9)  # the difference itself is still refused
+
     def test_from_rational_of_an_int_is_from_int(self):
         rng = random.Random("from_rational")
         below = 0

@@ -18,7 +18,10 @@ corpus of `mahler` argvs is built:
   (`padic binomial-series --z 27 --p 3` at `--prec` 3 and 0, `measure
   restrict` and `cell-mass` on exact and mixed coefficients, whose files
   are written into the same directory), and `arch local-factor` at
-  `--nodes-a` 96 and 256, where the Laguerre rule is not finite.
+  `--nodes-a` 96 and 256, where the Laguerre rule is not finite;
+- `measure push` and `measure pair` on finite exact measures, with int and
+  Fraction coefficients, r_max below and above the largest product atom,
+  h = 2 and h = 3 = p, where the average of three Dirac masses is refused.
 
 Each side runs the whole corpus in one subprocess with PYTHONPATH set to its
 `src`, every call through `mahler.cli.main` in-process
@@ -48,6 +51,19 @@ EDGE_FILES = {
     "exact_cell.json": {"p": 3, "finite": False, "mahler": ["1", "9"] + ["0"] * 6},
     "mixed.json": {"p": 2, "finite": True,
                    "mahler": ["16", {"p": 2, "val": 0, "unit": "1", "prec": 4}]},
+    "push_a.json": {"p": 3, "finite": True, "mahler": ["2", "1/2", "-5", "7/4"]},
+    "push_b.json": {"p": 3, "finite": True, "mahler": ["0", "0", "0", "1", "0", "-2"]},
+    "pair_h2.json": {"pairs": [[{"p": 3, "finite": True, "mahler": m1},
+                                {"p": 3, "finite": True, "mahler": m2}]
+                               for m1, m2 in ((["1", "1/2", "3"], ["0", "5"]),
+                                              (["4", "0", "-1/5"], ["1", "2", "1"]))]},
+    # (δ1 ⊗ δ1, δ1 ⊗ δ2, δ2 ⊗ δ2) average to (δ1 + δ2 + δ4)/3: a_1 = 7/3
+    "pair_h3.json": {"pairs": [[{"p": 3, "finite": True, "mahler": ["1", "1"]},
+                                {"p": 3, "finite": True, "mahler": ["1", "1"]}],
+                               [{"p": 3, "finite": True, "mahler": ["1", "1"]},
+                                {"p": 3, "finite": True, "mahler": ["1", "2", "1"]}],
+                               [{"p": 3, "finite": True, "mahler": ["1", "2", "1"]},
+                                {"p": 3, "finite": True, "mahler": ["1", "2", "1"]}]]},
 }
 EDGE_CALLS = tuple(
     [["padic", "binomial-series", "--z", "27", "--p", "3", "--prec", prec, "--order", "3"]
@@ -58,7 +74,11 @@ EDGE_CALLS = tuple(
        ["measure", "restrict", "--file", "mixed.json"],
        ["measure", "cell-mass", "--file", "mixed.json", "--a", "0", "--nu", "1"]]
     + [["arch", "local-factor", "--kappa", "1", "--r", "1", "--l", "1", "--nodes-a", nodes]
-       for nodes in ("96", "256")])
+       for nodes in ("96", "256")]
+    + [["measure", "push", "--file1", "push_a.json", "--file2", "push_b.json", "--rmax", r]
+       for r in ("0", "6", "15", "40")]
+    + [["measure", "pair", "--file", name, "--rmax", r]
+       for name in ("pair_h2.json", "pair_h3.json") for r in ("0", "3", "9")])
 
 # run in each side's subprocess: [[workdir, argv], ...] on stdin, one
 # [exit code, stdout, first stderr line] per case on stdout
