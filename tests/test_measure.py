@@ -494,7 +494,7 @@ class TestAtomRoute:
     @staticmethod
     def measure(rng, p, fractions):
         dens = [d for d in (1, 2, 4, 5, 7, 11) if d % p] if fractions else [1]
-        return Measure(p, [Fraction(rng.randint(-9, 9), rng.choice(dens))
+        return Measure(p, [exact(Fraction(rng.randint(-9, 9), rng.choice(dens)))
                            for _ in range(rng.randint(1, 7))], finite=True)
 
     @staticmethod
