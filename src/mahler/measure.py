@@ -37,9 +37,10 @@ output through `PadicScalar._make`, with the precision `+` and `*` would give:
   over the classes and the 1/h, one scalar per moment.
 Exact and mixed coefficients take the `+`/`*` path, where an exact entry
 meets a PadicScalar known mod p^N as its class mod p^N.  Finite measures
-with exact coefficients take no moments in `pairing_measure`: Σ c_m δ_m
-over their (1+T)^m coefficients push forward atom by atom, and one Taylor
-shift of the product atoms gives the Mahler coefficients (`_pushed_atoms`).
+with exact coefficients take no moments in `pairing_measure` when every
+product atom is at most r_max: Σ c_m δ_m over their (1+T)^m coefficients
+push forward atom by atom, and one Taylor shift of the product atoms gives
+the Mahler coefficients (`_pushed_atoms`).
 """
 
 from __future__ import annotations
@@ -60,13 +61,12 @@ def _is_exact(xs) -> bool:
     return all(type(x) is int or type(x) is Fraction for x in xs)
 
 
-def _taylor_shift(xs, size=math.inf) -> list:
-    """The first `size` coefficients of f(X + 1), f = Σ xs[k] X^k, by additions
-    only: the suffix sums are Horner's scheme at 1, f(1) and then
-    (f(X) - f(1))/(X - 1), shifted in turn (von zur Gathen and Gerhard, ISSAC
-    1997); each pass gives one coefficient."""
+def _taylor_shift(xs) -> list:
+    """The coefficients of f(X + 1), f = Σ xs[k] X^k, by additions only: the
+    suffix sums are Horner's scheme at 1, f(1) and then (f(X) - f(1))/(X - 1),
+    shifted in turn (von zur Gathen and Gerhard, ISSAC 1997)."""
     rev, out = xs[::-1], []
-    while rev and len(out) < size:
+    while rev:
         rev = list(accumulate(rev))
         out.append(exact(rev.pop()))
     return out
@@ -425,8 +425,10 @@ def mult_pushforward(mu1: Measure, mu2: Measure, r_max: int) -> Measure:
 def pairing_measure(pairs, r_max: int) -> Measure:
     """Average of multiplicative pushforwards over class-indexed pairs:
     m_r = (1/h) Σ_s m_r(µ1_s) m_r(µ2_s).  When every measure is finite with
-    exact coefficients, the pairs push forward through their atoms
-    (`_pushed_atoms`); otherwise through r_max + 1 moments of each."""
+    exact coefficients and every product atom is at most r_max (d1·d2 <= r_max
+    for the support degrees of each pair), the pairs push forward through
+    their atoms (`_pushed_atoms`), at a cost bounded by r_max; otherwise
+    through r_max + 1 moments of each, whose cost does not grow with d1·d2."""
     pairs = list(pairs)
     if not pairs:
         raise InvalidInput("need at least one pair")
@@ -440,7 +442,8 @@ def pairing_measure(pairs, r_max: int) -> Measure:
         raise InvalidInput("prime mismatch")
     if r_max < 0:
         raise InvalidInput("r_max must be >= 0")
-    if all(mu.finite and _is_exact(mu.mahler) for pair in pairs for mu in pair):
+    if all(mu.finite and _is_exact(mu.mahler) for pair in pairs for mu in pair) and all(
+            m1.support_degree() * m2.support_degree() <= r_max for m1, m2 in pairs):
         return _pushed_atoms(pairs, r_max, p, h)
     residues = [(_residues(m1.mahler), _residues(m2.mahler)) for m1, m2 in pairs]
     if any(res is None for pair in residues for res in pair):  # exact or mixed: `+`, `*`
@@ -455,19 +458,21 @@ def pairing_measure(pairs, r_max: int) -> Measure:
 
 def _pushed_atoms(pairs, r_max: int, p: int, h: int) -> Measure:
     """The first r_max + 1 Mahler coefficients of (1/h) Σ_s of the images of
-    µ1_s ⊗ µ2_s under multiplication, for finite exact measures: µ = Σ c_m δ_m
-    (`plus_basis`), so each image is Σ c_m c'_n δ_(mn), whose a_n = Σ_k d_k
-    C(k, n) are a Taylor shift of the atoms d_k stopped after r_max + 1
-    passes.  The values, and the refusal, are `mahler_from_moments`' on the
-    moments: the Stirling transforms are triangular."""
+    µ1_s ⊗ µ2_s under multiplication, for finite exact measures whose product
+    atoms are at most r_max: µ = Σ c_m δ_m over m <= its support degree d
+    (`plus_basis` of a_0..a_d), so each image is Σ c_m c'_n δ_(mn), whose
+    a_n = Σ_k d_k C(k, n) are a Taylor shift of the atoms d_k, then zeros.
+    The values, and the refusal, are `mahler_from_moments`' on the moments:
+    the Stirling transforms are triangular."""
     atoms = {}
     for pair in pairs:
-        left, right = ([(m, c) for m, c in enumerate(plus_basis(mu)) if c] for mu in pair)
+        left, right = ([(m, c) for m, c in enumerate(plus_basis(Measure._from_fields(
+            p, mu.mahler[:mu.support_degree() + 1], True))) if c] for mu in pair)
         for m, c in left:
             for n, c2 in right:
                 atoms[m * n] = atoms.get(m * n, 0) + c * c2
     d = [atoms.get(k, 0) for k in range(max(atoms, default=-1) + 1)]
-    coeffs = _taylor_shift(d, r_max + 1)
+    coeffs = _taylor_shift(d)
     coeffs += [0] * (r_max + 1 - len(coeffs))
     if h > 1:
         coeffs = [exact(a * Fraction(1, h)) for a in coeffs]

@@ -471,7 +471,8 @@ class TestPairingMeasure:
 
 class TestAtomRoute:
     """`pairing_measure` and `mult_pushforward` of finite exact measures push
-    the atoms forward; the oracle is the moment route through the public
+    the atoms forward while every product atom Z is at most r_max, and take
+    the moments past it; the oracle is the moment route through the public
     `moments` and `mahler_from_moments`: the same values, types and
     `finite` flags, or the same refusal at the same n."""
 
@@ -563,6 +564,42 @@ class TestAtomRoute:
         # one atom, 3·3 = 9, and then zeros up to r_max
         mu = mult_pushforward(dirac(3, 5, 4), dirac(3, 5, 4), 800)
         assert mu.mahler == dirac(9, 5, 801).mahler and mu.finite
+
+    def test_a_product_atom_past_r_max_takes_the_moment_route(self, monkeypatch):
+        # dense order-40 measures: the top atom 39·39 is far past r_max = 39,
+        # where the atom route would shift 1522 atoms and the moments cost r_max·K
+        from mahler import measure
+
+        rng = random.Random("past r_max")
+        mu1, mu2 = (Measure(3, [rng.randint(-9, 9) for _ in range(39)] + [1], finite=True)
+                    for _ in range(2))
+
+        def refuse(*args):
+            raise AssertionError("the atom route was taken")
+        monkeypatch.setattr(measure, "_pushed_atoms", refuse)
+        for r_max in (0, 5, 39):
+            want = self.moment_route([(mu1, mu2)], r_max)
+            assert mult_pushforward(mu1, mu2, r_max).mahler == want.mahler
+            assert pairing_measure([(mu1, mu2), (mu2, mu2)], r_max).mahler == \
+                self.moment_route([(mu1, mu2), (mu2, mu2)], r_max).mahler
+        # one pair within r_max does not carry another past it
+        assert pairing_measure([(dirac(1, 3, 2), dirac(1, 3, 2)), (mu1, mu2)], 39).mahler == \
+            self.moment_route([(dirac(1, 3, 2), dirac(1, 3, 2)), (mu1, mu2)], 39).mahler
+
+    def test_atoms_are_read_up_to_the_support_degree(self, monkeypatch):
+        # a Dirac mass at 2 stored to order 3000: its atoms need a_0..a_2 alone
+        from mahler import measure
+
+        orders = []
+
+        def recorded(mu):
+            orders.append(mu.order)
+            return plus_basis(mu)
+        monkeypatch.setattr(measure, "plus_basis", recorded)
+        mu = Measure(5, dirac(2, 5, 3).mahler + (0,) * 2997, finite=True)
+        got = mult_pushforward(mu, mu, 4)
+        assert orders == [3, 3]
+        assert got.mahler == dirac(4, 5, 5).mahler and got.finite
 
 
 class TestRefusalMessages:

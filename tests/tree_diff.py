@@ -20,8 +20,9 @@ corpus of `mahler` argvs is built:
   are written into the same directory), and `arch local-factor` at
   `--nodes-a` 96 and 256, where the Laguerre rule is not finite;
 - `measure push` and `measure pair` on finite exact measures, with int and
-  Fraction coefficients, r_max below and above the largest product atom,
-  h = 2 and h = 3 = p, where the average of three Dirac masses is refused.
+  Fraction coefficients, r_max below the largest product atom (the moment
+  route) and at or above it (the atom route), h = 2 and h = 3 = p, where
+  the average of three Dirac masses is refused.
 
 Each side runs the whole corpus in one subprocess with PYTHONPATH set to its
 `src`, every call through `mahler.cli.main` in-process
