@@ -13,8 +13,8 @@ of (a_k + b_k s) zeta^k over the group-ring terms is taken on integers mod
 p^prec, s and zeta the Hensel lifts of sqrt(d) and of the root of unity, as
 `padic`'s `+` and `*` would take it term by term; a value with a coefficient
 that is not p-integral is embedded in PadicScalar arithmetic.  The avatar
-measure family scales each Dirac measure by a PadicScalar, which `measure`
-also does on integers.
+measure family forms each Mahler coefficient c0·C(Z, n) on integers, one
+PadicScalar per coefficient and one binomial series per distinct avatar.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .arith import (cyclotomic_coeffs, factorint, fundamental_decomposition,
-                    isprime, jacobi, sqrt_mod_prime)
+                    int_valuation, isprime, jacobi, sqrt_mod_prime)
 from .errors import Frozen, InvalidInput
-from .padic import PadicScalar, exact
+from .padic import PadicScalar, _binomial_fields, exact
 
 # ---------------------------------------------------------------------------
 # discriminants and orders
@@ -687,16 +687,47 @@ def avatar_measure_family(chi0: WeightFunction, chi: WeightFunction,
                           embedding: PadicEmbedding, order: int):
     """Per ideal class s, the measure chi0^(p)(s) · dirac(chi^(p)(s)): its
     r-th moment is the avatar of chi0·chi^r at s, and the family is supported
-    on Z_p^× (unit avatar values are required)."""
-    from .measure import dirac
+    on Z_p^× (unit avatar values are required).
+
+    Each Mahler coefficient c0·C(Z, n), c0 = chi0^(p)(s) and Z the lift of
+    the avatar, is formed on integers and made one PadicScalar: C(Z, n) known
+    mod p^P_n (`padic._binomial_fields`) has valuation v2 = v_p(C(Z, n)), or
+    v2 = P_n for a zero, and c0 of valuation v1 and relative precision rel1
+    times it has valuation v = v1 + v2 and precision v + min(rel1, P_n - v2),
+    as `dirac(z, p, order).scale(c0)` gives it.  The classes whose avatars
+    have one lift and precision share one series.  A c0 that is not
+    p-integral keeps that path, where binomial_series or Measure refuses it."""
+    from .measure import Measure, dirac
     if chi0.group.discriminant != chi.group.discriminant:
         raise InvalidInput("group mismatch")
     p = embedding.prime
-    family = []
+    family, series = [], {}
     for s in range(chi0.group.h):
         z = embedding.embed(chi.values[s])
         if z.is_zero or z.valuation != 0:
             raise InvalidInput("avatar value is not a unit")
-        c0 = embedding.embed(chi0.values[s])
-        family.append(dirac(z, p, order).scale(c0))
+        c0 = embedding.embed(chi0.values[s])  # a scalar of p known mod a finite power
+        if c0.valuation < 0:  # refused: a_0 = c0 is not p-integral
+            family.append(dirac(z, p, order).scale(c0))
+        else:
+            if order < 1:
+                raise InvalidInput("order must be >= 1")
+            key = (z.unit, z.precision)
+            if key not in series:
+                series[key] = [_binomial_scalar_fields(c, p, P_n)
+                               for c, P_n in _binomial_fields(z.unit, p, z.precision, order)]
+            v1, u1, rel1 = c0._val, c0.unit, c0.rel_precision
+            family.append(Measure._from_fields(p, tuple(
+                PadicScalar._make(p, v1 + v2, u1 * u2, v1 + v2 + min(rel1, rel2))
+                for v2, u2, rel2 in series[key]), False))
     return family
+
+
+def _binomial_scalar_fields(c: int, p: int, P_n: int) -> tuple:
+    """(valuation, unit, relative precision) of C(Z, n) known mod p^P_n, as
+    `PadicScalar._make(p, 0, c, P_n)` stores them, a zero as (P_n, 0, 0)."""
+    c %= p ** P_n
+    if not c:
+        return P_n, 0, 0
+    v = int_valuation(c, p)
+    return v, c // p ** v, P_n - v

@@ -25,8 +25,6 @@ entries, is a precision that a recurrence's partial sums do not carry.
 Where every coefficient is such a scalar, the measure operations stay on
 integer residues (value, N), x known mod p^N, and make one PadicScalar per
 output through `PadicScalar._make`, with the precision `+` and `*` would give:
-* `Measure.scale` by a PadicScalar: `PadicScalar._times`, the product
-  formula of `*`, for each coefficient known to finite precision;
 * `restrict_to_units`: the (1+T)^m coefficients c_m for p ∤ m as residues,
   then only the n_out outputs, each sum started at the target precision, so
   the cap is the least precision and costs no scalar;
@@ -181,21 +179,14 @@ class Measure(Frozen):
         return 0
 
     def scale(self, scalar) -> "Measure":
-        """Multiply by a p-integral scalar (boundedness is preserved).  A
-        PadicScalar of the measure's prime, not the exact zero, multiplies each
-        coefficient known to finite precision by `PadicScalar._times`, as `*`
-        does without its dispatch; every other product is taken with `*`.  The
+        """Multiply by a p-integral scalar (boundedness is preserved).  The
         products are checked as `Measure` checks unless the scalar is a
         p-integral int, Fraction or PadicScalar of the measure's prime."""
         p = self.prime
         known = (scalar.prime == p if type(scalar) is PadicScalar
                  else type(scalar) in (int, Fraction))
         build = Measure._from_fields if known and is_p_integral(scalar, p) else Measure
-        if type(scalar) is not PadicScalar or scalar.prime != p or scalar.precision is INF:
-            return build(p, tuple(exact(scalar * a) for a in self.mahler), self.finite)
-        return build(p, tuple(scalar._times(a) if type(a) is PadicScalar
-                              and a.precision is not INF else scalar * a
-                              for a in self.mahler), self.finite)
+        return build(p, tuple(exact(scalar * a) for a in self.mahler), self.finite)
 
     def __repr__(self):
         flag = "finite" if self.finite else f"order {self.order}"

@@ -1,8 +1,8 @@
-"""Print SHA-256 digests of the characters and their pairings.
+"""Print SHA-256 digests of the characters, their pairings and avatar families.
 
     PYTHONPATH=src python tests/pairing_digest.py [--limit-chars 3000] [--limit-pairs 1200]
 
-Four digests, one per line:
+Five digests, one per line:
 
 * `character-terms`: d, m and the group-ring terms, in stored order, of every
   value of every character of every discriminant D with |D| <= limit-chars,
@@ -23,9 +23,19 @@ Four digests, one per line:
   sorted because the order in which a sum of products first meets its
   exponents is not part of its value.
 
-Two trees compute the same characters and pairings, term for term, when they
-print the same `character-terms`, `pairing-terms` and `weight-function-terms`
-lines.  The defaults take about half a minute on one core.
+* `avatar-family`: the type, prime, `finite` flag and the type, prime,
+  valuation, unit and precision of every Mahler coefficient of
+  `avatar_measure_family`, or the exception type and message, over
+  `family_cases()`: every D with |D| <= 200 at orders 1, 2, 16 and 48, a
+  seeded embedding precision from 1 to 6 (low enough that some binomial
+  series are refused), a character as chi and as chi0 a character, a
+  character with one zero value, the non-p-integral constant 1/p or a
+  character scaled by a seeded rational.
+
+Two trees compute the same characters, pairings and avatar families, term
+for term, when they print the same `character-terms`, `pairing-terms`,
+`weight-function-terms` and `avatar-family` lines.  The defaults take about
+half a minute on one core.
 """
 
 import argparse
@@ -33,8 +43,9 @@ import hashlib
 import random
 from fractions import Fraction
 
-from mahler.heckechar import (AlgebraicValue, WeightFunction, characters, class_group,
-                              pairing, twisted_pairing)
+from mahler.heckechar import (AlgebraicValue, WeightFunction, admissible_embedding,
+                              avatar_measure_family, characters, class_group, pairing,
+                              smallest_admissible_prime, twisted_pairing)
 from mahler.padic import PadicScalar
 
 EXTRA_DISCS = (-1999999,)
@@ -91,6 +102,50 @@ def outcome(call, *args) -> bytes:
         return repr((type(exc).__name__, str(exc))).encode()
 
 
+FAMILY_LIMIT = 200
+FAMILY_ORDERS = (1, 2, 16, 48)
+
+
+def family_cases(limit: int = FAMILY_LIMIT):
+    """(chi0, chi, embedding, order) per D with |D| <= limit and per order of
+    FAMILY_ORDERS, with the embedding precision, chi and the kind of chi0
+    drawn from a seeded generator."""
+    rng = random.Random("avatar-family-digest")
+    for D in discriminants(limit):
+        G = class_group(D)
+        chars, p = characters(G), smallest_admissible_prime(G)
+        d, m, h = G.order_data.d_K, G.exponent, G.h
+        for order in FAMILY_ORDERS:
+            emb = admissible_embedding(G, p, rng.randint(1, 6))
+            chi, psi = chars[rng.randrange(h)], chars[rng.randrange(h)]
+            kind, zero_at = rng.randrange(4), rng.randrange(h)
+            if kind == 1:
+                chi0 = WeightFunction(G, (0, 0), [
+                    AlgebraicValue.from_rational(0, d, m) if s == zero_at else v
+                    for s, v in enumerate(psi.values)])
+            elif kind == 2:
+                chi0 = WeightFunction(G, (0, 0), [AlgebraicValue.from_rational(
+                    Fraction(1, p), d, m)] * h)
+            elif kind == 3:
+                q = rng.choice([Fraction(3, 2), -1, p, Fraction(p * p, 5)])
+                chi0 = WeightFunction(G, (0, 0), [v.scale(q) for v in psi.values])
+            else:
+                chi0 = psi
+            yield chi0, chi, emb, order
+
+
+def family_outcome(build, *args):
+    """The fields of each measure `build(*args)` returns and of each of its
+    Mahler coefficients, or the exception type and message."""
+    try:
+        family = build(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return [(type(mu).__name__, mu.prime, mu.finite,
+             [(type(a).__name__, a.prime, a.valuation, a.unit, a.precision)
+              for a in mu.mahler]) for mu in family]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--limit-chars", type=int, default=3000)
@@ -130,6 +185,11 @@ def main(argv=None) -> int:
                 psi = phis[rng.randrange(len(phis))]
                 weighted.update(outcome(pairing, a, b) + outcome(twisted_pairing, a, b, psi))
     print("weight-function-terms", weighted.hexdigest())
+
+    families = hashlib.sha256()
+    for case in family_cases():
+        families.update(repr(family_outcome(avatar_measure_family, *case)).encode())
+    print("avatar-family", families.hexdigest())
     return 0
 
 

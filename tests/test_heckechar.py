@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,8 +23,9 @@ from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
 from mahler.arith import cyclotomic_coeffs, isprime
 from mahler.padic import PadicScalar, exact
 from mahler.serialize import encode_algebraic
-from mahler.measure import (cell_mass, moments, mult_pushforward, pairing_measure,
+from mahler.measure import (cell_mass, dirac, moments, mult_pushforward, pairing_measure,
                             restrict_to_units)
+from pairing_digest import family_cases, family_outcome
 from paper_oracles import composition_table, is_trivial, sqrt_d, weight_value_on_principal
 
 ALL_DISCS_200 = [D for D in range(-3, -201, -1) if D % 4 in (0, 1)]
@@ -1054,6 +1056,107 @@ class TestAvatarFamilyErrors:
         emb = admissible_embedding(G1, p, 6)
         with pytest.raises(InvalidInput):
             avatar_measure_family(c1, c2, emb, order=6)
+
+
+class TestAvatarFamilyOnIntegers:
+    """`avatar_measure_family`, whose coefficients are formed on integers,
+    against chi0^(p)(s) · dirac(chi^(p)(s)) built from the public API: the
+    same type, prime and `finite` flag per measure and the same value,
+    valuation and precision per coefficient, or the same exception and
+    message, over `pairing_digest.family_cases()`."""
+
+    @staticmethod
+    def dirac_family(chi0, chi, emb, order):
+        family = []
+        for c, v in zip(chi0.values, chi.values):
+            z, c0 = emb.embed(v), emb.embed(c)
+            family.append(dirac(z, emb.prime, order).scale(c0))
+        return family
+
+    @staticmethod
+    def fixture(D=-23):
+        G = class_group(D)
+        p = smallest_admissible_prime(G)
+        return G, characters(G), p, admissible_embedding(G, p, 6)
+
+    def test_against_dirac_scale(self):
+        seen = Counter()
+        for case in family_cases():
+            got = family_outcome(avatar_measure_family, *case)
+            assert got == family_outcome(self.dirac_family, *case), case
+            if type(got) is tuple:
+                seen[got] += 1
+            else:
+                seen["built"] += 1
+                seen["zero c0"] += any(mu[3][0][3] == 0 for mu in got)
+        # every kind of outcome occurs: built families, some with a zero
+        # chi0 value, refused binomial series and refused non-p-integral chi0
+        assert seen["built"] > 200 and seen["zero c0"] > 5
+        assert seen["PrecisionExhausted", "zero known to no precision"] > 20
+        assert seen["InvalidInput", "Mahler coefficient with negative valuation: "
+                    "this is a distribution, not a measure"] > 20
+
+    def test_characters_take_neither_dirac_nor_scale(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the Dirac path was taken")
+        monkeypatch.setattr("mahler.measure.dirac", refuse)
+        monkeypatch.setattr("mahler.measure.Measure.scale", refuse)
+        G, chars, p, emb = self.fixture(-407)
+        family = family_outcome(avatar_measure_family, chars[3], chars[5], emb, 48)
+        monkeypatch.undo()
+        assert len(family) == G.h == 16
+        assert family == family_outcome(self.dirac_family, chars[3], chars[5], emb, 48)
+
+    def test_order_below_one(self):
+        G, chars, p, emb = self.fixture()
+        const = WeightFunction(G, (0, 0), [AlgebraicValue.from_rational(
+            Fraction(1, p), G.order_data.d_K, G.exponent)] * G.h)
+        for chi0 in (chars[1], const):  # the integer path and the Dirac path
+            for order in (0, -3):
+                with pytest.raises(InvalidInput, match="order must be >= 1"):
+                    avatar_measure_family(chi0, chars[2], emb, order)
+
+    def test_checks_keep_their_order(self):
+        # group mismatch, then a non-unit avatar, then the order
+        G, chars, p, emb = self.fixture()
+        other = characters(class_group(-47))[1]
+        bad = WeightFunction(G, (0, 0), [AlgebraicValue.from_rational(
+            p, G.order_data.d_K, G.exponent)] * G.h)
+        with pytest.raises(InvalidInput, match="group mismatch"):
+            avatar_measure_family(other, bad, emb, 0)
+        with pytest.raises(InvalidInput, match="avatar value is not a unit"):
+            avatar_measure_family(chars[1], bad, emb, 0)
+
+
+class TestRefusalMessages:
+    """Refusals that no other in-process test reaches, each with its message."""
+
+    def test_quad_order(self):
+        with pytest.raises(InvalidInput, match="conductor must be >= 1"):
+            QuadOrder(-4, 0)
+        with pytest.raises(InvalidInput, match="-12 is not a fundamental discriminant"):
+            QuadOrder(-12)
+
+    def test_coefficient_vector_too_long(self):
+        with pytest.raises(InvalidInput, match="coefficient vector too long"):
+            AlgebraicValue(-3, 3, [(1, 0)] * 3)  # phi(3) = 2 coefficients
+
+    def test_weight_function_needs_one_value_per_class(self):
+        G = class_group(-23)
+        with pytest.raises(InvalidInput, match="need one value per ideal class"):
+            WeightFunction(G, (0, 0), characters(G)[1].values[:-1])
+
+    def test_weight_function_product_group_mismatch(self):
+        a, b = characters(class_group(-23))[1], characters(class_group(-47))[1]
+        with pytest.raises(InvalidInput, match="group mismatch"):
+            a * b
+
+    def test_embedding_needs_odd_prime_and_precision(self):
+        for prime in (2, 9):
+            with pytest.raises(InvalidInput, match="need an odd prime"):
+                PadicEmbedding(prime, 4, -23)
+        with pytest.raises(InvalidInput, match="precision must be >= 1"):
+            PadicEmbedding(7, 0, -23)
 
 
 class TestEmbedAgainstOperators:

@@ -204,7 +204,8 @@ def exactly(value):
 
 def test_derived_values_skip_the_checks_and_equal_checked_builds(monkeypatch):
     """Values derived from checked ones come from `_from_fields`: over a small
-    avatar pipeline and U, V and depletion of Delta, only
+    avatar pipeline, a Dirac measure at a family coefficient, and U, V and
+    depletion of Delta, only
     `mahler_from_moments` enters `Measure.__init__` and nothing enters the
     `TruncatedSeries` or `QExpansion` constructors; a class group's
     `QuadOrder` is built from the parts of its discriminant.  Each value so
@@ -232,6 +233,7 @@ def test_derived_values_skip_the_checks_and_equal_checked_builds(monkeypatch):
         paired = pairing_measure(list(zip(fam1, fam2)), 40)
         restrict_to_units(fam1[0], 1)
         restrict_to_units(paired, 1)
+        dirac(fam1[-1].mahler[1], p, 48)
     delta = delta_qexpansion(30)
     for operator, p in ((u_operator, 2), (v_operator, 3), (p_deplete, 5)):
         operator(delta, p)

@@ -390,3 +390,41 @@ class TestDirichletCharacter:
     def test_modulus_divides_level(self):
         with pytest.raises(InvalidInput):
             QExpansion(2, 5, DirichletCharacter.trivial(3), [1, 1])
+
+
+class TestRefusalMessages:
+    """Refusals that no other in-process test reaches, each with its message."""
+
+    def test_character_table_length(self):
+        with pytest.raises(InvalidInput, match="value table must have length equal to the modulus"):
+            DirichletCharacter(3, [0, 1])
+
+    def test_qexpansion_level_and_coefficients(self):
+        eps = DirichletCharacter.trivial()
+        with pytest.raises(InvalidInput, match="level must be >= 1"):
+            QExpansion(12, 0, eps, [0, 1])
+        with pytest.raises(InvalidInput, match="empty coefficient list"):
+            QExpansion(12, 1, eps, [])
+
+    def test_coefficient_beyond_truncation(self):
+        f = delta_qexpansion(5)
+        assert f.coefficient(5) == 4830
+        for n in (6, -1):
+            with pytest.raises(InvalidInput, match=f"coefficient {n} beyond truncation 5"):
+                f.coefficient(n)
+
+    def test_sum_of_different_forms(self):
+        with pytest.raises(InvalidInput, match="weight/level/nebentypus mismatch"):
+            delta_qexpansion(5) + eisenstein_qexpansion(4, 5)
+
+    def test_negative_theta_iterations(self):
+        with pytest.raises(InvalidInput, match="iteration count must be >= 0"):
+            theta_operator(delta_qexpansion(5), -1)
+
+    def test_nearly_holomorphic_sum_of_different_weights(self):
+        with pytest.raises(InvalidInput, match="weight mismatch"):
+            NearlyHolomorphic(2, 3, {(1, 0): 1}) + NearlyHolomorphic(4, 3, {(1, 0): 1})
+
+    def test_delta_truncation_below_one(self):
+        with pytest.raises(InvalidInput, match="truncation must be >= 1"):
+            delta_qexpansion(0)

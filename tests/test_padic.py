@@ -544,3 +544,36 @@ class TestSeries:
         with pytest.raises(InvalidInput):
             TruncatedSeries([PadicScalar.from_int(1, 5, 3),
                              PadicScalar.from_int(1, 7, 3)])
+
+
+class TestRefusalMessages:
+    """Refusals that no other in-process test reaches, each with its message."""
+
+    def test_residue_beyond_precision(self):
+        with pytest.raises(PrecisionExhausted, match=r"known only mod p\^2"):
+            PadicScalar.from_int(3, 5, 2).residue(3)
+
+    def test_non_integer_power(self):
+        x = PadicScalar.from_int(3, 5, 4)
+        for n in (Fraction(1, 2), 0.5):
+            with pytest.raises(InvalidInput, match="only integer powers"):
+                x ** n
+
+    def test_factorial_valuation_of_negative_n(self):
+        with pytest.raises(InvalidInput, match="n must be nonnegative"):
+            factorial_valuation(-1, 5)
+
+    def test_series_without_coefficients(self):
+        with pytest.raises(InvalidInput, match="a series needs at least one known coefficient"):
+            TruncatedSeries([])
+
+    def test_series_of_mixed_coefficients(self):
+        for coeffs in ([PadicScalar.from_int(1, 5, 3), 1], [Fraction(1, 2), PadicScalar.zero(5)]):
+            with pytest.raises(InvalidInput, match="mixed p-adic and exact coefficients"):
+                TruncatedSeries(coeffs)
+
+    def test_binomial_series_order_below_one(self):
+        for z in (3, Fraction(1, 2), PadicScalar.from_int(3, 5, 4), PadicScalar.zero(5)):
+            for order in (0, -2):
+                with pytest.raises(InvalidInput, match="order must be >= 1"):
+                    binomial_series(z, order)
