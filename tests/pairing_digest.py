@@ -102,11 +102,10 @@ def outcome(call, *args) -> bytes:
         return repr((type(exc).__name__, str(exc))).encode()
 
 
-FAMILY_LIMIT = 200
 FAMILY_ORDERS = (1, 2, 16, 48)
 
 
-def family_cases(limit: int = FAMILY_LIMIT):
+def family_cases(limit: int = 200):
     """(chi0, chi, embedding, order) per D with |D| <= limit and per order of
     FAMILY_ORDERS, with the embedding precision, chi and the kind of chi0
     drawn from a seeded generator."""

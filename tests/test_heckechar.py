@@ -1074,7 +1074,7 @@ class TestAvatarFamilyOnIntegers:
         return family
 
     @staticmethod
-    def fixture(D=-23):
+    def group_and_embedding(D=-23):
         G = class_group(D)
         p = smallest_admissible_prime(G)
         return G, characters(G), p, admissible_embedding(G, p, 6)
@@ -1101,14 +1101,14 @@ class TestAvatarFamilyOnIntegers:
             raise AssertionError("the Dirac path was taken")
         monkeypatch.setattr("mahler.measure.dirac", refuse)
         monkeypatch.setattr("mahler.measure.Measure.scale", refuse)
-        G, chars, p, emb = self.fixture(-407)
+        G, chars, p, emb = self.group_and_embedding(-407)
         family = family_outcome(avatar_measure_family, chars[3], chars[5], emb, 48)
         monkeypatch.undo()
         assert len(family) == G.h == 16
         assert family == family_outcome(self.dirac_family, chars[3], chars[5], emb, 48)
 
     def test_order_below_one(self):
-        G, chars, p, emb = self.fixture()
+        G, chars, p, emb = self.group_and_embedding()
         const = WeightFunction(G, (0, 0), [AlgebraicValue.from_rational(
             Fraction(1, p), G.order_data.d_K, G.exponent)] * G.h)
         for chi0 in (chars[1], const):  # the integer path and the Dirac path
@@ -1118,7 +1118,7 @@ class TestAvatarFamilyOnIntegers:
 
     def test_checks_keep_their_order(self):
         # group mismatch, then a non-unit avatar, then the order
-        G, chars, p, emb = self.fixture()
+        G, chars, p, emb = self.group_and_embedding()
         other = characters(class_group(-47))[1]
         bad = WeightFunction(G, (0, 0), [AlgebraicValue.from_rational(
             p, G.order_data.d_K, G.exponent)] * G.h)
