@@ -26,9 +26,9 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .arith import (cyclotomic_coeffs, factorint, fundamental_decomposition,
-                    int_valuation, isprime, jacobi, sqrt_mod_prime)
+                    isprime, jacobi, sqrt_mod_prime)
 from .errors import Frozen, InvalidInput
-from .padic import PadicScalar, _binomial_fields, exact
+from .padic import PadicScalar, _binomial_fields, exact, is_p_integral
 
 # ---------------------------------------------------------------------------
 # discriminants and orders
@@ -691,13 +691,13 @@ def avatar_measure_family(chi0: WeightFunction, chi: WeightFunction,
 
     Each Mahler coefficient c0·C(Z, n), c0 = chi0^(p)(s) and Z the lift of
     the avatar, is formed on integers and made one PadicScalar: C(Z, n) known
-    mod p^P_n (`padic._binomial_fields`) has valuation v2 = v_p(C(Z, n)), or
-    v2 = P_n for a zero, and c0 of valuation v1 and relative precision rel1
-    times it has valuation v = v1 + v2 and precision v + min(rel1, P_n - v2),
+    mod p^P_n has the fields (v2, u2, rel2) that `padic._binomial_fields`
+    gives, and c0 of valuation v1, unit u1 and relative precision rel1 times
+    it has valuation v = v1 + v2, unit u1·u2 and precision v + min(rel1, rel2),
     as `dirac(z, p, order).scale(c0)` gives it.  The classes whose avatars
-    have one lift and precision share one series.  A c0 that is not
-    p-integral keeps that path, where binomial_series or Measure refuses it."""
-    from .measure import Measure, dirac
+    have one lift and precision share one series.  As `Measure.scale` does,
+    a c0 that is not p-integral is checked by `Measure`, which refuses it."""
+    from .measure import Measure
     if chi0.group.discriminant != chi.group.discriminant:
         raise InvalidInput("group mismatch")
     p = embedding.prime
@@ -707,27 +707,14 @@ def avatar_measure_family(chi0: WeightFunction, chi: WeightFunction,
         if z.is_zero or z.valuation != 0:
             raise InvalidInput("avatar value is not a unit")
         c0 = embedding.embed(chi0.values[s])  # a scalar of p known mod a finite power
-        if c0.valuation < 0:  # refused: a_0 = c0 is not p-integral
-            family.append(dirac(z, p, order).scale(c0))
-        else:
-            if order < 1:
-                raise InvalidInput("order must be >= 1")
-            key = (z.unit, z.precision)
-            if key not in series:
-                series[key] = [_binomial_scalar_fields(c, p, P_n)
-                               for c, P_n in _binomial_fields(z.unit, p, z.precision, order)]
-            v1, u1, rel1 = c0._val, c0.unit, c0.rel_precision
-            family.append(Measure._from_fields(p, tuple(
-                PadicScalar._make(p, v1 + v2, u1 * u2, v1 + v2 + min(rel1, rel2))
-                for v2, u2, rel2 in series[key]), False))
+        if order < 1:
+            raise InvalidInput("order must be >= 1")
+        key = (z.unit, z.precision)
+        if key not in series:
+            series[key] = list(_binomial_fields(z.unit, p, z.precision, order))
+        v1, u1, rel1 = c0._val, c0.unit, c0.rel_precision
+        build = Measure._from_fields if is_p_integral(c0, p) else Measure
+        family.append(build(p, tuple(
+            PadicScalar._make(p, v1 + v2, u1 * u2, v1 + v2 + min(rel1, rel2))
+            for v2, u2, rel2 in series[key]), False))
     return family
-
-
-def _binomial_scalar_fields(c: int, p: int, P_n: int) -> tuple:
-    """(valuation, unit, relative precision) of C(Z, n) known mod p^P_n, as
-    `PadicScalar._make(p, 0, c, P_n)` stores them, a zero as (P_n, 0, 0)."""
-    c %= p ** P_n
-    if not c:
-        return P_n, 0, 0
-    v = int_valuation(c, p)
-    return v, c // p ** v, P_n - v

@@ -399,13 +399,15 @@ class TruncatedSeries(Frozen):
 
 
 def _binomial_fields(Z: int, p: int, P: int, order: int):
-    """(C(Z, n), P_n) for n < order, Z = lift(z) of a PadicScalar z known mod
-    p^P, from C(Z, n) = C(Z, n-1) (Z - n + 1) / n on integers, with
-    P_n = P + sum_{k<n} w_k - max_{k<n} w_k - v_p(n!) as `binomial_series`
+    """The fields (valuation, unit, relative precision) that
+    `PadicScalar._make(p, 0, C(Z, n), P_n)` stores, for n < order, Z = lift(z)
+    of a PadicScalar z known mod p^P; a zero known mod p^P_n is read as
+    (P_n, 0, 0).  C(Z, n) = C(Z, n-1) (Z - n + 1) / n is taken on integers,
+    and P_n = P + sum_{k<n} w_k - max_{k<n} w_k - v_p(n!) as `binomial_series`
     derives it.  P_n <= 0 comes only at a zero C(Z, n) = 0, which is refused
     as a zero known to no precision."""
     c, w_sum, w_max, fact = 1, 0, 0, 0  # C(Z, n), sum/max of w_k, v_p(n!)
-    yield c, P
+    yield 0, 1, P
     for n in range(1, order):
         t = Z - n + 1
         w = int_valuation(t, p) if t else P
@@ -416,7 +418,9 @@ def _binomial_fields(Z: int, p: int, P: int, order: int):
         P_n = P + w_sum - w_max - fact
         if P_n <= 0:
             raise PrecisionExhausted("zero known to no precision")
-        yield c, P_n
+        r = c % p ** P_n
+        v = int_valuation(r, p) if r else P_n
+        yield v, r // p ** v, P_n - v
 
 
 def binomial_series(z, order: int) -> TruncatedSeries:
@@ -443,7 +447,7 @@ def binomial_series(z, order: int) -> TruncatedSeries:
     is refused as PadicScalar refuses it.  Over k < p^P the w_k are
     min(v_p(j), P) for j running through Z/p^P, which sum to v_p((p^P)!), so
     the refusal comes by n = p^P: no factor z - k with k >= p^P is formed.
-    The integers C(Z, n) and P_n come from `_binomial_fields`, which
+    The fields of each C(z, n) come from `_binomial_fields`, which
     `heckechar.avatar_measure_family` reads too.
     """
     if order < 1:
@@ -457,7 +461,7 @@ def binomial_series(z, order: int) -> TruncatedSeries:
                 (PadicScalar.from_int(1, p, 1),) + (PadicScalar.zero(p),) * (order - 1), p)
         fields = _binomial_fields(z.lift(), p, P, order)
         return TruncatedSeries._from_fields(
-            tuple(PadicScalar._make(p, 0, c, P_n) for c, P_n in fields), p)
+            tuple(PadicScalar._make(p, v, u, v + rel) for v, u, rel in fields), p)
     z = Fraction(z)
     coeffs = [1]
     for n in range(1, order):

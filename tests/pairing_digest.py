@@ -22,11 +22,10 @@ Five digests, one per line:
   quadratic field, a PadicScalar or a str, which are refused.  The terms are
   sorted because the order in which a sum of products first meets its
   exponents is not part of its value.
-
 * `avatar-family`: the type, prime, `finite` flag and the type, prime,
   valuation, unit and precision of every Mahler coefficient of
   `avatar_measure_family`, or the exception type and message, over
-  `family_cases()`: every D with |D| <= 200 at orders 1, 2, 16 and 48, a
+  `paper_oracles.family_cases()`: every D with |D| <= 200 at orders 1, 2, 16 and 48, a
   seeded embedding precision from 1 to 6 (low enough that some binomial
   series are refused), a character as chi and as chi0 a character, a
   character with one zero value, the non-p-integral constant 1/p or a
@@ -43,10 +42,10 @@ import hashlib
 import random
 from fractions import Fraction
 
-from mahler.heckechar import (AlgebraicValue, WeightFunction, admissible_embedding,
-                              avatar_measure_family, characters, class_group, pairing,
-                              smallest_admissible_prime, twisted_pairing)
+from mahler.heckechar import (AlgebraicValue, WeightFunction, avatar_measure_family,
+                              characters, class_group, pairing, twisted_pairing)
 from mahler.padic import PadicScalar
+from paper_oracles import family_cases, family_outcome
 
 EXTRA_DISCS = (-1999999,)
 WEIGHT_FUNCTION_DISCS = (-23, -39, -47, -56, -84, -104, -263, -407)
@@ -100,49 +99,6 @@ def outcome(call, *args) -> bytes:
         return repr((value.d, value.m, sorted(value.terms.items()))).encode()
     except Exception as exc:
         return repr((type(exc).__name__, str(exc))).encode()
-
-
-FAMILY_ORDERS = (1, 2, 16, 48)
-
-
-def family_cases(limit: int = 200):
-    """(chi0, chi, embedding, order) per D with |D| <= limit and per order of
-    FAMILY_ORDERS, with the embedding precision, chi and the kind of chi0
-    drawn from a seeded generator."""
-    rng = random.Random("avatar-family-digest")
-    for D in discriminants(limit):
-        G = class_group(D)
-        chars, p = characters(G), smallest_admissible_prime(G)
-        d, m, h = G.order_data.d_K, G.exponent, G.h
-        for order in FAMILY_ORDERS:
-            emb = admissible_embedding(G, p, rng.randint(1, 6))
-            chi, psi = chars[rng.randrange(h)], chars[rng.randrange(h)]
-            kind, zero_at = rng.randrange(4), rng.randrange(h)
-            if kind == 1:
-                chi0 = WeightFunction(G, (0, 0), [
-                    AlgebraicValue.from_rational(0, d, m) if s == zero_at else v
-                    for s, v in enumerate(psi.values)])
-            elif kind == 2:
-                chi0 = WeightFunction(G, (0, 0), [AlgebraicValue.from_rational(
-                    Fraction(1, p), d, m)] * h)
-            elif kind == 3:
-                q = rng.choice([Fraction(3, 2), -1, p, Fraction(p * p, 5)])
-                chi0 = WeightFunction(G, (0, 0), [v.scale(q) for v in psi.values])
-            else:
-                chi0 = psi
-            yield chi0, chi, emb, order
-
-
-def family_outcome(build, *args):
-    """The fields of each measure `build(*args)` returns and of each of its
-    Mahler coefficients, or the exception type and message."""
-    try:
-        family = build(*args)
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-    return [(type(mu).__name__, mu.prime, mu.finite,
-             [(type(a).__name__, a.prime, a.valuation, a.unit, a.precision)
-              for a in mu.mahler]) for mu in family]
 
 
 def main(argv=None) -> int:

@@ -3,18 +3,21 @@ library because no command calls them: the second-order raising recurrence
 on the two-variable Gaussian basis with its finite-difference cross-check,
 the exact l = r closed form of the archimedean local factor, the weight
 factor of a principal ideal, the class-group table composed pair by pair,
+the seeded grid of avatar measure families and their fields,
 the quaternionic trace pairing, and small helpers: the valuation of a
 rational, sqrt(d) as an algebraic value, a q-expansion as a
 nearly-holomorphic form, and the trivial-character test."""
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 from mahler.archimedean import PiPolynomial
 from mahler.errors import InvalidInput
 from mahler.heckechar import (AlgebraicValue, WeightFunction, _enumerate_reduced_forms,
-                              compose_forms)
+                              admissible_embedding, characters, class_group, compose_forms,
+                              smallest_admissible_prime)
 from mahler.modform import NearlyHolomorphic, QExpansion
 from mahler.padic import int_valuation
 from mahler.quaternion import Mat, mat, mat_add, mat_mul, mat_scale, mat_trace
@@ -152,7 +155,8 @@ def closed_form_pi_polynomial(kappa: int, r: int) -> PiPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# heckechar: the composition table and the weight factor on principal ideals
+# heckechar: the composition table, the weight factor on principal ideals
+# and the grid of avatar measure families
 # ---------------------------------------------------------------------------
 
 def composition_table(D: int) -> tuple:
@@ -173,6 +177,50 @@ def weight_value_on_principal(lam: AlgebraicValue, w) -> AlgebraicValue:
     with chosen generator λ."""
     w1, ws = w
     return lam ** w1 * lam.conjugate() ** ws
+
+
+FAMILY_ORDERS = (1, 2, 16, 48)
+
+
+def family_cases(limit: int = 200):
+    """(chi0, chi, embedding, order) per D with |D| <= limit and per order of
+    FAMILY_ORDERS, with the embedding precision, chi and the kind of chi0
+    drawn from a seeded generator."""
+    rng = random.Random("avatar-family-digest")
+    discs = [D for D in range(-3, -limit - 1, -1) if D % 4 in (0, 1)]
+    for D in discs:
+        G = class_group(D)
+        chars, p = characters(G), smallest_admissible_prime(G)
+        d, m, h = G.order_data.d_K, G.exponent, G.h
+        for order in FAMILY_ORDERS:
+            emb = admissible_embedding(G, p, rng.randint(1, 6))
+            chi, psi = chars[rng.randrange(h)], chars[rng.randrange(h)]
+            kind, zero_at = rng.randrange(4), rng.randrange(h)
+            if kind == 1:
+                chi0 = WeightFunction(G, (0, 0), [
+                    AlgebraicValue.from_rational(0, d, m) if s == zero_at else v
+                    for s, v in enumerate(psi.values)])
+            elif kind == 2:
+                chi0 = WeightFunction(G, (0, 0), [AlgebraicValue.from_rational(
+                    Fraction(1, p), d, m)] * h)
+            elif kind == 3:
+                q = rng.choice([Fraction(3, 2), -1, p, Fraction(p * p, 5)])
+                chi0 = WeightFunction(G, (0, 0), [v.scale(q) for v in psi.values])
+            else:
+                chi0 = psi
+            yield chi0, chi, emb, order
+
+
+def family_outcome(build, *args):
+    """The fields of each measure `build(*args)` returns and of each of its
+    Mahler coefficients, or the exception type and message."""
+    try:
+        family = build(*args)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return [(type(mu).__name__, mu.prime, mu.finite,
+             [(type(a).__name__, a.prime, a.valuation, a.unit, a.precision)
+              for a in mu.mahler]) for mu in family]
 
 
 # ---------------------------------------------------------------------------

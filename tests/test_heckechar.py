@@ -25,8 +25,8 @@ from mahler.padic import PadicScalar, exact
 from mahler.serialize import encode_algebraic
 from mahler.measure import (cell_mass, dirac, moments, mult_pushforward, pairing_measure,
                             restrict_to_units)
-from pairing_digest import family_cases, family_outcome
-from paper_oracles import composition_table, is_trivial, sqrt_d, weight_value_on_principal
+from paper_oracles import (composition_table, family_cases, family_outcome, is_trivial,
+                           sqrt_d, weight_value_on_principal)
 
 ALL_DISCS_200 = [D for D in range(-3, -201, -1) if D % 4 in (0, 1)]
 
@@ -1063,7 +1063,7 @@ class TestAvatarFamilyOnIntegers:
     against chi0^(p)(s) · dirac(chi^(p)(s)) built from the public API: the
     same type, prime and `finite` flag per measure and the same value,
     valuation and precision per coefficient, or the same exception and
-    message, over `pairing_digest.family_cases()`."""
+    message, over `paper_oracles.family_cases()`."""
 
     @staticmethod
     def dirac_family(chi0, chi, emb, order):
@@ -1107,11 +1107,24 @@ class TestAvatarFamilyOnIntegers:
         assert len(family) == G.h == 16
         assert family == family_outcome(self.dirac_family, chars[3], chars[5], emb, 48)
 
+    def test_non_integral_chi0_is_refused_without_dirac(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the Dirac path was taken")
+        G, chars, p, emb = self.group_and_embedding()
+        const = WeightFunction(G, (0, 0), [AlgebraicValue.from_rational(
+            Fraction(1, p), G.order_data.d_K, G.exponent)] * G.h)
+        want = family_outcome(self.dirac_family, const, chars[2], emb, 16)
+        monkeypatch.setattr("mahler.measure.dirac", refuse)
+        monkeypatch.setattr("mahler.measure.Measure.scale", refuse)
+        assert want == ("InvalidInput", "Mahler coefficient with negative valuation: "
+                        "this is a distribution, not a measure")
+        assert family_outcome(avatar_measure_family, const, chars[2], emb, 16) == want
+
     def test_order_below_one(self):
         G, chars, p, emb = self.group_and_embedding()
         const = WeightFunction(G, (0, 0), [AlgebraicValue.from_rational(
             Fraction(1, p), G.order_data.d_K, G.exponent)] * G.h)
-        for chi0 in (chars[1], const):  # the integer path and the Dirac path
+        for chi0 in (chars[1], const):  # a character and the constant 1/p
             for order in (0, -3):
                 with pytest.raises(InvalidInput, match="order must be >= 1"):
                     avatar_measure_family(chi0, chars[2], emb, order)
