@@ -22,18 +22,18 @@ falling factors in `mahler_from_moments`, Taylor shifts in the (1+T)^m basis.
 Other lists keep the rows: P, the least of prec(x) + v_p(c) over one row's
 entries, is a precision that a recurrence's partial sums do not carry.
 
-Where every coefficient is such a scalar, the measure operations stay on
-integer residues (value, N), x known mod p^N, and make one PadicScalar per
-output through `PadicScalar._make`, with the precision `+` and `*` would give:
-* `restrict_to_units`: the (1+T)^m coefficients c_m for p ∤ m as residues,
-  then only the n_out outputs, each sum started at the target precision, so
-  the cap is the least precision and costs no scalar;
-* `cell_mass` and the other restrictions cap a PadicScalar x by integer
-  reduction, x mod p^min(prec(x), N), as x + O(p^N) would;
-* `pairing_measure` and its one-pair case `mult_pushforward`: the moment
-  products m_r(µ1_s) m_r(µ2_s) (precision min(N1 + v2, N2 + v1)), their sum
-  over the classes and the 1/h, one scalar per moment.
-Exact and mixed coefficients take the `+`/`*` path, where an exact entry
+The capped outputs of a truncated measure -- `restrict_to_units`,
+`cell_mass` and `integrate_step` at a target precision N -- take the integer
+route for every coefficient type: `_residues` reads each coefficient once as
+x + O(p^N), an exact x as (x mod p^N, N), and each output sum starts at
+precision N, so the cap is the least precision and costs no scalar.
+`restrict_to_units` forms the (1+T)^m coefficients c_m for p ∤ m as
+residues, then only its n_out outputs.  Where every coefficient is a
+PadicScalar of one prime or an exact zero, `pairing_measure` and its
+one-pair case `mult_pushforward` stay on integers too: the moment products
+m_r(µ1_s) m_r(µ2_s) (precision min(N1 + v2, N2 + v1)), their sum over the
+classes and the 1/h, one PadicScalar per moment through `PadicScalar._make`.
+Other exact and mixed lists take the `+`/`*` path, where an exact entry
 meets a PadicScalar known mod p^N as its class mod p^N.  Finite measures
 with exact coefficients take no moments in `pairing_measure` when every
 product atom is at most r_max: Σ c_m δ_m over their (1+T)^m coefficients
@@ -85,11 +85,14 @@ def _binomial_columns(size: int):
         col = list(accumulate(col[:-1]))
 
 
-def _residues(xs):
+def _residues(xs, p=None, target=None):
     """(p, [(lift(x), prec(x))]) when every x is a PadicScalar of one prime p
     with valuation >= 0 or int 0, which gives (0, INF) as the exact zero does;
-    None for any other list and for one without a PadicScalar."""
-    p, out = None, []
+    None for any other list and for one without a PadicScalar.  Given the
+    prime and a target precision >= 1, as a truncated measure's capped
+    outputs read it, any other p-integral x is read as x + O(p^target),
+    (x mod p^target, target): a measure's coefficients always give residues."""
+    out = []
     for x in xs:
         if type(x) is PadicScalar:
             if p is None:
@@ -99,8 +102,11 @@ def _residues(xs):
             out.append((x.unit * p ** x.valuation if x.unit else 0, x.precision))
         elif type(x) is int and x == 0:
             out.append((0, INF))
-        else:
+        elif target is None:
             return None
+        else:
+            x, q = Fraction(x), p ** target
+            out.append((x.numerator * pow(x.denominator, -1, q) % q, target))
     return None if p is None else (p, out)
 
 
@@ -128,24 +134,15 @@ def _valuation(x: int, p: int, N: int) -> int:
     return min(int_valuation(x, p), N) if x else N
 
 
-def _dot(row, xs, res, start=0):
+def _dot(row, xs, res, start=0, P=INF):
     """Σ c·x over zip(row, xs[start:]) for a row of ints, res = `_residues(xs)`:
-    with residues, `_residue_dot`, one PadicScalar known mod p^P or int 0 when
-    no term contributes; without, `+` and `*`."""
+    with residues, `_residue_dot` started at precision P, one PadicScalar
+    known mod p^P' or int 0 when no term contributes; without, `+` and `*`."""
     if res is None:
         return sum(map(mul, row, xs[start:]))
     p, residues = res
-    total, P = _residue_dot(row, residues[start:], p)
+    total, P = _residue_dot(row, residues[start:], p, P)
     return 0 if P is INF else PadicScalar._make(p, 0, total, P)
-
-
-def _cap_precision(x, p: int, precision: int):
-    """x + O(p^precision): a PadicScalar is reduced mod p^min(prec(x),
-    precision), which is what adding the zero known mod p^precision gives; an
-    exact x is added to that zero, which gives its class mod p^precision."""
-    if type(x) is PadicScalar:
-        return PadicScalar._make(p, x.valuation, x.unit, min(x.precision, precision))
-    return x + PadicScalar.zero(p, precision)
 
 
 class Measure(Frozen):
@@ -295,32 +292,26 @@ def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
     the target precision.
     """
     p = mu.prime
-    if not mu.finite:
-        if precision is None:
-            raise InvalidInput("restricting a truncated measure needs a target precision")
-        if precision < 1:
-            raise InvalidInput("target precision must be >= 1")
-        n_out = mu.order - (precision + 1) * (p - 1)
-        if n_out < 1:
-            raise PrecisionExhausted(f"order {mu.order} supports restriction "
-                                     f"precision at most {(mu.order - 1) // (p - 1) - 1}")
-        res = _residues(mu.mahler)
-        if res is not None:
-            return Measure._from_fields(p, _restricted(res[1], p, n_out, precision), False)
-    c = plus_basis(mu)
-    kept = [0 if m % p == 0 else c[m] for m in range(len(c))]
     if mu.finite:
-        return from_plus_basis(kept, p, finite=True)
-    raw = from_plus_basis(kept, p, finite=False)
-    return Measure._from_fields(
-        p, tuple(_cap_precision(a, p, precision) for a in raw.mahler[:n_out]), False)
+        c = plus_basis(mu)
+        return from_plus_basis([0 if m % p == 0 else c[m] for m in range(len(c))], p, True)
+    if precision is None:
+        raise InvalidInput("restricting a truncated measure needs a target precision")
+    if precision < 1:
+        raise InvalidInput("target precision must be >= 1")
+    n_out = mu.order - (precision + 1) * (p - 1)
+    if n_out < 1:
+        raise PrecisionExhausted(f"order {mu.order} supports restriction "
+                                 f"precision at most {(mu.order - 1) // (p - 1) - 1}")
+    return Measure._from_fields(p, _restricted(mu.mahler, p, n_out, precision), False)
 
 
-def _restricted(residues, p: int, n_out: int, precision: int) -> tuple:
-    """The first n_out restricted coefficients of a truncated measure whose
-    coefficients are the residues, known at most mod p^precision: the
-    (1+T)^m coefficients c_m for p ∤ m as residues, then each output sum
-    started at the target precision, so the cap is its least precision."""
+def _restricted(mahler, p: int, n_out: int, precision: int) -> tuple:
+    """The first n_out restricted coefficients of a truncated measure, each
+    coefficient read as x + O(p^precision): the (1+T)^m coefficients c_m for
+    p ∤ m as residues, then each output sum started at the target precision,
+    so the cap is its least precision."""
+    residues = _residues(mahler, p, precision)[1]
     K = len(residues)
     signs = [(-1) ** j for j in range(K)]
     kept = [(0, INF)] * K
@@ -352,22 +343,22 @@ def _cell_rows(q: int, size: int):
         yield row
 
 
-def _cell_gate(mu: Measure, nu: int, precision) -> None:
-    """The refusals of a level-nu cell mass of µ, the same for every cell."""
-    if not mu.finite:
-        if precision is None:
-            raise InvalidInput("cell mass of a truncated measure needs a target precision")
-        bound = cell_tail_valuation(mu.order, nu, mu.prime)
-        if precision > bound:
-            raise PrecisionExhausted(f"order {mu.order} supports level-{nu} cell masses "
-                                     f"to precision at most {bound}")
-
-
-def _cell(mu: Measure, weights, res, precision):
-    """Σ_k w_k a_k over one cell's weights, res = `_residues(mu.mahler)`,
-    capped at the target precision for a truncated measure."""
-    total = exact(_dot(weights, mu.mahler, res))
-    return total if mu.finite else _cap_precision(total, mu.prime, precision)
+def _cell_gate(mu: Measure, nu: int, precision):
+    """The refusals of a level-nu cell mass of µ, the same for every cell;
+    then the coefficients' `_residues` and the precision each cell sum starts
+    at: INF for a finite measure, the target for a truncated one, whose
+    coefficients are read as x + O(p^target)."""
+    if mu.finite:
+        return _residues(mu.mahler), INF
+    if precision is None:
+        raise InvalidInput("cell mass of a truncated measure needs a target precision")
+    bound = cell_tail_valuation(mu.order, nu, mu.prime)
+    if precision > bound:
+        raise PrecisionExhausted(f"order {mu.order} supports level-{nu} cell masses "
+                                 f"to precision at most {bound}")
+    if precision < 1:
+        raise PrecisionExhausted("zero known to no precision")
+    return _residues(mu.mahler, mu.prime, precision), precision
 
 
 def cell_mass(mu: Measure, a: int, nu: int, precision: int | None = None):
@@ -377,10 +368,10 @@ def cell_mass(mu: Measure, a: int, nu: int, precision: int | None = None):
     q = mu.prime ** nu
     if not 0 <= a < q:
         raise InvalidInput("residue out of range")
-    _cell_gate(mu, nu, precision)
+    res, P = _cell_gate(mu, nu, precision)
     K = mu.order
     weights = [row[a] for row in _cell_rows(q, K)] if a < min(q, K) else repeat(0, K)
-    return _cell(mu, weights, _residues(mu.mahler), precision)
+    return exact(_dot(weights, mu.mahler, res, 0, P))
 
 
 def integrate_step(mu: Measure, phi, precision: int | None = None):
@@ -393,11 +384,11 @@ def integrate_step(mu: Measure, phi, precision: int | None = None):
         nu += 1
     if p ** nu != size or nu == 0:
         raise InvalidInput("phi must list its values on all of Z/p^nu, nu >= 1")
-    _cell_gate(mu, nu, precision)
+    res, P = _cell_gate(mu, nu, precision)
     columns = list(zip(*_cell_rows(size, mu.order)))
-    zeros, res = (0,) * mu.order, _residues(mu.mahler)
-    return exact(sum(phi[a] * _cell(mu, columns[a] if a < len(columns) else zeros, res,
-                                    precision) for a in range(size)))
+    zeros = (0,) * mu.order
+    return exact(sum(phi[a] * exact(_dot(columns[a] if a < len(columns) else zeros,
+                                         mu.mahler, res, 0, P)) for a in range(size)))
 
 
 def mult_pushforward(mu1: Measure, mu2: Measure, r_max: int) -> Measure:

@@ -205,13 +205,7 @@ class PadicScalar(Frozen):
             return other
         if self.precision is INF or other.precision is INF:
             return PadicScalar._make(self.prime, INF, 0, INF)
-        return self._times(other)
-
-    def _times(self, other: "PadicScalar") -> "PadicScalar":
-        """The product of two scalars of one prime known to finite precision,
-        read from the fields: valuation v1 + v2, relative precision min(rel1, rel2)."""
-        v1 = self.precision if self.valuation is INF else self.valuation
-        v2 = other.precision if other.valuation is INF else other.valuation
+        v1, v2 = self._val, other._val  # v1 + v2, relative precision min(rel1, rel2)
         v = v1 + v2
         return PadicScalar._make(self.prime, v, self.unit * other.unit,
                                  v + min(self.precision - v1, other.precision - v2))

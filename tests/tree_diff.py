@@ -19,6 +19,10 @@ corpus of `mahler` argvs is built:
   restrict` and `cell-mass` on exact and mixed coefficients, whose files
   are written into the same directory), and `arch local-factor` at
   `--nodes-a` 96 and 256, where the Laguerre rule is not finite;
+- `measure restrict` and `cell-mass` with `--prec` on truncated measures
+  with int, Fraction and mixed coefficients: restriction at 1, at the
+  highest supported target and one above it, cell masses at levels 1 and 2,
+  and at `--prec 0`, which is refused;
 - `measure push` and `measure pair` on finite exact measures, with int and
   Fraction coefficients, r_max below the largest product atom (the moment
   route) and at or above it (the atom route), h = 2 and h = 3 = p, where
@@ -30,7 +34,7 @@ Each side runs the whole corpus in one subprocess with PYTHONPATH set to its
 and the first line of stderr are compared.  The script prints one digest per
 side, then every case that differs, the first with both sides' results, and
 exits 1 on any difference.  It imports perfbench, writes nothing there, and
-takes about 4 s on 2 vCPUs.
+takes about 7 s on 2 vCPUs.
 """
 
 import hashlib
@@ -47,6 +51,16 @@ PERFBENCH = ROOT / "perfbench"
 SEEDS = range(4)
 RANGE_CALLS = (["arch", "identity", "--r", "1719"],
                ["arch", "local-factor", "--kappa", "1", "--r", "1", "--l", "1", "--s", "150"])
+# truncated measures of order 30 at p = 3: a restriction supports a target of
+# at most 13, a level-1 cell mass 14 and a level-2 one 3
+TRUNCATED = {
+    "trunc_int.json": [str((7 * n * n - 5 * n + 2) % 201 - 100) for n in range(30)],
+    "trunc_fraction.json": [f"{(11 * n + 4) % 97 - 48}/{(2, 4, 5, 7)[n % 4]}"
+                            for n in range(30)],
+    "trunc_mixed.json": [[str(n * n - 40), f"{5 - 2 * n}/{n + 2 - n % 3}",
+                          {"p": 3, "val": n % 2, "unit": str(3 * n + 1), "prec": 4 + n % 5}
+                          ][n % 3] for n in range(30)],
+}
 EDGE_FILES = {
     "exact_restrict.json": {"p": 3, "finite": False, "mahler": ["3", "3"] + ["0"] * 6},
     "exact_cell.json": {"p": 3, "finite": False, "mahler": ["1", "9"] + ["0"] * 6},
@@ -65,6 +79,7 @@ EDGE_FILES = {
                                 {"p": 3, "finite": True, "mahler": ["1", "2", "1"]}],
                                [{"p": 3, "finite": True, "mahler": ["1", "2", "1"]},
                                 {"p": 3, "finite": True, "mahler": ["1", "2", "1"]}]]},
+    **{name: {"p": 3, "finite": False, "mahler": mahler} for name, mahler in TRUNCATED.items()},
 }
 EDGE_CALLS = tuple(
     [["padic", "binomial-series", "--z", "27", "--p", "3", "--prec", prec, "--order", "3"]
@@ -79,7 +94,12 @@ EDGE_CALLS = tuple(
     + [["measure", "push", "--file1", "push_a.json", "--file2", "push_b.json", "--rmax", r]
        for r in ("0", "6", "15", "40")]
     + [["measure", "pair", "--file", name, "--rmax", r]
-       for name in ("pair_h2.json", "pair_h3.json") for r in ("0", "3", "9")])
+       for name in ("pair_h2.json", "pair_h3.json") for r in ("0", "3", "9")]
+    + [["measure", "restrict", "--file", name, "--prec", prec]
+       for name in TRUNCATED for prec in ("1", "13", "14")]
+    + [["measure", "cell-mass", "--file", name, "--a", a, "--nu", nu, "--prec", prec]
+       for name in TRUNCATED for a, nu, prec in (("2", "1", "14"), ("5", "2", "3"),
+                                                 ("2", "1", "0"))])
 
 # run in each side's subprocess: [[workdir, argv], ...] on stdin, one
 # [exit code, stdout, first stderr line] per case on stdout
