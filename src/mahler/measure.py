@@ -12,33 +12,19 @@ infinite-precision PadicScalar zero) drop out, an inexact zero keeps its
 precision, and an exact result is an int when integral, else a Fraction.
 Exact inputs stay exact through every operation that permits it.
 
-Each transform is a dot product of integer rows with one coefficient list,
-taken by `_dot`, and `_residues` chooses once per list: over PadicScalars of
-one prime and exact zeros every row is summed on integers (`_residue_dot`),
-the value Σ c·lift(x) mod p^P with P = min(prec(x) + v_p(c)), which is what
-`+` and `*` give term by term; over any other list, with `+` and `*`.
-A list of ints and Fractions alone takes recurrences, with the same values:
-falling factors in `mahler_from_moments`, Taylor shifts in the (1+T)^m basis.
-Other lists keep the rows: P, the least of prec(x) + v_p(c) over one row's
-entries, is a precision that a recurrence's partial sums do not carry.
-
-The capped outputs of a truncated measure -- `restrict_to_units`,
-`cell_mass` and `integrate_step` at a target precision N -- take the integer
-route for every coefficient type: `_residues` reads each coefficient once as
-x + O(p^N), an exact x as (x mod p^N, N), and each output sum starts at
-precision N, so the cap is the least precision and costs no scalar.
-`restrict_to_units` forms the (1+T)^m coefficients c_m for p ∤ m as
-residues, then only its n_out outputs.  Where every coefficient is a
-PadicScalar of one prime or an exact zero, `pairing_measure` and its
-one-pair case `mult_pushforward` stay on integers too: the moment products
-m_r(µ1_s) m_r(µ2_s) (precision min(N1 + v2, N2 + v1)), their sum over the
-classes and the 1/h, one PadicScalar per moment through `PadicScalar._make`.
-Other exact and mixed lists take the `+`/`*` path, where an exact entry
-meets a PadicScalar known mod p^N as its class mod p^N.  Finite measures
-with exact coefficients take no moments in `pairing_measure` when every
-product atom is at most r_max: Σ c_m δ_m over their (1+T)^m coefficients
-push forward atom by atom, and one Taylor shift of the product atoms gives
-the Mahler coefficients (`_pushed_atoms`).
+Every (1+T)^m basis change -- `plus_basis`, `from_plus_basis` and the two
+shifts of `restrict_to_units` -- is one kernel (`_shifted`): each
+coefficient is read once as a value known mod p^N (`_residues`), one Taylor
+shift adds the values up to Σ_{m>=n} C(m, n) x_m, and output n is known mod
+p^P_n, P_n = min_m (N_m + v_p(C(m, n))), what `+` and `*` give the sum, by
+Legendre's formula and without forming a row.  A truncated measure's
+restriction, cell masses and step integrals read an exact coefficient as
+x + O(p^N) at the target N, where the restriction caps both shifts and each
+cell sum starts.  Cell sums and moments take rows of integer weights
+(`_dot`): on integers over PadicScalars of one prime and exact zeros, as do
+`pairing_measure`'s moment products, and with `+` and `*` over other lists.
+Exact moments take falling factors in `mahler_from_moments`, and finite
+exact measures push forward atom by atom (`_pushed_atoms`).
 """
 
 from __future__ import annotations
@@ -75,23 +61,13 @@ def _alternated(xs) -> list:
     return [-x if k % 2 else x for k, x in enumerate(xs)]
 
 
-def _binomial_columns(size: int):
-    """For m = 0, 1, ..., size-1 the column [C(m, m), C(m+1, m), ...,
-    C(size-1, m)] of Pascal's triangle: column m+1 is the running sum of
-    column m without its last entry."""
-    col = [1] * size
-    while col:
-        yield col
-        col = list(accumulate(col[:-1]))
-
-
 def _residues(xs, p=None, target=None):
     """(p, [(lift(x), prec(x))]) when every x is a PadicScalar of one prime p
     with valuation >= 0 or int 0, which gives (0, INF) as the exact zero does;
     None for any other list and for one without a PadicScalar.  Given the
-    prime and a target precision >= 1, as a truncated measure's capped
-    outputs read it, any other p-integral x is read as x + O(p^target),
-    (x mod p^target, target): a measure's coefficients always give residues."""
+    prime and a target precision, any other p-integral x is read as
+    x + O(p^target): (x, INF) for the target INF, else (x mod p^target,
+    target), as a truncated measure's capped outputs read it."""
     out = []
     for x in xs:
         if type(x) is PadicScalar:
@@ -102,6 +78,8 @@ def _residues(xs, p=None, target=None):
             out.append((x.unit * p ** x.valuation if x.unit else 0, x.precision))
         elif type(x) is int and x == 0:
             out.append((0, INF))
+        elif target is INF:
+            out.append((x, INF))
         elif target is None:
             return None
         else:
@@ -134,14 +112,14 @@ def _valuation(x: int, p: int, N: int) -> int:
     return min(int_valuation(x, p), N) if x else N
 
 
-def _dot(row, xs, res, start=0, P=INF):
-    """Σ c·x over zip(row, xs[start:]) for a row of ints, res = `_residues(xs)`:
-    with residues, `_residue_dot` started at precision P, one PadicScalar
-    known mod p^P' or int 0 when no term contributes; without, `+` and `*`."""
+def _dot(row, xs, res, P=INF):
+    """Σ c·x over zip(row, xs) for a row of ints, res = `_residues(xs)`: with
+    residues, `_residue_dot` started at precision P, one PadicScalar known
+    mod p^P' or int 0 when no term contributes; without, `+` and `*`."""
     if res is None:
-        return sum(map(mul, row, xs[start:]))
+        return sum(map(mul, row, xs))
     p, residues = res
-    total, P = _residue_dot(row, residues[start:], p, P)
+    total, P = _residue_dot(row, residues, p, P)
     return 0 if P is INF else PadicScalar._make(p, 0, total, P)
 
 
@@ -157,6 +135,9 @@ class Measure(Frozen):
         if not mahler:
             raise InvalidInput("a measure needs at least one Mahler coefficient")
         for a in mahler:
+            if not isinstance(a, (int, Fraction, PadicScalar)):  # a bool is an int
+                raise InvalidInput(f"Mahler coefficient {a!r} is not an int, Fraction "
+                                   "or PadicScalar")
             if type(a) is PadicScalar and a.prime != prime:
                 raise InvalidInput("coefficient prime mismatch")
             if not is_p_integral(a, prime):
@@ -233,6 +214,9 @@ def mahler_from_moments(b, prime: int) -> Measure:
     b = list(b)
     if not b:
         raise InvalidInput("need at least the 0-th moment")
+    for x in b:
+        if not isinstance(x, (int, Fraction, PadicScalar)):
+            raise InvalidInput(f"moment {x!r} is not an int, Fraction or PadicScalar")
     coeffs, factorial, rows = [], 1, _falling_factorial_rows()
     res, c = _residues(b), b if _is_exact(b) else None
     for n in range(len(b)):
@@ -256,30 +240,58 @@ def _bounded(a_n, prime: int, n: int):
 
 # -- the (1+T)^m basis --------------------------------------------------------
 
+def _readings(xs, p: int, target=INF):
+    """The values and precisions of the xs as `_residues` reads them, None
+    for the precisions when every x is an int or a Fraction and target INF."""
+    if target is INF and _is_exact(xs):
+        return xs, None
+    return tuple(zip(*_residues(xs, p, target)[1]))
+
+
+def _shifted(values, precisions, p: int, cap=INF):
+    """Σ_{m>=n} C(m, n) x_m for readings x_m: the values by one Taylor shift,
+    each known mod p^P_n, P_n = min(cap, min_m N_m + v_p(C(m, n))), as `+`
+    and `*` give the sum; v_p(C(m, n)) = f(m) - f(n) - f(m - n) for
+    f(k) = v_p(k!), and N_m >= cap cannot lower the cap."""
+    values = _taylor_shift(values)
+    if precisions is None:
+        return values, None
+    if all(N >= cap for N in precisions):
+        return values, [cap] * len(values)
+    f = list(accumulate((int_valuation(k, p) for k in range(1, len(values))), initial=0))
+    g = [N + fm if N < cap else INF for N, fm in zip(precisions, f)]
+    return values, [min(cap, min(map(sub, g[n:], f)) - fn) for n, fn in enumerate(f)]
+
+
+def _scalars(values, precisions, p: int) -> list:
+    """Exact values where known to INF, else one PadicScalar each, known mod
+    p^N, with a Fraction value reduced mod p^N first."""
+    if precisions is None:
+        return values
+    return [x if N == INF else PadicScalar._make(p, 0, x if type(x) is int else
+                                                 x.numerator * pow(x.denominator, -1, p ** N), N)
+            for x, N in zip(values, precisions)]
+
+
 def plus_basis(mu: Measure):
     """Coefficients c_m with F(T) = Σ c_m (1+T)^m, m < order.
 
-    Exact for finite measures; in general c_m mixes all stored a_k.  On
-    exact coefficients, F(T) = G(-T) with G(Y) = Σ (-1)^k a_k (1 + Y)^k: the
-    Taylor shift by 1 of the alternated coefficients, alternated.
+    Exact for finite measures; in general c_m mixes all stored a_k.
+    F(T) = G(-T) with G(Y) = Σ (-1)^k a_k (1 + Y)^k: the Taylor shift by 1
+    of the alternated coefficients, alternated.
     """
-    if _is_exact(mu.mahler):
-        return _alternated(_taylor_shift(_alternated(mu.mahler)))
-    K = mu.order
-    signs = [(-1) ** j for j in range(K)]
-    res = _residues(mu.mahler)
-    return [exact(_dot(map(mul, signs, col), mu.mahler, res, m))
-            for m, col in enumerate(_binomial_columns(K))]
+    values, precisions = _readings(mu.mahler, mu.prime)
+    values, precisions = _shifted(_alternated(values), precisions, mu.prime)
+    return _scalars(_alternated(values), precisions, mu.prime)
 
 
 def from_plus_basis(c, prime: int, finite: bool) -> Measure:
-    """Mahler coefficients a_n = Σ_m c_m C(m, n) from (1+T)^m coefficients:
-    on exact ones, the Taylor shift by 1."""
-    if _is_exact(c):
-        return Measure(prime, _taylor_shift(c), finite=finite)
-    res = _residues(c)
-    mahler = [exact(_dot(col, c, res, n)) for n, col in enumerate(_binomial_columns(len(c)))]
-    return Measure(prime, mahler, finite=finite)
+    """Mahler coefficients a_n = Σ_m c_m C(m, n) from (1+T)^m coefficients,
+    checked as `Measure` checks its own: the shift is unipotent with an
+    integral inverse, so c is p-integral exactly when its shift is."""
+    c = Measure(prime, c, finite).mahler
+    mahler = _scalars(*_shifted(*_readings(c, prime), prime), prime)
+    return Measure._from_fields(prime, tuple(mahler), finite)
 
 
 def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
@@ -288,39 +300,26 @@ def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
     Finite measures restrict exactly.  For a truncated measure the caller
     must name a target precision >= 1; the call refuses a missing or bad
     target, and one that the truncation-tail valuation bound cannot support,
-    before any transform.  Its first n_out coefficients are kept, capped at
-    the target precision.
+    before any transform.  It reads the coefficients as x + O(p^target),
+    caps both shifts at the target and keeps the first n_out outputs.
     """
-    p = mu.prime
-    if mu.finite:
-        c = plus_basis(mu)
-        return from_plus_basis([0 if m % p == 0 else c[m] for m in range(len(c))], p, True)
-    if precision is None:
-        raise InvalidInput("restricting a truncated measure needs a target precision")
-    if precision < 1:
-        raise InvalidInput("target precision must be >= 1")
-    n_out = mu.order - (precision + 1) * (p - 1)
-    if n_out < 1:
-        raise PrecisionExhausted(f"order {mu.order} supports restriction "
-                                 f"precision at most {(mu.order - 1) // (p - 1) - 1}")
-    return Measure._from_fields(p, _restricted(mu.mahler, p, n_out, precision), False)
-
-
-def _restricted(mahler, p: int, n_out: int, precision: int) -> tuple:
-    """The first n_out restricted coefficients of a truncated measure, each
-    coefficient read as x + O(p^precision): the (1+T)^m coefficients c_m for
-    p ∤ m as residues, then each output sum started at the target precision,
-    so the cap is its least precision."""
-    residues = _residues(mahler, p, precision)[1]
-    K = len(residues)
-    signs = [(-1) ** j for j in range(K)]
-    kept = [(0, INF)] * K
-    for m, col in enumerate(_binomial_columns(K)):
-        if m % p:
-            total, P = _residue_dot(map(mul, signs, col), residues[m:], p)
-            kept[m] = (total, P) if P is INF else (total % p ** P, P)
-    return tuple(PadicScalar._make(p, 0, *_residue_dot(col, kept[n:], p, precision))
-                 for n, col in zip(range(n_out), _binomial_columns(K)))
+    p, n_out, cap = mu.prime, mu.order, INF
+    if not mu.finite:
+        if precision is None:
+            raise InvalidInput("restricting a truncated measure needs a target precision")
+        if precision < 1:
+            raise InvalidInput("target precision must be >= 1")
+        n_out, cap = mu.order - (precision + 1) * (p - 1), precision
+        if n_out < 1:
+            raise PrecisionExhausted(f"order {mu.order} supports restriction "
+                                     f"precision at most {(mu.order - 1) // (p - 1) - 1}")
+    values, precisions = _readings(mu.mahler, p, cap)
+    values, precisions = _shifted(_alternated(values), precisions, p, cap)
+    values = [0 if m % p == 0 else x for m, x in enumerate(_alternated(values))]
+    if precisions is not None:
+        precisions = [INF if m % p == 0 else N for m, N in enumerate(precisions)]
+    values, precisions = _shifted(values, precisions, p, cap)
+    return Measure._from_fields(p, tuple(_scalars(values[:n_out], precisions, p)), mu.finite)
 
 
 def cell_tail_valuation(order: int, nu: int, p: int) -> int:
@@ -371,7 +370,7 @@ def cell_mass(mu: Measure, a: int, nu: int, precision: int | None = None):
     res, P = _cell_gate(mu, nu, precision)
     K = mu.order
     weights = [row[a] for row in _cell_rows(q, K)] if a < min(q, K) else repeat(0, K)
-    return exact(_dot(weights, mu.mahler, res, 0, P))
+    return exact(_dot(weights, mu.mahler, res, P))
 
 
 def integrate_step(mu: Measure, phi, precision: int | None = None):
@@ -388,7 +387,7 @@ def integrate_step(mu: Measure, phi, precision: int | None = None):
     columns = list(zip(*_cell_rows(size, mu.order)))
     zeros = (0,) * mu.order
     return exact(sum(phi[a] * exact(_dot(columns[a] if a < len(columns) else zeros,
-                                         mu.mahler, res, 0, P)) for a in range(size)))
+                                         mu.mahler, res, P)) for a in range(size)))
 
 
 def mult_pushforward(mu1: Measure, mu2: Measure, r_max: int) -> Measure:

@@ -616,6 +616,34 @@ class TestRefusalMessages:
         with pytest.raises(InvalidInput, match="^need at least the 0-th moment$"):
             mahler_from_moments([], 3)
 
+    def test_non_exact_scalar_types_are_refused(self):
+        # a float has no route-independent reading: it is refused where it enters
+        with pytest.raises(InvalidInput, match=r"^Mahler coefficient 0\.5 is not an int, "
+                                               "Fraction or PadicScalar$"):
+            Measure(3, [0.5])
+        with pytest.raises(InvalidInput, match=r"^moment 1\.0 is not an int, "
+                                               "Fraction or PadicScalar$"):
+            mahler_from_moments([1.0], 3)
+        with pytest.raises(InvalidInput, match="^Mahler coefficient '1' is not"):
+            from_plus_basis([PadicScalar.from_int(1, 3, 4), "1"], 3, True)
+        with pytest.raises(InvalidInput, match=r"^Mahler coefficient 0\.1 is not"):
+            restrict_to_units(Measure(3, [0.1] * 12), 2)
+
+    def test_bool_is_an_int(self):
+        mu = Measure(3, [True, False, 2], finite=True)
+        assert restrict_to_units(mu).mahler == restrict_to_units(Measure(3, [1, 0, 2], True)).mahler
+        assert mahler_from_moments([True], 3).mahler == (1,)
+
+    def test_from_plus_basis_checks_the_list_as_a_measure(self):
+        # the shift keeps p-integrality both ways, so the list is checked before it
+        with pytest.raises(InvalidInput, match="^coefficient prime mismatch$"):
+            from_plus_basis([PadicScalar.from_int(1, 3, 4), PadicScalar.from_int(1, 5, 4)],
+                            3, True)
+        with pytest.raises(InvalidInput, match="^Mahler coefficient with negative valuation"):
+            from_plus_basis([PadicScalar.from_int(1, 3, 4), Fraction(1, 3)], 3, True)
+        with pytest.raises(InvalidInput, match="^a measure needs at least one"):
+            from_plus_basis([], 3, True)
+
 
 class TestBoundedness:
     def test_all_ops_keep_integrality(self):

@@ -9,11 +9,19 @@ transform of the truncated measure -- restriction, cell masses, step
 integrals, moments, and from approximated moments `mahler_from_moments` and
 `pairing_measure` -- must agree with the same transform of the exact measure
 modulo every precision that it states, and an exact output must be equal.
-Refused calls are counted, not compared.  The module runs in about 3 s.
+The (1+T)^m basis changes `plus_basis` and `from_plus_basis` and the exact
+restriction are checked the same way on the approximated coefficients read
+as a finite measure, against the first K exact ones.  On the avatar path,
+each family of `paper_oracles.family_cases` and the pairing measure of two
+families must agree with c0·C(Z, n) and (1/h) Σ_s c0_s^2 C(Z_s Z'_s, n),
+formed with `math.comb` from the avatar lifts and from two other lifts of
+each avatar known mod p^N.  Refused calls are counted, not compared.  The
+module runs in about 4 s.
 """
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -21,10 +29,13 @@ import pytest
 
 from mahler.cli import main
 from mahler.errors import InvalidInput, PrecisionExhausted
-from mahler.measure import (Measure, cell_mass, cell_tail_valuation, integrate_step,
-                            mahler_from_moments, moments, pairing_measure, restrict_to_units)
+from mahler.heckechar import avatar_measure_family
+from mahler.measure import (Measure, cell_mass, cell_tail_valuation, from_plus_basis,
+                            integrate_step, mahler_from_moments, moments, pairing_measure,
+                            plus_basis, restrict_to_units)
 from mahler.padic import INF, PadicScalar
 from mahler.serialize import encode_measure
+from paper_oracles import family_cases
 
 SEED, COUNT = 0, 300
 
@@ -151,6 +162,61 @@ def test_pairing_measure():
             compared += got.order
     assert compared > 170 and refused < 30
 
+
+
+def test_basis_changes_and_exact_restriction():
+    # the approximated coefficients of a case as a finite measure, against
+    # the first K exact ones: both shifts of the kernel and the restriction
+    compared = 0
+    for p, mu, precisions in generate():
+        head = Measure(p, mu.mahler[:len(precisions)], finite=True)
+        approx = Measure(p, truncated(mu, precisions).mahler, finite=True)
+        for got, want in ((plus_basis(approx), plus_basis(head)),
+                          (from_plus_basis(approx.mahler, p, True).mahler,
+                           from_plus_basis(head.mahler, p, True).mahler),
+                          (restrict_to_units(approx).mahler, restrict_to_units(head).mahler)):
+            assert all(agrees(a, b, p) for a, b in zip(got, want)), (mu, precisions)
+            compared += len(got)
+    assert compared > 7000
+
+
+def lifts(x: PadicScalar, rng) -> list:
+    """The lift of x and two other integers it stands for, x known mod p^N."""
+    if x.precision is INF:
+        return [x.lift()] * 3
+    return [x.lift()] + [x.lift() + rng.randrange(1, x.prime ** 3) * x.prime ** x.precision
+                         for _ in range(2)]
+
+
+def test_avatar_families_and_their_pairing_measure():
+    rng = random.Random(SEED)
+    families = coefficients = paired = refused = 0
+    for chi0, chi, emb, order in family_cases():
+        p, h = emb.prime, chi.group.h
+        fam1 = outcome(avatar_measure_family, chi0, chi, emb, order)
+        if fam1 is None:
+            refused += 1
+            continue
+        fam2 = avatar_measure_family(chi0, chi.inverse(), emb, order)
+        c0s, zs, ws = ([lifts(emb.embed(v), rng) for v in f.values]
+                       for f in (chi0, chi, chi.inverse()))
+        for s, mu in enumerate(fam1):
+            for c0, z in zip(c0s[s], zs[s]):
+                assert all(agrees(a, c0 * math.comb(z, n), p)
+                           for n, a in enumerate(mu.mahler)), (chi0, chi, emb, order, s)
+            coefficients += order
+        families += 1
+        r_max = order - 1
+        got = outcome(pairing_measure, list(zip(fam1, fam2)), r_max)
+        if got is None:
+            refused += 1
+            continue
+        for k in range(3):
+            want = [Fraction(sum(c0s[s][k] ** 2 * math.comb(zs[s][k] * ws[s][k], n)
+                                 for s in range(h)), h) for n in range(r_max + 1)]
+            assert all(agrees(a, b, p) for a, b in zip(got.mahler, want)), (chi0, chi, emb)
+        paired += r_max + 1
+    assert families > 250 and coefficients > 14000 and paired > 1300 and refused < 200
 
 @pytest.mark.parametrize("target", [0, -1])
 def test_truncated_cell_mass_refuses_a_target_below_one(target, tmp_path, capsys):

@@ -23,6 +23,9 @@ corpus of `mahler` argvs is built:
   with int, Fraction and mixed coefficients: restriction at 1, at the
   highest supported target and one above it, cell masses at levels 1 and 2,
   and at `--prec 0`, which is refused;
+- `measure restrict` without `--prec` on finite measures of order 30 at
+  p = 3 and 5, one of PadicScalars (inexact and exact zeros among them) and
+  one of mixed int, Fraction and PadicScalar coefficients;
 - `measure push` and `measure pair` on finite exact measures, with int and
   Fraction coefficients, r_max below the largest product atom (the moment
   route) and at or above it (the atom route), h = 2 and h = 3 = p, where
@@ -61,6 +64,26 @@ TRUNCATED = {
                           {"p": 3, "val": n % 2, "unit": str(3 * n + 1), "prec": 4 + n % 5}
                           ][n % 3] for n in range(30)],
 }
+
+
+def padic_entry(p: int, n: int):
+    """The n-th PadicScalar of a finite test measure: every seventh an inexact
+    zero, every seventh (offset 2) the exact zero."""
+    if n % 7 == 3:
+        return {"p": p, "val": "inf", "unit": "0", "prec": 2 + n % 4}
+    if n % 7 == 5:
+        return {"p": p, "val": "inf", "unit": "0", "prec": "inf"}
+    return {"p": p, "val": n % 3, "unit": str(5 * n + 1), "prec": 3 + n % 6}
+
+
+FINITE = {
+    **{f"finite_padic_{p}.json": {"p": p, "finite": True,
+                                  "mahler": [padic_entry(p, n) for n in range(30)]}
+       for p in (3, 5)},
+    **{f"finite_mixed_{p}.json": {"p": p, "finite": True, "mahler": [
+        [str(n * n - 40), f"{5 - 2 * n}/{(1, 2, 4, 7)[n % 4]}", padic_entry(p, n)][n % 3]
+        for n in range(30)]} for p in (3, 5)},
+}
 EDGE_FILES = {
     "exact_restrict.json": {"p": 3, "finite": False, "mahler": ["3", "3"] + ["0"] * 6},
     "exact_cell.json": {"p": 3, "finite": False, "mahler": ["1", "9"] + ["0"] * 6},
@@ -80,6 +103,7 @@ EDGE_FILES = {
                                [{"p": 3, "finite": True, "mahler": ["1", "2", "1"]},
                                 {"p": 3, "finite": True, "mahler": ["1", "2", "1"]}]]},
     **{name: {"p": 3, "finite": False, "mahler": mahler} for name, mahler in TRUNCATED.items()},
+    **FINITE,
 }
 EDGE_CALLS = tuple(
     [["padic", "binomial-series", "--z", "27", "--p", "3", "--prec", prec, "--order", "3"]
@@ -99,7 +123,8 @@ EDGE_CALLS = tuple(
        for name in TRUNCATED for prec in ("1", "13", "14")]
     + [["measure", "cell-mass", "--file", name, "--a", a, "--nu", nu, "--prec", prec]
        for name in TRUNCATED for a, nu, prec in (("2", "1", "14"), ("5", "2", "3"),
-                                                 ("2", "1", "0"))])
+                                                 ("2", "1", "0"))]
+    + [["measure", "restrict", "--file", name] for name in FINITE])
 
 # run in each side's subprocess: [[workdir, argv], ...] on stdin, one
 # [exit code, stdout, first stderr line] per case on stdout
