@@ -629,11 +629,6 @@ class TestRefusalMessages:
         with pytest.raises(InvalidInput, match=r"^Mahler coefficient 0\.1 is not"):
             restrict_to_units(Measure(3, [0.1] * 12), 2)
 
-    def test_bool_is_an_int(self):
-        mu = Measure(3, [True, False, 2], finite=True)
-        assert restrict_to_units(mu).mahler == restrict_to_units(Measure(3, [1, 0, 2], True)).mahler
-        assert mahler_from_moments([True], 3).mahler == (1,)
-
     def test_from_plus_basis_checks_the_list_as_a_measure(self):
         # the shift keeps p-integrality both ways, so the list is checked before it
         with pytest.raises(InvalidInput, match="^coefficient prime mismatch$"):
@@ -798,7 +793,7 @@ class TestKernelsAgainstTermwiseSums:
 
     @staticmethod
     def scalar(rng, kind, p):
-        if kind == "bool":  # ints beside bools, which take the rows, not the recurrences
+        if kind == "bool":  # ints beside bools, which moments read by rows, not recurrences
             return rng.choice([True, False, rng.randint(-10 ** 4, 10 ** 4)])
         if kind == "zeros":  # p-adic, with int 0 beside exact and inexact p-adic zeros
             if rng.randrange(4) == 0:

@@ -163,7 +163,6 @@ def test_pairing_measure():
     assert compared > 170 and refused < 30
 
 
-
 def test_basis_changes_and_exact_restriction():
     # the approximated coefficients of a case as a finite measure, against
     # the first K exact ones: both shifts of the kernel and the restriction
@@ -217,6 +216,7 @@ def test_avatar_families_and_their_pairing_measure():
             assert all(agrees(a, b, p) for a, b in zip(got.mahler, want)), (chi0, chi, emb)
         paired += r_max + 1
     assert families > 250 and coefficients > 14000 and paired > 1300 and refused < 200
+
 
 @pytest.mark.parametrize("target", [0, -1])
 def test_truncated_cell_mass_refuses_a_target_below_one(target, tmp_path, capsys):
