@@ -696,7 +696,9 @@ def avatar_measure_family(chi0: WeightFunction, chi: WeightFunction,
     it has valuation v = v1 + v2, unit u1·u2 and precision v + min(rel1, rel2),
     as `dirac(z, p, order).scale(c0)` gives it.  The classes whose avatars
     have one lift and precision share one series.  As `Measure.scale` does,
-    a c0 that is not p-integral is checked by `Measure`, which refuses it."""
+    a c0 that is not p-integral is checked by `Measure`, which refuses it.
+    Each member keeps (c0, z) as its private atom, through which
+    `measure.pairing_measure` pairs two families."""
     from .measure import Measure
     if chi0.group.discriminant != chi.group.discriminant:
         raise InvalidInput("group mismatch")
@@ -717,4 +719,5 @@ def avatar_measure_family(chi0: WeightFunction, chi: WeightFunction,
         family.append(build(p, tuple(
             PadicScalar._make(p, v1 + v2, u1 * u2, v1 + v2 + min(rel1, rel2))
             for v2, u2, rel2 in series[key]), False))
+        object.__setattr__(family[-1], "_atom", (c0, z))
     return family

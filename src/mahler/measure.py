@@ -24,7 +24,9 @@ cell sum starts.  Cell sums and moments take rows of integer weights
 (`_dot`): on integers over PadicScalars of one prime and exact zeros, as do
 `pairing_measure`'s moment products, and with `+` and `*` over other lists.
 Exact moments take falling factors in `mahler_from_moments`, and finite
-exact measures push forward atom by atom (`_pushed_atoms`).
+exact measures push forward atom by atom (`_pushed_atoms`), and so do two
+avatar families, whose members carry their atoms c·δ_z (`_paired_atoms`):
+no v_p(n!) is lost, so the precision can exceed the moment route's.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from operator import mul, sub
 
 from .arith import int_valuation
 from .errors import Frozen, InvalidInput, PrecisionExhausted
-from .padic import (INF, PadicScalar, _falling_factorial_rows, _surjection_head,
-                    binomial_series, checked_prime, exact, is_p_integral)
+from .padic import (INF, PadicScalar, _binomial_fields, _falling_factorial_rows,
+                    _surjection_head, binomial_series, checked_prime, exact, is_p_integral)
 
 
 def _is_exact(xs) -> bool:
@@ -123,7 +125,15 @@ def _dot(row, xs, res, P=INF):
     return 0 if P is INF else PadicScalar._make(p, 0, total, P)
 
 
-class Measure(Frozen):
+class _Atom:
+    """The slot `_atom`: (c0, z) on a member c0·δ_z of an avatar family, set
+    only by `heckechar.avatar_measure_family`.  `Measure.__slots__` does not
+    name it, so `==`, `repr`, `_fields()`, copies and pickles leave it out."""
+
+    __slots__ = ("_atom",)
+
+
+class Measure(Frozen, _Atom):
     """A bounded measure on Z_p, known through its first `order` Mahler
     coefficients; `finite` marks a complete expansion (all higher a_n = 0)."""
 
@@ -160,6 +170,8 @@ class Measure(Frozen):
         """Multiply by a p-integral scalar (boundedness is preserved).  The
         products are checked as `Measure` checks unless the scalar is a
         p-integral int, Fraction or PadicScalar of the measure's prime."""
+        if not isinstance(scalar, (int, Fraction, PadicScalar)):  # a bool is an int
+            raise InvalidInput(f"scalar {scalar!r} is not an int, Fraction or PadicScalar")
         p = self.prime
         known = (scalar.prime == p if type(scalar) is PadicScalar
                  else type(scalar) in (int, Fraction))
@@ -408,8 +420,10 @@ def pairing_measure(pairs, r_max: int) -> Measure:
     m_r = (1/h) Σ_s m_r(µ1_s) m_r(µ2_s).  When every measure is finite with
     exact coefficients and every product atom is at most r_max (d1·d2 <= r_max
     for the support degrees of each pair), the pairs push forward through
-    their atoms (`_pushed_atoms`), at a cost bounded by r_max; otherwise
-    through r_max + 1 moments of each, whose cost does not grow with d1·d2."""
+    their atoms (`_pushed_atoms`), at a cost bounded by r_max; when every
+    measure is an avatar family member c·δ_z, through the atoms of the
+    members (`_paired_atoms`); otherwise through r_max + 1 moments of each,
+    whose cost does not grow with d1·d2."""
     pairs = list(pairs)
     if not pairs:
         raise InvalidInput("need at least one pair")
@@ -423,6 +437,9 @@ def pairing_measure(pairs, r_max: int) -> Measure:
         raise InvalidInput("prime mismatch")
     if r_max < 0:
         raise InvalidInput("r_max must be >= 0")
+    atoms = [getattr(mu, "_atom", None) for pair in pairs for mu in pair]
+    if None not in atoms:
+        return _paired_atoms(pairs, atoms, r_max, p, h)
     if all(mu.finite and _is_exact(mu.mahler) for pair in pairs for mu in pair) and all(
             m1.support_degree() * m2.support_degree() <= r_max for m1, m2 in pairs):
         return _pushed_atoms(pairs, r_max, p, h)
@@ -475,3 +492,31 @@ def _paired_moment(pairs, residues, r: int, p: int, h: int):
         total += t1 * t2
         P = min(P, P1 + _valuation(t2, p, P2), P2 + _valuation(t1, p, P1))
     return 0 if P is INF else PadicScalar._make(p, 0, total * pow(h, -1, p ** P), P)
+
+
+def _paired_atoms(pairs, atoms, r_max: int, p: int, h: int) -> Measure:
+    """a_n = (1/h) Σ_s c_s C(Z_s, n), n <= r_max, for pairs of avatar family
+    members c1·δ_z1, c2·δ_z2 with `atoms` [(c1, z1), (c2, z2), ...]: c = c1·c2
+    and Z = z1·z2 as PadicScalar products, C(Z, n) from `_binomial_fields`
+    (one series per lift and precision of Z).  Each term has valuation
+    v = v_c + v_n and precision v + min(rel_c, rel_n), as `*` gives it; the
+    sum takes the least, and 1/h is a unit.  No term is an exact zero (an
+    embedded weight is known mod a finite power of p).  The order refusal is
+    the moment route's; no v_p(n!) is lost, so the precision can exceed it."""
+    K = min(mu.order for pair in pairs for mu in pair)
+    if r_max >= K:
+        raise InvalidInput(f"moment {K} needs order > {K} or a finite measure")
+    totals, precisions, series = [0] * (r_max + 1), [INF] * (r_max + 1), {}
+    for (c1, z1), (c2, z2) in zip(atoms[0::2], atoms[1::2]):
+        c, Z = c1 * c2, z1 * z2
+        key = (Z.lift(), Z.precision)
+        if key not in series:
+            series[key] = list(_binomial_fields(key[0], p, key[1], r_max + 1))
+        vc, uc, rc = c._val, c.unit, c.rel_precision
+        for n, (v, u, rel) in enumerate(series[key]):
+            v += vc
+            totals[n] += uc * u * p ** v
+            precisions[n] = min(precisions[n], v + min(rc, rel))
+    return Measure._from_fields(p, tuple(
+        PadicScalar._make(p, 0, total * pow(h, -1, p ** N), N)
+        for total, N in zip(totals, precisions)), False)

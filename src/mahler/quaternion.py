@@ -167,9 +167,7 @@ class MatrixEmbedding(Record):
             raise InvalidInput("level must be >= 1")
         if mat_trace(m) != 0:
             raise InvalidInput("M must be traceless")
-        sq = mat_mul(m, m)
-        if sq[0][1] or sq[1][0] or sq[0][0] != sq[1][1]:
-            raise InvalidInput("M^2 is not scalar")
+        sq = mat_mul(m, m)  # traceless, so M^2 = -det(M) I (Cayley-Hamilton)
         if sq[0][0] >= 0:
             raise InvalidInput("M^2 must be a negative scalar (imaginary quadratic)")
         self._set(m, level)

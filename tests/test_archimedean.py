@@ -10,6 +10,7 @@ from mahler.archimedean import (LocalFactorParams, PiPolynomial, delta_coeff,
                                 delta_diagonal_sum, delta_diagonal_target,
                                 double_factorial, gamma_coeff, local_factor_closed_form,
                                 local_integral_quadrature, quadrature_report)
+from mahler.cli import main
 from mahler.errors import InvalidInput, ToleranceNotMet
 from paper_oracles import (apply_raising_operator, closed_form_pi_polynomial,
                            gaussian_basis_value, raising_operator_check,
@@ -266,3 +267,16 @@ class TestPiPolynomial:
             with pytest.raises(AttributeError):
                 setattr(v, name, value)
         assert v == PiPolynomial.term(1, 2)
+
+
+class TestRefusalMessages:
+    """Refusals that no other in-process test reaches, each with its message
+    and the exit code of the command that reaches it."""
+
+    @pytest.mark.parametrize("nodes_a, nodes_theta", [(1, 256), (64, 3)])
+    def test_insufficient_node_counts(self, nodes_a, nodes_theta, capsys):
+        with pytest.raises(InvalidInput, match="^insufficient node counts$"):
+            local_integral_quadrature(LocalFactorParams(1, 1, 1), nodes_a, nodes_theta)
+        assert main(["arch", "local-factor", "--kappa", "1", "--r", "1", "--l", "1",
+                     "--nodes-a", str(nodes_a), "--nodes-theta", str(nodes_theta)]) == 2
+        assert capsys.readouterr() == ("", "error: insufficient node counts\n")

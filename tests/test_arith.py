@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mahler import arith
+from mahler.errors import InvalidInput
 
 sympy = pytest.importorskip("sympy")
 from sympy.ntheory.residue_ntheory import sqrt_mod  # noqa: E402
@@ -119,3 +120,17 @@ class TestBernoulli:
     def test_type(self):
         assert arith.bernoulli(12) == Fraction(-691, 2730)
         assert type(arith.bernoulli(12)) is Fraction
+
+
+class TestRefusalMessages:
+    """Refusals that no command reaches (every caller passes n >= 1 and a
+    nonzero valuation argument), each with its message."""
+
+    @pytest.mark.parametrize("n", [0, -6])
+    def test_factorint_needs_a_positive_integer(self, n):
+        with pytest.raises(ValueError, match=f"^factorint needs n >= 1, not {n}$"):
+            arith.factorint(n)
+
+    def test_valuation_of_zero(self):
+        with pytest.raises(InvalidInput, match="^valuation of 0 is infinite$"):
+            arith.int_valuation(0, 3)

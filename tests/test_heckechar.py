@@ -23,8 +23,8 @@ from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
 from mahler.arith import cyclotomic_coeffs, isprime
 from mahler.padic import PadicScalar, exact
 from mahler.serialize import encode_algebraic
-from mahler.measure import (cell_mass, dirac, moments, mult_pushforward, pairing_measure,
-                            restrict_to_units)
+from mahler.measure import (Measure, cell_mass, dirac, moments, mult_pushforward,
+                            pairing_measure, restrict_to_units)
 from paper_oracles import (composition_table, family_cases, family_outcome, is_trivial,
                            sqrt_d, weight_value_on_principal)
 
@@ -1247,10 +1247,11 @@ class TestAvatarPathScalarOperations:
     """A guard on the integer-residue paths: at D = -407 (h = 16, p = 17,
     family order 48) the avatar families, their pairing measure, a restriction,
     a refused restriction and a cell mass call a PadicScalar operator only to
-    divide each of the pairing measure's 9 Mahler coefficients by n! (`*` by
-    1/n!, which calls `scale`): 18 calls, where arithmetic per coefficient
-    makes thousands, so a fallback to it fails here.  A pushforward, the
-    pairing measure of one pair, makes the same 18."""
+    form each class's c1·c2 and z1·z2 in the pairing measure's atom route:
+    2h = 32 calls of `*`, where arithmetic per coefficient makes thousands,
+    so a fallback to it fails here.  A pushforward of two members without
+    their atoms, the moment route for one pair, divides each of its 9 Mahler
+    coefficients by n! (`*` by 1/n!, which calls `scale`): 18 calls."""
 
     OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
                  "__neg__", "__truediv__", "__pow__", "scale", "inverse")
@@ -1289,16 +1290,16 @@ class TestAvatarPathScalarOperations:
             restrict_to_units(fam1[1], 2)
         mass = cell_mass(fam1[0], 4, 1, 2)
         monkeypatch.undo()
-        assert len(calls) <= self.BOUND, sorted(set(calls))
+        assert calls == ["__mul__"] * 2 * G.h, sorted(set(calls))
         # the results are the avatars' measures, not empty work
         assert (G.h, p, paired.order, restricted.order) == (16, 17, 9, 16)
         assert mass.precision == 2 and all(mu.order == 48 for mu in fam1 + fam2)
 
     def test_pushforward_operator_calls(self, monkeypatch):
         # the 9 moment products stay on integers: no `*` per moment pair
-        _, _, (fam1, fam2) = self.families()
+        _, p, (fam1, fam2) = self.families()
         calls = self.count_operators(monkeypatch)
-        pushed = mult_pushforward(fam1[0], fam2[0], 8)
+        pushed = mult_pushforward(Measure(p, fam1[0].mahler), Measure(p, fam2[0].mahler), 8)
         monkeypatch.undo()
         assert len(calls) <= self.BOUND, sorted(set(calls))
         assert pushed.order == 9 and not pushed.finite

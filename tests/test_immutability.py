@@ -205,9 +205,9 @@ def exactly(value):
 def test_derived_values_skip_the_checks_and_equal_checked_builds(monkeypatch):
     """Values derived from checked ones come from `_from_fields`: over a small
     avatar pipeline, a Dirac measure at a family coefficient, and U, V and
-    depletion of Delta, only
-    `mahler_from_moments` enters `Measure.__init__` and nothing enters the
-    `TruncatedSeries` or `QExpansion` constructors; a class group's
+    depletion of Delta, nothing enters the `Measure`, `TruncatedSeries` or
+    `QExpansion` constructors (the families pair through their atoms, with
+    no `mahler_from_moments`); a class group's
     `QuadOrder` is built from the parts of its discriminant.  Each value so
     built equals the public constructor's value on its fields.  The roots of
     unity that `characters` caches are built first, so that the set of
@@ -242,9 +242,54 @@ def test_derived_values_skip_the_checks_and_equal_checked_builds(monkeypatch):
     for operator, p in ((u_operator, 2), (v_operator, 3), (p_deplete, 5)):
         operator(delta, p)
 
-    assert set(entered) == {("Measure", "mahler_from_moments")}
+    assert set(entered) == set()
     assert {type(value) for value in built} \
         == {Measure, TruncatedSeries, QExpansion, WeightFunction, QuadOrder}
     monkeypatch.undo()
     for value in built:
         assert exactly(type(value)(*value._fields())) == exactly(value)
+
+
+def family_pairs():
+    """(p, the members of two avatar families at D = -23 paired class by class)."""
+    G = class_group(-23)
+    chars = characters(G)
+    p = smallest_admissible_prime(G)
+    emb = admissible_embedding(G, p, 6)
+    return p, list(zip(avatar_measure_family(chars[0], chars[1], emb, 12),
+                       avatar_measure_family(chars[0], chars[2], emb, 12)))
+
+
+def test_a_family_members_atom_refuses_assignment_and_deletion():
+    _, pairs = family_pairs()
+    mu = pairs[0][0]
+    atom = mu._atom
+    with pytest.raises(AttributeError):
+        mu._atom = None
+    with pytest.raises(AttributeError):
+        del mu._atom
+    assert mu._atom is atom
+
+
+def test_a_family_member_equals_the_measure_of_its_fields():
+    # the atom is no field: equality, repr and the fields ignore it
+    _, pairs = family_pairs()
+    for mu in (mu for pair in pairs for mu in pair):
+        plain = Measure(*mu._fields())
+        assert mu == plain and repr(mu) == repr(plain)
+        assert exactly(mu) == exactly(plain) and not hasattr(plain, "_atom")
+
+
+def test_copies_of_a_family_member_drop_the_atom_and_pair_to_the_same_values():
+    # a copy is rebuilt from the fields, so it pairs through moments: the same
+    # values, modulo the lesser precision, known no better than through atoms
+    p, pairs = family_pairs()
+    atoms = pairing_measure(pairs, 8)
+    for rebuild in (copy.copy, copy.deepcopy, lambda mu: pickle.loads(pickle.dumps(mu))):
+        copies = [tuple(map(rebuild, pair)) for pair in pairs]
+        assert copies == pairs
+        assert not any(hasattr(mu, "_atom") for pair in copies for mu in pair)
+        moments = pairing_measure(copies, 8)
+        for a, b in zip(atoms.mahler, moments.mahler):
+            N = min(a.precision, b.precision)
+            assert a.precision >= b.precision and (a.lift() - b.lift()) % p ** N == 0

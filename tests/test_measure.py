@@ -629,6 +629,15 @@ class TestRefusalMessages:
         with pytest.raises(InvalidInput, match=r"^Mahler coefficient 0\.1 is not"):
             restrict_to_units(Measure(3, [0.1] * 12), 2)
 
+    def test_scale_refuses_a_scalar_of_another_type(self):
+        # the same refusal for exact and PadicScalar coefficients
+        for mu in (dirac(1, 3, 4), dirac(PadicScalar.from_int(1, 3, 5), 3, 4)):
+            for scalar, shown in ((0.1, r"0\.1"), ("2", "'2'"), (None, "None")):
+                with pytest.raises(InvalidInput, match=f"^scalar {shown} is not an int, "
+                                                       "Fraction or PadicScalar$"):
+                    mu.scale(scalar)
+        assert dirac(1, 3, 4).scale(True) == dirac(1, 3, 4)  # a bool is an int
+
     def test_from_plus_basis_checks_the_list_as_a_measure(self):
         # the shift keeps p-integrality both ways, so the list is checked before it
         with pytest.raises(InvalidInput, match="^coefficient prime mismatch$"):

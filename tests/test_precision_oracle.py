@@ -15,8 +15,12 @@ as a finite measure, against the first K exact ones.  On the avatar path,
 each family of `paper_oracles.family_cases` and the pairing measure of two
 families must agree with c0·C(Z, n) and (1/h) Σ_s c0_s^2 C(Z_s Z'_s, n),
 formed with `math.comb` from the avatar lifts and from two other lifts of
-each avatar known mod p^N.  Refused calls are counted, not compared.  The
-module runs in about 4 s.
+each avatar known mod p^N.  The pairing measure of two families, which goes
+through the members' atoms, is also compared with the moment route of the
+same members rebuilt without their atoms: it agrees modulo the lesser
+precision, never states less, and refuses only where the moment route
+refuses.  Refused calls are counted, not compared.  The module runs in
+about 6-9 s on two shared vCPUs.
 """
 
 import itertools
@@ -29,7 +33,7 @@ import pytest
 
 from mahler.cli import main
 from mahler.errors import InvalidInput, PrecisionExhausted
-from mahler.heckechar import avatar_measure_family
+from mahler.heckechar import avatar_measure_family, characters
 from mahler.measure import (Measure, cell_mass, cell_tail_valuation, from_plus_basis,
                             integrate_step, mahler_from_moments, moments, pairing_measure,
                             plus_basis, restrict_to_units)
@@ -73,12 +77,18 @@ def agrees(value, want, p: int) -> bool:
     return (Fraction(want) - value.lift()).numerator % p ** value.precision == 0
 
 
-def outcome(fn, *args):
-    """fn(*args), or None when it refuses."""
+def refusal(fn, *args):
+    """fn(*args), or the exception when it refuses."""
     try:
         return fn(*args)
-    except (InvalidInput, PrecisionExhausted):
-        return None
+    except (InvalidInput, PrecisionExhausted) as error:
+        return error
+
+
+def outcome(fn, *args):
+    """fn(*args), or None when it refuses."""
+    result = refusal(fn, *args)
+    return None if isinstance(result, Exception) else result
 
 
 def test_restriction():
@@ -216,6 +226,47 @@ def test_avatar_families_and_their_pairing_measure():
             assert all(agrees(a, b, p) for a, b in zip(got.mahler, want)), (chi0, chi, emb)
         paired += r_max + 1
     assert families > 250 and coefficients > 14000 and paired > 1300 and refused < 200
+
+
+def test_family_pairings_through_atoms_against_moments():
+    # each family of the grid with the inverse character's family and with an
+    # independent character's family; a member rebuilt through `Measure` has
+    # no atom, so its pairing takes the moment route.  The atom route agrees
+    # with the moment route modulo the lesser precision, never states less,
+    # refuses only as the moment route does, and agrees with the lifts' sums
+    pick, rng, groups = random.Random(SEED), random.Random(SEED), {}
+    compared = higher = refused = gained = 0
+    for chi0, chi, emb, order in family_cases():
+        p, G = emb.prime, chi.group
+        fam1 = outcome(avatar_measure_family, chi0, chi, emb, order)
+        if fam1 is None:
+            continue
+        chars = groups.setdefault(G.discriminant, characters(G))
+        c0s, zs = ([lifts(emb.embed(v), rng) for v in f.values] for f in (chi0, chi))
+        for other in (chi.inverse(), chars[pick.randrange(G.h)]):
+            ws = [lifts(emb.embed(v), rng) for v in other.values]
+            pairs = list(zip(fam1, avatar_measure_family(chi0, other, emb, order)))
+            plain = [tuple(Measure(p, mu.mahler) for mu in pair) for pair in pairs]
+            for r_max in (order - 1, 8):
+                atoms, moments = (refusal(pairing_measure, ps, r_max) for ps in (pairs, plain))
+                if isinstance(atoms, Exception):
+                    assert (type(atoms), str(atoms)) == (type(moments), str(moments))
+                    refused += 1
+                    continue
+                for k in range(3):
+                    want = [Fraction(sum(c0s[s][k] ** 2 * math.comb(zs[s][k] * ws[s][k], n)
+                                         for s in range(G.h)), G.h) for n in range(r_max + 1)]
+                    assert all(agrees(a, b, p) for a, b in zip(atoms.mahler, want)), (chi0, chi)
+                if isinstance(moments, Exception):
+                    gained += 1
+                    continue
+                for a, b in zip(atoms.mahler, moments.mahler):
+                    N = min(a.precision, b.precision)
+                    assert (a.lift() - b.lift()) % p ** N == 0, (chi0, chi, emb, r_max)
+                    assert a.precision >= b.precision, (chi0, chi, emb, r_max)
+                    higher += a.precision > b.precision
+                compared += r_max + 1
+    assert compared > 4500 and higher > 1000 and gained > 100 and refused > 250
 
 
 @pytest.mark.parametrize("target", [0, -1])

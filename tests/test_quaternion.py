@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from mahler.arith import factorint
+from mahler.cli import main
 from mahler.errors import InvalidInput, SearchBoundExhausted
 from mahler.quaternion import (INFINITE_PLACE, HashimotoData,
                                MatrixEmbedding, QuaternionAlgebra,
@@ -309,3 +310,22 @@ class TestSkolemNoether:
             for lam in (IDENTITY, M):
                 for w in (u, mat_mul(M, u)):
                     assert trace_pairing(lam, w) == 0
+
+
+class TestRefusalMessages:
+    """Refusals that no other in-process test reaches, each with its message
+    and the exit code of the command that reaches it."""
+
+    @pytest.mark.parametrize("a, b", [("0", "1"), ("-1", "0")])
+    def test_algebra_needs_nonzero_parameters(self, a, b, capsys):
+        with pytest.raises(InvalidInput, match="^a and b must be nonzero$"):
+            QuaternionAlgebra(Fraction(a), Fraction(b))
+        assert main(["quat", "ramified", "--a", a, "--b", b]) == 2
+        assert capsys.readouterr() == ("", "error: a and b must be nonzero\n")
+
+    @pytest.mark.parametrize("p", [3, 4, 2])  # divides Delta = 6, not prime, divides 2
+    def test_hashimoto_needs_a_prime_prime_to_two_delta(self, p, capsys):
+        with pytest.raises(InvalidInput, match="^p must be a prime not dividing 2 Delta$"):
+            hashimoto_search(6, p, 100)
+        assert main(["quat", "hashimoto", "--delta", "6", "--p", str(p)]) == 2
+        assert capsys.readouterr() == ("", "error: p must be a prime not dividing 2 Delta\n")
