@@ -24,7 +24,8 @@ class Frozen:
     """Base of every value class, and its protocol over the `__slots__`
     fields: they refuse assignment and deletion, so a public constructor
     checks and sets them through `object.__setattr__`, mostly by `_set`, and
-    copies, unpickled and derived values come from `_from_fields`; two values
+    copies, unpickled and derived values come from `_from_fields` (or from
+    `PadicScalar._make`, which keeps a zero's `INF`); two values
     of one class are equal when their fields are; values are unhashable; a
     value prints as `Name(field=<repr>, ...)`.  A class may override
     `__eq__` or `__repr__`."""

@@ -21,12 +21,13 @@ Legendre's formula and without forming a row.  A truncated measure's
 restriction, cell masses and step integrals read an exact coefficient as
 x + O(p^N) at the target N, where the restriction caps both shifts and each
 cell sum starts.  Cell sums and moments take rows of integer weights
-(`_dot`): on integers over PadicScalars of one prime and exact zeros, as do
-`pairing_measure`'s moment products, and with `+` and `*` over other lists.
-Exact moments take falling factors in `mahler_from_moments`, and finite
-exact measures push forward atom by atom (`_pushed_atoms`), and so do two
-avatar families, whose members carry their atoms c·δ_z (`_paired_atoms`):
-no v_p(n!) is lost, so the precision can exceed the moment route's.
+(`_dot`): on integers over PadicScalars of the measure's prime and exact
+zeros, and with `+` and `*` over other lists.  `pairing_measure` multiplies
+and adds the moments with `+` and `*`.  Exact moments take falling factors
+in `mahler_from_moments`, and finite exact measures push forward atom by
+atom (`_pushed_atoms`), and so do two avatar families, whose members carry
+their atoms c·δ_z (`_paired_atoms`): no v_p(n!) is lost, so the precision
+can exceed the moment route's.
 """
 
 from __future__ import annotations
@@ -63,18 +64,15 @@ def _alternated(xs) -> list:
     return [-x if k % 2 else x for k, x in enumerate(xs)]
 
 
-def _residues(xs, p=None, target=None):
-    """(p, [(lift(x), prec(x))]) when every x is a PadicScalar of one prime p
+def _residues(xs, p: int, target=None):
+    """(p, [(lift(x), prec(x))]) when every x is a PadicScalar of the prime p
     with valuation >= 0 or int 0, which gives (0, INF) as the exact zero does;
-    None for any other list and for one without a PadicScalar.  Given the
-    prime and a target precision, any other p-integral x is read as
-    x + O(p^target): (x, INF) for the target INF, else (x mod p^target,
-    target), as a truncated measure's capped outputs read it."""
+    None for any other list.  Given a target precision, any other p-integral
+    x is read as x + O(p^target): (x, INF) for the target INF, else
+    (x mod p^target, target), as a truncated measure's capped outputs read it."""
     out = []
     for x in xs:
         if type(x) is PadicScalar:
-            if p is None:
-                p = x.prime
             if x.prime != p or (x.unit and x.valuation < 0):
                 return None
             out.append((x.unit * p ** x.valuation if x.unit else 0, x.precision))
@@ -87,15 +85,19 @@ def _residues(xs, p=None, target=None):
         else:
             x, q = Fraction(x), p ** target
             out.append((x.numerator * pow(x.denominator, -1, q) % q, target))
-    return None if p is None else (p, out)
+    return p, out
 
 
-def _residue_dot(row, residues, p: int, P=INF):
-    """Σ c·x over zip(row, residues) on integers, each (x, N) standing for x
-    known mod p^N: (total, P') with P' the minimum of P and of N + v_p(c) over
-    the terms with c ≠ 0 and N finite, the precision PadicScalar's `+` and `*`
-    give the sum term by term; total is its value mod p^P'.  P' is INF when
-    no term contributes and P is INF: the sum is the exact zero."""
+def _dot(row, xs, res, P=INF):
+    """Σ c·x over zip(row, xs) for a row of ints, res = `_residues(xs, p)`:
+    without residues, `+` and `*`; with them, on integers, each (x, N)
+    standing for x known mod p^N, to the precision P' that `+` and `*` give
+    the sum term by term: the minimum of P and of N + v_p(c) over the terms
+    with c ≠ 0 and N finite.  The result is one PadicScalar known mod p^P',
+    or int 0 when no term contributes and P is INF: the exact zero."""
+    if res is None:
+        return sum(map(mul, row, xs))
+    p, residues = res
     total = 0
     for c, (x, N) in zip(row, residues):
         if not c or N is INF:
@@ -106,22 +108,6 @@ def _residue_dot(row, residues, p: int, P=INF):
             N += 1
         if N < P:
             P = N
-    return total, P
-
-
-def _valuation(x: int, p: int, N: int) -> int:
-    """v_p of x known mod p^N, reading a zero mod p^N as valuation N."""
-    return min(int_valuation(x, p), N) if x else N
-
-
-def _dot(row, xs, res, P=INF):
-    """Σ c·x over zip(row, xs) for a row of ints, res = `_residues(xs)`: with
-    residues, `_residue_dot` started at precision P, one PadicScalar known
-    mod p^P' or int 0 when no term contributes; without, `+` and `*`."""
-    if res is None:
-        return sum(map(mul, row, xs))
-    p, residues = res
-    total, P = _residue_dot(row, residues, p, P)
     return 0 if P is INF else PadicScalar._make(p, 0, total, P)
 
 
@@ -198,20 +184,16 @@ def dirac(z, prime: int, order: int) -> Measure:
     return Measure._from_fields(prime, series.coeffs, finite)
 
 
-def _moment_weights(mu: Measure, r: int) -> list:
-    """S(r, n) n! for n <= min(r, order - 1): m_r(µ) = Σ_n S(r, n) n! a_n."""
+def moments(mu: Measure, r: int):
+    """m_r(µ) = ∫ t^r dµ = Σ_n S(r,n) n! a_n — a finite exact sum over
+    n <= min(r, order - 1)."""
     if r < 0:
         raise InvalidInput("moment index must be nonnegative")
     if r >= mu.order and not mu.finite:
         raise InvalidInput(f"moment {r} needs order > {r} or a finite measure")
-    return _surjection_head(r, min(r, mu.order - 1) + 1)
-
-
-def moments(mu: Measure, r: int):
-    """m_r(µ) = ∫ t^r dµ = Σ_n S(r,n) n! a_n — a finite exact sum."""
-    weights = _moment_weights(mu, r)
+    weights = _surjection_head(r, min(r, mu.order - 1) + 1)
     coeffs = mu.mahler[:len(weights)]
-    return exact(_dot(weights, coeffs, _residues(coeffs)))
+    return exact(_dot(weights, coeffs, _residues(coeffs, mu.prime)))
 
 
 def mahler_from_moments(b, prime: int) -> Measure:
@@ -230,7 +212,7 @@ def mahler_from_moments(b, prime: int) -> Measure:
         if not isinstance(x, (int, Fraction, PadicScalar)):
             raise InvalidInput(f"moment {x!r} is not an int, Fraction or PadicScalar")
     coeffs, factorial, rows = [], 1, _falling_factorial_rows()
-    res, c = _residues(b), b if _is_exact(b) else None
+    res, c = _residues(b, prime), b if _is_exact(b) else None
     for n in range(len(b)):
         factorial *= n or 1
         if c is None:
@@ -360,7 +342,7 @@ def _cell_gate(mu: Measure, nu: int, precision):
     at: INF for a finite measure, the target for a truncated one, whose
     coefficients are read as x + O(p^target)."""
     if mu.finite:
-        return _residues(mu.mahler), INF
+        return _residues(mu.mahler, mu.prime), INF
     if precision is None:
         raise InvalidInput("cell mass of a truncated measure needs a target precision")
     bound = cell_tail_valuation(mu.order, nu, mu.prime)
@@ -423,7 +405,8 @@ def pairing_measure(pairs, r_max: int) -> Measure:
     their atoms (`_pushed_atoms`), at a cost bounded by r_max; when every
     measure is an avatar family member c·δ_z, through the atoms of the
     members (`_paired_atoms`); otherwise through r_max + 1 moments of each,
-    whose cost does not grow with d1·d2."""
+    whose cost does not grow with d1·d2, multiplied, added and scaled by
+    1/h with `+` and `*`, exact and p-adic alike."""
     pairs = list(pairs)
     if not pairs:
         raise InvalidInput("need at least one pair")
@@ -443,14 +426,10 @@ def pairing_measure(pairs, r_max: int) -> Measure:
     if all(mu.finite and _is_exact(mu.mahler) for pair in pairs for mu in pair) and all(
             m1.support_degree() * m2.support_degree() <= r_max for m1, m2 in pairs):
         return _pushed_atoms(pairs, r_max, p, h)
-    residues = [(_residues(m1.mahler), _residues(m2.mahler)) for m1, m2 in pairs]
-    if any(res is None for pair in residues for res in pair):  # exact or mixed: `+`, `*`
-        b = [exact(sum(moments(m1, r) * moments(m2, r) for m1, m2 in pairs))
-             for r in range(r_max + 1)]
-        if h > 1:  # a pushforward's one pair is not multiplied by 1/1
-            b = [exact(m * Fraction(1, h)) for m in b]
-    else:
-        b = [_paired_moment(pairs, residues, r, p, h) for r in range(r_max + 1)]
+    b = [exact(sum(moments(m1, r) * moments(m2, r) for m1, m2 in pairs))
+         for r in range(r_max + 1)]
+    if h > 1:  # a pushforward's one pair is not multiplied by 1/1
+        b = [exact(m * Fraction(1, h)) for m in b]
     return mahler_from_moments(b, p)
 
 
@@ -475,23 +454,6 @@ def _pushed_atoms(pairs, r_max: int, p: int, h: int) -> Measure:
     if h > 1:
         coeffs = [exact(a * Fraction(1, h)) for a in coeffs]
     return Measure._from_fields(p, tuple(_bounded(a, p, n) for n, a in enumerate(coeffs)), False)
-
-
-def _paired_moment(pairs, residues, r: int, p: int, h: int):
-    """(1/h) Σ_s m_r(µ1_s) m_r(µ2_s) on integers, each measure given with its
-    `_residues`: a product of moments known mod p^N1 and p^N2, of valuations
-    v1 and v2, is known mod p^min(N1 + v2, N2 + v1), as `*` gives it; the
-    sum takes the least precision and 1/h, a unit, keeps it.  One
-    PadicScalar, or int 0 when every product is an exact zero."""
-    total, P = 0, INF
-    for (m1, m2), ((_, res1), (_, res2)) in zip(pairs, residues):
-        t1, P1 = _residue_dot(_moment_weights(m1, r), res1, p)
-        t2, P2 = _residue_dot(_moment_weights(m2, r), res2, p)
-        if P1 is INF or P2 is INF:  # an exact zero moment drops out
-            continue
-        total += t1 * t2
-        P = min(P, P1 + _valuation(t2, p, P2), P2 + _valuation(t1, p, P1))
-    return 0 if P is INF else PadicScalar._make(p, 0, total * pow(h, -1, p ** P), P)
 
 
 def _paired_atoms(pairs, atoms, r_max: int, p: int, h: int) -> Measure:

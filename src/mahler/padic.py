@@ -106,6 +106,11 @@ class PadicScalar(Frozen):
         object.__setattr__(self, "precision", N)
         return self
 
+    def __reduce__(self):  # pickle makes inf anew; `zero` and `_make` give back INF
+        if self.precision is INF:
+            return PadicScalar.zero, (self.prime,)
+        return PadicScalar._make, (self.prime, self._val, self.unit, self.precision)
+
     # -- constructors --------------------------------------------------
 
     @classmethod

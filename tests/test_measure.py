@@ -939,7 +939,7 @@ class TestKernelsAgainstTermwiseSums:
         ]
         for xs in rows:
             for row in ([1, 1], [0, 3], [5, 10], [25, 0]):
-                assert self.outcome(_dot, row, xs, _residues(xs)) == \
+                assert self.outcome(_dot, row, xs, _residues(xs, p)) == \
                     self.outcome(lambda r, x: sum(map(operator.mul, r, x)), row, xs)
 
 

@@ -315,6 +315,10 @@ class TestMaass:
                 setattr(one, name, value)
         assert (one.weight, one.trunc, one.cells) == (10, 4, {(0, 0): 1})
 
+    def test_cells_past_the_truncation_are_dropped(self):
+        f = NearlyHolomorphic(10, 4, {(4, 0): 1, (5, 0): 2, (9, 3): 7})
+        assert f.cells == {(4, 0): 1}
+
     def test_leibniz_rule(self):
         rng = random.Random(17)
         for _ in range(10):

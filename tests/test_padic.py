@@ -436,10 +436,12 @@ class TestBinomialSeries:
     def test_exact_coefficients_in_normal_form(self, z):
         # oracle: C(z, n) = z(z-1)...(z-n+1)/n!; an integral one is an int,
         # C(z, 0) = 1 included, whatever z is
-        for n, c in enumerate(binomial_series(z, 9).coeffs):
+        series = binomial_series(z, 9)
+        for n, c in enumerate(series.coeffs):
             expected = Fraction(math.prod(z - k for k in range(n)), math.factorial(n))
             assert c == expected
             assert type(c) is (int if expected.denominator == 1 else Fraction)
+        assert series.domain == ("int" if Fraction(z).denominator == 1 else "rat")
         assert binomial_series(z, 1).domain == "int"
 
     def test_padic_input_integrality(self):

@@ -29,15 +29,19 @@ corpus of `mahler` argvs is built:
 - `measure push` and `measure pair` on finite exact measures, with int and
   Fraction coefficients, r_max below the largest product atom (the moment
   route) and at or above it (the atom route), h = 2 and h = 3 = p, where
-  the average of three Dirac masses is refused.
+  the average of three Dirac masses is refused;
+- `measure pair`, `push` and `moments` on truncated measures of order 8 at
+  p = 3 and 5, of PadicScalars or mixed with int and Fraction coefficients,
+  inexact and exact zeros among them: h = 1 and 2, and h = 3 = p, which is
+  refused; r_max and r at 0, 3, order - 1 and order, which is refused.
 
 Each side runs the whole corpus in one subprocess with PYTHONPATH set to its
 `src`, every call through `mahler.cli.main` in-process
 (`perfbench/wl_cli.replay_call`).  Per case the exit code, the stdout bytes
 and the first line of stderr are compared.  The script prints one digest per
 side, then every case that differs, the first with both sides' results, and
-exits 1 on any difference.  It imports perfbench, writes nothing there, and
-takes about 7 s on 2 vCPUs.
+exits 1 on any difference.  The corpus has 278 cases.  It imports
+perfbench, writes nothing there, and takes about 7 s on 2 vCPUs.
 """
 
 import hashlib
@@ -76,6 +80,26 @@ def padic_entry(p: int, n: int):
     return {"p": p, "val": n % 3, "unit": str(5 * n + 1), "prec": 3 + n % 6}
 
 
+def truncated_measure(p: int, kind: str, shift: int) -> dict:
+    """A truncated measure of order 8: PadicScalars from `padic_entry` at n +
+    shift ("padic"), those mixed with int and Fraction coefficients ("mixed"),
+    or exact zeros and zeros known mod p^2 ("zero")."""
+    mahler = [padic_entry(p, n + shift) for n in range(ORDER)]
+    if kind == "mixed":
+        mahler = [[str(n * n - 40), f"{5 - 2 * n}/{(1, 2, 4, 7)[n % 4]}", x][n % 3]
+                  for n, x in enumerate(mahler)]
+    elif kind == "zero":
+        mahler = [padic_entry(p, 3 + 2 * (n % 2)) for n in range(ORDER)]
+    return {"p": p, "finite": False, "mahler": mahler}
+
+
+ORDER = 8
+PADIC_PAIRS = {  # h = 1 and 2 at p = 3 and 5, and h = 3 = p, which is refused
+    f"pair_{kind}_{p}_h{h}.json": {"pairs": [
+        [truncated_measure(p, kind, 4 * s), truncated_measure(p, "zero" if s == 1 else kind,
+                                                              4 * s + 1)]
+        for s in range(h)]}
+    for kind in ("padic", "mixed") for p in (3, 5) for h in (1, 2, 3) if h < 3 or p == 3}
 FINITE = {
     **{f"finite_padic_{p}.json": {"p": p, "finite": True,
                                   "mahler": [padic_entry(p, n) for n in range(30)]}
@@ -104,7 +128,12 @@ EDGE_FILES = {
                                 {"p": 3, "finite": True, "mahler": ["1", "2", "1"]}]]},
     **{name: {"p": 3, "finite": False, "mahler": mahler} for name, mahler in TRUNCATED.items()},
     **FINITE,
+    **PADIC_PAIRS,
+    **{f"trunc_{kind}_{p}_{shift}.json": truncated_measure(p, kind, shift)
+       for kind in ("padic", "mixed") for p in (3, 5) for shift in (0, 1)},
+    **{f"trunc_zero_{p}.json": truncated_measure(p, "zero", 0) for p in (3, 5)},
 }
+RMAX = ("0", "3", str(ORDER - 1), str(ORDER))  # r_max = order is refused
 EDGE_CALLS = tuple(
     [["padic", "binomial-series", "--z", "27", "--p", "3", "--prec", prec, "--order", "3"]
      for prec in ("3", "0")]
@@ -124,7 +153,14 @@ EDGE_CALLS = tuple(
     + [["measure", "cell-mass", "--file", name, "--a", a, "--nu", nu, "--prec", prec]
        for name in TRUNCATED for a, nu, prec in (("2", "1", "14"), ("5", "2", "3"),
                                                  ("2", "1", "0"))]
-    + [["measure", "restrict", "--file", name] for name in FINITE])
+    + [["measure", "restrict", "--file", name] for name in FINITE]
+    + [["measure", "pair", "--file", name, "--rmax", r] for name in PADIC_PAIRS for r in RMAX]
+    + [["measure", "push", "--file1", f"trunc_{kind}_{p}_0.json",
+        "--file2", f"trunc_{kind}_{p}_1.json", "--rmax", r]
+       for kind in ("padic", "mixed") for p in (3, 5) for r in RMAX]
+    + [["measure", "moments", "--file", f"trunc_{kind}_{p}{suffix}.json", "--r", r]
+       for kind, suffix in (("padic", "_0"), ("mixed", "_0"), ("zero", ""))
+       for p in (3, 5) for r in RMAX])
 
 # run in each side's subprocess: [[workdir, argv], ...] on stdin, one
 # [exit code, stdout, first stderr line] per case on stdout
