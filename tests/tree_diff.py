@@ -80,8 +80,11 @@ def padic_entry(p: int, n: int):
     return {"p": p, "val": n % 3, "unit": str(5 * n + 1), "prec": 3 + n % 6}
 
 
+ORDER = 8
+
+
 def truncated_measure(p: int, kind: str, shift: int) -> dict:
-    """A truncated measure of order 8: PadicScalars from `padic_entry` at n +
+    """A truncated measure of order ORDER: PadicScalars from `padic_entry` at n +
     shift ("padic"), those mixed with int and Fraction coefficients ("mixed"),
     or exact zeros and zeros known mod p^2 ("zero")."""
     mahler = [padic_entry(p, n + shift) for n in range(ORDER)]
@@ -93,13 +96,13 @@ def truncated_measure(p: int, kind: str, shift: int) -> dict:
     return {"p": p, "finite": False, "mahler": mahler}
 
 
-ORDER = 8
 PADIC_PAIRS = {  # h = 1 and 2 at p = 3 and 5, and h = 3 = p, which is refused
     f"pair_{kind}_{p}_h{h}.json": {"pairs": [
         [truncated_measure(p, kind, 4 * s), truncated_measure(p, "zero" if s == 1 else kind,
                                                               4 * s + 1)]
         for s in range(h)]}
     for kind in ("padic", "mixed") for p in (3, 5) for h in (1, 2, 3) if h < 3 or p == 3}
+
 FINITE = {
     **{f"finite_padic_{p}.json": {"p": p, "finite": True,
                                   "mahler": [padic_entry(p, n) for n in range(30)]}
