@@ -697,11 +697,13 @@ def avatar_measure_family(chi0: WeightFunction, chi: WeightFunction,
     as `dirac(z, p, order).scale(c0)` gives it.  The classes whose avatars
     have one lift and precision share one series.  As `Measure.scale` does,
     a c0 that is not p-integral is checked by `Measure`, which refuses it.
-    Each member keeps (c0, z) as its private atom, through which
-    `measure.pairing_measure` pairs two families."""
+    Each member keeps (c0, z) as its `atoms`, the Dirac mass c0·δ_z it is,
+    through which `measure.pairing_measure` pairs two families."""
     from .measure import Measure
     if chi0.group.discriminant != chi.group.discriminant:
         raise InvalidInput("group mismatch")
+    if order < 1:
+        raise InvalidInput("order must be >= 1")
     p = embedding.prime
     family, series = [], {}
     for s in range(chi0.group.h):
@@ -709,15 +711,12 @@ def avatar_measure_family(chi0: WeightFunction, chi: WeightFunction,
         if z.is_zero or z.valuation != 0:
             raise InvalidInput("avatar value is not a unit")
         c0 = embedding.embed(chi0.values[s])  # a scalar of p known mod a finite power
-        if order < 1:
-            raise InvalidInput("order must be >= 1")
         key = (z.unit, z.precision)
         if key not in series:
             series[key] = list(_binomial_fields(z.unit, p, z.precision, order))
         v1, u1, rel1 = c0._val, c0.unit, c0.rel_precision
-        build = Measure._from_fields if is_p_integral(c0, p) else Measure
-        family.append(build(p, tuple(
-            PadicScalar._make(p, v1 + v2, u1 * u2, v1 + v2 + min(rel1, rel2))
-            for v2, u2, rel2 in series[key]), False))
-        object.__setattr__(family[-1], "_atom", (c0, z))
+        mahler = tuple(PadicScalar._make(p, v1 + v2, u1 * u2, v1 + v2 + min(rel1, rel2))
+                       for v2, u2, rel2 in series[key])
+        family.append(Measure._from_fields(p, mahler, False, ((c0, z),))
+                      if is_p_integral(c0, p) else Measure(p, mahler))
     return family

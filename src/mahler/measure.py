@@ -23,11 +23,13 @@ x + O(p^N) at the target N, where the restriction caps both shifts and each
 cell sum starts.  Cell sums and moments take rows of integer weights
 (`_dot`): on integers over PadicScalars of the measure's prime and exact
 zeros, and with `+` and `*` over other lists.  `pairing_measure` multiplies
-and adds the moments with `+` and `*`.  Exact moments take falling factors
-in `mahler_from_moments`, and finite exact measures push forward atom by
-atom (`_pushed_atoms`), and so do two avatar families, whose members carry
-their atoms c·δ_z (`_paired_atoms`): no v_p(n!) is lost, so the precision
-can exceed the moment route's.
+and adds the moments with `+` and `*`, and exact moments take falling
+factors in `mahler_from_moments`, unless every measure is a finite sum of
+Dirac masses c·δ_z that it can read: the `atoms` of an avatar family member
+or of a scaled one, or the (1+T)^m weights of a finite exact measure.  Then
+one body (`_paired_atoms`) sums c·C(Z, n) over the product atoms on
+integers: no v_p(n!) is lost, so the precision can exceed the moment
+route's.
 """
 
 from __future__ import annotations
@@ -111,19 +113,14 @@ def _dot(row, xs, res, P=INF):
     return 0 if P is INF else PadicScalar._make(p, 0, total, P)
 
 
-class _Atom:
-    """The slot `_atom`: (c0, z) on a member c0·δ_z of an avatar family, set
-    only by `heckechar.avatar_measure_family`.  `Measure.__slots__` does not
-    name it, so `==`, `repr`, `_fields()`, copies and pickles leave it out."""
-
-    __slots__ = ("_atom",)
-
-
-class Measure(Frozen, _Atom):
+class Measure(Frozen):
     """A bounded measure on Z_p, known through its first `order` Mahler
-    coefficients; `finite` marks a complete expansion (all higher a_n = 0)."""
+    coefficients; `finite` marks a complete expansion (all higher a_n = 0).
+    `atoms`, None or a tuple of (c, z) for µ = Σ c·δ_z, is set only by
+    derived builds (avatar family members and their scalings), as the
+    public constructor cannot check it; copies keep it, and `==` ignores it."""
 
-    __slots__ = ("prime", "mahler", "finite")
+    __slots__ = ("prime", "mahler", "finite", "atoms")
 
     def __init__(self, prime: int, mahler, finite: bool = False):
         checked_prime(prime)
@@ -139,7 +136,7 @@ class Measure(Frozen, _Atom):
             if not is_p_integral(a, prime):
                 raise InvalidInput("Mahler coefficient with negative valuation: "
                                    "this is a distribution, not a measure")
-        self._set(prime, mahler, finite)
+        self._set(prime, mahler, finite, None)
 
     @property
     def order(self) -> int:
@@ -154,15 +151,28 @@ class Measure(Frozen, _Atom):
 
     def scale(self, scalar) -> "Measure":
         """Multiply by a p-integral scalar (boundedness is preserved).  The
-        products are checked as `Measure` checks unless the scalar is a
-        p-integral int, Fraction or PadicScalar of the measure's prime."""
+        products are checked as `Measure` checks them, and carry no atoms,
+        unless the scalar is a p-integral int, Fraction or PadicScalar of the
+        measure's prime; then each atom (c, z) becomes (scalar·c, z), and an
+        exact zero leaves none."""
         if not isinstance(scalar, (int, Fraction, PadicScalar)):  # a bool is an int
             raise InvalidInput(f"scalar {scalar!r} is not an int, Fraction or PadicScalar")
         p = self.prime
-        known = (scalar.prime == p if type(scalar) is PadicScalar
-                 else type(scalar) in (int, Fraction))
-        build = Measure._from_fields if known and is_p_integral(scalar, p) else Measure
-        return build(p, tuple(exact(scalar * a) for a in self.mahler), self.finite)
+        mahler = tuple(exact(scalar * a) for a in self.mahler)
+        if type(scalar) is PadicScalar:
+            known, zero = scalar.prime == p, scalar.precision is INF
+        else:
+            known, zero = type(scalar) in (int, Fraction), not scalar
+        if not (known and is_p_integral(scalar, p)):
+            return Measure(p, mahler, self.finite)
+        atoms = None if zero or self.atoms is None else tuple(
+            (scalar * c, z) for c, z in self.atoms)
+        return Measure._from_fields(p, mahler, self.finite, atoms)
+
+    def __eq__(self, other):
+        if type(other) is not Measure:
+            return NotImplemented
+        return (self.prime, self.mahler, self.finite) == (other.prime, other.mahler, other.finite)
 
     def __repr__(self):
         flag = "finite" if self.finite else f"order {self.order}"
@@ -181,7 +191,7 @@ def dirac(z, prime: int, order: int) -> Measure:
             raise InvalidInput("z must lie in Z_p")
         series, finite = binomial_series(z, order), z.denominator == 1 and 0 <= z < order
     checked_prime(prime)
-    return Measure._from_fields(prime, series.coeffs, finite)
+    return Measure._from_fields(prime, series.coeffs, finite, None)
 
 
 def moments(mu: Measure, r: int):
@@ -285,7 +295,7 @@ def from_plus_basis(c, prime: int, finite: bool) -> Measure:
     integral inverse, so c is p-integral exactly when its shift is."""
     c = Measure(prime, c, finite).mahler
     mahler = _scalars(*_shifted(*_readings(c, prime), prime), prime)
-    return Measure._from_fields(prime, tuple(mahler), finite)
+    return Measure._from_fields(prime, tuple(mahler), finite, None)
 
 
 def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
@@ -313,7 +323,8 @@ def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
     if precisions is not None:
         precisions = [INF if m % p == 0 else N for m, N in enumerate(precisions)]
     values, precisions = _shifted(values, precisions, p, cap)
-    return Measure._from_fields(p, tuple(_scalars(values[:n_out], precisions, p)), mu.finite)
+    return Measure._from_fields(p, tuple(_scalars(values[:n_out], precisions, p)),
+                                mu.finite, None)
 
 
 def cell_tail_valuation(order: int, nu: int, p: int) -> int:
@@ -394,19 +405,18 @@ def mult_pushforward(mu1: Measure, mu2: Measure, r_max: int) -> Measure:
     """
     out = pairing_measure([(mu1, mu2)], r_max)
     finite = mu1.finite and mu2.finite and mu1.support_degree() * mu2.support_degree() <= r_max
-    return Measure._from_fields(mu1.prime, out.mahler, True) if finite else out
+    return Measure._from_fields(mu1.prime, out.mahler, True, None) if finite else out
 
 
 def pairing_measure(pairs, r_max: int) -> Measure:
     """Average of multiplicative pushforwards over class-indexed pairs:
-    m_r = (1/h) Σ_s m_r(µ1_s) m_r(µ2_s).  When every measure is finite with
-    exact coefficients and every product atom is at most r_max (d1·d2 <= r_max
-    for the support degrees of each pair), the pairs push forward through
-    their atoms (`_pushed_atoms`), at a cost bounded by r_max; when every
-    measure is an avatar family member c·δ_z, through the atoms of the
-    members (`_paired_atoms`); otherwise through r_max + 1 moments of each,
-    whose cost does not grow with d1·d2, multiplied, added and scaled by
-    1/h with `+` and `*`, exact and p-adic alike."""
+    m_r = (1/h) Σ_s m_r(µ1_s) m_r(µ2_s).  When every measure carries its
+    `atoms`, or every measure is finite with exact coefficients and every
+    product atom is at most r_max (d1·d2 <= r_max for the support degrees of
+    each pair, so the cost is bounded by r_max), the pairs push forward
+    through their atoms (`_paired_atoms`); otherwise through r_max + 1
+    moments of each, whose cost does not grow with d1·d2, multiplied, added
+    and scaled by 1/h with `+` and `*`, exact and p-adic alike."""
     pairs = list(pairs)
     if not pairs:
         raise InvalidInput("need at least one pair")
@@ -420,12 +430,10 @@ def pairing_measure(pairs, r_max: int) -> Measure:
         raise InvalidInput("prime mismatch")
     if r_max < 0:
         raise InvalidInput("r_max must be >= 0")
-    atoms = [getattr(mu, "_atom", None) for pair in pairs for mu in pair]
-    if None not in atoms:
-        return _paired_atoms(pairs, atoms, r_max, p, h)
-    if all(mu.finite and _is_exact(mu.mahler) for pair in pairs for mu in pair) and all(
-            m1.support_degree() * m2.support_degree() <= r_max for m1, m2 in pairs):
-        return _pushed_atoms(pairs, r_max, p, h)
+    if all(mu.atoms for pair in pairs for mu in pair) or (
+            all(mu.finite and _is_exact(mu.mahler) for pair in pairs for mu in pair)
+            and all(m1.support_degree() * m2.support_degree() <= r_max for m1, m2 in pairs)):
+        return _paired_atoms(pairs, r_max, p, h)
     b = [exact(sum(moments(m1, r) * moments(m2, r) for m1, m2 in pairs))
          for r in range(r_max + 1)]
     if h > 1:  # a pushforward's one pair is not multiplied by 1/1
@@ -433,52 +441,43 @@ def pairing_measure(pairs, r_max: int) -> Measure:
     return mahler_from_moments(b, p)
 
 
-def _pushed_atoms(pairs, r_max: int, p: int, h: int) -> Measure:
-    """The first r_max + 1 Mahler coefficients of (1/h) Σ_s of the images of
-    µ1_s ⊗ µ2_s under multiplication, for finite exact measures whose product
-    atoms are at most r_max: µ = Σ c_m δ_m over m <= its support degree d
-    (`plus_basis` of a_0..a_d), so each image is Σ c_m c'_n δ_(mn), whose
-    a_n = Σ_k d_k C(k, n) are a Taylor shift of the atoms d_k, then zeros.
-    The values, and the refusal, are `mahler_from_moments`' on the moments:
-    the Stirling transforms are triangular."""
-    atoms = {}
-    for pair in pairs:
-        left, right = ([(m, c) for m, c in enumerate(plus_basis(Measure._from_fields(
-            p, mu.mahler[:mu.support_degree() + 1], True))) if c] for mu in pair)
-        for m, c in left:
-            for n, c2 in right:
-                atoms[m * n] = atoms.get(m * n, 0) + c * c2
-    d = [atoms.get(k, 0) for k in range(max(atoms, default=-1) + 1)]
-    coeffs = _taylor_shift(d)
-    coeffs += [0] * (r_max + 1 - len(coeffs))
-    if h > 1:
-        coeffs = [exact(a * Fraction(1, h)) for a in coeffs]
-    return Measure._from_fields(p, tuple(_bounded(a, p, n) for n, a in enumerate(coeffs)), False)
-
-
-def _paired_atoms(pairs, atoms, r_max: int, p: int, h: int) -> Measure:
-    """a_n = (1/h) Σ_s c_s C(Z_s, n), n <= r_max, for pairs of avatar family
-    members c1·δ_z1, c2·δ_z2 with `atoms` [(c1, z1), (c2, z2), ...]: c = c1·c2
-    and Z = z1·z2 as PadicScalar products, C(Z, n) from `_binomial_fields`
-    (one series per lift and precision of Z).  Each term has valuation
-    v = v_c + v_n and precision v + min(rel_c, rel_n), as `*` gives it; the
-    sum takes the least, and 1/h is a unit.  No term is an exact zero (an
-    embedded weight is known mod a finite power of p).  The order refusal is
-    the moment route's; no v_p(n!) is lost, so the precision can exceed it."""
-    K = min(mu.order for pair in pairs for mu in pair)
+def _paired_atoms(pairs, r_max: int, p: int, h: int) -> Measure:
+    """a_n = (1/h) Σ c·C(Z, n), n <= r_max, over the product atoms
+    (c, Z) = (c1·c2, z1·z2) of each pair: a measure's `atoms`, or a finite
+    exact measure's `plus_basis` weights c_m at m = 0..d, its support degree.
+    c and C(Z, n) are read as (valuation, unit, relative precision), an
+    exact value as (0, x, INF), C(Z, n) of a PadicScalar Z from
+    `_binomial_fields`, one row per distinct Z.  A term has valuation
+    v = v_c + v_n and precision v + min(rel_c, rel_n), as `*` gives it, the
+    sum the least.  `_bounded` checks an exact sum, as `mahler_from_moments`
+    does, and 1/h of a p-adic one is a unit.  The order refusal of measures
+    that are not finite is the moment route's; no v_p(n!) is lost, so the
+    precision can exceed it."""
+    K = min((mu.order for pair in pairs for mu in pair if not mu.finite), default=INF)
     if r_max >= K:
         raise InvalidInput(f"moment {K} needs order > {K} or a finite measure")
-    totals, precisions, series = [0] * (r_max + 1), [INF] * (r_max + 1), {}
-    for (c1, z1), (c2, z2) in zip(atoms[0::2], atoms[1::2]):
-        c, Z = c1 * c2, z1 * z2
-        key = (Z.lift(), Z.precision)
-        if key not in series:
-            series[key] = list(_binomial_fields(key[0], p, key[1], r_max + 1))
-        vc, uc, rc = c._val, c.unit, c.rel_precision
-        for n, (v, u, rel) in enumerate(series[key]):
-            v += vc
-            totals[n] += uc * u * p ** v
-            precisions[n] = min(precisions[n], v + min(rc, rel))
+    totals, precisions, rows = [0] * (r_max + 1), [INF] * (r_max + 1), {}
+    for pair in pairs:
+        left, right = (mu.atoms or [(c, m) for m, c in enumerate(plus_basis(
+            Measure._from_fields(p, mu.mahler[:mu.support_degree() + 1], True, None))) if c]
+            for mu in pair)
+        for c1, z1 in left:
+            for c2, z2 in right:
+                c, Z = c1 * c2, z1 * z2
+                key = Z if type(Z) is int else (Z.lift(), Z.precision)
+                if key not in rows:  # C(Z, n) = C(Z, n-1) (Z - n + 1)/n, 0 for an int Z < n
+                    rows[key] = list(_binomial_fields(key[0], p, key[1], r_max + 1)) \
+                        if type(Z) is PadicScalar else [(0, c, INF) for c in accumulate(
+                            range(min(Z, r_max)), lambda c, n: c * (Z - n) // (n + 1), initial=1)]
+                vc, uc, rc = ((c._val, c.unit, c.rel_precision) if type(c) is PadicScalar
+                              else (0, c, INF))
+                for n, (v, u, rel) in enumerate(rows[key]):
+                    v += vc
+                    totals[n] += uc * u * p ** v
+                    P = v + (rel if rel < rc else rc)
+                    if P < precisions[n]:
+                        precisions[n] = P
     return Measure._from_fields(p, tuple(
-        PadicScalar._make(p, 0, total * pow(h, -1, p ** N), N)
-        for total, N in zip(totals, precisions)), False)
+        _bounded(exact(Fraction(total, h) if h > 1 else total), p, n) if N == INF
+        else PadicScalar._make(p, 0, total * pow(h, -1, p ** N), N)
+        for n, (total, N) in enumerate(zip(totals, precisions))), False, None)

@@ -1130,15 +1130,32 @@ class TestAvatarFamilyOnIntegers:
                     avatar_measure_family(chi0, chars[2], emb, order)
 
     def test_checks_keep_their_order(self):
-        # group mismatch, then a non-unit avatar, then the order
+        # group mismatch, then the order, then a non-unit avatar
         G, chars, p, emb = self.group_and_embedding()
         other = characters(class_group(-47))[1]
         bad = WeightFunction(G, (0, 0), [AlgebraicValue.from_rational(
             p, G.order_data.d_K, G.exponent)] * G.h)
         with pytest.raises(InvalidInput, match="group mismatch"):
             avatar_measure_family(other, bad, emb, 0)
-        with pytest.raises(InvalidInput, match="avatar value is not a unit"):
+        with pytest.raises(InvalidInput, match="order must be >= 1"):
             avatar_measure_family(chars[1], bad, emb, 0)
+        with pytest.raises(InvalidInput, match="avatar value is not a unit"):
+            avatar_measure_family(chars[1], bad, emb, 1)
+
+    def test_order_is_refused_before_any_class_is_embedded(self, monkeypatch):
+        G, chars, p, emb = self.group_and_embedding()
+        original, embedded = PadicEmbedding.embed, []
+
+        def embed(self, value):
+            embedded.append(value)
+            return original(self, value)
+        monkeypatch.setattr(PadicEmbedding, "embed", embed)
+        for order in (0, -3):
+            with pytest.raises(InvalidInput, match="^order must be >= 1$"):
+                avatar_measure_family(chars[1], chars[2], emb, order)
+        assert embedded == []
+        assert len(avatar_measure_family(chars[1], chars[2], emb, 1)) == G.h
+        assert len(embedded) == 2 * G.h
 
 
 class TestRefusalMessages:

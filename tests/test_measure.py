@@ -576,7 +576,7 @@ class TestAtomRoute:
 
         def refuse(*args):
             raise AssertionError("the atom route was taken")
-        monkeypatch.setattr(measure, "_pushed_atoms", refuse)
+        monkeypatch.setattr(measure, "_paired_atoms", refuse)
         for r_max in (0, 5, 39):
             want = self.moment_route([(mu1, mu2)], r_max)
             assert mult_pushforward(mu1, mu2, r_max).mahler == want.mahler

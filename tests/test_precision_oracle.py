@@ -17,10 +17,12 @@ families must agree with c0·C(Z, n) and (1/h) Σ_s c0_s^2 C(Z_s Z'_s, n),
 formed with `math.comb` from the avatar lifts and from two other lifts of
 each avatar known mod p^N.  The pairing measure of two families, which goes
 through the members' atoms, is also compared with the moment route of the
-same members rebuilt without their atoms: it agrees modulo the lesser
-precision, never states less, and refuses only where the moment route
-refuses.  Refused calls are counted, not compared.  The module runs in
-about 6-9 s on two shared vCPUs.
+same members rebuilt without their atoms, unscaled and scaled as
+`test_acceptance` scales them, by exact zeros and through a non-p-integral
+scalar among others: it agrees modulo the lesser precision, never states
+less, and refuses only where the moment route refuses.  Refused calls are
+counted, not compared.  The module runs in about 10-13 s on two shared
+vCPUs.
 """
 
 import itertools
@@ -228,14 +230,34 @@ def test_avatar_families_and_their_pairing_measure():
     assert families > 250 and coefficients > 14000 and paired > 1300 and refused < 200
 
 
+def unscaled(mu):
+    return mu
+
+
+SCALINGS = {  # the scalings of the two families, as test_acceptance's, and λ1·λ2
+    "unscaled": (unscaled, unscaled, 1),
+    "3 and 5/2": (lambda mu: mu.scale(3), lambda mu: mu.scale(Fraction(5, 2)), Fraction(15, 2)),
+    "exact 0": (lambda mu: mu.scale(0), lambda mu: mu.scale(3), 0),
+    "exact p-adic 0": (lambda mu: mu.scale(Fraction(5, 2)),
+                       lambda mu: mu.scale(PadicScalar.zero(mu.prime)), 0),
+    # 1/p is not p-integral, but the coefficients p·a it scales are
+    "p, then 1/p": (lambda mu: mu.scale(mu.prime).scale(Fraction(1, mu.prime)), unscaled, 1),
+}
+
+
 def test_family_pairings_through_atoms_against_moments():
     # each family of the grid with the inverse character's family and with an
-    # independent character's family; a member rebuilt through `Measure` has
-    # no atom, so its pairing takes the moment route.  The atom route agrees
-    # with the moment route modulo the lesser precision, never states less,
-    # refuses only as the moment route does, and agrees with the lifts' sums
-    pick, rng, groups = random.Random(SEED), random.Random(SEED), {}
+    # independent character's family, unscaled and, at r_max 8, scaled by a
+    # seeded entry of SCALINGS; a member rebuilt through `Measure` has no
+    # atoms, so its pairing takes the moment route, and so has a member
+    # scaled by an exact zero or through `Measure`'s check (1/p).  The atom
+    # route agrees with the moment route modulo the lesser precision, never
+    # states less, refuses only as the moment route does, and agrees with
+    # the lifts' sums times λ1·λ2
+    pick, rng, scale_pick, groups = (random.Random(SEED), random.Random(SEED),
+                                     random.Random(SEED), {})
     compared = higher = refused = gained = 0
+    seen = set()
     for chi0, chi, emb, order in family_cases():
         p, G = emb.prime, chi.group
         fam1 = outcome(avatar_measure_family, chi0, chi, emb, order)
@@ -245,28 +267,43 @@ def test_family_pairings_through_atoms_against_moments():
         c0s, zs = ([lifts(emb.embed(v), rng) for v in f.values] for f in (chi0, chi))
         for other in (chi.inverse(), chars[pick.randrange(G.h)]):
             ws = [lifts(emb.embed(v), rng) for v in other.values]
-            pairs = list(zip(fam1, avatar_measure_family(chi0, other, emb, order)))
-            plain = [tuple(Measure(p, mu.mahler) for mu in pair) for pair in pairs]
-            for r_max in (order - 1, 8):
-                atoms, moments = (refusal(pairing_measure, ps, r_max) for ps in (pairs, plain))
-                if isinstance(atoms, Exception):
-                    assert (type(atoms), str(atoms)) == (type(moments), str(moments))
-                    refused += 1
-                    continue
-                for k in range(3):
-                    want = [Fraction(sum(c0s[s][k] ** 2 * math.comb(zs[s][k] * ws[s][k], n)
-                                         for s in range(G.h)), G.h) for n in range(r_max + 1)]
-                    assert all(agrees(a, b, p) for a, b in zip(atoms.mahler, want)), (chi0, chi)
-                if isinstance(moments, Exception):
-                    gained += 1
-                    continue
-                for a, b in zip(atoms.mahler, moments.mahler):
-                    N = min(a.precision, b.precision)
-                    assert (a.lift() - b.lift()) % p ** N == 0, (chi0, chi, emb, r_max)
-                    assert a.precision >= b.precision, (chi0, chi, emb, r_max)
-                    higher += a.precision > b.precision
-                compared += r_max + 1
+            fam2 = avatar_measure_family(chi0, other, emb, order)
+            for name in ("unscaled", scale_pick.choice(list(SCALINGS)[1:])):
+                scale1, scale2, lam = SCALINGS[name]
+                pairs = [(scale1(mu1), scale2(mu2)) for mu1, mu2 in zip(fam1, fam2)]
+                with_atoms = all(mu.atoms for pair in pairs for mu in pair)
+                assert with_atoms == (name in ("unscaled", "3 and 5/2")), name
+                plain = [tuple(Measure(p, mu.mahler) for mu in pair) for pair in pairs]
+                for r_max in (order - 1, 8) if name == "unscaled" else (8,):
+                    atoms, moments = (refusal(pairing_measure, ps, r_max)
+                                      for ps in (pairs, plain))
+                    seen.add((name, type(atoms).__name__, type(moments).__name__))
+                    if isinstance(atoms, Exception):
+                        assert (type(atoms), str(atoms)) == (type(moments), str(moments))
+                        refused += 1
+                        continue
+                    for k in range(3):
+                        want = [lam * Fraction(sum(c0s[s][k] ** 2
+                                                   * math.comb(zs[s][k] * ws[s][k], n)
+                                                   for s in range(G.h)), G.h)
+                                for n in range(r_max + 1)]
+                        assert all(agrees(a, b, p) for a, b in zip(atoms.mahler, want)), \
+                            (chi0, chi, name)
+                    if isinstance(moments, Exception):
+                        gained += 1
+                        continue
+                    for a, b in zip(atoms.mahler, moments.mahler):
+                        if type(a) is not PadicScalar or a.precision is INF:
+                            assert (type(a), a) == (type(b), b), (chi0, chi, name, r_max)
+                            continue
+                        N = min(a.precision, b.precision)
+                        assert (a.lift() - b.lift()) % p ** N == 0, (chi0, chi, emb, r_max)
+                        assert a.precision >= b.precision, (chi0, chi, emb, r_max)
+                        higher += a.precision > b.precision
+                    compared += r_max + 1
     assert compared > 4500 and higher > 1000 and gained > 100 and refused > 250
+    assert {name for name, atoms, moments in seen if atoms == moments == "Measure"} \
+        == set(SCALINGS)
 
 
 @pytest.mark.parametrize("target", [0, -1])
