@@ -28,7 +28,9 @@ class Frozen:
     `PadicScalar._make`, which keeps a zero's `INF`); two values
     of one class are equal when their fields are; values are unhashable; a
     value prints as `Name(field=<repr>, ...)`.  A class may override
-    `__eq__` or `__repr__`."""
+    `__eq__` or `__repr__`, and may fill a field on its first read, as a
+    `Measure` avatar family member fills `mahler`: every reader, `_fields()`
+    and so copies and pickles among them, then sees the filled value."""
 
     __slots__ = ()
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from array import array
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from types import MappingProxyType
 
 from .arith import (cyclotomic_coeffs, factorint, fundamental_decomposition,
@@ -695,10 +695,16 @@ def avatar_measure_family(chi0: WeightFunction, chi: WeightFunction,
     gives, and c0 of valuation v1, unit u1 and relative precision rel1 times
     it has valuation v = v1 + v2, unit u1·u2 and precision v + min(rel1, rel2),
     as `dirac(z, p, order).scale(c0)` gives it.  The classes whose avatars
-    have one lift and precision share one series.  As `Measure.scale` does,
-    a c0 that is not p-integral is checked by `Measure`, which refuses it.
-    Each member keeps (c0, z) as its `atoms`, the Dirac mass c0·δ_z it is,
-    through which `measure.pairing_measure` pairs two families."""
+    have one lift and precision share one series.  Each member keeps (c0, z)
+    as its `atoms`, the Dirac mass c0·δ_z it is, through which
+    `measure.pairing_measure` pairs two families, and builds its
+    coefficients, and the series if no other member has, on the first read
+    of its `mahler` (`Measure._deferred`): a family that is only paired
+    builds none.  Every refusal still comes at the call, in class order: a
+    series can refuse only at a zero C(Z, n), n > Z, so it is built at the
+    call when Z < order - 1; and, as `Measure.scale` does, a c0 that is not
+    p-integral has its coefficients built and checked by `Measure`, which
+    refuses it."""
     from .measure import Measure
     if chi0.group.discriminant != chi.group.discriminant:
         raise InvalidInput("group mismatch")
@@ -713,10 +719,22 @@ def avatar_measure_family(chi0: WeightFunction, chi: WeightFunction,
         c0 = embedding.embed(chi0.values[s])  # a scalar of p known mod a finite power
         key = (z.unit, z.precision)
         if key not in series:
-            series[key] = list(_binomial_fields(z.unit, p, z.precision, order))
-        v1, u1, rel1 = c0._val, c0.unit, c0.rel_precision
-        mahler = tuple(PadicScalar._make(p, v1 + v2, u1 * u2, v1 + v2 + min(rel1, rel2))
-                       for v2, u2, rel2 in series[key])
-        family.append(Measure._from_fields(p, mahler, False, ((c0, z),))
-                      if is_p_integral(c0, p) else Measure(p, mahler))
+            series[key] = cache(partial(_series, z.unit, p, z.precision, order))
+            if z.unit < order - 1:
+                series[key]()
+        build = partial(_scaled_fields, c0, series[key])
+        family.append(Measure._deferred(p, ((c0, z),), build, order)
+                      if is_p_integral(c0, p) else Measure(p, build()))
     return family
+
+
+def _series(Z: int, p: int, P: int, order: int) -> tuple:
+    """The shared series of a family: `_binomial_fields` as a tuple."""
+    return tuple(_binomial_fields(Z, p, P, order))
+
+
+def _scaled_fields(c0: PadicScalar, series) -> tuple:
+    """c0·C(Z, n) for the fields (v2, u2, rel2) of C(Z, n) in series()."""
+    p, v1, u1, rel1 = c0.prime, c0._val, c0.unit, c0.rel_precision
+    return tuple(PadicScalar._make(p, v1 + v2, u1 * u2, v1 + v2 + min(rel1, rel2))
+                 for v2, u2, rel2 in series())

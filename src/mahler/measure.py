@@ -29,7 +29,9 @@ Dirac masses c·δ_z that it can read: the `atoms` of an avatar family member
 or of a scaled one, or the (1+T)^m weights of a finite exact measure.  Then
 one body (`_paired_atoms`) sums c·C(Z, n) over the product atoms on
 integers: no v_p(n!) is lost, so the precision can exceed the moment
-route's.
+route's.  That route and its gates read only a measure's `atoms`, `order`,
+`finite` and `prime`, so an avatar family member, whose `mahler` is built
+on its first read (`Measure._deferred`), is paired without building it.
 """
 
 from __future__ import annotations
@@ -113,12 +115,25 @@ def _dot(row, xs, res, P=INF):
     return 0 if P is INF else PadicScalar._make(p, 0, total, P)
 
 
-class Measure(Frozen):
+class _Deferrable(Frozen):
+    """The slot that a deferred `Measure` keeps its recipe in, outside
+    `Measure.__slots__`, so that it is no field."""
+
+    __slots__ = ("_recipe",)
+
+
+class Measure(_Deferrable):
     """A bounded measure on Z_p, known through its first `order` Mahler
     coefficients; `finite` marks a complete expansion (all higher a_n = 0).
     `atoms`, None or a tuple of (c, z) for µ = Σ c·δ_z, is set only by
     derived builds (avatar family members and their scalings), as the
-    public constructor cannot check it; copies keep it, and `==` ignores it."""
+    public constructor cannot check it; copies keep it, and `==` ignores it.
+
+    An avatar family member (`_deferred`) keeps a recipe (build, order) in a
+    slot outside `__slots__`, so in no field, None for any other measure:
+    `order` reads it, and `mahler` is filled with build() on its first read
+    (`__getattr__`), by `==`, `repr` and `_fields()` too.  Threads that read
+    it first at once may each build it; they build equal tuples."""
 
     __slots__ = ("prime", "mahler", "finite", "atoms")
 
@@ -138,14 +153,44 @@ class Measure(Frozen):
                                    "this is a distribution, not a measure")
         self._set(prime, mahler, finite, None)
 
+    def _set(self, *fields):
+        """Every field, and no recipe."""
+        super()._set(*fields)
+        object.__setattr__(self, "_recipe", None)
+
+    @classmethod
+    def _deferred(cls, prime: int, atoms: tuple, build, order: int) -> "Measure":
+        """The truncated measure Σ c·δ_z of these atoms whose `order`
+        coefficients build() gives, unchecked, unbuilt until first read."""
+        value = object.__new__(cls)
+        for name, field in zip(("prime", "finite", "atoms", "_recipe"),
+                               (prime, False, atoms, (build, order))):
+            object.__setattr__(value, name, field)
+        return value
+
+    def __getattr__(self, name):
+        """Reached only for a field that is not set: a deferred `mahler`,
+        built and stored here.  The recipe becomes one that returns the
+        stored tuple, which frees the family's shared series: a thread that
+        reads it after this gets that tuple, one that read it before builds
+        an equal one."""
+        if name != "mahler":
+            raise AttributeError(f"'Measure' object has no attribute {name!r}")
+        mahler = self._recipe[0]()
+        object.__setattr__(self, "mahler", mahler)
+        object.__setattr__(self, "_recipe", (lambda: mahler, len(mahler)))
+        return mahler
+
     @property
     def order(self) -> int:
-        return len(self.mahler)
+        recipe = self._recipe
+        return len(self.mahler) if recipe is None else recipe[1]
 
     def support_degree(self) -> int:
         """Largest index with a nonzero stored coefficient."""
-        for n in range(self.order - 1, -1, -1):
-            if self.mahler[n] != 0:
+        mahler = self.mahler
+        for n in range(len(mahler) - 1, -1, -1):
+            if mahler[n] != 0:
                 return n
         return 0
 
@@ -422,9 +467,7 @@ def pairing_measure(pairs, r_max: int) -> Measure:
         raise InvalidInput("need at least one pair")
     p = pairs[0][0].prime
     h = len(pairs)
-    padic_mode = any(isinstance(a, PadicScalar) for m1, m2 in pairs
-                     for a in m1.mahler + m2.mahler)
-    if padic_mode and h % p == 0:
+    if h % p == 0 and any(map(_has_padic, (mu for pair in pairs for mu in pair))):
         raise InvalidInput("class count divisible by p in p-adic-only mode")
     if any(m1.prime != p or m2.prime != p for m1, m2 in pairs):
         raise InvalidInput("prime mismatch")
@@ -439,6 +482,15 @@ def pairing_measure(pairs, r_max: int) -> Measure:
     if h > 1:  # a pushforward's one pair is not multiplied by 1/1
         b = [exact(m * Fraction(1, h)) for m in b]
     return mahler_from_moments(b, p)
+
+
+def _has_padic(mu: Measure) -> bool:
+    """Whether a coefficient of µ is a PadicScalar, read off its atoms when
+    it has them: every setter of `atoms` gives PadicScalar coefficients
+    exactly when an atom holds a PadicScalar."""
+    if mu.atoms:
+        return any(type(x) is PadicScalar for atom in mu.atoms for x in atom)
+    return any(isinstance(a, PadicScalar) for a in mu.mahler)
 
 
 def _paired_atoms(pairs, r_max: int, p: int, h: int) -> Measure:

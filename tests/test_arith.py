@@ -49,6 +49,24 @@ class TestIsprime:
         for n in samples:
             assert arith.isprime(n) == sympy.isprime(n), n
 
+    def test_lucas_refusals_of_a_square_and_of_a_shared_factor(self, monkeypatch):
+        # (D/n) is never -1 for a square n, so without its guard the search
+        # for D would not end; 1093**2, a square that passes the base-2
+        # Fermat test, lies below the Miller-Rabin bound of `isprime`, so
+        # the test is called directly.  5 * 53 gives (D/n) = 0 at D = 5,
+        # which ends the search at once.
+        n = 1093 ** 2
+        assert pow(2, n - 1, n) == 1 and not arith.isprime(n) and not sympy.isprime(n)
+        calls, jacobi = [], arith.jacobi
+
+        def counted(a, m):
+            calls.append(a)
+            assert len(calls) < 100, "the search for D does not end"
+            return jacobi(a, m)
+        monkeypatch.setattr(arith, "jacobi", counted)
+        assert arith._strong_lucas_probable_prime(n) is False and calls == []
+        assert arith._strong_lucas_probable_prime(5 * 53) is False and calls == [5]
+
     @pytest.mark.parametrize("bad", [True, 3.0, Fraction(3), "7"])
     def test_non_integers_are_rejected(self, bad):
         with pytest.raises(ValueError):

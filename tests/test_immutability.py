@@ -8,8 +8,10 @@ function of its arguments' fields: on a value and on each of its rebuilds it
 gives the same fields and types, or the same exception and message."""
 
 import copy
+import json
 import pickle
 import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from types import MappingProxyType
@@ -18,6 +20,7 @@ import pytest
 
 from mahler.archimedean import LocalFactorParams, PiPolynomial
 from mahler.errors import Frozen, InvalidInput, PrecisionExhausted
+from mahler import heckechar
 from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
                               WeightFunction, admissible_embedding,
                               avatar_measure_family, characters, class_group,
@@ -26,8 +29,9 @@ from mahler.measure import (Measure, cell_mass, dirac, integrate_step, moments,
                             mult_pushforward, pairing_measure, plus_basis, restrict_to_units)
 from mahler.modform import (DirichletCharacter, NearlyHolomorphic, QExpansion,
                             delta_qexpansion, p_deplete, u_operator, v_operator)
-from mahler.padic import PadicScalar, TruncatedSeries, binomial_series, factorial_valuation
+from mahler.padic import INF, PadicScalar, TruncatedSeries, binomial_series, factorial_valuation
 from mahler.quaternion import HashimotoData, MatrixEmbedding, QuaternionAlgebra
+from mahler.serialize import decode_measure, encode_measure
 from paper_oracles import family_cases
 from test_precision_oracle import generate, truncated
 
@@ -48,6 +52,8 @@ VALUES = {
     "PadicScalar zero mod 7^6": lambda: PadicScalar.zero(7, 6),
     "PadicScalar exact zero": lambda: PadicScalar.zero(7),
     "Measure of zeros": lambda: Measure(7, [PadicScalar.zero(7, 6), PadicScalar.zero(7)]),
+    # a member whose `mahler` is built on first read
+    "Measure family member": lambda: family_pairs()[1][1][0],
 }
 
 RECORDS = {
@@ -74,6 +80,7 @@ CHANGED = {
     "PadicScalar zero mod 7^6": lambda: PadicScalar.zero(5, 6),
     "PadicScalar exact zero": lambda: PadicScalar.zero(5),
     "Measure of zeros": lambda: Measure(7, [PadicScalar.zero(7, 6), PadicScalar.zero(7)], True),
+    "Measure family member": lambda: family_pairs()[1][1][1],
     "QuaternionAlgebra": lambda: QuaternionAlgebra(-1, -3),
     "HashimotoData": lambda: HashimotoData(6, 5, 3),
     "MatrixEmbedding": lambda: MatrixEmbedding(((0, 1), (-4, 0)), 2),
@@ -323,6 +330,136 @@ def test_copies_of_a_family_member_keep_the_atoms_and_pair_to_the_same_fields():
         assert exactly(pairing_measure(copies, 8)) == exactly(atoms)
 
 
+# -- a family member builds its coefficients on first read --------------------
+
+def unfilled(mu: Measure) -> bool:
+    """Whether the `mahler` slot of µ is still unset, read without filling it."""
+    try:
+        Measure.mahler.__get__(mu)
+    except AttributeError:
+        return True
+    return False
+
+
+def test_an_unfilled_member_refuses_assignment_and_deletion_of_every_field():
+    mu = family_pairs()[1][1][0]
+    assert unfilled(mu)
+    for field in [*type(mu).__slots__, "_recipe", "other"]:
+        with pytest.raises(AttributeError):
+            setattr(mu, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(mu, field)
+    assert unfilled(mu) and mu.order == 12
+    assert mu == family_pairs()[1][1][0]
+
+
+def test_an_unfilled_member_reads_and_rebuilds_as_its_filled_twin():
+    def member():
+        mu = family_pairs()[1][1][0]
+        assert unfilled(mu)
+        return mu
+    twin = member()
+    assert type(twin.mahler) is tuple and not unfilled(twin)
+    want = exactly(twin)
+    assert exactly(member()) == want  # through `_fields()`
+    assert member() == twin and twin == member() and not member() != twin
+    assert repr(member()) == repr(twin)
+    for how, rebuild in REBUILDS.items():
+        assert exactly(rebuild(member())) == want, how
+
+
+def test_reading_mahler_twice_gives_the_same_tuple():
+    mu = family_pairs()[1][1][0]
+    first = mu.mahler
+    assert type(first) is tuple and len(first) == 12 and mu.mahler is first
+
+
+def test_reading_the_other_fields_and_pairing_build_no_series(monkeypatch):
+    _, pairs = family_pairs()
+    members = [mu for pair in pairs for mu in pair]
+    # the identity class has the avatar 1: its series, which could refuse,
+    # was built at the call; every other lift is at least order - 1
+    lifts = [mu.atoms[0][1].unit for mu in members]
+    assert lifts[:2] == [1, 1] and min(lifts[2:]) >= 11
+    calls = []
+    fields = heckechar._binomial_fields
+    monkeypatch.setattr(heckechar, "_binomial_fields",
+                        lambda *args: calls.append(args) or fields(*args))
+    assert [(mu.order, mu.prime, mu.finite) for mu in members] == [(12, 7, False)] * 6
+    assert all(type(mu.atoms) is tuple for mu in members)
+    pairing_measure(pairs, 8)
+    pairing_measure(pairs, 11)
+    # seven pairs at p = 7: the p-adic gate reads the atoms, not `mahler`
+    with pytest.raises(InvalidInput, match="class count divisible by p"):
+        pairing_measure((pairs * 3)[:7], 8)
+    assert calls == [] and all(map(unfilled, members))
+    members[0].mahler  # from the series built at the call
+    assert calls == []
+    members[2].mahler
+    assert len(calls) == 1 and unfilled(members[3])
+
+
+def test_two_threads_reading_at_once_build_equal_tuples(monkeypatch):
+    # both threads are held inside the build until each has entered it
+    barrier, build = threading.Barrier(2, timeout=10), heckechar._scaled_fields
+
+    def held(*args):
+        barrier.wait()
+        return build(*args)
+    monkeypatch.setattr(heckechar, "_scaled_fields", held)
+    mu = family_pairs()[1][1][0]
+    got = [None, None]
+
+    def read(i):
+        got[i] = mu.mahler
+    threads = [threading.Thread(target=read, args=(i,)) for i in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got[0] == got[1] and got[0] is not got[1]
+    assert any(mu.mahler is tuple_ for tuple_ in got)
+    assert mu.mahler is mu.mahler and mu.order == 12
+
+
+def test_many_threads_reading_a_family_at_once_see_its_filled_fields():
+    # five fresh families, each read by eight threads on two vCPUs switching
+    # every microsecond, every member by each, starting at different ones; a
+    # thread may store its own build over another's, so reads are equal,
+    # not one object, until every build is stored
+    want = [exactly(mu.mahler) for pair in family_pairs()[1] for mu in pair]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            members = [mu for pair in family_pairs()[1] for mu in pair]
+            seen = [None] * 8
+
+            def read(i):
+                seen[i] = [exactly(members[(i + k) % 6].mahler) for k in range(6)]
+            threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert seen == [want[i % 6:] + want[:i % 6] for i in range(8)]
+            assert all(mu.mahler is mu.mahler for mu in members)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_pairing_before_and_after_reading_gives_identical_fields():
+    _, pairs = family_pairs()
+    paired_first = exactly(pairing_measure(pairs, 11))
+    read_after = [exactly(mu) for pair in pairs for mu in pair]
+    _, pairs = family_pairs()
+    read_first = [exactly(mu) for pair in pairs for mu in pair]
+    assert read_first == read_after
+    assert exactly(pairing_measure(pairs, 11)) == paired_first
+
+
 # -- every transform is a function of its arguments' fields ------------------
 
 REBUILDS = {
@@ -422,3 +559,71 @@ def test_found_80_copies_and_scalings_by_one_pair_as_the_originals():
     for rebuild in (*REBUILDS.values(), lambda mu: mu.scale(1)):
         copies = ([rebuild(mu) for mu in family] for family in families)
         assert exactly(pairing_measure(list(zip(*copies)), 47)) == want
+
+
+# -- the JSON round trip -------------------------------------------------------
+
+def no_more_precise(got, want, p: int) -> bool:
+    """got agrees with want mod the lesser precision and is known to no more:
+    measures field by field, lists entry by entry, an exact value as known
+    to INF."""
+    if type(want) is Measure:
+        return type(got) is Measure and (got.prime, got.finite) == (want.prime, want.finite) \
+            and no_more_precise(got.mahler, want.mahler, p)
+    if type(want) in (tuple, list):
+        return type(got) is type(want) and len(got) == len(want) and all(
+            no_more_precise(x, y, p) for x, y in zip(got, want))
+    N, M = (x.precision if type(x) is PadicScalar else INF for x in (got, want))
+    diff = Fraction(got.lift() if type(got) is PadicScalar else got) \
+        - Fraction(want.lift() if type(want) is PadicScalar else want)
+    return N <= M and (diff == 0 or N is not INF and diff.numerator % p ** N == 0)
+
+
+def attempt(fn, value):
+    try:
+        return fn(value)
+    except (InvalidInput, PrecisionExhausted) as exc:
+        return exc
+
+
+def test_json_round_trips_agree_and_are_never_more_precise():
+    """`decode_measure(encode_measure(mu))` over the measures of VALUES, 40
+    of the precision oracle's seeded measures and their truncations, and
+    filled and unfilled avatar family members: the coefficients and each
+    transform's result agree with the original's mod the lesser precision,
+    the decoded side never known to more.  A refusal is the same refusal;
+    only a measure with atoms, which the format does not carry, may be
+    refused where the original is not (it then pairs through moments, as
+    `mahler measure pair` reads it).  About 2 s on two shared vCPUs."""
+    corpus = [make() for name, make in VALUES.items() if name.split()[0] == "Measure"]
+    for _, mu, precisions in generate(count=40):
+        corpus += [mu, truncated(mu, precisions)]
+    _, pairs = family_pairs()
+    filled = [mu for pair in pairs for mu in pair]
+    for mu in filled:
+        mu.mahler
+    corpus += filled
+    for chi0, chi, emb, order in list(family_cases())[::10]:
+        try:
+            corpus += avatar_measure_family(chi0, chi, emb, order)
+        except (InvalidInput, PrecisionExhausted):
+            continue
+    unbuilt = 0
+    for mu in corpus:
+        was_unfilled = unfilled(mu)
+        encoded = encode_measure(mu)
+        if was_unfilled:
+            unbuilt += 1
+            twin = type(mu)._from_fields(*mu._fields())
+            assert json.dumps(encode_measure(twin)) == json.dumps(encoded)
+        decoded = decode_measure(json.loads(json.dumps(encoded)))
+        assert decoded == mu and no_more_precise(decoded, mu, mu.prime)
+        for name, fn in transforms(mu).items():
+            want, got = attempt(fn, mu), attempt(fn, decoded)
+            if isinstance(want, Exception):
+                assert (type(got), str(got)) == (type(want), str(want)), (name, mu)
+            elif isinstance(got, Exception):
+                assert mu.atoms is not None, (name, mu)
+            else:
+                assert no_more_precise(got, want, mu.prime), (name, mu)
+    assert len(corpus) > 150 and unbuilt > 100 and not any(map(unfilled, corpus))

@@ -53,6 +53,13 @@ def test_submodule(module):
     assert module in dir(mahler)
 
 
+def test_module_getattr_imports_a_submodule():
+    # `from mahler import measure` reaches the hook only before the module
+    # is imported; called directly, it returns the module
+    for module in EXPORTED:
+        assert mahler.__getattr__(module) is importlib.import_module(f"mahler.{module}")
+
+
 def test_version_and_unknown_name():
     assert mahler.__version__ == "0.1.0"
     with pytest.raises(AttributeError):
