@@ -50,7 +50,7 @@ class Frozen:
         """The value with these fields, unchecked, a dict as a read-only map:
         a copy, an unpickled value, or one derived from checked values."""
         value = object.__new__(cls)
-        value._set(*(MappingProxyType(f) if type(f) is dict else f for f in fields))
+        value._set(*[MappingProxyType(f) if type(f) is dict else f for f in fields])
         return value
 
     def _fields(self) -> tuple:

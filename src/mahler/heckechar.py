@@ -6,7 +6,10 @@ All algebraic values live in the tower Q(sqrt(d))(zeta_m), stored in the group
 ring Q(sqrt(d))[z]/(z^m - 1) with coefficients in `padic.exact` normal form (int
 while integral, else Fraction); their `coeffs`, the form reduced mod Phi_m, is
 what equality, printing and encoding read. Arithmetic is exact throughout, and
-every pairing is one sum, divided by h once (a count, for characters).
+every pairing is one sum, divided by h once.  For characters the sum is a
+count of exponents: in a layer m small enough that the factors' exponents add
+within one byte, the exponent rows are added as packed ints and reduced mod m
+by one `bytes.translate`, so a pairing costs a few C-level passes whatever h.
 
 A p-adic embedding maps a value to one PadicScalar known mod p^prec: the sum
 of (a_k + b_k s) zeta^k over the group-ring terms is taken on integers mod
@@ -20,9 +23,11 @@ PadicScalar per coefficient and one binomial series per distinct avatar.
 from __future__ import annotations
 
 import math
+import sys
 from array import array
 from fractions import Fraction
 from functools import cache, lru_cache, partial
+from itertools import repeat
 from types import MappingProxyType
 
 from .arith import (cyclotomic_coeffs, factorint, fundamental_decomposition,
@@ -493,28 +498,67 @@ def characters(G: IdealClassGroup):
     return [_from_row(G, m, row) for row in sorted(chars)]
 
 
+_LOW = 1 if sys.byteorder == "big" else 0  # the low byte's offset in an "H" lane
+
+
+@lru_cache(maxsize=64)
+def _residue_table(m: int) -> bytes:
+    """The `bytes.translate` table b -> b mod m, m < 256."""
+    return bytes(b % m for b in range(256))
+
+
+@lru_cache(maxsize=1024)
+def _share(n: int, h: int) -> tuple:
+    """The term (n/h, 0) of a count n >= 1 of h classes, in `exact` normal form."""
+    return (n // h if n % h == 0 else Fraction(n, h), 0)
+
+
 def _class_sum(phi1: WeightFunction, phi2: WeightFunction, *twist: WeightFunction):
     """(1/h) Σ_s φ1(I_s) φ2(I_s) Π ψ(I_s) over the twists ψ when the weights of
     φ1 and φ2 cancel, else exact 0: (1/h) Σ_k n_k z^k, n_k the number of
     classes whose exponents add to k mod m, when every factor has exponents;
     else the per-class products and their sum are taken with `AlgebraicValue`'s
     `*` and `+` and scaled by 1/h.  A value that is not an AlgebraicValue is
-    coerced first, as `_align` coerces it."""
+    coerced first, as `_align` coerces it.
+
+    The count packs when the f factors' exponents, each < m, add below 256,
+    f·(m - 1) < 256: each row's "H" bytes are read as one int in native byte
+    order, as `array` stores them, and the ints added, so every 16-bit lane
+    holds its class's sum in its low byte, with no carry; one
+    `bytes.translate` reduces those bytes mod m.  The keys are the low bytes
+    in first occurrence, as a per-class walk meets them, and one `count` each
+    gives n_k.  A wider layer counts class by class.  Either way the shares
+    n_k/h come from a cache keyed on (n, h); when all n_k are equal, as for
+    characters, whose product is a homomorphism, every key takes one share.
+    The value is built once."""
     G = phi1.group
-    if any(phi.group.discriminant != G.discriminant for phi in (phi2, *twist)):
-        raise InvalidInput("group mismatch")
+    D = G.discriminant
+    for phi in (phi2, *twist):
+        if phi.group.discriminant != D:
+            raise InvalidInput("group mismatch")
     d = G.order_data.d_K
-    if (phi1.weight[0] + phi2.weight[0], phi1.weight[1] + phi2.weight[1]) != (0, 0):
+    (a1, b1), (a2, b2) = phi1.weight, phi2.weight
+    if a1 + a2 or b1 + b2:
         return AlgebraicValue.from_rational(0, d, 1)
     h = G.h
     phis = (phi1, phi2, *twist)
-    if all(phi.exponents for phi in phis):  # all valued in the layer G.exponent
-        m, counts = phi1.values[0].m, {}
-        for e in map(sum, zip(*(memoryview(phi.exponents).cast("H") for phi in phis))):
-            counts[e % m] = counts.get(e % m, 0) + 1
+    exponents = [phi.exponents for phi in phis]
+    if all(exponents):  # all valued in the layer G.exponent
+        m = phi1.values[0].m
+        if len(exponents) * (m - 1) < 256:  # every lane's sum fits its low byte
+            packed = sum(map(int.from_bytes, exponents, repeat(sys.byteorder)))
+            lows = packed.to_bytes(2 * h, sys.byteorder).translate(_residue_table(m))[_LOW::2]
+            keys = dict.fromkeys(lows)
+            counts = list(map(lows.count, keys))
+        else:
+            keys = {}
+            for e in map(sum, zip(*(memoryview(row).cast("H") for row in exponents))):
+                keys[e % m] = keys.get(e % m, 0) + 1
+            counts = list(keys.values())
         # every count is >= 1, so every share is in `exact` normal form and nonzero
-        shares = {n: (n // h if n % h == 0 else Fraction(n, h), 0) for n in set(counts.values())}
-        return AlgebraicValue._from_fields(d, m, {k: shares[n] for k, n in counts.items()})
+        if counts.count(counts[0]) == len(counts):  # always for characters
+            return AlgebraicValue._from_fields(d, m, dict.fromkeys(keys, _share(counts[0], h)))
+        return AlgebraicValue._from_fields(d, m, dict(zip(keys, map(_share, counts, repeat(h)))))
     rows = [[v if isinstance(v, AlgebraicValue) else AlgebraicValue.from_rational(v, d, 1)
              for v in phi.values] for phi in phis]
     total = sum((math.prod(rest, start=first) for first, *rest in zip(*rows)),

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/pairing_digest.py [--limit-chars 3000] [--limit-pairs 1200]
 
-Five digests, one per line:
+Six digests, one per line:
 
 * `character-terms`: d, m and the group-ring terms, in stored order, of every
   value of every character of every discriminant D with |D| <= limit-chars,
@@ -30,11 +30,15 @@ Five digests, one per line:
   series are refused), a character as chi and as chi0 a character, a
   character with one zero value, the non-p-integral constant 1/p or a
   character scaled by a seeded rational.
+* `wide-pairing-terms`: d, m and the stored terms of `pairing(a, b)` and
+  `twisted_pairing(a, b, psi)` for seeded characters a, b and psi at
+  D = -4679 and -8399 (h = m = 91 and 134), where the factors' exponents
+  can add past one byte.
 
 Two trees compute the same characters, pairings and avatar families, term
 for term, when they print the same `character-terms`, `pairing-terms`,
-`weight-function-terms` and `avatar-family` lines.  The defaults take about
-half a minute on one core.
+`weight-function-terms`, `avatar-family` and `wide-pairing-terms` lines.
+The defaults take about half a minute on one core.
 """
 
 import argparse
@@ -48,6 +52,8 @@ from mahler.padic import PadicScalar
 from paper_oracles import family_cases, family_outcome
 
 EXTRA_DISCS = (-1999999,)
+WIDE_DISCS = (-4679, -8399)
+WIDE_PAIRS = 2000
 WEIGHT_FUNCTION_DISCS = (-23, -39, -47, -56, -84, -104, -263, -407)
 
 
@@ -145,6 +151,14 @@ def main(argv=None) -> int:
     for case in family_cases():
         families.update(repr(family_outcome(avatar_measure_family, *case)).encode())
     print("avatar-family", families.hexdigest())
+
+    wide, rng = hashlib.sha256(), random.Random("wide-pairing-digest")
+    for D in WIDE_DISCS:
+        chars = characters(class_group(D))
+        for _ in range(WIDE_PAIRS):
+            a, b, psi = (chars[rng.randrange(len(chars))] for _ in range(3))
+            wide.update(stored(pairing(a, b)) + stored(twisted_pairing(a, b, psi)))
+    print("wide-pairing-terms", wide.hexdigest())
     return 0
 
 

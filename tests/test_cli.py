@@ -344,6 +344,25 @@ class TestImportFloor:
                            "print(sorted(m for m in sys.modules if m.startswith('mahler')))")
         assert last == "['mahler']"
 
+    def test_measure_and_modform_load_six_modules(self):
+        last = self.python("import sys\n"
+                           "from mahler import measure, modform\n"
+                           "print(sorted(m for m in sys.modules if m.startswith('mahler')))")
+        assert last == str(['mahler', 'mahler.arith', 'mahler.errors', 'mahler.measure',
+                            'mahler.modform', 'mahler.padic'])
+
+    def test_heckechar_loads_its_floor(self):
+        """heckechar loads four mahler modules and no module beyond them: the
+        standard modules that it, arith, errors, padic and the package name
+        are imported first, so what start-up happens to load does not count."""
+        last = self.python("import __future__, array, fractions, functools, importlib\n"
+                           "import itertools, math, operator, sys, types\n"
+                           "before = set(sys.modules)\n"
+                           "from mahler import heckechar\n"
+                           "print(sorted(set(sys.modules) - before))")
+        assert last == str(['mahler', 'mahler.arith', 'mahler.errors', 'mahler.heckechar',
+                            'mahler.padic'])
+
     @pytest.mark.parametrize("argv, absent", [
         (["padic", "factorial-valuation", "--n", "25", "--p", "5"],
          ["archimedean", "heckechar", "measure", "modform", "quaternion", "serialize"]),

@@ -60,6 +60,13 @@ class TestClassGroups:
     def test_h_minus_4(self):
         assert class_group(-4).h == 1
 
+    def test_composition_guard(self, monkeypatch):
+        """A composition that leaves the reduced forms is refused as a broken
+        invariant, not taken as a class."""
+        monkeypatch.setattr(heckechar, "compose_forms", lambda f1, f2, D: (1, 0, -D))
+        with pytest.raises(AssertionError, match="^composition left the reduced set$"):
+            class_group(-23)
+
     def test_h_minus_47_cyclic(self):
         G = class_group(-47)
         assert G.h == 5
@@ -315,6 +322,20 @@ class TestCharacters:
                   for chi in characters(G)]
         assert (G.h, G.exponent, tables) == (golden["h"], golden["m"], golden["tables"])
 
+    @pytest.mark.parametrize("field, corrupt", [
+        ("exponent", lambda m: 2),  # 3, the generator's order, does not divide 2
+        ("chain", lambda chain: ((chain[0][0], 2, chain[0][2]),)),  # 2 does not divide 3
+    ])
+    def test_extension_guard(self, field, corrupt):
+        """A class group whose chain and exponent disagree breaks the
+        extension step's arithmetic, which refuses it."""
+        G = class_group(-23)
+        fields = dict(zip(type(G).__slots__, G._fields()))
+        fields[field] = corrupt(fields[field])
+        broken = type(G)._from_fields(*fields.values())
+        with pytest.raises(AssertionError, match="^character extension arithmetic broke$"):
+            characters(broken)
+
     def test_orthogonality_up_to_200(self):
         for D in ALL_DISCS_200:
             G = class_group(D)
@@ -356,19 +377,23 @@ class TestPairing:
                             assert value.is_zero()
 
     @staticmethod
-    def product_sum(phi1, phi2):
-        """Oracle: (1/h) Σ_s φ1(I_s) φ2(I_s) as h group-ring products."""
+    def product_sum(phi1, *phis):
+        """Oracle: (1/h) Σ_s φ1(I_s) φ2(I_s)... as h group-ring products,
+        each taken left to right."""
         d = phi1.group.order_data.d_K
         total = AlgebraicValue.from_rational(0, d, 1)
-        for a, b in zip(phi1.values, phi2.values):
-            total = total + a * b
+        for first, *rest in zip(phi1.values, *(phi.values for phi in phis)):
+            for b in rest:
+                first = first * b
+            total = total + first
         return total.scale(Fraction(1, phi1.group.h))
 
     @staticmethod
     def same(x, y):
-        """Equal as stored and as printed: d, m, terms, repr, encoding."""
-        return (x.d, x.m, x.terms, repr(x), encode_algebraic(x)) == \
-            (y.d, y.m, y.terms, repr(y), encode_algebraic(y))
+        """Equal as stored and as printed: d, m, terms in stored order, repr,
+        encoding."""
+        return (x.d, x.m, list(x.terms.items()), repr(x), encode_algebraic(x)) == \
+            (y.d, y.m, list(y.terms.items()), repr(y), encode_algebraic(y))
 
     @staticmethod
     def normal(x):
@@ -443,7 +468,10 @@ class TestPairing:
                 for a, b, t in ((phi1, phi2, psi), (phi1, phi2, chars[-1]),
                                 (psi, chars[1], phi3), (phi3, psi, psi)):
                     value = twisted_pairing(a, b, t)
-                    assert self.same(value, self.product_sum(a, t * b))
+                    # the terms of Σ (φ1 φ2) ψ, in the order that sum meets
+                    # them; Σ φ1 (ψ φ2) has the same terms, in another order
+                    assert self.same(value, self.product_sum(a, b, t))
+                    assert value.terms == self.product_sum(a, t * b).terms
                     assert self.normal(value)
                 assert pairing(phi1, psi).is_zero()  # the weights do not cancel
                 assert twisted_pairing(phi1, psi, chars[1]).is_zero()
@@ -536,6 +564,107 @@ class TestPairing:
         for call in (lambda: pairing(padic, chi), lambda: self.product_sum(padic, chi)):
             with pytest.raises(TypeError):
                 call()
+
+    @staticmethod
+    def class_count(*phis):
+        """Oracle: the stored terms of a character sum, (n_k/h, 0) for the
+        number n_k of classes whose exponents add to k mod m, keyed in the
+        order a walk over the classes first meets k."""
+        G = phis[0].group
+        counts = {}
+        for values in zip(*(phi.values for phi in phis)):
+            k = sum(next(iter(v.terms)) for v in values) % G.exponent
+            counts[k] = counts.get(k, 0) + 1
+        return [(k, (exact(Fraction(n, G.h)), 0)) for k, n in counts.items()]
+
+    @staticmethod
+    def stored(x):
+        """The stored terms with the type of each coefficient."""
+        return [(k, (a, b), type(a), type(b)) for k, (a, b) in x.terms.items()]
+
+    @staticmethod
+    def packed(monkeypatch):
+        """A list of the layers m whose byte table the packed count reads from now on."""
+        calls = []
+        table = heckechar._residue_table
+
+        def counted(m):
+            calls.append(m)
+            return table(m)
+        monkeypatch.setattr(heckechar, "_residue_table", counted)
+        return calls
+
+    @pytest.mark.parametrize("D, m, packs", [
+        (-4679, 91, (True, False)),    # 2·90 = 180, 3·90 = 270
+        (-8399, 134, (False, False)),  # 2·133 = 266
+        (-6767, 86, (True, True)),     # 3·85 = 255
+        (-5279, 87, (True, False)),    # 3·86 = 258
+        (-13295, 128, (True, False)),  # 2·127 = 254
+        (-9551, 129, (False, False)),  # 2·128 = 256
+    ])
+    def test_wide_layers(self, monkeypatch, D, m, packs):
+        """At h = m, the count of a plain and of a twisted pairing packs
+        exactly when its f factors' exponents add below 256, f·(m - 1) < 256.
+        On either side of that bound a seeded sample equals the group-ring
+        sum, in stored order and coefficient type, and seeded rows equal the
+        class count oracle."""
+        G = class_group(D)
+        chars = characters(G)
+        assert (G.h, G.exponent) == (m, m)
+        rng = random.Random(D)
+        for _ in range(3):
+            a, b, psi = (chars[rng.randrange(m)] for _ in range(3))
+            plain, twisted = pairing(a, b), twisted_pairing(a, b, psi)
+            assert self.same(plain, self.product_sum(a, b)) and self.normal(plain)
+            assert self.same(twisted, self.product_sum(a, b, psi)) and self.normal(twisted)
+        for a in rng.sample(chars, 2):
+            psi = chars[rng.randrange(m)]
+            for b in chars:
+                calls = self.packed(monkeypatch)
+                plain = pairing(a, b)
+                packed_plain = calls == [m]
+                twisted = twisted_pairing(a, b, psi)
+                assert (packed_plain, calls == [m] * (1 + packed_plain)) == packs
+                monkeypatch.undo()
+                assert self.stored(plain) == [(k, t, type(t[0]), int)
+                                              for k, t in self.class_count(a, b)]
+                assert self.stored(twisted) == [(k, t, type(t[0]), int)
+                                                for k, t in self.class_count(a, b, psi)]
+
+    @pytest.mark.parametrize("D", [-23, -263, -4679])
+    def test_counts_that_are_not_uniform(self, D):
+        """A weight function of roots of unity whose exponent row is no
+        homomorphism: its sums meet their exponents unevenly, and each key
+        gets its own count."""
+        G = class_group(D)
+        d, m, h = G.order_data.d_K, G.exponent, G.h
+        chars = characters(G)
+        rng = random.Random(D)
+        roots = [AlgebraicValue.root_of_unity(e, d, m) for e in range(m)]
+        rows = [[0, 0, 1]] if h == 3 else [[rng.randrange(m) for _ in range(h)] for _ in range(2)]
+        phis = [WeightFunction(G, (0, 0), [roots[e] for e in row]) for row in rows]
+        uneven = 0
+        for phi in phis:
+            assert phi.exponents is not None
+            for factors in ((phi, chars[0]), (chars[-1], phi), (phi, phi),
+                            (phi, chars[1], chars[-1]), (phi, phi, phi)):
+                value = pairing(*factors) if len(factors) == 2 else twisted_pairing(*factors)
+                assert self.same(value, self.product_sum(*factors)) and self.normal(value)
+                assert self.stored(value) == [(k, t, type(t[0]), int)
+                                              for k, t in self.class_count(*factors)]
+                uneven += len(set(value.terms.values())) > 1
+        assert uneven >= 3
+
+    @pytest.mark.parametrize("D", [-3, -4, -23, -84, -4679, -8399])
+    def test_trivial_products_are_one_term(self, D):
+        """A trivial product meets one key, 0, in every class: the term
+        (1, 0), its coefficients ints."""
+        chars = characters(class_group(D))
+        rng = random.Random(D)
+        for a in rng.sample(chars, min(len(chars), 4)):
+            b = chars[rng.randrange(len(chars))]
+            for value in (pairing(a, a.inverse()), twisted_pairing(a, b, (a * b).inverse())):
+                assert self.stored(value) == [(0, (1, 0), int, int)]
 
     def test_column_orthogonality_sum(self):
         G = class_group(-23)
