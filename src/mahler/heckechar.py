@@ -15,9 +15,11 @@ A p-adic embedding maps a value to one PadicScalar known mod p^prec: the sum
 of (a_k + b_k s) zeta^k over the group-ring terms is taken on integers mod
 p^prec, s and zeta the Hensel lifts of sqrt(d) and of the root of unity, as
 `padic`'s `+` and `*` would take it term by term; a value with a coefficient
-that is not p-integral is embedded in PadicScalar arithmetic.  The avatar
-measure family forms each Mahler coefficient c0·C(Z, n) on integers, one
-PadicScalar per coefficient and one binomial series per distinct avatar.
+that is not p-integral is embedded in PadicScalar arithmetic.  The avatars
+of a weight function with an exponent row are read from one cached table
+of the embedded roots of its layer.  The avatar measure family forms each
+Mahler coefficient c0·C(Z, n) on integers, one PadicScalar per coefficient
+and one binomial series per distinct avatar.
 """
 
 from __future__ import annotations
@@ -706,8 +708,30 @@ class PadicEmbedding(Frozen):
 
 def padic_avatar(phi: WeightFunction, embedding: PadicEmbedding):
     """Embed every class value of a weight function; the result is the avatar
-    restricted to the chosen class representatives."""
-    return [embedding.embed(v) for v in phi.values]
+    restricted to the chosen class representatives.  A weight function with
+    `exponents` in a layer m that divides `embedding.m` reads each z^e from
+    one table of the embedded roots (`_row_avatars`), field for field what
+    `embed` gives; any other is embedded value by value."""
+    row = _row_avatars(phi, embedding)
+    return [embedding.embed(v) for v in phi.values] if row is None else row
+
+
+@lru_cache(maxsize=64)
+def _embedded_roots(p: int, prec: int, m_emb: int, zeta_lift, m: int) -> tuple:
+    """The images of z^e, e < m, in an embedding of layer m_emb, a multiple
+    of m: z^e is promoted to z^(e·m_emb/m), which `embed` maps to the power
+    of zeta_lift (None for m_emb = 1) made one PadicScalar known mod p^prec."""
+    zeta, mod, t = zeta_lift or 1, p ** prec, m_emb // m
+    return tuple(PadicScalar._make(p, 0, pow(zeta, e * t, mod), prec) for e in range(m))
+
+
+def _row_avatars(phi: WeightFunction, emb: PadicEmbedding):
+    """`padic_avatar` of phi read from its exponent row, when it has one in a
+    layer that divides the embedding's; else None."""
+    if phi.exponents is None or emb.m % phi.values[0].m:
+        return None
+    roots = _embedded_roots(emb.prime, emb.precision, emb.m, emb.zeta_lift, phi.values[0].m)
+    return [roots[e] for e in memoryview(phi.exponents).cast("H")]
 
 
 def admissible_embedding(G: IdealClassGroup, prime: int, precision: int,
@@ -741,10 +765,13 @@ def avatar_measure_family(chi0: WeightFunction, chi: WeightFunction,
     as `dirac(z, p, order).scale(c0)` gives it.  The classes whose avatars
     have one lift and precision share one series.  Each member keeps (c0, z)
     as its `atoms`, the Dirac mass c0·δ_z it is, through which
-    `measure.pairing_measure` pairs two families, and builds its
-    coefficients, and the series if no other member has, on the first read
-    of its `mahler` (`Measure._deferred`): a family that is only paired
-    builds none.  Every refusal still comes at the call, in class order: a
+    `measure.pairing_measure` pairs two families and `restrict_to_units` and
+    `cell_mass` read a member, and builds its coefficients, and the series
+    if no other member has, on the first read of its `mahler`
+    (`Measure._deferred`): a family that is only paired, restricted or cut
+    into cells builds none.  z and c0 of a weight function with `exponents`
+    are read from its row (`_row_avatars`), the others embedded one class
+    at a time.  Every refusal still comes at the call, in class order: a
     series can refuse only at a zero C(Z, n), n > Z, so it is built at the
     call when Z < order - 1; and, as `Measure.scale` does, a c0 that is not
     p-integral has its coefficients built and checked by `Measure`, which
@@ -756,11 +783,15 @@ def avatar_measure_family(chi0: WeightFunction, chi: WeightFunction,
         raise InvalidInput("order must be >= 1")
     p = embedding.prime
     family, series = [], {}
+    # a row's avatars are units and refuse nothing, so reading them first
+    # keeps every refusal in class order
+    zs, c0s = (_row_avatars(f, embedding) for f in (chi, chi0))
     for s in range(chi0.group.h):
-        z = embedding.embed(chi.values[s])
+        z = embedding.embed(chi.values[s]) if zs is None else zs[s]
         if z.is_zero or z.valuation != 0:
             raise InvalidInput("avatar value is not a unit")
-        c0 = embedding.embed(chi0.values[s])  # a scalar of p known mod a finite power
+        # a scalar of p known mod a finite power
+        c0 = embedding.embed(chi0.values[s]) if c0s is None else c0s[s]
         key = (z.unit, z.precision)
         if key not in series:
             series[key] = cache(partial(_series, z.unit, p, z.precision, order))

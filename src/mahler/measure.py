@@ -27,11 +27,16 @@ and adds the moments with `+` and `*`, and exact moments take falling
 factors in `mahler_from_moments`, unless every measure is a finite sum of
 Dirac masses c·δ_z that it can read: the `atoms` of an avatar family member
 or of a scaled one, or the (1+T)^m weights of a finite exact measure.  Then
-one body (`_paired_atoms`) sums c·C(Z, n) over the product atoms on
-integers: no v_p(n!) is lost, so the precision can exceed the moment
-route's.  That route and its gates read only a measure's `atoms`, `order`,
-`finite` and `prime`, so an avatar family member, whose `mahler` is built
-on its first read (`Measure._deferred`), is paired without building it.
+one body (`_atom_sums`) sums c·C(Z, n) over the product atoms on integers:
+no v_p(n!) is lost, so the precision can exceed the moment route's.  That
+route and its gates read only a measure's `atoms`, `order`, `finite` and
+`prime`, so an avatar family member, whose `mahler` is built on its first
+read (`Measure._deferred`), is paired without building it.  It is
+restricted and cut into cells without building it too: after the same
+gates, a truncated measure with `atoms` restricts to the sum over its unit
+atoms, the same body, and a cell holds the atoms whose z lies in it, each
+capped at the target.  No shift mixes in the less precise coefficients
+above, so the precision can exceed the Mahler route's, never fall below it.
 """
 
 from __future__ import annotations
@@ -350,7 +355,10 @@ def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
     must name a target precision >= 1; the call refuses a missing or bad
     target, and one that the truncation-tail valuation bound cannot support,
     before any transform.  It reads the coefficients as x + O(p^target),
-    caps both shifts at the target and keeps the first n_out outputs.
+    caps both shifts at the target and keeps the first n_out outputs.  A
+    truncated measure with `atoms` gives after the same checks
+    Σ c·C(Z, n), n < n_out, over its unit atoms, each term known as `*`
+    gives it and capped at the target, without reading its coefficients.
     """
     p, n_out, cap = mu.prime, mu.order, INF
     if not mu.finite:
@@ -362,6 +370,13 @@ def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
         if n_out < 1:
             raise PrecisionExhausted(f"order {mu.order} supports restriction "
                                      f"precision at most {(mu.order - 1) // (p - 1) - 1}")
+        atoms = _known_atoms(mu, 1)
+        if atoms is not None:  # the unit atoms, each its own restriction
+            totals, precisions = _atom_sums([(c, z) for c, z in atoms if z.valuation == 0],
+                                            p, n_out)
+            return Measure._from_fields(p, tuple(
+                PadicScalar._make(p, 0, total, min(N, cap))
+                for total, N in zip(totals, precisions)), False, None)
     values, precisions = _readings(mu.mahler, p, cap)
     values, precisions = _shifted(_alternated(values), precisions, p, cap)
     values = [0 if m % p == 0 else x for m, x in enumerate(_alternated(values))]
@@ -394,11 +409,10 @@ def _cell_rows(q: int, size: int):
 
 def _cell_gate(mu: Measure, nu: int, precision):
     """The refusals of a level-nu cell mass of µ, the same for every cell;
-    then the coefficients' `_residues` and the precision each cell sum starts
-    at: INF for a finite measure, the target for a truncated one, whose
-    coefficients are read as x + O(p^target)."""
+    then the precision each cell sum starts at: INF for a finite measure,
+    the target for a truncated one."""
     if mu.finite:
-        return _residues(mu.mahler, mu.prime), INF
+        return INF
     if precision is None:
         raise InvalidInput("cell mass of a truncated measure needs a target precision")
     bound = cell_tail_valuation(mu.order, nu, mu.prime)
@@ -407,20 +421,38 @@ def _cell_gate(mu: Measure, nu: int, precision):
                                  f"to precision at most {bound}")
     if precision < 1:
         raise PrecisionExhausted("zero known to no precision")
-    return _residues(mu.mahler, mu.prime, precision), precision
+    return precision
+
+
+def _cell_residues(mu: Measure, P):
+    """The coefficients' `_residues` for cell sums that start at P: a
+    truncated measure's are read as x + O(p^target)."""
+    return _residues(mu.mahler, mu.prime, None if P is INF else P)
 
 
 def cell_mass(mu: Measure, a: int, nu: int, precision: int | None = None):
-    """µ(a + p^nu Z_p) = Σ_k a_k Σ_{m ≡ a mod p^nu} (-1)^{k-m} C(k, m)."""
+    """µ(a + p^nu Z_p) = Σ_k a_k Σ_{m ≡ a mod p^nu} (-1)^{k-m} C(k, m).  A
+    truncated measure with `atoms`, each z known mod p^nu, gives after the
+    same checks Σ c over its atoms with z ≡ a mod p^nu, known mod p^N for N
+    the least of the target and those c's precisions: a zero known mod
+    p^target when no atom lies in the cell."""
     if nu < 1:
         raise InvalidInput("level nu must be >= 1")
     q = mu.prime ** nu
     if not 0 <= a < q:
         raise InvalidInput("residue out of range")
-    res, P = _cell_gate(mu, nu, precision)
+    P = _cell_gate(mu, nu, precision)
+    atoms = _known_atoms(mu, nu)
+    if atoms is not None:  # Σ c over the atoms in the cell, known mod p^min(P, N_c)
+        total = 0
+        for c, z in atoms:
+            if z.lift() % q == a:
+                total += c.lift()
+                P = min(P, c.precision)
+        return PadicScalar._make(mu.prime, 0, total, P)
     K = mu.order
     weights = [row[a] for row in _cell_rows(q, K)] if a < min(q, K) else repeat(0, K)
-    return exact(_dot(weights, mu.mahler, res, P))
+    return exact(_dot(weights, mu.mahler, _cell_residues(mu, P), P))
 
 
 def integrate_step(mu: Measure, phi, precision: int | None = None):
@@ -433,7 +465,8 @@ def integrate_step(mu: Measure, phi, precision: int | None = None):
         nu += 1
     if p ** nu != size or nu == 0:
         raise InvalidInput("phi must list its values on all of Z/p^nu, nu >= 1")
-    res, P = _cell_gate(mu, nu, precision)
+    P = _cell_gate(mu, nu, precision)
+    res = _cell_residues(mu, P)
     columns = list(zip(*_cell_rows(size, mu.order)))
     zeros = (0,) * mu.order
     return exact(sum(phi[a] * exact(_dot(columns[a] if a < len(columns) else zeros,
@@ -496,40 +529,57 @@ def _has_padic(mu: Measure) -> bool:
 def _paired_atoms(pairs, r_max: int, p: int, h: int) -> Measure:
     """a_n = (1/h) Σ c·C(Z, n), n <= r_max, over the product atoms
     (c, Z) = (c1·c2, z1·z2) of each pair: a measure's `atoms`, or a finite
-    exact measure's `plus_basis` weights c_m at m = 0..d, its support degree.
-    c and C(Z, n) are read as (valuation, unit, relative precision), an
-    exact value as (0, x, INF), C(Z, n) of a PadicScalar Z from
-    `_binomial_fields`, one row per distinct Z.  A term has valuation
-    v = v_c + v_n and precision v + min(rel_c, rel_n), as `*` gives it, the
-    sum the least.  `_bounded` checks an exact sum, as `mahler_from_moments`
-    does, and 1/h of a p-adic one is a unit.  The order refusal of measures
-    that are not finite is the moment route's; no v_p(n!) is lost, so the
-    precision can exceed it."""
+    exact measure's `plus_basis` weights c_m at m = 0..d, its support degree,
+    summed by `_atom_sums`.  `_bounded` checks an exact sum, as
+    `mahler_from_moments` does, and 1/h of a p-adic one is a unit.  The
+    order refusal of measures that are not finite is the moment route's; no
+    v_p(n!) is lost, so the precision can exceed it."""
     K = min((mu.order for pair in pairs for mu in pair if not mu.finite), default=INF)
     if r_max >= K:
         raise InvalidInput(f"moment {K} needs order > {K} or a finite measure")
-    totals, precisions, rows = [0] * (r_max + 1), [INF] * (r_max + 1), {}
-    for pair in pairs:
-        left, right = (mu.atoms or [(c, m) for m, c in enumerate(plus_basis(
-            Measure._from_fields(p, mu.mahler[:mu.support_degree() + 1], True, None))) if c]
-            for mu in pair)
-        for c1, z1 in left:
-            for c2, z2 in right:
-                c, Z = c1 * c2, z1 * z2
-                key = Z if type(Z) is int else (Z.lift(), Z.precision)
-                if key not in rows:  # C(Z, n) = C(Z, n-1) (Z - n + 1)/n, 0 for an int Z < n
-                    rows[key] = list(_binomial_fields(key[0], p, key[1], r_max + 1)) \
-                        if type(Z) is PadicScalar else [(0, c, INF) for c in accumulate(
-                            range(min(Z, r_max)), lambda c, n: c * (Z - n) // (n + 1), initial=1)]
-                vc, uc, rc = ((c._val, c.unit, c.rel_precision) if type(c) is PadicScalar
-                              else (0, c, INF))
-                for n, (v, u, rel) in enumerate(rows[key]):
-                    v += vc
-                    totals[n] += uc * u * p ** v
-                    P = v + (rel if rel < rc else rc)
-                    if P < precisions[n]:
-                        precisions[n] = P
+    sides = ((mu.atoms or [(c, m) for m, c in enumerate(plus_basis(
+        Measure._from_fields(p, mu.mahler[:mu.support_degree() + 1], True, None))) if c]
+        for mu in pair) for pair in pairs)
+    totals, precisions = _atom_sums(((c1 * c2, z1 * z2) for left, right in sides
+                                     for c1, z1 in left for c2, z2 in right), p, r_max + 1)
     return Measure._from_fields(p, tuple(
         _bounded(exact(Fraction(total, h) if h > 1 else total), p, n) if N == INF
         else PadicScalar._make(p, 0, total * pow(h, -1, p ** N), N)
         for n, (total, N) in enumerate(zip(totals, precisions))), False, None)
+
+
+def _atom_sums(atoms, p: int, size: int):
+    """(totals, precisions) of Σ c·C(Z, n), n < size, over the atoms (c, Z),
+    on integers: each sum is the total known mod p^precision, INF when
+    exact.  c and C(Z, n) are read as (valuation, unit, relative precision),
+    an exact value as (0, x, INF), C(Z, n) of a PadicScalar Z from
+    `_binomial_fields`, one row per distinct Z.  A term has valuation
+    v = v_c + v_n and precision v + min(rel_c, rel_n), as `*` gives it, the
+    sum the least."""
+    totals, precisions, rows = [0] * size, [INF] * size, {}
+    for c, Z in atoms:
+        key = Z if type(Z) is int else (Z.lift(), Z.precision)
+        if key not in rows:  # C(Z, n) = C(Z, n-1) (Z - n + 1)/n, 0 for an int Z < n
+            rows[key] = list(_binomial_fields(key[0], p, key[1], size)) \
+                if type(Z) is PadicScalar else [(0, c, INF) for c in accumulate(
+                    range(min(Z, size - 1)), lambda c, n: c * (Z - n) // (n + 1), initial=1)]
+        vc, uc, rc = ((c._val, c.unit, c.rel_precision) if type(c) is PadicScalar
+                      else (0, c, INF))
+        for n, (v, u, rel) in enumerate(rows[key]):
+            v += vc
+            totals[n] += uc * u * p ** v
+            P = v + (rel if rel < rc else rc)
+            if P < precisions[n]:
+                precisions[n] = P
+    return totals, precisions
+
+
+def _known_atoms(mu: Measure, nu: int):
+    """The atoms (c, z) of a truncated µ, PadicScalars of its prime, when
+    every z is known mod p^nu: enough to read its level-nu cell, and its
+    unit or not for nu = 1.  None for any other µ, which the Mahler route
+    reads."""
+    atoms = mu.atoms
+    if mu.finite or not atoms or any(z.precision < nu for _, z in atoms):
+        return None
+    return atoms

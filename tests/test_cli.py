@@ -1016,6 +1016,13 @@ class TestArchCommands:
         assert got == {"r": 1719, "holds": True, "value": value}
         assert len(value.split("/")[0]) == 4302
 
+    def test_identity_guard(self, capsys, monkeypatch):
+        # a planted fault in the closed form: the exact sums disagree, which
+        # is reported as a tolerance failure with nothing on stdout
+        monkeypatch.setattr("mahler.archimedean.delta_diagonal_target", lambda r: 0)
+        assert run(capsys, ["arch", "identity", "--r", "12"]) == (
+            5, "", "tolerance not met: exact diagonal identity failed\n")
+
     def test_identity_refuses_negative_r(self, capsys):
         # refused by the library, not by factorial() of a negative number
         assert run(capsys, ["arch", "identity", "--r", "-1"]) == (2, "", "error: need r >= 0\n")

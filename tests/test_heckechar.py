@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from mahler import heckechar
+from mahler import heckechar, measure
 from mahler.errors import InvalidInput, PrecisionExhausted
 from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
                               WeightFunction,
@@ -23,8 +23,8 @@ from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
 from mahler.arith import cyclotomic_coeffs, isprime
 from mahler.padic import PadicScalar, exact
 from mahler.serialize import encode_algebraic
-from mahler.measure import (Measure, cell_mass, dirac, moments, mult_pushforward,
-                            pairing_measure, restrict_to_units)
+from mahler.measure import (Measure, cell_mass, cell_tail_valuation, dirac, moments,
+                            mult_pushforward, pairing_measure, restrict_to_units)
 from paper_oracles import (composition_table, family_cases, family_outcome, is_trivial,
                            sqrt_d, weight_value_on_principal)
 
@@ -1272,19 +1272,172 @@ class TestAvatarFamilyOnIntegers:
             avatar_measure_family(chars[1], bad, emb, 1)
 
     def test_order_is_refused_before_any_class_is_embedded(self, monkeypatch):
+        # characters read the table of embedded roots, a weight function
+        # without exponents embeds value by value: neither runs before the
+        # order refusal
         G, chars, p, emb = self.group_and_embedding()
+        original, roots, embedded = PadicEmbedding.embed, heckechar._embedded_roots, []
+
+        def embed(self, value):
+            embedded.append(value)
+            return original(self, value)
+
+        def table(*key):
+            embedded.append(key)
+            return roots(*key)
+        monkeypatch.setattr(PadicEmbedding, "embed", embed)
+        monkeypatch.setattr(heckechar, "_embedded_roots", table)
+        const = WeightFunction(G, (0, 0), [AlgebraicValue.from_rational(
+            2, G.order_data.d_K, G.exponent)] * G.h)
+        for chi0 in (chars[1], const):
+            for order in (0, -3):
+                with pytest.raises(InvalidInput, match="^order must be >= 1$"):
+                    avatar_measure_family(chi0, chars[2], emb, order)
+        assert embedded == []
+        assert len(avatar_measure_family(chars[1], chars[2], emb, 1)) == G.h
+        key = (p, 6, G.exponent, emb.zeta_lift, G.exponent)
+        assert embedded == [key, key]
+        assert len(avatar_measure_family(const, chars[2], emb, 1)) == G.h
+        assert embedded[2:] == [key] + list(const.values)
+
+
+class TestAtomReads:
+    """A family member, and a scaled one, restricts to the units and takes
+    its cell masses through its atom c0·δ_z: no call builds its Mahler
+    coefficients, which are built only when `mahler` is read."""
+
+    def test_restriction_and_cell_masses_build_no_coefficients(self, monkeypatch):
+        # spies on the coefficient build of a member and on the Mahler
+        # route's kernels, which a scaled member, whose coefficients are
+        # built, would reach without its atom
+        built, kernels = [], []
+
+        def spy(module, name, log):
+            original = getattr(module, name)
+
+            def call(*args):
+                log.append(name)
+                return original(*args)
+            monkeypatch.setattr(module, name, call)
+        spy(heckechar, "_scaled_fields", built)
+        for name in ("_shifted", "_cell_residues", "_cell_rows"):
+            spy(measure, name, kernels)
+        for D in (-20, -56):  # p = 3 and 5, where level-2 cells have a target
+            G = class_group(D)
+            chars, p = characters(G), smallest_admissible_prime(G)
+            emb = admissible_embedding(G, p, 9)
+            family = avatar_measure_family(chars[-1], chars[1], emb, 48)
+            best = (48 - 1) // (p - 1) - 1
+
+            def read(member):
+                z = member.atoms[0][1].lift()
+                assert len(restrict_to_units(member, best).mahler) == 48 - (best + 1) * (p - 1)
+                with pytest.raises(PrecisionExhausted):
+                    restrict_to_units(member, best + 1)
+                for nu in (1, 2):
+                    bound = cell_tail_valuation(48, nu, p)
+                    for a in (z % p ** nu, (z + 1) % p ** nu):
+                        assert type(cell_mass(member, a, nu, bound)) is PadicScalar
+                    with pytest.raises(PrecisionExhausted):
+                        cell_mass(member, z % p ** nu, nu, bound + 1)
+            for mu in family:
+                read(mu)
+                assert built == [] and kernels == []
+                read(mu.scale(Fraction(p, 2)))  # the scaling reads the coefficients
+                assert built == ["_scaled_fields"] and kernels == []
+                built.clear()
+        restrict_to_units(Measure(*family[0]._fields()[:3]), 1)
+        assert kernels == ["_shifted", "_shifted"]
+
+
+class TestRowAvatars:
+    """`padic_avatar` and `avatar_measure_family` read a weight function
+    with exponents from the table of embedded roots of its layer, field for
+    field what `PadicEmbedding.embed` gives; any other value is embedded."""
+
+    @staticmethod
+    def fields(xs):
+        return [(type(x), x._fields()) for x in xs]
+
+    @staticmethod
+    def no_embed(monkeypatch):
+        def refuse(self, value):
+            raise AssertionError("a value was embedded")
+        monkeypatch.setattr(PadicEmbedding, "embed", refuse)
+
+    def test_every_character_up_to_200(self, monkeypatch):
+        cases = []
+        for D in ALL_DISCS_200:
+            G = class_group(D)
+            p = smallest_admissible_prime(G)
+            for prec in (1, 5):
+                emb = admissible_embedding(G, p, prec)
+                for chi in characters(G):
+                    cases.append((chi, emb, self.fields(map(emb.embed, chi.values))))
+        self.no_embed(monkeypatch)
+        for chi, emb, want in cases:
+            assert self.fields(padic_avatar(chi, emb)) == want, (chi, emb)
+        assert len(cases) > 750
+
+    def test_a_layer_that_is_a_proper_multiple(self, monkeypatch):
+        # h = 3 at D = -23: 7 and 13 are 1 mod 6 and mod 12
+        G, chars = class_group(-23), characters(class_group(-23))
+        d = G.order_data.d_K
+        embeddings = [PadicEmbedding(7, 4, d, 6), PadicEmbedding(13, 3, d, 12),
+                      PadicEmbedding(13, 2, d, 12, zeta_residue=7)]
+        want = {(i, j): self.fields(map(emb.embed, chi.values))
+                for i, emb in enumerate(embeddings) for j, chi in enumerate(chars)}
+        families = [family_outcome(TestAvatarFamilyOnIntegers.dirac_family,
+                                   chars[1], chars[2], emb, 16) for emb in embeddings]
+        self.no_embed(monkeypatch)
+        for (i, j), fields in want.items():
+            assert self.fields(padic_avatar(chars[j], embeddings[i])) == fields
+        for emb, family in zip(embeddings, families):
+            assert family_outcome(avatar_measure_family, chars[1], chars[2], emb, 16) == family
+
+    def test_the_trivial_layer(self, monkeypatch):
+        # h = 1: the layer 1 and an embedding of layer 1, without a zeta lift
+        G = class_group(-3)
+        chi, emb = characters(G)[0], PadicEmbedding(5, 3, -3, 1)
+        assert emb.zeta_lift is None and chi.exponents is not None
+        want = self.fields(map(emb.embed, chi.values))
+        self.no_embed(monkeypatch)
+        assert self.fields(padic_avatar(chi, emb)) == want
+
+    def test_other_weight_functions_are_embedded(self, monkeypatch):
+        G = class_group(-47)
+        chars, p = characters(G), smallest_admissible_prime(G)
+        emb = admissible_embedding(G, p, 4)
+        scaled = WeightFunction(G, (0, 0), [v.scale(3) for v in chars[2].values])
+        assert scaled.exponents is None
+        want = self.fields(map(emb.embed, scaled.values))
         original, embedded = PadicEmbedding.embed, []
 
         def embed(self, value):
             embedded.append(value)
             return original(self, value)
         monkeypatch.setattr(PadicEmbedding, "embed", embed)
-        for order in (0, -3):
-            with pytest.raises(InvalidInput, match="^order must be >= 1$"):
-                avatar_measure_family(chars[1], chars[2], emb, order)
-        assert embedded == []
-        assert len(avatar_measure_family(chars[1], chars[2], emb, 1)) == G.h
-        assert len(embedded) == 2 * G.h
+        assert self.fields(padic_avatar(scaled, emb)) == want
+        assert embedded == list(scaled.values)
+
+    def test_a_layer_that_does_not_divide_the_embedding(self):
+        G = class_group(-23)
+        chars, p = characters(G), smallest_admissible_prime(G)
+        emb = PadicEmbedding(p, 4, G.order_data.d_K, 1)
+        message = "^value needs a larger cyclotomic layer than the embedding$"
+        with pytest.raises(InvalidInput, match=message):
+            padic_avatar(chars[1], emb)
+        with pytest.raises(InvalidInput, match=message):
+            avatar_measure_family(chars[1], chars[2], emb, 4)
+
+    def test_the_table_is_keyed_on_values(self):
+        # an equal embedding built anew reads the same cached table
+        G = class_group(-47)
+        p = smallest_admissible_prime(G)
+        chi = characters(G)[1]
+        first = padic_avatar(chi, admissible_embedding(G, p, 7))
+        second = padic_avatar(chi, admissible_embedding(G, p, 7))
+        assert all(x is y for x, y in zip(first, second))
 
 
 class TestRefusalMessages:

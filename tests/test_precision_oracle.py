@@ -20,8 +20,14 @@ through the members' atoms, is also compared with the moment route of the
 same members rebuilt without their atoms, unscaled and scaled as
 `test_acceptance` scales them, by exact zeros and through a non-p-integral
 scalar among others: it agrees modulo the lesser precision, never states
-less, and refuses only where the moment route refuses.  Refused calls are
-counted, not compared.  The module runs in about 10-13 s on two shared
+less, and refuses only where the moment route refuses.  The restriction and
+the cell masses of each family member, which read its atom, of the member
+scaled by a seeded p-integral scalar and of the member with a second atom
+off the units are compared the same way with the Mahler route of the same
+measure rebuilt without its atoms: the same number of outputs and the same
+refusals, values that agree modulo the lesser precision, and never less
+precision; they also agree with lifts of each atom.  Refused calls are
+counted, not compared.  The module runs in about 10-15 s on two shared
 vCPUs.
 """
 
@@ -36,7 +42,7 @@ import pytest
 from mahler.cli import main
 from mahler.errors import InvalidInput, PrecisionExhausted
 from mahler.heckechar import avatar_measure_family, characters
-from mahler.measure import (Measure, cell_mass, cell_tail_valuation, from_plus_basis,
+from mahler.measure import (Measure, cell_mass, cell_tail_valuation, dirac, from_plus_basis,
                             integrate_step, mahler_from_moments, moments, pairing_measure,
                             plus_basis, restrict_to_units)
 from mahler.padic import INF, PadicScalar
@@ -304,6 +310,104 @@ def test_family_pairings_through_atoms_against_moments():
     assert compared > 4500 and higher > 1000 and gained > 100 and refused > 250
     assert {name for name, atoms, moments in seen if atoms == moments == "Measure"} \
         == set(SCALINGS)
+
+
+def atom_scalars(p: int) -> list:
+    """Scalars that keep a member's atoms: p-integral ints and Fractions,
+    PadicScalars of p, an inexact zero among them."""
+    return [3, Fraction(5, 2), p, Fraction(p * p, 7), PadicScalar.from_int(2, p, 2),
+            PadicScalar.zero(p, 3)]
+
+
+def same_or_more_precise(atoms, mahler, p: int, target: int) -> int:
+    """Assert that the atom route's output, a truncated measure or a scalar,
+    agrees with the Mahler route's modulo the lesser precision and states no
+    less, and at most the target; the number of coefficients where it
+    states more."""
+    if type(atoms) is Measure:
+        assert (atoms.prime, atoms.finite, atoms.atoms) == (p, False, None)
+        xs, ys = atoms.mahler, mahler.mahler
+    else:
+        xs, ys = (atoms,), (mahler,)
+    assert len(xs) == len(ys) and all(type(x) is PadicScalar for x in xs + ys)
+    for x, y in zip(xs, ys):
+        assert (x.lift() - y.lift()) % p ** min(x.precision, y.precision) == 0
+        assert y.precision <= x.precision <= target
+    return sum(x.precision > y.precision for x, y in zip(xs, ys))
+
+
+def with_a_non_unit_atom(mu: Measure, c: PadicScalar):
+    """µ + c·δ_(p·z) for µ's atom z, with both atoms, or None where the
+    Dirac series refuses."""
+    p, z = mu.prime, mu.atoms[0][1]
+    other = outcome(dirac, z * p, p, mu.order)
+    if other is None:
+        return None
+    return Measure._from_fields(p, tuple(a + b for a, b in zip(mu.mahler, other.scale(c).mahler)),
+                                False, mu.atoms + ((c, z * p),))
+
+
+def test_restriction_and_cell_masses_through_atoms_against_the_mahler_route():
+    # every member of every family of the grid, unscaled, scaled by a
+    # seeded entry of atom_scalars, and with a second atom p·z off the
+    # units, restricted at every target from 1 to one above the supported
+    # one, and its level-1 and level-2 cell masses in its atom's cell and
+    # the next, at every target from 1 to one above the tail bound; the
+    # Mahler route reads the measure rebuilt without atoms.  Each output
+    # also agrees with Σ c·C(z, n) over the unit atoms, or Σ c over the
+    # atoms in the cell, for the lifts of each c and z and two other
+    # integers they stand for
+    rng = random.Random(SEED)
+    compared = higher = refused = families = refused_families = coarse = 0
+    for chi0, chi, emb, order in family_cases():
+        p = emb.prime
+        family = outcome(avatar_measure_family, chi0, chi, emb, order)
+        if family is None:
+            refused_families += 1
+            continue
+        families += 1
+        for mu in family:
+            scaled = mu.scale(rng.choice(atom_scalars(p)))
+            assert scaled.atoms is not None and len(scaled.atoms) == 1
+            z = mu.atoms[0][1].lift()
+            measures = [mu, scaled, with_a_non_unit_atom(mu, rng.choice(atom_scalars(p)[4:]))]
+            for member in filter(None, measures):
+                plain = Measure(*member._fields()[:3])
+                lifted = [list(zip(*(lifts(x, rng) for x in atom))) for atom in member.atoms]
+                calls = [(restrict_to_units, (t,))
+                         for t in range(1, (order - 1) // (p - 1) + 1)]
+                calls += [(cell_mass, (a, nu, t)) for nu in (1, 2)
+                          for t in range(1, cell_tail_valuation(order, nu, p) + 2)
+                          for a in (z % p ** nu, (z + 1) % p ** nu)]
+                for fn, args in calls:
+                    atoms, mahler = (refusal(fn, m, *args) for m in (member, plain))
+                    if isinstance(atoms, Exception) or isinstance(mahler, Exception):
+                        assert (type(atoms), str(atoms)) == (type(mahler), str(mahler))
+                        refused += 1
+                        continue
+                    higher += same_or_more_precise(atoms, mahler, p, args[-1])
+                    if fn is restrict_to_units:
+                        for atom_lifts in zip(*lifted):
+                            assert all(agrees(x, sum(c * math.comb(w, n) for c, w in atom_lifts
+                                                     if w % p), p)
+                                       for n, x in enumerate(atoms.mahler))
+                        compared += len(atoms.mahler)
+                        continue
+                    a, nu = args[:2]
+                    # a cell that passes the tail bound needs order > p^nu, and
+                    # a family's order is at most p^P for avatars known mod p^P
+                    assert all(w.precision >= nu for _, w in member.atoms)
+                    for atom_lifts in zip(*lifted):
+                        assert agrees(atoms, sum(c for c, w in atom_lifts
+                                                 if w % p ** nu == a), p)
+                    compared += 1
+                    if nu > 1:  # atoms known mod p only keep the Mahler route
+                        coarse += 1
+                        rough = Measure._from_fields(p, member.mahler, False, tuple(
+                            (c, PadicScalar._make(p, 0, w.lift(), 1)) for c, w in member.atoms))
+                        assert cell_mass(rough, *args)._fields() == mahler._fields()
+    assert families > 250 and refused_families > 40 and coarse > 300
+    assert compared > 50000 and higher > 5000 and refused > 5000
 
 
 @pytest.mark.parametrize("target", [0, -1])

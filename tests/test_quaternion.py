@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mahler import quaternion
 from mahler.arith import factorint
 from mahler.cli import main
 from mahler.errors import InvalidInput, SearchBoundExhausted
@@ -329,3 +330,53 @@ class TestRefusalMessages:
             hashimoto_search(6, p, 100)
         assert main(["quat", "hashimoto", "--delta", "6", "--p", str(p)]) == 2
         assert capsys.readouterr() == ("", "error: p must be a prime not dividing 2 Delta\n")
+
+
+class TestInvariantGuards:
+    """Each `raise AssertionError` guard of the module, reached through a
+    planted fault, refuses with its message instead of returning a value."""
+
+    def test_ramified_parity(self, monkeypatch):
+        # ramified at the infinite place alone: an odd set
+        monkeypatch.setattr(quaternion, "hilbert_symbol",
+                            lambda a, b, place: -1 if place == INFINITE_PLACE else 1)
+        with pytest.raises(AssertionError,
+                           match="^ramified set with odd parity: product formula broken$"):
+            ramified_set(QuaternionAlgebra(-1, -1))
+
+    def test_hashimoto_square_root(self, monkeypatch):
+        # b = 1 is no square root of -1/Delta mod q = 5 for Delta = 6
+        monkeypatch.setattr(quaternion, "sqrt_mod_prime", lambda a, q: [1])
+        with pytest.raises(AssertionError,
+                           match="^square root of -1/Delta failed verification$"):
+            hashimoto_search(6, 11, 1000)
+
+    def test_conductor_lattice(self, monkeypatch):
+        # y0 = 1/3 makes 4 y0^2 d = -4/9 for M^2 = -1
+        monkeypatch.setattr(quaternion, "_fraction_lattice_generator",
+                            lambda constraints: Fraction(1, 3))
+        with pytest.raises(AssertionError, match="^intersection lattice is not an order$"):
+            embedding_conductor(MatrixEmbedding(((0, 1), (-1, 0)), 1))
+
+    def test_diagonal_complement(self):
+        # a diagonal traceless M squares to a positive scalar, which the
+        # constructor refuses; built unchecked, it reaches the guard
+        diagonal = MatrixEmbedding._from_fields(mat(((1, 0), (0, -1))), 1)
+        with pytest.raises(AssertionError,
+                           match="^diagonal traceless M cannot square to d < 0$"):
+            skolem_noether_complement(diagonal)
+
+    def test_anticommutation(self, monkeypatch):
+        monkeypatch.setattr(quaternion, "mat_add", lambda x, y: mat(((1, 0), (0, 0))))
+        with pytest.raises(AssertionError, match="^anticommutation failed$"):
+            skolem_noether_complement(MatrixEmbedding(((0, 1), (-4, 0)), 1))
+
+    def test_square_of_the_complement(self, monkeypatch):
+        # u built with a trace, whose square is not scalar, and a sum that
+        # lets the anticommutation check pass
+        emb = MatrixEmbedding(((0, 1), (-4, 0)), 1)
+        monkeypatch.setattr(quaternion, "mat", lambda entries: (
+            (Fraction(1), Fraction(2)), (Fraction(3), Fraction(4))))
+        monkeypatch.setattr(quaternion, "mat_add", lambda x, y: ((0, 0), (0, 0)))
+        with pytest.raises(AssertionError, match=r"^u\^2 is not scalar$"):
+            skolem_noether_complement(emb)
