@@ -32,18 +32,21 @@ no v_p(n!) is lost, so the precision can exceed the moment route's.  That
 route and its gates read only a measure's `atoms`, `order`, `finite` and
 `prime`, so an avatar family member, whose `mahler` is built on its first
 read (`Measure._deferred`), is paired without building it.  It is
-restricted and cut into cells without building it too: after the same
-gates, a truncated measure with `atoms` restricts to the sum over its unit
-atoms, the same body, and a cell holds the atoms whose z lies in it, each
-capped at the target.  No shift mixes in the less precise coefficients
-above, so the precision can exceed the Mahler route's, never fall below it.
+restricted, cut into cells and integrated against step functions without
+building it too: after the same gates, a truncated measure with `atoms`
+restricts to the sum over its unit atoms, the same body, a cell holds the
+atoms whose z lies in it, each capped at the target, and a step integral
+is the φ-weighted sum of those cells (`_cell_masses`, one body for cell
+masses and step integrals of every measure).  No shift mixes in the less
+precise coefficients above, so the precision can exceed the Mahler
+route's, never fall below it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import mul, sub
 
 from .arith import int_valuation
@@ -407,27 +410,38 @@ def _cell_rows(q: int, size: int):
         yield row
 
 
-def _cell_gate(mu: Measure, nu: int, precision):
-    """The refusals of a level-nu cell mass of µ, the same for every cell;
-    then the precision each cell sum starts at: INF for a finite measure,
+def _cell_masses(mu: Measure, nu: int, cells, precision) -> list:
+    """The masses µ(a + p^nu Z_p), a in `cells`, each a < p^nu, after the
+    refusals that every level-nu cell shares: read from the atoms when
+    `_known_atoms` gives them, else one `_dot` per cell with a column of one
+    set of folded rows, each sum starting at INF for a finite measure and at
     the target for a truncated one."""
-    if mu.finite:
-        return INF
-    if precision is None:
-        raise InvalidInput("cell mass of a truncated measure needs a target precision")
-    bound = cell_tail_valuation(mu.order, nu, mu.prime)
-    if precision > bound:
-        raise PrecisionExhausted(f"order {mu.order} supports level-{nu} cell masses "
-                                 f"to precision at most {bound}")
-    if precision < 1:
-        raise PrecisionExhausted("zero known to no precision")
-    return precision
-
-
-def _cell_residues(mu: Measure, P):
-    """The coefficients' `_residues` for cell sums that start at P: a
-    truncated measure's are read as x + O(p^target)."""
-    return _residues(mu.mahler, mu.prime, None if P is INF else P)
+    p, q, P = mu.prime, mu.prime ** nu, INF
+    if not mu.finite:
+        if precision is None:
+            raise InvalidInput("cell mass of a truncated measure needs a target precision")
+        bound = cell_tail_valuation(mu.order, nu, p)
+        if precision > bound:
+            raise PrecisionExhausted(f"order {mu.order} supports level-{nu} cell masses "
+                                     f"to precision at most {bound}")
+        if precision < 1:
+            raise PrecisionExhausted("zero known to no precision")
+        P = precision
+    atoms = _known_atoms(mu, nu)
+    if atoms is not None:  # Σ c over the atoms in the cell, known mod p^min(P, N_c)
+        masses = []
+        for a in cells:
+            total, N = 0, P
+            for c, z in atoms:
+                if z.lift() % q == a:
+                    total += c.lift()
+                    N = min(N, c.precision)
+            masses.append(PadicScalar._make(p, 0, total, N))
+        return masses
+    res = _residues(mu.mahler, p, None if P is INF else P)
+    columns, zeros = list(zip(*_cell_rows(q, mu.order))), (0,) * mu.order
+    return [exact(_dot(columns[a] if a < len(columns) else zeros, mu.mahler, res, P))
+            for a in cells]
 
 
 def cell_mass(mu: Measure, a: int, nu: int, precision: int | None = None):
@@ -438,26 +452,15 @@ def cell_mass(mu: Measure, a: int, nu: int, precision: int | None = None):
     p^target when no atom lies in the cell."""
     if nu < 1:
         raise InvalidInput("level nu must be >= 1")
-    q = mu.prime ** nu
-    if not 0 <= a < q:
+    if not 0 <= a < mu.prime ** nu:
         raise InvalidInput("residue out of range")
-    P = _cell_gate(mu, nu, precision)
-    atoms = _known_atoms(mu, nu)
-    if atoms is not None:  # Σ c over the atoms in the cell, known mod p^min(P, N_c)
-        total = 0
-        for c, z in atoms:
-            if z.lift() % q == a:
-                total += c.lift()
-                P = min(P, c.precision)
-        return PadicScalar._make(mu.prime, 0, total, P)
-    K = mu.order
-    weights = [row[a] for row in _cell_rows(q, K)] if a < min(q, K) else repeat(0, K)
-    return exact(_dot(weights, mu.mahler, _cell_residues(mu, P), P))
+    return _cell_masses(mu, nu, (a,), precision)[0]
 
 
 def integrate_step(mu: Measure, phi, precision: int | None = None):
-    """∫ φ dµ for a step function φ given by its values on Z/p^nu: the
-    cell masses µ(a + p^nu Z_p), read from one set of folded rows."""
+    """∫ φ dµ for a step function φ given by its values on Z/p^nu: Σ φ(a)
+    times the cell mass µ(a + p^nu Z_p), the masses as `cell_mass` gives
+    them, atoms included."""
     p = mu.prime
     size = len(phi)
     nu = 0
@@ -465,12 +468,7 @@ def integrate_step(mu: Measure, phi, precision: int | None = None):
         nu += 1
     if p ** nu != size or nu == 0:
         raise InvalidInput("phi must list its values on all of Z/p^nu, nu >= 1")
-    P = _cell_gate(mu, nu, precision)
-    res = _cell_residues(mu, P)
-    columns = list(zip(*_cell_rows(size, mu.order)))
-    zeros = (0,) * mu.order
-    return exact(sum(phi[a] * exact(_dot(columns[a] if a < len(columns) else zeros,
-                                         mu.mahler, res, P)) for a in range(size)))
+    return exact(sum(map(mul, phi, _cell_masses(mu, nu, range(size), precision))))
 
 
 def mult_pushforward(mu1: Measure, mu2: Measure, r_max: int) -> Measure:

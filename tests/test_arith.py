@@ -1,6 +1,7 @@
 """mahler.arith against sympy, which mahler itself no longer imports."""
 
 import random
+import types
 from fractions import Fraction
 
 import pytest
@@ -101,6 +102,13 @@ class TestFactorint:
 
     def test_ascending_primes(self):
         assert list(arith.factorint(2 ** 3 * 3 * 1009 * 1000003)) == [2, 3, 1009, 1000003]
+
+    def test_rho_guard(self, monkeypatch):
+        # a gcd that always returns n finds no proper factor for any c
+        fault = types.SimpleNamespace(gcd=lambda a, b: b)
+        monkeypatch.setattr(arith, "math", fault)
+        with pytest.raises(AssertionError, match="^no factor of 15 found$"):
+            arith._rho(15)
 
 
 class TestSqrtModPrime:

@@ -18,6 +18,7 @@ from mahler import cli, serialize
 from mahler.cli import COMMANDS, main
 from mahler.errors import InvalidInput
 from mahler.measure import Measure, dirac
+from mahler.padic import PadicScalar, binomial_series
 from mahler.serialize import encode_measure
 
 
@@ -310,6 +311,20 @@ class TestJsonShape:
     def test_decoders(self, decode, top):
         with pytest.raises(InvalidInput):
             decode(top)
+
+    @pytest.mark.parametrize("z", [5, -7, Fraction(1, 2), Fraction(-7, 4),
+                                   PadicScalar(3, 0, 5, 6), PadicScalar(3, 1, 2, 4)])
+    def test_series_round_trip(self, z):
+        # int, Fraction and PadicScalar coefficients decode to their fields
+        def fields(series):
+            return series.prime, [(type(c), c._fields() if type(c) is PadicScalar else c)
+                                  for c in series.coeffs]
+        series = binomial_series(z, 9)
+        back = serialize.decode_series(json.loads(json.dumps(serialize.encode_series(series))))
+        assert type(back) is type(series) and fields(back) == fields(series)
+        assert {type(c) for c in series.coeffs} == (
+            {PadicScalar} if type(z) is PadicScalar else {int, Fraction} if type(z) is Fraction
+            else {int})
 
 
 class TestImportFloor:

@@ -21,10 +21,10 @@ from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
                               pairing, reduce_form, smallest_admissible_prime,
                               twisted_pairing)
 from mahler.arith import cyclotomic_coeffs, isprime
-from mahler.padic import PadicScalar, exact
+from mahler.padic import INF, PadicScalar, exact
 from mahler.serialize import encode_algebraic
-from mahler.measure import (Measure, cell_mass, cell_tail_valuation, dirac, moments,
-                            mult_pushforward, pairing_measure, restrict_to_units)
+from mahler.measure import (Measure, cell_mass, cell_tail_valuation, dirac, integrate_step,
+                            moments, mult_pushforward, pairing_measure, restrict_to_units)
 from paper_oracles import (composition_table, family_cases, family_outcome, is_trivial,
                            sqrt_d, weight_value_on_principal)
 
@@ -1302,9 +1302,10 @@ class TestAvatarFamilyOnIntegers:
 
 
 class TestAtomReads:
-    """A family member, and a scaled one, restricts to the units and takes
-    its cell masses through its atom c0·δ_z: no call builds its Mahler
-    coefficients, which are built only when `mahler` is read."""
+    """A family member, and a scaled one, restricts to the units, takes its
+    cell masses and integrates step functions through its atom c0·δ_z: no
+    call builds its Mahler coefficients, which are built only when `mahler`
+    is read."""
 
     def test_restriction_and_cell_masses_build_no_coefficients(self, monkeypatch):
         # spies on the coefficient build of a member and on the Mahler
@@ -1320,7 +1321,7 @@ class TestAtomReads:
                 return original(*args)
             monkeypatch.setattr(module, name, call)
         spy(heckechar, "_scaled_fields", built)
-        for name in ("_shifted", "_cell_residues", "_cell_rows"):
+        for name in ("_shifted", "_cell_rows"):
             spy(measure, name, kernels)
         for D in (-20, -56):  # p = 3 and 5, where level-2 cells have a target
             G = class_group(D)
@@ -1340,6 +1341,13 @@ class TestAtomReads:
                         assert type(cell_mass(member, a, nu, bound)) is PadicScalar
                     with pytest.raises(PrecisionExhausted):
                         cell_mass(member, z % p ** nu, nu, bound + 1)
+                    # the step integral is Σ φ(a)·(cell mass of a), field for field
+                    phi = [Fraction(a - 1, 2) for a in range(p ** nu)]
+                    want = sum(f * cell_mass(member, a, nu, bound) for a, f in enumerate(phi))
+                    got = integrate_step(member, phi, bound)
+                    assert (type(got), got._fields()) == (type(want), want._fields())
+                    with pytest.raises(PrecisionExhausted):
+                        integrate_step(member, phi, bound + 1)
             for mu in family:
                 read(mu)
                 assert built == [] and kernels == []
@@ -1348,6 +1356,20 @@ class TestAtomReads:
                 built.clear()
         restrict_to_units(Measure(*family[0]._fields()[:3]), 1)
         assert kernels == ["_shifted", "_shifted"]
+
+    def test_step_integral_is_as_precise_as_its_cells(self, monkeypatch):
+        # D = -20, p = 3: the step integral of the one cell 0 + 3Z_3 is that
+        # cell's mass, a zero known mod 3^23, and not the Mahler route's
+        # 0 + O(3^4) at embedding precision 4
+        G = class_group(-20)
+        chars = characters(G)
+        member = avatar_measure_family(chars[-1], chars[1], admissible_embedding(G, 3, 4), 48)[0]
+        built, build = [], heckechar._scaled_fields
+        monkeypatch.setattr(heckechar, "_scaled_fields",
+                            lambda *args: built.append(args) or build(*args))
+        got = integrate_step(member, [1, 0, 0], 23)
+        assert got._fields() == cell_mass(member, 0, 1, 23)._fields() == (3, INF, 0, 23)
+        assert str(got) == "0 + O(3^23)" and built == []
 
 
 class TestRowAvatars:
