@@ -11,15 +11,10 @@ count of exponents: in a layer m small enough that the factors' exponents add
 within one byte, the exponent rows are added as packed ints and reduced mod m
 by one `bytes.translate`, so a pairing costs a few C-level passes whatever h.
 
-A p-adic embedding maps a value to one PadicScalar known mod p^prec: the sum
-of (a_k + b_k s) zeta^k over the group-ring terms is taken on integers mod
-p^prec, s and zeta the Hensel lifts of sqrt(d) and of the root of unity, as
-`padic`'s `+` and `*` would take it term by term; a value with a coefficient
-that is not p-integral is embedded in PadicScalar arithmetic.  The avatars
-of a weight function with an exponent row are read from one cached table
-of the embedded roots of its layer.  The avatar measure family forms each
-Mahler coefficient c0·C(Z, n) on integers, one PadicScalar per coefficient
-and one binomial series per distinct avatar.
+A p-adic embedding maps a value to one PadicScalar (`PadicEmbedding.embed`);
+the avatars of a weight function with an exponent row are read from one
+cached table of the embedded roots of its layer, and `measure` builds the
+avatar measure family on them.
 """
 
 from __future__ import annotations
@@ -28,14 +23,14 @@ import math
 import sys
 from array import array
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache
 from itertools import repeat
 from types import MappingProxyType
 
 from .arith import (cyclotomic_coeffs, factorint, fundamental_decomposition,
                     isprime, jacobi, sqrt_mod_prime)
 from .errors import Frozen, InvalidInput
-from .padic import PadicScalar, _binomial_fields, exact, is_p_integral
+from .padic import PadicScalar, _residue, exact
 
 # ---------------------------------------------------------------------------
 # discriminants and orders
@@ -218,15 +213,6 @@ def _rational(q):
     """`exact` of a rational; anything Fraction() refuses, a PadicScalar
     included, is refused."""
     return exact(q if type(q) is int else Fraction(q))
-
-
-def _residue(q, p: int, mod: int):
-    """q mod `mod`, a power of p, for a p-integral int or Fraction; else None."""
-    if type(q) is int:
-        return q % mod
-    if q.denominator % p == 0:
-        return None
-    return q.numerator * pow(q.denominator, -1, mod) % mod
 
 
 def _convolve(xs: dict, ys: dict, m: int, d: int) -> dict:
@@ -753,36 +739,17 @@ def smallest_admissible_prime(G: IdealClassGroup) -> int:
 
 def avatar_measure_family(chi0: WeightFunction, chi: WeightFunction,
                           embedding: PadicEmbedding, order: int):
-    """Per ideal class s, the measure chi0^(p)(s) · dirac(chi^(p)(s)): its
-    r-th moment is the avatar of chi0·chi^r at s, and the family is supported
-    on Z_p^× (unit avatar values are required).
-
-    Each Mahler coefficient c0·C(Z, n), c0 = chi0^(p)(s) and Z the lift of
-    the avatar, is formed on integers and made one PadicScalar: C(Z, n) known
-    mod p^P_n has the fields (v2, u2, rel2) that `padic._binomial_fields`
-    gives, and c0 of valuation v1, unit u1 and relative precision rel1 times
-    it has valuation v = v1 + v2, unit u1·u2 and precision v + min(rel1, rel2),
-    as `dirac(z, p, order).scale(c0)` gives it.  The classes whose avatars
-    have one lift and precision share one series.  Each member keeps (c0, z)
-    as its `atoms`, the Dirac mass c0·δ_z it is, through which
-    `measure.pairing_measure` pairs two families and `restrict_to_units` and
-    `cell_mass` read a member, and builds its coefficients, and the series
-    if no other member has, on the first read of its `mahler`
-    (`Measure._deferred`): a family that is only paired, restricted or cut
-    into cells builds none.  z and c0 of a weight function with `exponents`
-    are read from its row (`_row_avatars`), the others embedded one class
-    at a time.  Every refusal still comes at the call, in class order: a
-    series can refuse only at a zero C(Z, n), n > Z, so it is built at the
-    call when Z < order - 1; and, as `Measure.scale` does, a c0 that is not
-    p-integral has its coefficients built and checked by `Measure`, which
-    refuses it."""
-    from .measure import Measure
+    """Per ideal class s, in class order, the measure chi0^(p)(s)·δ_z at the
+    avatar z = chi^(p)(s), a unit, from `measure._avatar_member` over one
+    row memo for the family: its r-th moment is the avatar of chi0·chi^r
+    at s.  z and c0 of a weight function with `exponents` are read from its
+    row (`_row_avatars`), the others embedded one class at a time."""
+    from .measure import _avatar_member
     if chi0.group.discriminant != chi.group.discriminant:
         raise InvalidInput("group mismatch")
     if order < 1:
         raise InvalidInput("order must be >= 1")
-    p = embedding.prime
-    family, series = [], {}
+    family, rows = [], {}
     # a row's avatars are units and refuse nothing, so reading them first
     # keeps every refusal in class order
     zs, c0s = (_row_avatars(f, embedding) for f in (chi, chi0))
@@ -790,26 +757,6 @@ def avatar_measure_family(chi0: WeightFunction, chi: WeightFunction,
         z = embedding.embed(chi.values[s]) if zs is None else zs[s]
         if z.is_zero or z.valuation != 0:
             raise InvalidInput("avatar value is not a unit")
-        # a scalar of p known mod a finite power
         c0 = embedding.embed(chi0.values[s]) if c0s is None else c0s[s]
-        key = (z.unit, z.precision)
-        if key not in series:
-            series[key] = cache(partial(_series, z.unit, p, z.precision, order))
-            if z.unit < order - 1:
-                series[key]()
-        build = partial(_scaled_fields, c0, series[key])
-        family.append(Measure._deferred(p, ((c0, z),), build, order)
-                      if is_p_integral(c0, p) else Measure(p, build()))
+        family.append(_avatar_member(c0, z, order, rows))
     return family
-
-
-def _series(Z: int, p: int, P: int, order: int) -> tuple:
-    """The shared series of a family: `_binomial_fields` as a tuple."""
-    return tuple(_binomial_fields(Z, p, P, order))
-
-
-def _scaled_fields(c0: PadicScalar, series) -> tuple:
-    """c0·C(Z, n) for the fields (v2, u2, rel2) of C(Z, n) in series()."""
-    p, v1, u1, rel1 = c0.prime, c0._val, c0.unit, c0.rel_precision
-    return tuple(PadicScalar._make(p, v1 + v2, u1 * u2, v1 + v2 + min(rel1, rel2))
-                 for v2, u2, rel2 in series())

@@ -1,45 +1,14 @@
 """Bounded measures on Z_p stored by their Mahler coefficients a_n = ∫ C(t,n) dµ.
 
-The binomial-coefficient sequence is the canonical store; moments are derived
-through the Stirling transforms (an exact, triangular change of basis), and
-restriction to the units is done entirely in the (1+T)^m basis with integer
-weights, so no root-of-unity arithmetic ever appears.
-
-Coefficients may be exact (int / Fraction, p-integral) or `PadicScalar`,
-mixed freely; every result below is what plain `+`/`*` give under the
-scalar rule stated in `padic`: exact zeros (int/Fraction 0, the
-infinite-precision PadicScalar zero) drop out, an inexact zero keeps its
-precision, and an exact result is an int when integral, else a Fraction.
-Exact inputs stay exact through every operation that permits it.
-
-Every (1+T)^m basis change -- `plus_basis`, `from_plus_basis` and the two
-shifts of `restrict_to_units` -- is one kernel (`_shifted`): each
-coefficient is read once as a value known mod p^N (`_residues`), one Taylor
-shift adds the values up to Σ_{m>=n} C(m, n) x_m, and output n is known mod
-p^P_n, P_n = min_m (N_m + v_p(C(m, n))), what `+` and `*` give the sum, by
-Legendre's formula and without forming a row.  A truncated measure's
-restriction, cell masses and step integrals read an exact coefficient as
-x + O(p^N) at the target N, where the restriction caps both shifts and each
-cell sum starts.  Cell sums and moments take rows of integer weights
-(`_dot`): on integers over PadicScalars of the measure's prime and exact
-zeros, and with `+` and `*` over other lists.  `pairing_measure` multiplies
-and adds the moments with `+` and `*`, and exact moments take falling
-factors in `mahler_from_moments`, unless every measure is a finite sum of
-Dirac masses c·δ_z that it can read: the `atoms` of an avatar family member
-or of a scaled one, or the (1+T)^m weights of a finite exact measure.  Then
-one body (`_atom_sums`) sums c·C(Z, n) over the product atoms on integers:
-no v_p(n!) is lost, so the precision can exceed the moment route's.  That
-route and its gates read only a measure's `atoms`, `order`, `finite` and
-`prime`, so an avatar family member, whose `mahler` is built on its first
-read (`Measure._deferred`), is paired without building it.  It is
-restricted, cut into cells and integrated against step functions without
-building it too: after the same gates, a truncated measure with `atoms`
-restricts to the sum over its unit atoms, the same body, a cell holds the
-atoms whose z lies in it, each capped at the target, and a step integral
-is the φ-weighted sum of those cells (`_cell_masses`, one body for cell
-masses and step integrals of every measure).  No shift mixes in the less
-precise coefficients above, so the precision can exceed the Mahler
-route's, never fall below it.
+Moments come through the Stirling transforms, and restriction to the units
+is done in the (1+T)^m basis with integer weights, with no root-of-unity
+arithmetic.  README's "Precision policy" states what every transform gives
+and by which route; each precision rule is stated once, at the code that
+implements it: `_dot` for sums of integer weights, `_shifted` for the
+(1+T)^m basis changes, `_atom_sums` for sums over Dirac masses c·δ_z, and
+`_cell_masses` for cells.  The products c·C(Z, n) over atoms are formed
+only here, the coefficients of avatar family members (`_avatar_member`)
+among them.
 """
 
 from __future__ import annotations
@@ -51,8 +20,9 @@ from operator import mul, sub
 
 from .arith import int_valuation
 from .errors import Frozen, InvalidInput, PrecisionExhausted
-from .padic import (INF, PadicScalar, _binomial_fields, _falling_factorial_rows,
-                    _surjection_head, binomial_series, checked_prime, exact, is_p_integral)
+from .padic import (INF, PadicScalar, _binomial_fields, _binomial_row, _falling_factorial_rows,
+                    _residue, _surjection_head, binomial_series, checked_prime, exact,
+                    is_p_integral)
 
 
 def _is_exact(xs) -> bool:
@@ -95,8 +65,7 @@ def _residues(xs, p: int, target=None):
         elif target is None:
             return None
         else:
-            x, q = Fraction(x), p ** target
-            out.append((x.numerator * pow(x.denominator, -1, q) % q, target))
+            out.append((_residue(x, p, p ** target), target))
     return p, out
 
 
@@ -134,14 +103,11 @@ class Measure(_Deferrable):
     """A bounded measure on Z_p, known through its first `order` Mahler
     coefficients; `finite` marks a complete expansion (all higher a_n = 0).
     `atoms`, None or a tuple of (c, z) for µ = Σ c·δ_z, is set only by
-    derived builds (avatar family members and their scalings), as the
-    public constructor cannot check it; copies keep it, and `==` ignores it.
+    derived builds, as the public constructor cannot check it.
 
-    An avatar family member (`_deferred`) keeps a recipe (build, order) in a
-    slot outside `__slots__`, so in no field, None for any other measure:
-    `order` reads it, and `mahler` is filled with build() on its first read
-    (`__getattr__`), by `==`, `repr` and `_fields()` too.  Threads that read
-    it first at once may each build it; they build equal tuples."""
+    An avatar family member (`_avatar_member`) keeps its recipe (order,
+    rows) in a slot outside `__slots__`, so in no field; it is None for any
+    other measure, and for a member once `mahler` is stored."""
 
     __slots__ = ("prime", "mahler", "finite", "atoms")
 
@@ -166,33 +132,25 @@ class Measure(_Deferrable):
         super()._set(*fields)
         object.__setattr__(self, "_recipe", None)
 
-    @classmethod
-    def _deferred(cls, prime: int, atoms: tuple, build, order: int) -> "Measure":
-        """The truncated measure Σ c·δ_z of these atoms whose `order`
-        coefficients build() gives, unchecked, unbuilt until first read."""
-        value = object.__new__(cls)
-        for name, field in zip(("prime", "finite", "atoms", "_recipe"),
-                               (prime, False, atoms, (build, order))):
-            object.__setattr__(value, name, field)
-        return value
-
     def __getattr__(self, name):
-        """Reached only for a field that is not set: a deferred `mahler`,
-        built and stored here.  The recipe becomes one that returns the
-        stored tuple, which frees the family's shared series: a thread that
-        reads it after this gets that tuple, one that read it before builds
-        an equal one."""
+        """Reached only for a field that is not set: a member's `mahler`,
+        `_atom_scalars` of its atoms over the family's rows, stored here.
+        Clearing the recipe then frees the rows; a thread that found the
+        field unset and the recipe cleared reads the stored tuple."""
         if name != "mahler":
             raise AttributeError(f"'Measure' object has no attribute {name!r}")
-        mahler = self._recipe[0]()
+        recipe = self._recipe
+        if recipe is None:
+            return self.mahler
+        mahler = _atom_scalars(self.atoms, self.prime, *recipe)
         object.__setattr__(self, "mahler", mahler)
-        object.__setattr__(self, "_recipe", (lambda: mahler, len(mahler)))
+        object.__setattr__(self, "_recipe", None)
         return mahler
 
     @property
     def order(self) -> int:
         recipe = self._recipe
-        return len(self.mahler) if recipe is None else recipe[1]
+        return len(self.mahler) if recipe is None else recipe[0]
 
     def support_degree(self) -> int:
         """Largest index with a nonzero stored coefficient."""
@@ -221,11 +179,6 @@ class Measure(_Deferrable):
         atoms = None if zero or self.atoms is None else tuple(
             (scalar * c, z) for c, z in self.atoms)
         return Measure._from_fields(p, mahler, self.finite, atoms)
-
-    def __eq__(self, other):
-        if type(other) is not Measure:
-            return NotImplemented
-        return (self.prime, self.mahler, self.finite) == (other.prime, other.mahler, other.finite)
 
     def __repr__(self):
         flag = "finite" if self.finite else f"order {self.order}"
@@ -325,8 +278,7 @@ def _scalars(values, precisions, p: int) -> list:
     p^N, with a Fraction value reduced mod p^N first."""
     if precisions is None:
         return values
-    return [x if N == INF else PadicScalar._make(p, 0, x if type(x) is int else
-                                                 x.numerator * pow(x.denominator, -1, p ** N), N)
+    return [x if N == INF else PadicScalar._make(p, 0, _residue(x, p, p ** N), N)
             for x, N in zip(values, precisions)]
 
 
@@ -358,10 +310,9 @@ def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
     must name a target precision >= 1; the call refuses a missing or bad
     target, and one that the truncation-tail valuation bound cannot support,
     before any transform.  It reads the coefficients as x + O(p^target),
-    caps both shifts at the target and keeps the first n_out outputs.  A
-    truncated measure with `atoms` gives after the same checks
-    Σ c·C(Z, n), n < n_out, over its unit atoms, each term known as `*`
-    gives it and capped at the target, without reading its coefficients.
+    caps both shifts at the target and keeps the first n_out outputs; a
+    truncated measure with `atoms` gives instead `_atom_scalars` of its
+    unit atoms, capped at the target.
     """
     p, n_out, cap = mu.prime, mu.order, INF
     if not mu.finite:
@@ -375,11 +326,8 @@ def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
                                      f"precision at most {(mu.order - 1) // (p - 1) - 1}")
         atoms = _known_atoms(mu, 1)
         if atoms is not None:  # the unit atoms, each its own restriction
-            totals, precisions = _atom_sums([(c, z) for c, z in atoms if z.valuation == 0],
-                                            p, n_out)
-            return Measure._from_fields(p, tuple(
-                PadicScalar._make(p, 0, total, min(N, cap))
-                for total, N in zip(totals, precisions)), False, None)
+            return Measure._from_fields(p, _atom_scalars(
+                [(c, z) for c, z in atoms if z.valuation == 0], p, n_out, {}, cap), False, None)
     values, precisions = _readings(mu.mahler, p, cap)
     values, precisions = _shifted(_alternated(values), precisions, p, cap)
     values = [0 if m % p == 0 else x for m, x in enumerate(_alternated(values))]
@@ -445,11 +393,8 @@ def _cell_masses(mu: Measure, nu: int, cells, precision) -> list:
 
 
 def cell_mass(mu: Measure, a: int, nu: int, precision: int | None = None):
-    """µ(a + p^nu Z_p) = Σ_k a_k Σ_{m ≡ a mod p^nu} (-1)^{k-m} C(k, m).  A
-    truncated measure with `atoms`, each z known mod p^nu, gives after the
-    same checks Σ c over its atoms with z ≡ a mod p^nu, known mod p^N for N
-    the least of the target and those c's precisions: a zero known mod
-    p^target when no atom lies in the cell."""
+    """µ(a + p^nu Z_p) = Σ_k a_k Σ_{m ≡ a mod p^nu} (-1)^{k-m} C(k, m), or
+    the sum over the atoms in the cell (`_cell_masses`)."""
     if nu < 1:
         raise InvalidInput("level nu must be >= 1")
     if not 0 <= a < mu.prime ** nu:
@@ -539,37 +484,71 @@ def _paired_atoms(pairs, r_max: int, p: int, h: int) -> Measure:
         Measure._from_fields(p, mu.mahler[:mu.support_degree() + 1], True, None))) if c]
         for mu in pair) for pair in pairs)
     totals, precisions = _atom_sums(((c1 * c2, z1 * z2) for left, right in sides
-                                     for c1, z1 in left for c2, z2 in right), p, r_max + 1)
+                                     for c1, z1 in left for c2, z2 in right), p, r_max + 1, {})
     return Measure._from_fields(p, tuple(
         _bounded(exact(Fraction(total, h) if h > 1 else total), p, n) if N == INF
         else PadicScalar._make(p, 0, total * pow(h, -1, p ** N), N)
         for n, (total, N) in enumerate(zip(totals, precisions))), False, None)
 
 
-def _atom_sums(atoms, p: int, size: int):
+def _atom_sums(atoms, p: int, size: int, rows: dict):
     """(totals, precisions) of Σ c·C(Z, n), n < size, over the atoms (c, Z),
     on integers: each sum is the total known mod p^precision, INF when
     exact.  c and C(Z, n) are read as (valuation, unit, relative precision),
-    an exact value as (0, x, INF), C(Z, n) of a PadicScalar Z from
-    `_binomial_fields`, one row per distinct Z.  A term has valuation
-    v = v_c + v_n and precision v + min(rel_c, rel_n), as `*` gives it, the
-    sum the least."""
-    totals, precisions, rows = [0] * size, [INF] * size, {}
+    an exact value as (0, x, INF), C(Z, n) from `_atom_row` over rows.  A
+    term has valuation v = v_c + v_n and precision v + min(rel_c, rel_n),
+    as `*` gives it, the sum the least."""
+    totals, precisions = [0] * size, [INF] * size
     for c, Z in atoms:
-        key = Z if type(Z) is int else (Z.lift(), Z.precision)
-        if key not in rows:  # C(Z, n) = C(Z, n-1) (Z - n + 1)/n, 0 for an int Z < n
-            rows[key] = list(_binomial_fields(key[0], p, key[1], size)) \
-                if type(Z) is PadicScalar else [(0, c, INF) for c in accumulate(
-                    range(min(Z, size - 1)), lambda c, n: c * (Z - n) // (n + 1), initial=1)]
         vc, uc, rc = ((c._val, c.unit, c.rel_precision) if type(c) is PadicScalar
                       else (0, c, INF))
-        for n, (v, u, rel) in enumerate(rows[key]):
+        for n, (v, u, rel) in enumerate(_atom_row(Z, p, size, rows)):
             v += vc
             totals[n] += uc * u * p ** v
             P = v + (rel if rel < rc else rc)
             if P < precisions[n]:
                 precisions[n] = P
     return totals, precisions
+
+
+def _atom_row(Z, p: int, size: int, rows: dict) -> list:
+    """The fields of C(Z, n), n < size, kept in rows on the key of Z: an int
+    Z by itself, its exact row `_binomial_row` read as (0, C(Z, n), INF); a
+    PadicScalar Z on (lift, precision), its fields from `_binomial_fields`,
+    which refuses a zero known to no precision."""
+    key = Z if type(Z) is int else (Z.lift(), Z.precision)
+    row = rows.get(key)
+    if row is None:
+        row = rows[key] = list(_binomial_fields(key[0], p, key[1], size)) \
+            if type(Z) is PadicScalar else [(0, c, INF) for c in _binomial_row(Z, size)]
+    return row
+
+
+def _atom_scalars(atoms, p: int, size: int, rows: dict, cap=INF) -> tuple:
+    """The sums of `_atom_sums`, each one PadicScalar known mod p^min(N, cap)."""
+    totals, precisions = _atom_sums(atoms, p, size, rows)
+    return tuple(PadicScalar._make(p, 0, total, min(N, cap))
+                 for total, N in zip(totals, precisions))
+
+
+def _avatar_member(c0: PadicScalar, z: PadicScalar, order: int, rows: dict) -> Measure:
+    """The avatar family member c0·δ_z, z a unit, with `order` coefficients
+    and the atoms ((c0, z),): unbuilt until `mahler` is read, rows the
+    family's memo.  A row can refuse only at a zero C(Z, n), n > Z, so one
+    with Z < order - 1 is built here; and, as `Measure.scale` does, a c0
+    that is not p-integral is refused by `Measure`'s check of the products
+    c0·C(Z, n)."""
+    p = z.prime
+    if z.unit < order - 1:
+        _atom_row(z, p, order, rows)
+    if is_p_integral(c0, p):
+        value = object.__new__(Measure)
+        for name, field in zip(("prime", "finite", "atoms", "_recipe"),
+                               (p, False, ((c0, z),), (order, rows))):
+            object.__setattr__(value, name, field)
+        return value
+    return Measure(p, [c0 * PadicScalar._make(p, v, u, v + rel)
+                       for v, u, rel in _atom_row(z, p, order, rows)])
 
 
 def _known_atoms(mu: Measure, nu: int):

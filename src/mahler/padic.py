@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
+from itertools import accumulate, islice
 from operator import add, mul, sub
 
 from .arith import int_valuation, isprime
@@ -54,6 +54,16 @@ def exact(q):
     if type(q) is not Fraction:  # a Fraction is already in lowest terms
         q = Fraction(q)
     return q.numerator if q.denominator == 1 else q
+
+
+def _residue(q, p: int, mod: int):
+    """q mod `mod`, a power of p, for an int or a p-integral Fraction; None
+    for a Fraction whose denominator p divides."""
+    if type(q) is int:
+        return q % mod
+    if q.denominator % p == 0:
+        return None
+    return q.numerator * pow(q.denominator, -1, mod) % mod
 
 
 def is_p_integral(q, p: int) -> bool:
@@ -397,6 +407,14 @@ class TruncatedSeries(Frozen):
         return f"TruncatedSeries([{shown}{more}] + O(T^{self.order}))"
 
 
+def _binomial_row(Z: int, size: int) -> list:
+    """C(Z, n) for an int Z and n < size, on integers by
+    C(Z, n+1) = C(Z, n)(Z - n)/(n + 1), up to n = Z when 0 <= Z < size:
+    the entries past it are 0."""
+    stop = size - 1 if Z < 0 else min(Z, size - 1)
+    return list(accumulate(range(stop), lambda c, n: c * (Z - n) // (n + 1), initial=1))
+
+
 def _binomial_fields(Z: int, p: int, P: int, order: int):
     """The fields (valuation, unit, relative precision) that
     `PadicScalar._make(p, 0, C(Z, n), P_n)` stores, for n < order, Z = lift(z)
@@ -425,8 +443,9 @@ def _binomial_fields(Z: int, p: int, P: int, order: int):
 def binomial_series(z, order: int) -> TruncatedSeries:
     """The Amice series (1+T)^z = sum_n C(z,n) T^n for z in Z_p.
 
-    Exact int/Fraction inputs give exact coefficients.  The exact p-adic
-    zero gives 1 + O(p) and then exact zeros, C(0, n) = 0 for n >= 1.
+    Exact int/Fraction inputs give exact coefficients, an integral one from
+    the integer row `_binomial_row`.  The exact p-adic zero gives 1 + O(p)
+    and then exact zeros, C(0, n) = 0 for n >= 1.
 
     A PadicScalar z known mod p^P gives what the recurrence
     C(z, n) = C(z, n-1) (z - n + 1) / n gives in PadicScalar arithmetic,
@@ -447,7 +466,7 @@ def binomial_series(z, order: int) -> TruncatedSeries:
     min(v_p(j), P) for j running through Z/p^P, which sum to v_p((p^P)!), so
     the refusal comes by n = p^P: no factor z - k with k >= p^P is formed.
     The fields of each C(z, n) come from `_binomial_fields`, which
-    `heckechar.avatar_measure_family` reads too.
+    `measure`'s atom sums read too.
     """
     if order < 1:
         raise InvalidInput("order must be >= 1")
@@ -462,6 +481,9 @@ def binomial_series(z, order: int) -> TruncatedSeries:
         return TruncatedSeries._from_fields(
             tuple(PadicScalar._make(p, v, u, v + rel) for v, u, rel in fields), p)
     z = Fraction(z)
+    if z.denominator == 1:
+        coeffs = _binomial_row(z.numerator, order)
+        return TruncatedSeries._from_fields(tuple(coeffs + [0] * (order - len(coeffs))), None)
     coeffs = [1]
     for n in range(1, order):
         coeffs.append(exact(coeffs[-1] * (z - (n - 1)) / n))

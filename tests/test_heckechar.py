@@ -27,6 +27,7 @@ from mahler.measure import (Measure, cell_mass, cell_tail_valuation, dirac, inte
                             moments, mult_pushforward, pairing_measure, restrict_to_units)
 from paper_oracles import (composition_table, family_cases, family_outcome, is_trivial,
                            sqrt_d, weight_value_on_principal)
+from test_immutability import unfilled
 
 ALL_DISCS_200 = [D for D in range(-3, -201, -1) if D % 4 in (0, 1)]
 
@@ -1308,10 +1309,10 @@ class TestAtomReads:
     is read."""
 
     def test_restriction_and_cell_masses_build_no_coefficients(self, monkeypatch):
-        # spies on the coefficient build of a member and on the Mahler
-        # route's kernels, which a scaled member, whose coefficients are
-        # built, would reach without its atom
-        built, kernels = [], []
+        # `unfilled` shows whether a member's coefficients were built; the
+        # spies are on the Mahler route's kernels, which a scaled member,
+        # whose coefficients are built, would reach without its atom
+        kernels = []
 
         def spy(module, name, log):
             original = getattr(module, name)
@@ -1320,7 +1321,6 @@ class TestAtomReads:
                 log.append(name)
                 return original(*args)
             monkeypatch.setattr(module, name, call)
-        spy(heckechar, "_scaled_fields", built)
         for name in ("_shifted", "_cell_rows"):
             spy(measure, name, kernels)
         for D in (-20, -56):  # p = 3 and 5, where level-2 cells have a target
@@ -1350,26 +1350,22 @@ class TestAtomReads:
                         integrate_step(member, phi, bound + 1)
             for mu in family:
                 read(mu)
-                assert built == [] and kernels == []
+                assert unfilled(mu) and kernels == []
                 read(mu.scale(Fraction(p, 2)))  # the scaling reads the coefficients
-                assert built == ["_scaled_fields"] and kernels == []
-                built.clear()
+                assert not unfilled(mu) and kernels == []
         restrict_to_units(Measure(*family[0]._fields()[:3]), 1)
         assert kernels == ["_shifted", "_shifted"]
 
-    def test_step_integral_is_as_precise_as_its_cells(self, monkeypatch):
+    def test_step_integral_is_as_precise_as_its_cells(self):
         # D = -20, p = 3: the step integral of the one cell 0 + 3Z_3 is that
         # cell's mass, a zero known mod 3^23, and not the Mahler route's
         # 0 + O(3^4) at embedding precision 4
         G = class_group(-20)
         chars = characters(G)
         member = avatar_measure_family(chars[-1], chars[1], admissible_embedding(G, 3, 4), 48)[0]
-        built, build = [], heckechar._scaled_fields
-        monkeypatch.setattr(heckechar, "_scaled_fields",
-                            lambda *args: built.append(args) or build(*args))
         got = integrate_step(member, [1, 0, 0], 23)
         assert got._fields() == cell_mass(member, 0, 1, 23)._fields() == (3, INF, 0, 23)
-        assert str(got) == "0 + O(3^23)" and built == []
+        assert str(got) == "0 + O(3^23)" and unfilled(member)
 
 
 class TestRowAvatars:

@@ -20,7 +20,7 @@ import pytest
 
 from mahler.archimedean import LocalFactorParams, PiPolynomial
 from mahler.errors import Frozen, InvalidInput, PrecisionExhausted
-from mahler import heckechar
+from mahler import measure
 from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
                               WeightFunction, admissible_embedding,
                               avatar_measure_family, characters, class_group,
@@ -307,12 +307,14 @@ def test_a_family_members_atom_refuses_assignment_and_deletion():
 
 
 def test_a_family_member_equals_the_measure_of_its_fields():
-    # `==` and `repr` read prime, mahler and finite; the public constructor,
-    # which takes those three, builds a measure without atoms
+    # `==` reads every field, atoms included, and `repr` reads prime, mahler
+    # and finite; the public constructor, which takes those three, builds a
+    # measure without atoms, which prints as the member and is not equal
     _, pairs = family_pairs()
     for mu in (mu for pair in pairs for mu in pair):
         plain = Measure(*mu._fields()[:3])
-        assert mu == plain and repr(mu) == repr(plain)
+        assert mu == Measure._from_fields(*mu._fields()) and repr(mu) == repr(plain)
+        assert mu != plain and plain == Measure._from_fields(*mu._fields()[:3], None)
         assert exactly(mu)[1][:3] == exactly(plain)[1][:3]
         assert plain.atoms is None and mu.atoms is not None
 
@@ -381,10 +383,6 @@ def test_reading_the_other_fields_and_pairing_build_no_series(monkeypatch):
     # was built at the call; every other lift is at least order - 1
     lifts = [mu.atoms[0][1].unit for mu in members]
     assert lifts[:2] == [1, 1] and min(lifts[2:]) >= 11
-    calls = []
-    fields = heckechar._binomial_fields
-    monkeypatch.setattr(heckechar, "_binomial_fields",
-                        lambda *args: calls.append(args) or fields(*args))
     assert [(mu.order, mu.prime, mu.finite) for mu in members] == [(12, 7, False)] * 6
     assert all(type(mu.atoms) is tuple for mu in members)
     pairing_measure(pairs, 8)
@@ -392,21 +390,26 @@ def test_reading_the_other_fields_and_pairing_build_no_series(monkeypatch):
     # seven pairs at p = 7: the p-adic gate reads the atoms, not `mahler`
     with pytest.raises(InvalidInput, match="class count divisible by p"):
         pairing_measure((pairs * 3)[:7], 8)
-    assert calls == [] and all(map(unfilled, members))
-    members[0].mahler  # from the series built at the call
-    assert calls == []
+    # each family's row memo holds only the identity's row
+    assert all(map(unfilled, members)) and [len(mu._recipe[1]) for mu in members] == [1] * 6
+    calls = []
+    fields = measure._binomial_fields
+    monkeypatch.setattr(measure, "_binomial_fields",
+                        lambda *args: calls.append(args) or fields(*args))
+    members[0].mahler  # from the row built at the call
+    assert calls == [] and members[0]._recipe is None
     members[2].mahler
     assert len(calls) == 1 and unfilled(members[3])
 
 
 def test_two_threads_reading_at_once_build_equal_tuples(monkeypatch):
     # both threads are held inside the build until each has entered it
-    barrier, build = threading.Barrier(2, timeout=10), heckechar._scaled_fields
+    barrier, build = threading.Barrier(2, timeout=10), measure._atom_scalars
 
     def held(*args):
         barrier.wait()
         return build(*args)
-    monkeypatch.setattr(heckechar, "_scaled_fields", held)
+    monkeypatch.setattr(measure, "_atom_scalars", held)
     mu = family_pairs()[1][1][0]
     got = [None, None]
 
@@ -617,7 +620,9 @@ def test_json_round_trips_agree_and_are_never_more_precise():
             twin = type(mu)._from_fields(*mu._fields())
             assert json.dumps(encode_measure(twin)) == json.dumps(encoded)
         decoded = decode_measure(json.loads(json.dumps(encoded)))
-        assert decoded == mu and no_more_precise(decoded, mu, mu.prime)
+        # the format carries no atoms, and `==` compares them
+        assert decoded == Measure._from_fields(*mu._fields()[:3], None)
+        assert (decoded == mu) is (mu.atoms is None) and no_more_precise(decoded, mu, mu.prime)
         for name, fn in transforms(mu).items():
             want, got = attempt(fn, mu), attempt(fn, decoded)
             if isinstance(want, Exception):
@@ -627,3 +632,63 @@ def test_json_round_trips_agree_and_are_never_more_precise():
             else:
                 assert no_more_precise(got, want, mu.prime), (name, mu)
     assert len(corpus) > 150 and unbuilt > 100 and not any(map(unfilled, corpus))
+
+
+def test_equal_measures_give_equal_outputs():
+    """For every two family lists X == Y among avatar families, their
+    members scaled by an int or a Fraction, copies, atom-less rebuilds
+    through `Measure` and JSON round trips: `pairing_measure` of the pairs
+    (x, x), and `restrict_to_units`, `cell_mass` and `integrate_step` of
+    the first members, around their tail bounds, refuse both with the same
+    type and message or give outputs that compare ==.  A rebuild has no
+    atoms, so it pairs, restricts and takes cells through its coefficients,
+    and it is not equal to the member: its moment route refuses pairings
+    that the atoms give.  About 1 s on two shared vCPUs."""
+    def rebuilt(family):
+        return [Measure(*mu._fields()[:3]) for mu in family]
+
+    def round_trip(family):
+        return [decode_measure(json.loads(json.dumps(encode_measure(mu)))) for mu in family]
+
+    def outputs(family, cells):
+        p, order = family[0].prime, family[0].order
+        best = (order - 1) // (p - 1) - 1
+        calls = {("pair", r): lambda r=r: pairing_measure([(mu, mu) for mu in family], r)
+                 for r in {order - 1, min(8, order - 1)}}
+        for i, mu in enumerate(family[:2]):
+            for t in {1, best, best + 1} - {0}:
+                calls["restrict", i, t] = lambda mu=mu, t=t: restrict_to_units(mu, t)
+            for nu in (1, 2):
+                bound = measure.cell_tail_valuation(order, nu, p)
+                for a in (cells[i] % p ** nu, (cells[i] + 1) % p ** nu):
+                    for t in {1, bound, bound + 1} - {0}:
+                        calls["cell", i, nu, a, t] = \
+                            lambda mu=mu, a=a, nu=nu, t=t: cell_mass(mu, a, nu, t)
+                phi = [Fraction(a - 1, 2) for a in range(p ** nu)]
+                calls["step", i, nu] = lambda mu=mu, phi=phi, t=bound: integrate_step(mu, phi, t)
+        return {key: attempt(lambda call: call(), call) for key, call in calls.items()}
+
+    compared = unequal = 0
+    for chi0, chi, emb, order in list(family_cases())[::5]:
+        try:
+            family = avatar_measure_family(chi0, chi, emb, order)
+        except (InvalidInput, PrecisionExhausted):
+            continue
+        cells = [mu.atoms[0][1].lift() for mu in family]
+        scaled = [mu.scale(Fraction(emb.prime, 2) if order % 3 else 3) for mu in family]
+        lists = [family, [copy.copy(mu) for mu in family], rebuilt(family),
+                 round_trip(family), scaled, rebuilt(scaled), round_trip(scaled)]
+        results = [outputs(xs, cells) for xs in lists]
+        for i, x in enumerate(lists):
+            for j in range(i + 1, len(lists)):
+                if x != lists[j]:
+                    unequal += 1
+                    continue
+                compared += 1
+                for key, want in results[i].items():
+                    got = results[j][key]
+                    if isinstance(want, Exception) or isinstance(got, Exception):
+                        assert (type(got), str(got)) == (type(want), str(want)), (key, chi0, emb)
+                    else:
+                        assert got == want, (key, chi0, emb)
+    assert compared > 120 and unequal > 600

@@ -444,6 +444,18 @@ class TestBinomialSeries:
         assert series.domain == ("int" if Fraction(z).denominator == 1 else "rat")
         assert binomial_series(z, 1).domain == "int"
 
+    def test_integral_z_against_math_comb(self):
+        # oracle: math.comb, and C(z, n) = (-1)^n C(n - z - 1, n) for z < 0;
+        # an integral z, int or Fraction, reads the integer row, every
+        # coefficient an int, its zeros past n = z >= 0 included
+        for z in [*range(-30, 61), 10 ** 30]:
+            for order in (1, 7, 200):
+                want = tuple(math.comb(z, n) if z >= 0 else (-1) ** n * math.comb(n - z - 1, n)
+                             for n in range(order))
+                for given in (z, Fraction(z)):
+                    coeffs = binomial_series(given, order).coeffs
+                    assert coeffs == want and {type(c) for c in coeffs} == {int}, (z, order)
+
     def test_padic_input_integrality(self):
         z = PadicScalar.from_rational(Fraction(1, 2), 7, 8)
         series = binomial_series(z, 10)
