@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from types import MappingProxyType
 
 from .errors import Frozen, InvalidInput, Record, ToleranceNotMet
 
@@ -24,7 +23,7 @@ class PiPolynomial(Frozen):
             coeff = Fraction(coeff)
             if coeff:
                 clean[int(power)] = coeff
-        self._set(MappingProxyType(clean))
+        self._set(clean)
 
     @classmethod
     def term(cls, coeff, power: int = 0) -> "PiPolynomial":

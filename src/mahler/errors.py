@@ -23,14 +23,13 @@ class ToleranceNotMet(RuntimeError):
 class Frozen:
     """Base of every value class, and its protocol over the `__slots__`
     fields: they refuse assignment and deletion, so a public constructor
-    checks and sets them through `object.__setattr__`, mostly by `_set`, and
-    copies, unpickled and derived values come from `_from_fields` (or from
-    `PadicScalar._make`, which keeps a zero's `INF`); two values
-    of one class are equal when their fields are; values are unhashable; a
-    value prints as `Name(field=<repr>, ...)`.  A class may override
-    `__eq__` or `__repr__`, and may fill a field on its first read, as a
-    `Measure` avatar family member fills `mahler`: every reader, `_fields()`
-    and so copies and pickles among them, then sees the filled value."""
+    checks them and sets them by `_set`, which sets every field of every
+    value, a dict as a read-only map; copies, unpickled and derived values
+    come from `_from_fields`.  Two values of one class are equal when their fields
+    are; values are unhashable; a value prints as `Name(field=<repr>, ...)`.
+    A class may override `__eq__`, `__repr__` or `_fields`, as `Measure`
+    does to read its `mahler` property, which builds a family member's
+    coefficients on first read: copies and pickles see the built tuple."""
 
     __slots__ = ()
 
@@ -39,18 +38,26 @@ class Frozen:
 
     __delattr__ = __setattr__
 
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
     def _set(self, *fields):
-        """Set every field, in `__slots__` order.  `PadicScalar._make` (the
-        avatar path's inner loops) calls `object.__setattr__` per field: half the cost."""
-        for name, field in zip(self.__slots__, fields, strict=True):
-            object.__setattr__(self, name, field)
+        """Set every field, in `__slots__` order, a dict as a read-only map,
+        by the slots' own setters, which `__setattr__` does not reach (a
+        check of the count costs less than a strict `zip`)."""
+        setters = self._setters
+        if len(fields) != len(setters):
+            raise ValueError(f"{type(self).__name__} has {len(setters)} fields, not {len(fields)}")
+        for setter, field in zip(setters, fields):
+            setter(self, MappingProxyType(field) if type(field) is dict else field)
 
     @classmethod
     def _from_fields(cls, *fields):
-        """The value with these fields, unchecked, a dict as a read-only map:
-        a copy, an unpickled value, or one derived from checked values."""
+        """The value with these fields, unchecked: a copy, an unpickled
+        value, or one derived from checked values."""
         value = object.__new__(cls)
-        value._set(*[MappingProxyType(f) if type(f) is dict else f for f in fields])
+        value._set(*fields)
         return value
 
     def _fields(self) -> tuple:

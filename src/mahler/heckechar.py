@@ -25,7 +25,6 @@ from array import array
 from fractions import Fraction
 from functools import lru_cache
 from itertools import repeat
-from types import MappingProxyType
 
 from .arith import (cyclotomic_coeffs, factorint, fundamental_decomposition,
                     isprime, jacobi, sqrt_mod_prime)
@@ -241,8 +240,7 @@ class AlgebraicValue(Frozen):
         coeffs = [(_rational(a), _rational(b)) for a, b in coeffs]
         if len(coeffs) > len(_cyclotomic(m)) - 1:
             raise InvalidInput("coefficient vector too long")
-        self._set(d, m, MappingProxyType(
-            {k: c for k, c in enumerate(coeffs) if c[0] or c[1]}))
+        self._set(d, m, {k: c for k, c in enumerate(coeffs) if c[0] or c[1]})
 
     # -- constructors --
 

@@ -92,24 +92,16 @@ def _dot(row, xs, res, P=INF):
     return 0 if P is INF else PadicScalar._make(p, 0, total, P)
 
 
-class _Deferrable(Frozen):
-    """The slot that a deferred `Measure` keeps its recipe in, outside
-    `Measure.__slots__`, so that it is no field."""
-
-    __slots__ = ("_recipe",)
-
-
-class Measure(_Deferrable):
+class Measure(Frozen):
     """A bounded measure on Z_p, known through its first `order` Mahler
     coefficients; `finite` marks a complete expansion (all higher a_n = 0).
     `atoms`, None or a tuple of (c, z) for µ = Σ c·δ_z, is set only by
     derived builds, as the public constructor cannot check it.
 
-    An avatar family member (`_avatar_member`) keeps its recipe (order,
-    rows) in a slot outside `__slots__`, so in no field; it is None for any
-    other measure, and for a member once `mahler` is stored."""
+    The `_mahler` slot of an avatar family member (`_avatar_member`) holds
+    its recipe, a list [order, rows], until `mahler` is first read."""
 
-    __slots__ = ("prime", "mahler", "finite", "atoms")
+    __slots__ = ("prime", "_mahler", "finite", "atoms")
 
     def __init__(self, prime: int, mahler, finite: bool = False):
         checked_prime(prime)
@@ -127,30 +119,23 @@ class Measure(_Deferrable):
                                    "this is a distribution, not a measure")
         self._set(prime, mahler, finite, None)
 
-    def _set(self, *fields):
-        """Every field, and no recipe."""
-        super()._set(*fields)
-        object.__setattr__(self, "_recipe", None)
-
-    def __getattr__(self, name):
-        """Reached only for a field that is not set: a member's `mahler`,
-        `_atom_scalars` of its atoms over the family's rows, stored here.
-        Clearing the recipe then frees the rows; a thread that found the
-        field unset and the recipe cleared reads the stored tuple."""
-        if name != "mahler":
-            raise AttributeError(f"'Measure' object has no attribute {name!r}")
-        recipe = self._recipe
-        if recipe is None:
-            return self.mahler
-        mahler = _atom_scalars(self.atoms, self.prime, *recipe)
-        object.__setattr__(self, "mahler", mahler)
-        object.__setattr__(self, "_recipe", None)
+    @property
+    def mahler(self) -> tuple:
+        """The coefficients; a member's are `_atom_scalars` of its atoms over
+        the family's rows, stored in place of the recipe, which frees them."""
+        mahler = self._mahler
+        if type(mahler) is list:
+            mahler = _atom_scalars(self.atoms, self.prime, *mahler)
+            object.__setattr__(self, "_mahler", mahler)
         return mahler
+
+    def _fields(self) -> tuple:
+        return self.prime, self.mahler, self.finite, self.atoms
 
     @property
     def order(self) -> int:
-        recipe = self._recipe
-        return len(self.mahler) if recipe is None else recipe[0]
+        mahler = self._mahler
+        return mahler[0] if type(mahler) is list else len(mahler)
 
     def support_degree(self) -> int:
         """Largest index with a nonzero stored coefficient."""
@@ -324,10 +309,9 @@ def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
         if n_out < 1:
             raise PrecisionExhausted(f"order {mu.order} supports restriction "
                                      f"precision at most {(mu.order - 1) // (p - 1) - 1}")
-        atoms = _known_atoms(mu, 1)
-        if atoms is not None:  # the unit atoms, each its own restriction
+        if mu.atoms:  # the unit atoms, each its own restriction
             return Measure._from_fields(p, _atom_scalars(
-                [(c, z) for c, z in atoms if z.valuation == 0], p, n_out, {}, cap), False, None)
+                [(c, z) for c, z in mu.atoms if z.valuation == 0], p, n_out, {}, cap), False, None)
     values, precisions = _readings(mu.mahler, p, cap)
     values, precisions = _shifted(_alternated(values), precisions, p, cap)
     values = [0 if m % p == 0 else x for m, x in enumerate(_alternated(values))]
@@ -360,10 +344,10 @@ def _cell_rows(q: int, size: int):
 
 def _cell_masses(mu: Measure, nu: int, cells, precision) -> list:
     """The masses µ(a + p^nu Z_p), a in `cells`, each a < p^nu, after the
-    refusals that every level-nu cell shares: read from the atoms when
-    `_known_atoms` gives them, else one `_dot` per cell with a column of one
-    set of folded rows, each sum starting at INF for a finite measure and at
-    the target for a truncated one."""
+    refusals that every level-nu cell shares: read from a truncated
+    measure's atoms when it has them, else one `_dot` per cell with a column
+    of one set of folded rows, each sum starting at INF for a finite measure
+    and at the target for a truncated one."""
     p, q, P = mu.prime, mu.prime ** nu, INF
     if not mu.finite:
         if precision is None:
@@ -375,17 +359,9 @@ def _cell_masses(mu: Measure, nu: int, cells, precision) -> list:
         if precision < 1:
             raise PrecisionExhausted("zero known to no precision")
         P = precision
-    atoms = _known_atoms(mu, nu)
-    if atoms is not None:  # Σ c over the atoms in the cell, known mod p^min(P, N_c)
-        masses = []
-        for a in cells:
-            total, N = 0, P
-            for c, z in atoms:
-                if z.lift() % q == a:
-                    total += c.lift()
-                    N = min(N, c.precision)
-            masses.append(PadicScalar._make(p, 0, total, N))
-        return masses
+        if mu.atoms:  # Σ c·C(0, 0) over the atoms in the cell
+            return [_atom_scalars([(c, 0) for c, z in mu.atoms if z.lift() % q == a],
+                                  p, 1, {}, P)[0] for a in cells]
     res = _residues(mu.mahler, p, None if P is INF else P)
     columns, zeros = list(zip(*_cell_rows(q, mu.order))), (0,) * mu.order
     return [exact(_dot(columns[a] if a < len(columns) else zeros, mu.mahler, res, P))
@@ -542,21 +518,6 @@ def _avatar_member(c0: PadicScalar, z: PadicScalar, order: int, rows: dict) -> M
     if z.unit < order - 1:
         _atom_row(z, p, order, rows)
     if is_p_integral(c0, p):
-        value = object.__new__(Measure)
-        for name, field in zip(("prime", "finite", "atoms", "_recipe"),
-                               (p, False, ((c0, z),), (order, rows))):
-            object.__setattr__(value, name, field)
-        return value
+        return Measure._from_fields(p, [order, rows], False, ((c0, z),))
     return Measure(p, [c0 * PadicScalar._make(p, v, u, v + rel)
                        for v, u, rel in _atom_row(z, p, order, rows)])
-
-
-def _known_atoms(mu: Measure, nu: int):
-    """The atoms (c, z) of a truncated µ, PadicScalars of its prime, when
-    every z is known mod p^nu: enough to read its level-nu cell, and its
-    unit or not for nu = 1.  None for any other µ, which the Mahler route
-    reads."""
-    atoms = mu.atoms
-    if mu.finite or not atoms or any(z.precision < nu for _, z in atoms):
-        return None
-    return atoms

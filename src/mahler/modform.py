@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from types import MappingProxyType
 
 from .arith import bernoulli
 from .errors import Frozen, InvalidInput
@@ -178,7 +177,7 @@ class NearlyHolomorphic(Frozen):
             c = exact(c)
             if c != 0:
                 table[(n, j)] = c
-        self._set(weight, trunc, MappingProxyType(table))
+        self._set(weight, trunc, table)
 
     def __add__(self, other: "NearlyHolomorphic") -> "NearlyHolomorphic":
         if self.weight != other.weight:

@@ -109,12 +109,7 @@ class PadicScalar(Frozen):
         while n and n % p == 0:
             n //= p
             v += 1
-        self = object.__new__(PadicScalar)
-        object.__setattr__(self, "prime", p)
-        object.__setattr__(self, "valuation", v if n else INF)
-        object.__setattr__(self, "unit", n)
-        object.__setattr__(self, "precision", N)
-        return self
+        return PadicScalar._from_fields(p, v if n else INF, n, N)
 
     def __reduce__(self):  # pickle makes inf anew; `zero` and `_make` give back INF
         if self.precision is INF:

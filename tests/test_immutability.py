@@ -149,6 +149,15 @@ def test_records_hash_by_their_fields(name):
 
 
 @pytest.mark.parametrize("name", list(ALL))
+def test_a_build_with_one_field_too_few_or_too_many_is_refused(name):
+    value = ALL[name]()
+    fields = value._fields()
+    for wrong in (fields[:-1], (*fields, None)):
+        with pytest.raises(ValueError, match=f"has {len(fields)} fields, not {len(wrong)}"):
+            type(value)._from_fields(*wrong)
+
+
+@pytest.mark.parametrize("name", list(ALL))
 def test_equality_with_another_type_is_not_implemented(name):
     value = ALL[name]()
     assert value != object() and value != (value,)
@@ -238,7 +247,8 @@ def test_derived_values_skip_the_checks_and_equal_checked_builds(monkeypatch):
     depletion of Delta, nothing enters the `Measure`, `TruncatedSeries` or
     `QExpansion` constructors (the families pair through their atoms, with
     no `mahler_from_moments`); a class group's
-    `QuadOrder` is built from the parts of its discriminant.  Each value so
+    `QuadOrder` is built from the parts of its discriminant, and every
+    `PadicScalar._make` ends in `_from_fields`.  Each value so
     built equals the public constructor's value on its fields.  The roots of
     unity that `characters` caches are built first, so that the set of
     recorded types does not depend on which tests ran before."""
@@ -274,7 +284,7 @@ def test_derived_values_skip_the_checks_and_equal_checked_builds(monkeypatch):
 
     assert set(entered) == set()
     assert {type(value) for value in built} \
-        == {Measure, TruncatedSeries, QExpansion, WeightFunction, QuadOrder}
+        == {Measure, TruncatedSeries, QExpansion, WeightFunction, QuadOrder, PadicScalar}
     monkeypatch.undo()
     for value in built:
         if type(value) is Measure:  # the public constructor takes no atoms
@@ -335,18 +345,15 @@ def test_copies_of_a_family_member_keep_the_atoms_and_pair_to_the_same_fields():
 # -- a family member builds its coefficients on first read --------------------
 
 def unfilled(mu: Measure) -> bool:
-    """Whether the `mahler` slot of µ is still unset, read without filling it."""
-    try:
-        Measure.mahler.__get__(mu)
-    except AttributeError:
-        return True
-    return False
+    """Whether the `_mahler` slot of µ still holds a member's recipe, read
+    without filling it."""
+    return type(mu._mahler) is list
 
 
 def test_an_unfilled_member_refuses_assignment_and_deletion_of_every_field():
     mu = family_pairs()[1][1][0]
     assert unfilled(mu)
-    for field in [*type(mu).__slots__, "_recipe", "other"]:
+    for field in [*type(mu).__slots__, "mahler", "other"]:
         with pytest.raises(AttributeError):
             setattr(mu, field, 0)
         with pytest.raises(AttributeError):
@@ -391,13 +398,13 @@ def test_reading_the_other_fields_and_pairing_build_no_series(monkeypatch):
     with pytest.raises(InvalidInput, match="class count divisible by p"):
         pairing_measure((pairs * 3)[:7], 8)
     # each family's row memo holds only the identity's row
-    assert all(map(unfilled, members)) and [len(mu._recipe[1]) for mu in members] == [1] * 6
+    assert all(map(unfilled, members)) and [len(mu._mahler[1]) for mu in members] == [1] * 6
     calls = []
     fields = measure._binomial_fields
     monkeypatch.setattr(measure, "_binomial_fields",
                         lambda *args: calls.append(args) or fields(*args))
     members[0].mahler  # from the row built at the call
-    assert calls == [] and members[0]._recipe is None
+    assert calls == [] and not unfilled(members[0])
     members[2].mahler
     assert len(calls) == 1 and unfilled(members[3])
 

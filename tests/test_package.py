@@ -1,9 +1,12 @@
 """The package API: every name `mahler` exported when it imported each
 module eagerly is still there, as the same object as its module's
-attribute, and is listed by dir()."""
+attribute, and is listed by dir().  Every value's fields are set in one
+place, `errors.Frozen`."""
 
 import importlib
+import inspect
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +69,17 @@ def test_version_and_unknown_name():
         mahler.no_such_name
     with pytest.raises(ImportError):
         exec("from mahler import no_such_name", {})
+
+
+def test_fields_are_set_only_by_frozen():
+    # `Frozen._from_fields` is the one `object.__new__`, and `Frozen._set`,
+    # which makes a dict read-only, sets every field; the one other setter is
+    # the `Measure.mahler` property, which stores a member's coefficients
+    from mahler.measure import Measure
+    for path in Path(mahler.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        if path.name != "errors.py":
+            assert "object.__new__" not in text and "MappingProxyType" not in text, path.name
+            fills = 1 if path.name == "measure.py" else 0
+            assert text.count("object.__setattr__") == fills, path.name
+    assert "object.__setattr__" in inspect.getsource(Measure.mahler.fget)

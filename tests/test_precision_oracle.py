@@ -356,9 +356,10 @@ def test_restriction_and_cell_masses_through_atoms_against_the_mahler_route():
     # Mahler route reads the measure rebuilt without atoms.  Each output
     # also agrees with Σ c·C(z, n) over the unit atoms, or Σ c over the
     # atoms in the cell, for the lifts of each c and z and two other
-    # integers they stand for
+    # integers they stand for.  A cell finer than the precision of the
+    # atoms refuses every target
     rng = random.Random(SEED)
-    compared = higher = refused = families = refused_families = coarse = 0
+    compared = higher = refused = families = refused_families = beyond = 0
     for chi0, chi, emb, order in family_cases():
         p = emb.prime
         family = outcome(avatar_measure_family, chi0, chi, emb, order)
@@ -394,19 +395,25 @@ def test_restriction_and_cell_masses_through_atoms_against_the_mahler_route():
                         compared += len(atoms.mahler)
                         continue
                     a, nu = args[:2]
-                    # a cell that passes the tail bound needs order > p^nu, and
-                    # a family's order is at most p^P for avatars known mod p^P
+                    # a cell that passes the tail bound is no finer than its atoms
                     assert all(w.precision >= nu for _, w in member.atoms)
                     for atom_lifts in zip(*lifted):
                         assert agrees(atoms, sum(c for c, w in atom_lifts
                                                  if w % p ** nu == a), p)
                     compared += 1
-                    if nu > 1:  # atoms known mod p only keep the Mahler route
-                        coarse += 1
-                        rough = Measure._from_fields(p, member.mahler, False, tuple(
-                            (c, PadicScalar._make(p, 0, w.lift(), 1)) for c, w in member.atoms))
-                        assert cell_mass(rough, *args)._fields() == mahler._fields()
-    assert families > 250 and refused_families > 40 and coarse > 300
+                # a family's order is at most p^M for avatars known mod p^M
+                # (C(Z, p^M) is a zero known to no precision), so a cell of
+                # level nu > M has a tail bound of at most 1 - nu, and every
+                # target refuses before the atoms, known mod p^M, are read
+                M = min(w.precision for _, w in member.atoms)
+                assert member.order <= p ** M
+                for nu in (M + 1, M + 2):
+                    assert cell_tail_valuation(member.order, nu, p) <= 1 - nu
+                    for t in (1, 2, M + 1):
+                        with pytest.raises(PrecisionExhausted, match=f"level-{nu} cell"):
+                            cell_mass(member, z % p ** nu, nu, t)
+                        beyond += 1
+    assert families > 250 and refused_families > 40 and beyond > 15000
     assert compared > 50000 and higher > 5000 and refused > 5000
 
 
