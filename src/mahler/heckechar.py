@@ -9,7 +9,9 @@ what equality, printing and encoding read. Arithmetic is exact throughout, and
 every pairing is one sum, divided by h once.  For characters the sum is a
 count of exponents: in a layer m small enough that the factors' exponents add
 within one byte, the exponent rows are added as packed ints and reduced mod m
-by one `bytes.translate`, so a pairing costs a few C-level passes whatever h.
+by one `bytes.translate`, so a pairing costs a few C-level passes whatever h;
+the counted value is read from a bounded memo keyed on the per-class sums,
+of which an h × h table of pairings meets each about h times.
 
 A p-adic embedding maps a value to one PadicScalar (`PadicEmbedding.embed`);
 the avatars of a weight function with an exponent row are read from one
@@ -194,7 +196,7 @@ def class_group(D: int) -> IdealClassGroup:
 # the value tower Q(sqrt d)(zeta_m)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _cyclotomic(m: int) -> tuple:
     """Ascending coefficients of the monic Phi_m, computed once per m."""
     return tuple(cyclotomic_coeffs(m))
@@ -402,6 +404,17 @@ class AlgebraicValue(Frozen):
 # weight functions, characters, pairings
 # ---------------------------------------------------------------------------
 
+def _integral_weight(w) -> int:
+    """A weight component as an int; one that is not equal to an integer
+    (a non-integral number, NaN, an infinity, a str) is refused."""
+    try:
+        if w == int(w):
+            return int(w)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise InvalidInput(f"weight component {w!r} is not an integer")
+
+
 class WeightFunction(Frozen):
     """A function on ideal classes transforming with weight (w1, ws) on
     principal ideals; finite-order characters are the weight-(0,0) case.  At
@@ -411,18 +424,18 @@ class WeightFunction(Frozen):
     __slots__ = ("group", "weight", "values", "exponents")
 
     def __init__(self, group: IdealClassGroup, weight, values, exponents=None):
-        w1, ws = weight
+        w1, ws = map(_integral_weight, weight)
         values = tuple(values)
         if len(values) != group.h:
             raise InvalidInput("need one value per ideal class")
         d, m = group.order_data.d_K, group.exponent
         row = array("H", [next(iter(v.terms)) for v in values]).tobytes() if (
-            (int(w1), int(ws)) == (0, 0) and m < 1 << 16 and all(
+            (w1, ws) == (0, 0) and m < 1 << 16 and all(
                 isinstance(v, AlgebraicValue) and (v.d, v.m) == (d, m)
                 and list(v.terms.values()) == [(1, 0)] for v in values)) else None
         if exponents is not None and exponents != row:
             raise InvalidInput("exponent row disagrees with the values")
-        self._set(group, (int(w1), int(ws)), values, row)
+        self._set(group, (w1, ws), values, row)
 
     def __mul__(self, other: "WeightFunction") -> "WeightFunction":
         if other.group.discriminant != self.group.discriminant:
@@ -438,7 +451,7 @@ class WeightFunction(Frozen):
         if self.exponents:
             m, row = self.values[0].m, memoryview(self.exponents).cast("H")
             return _from_row(self.group, m, array("H", [e * n % m for e in row]))
-        w = (int(n * self.weight[0]), int(n * self.weight[1]))
+        w = (n * self.weight[0], n * self.weight[1])
         return WeightFunction(self.group, w, (v ** n for v in self.values))
 
     def inverse(self) -> "WeightFunction":
@@ -493,10 +506,26 @@ def _residue_table(m: int) -> bytes:
     return bytes(b % m for b in range(256))
 
 
-@lru_cache(maxsize=1024)
-def _share(n: int, h: int) -> tuple:
-    """The term (n/h, 0) of a count n >= 1 of h classes, in `exact` normal form."""
-    return (n // h if n % h == 0 else Fraction(n, h), 0)
+@lru_cache(maxsize=128)
+def _count_value(d: int, m: int, sums) -> "AlgebraicValue":
+    """(1/h) Σ_k n_k z^k in the layer m of Q(sqrt(d)), h = len(sums), for
+    the per-class exponent sums mod m (bytes or a tuple of ints): the keys
+    in first occurrence, as a walk over the classes meets them, and n_k the
+    count of k, each share n_k/h in `exact` normal form (n_k >= 1, so none
+    is zero).  The value depends on nothing else, and values are immutable,
+    so equal sums share one.
+
+    In an h × h table of character pairings, χ_a·χ_b takes only h distinct
+    values, and so does χ_a·χ_b·ψ: the plain and twisted tables of one group
+    meet at most 2h keys, 32 at h = 16, and each is counted once.  A run
+    over many groups meets more keys than the 128 kept, and a
+    least-recently-used memo misses on every entry of a cyclic scan larger
+    than itself, so the reuse it gives is within a table, not across tables."""
+    h = len(sums)
+    keys = dict.fromkeys(sums)
+    return AlgebraicValue._from_fields(d, m, {
+        k: (n // h if n % h == 0 else Fraction(n, h), 0)
+        for k, n in zip(keys, map(sums.count, keys))})
 
 
 def _class_sum(phi1: WeightFunction, phi2: WeightFunction, *twist: WeightFunction):
@@ -507,16 +536,14 @@ def _class_sum(phi1: WeightFunction, phi2: WeightFunction, *twist: WeightFunctio
     `*` and `+` and scaled by 1/h.  A value that is not an AlgebraicValue is
     coerced first, as `_align` coerces it.
 
-    The count packs when the f factors' exponents, each < m, add below 256,
-    f·(m - 1) < 256: each row's "H" bytes are read as one int in native byte
-    order, as `array` stores them, and the ints added, so every 16-bit lane
-    holds its class's sum in its low byte, with no carry; one
-    `bytes.translate` reduces those bytes mod m.  The keys are the low bytes
-    in first occurrence, as a per-class walk meets them, and one `count` each
-    gives n_k.  A wider layer counts class by class.  Either way the shares
-    n_k/h come from a cache keyed on (n, h); when all n_k are equal, as for
-    characters, whose product is a homomorphism, every key takes one share.
-    The value is built once."""
+    The per-class sums pack when the f factors' exponents, each < m, add
+    below 256, f·(m - 1) < 256: each row's "H" bytes are read as one int in
+    native byte order, as `array` stores them, and the ints added, so every
+    16-bit lane holds its class's sum in its low byte, with no carry; one
+    `bytes.translate` reduces those bytes mod m, and the low bytes are the
+    sums.  A wider layer adds the rows class by class into a tuple of sums
+    mod m.  Either way the value is read from `_count_value`, keyed on
+    (d, m, sums)."""
     G = phi1.group
     D = G.discriminant
     for phi in (phi2, *twist):
@@ -533,18 +560,11 @@ def _class_sum(phi1: WeightFunction, phi2: WeightFunction, *twist: WeightFunctio
         m = phi1.values[0].m
         if len(exponents) * (m - 1) < 256:  # every lane's sum fits its low byte
             packed = sum(map(int.from_bytes, exponents, repeat(sys.byteorder)))
-            lows = packed.to_bytes(2 * h, sys.byteorder).translate(_residue_table(m))[_LOW::2]
-            keys = dict.fromkeys(lows)
-            counts = list(map(lows.count, keys))
+            sums = packed.to_bytes(2 * h, sys.byteorder).translate(_residue_table(m))[_LOW::2]
         else:
-            keys = {}
-            for e in map(sum, zip(*(memoryview(row).cast("H") for row in exponents))):
-                keys[e % m] = keys.get(e % m, 0) + 1
-            counts = list(keys.values())
-        # every count is >= 1, so every share is in `exact` normal form and nonzero
-        if counts.count(counts[0]) == len(counts):  # always for characters
-            return AlgebraicValue._from_fields(d, m, dict.fromkeys(keys, _share(counts[0], h)))
-        return AlgebraicValue._from_fields(d, m, dict(zip(keys, map(_share, counts, repeat(h)))))
+            views = [memoryview(row).cast("H") for row in exponents]
+            sums = tuple(map(m.__rmod__, map(sum, zip(*views))))
+        return _count_value(d, m, sums)
     rows = [[v if isinstance(v, AlgebraicValue) else AlgebraicValue.from_rational(v, d, 1)
              for v in phi.values] for phi in phis]
     total = sum((math.prod(rest, start=first) for first, *rest in zip(*rows)),

@@ -288,6 +288,13 @@ def from_plus_basis(c, prime: int, finite: bool) -> Measure:
     return Measure._from_fields(prime, tuple(mahler), finite, None)
 
 
+def _require_int(name: str, x):
+    """Refuse x unless it is an int and not a bool, before any other check
+    reads it."""
+    if type(x) is bool or not isinstance(x, int):
+        raise InvalidInput(f"{name} {x!r} is not an int")
+
+
 def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
     """Restriction of µ to Z_p^×: drop every (1+T)^m component with p | m.
 
@@ -299,6 +306,8 @@ def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
     truncated measure with `atoms` gives instead `_atom_scalars` of its
     unit atoms, capped at the target.
     """
+    if precision is not None:
+        _require_int("target precision", precision)
     p, n_out, cap = mu.prime, mu.order, INF
     if not mu.finite:
         if precision is None:
@@ -371,6 +380,10 @@ def _cell_masses(mu: Measure, nu: int, cells, precision) -> list:
 def cell_mass(mu: Measure, a: int, nu: int, precision: int | None = None):
     """µ(a + p^nu Z_p) = Σ_k a_k Σ_{m ≡ a mod p^nu} (-1)^{k-m} C(k, m), or
     the sum over the atoms in the cell (`_cell_masses`)."""
+    _require_int("level nu", nu)
+    _require_int("residue", a)
+    if precision is not None:
+        _require_int("target precision", precision)
     if nu < 1:
         raise InvalidInput("level nu must be >= 1")
     if not 0 <= a < mu.prime ** nu:
@@ -382,6 +395,8 @@ def integrate_step(mu: Measure, phi, precision: int | None = None):
     """∫ φ dµ for a step function φ given by its values on Z/p^nu: Σ φ(a)
     times the cell mass µ(a + p^nu Z_p), the masses as `cell_mass` gives
     them, atoms included."""
+    if precision is not None:
+        _require_int("target precision", precision)
     p = mu.prime
     size = len(phi)
     nu = 0

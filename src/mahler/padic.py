@@ -38,7 +38,7 @@ from .errors import Frozen, InvalidInput, PrecisionExhausted
 INF = math.inf
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def checked_prime(p: int) -> int:
     """p, once it is known to be prime; any other p is refused."""
     if not isprime(p):

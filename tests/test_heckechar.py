@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -631,6 +632,82 @@ class TestPairing:
                                               for k, t in self.class_count(a, b)]
                 assert self.stored(twisted) == [(k, t, type(t[0]), int)
                                                 for k, t in self.class_count(a, b, psi)]
+
+    MEMO_DISCS = [D for D in range(-3, -101, -1) if D % 4 in (0, 1)]
+
+    def test_memoised_sums_against_products_cold_and_warm(self):
+        """Every pairing and a seeded twisted pairing per pair of characters
+        of each |D| <= 100 equals the group-ring sum: built afresh with the
+        memo cleared before each sum, then read warm, where asking again
+        returns the memoised value itself."""
+        count_value = heckechar._count_value
+        for warm in (False, True):
+            for D in self.MEMO_DISCS:
+                chars = characters(class_group(D))
+                rng = random.Random(D)
+                for a in chars:
+                    for b in chars:
+                        psi = chars[rng.randrange(len(chars))]
+                        for factors in ((a, b), (a, b, psi)):
+                            if not warm:
+                                count_value.cache_clear()
+                            value = pairing(*factors) if len(factors) == 2 \
+                                else twisted_pairing(*factors)
+                            assert self.same(value, self.product_sum(*factors))
+                            if warm:
+                                again = pairing(*factors) if len(factors) == 2 \
+                                    else twisted_pairing(*factors)
+                                assert again is value
+
+    def test_memo_keys_carry_the_field(self):
+        """D = -15, -20, -24 and -35 all have h = m = 2 and equal exponent
+        rows, so only d tells their sums apart: each gets its own field."""
+        heckechar._count_value.cache_clear()
+        rows = set()
+        for D in (-15, -20, -24, -35):
+            G = class_group(D)
+            assert (G.h, G.exponent) == (2, 2)
+            chars = characters(G)
+            rows.add(tuple(chi.exponents for chi in chars))
+            for a in chars:
+                for b in chars:
+                    for value, want in ((pairing(a, b), self.product_sum(a, b)),
+                                        (twisted_pairing(a, b, b), self.product_sum(a, b, b))):
+                        assert value.d == G.order_data.d_K == D
+                        assert self.same(value, want)
+        assert len(rows) == 1
+
+    def test_memo_stays_bounded(self):
+        """The pairings of one character with all 134 characters at D = -8399
+        (a wide layer, keyed on tuples) meet 134 keys, more than the memo
+        keeps; it stays at its finite bound and every value stays right."""
+        count_value = heckechar._count_value
+        maxsize = count_value.cache_info().maxsize
+        assert type(maxsize) is int and 0 < maxsize < 134
+        count_value.cache_clear()
+        chars = characters(class_group(-8399))
+        a = chars[1]
+        values = [pairing(a, b) for b in chars]
+        assert count_value.cache_info().currsize == maxsize
+        for b, value in zip(chars[:3] + chars[-3:], values[:3] + values[-3:]):
+            assert self.stored(value) == [(k, t, type(t[0]), int)
+                                          for k, t in self.class_count(a, b)]
+
+    def test_memoised_values_refuse_assignment(self):
+        chars = characters(class_group(-23))
+        value = pairing(chars[1], chars[2])
+        assert pairing(chars[1], chars[2]) is value
+        for field in AlgebraicValue.__slots__:
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(value, field, None)
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(value, field)
+        k = next(iter(value.terms))
+        with pytest.raises(TypeError):
+            value.terms[k] = (1, 0)
+        with pytest.raises(TypeError):
+            del value.terms[k]
+        assert self.same(value, self.product_sum(chars[1], chars[2]))
 
     @pytest.mark.parametrize("D", [-23, -263, -4679])
     def test_counts_that_are_not_uniform(self, D):
@@ -1475,6 +1552,27 @@ class TestRefusalMessages:
         G = class_group(-23)
         with pytest.raises(InvalidInput, match="need one value per ideal class"):
             WeightFunction(G, (0, 0), characters(G)[1].values[:-1])
+
+    def test_weight_components_must_be_integers(self):
+        # a weight such as (1/2, -1/2) was once truncated to (0, 0), and the
+        # function then paired as a character
+        G = class_group(-23)
+        chars = characters(G)
+        for weight, shown in (((Fraction(1, 2), Fraction(-1, 2)), "Fraction(1, 2)"),
+                              ((0.5, -0.5), "0.5"),
+                              ((1.9, -1.2), "1.9"), ((0, -1.2), "-1.2"),
+                              ((math.nan, 0), "nan"), ((0, math.inf), "inf"), (("0", 0), "'0'")):
+            with pytest.raises(InvalidInput,
+                               match=f"^weight component {re.escape(shown)} is not an integer$"):
+                WeightFunction(G, weight, chars[2].values)
+        with pytest.raises(InvalidInput, match="^weight component 1.5 is not an integer$"):
+            canonical_weight_character(QuadOrder(-7), (1.5, 0.5))
+        # a component equal to an integer is stored as that int
+        for weight in ((2.0, Fraction(-4, 2)), (0.0, -0.0)):
+            phi = WeightFunction(G, weight, chars[2].values)
+            assert phi.weight == tuple(map(int, weight)) and set(map(type, phi.weight)) == {int}
+        assert WeightFunction(G, (0.0, 0), chars[2].values) == chars[2]
+        assert canonical_weight_character(QuadOrder(-7), (2.0, 0)).weight == (2, 0)
 
     def test_weight_function_product_group_mismatch(self):
         a, b = characters(class_group(-23))[1], characters(class_group(-47))[1]

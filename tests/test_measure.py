@@ -638,6 +638,50 @@ class TestRefusalMessages:
                     mu.scale(scalar)
         assert dirac(1, 3, 4).scale(True) == dirac(1, 3, 4)  # a bool is an int
 
+    def test_targets_levels_and_residues_must_be_ints(self):
+        # a float target once gave 0 + O(7^1.5), a bool target was stored as
+        # the precision True, and a float level gave a mass
+        from mahler.heckechar import admissible_embedding, avatar_measure_family, characters
+        from mahler.heckechar import class_group
+        G = class_group(-23)
+        chars = characters(G)
+        member = avatar_measure_family(chars[0], chars[1], admissible_embedding(G, 7, 6), 16)[1]
+        truncated = dirac(PadicScalar.from_int(2, 3, 8), 3, 12)
+        finite = dirac(2, 3, 4)
+        for mu in (member, truncated, finite):
+            for target in (1.5, True, False, 2.0, Fraction(2), "2"):
+                shown = re.escape(repr(target))
+                with pytest.raises(InvalidInput, match=f"^target precision {shown} is not an int$"):
+                    restrict_to_units(mu, target)
+                with pytest.raises(InvalidInput, match=f"^target precision {shown} is not an int$"):
+                    cell_mass(mu, 1, 1, target)
+                with pytest.raises(InvalidInput, match=f"^target precision {shown} is not an int$"):
+                    integrate_step(mu, [1] * mu.prime, target)
+            for a, nu, shown in ((0, 1.5, r"level nu 1\.5"), (0, True, "level nu True"),
+                                 (2.0, 1, r"residue 2\.0"), (True, 1, "residue True"),
+                                 (None, 1, "residue None"), (0.5, 0, r"residue 0\.5")):
+                with pytest.raises(InvalidInput, match=f"^{shown} is not an int$"):
+                    cell_mass(mu, a, nu, 1)
+        # the type checks come first; the checks after them keep their messages
+        with pytest.raises(InvalidInput, match=r"^target precision 1\.5 is not an int$"):
+            cell_mass(finite, 3, 0, 1.5)
+        with pytest.raises(InvalidInput, match=r"^target precision 1\.5 is not an int$"):
+            integrate_step(finite, [1, 2], 1.5)
+        with pytest.raises(InvalidInput, match="^target precision must be >= 1$"):
+            restrict_to_units(truncated, 0)
+        with pytest.raises(InvalidInput, match="^level nu must be >= 1$"):
+            cell_mass(finite, 3, 0, 1)
+        with pytest.raises(InvalidInput, match="^residue out of range$"):
+            cell_mass(finite, 3, 1, 1)
+        with pytest.raises(InvalidInput, match="^phi must list its values"):
+            integrate_step(finite, [1, 2], 1)
+        with pytest.raises(InvalidInput, match="^restricting a truncated measure needs"):
+            restrict_to_units(member)
+        with pytest.raises(PrecisionExhausted):
+            restrict_to_units(member, 10 ** 6)
+        with pytest.raises(InvalidInput, match=r"^target precision 1000000\.0 is not an int$"):
+            restrict_to_units(member, 1e6)
+
     def test_from_plus_basis_checks_the_list_as_a_measure(self):
         # the shift keeps p-integrality both ways, so the list is checked before it
         with pytest.raises(InvalidInput, match="^coefficient prime mismatch$"):

@@ -1,8 +1,9 @@
 """The package API: every name `mahler` exported when it imported each
 module eagerly is still there, as the same object as its module's
 attribute, and is listed by dir().  Every value's fields are set in one
-place, `errors.Frozen`."""
+place, `errors.Frozen`, and every memo has a finite bound."""
 
+import ast
 import importlib
 import inspect
 import sys
@@ -83,3 +84,33 @@ def test_fields_are_set_only_by_frozen():
             fills = 1 if path.name == "measure.py" else 0
             assert text.count("object.__setattr__") == fills, path.name
     assert "object.__setattr__" in inspect.getsource(Measure.mahler.fget)
+
+
+def test_every_memo_is_bounded():
+    # an `lru_cache` or `cache` decorator in the library names a finite int
+    # `maxsize`, so no memo grows with the inputs of a long process; a
+    # function of no parameters has one value and may use a plain cache
+    found, unbounded = [], []
+    for path in sorted(Path(mahler.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for decorator in node.decorator_list:
+                call = decorator if isinstance(decorator, ast.Call) else None
+                target = call.func if call else decorator
+                name = target.attr if isinstance(target, ast.Attribute) else \
+                    getattr(target, "id", None)
+                if name not in ("lru_cache", "cache"):
+                    continue
+                found.append(f"{path.stem}.{node.name}")
+                arguments = node.args
+                if not (arguments.posonlyargs or arguments.args or arguments.vararg
+                        or arguments.kwonlyargs or arguments.kwarg):
+                    continue
+                keywords = {k.arg: k.value for k in call.keywords} if call else {}
+                maxsize = keywords.get("maxsize", call.args[0] if call and call.args else None)
+                if not (name == "lru_cache" and isinstance(maxsize, ast.Constant)
+                        and type(maxsize.value) is int and maxsize.value > 0):
+                    unbounded.append(found[-1])
+    assert unbounded == []
+    assert "heckechar._count_value" in found and "cli._parser" in found
