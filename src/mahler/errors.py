@@ -23,9 +23,10 @@ class ToleranceNotMet(RuntimeError):
 class Frozen:
     """Base of every value class, and its protocol over the `__slots__`
     fields: they refuse assignment and deletion, so a public constructor
-    checks them and sets them by `_set`, which sets every field of every
-    value, a dict as a read-only map; copies, unpickled and derived values
-    come from `_from_fields`.  Two values of one class are equal when their fields
+    checks them and sets them by `_set`; copies, unpickled and derived
+    values come from `_from_fields`.  Both pass their fields, as one tuple,
+    to `_fill`, the one loop that sets every field of every value, a dict as
+    a read-only map.  Two values of one class are equal when their fields
     are; values are unhashable; a value prints as `Name(field=<repr>, ...)`.
     A class may override `__eq__`, `__repr__` or `_fields`, as `Measure`
     does to read its `mahler` property, which builds a family member's
@@ -43,22 +44,26 @@ class Frozen:
         cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def _set(self, *fields):
-        """Set every field, in `__slots__` order, a dict as a read-only map,
-        by the slots' own setters, which `__setattr__` does not reach (a
-        check of the count costs less than a strict `zip`)."""
-        setters = self._setters
-        if len(fields) != len(setters):
-            raise ValueError(f"{type(self).__name__} has {len(setters)} fields, not {len(fields)}")
-        for setter, field in zip(setters, fields):
-            setter(self, MappingProxyType(field) if type(field) is dict else field)
+        """Set every field, in `__slots__` order, by `_fill`."""
+        self._fill(fields)
 
     @classmethod
     def _from_fields(cls, *fields):
         """The value with these fields, unchecked: a copy, an unpickled
         value, or one derived from checked values."""
-        value = object.__new__(cls)
-        value._set(*fields)
-        return value
+        return object.__new__(cls)._fill(fields)
+
+    def _fill(self, fields: tuple):
+        """The one body of `_set` and `_from_fields`: every field, a dict as
+        a read-only map, set by the slots' own setters, which `__setattr__`
+        does not reach, in one loop over the tuple both are given (a check of
+        the count costs less than a strict `zip`); returns the value."""
+        setters = self._setters
+        if len(fields) != len(setters):
+            raise ValueError(f"{type(self).__name__} has {len(setters)} fields, not {len(fields)}")
+        for setter, field in zip(setters, fields):
+            setter(self, MappingProxyType(field) if type(field) is dict else field)
+        return self
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, f) for f in self.__slots__)

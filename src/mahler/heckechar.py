@@ -26,12 +26,11 @@ import sys
 from array import array
 from fractions import Fraction
 from functools import lru_cache
-from itertools import repeat
 
 from .arith import (cyclotomic_coeffs, factorint, fundamental_decomposition,
                     isprime, jacobi, sqrt_mod_prime)
 from .errors import Frozen, InvalidInput
-from .padic import PadicScalar, _residue, exact
+from .padic import PadicScalar, _integer_power, _residue, exact
 
 # ---------------------------------------------------------------------------
 # discriminants and orders
@@ -338,7 +337,7 @@ class AlgebraicValue(Frozen):
             self.d, self.m, {k: (a * q, b * q) for k, (a, b) in self.terms.items()})
 
     def __pow__(self, n: int):
-        if n < 0:
+        if _integer_power(n) < 0:
             return self.inverse() ** (-n)
         result = AlgebraicValue.from_rational(1, self.d, self.m)
         base, e = self, n
@@ -448,6 +447,7 @@ class WeightFunction(Frozen):
         return WeightFunction(self.group, w, (a * b for a, b in zip(self.values, other.values)))
 
     def __pow__(self, n: int) -> "WeightFunction":
+        _integer_power(n)
         if self.exponents:
             m, row = self.values[0].m, memoryview(self.exponents).cast("H")
             return _from_row(self.group, m, array("H", [e * n % m for e in row]))
@@ -528,48 +528,48 @@ def _count_value(d: int, m: int, sums) -> "AlgebraicValue":
         for k, n in zip(keys, map(sums.count, keys))})
 
 
-def _class_sum(phi1: WeightFunction, phi2: WeightFunction, *twist: WeightFunction):
-    """(1/h) Σ_s φ1(I_s) φ2(I_s) Π ψ(I_s) over the twists ψ when the weights of
-    φ1 and φ2 cancel, else exact 0: (1/h) Σ_k n_k z^k, n_k the number of
-    classes whose exponents add to k mod m, when every factor has exponents;
-    else the per-class products and their sum are taken with `AlgebraicValue`'s
-    `*` and `+` and scaled by 1/h.  A value that is not an AlgebraicValue is
-    coerced first, as `_align` coerces it.
+def _class_sum(phi1: WeightFunction, phi2: WeightFunction, psi: WeightFunction | None = None):
+    """(1/h) Σ_s φ1(I_s) φ2(I_s) ψ(I_s), or without ψ, when the weights of φ1
+    and φ2 cancel, else exact 0: (1/h) Σ_k n_k z^k, n_k the number of
+    classes whose exponents add to k mod m = G.exponent, the layer of every
+    exponent row, when every factor has exponents; else the per-class
+    products and their sum are taken with `AlgebraicValue`'s `*` and `+` and
+    scaled by 1/h.  A value that is not an AlgebraicValue is coerced first,
+    as `_align` coerces it.
 
-    The per-class sums pack when the f factors' exponents, each < m, add
-    below 256, f·(m - 1) < 256: each row's "H" bytes are read as one int in
-    native byte order, as `array` stores them, and the ints added, so every
-    16-bit lane holds its class's sum in its low byte, with no carry; one
-    `bytes.translate` reduces those bytes mod m, and the low bytes are the
-    sums.  A wider layer adds the rows class by class into a tuple of sums
-    mod m.  Either way the value is read from `_count_value`, keyed on
-    (d, m, sums)."""
+    The per-class sums pack when the f = 2 or 3 factors' exponents, each
+    < m, add below 256, f·(m - 1) < 256: each row's "H" bytes are read as
+    one int in native byte order, as `array` stores them, and the ints
+    added, so every 16-bit lane holds its class's sum in its low byte, with
+    no carry; one `bytes.translate` reduces those bytes mod m, and the low
+    bytes are the sums.  A wider layer adds the rows class by class into a
+    tuple of sums mod m.  Either way the value is read from `_count_value`,
+    keyed on (d, m, sums)."""
     G = phi1.group
     D = G.discriminant
-    for phi in (phi2, *twist):
-        if phi.group.discriminant != D:
-            raise InvalidInput("group mismatch")
+    if phi2.group.discriminant != D or psi is not None and psi.group.discriminant != D:
+        raise InvalidInput("group mismatch")
     d = G.order_data.d_K
     (a1, b1), (a2, b2) = phi1.weight, phi2.weight
     if a1 + a2 or b1 + b2:
         return AlgebraicValue.from_rational(0, d, 1)
-    h = G.h
-    phis = (phi1, phi2, *twist)
-    exponents = [phi.exponents for phi in phis]
-    if all(exponents):  # all valued in the layer G.exponent
-        m = phi1.values[0].m
-        if len(exponents) * (m - 1) < 256:  # every lane's sum fits its low byte
-            packed = sum(map(int.from_bytes, exponents, repeat(sys.byteorder)))
-            sums = packed.to_bytes(2 * h, sys.byteorder).translate(_residue_table(m))[_LOW::2]
+    x, y, z = phi1.exponents, phi2.exponents, psi and psi.exponents
+    if x and y and (psi is None or z):
+        m, order = G.exponent, sys.byteorder
+        if (m - 1) * (2 if psi is None else 3) < 256:  # every lane's sum fits its low byte
+            packed = int.from_bytes(x, order) + int.from_bytes(y, order)
+            if z:
+                packed += int.from_bytes(z, order)
+            sums = packed.to_bytes(2 * G.h, order).translate(_residue_table(m))[_LOW::2]
         else:
-            views = [memoryview(row).cast("H") for row in exponents]
-            sums = tuple(map(m.__rmod__, map(sum, zip(*views))))
+            rows = (memoryview(row).cast("H") for row in (x, y, z) if row)
+            sums = tuple(map(m.__rmod__, map(sum, zip(*rows))))
         return _count_value(d, m, sums)
     rows = [[v if isinstance(v, AlgebraicValue) else AlgebraicValue.from_rational(v, d, 1)
-             for v in phi.values] for phi in phis]
+             for v in phi.values] for phi in (phi1, phi2, psi) if phi is not None]
     total = sum((math.prod(rest, start=first) for first, *rest in zip(*rows)),
                 AlgebraicValue.from_rational(0, d, 1))
-    return total.scale(Fraction(1, h))
+    return total.scale(Fraction(1, G.h))
 
 
 def pairing(phi1: WeightFunction, phi2: WeightFunction) -> AlgebraicValue:

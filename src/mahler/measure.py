@@ -464,17 +464,19 @@ def _paired_atoms(pairs, r_max: int, p: int, h: int) -> Measure:
     """a_n = (1/h) Σ c·C(Z, n), n <= r_max, over the product atoms
     (c, Z) = (c1·c2, z1·z2) of each pair: a measure's `atoms`, or a finite
     exact measure's `plus_basis` weights c_m at m = 0..d, its support degree,
-    summed by `_atom_sums`.  `_bounded` checks an exact sum, as
-    `mahler_from_moments` does, and 1/h of a p-adic one is a unit.  The
+    read by `_atom_fields`, each product formed on those fields by
+    `_product`, and summed by `_atom_sums`.  `_bounded` checks an exact sum,
+    as `mahler_from_moments` does, and 1/h of a p-adic one is a unit.  The
     order refusal of measures that are not finite is the moment route's; no
     v_p(n!) is lost, so the precision can exceed it."""
     K = min((mu.order for pair in pairs for mu in pair if not mu.finite), default=INF)
     if r_max >= K:
         raise InvalidInput(f"moment {K} needs order > {K} or a finite measure")
-    sides = ((mu.atoms or [(c, m) for m, c in enumerate(plus_basis(
-        Measure._from_fields(p, mu.mahler[:mu.support_degree() + 1], True, None))) if c]
+    sides = ((_atom_fields(mu.atoms or [(c, m) for m, c in enumerate(plus_basis(
+        Measure._from_fields(p, mu.mahler[:mu.support_degree() + 1], True, None))) if c])
         for mu in pair) for pair in pairs)
-    totals, precisions = _atom_sums(((c1 * c2, z1 * z2) for left, right in sides
+    totals, precisions = _atom_sums(((_product(c1, c2), _product(z1, z2))
+                                     for left, right in sides
                                      for c1, z1 in left for c2, z2 in right), p, r_max + 1, {})
     return Measure._from_fields(p, tuple(
         _bounded(exact(Fraction(total, h) if h > 1 else total), p, n) if N == INF
@@ -482,18 +484,38 @@ def _paired_atoms(pairs, r_max: int, p: int, h: int) -> Measure:
         for n, (total, N) in enumerate(zip(totals, precisions))), False, None)
 
 
+def _atom_fields(atoms) -> list:
+    """Each atom (c, z) as the fields of c and of z (`_scalar_fields`)."""
+    return [(_scalar_fields(c), _scalar_fields(z)) for c, z in atoms]
+
+
+def _scalar_fields(x) -> tuple:
+    """(valuation, unit, relative precision) of a PadicScalar, its valuation
+    read as `_val` does, and (0, x, INF) for an exact int or Fraction x."""
+    return (x._val, x.unit, x.rel_precision) if type(x) is PadicScalar else (0, x, INF)
+
+
+def _product(x, y) -> tuple:
+    """The fields of x·y from those of x and y, as `*` gives them: valuation
+    v1 + v2, unit u1·u2 (not reduced: every reader reduces it mod a power of
+    p, or it is exact) and relative precision min(rel1, rel2), so a product
+    of exact values is their exact product.  The factors of one atom are
+    both p-adic or both exact, as in every measure of the library."""
+    return x[0] + y[0], x[1] * y[1], min(x[2], y[2])
+
+
 def _atom_sums(atoms, p: int, size: int, rows: dict):
-    """(totals, precisions) of Σ c·C(Z, n), n < size, over the atoms (c, Z),
-    on integers: each sum is the total known mod p^precision, INF when
-    exact.  c and C(Z, n) are read as (valuation, unit, relative precision),
-    an exact value as (0, x, INF), C(Z, n) from `_atom_row` over rows.  A
-    term has valuation v = v_c + v_n and precision v + min(rel_c, rel_n),
-    as `*` gives it, the sum the least."""
+    """(totals, precisions) of Σ c·C(Z, n), n < size, over the atoms (c, Z)
+    given by their fields, on integers: each sum is the total known mod
+    p^precision, INF when exact.  C(Z, n) comes from `_atom_row` over rows,
+    on the key of Z: an exact Z itself, else (lift, precision), the lift
+    u·p^v reduced mod p^(v + rel).  A term has valuation v = v_c + v_n and
+    precision v + min(rel_c, rel_n), as `*` gives it, the sum the least."""
     totals, precisions = [0] * size, [INF] * size
-    for c, Z in atoms:
-        vc, uc, rc = ((c._val, c.unit, c.rel_precision) if type(c) is PadicScalar
-                      else (0, c, INF))
-        for n, (v, u, rel) in enumerate(_atom_row(Z, p, size, rows)):
+    for (vc, uc, rc), (vz, uz, rz) in atoms:
+        N = vz + rz
+        key = uz if N == INF else (uz * p ** vz % p ** N, N)
+        for n, (v, u, rel) in enumerate(_atom_row(key, p, size, rows)):
             v += vc
             totals[n] += uc * u * p ** v
             P = v + (rel if rel < rc else rc)
@@ -502,37 +524,39 @@ def _atom_sums(atoms, p: int, size: int, rows: dict):
     return totals, precisions
 
 
-def _atom_row(Z, p: int, size: int, rows: dict) -> list:
-    """The fields of C(Z, n), n < size, kept in rows on the key of Z: an int
-    Z by itself, its exact row `_binomial_row` read as (0, C(Z, n), INF); a
-    PadicScalar Z on (lift, precision), its fields from `_binomial_fields`,
-    which refuses a zero known to no precision."""
-    key = Z if type(Z) is int else (Z.lift(), Z.precision)
+def _atom_row(key, p: int, size: int, rows: dict) -> list:
+    """The fields of C(Z, n), n < size, kept in rows on the key of Z: an
+    exact int Z, its row `_binomial_row` read as (0, C(Z, n), INF); a lift
+    Z known mod p^P, (Z, P), its fields from `_binomial_fields`, which
+    refuses a zero known to no precision."""
     row = rows.get(key)
     if row is None:
-        row = rows[key] = list(_binomial_fields(key[0], p, key[1], size)) \
-            if type(Z) is PadicScalar else [(0, c, INF) for c in _binomial_row(Z, size)]
+        row = rows[key] = [(0, c, INF) for c in _binomial_row(key, size)] \
+            if type(key) is int else list(_binomial_fields(key[0], p, key[1], size))
     return row
 
 
 def _atom_scalars(atoms, p: int, size: int, rows: dict, cap=INF) -> tuple:
-    """The sums of `_atom_sums`, each one PadicScalar known mod p^min(N, cap)."""
-    totals, precisions = _atom_sums(atoms, p, size, rows)
+    """The sums of `_atom_sums` over the atoms (c, z), each one PadicScalar
+    known mod p^min(N, cap)."""
+    totals, precisions = _atom_sums(_atom_fields(atoms), p, size, rows)
     return tuple(PadicScalar._make(p, 0, total, min(N, cap))
                  for total, N in zip(totals, precisions))
 
 
 def _avatar_member(c0: PadicScalar, z: PadicScalar, order: int, rows: dict) -> Measure:
-    """The avatar family member c0·δ_z, z a unit, with `order` coefficients
-    and the atoms ((c0, z),): unbuilt until `mahler` is read, rows the
-    family's memo.  A row can refuse only at a zero C(Z, n), n > Z, so one
-    with Z < order - 1 is built here; and, as `Measure.scale` does, a c0
-    that is not p-integral is refused by `Measure`'s check of the products
-    c0·C(Z, n)."""
+    """The avatar family member c0·δ_z, z a unit known mod p^P, with `order`
+    coefficients and the atoms ((c0, z),): unbuilt until `mahler` is read,
+    rows the family's memo.  Its row of C(Z, n), n < order, refuses exactly
+    when order > p^P, which is refused here, so no row is built at the
+    call: a zero C(Z, n), n > Z, is known mod p^(P - v_p(n·C(n-1, Z))), and
+    v_p(n·C(n-1, Z)) <= log_p n is below P for n < p^P and P at n = p^P.
+    As `Measure.scale` does, a c0 that is not p-integral is refused by
+    `Measure`'s check of the products c0·C(Z, n)."""
     p = z.prime
-    if z.unit < order - 1:
-        _atom_row(z, p, order, rows)
+    if order > p ** z.precision:
+        raise PrecisionExhausted("zero known to no precision")
     if is_p_integral(c0, p):
         return Measure._from_fields(p, [order, rows], False, ((c0, z),))
     return Measure(p, [c0 * PadicScalar._make(p, v, u, v + rel)
-                       for v, u, rel in _atom_row(z, p, order, rows)])
+                       for v, u, rel in _atom_row((z.lift(), z.precision), p, order, rows)])

@@ -66,6 +66,13 @@ def _residue(q, p: int, mod: int):
     return q.numerator * pow(q.denominator, -1, mod) % mod
 
 
+def _integer_power(n) -> int:
+    """The exponent n of a power, refused unless it is an int and not a bool."""
+    if type(n) is bool or not isinstance(n, int):
+        raise InvalidInput("only integer powers")
+    return n
+
+
 def is_p_integral(q, p: int) -> bool:
     """True when q lies in Z_p: a PadicScalar of valuation >= 0 or a zero,
     an int/Fraction with denominator prime to p."""
@@ -254,9 +261,7 @@ class PadicScalar(Frozen):
         return self.__mul__(other.inverse())
 
     def __pow__(self, n: int):
-        if not isinstance(n, int):
-            raise InvalidInput("only integer powers")
-        if n < 0:
+        if _integer_power(n) < 0:
             return self.inverse() ** (-n)
         if n == 0:
             if self.precision is INF:

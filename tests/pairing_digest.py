@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/pairing_digest.py [--limit-chars 3000] [--limit-pairs 1200]
 
-Six digests, one per line:
+Seven digests, one per line:
 
 * `character-terms`: d, m and the group-ring terms, in stored order, of every
   value of every character of every discriminant D with |D| <= limit-chars,
@@ -34,11 +34,17 @@ Six digests, one per line:
   `twisted_pairing(a, b, psi)` for seeded characters a, b and psi at
   D = -4679 and -8399 (h = m = 91 and 134), where the factors' exponents
   can add past one byte.
+* `family-pairing`: over the same `family_cases()`, the fields, or the
+  exception type and message, of `pairing_measure` of each family paired
+  with itself reversed at r_max 0 and 8, and of `restrict_to_units` and the
+  two level-1 `cell_mass` calls at the residues of z and z + 1 of member 0,
+  with avatar z, at every target from 1 to one past the restriction's tail
+  bound; every call reads the members' atoms, none their coefficients.
 
 Two trees compute the same characters, pairings and avatar families, term
 for term, when they print the same `character-terms`, `pairing-terms`,
-`weight-function-terms`, `avatar-family` and `wide-pairing-terms` lines.
-The defaults take about half a minute on one core.
+`weight-function-terms`, `avatar-family`, `wide-pairing-terms` and
+`family-pairing` lines.  The defaults take about half a minute on one core.
 """
 
 import argparse
@@ -48,6 +54,7 @@ from fractions import Fraction
 
 from mahler.heckechar import (AlgebraicValue, WeightFunction, avatar_measure_family,
                               characters, class_group, pairing, twisted_pairing)
+from mahler.measure import Measure, cell_mass, pairing_measure, restrict_to_units
 from mahler.padic import PadicScalar
 from paper_oracles import family_cases, family_outcome
 
@@ -107,6 +114,39 @@ def outcome(call, *args) -> bytes:
         return repr((type(exc).__name__, str(exc))).encode()
 
 
+def fields(x):
+    """The prime, `finite` flag and coefficient fields of a measure, the
+    fields of a PadicScalar, or the type and value of an exact x."""
+    if type(x) is Measure:
+        return x.prime, x.finite, [fields(a) for a in x.mahler]
+    if type(x) is PadicScalar:
+        return x.prime, x.valuation, x.unit, x.precision
+    return type(x).__name__, x
+
+
+def attempt(call, *args):
+    """`fields` of call(*args), or the exception type and message."""
+    try:
+        return fields(call(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def family_pairing(chi0, chi, emb, order) -> list:
+    """The outcomes of the `family-pairing` calls on one family."""
+    try:
+        family = avatar_measure_family(chi0, chi, emb, order)
+    except Exception as exc:
+        return [(type(exc).__name__, str(exc))]
+    p, mu = emb.prime, family[0]
+    outcomes = [attempt(pairing_measure, list(zip(family, family[::-1])), r) for r in (0, 8)]
+    z = mu.atoms[0][1].lift()
+    for target in range(1, max((order - 1) // (p - 1) - 1, 0) + 2):
+        outcomes.append(attempt(restrict_to_units, mu, target))
+        outcomes += [attempt(cell_mass, mu, a % p, 1, target) for a in (z, z + 1)]
+    return outcomes
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--limit-chars", type=int, default=3000)
@@ -159,6 +199,11 @@ def main(argv=None) -> int:
             a, b, psi = (chars[rng.randrange(len(chars))] for _ in range(3))
             wide.update(stored(pairing(a, b)) + stored(twisted_pairing(a, b, psi)))
     print("wide-pairing-terms", wide.hexdigest())
+
+    paired = hashlib.sha256()
+    for case in family_cases():
+        paired.update(repr(family_pairing(*case)).encode())
+    print("family-pairing", paired.hexdigest())
     return 0
 
 

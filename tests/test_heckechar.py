@@ -1265,6 +1265,52 @@ class TestAvatarFamilyErrors:
             avatar_measure_family(c1, c2, emb, order=6)
 
 
+class TestFamilyRefusalRule:
+    """A row of C(Z, n), n < order, for a lift Z known mod p^P refuses
+    exactly when order > p^P, and `avatar_measure_family` refuses at the
+    call by that rule, before it builds any row."""
+
+    def test_binomial_rows_refuse_exactly_past_p_to_the_precision(self):
+        # the row of a smaller order is a prefix of the longer row, so the
+        # index of the first refusal settles every order: exactly p^P means
+        # the rows of orders <= p^P are whole and every longer one refuses
+        rows = 0
+        for p in (2, 3, 5, 7):
+            for P in (1, 2, 3):
+                q = p ** P
+                for Z in range(q):
+                    whole = 0
+                    with pytest.raises(PrecisionExhausted, match="^zero known to no precision$"):
+                        for _ in measure._binomial_fields(Z, p, P, q + 4):
+                            whole += 1
+                    assert whole == q, (p, P, Z)
+                    rows += 1
+        assert rows == sum(p ** P for p in (2, 3, 5, 7) for P in (1, 2, 3))
+
+    @pytest.mark.parametrize("D", [-4, -20, -23, -39])
+    def test_families_refuse_at_the_call_exactly_past_p_to_the_precision(self, D):
+        G = class_group(D)
+        chars, p = characters(G), smallest_admissible_prime(G)
+        d, h = G.order_data.d_K, G.h
+        over_p = WeightFunction(G, (0, 0), [AlgebraicValue.from_rational(
+            Fraction(1, p), d, G.exponent)] * h)
+        for M in (1, 2, 3):
+            emb, q = admissible_embedding(G, p, M), p ** M
+            orders = range(1, q + 4) if M < 3 else range(q - 1, q + 4)
+            for order in orders:
+                if order > q:  # before chi0's values are read
+                    for chi0 in (chars[-1], over_p):
+                        with pytest.raises(PrecisionExhausted,
+                                           match="^zero known to no precision$"):
+                            avatar_measure_family(chi0, chars[-1], emb, order)
+                    continue
+                family = avatar_measure_family(chars[-1], chars[-1], emb, order)
+                # no row is built at the call, and every row builds when read
+                assert all(unfilled(mu) and mu._mahler[1] == {} for mu in family)
+                if order >= q - 1:
+                    assert all(len(mu.mahler) == order for mu in family)
+
+
 class TestAvatarFamilyOnIntegers:
     """`avatar_measure_family`, whose coefficients are formed on integers,
     against chi0^(p)(s) · dirac(chi^(p)(s)) built from the public API: the
@@ -1574,6 +1620,21 @@ class TestRefusalMessages:
         assert WeightFunction(G, (0.0, 0), chars[2].values) == chars[2]
         assert canonical_weight_character(QuadOrder(-7), (2.0, 0)).weight == (2, 0)
 
+    @staticmethod
+    def powers():
+        """A character, a weight-(2, 0) function, a value and a PadicScalar."""
+        G = class_group(-23)
+        chi = characters(G)[1]
+        return {"character": chi, "weight (2, 0)": WeightFunction(G, (2, 0), chi.values),
+                "value": chi.values[1], "scalar": PadicScalar.from_int(3, 7, 4)}
+
+    @pytest.mark.parametrize("base", ["character", "weight (2, 0)", "value", "scalar"])
+    @pytest.mark.parametrize("n", [0.5, 2.0, "2", True, Fraction(2)], ids=repr)
+    def test_powers_need_an_int_exponent(self, base, n):
+        # a float once ended in a raw TypeError, and True passed as 1
+        with pytest.raises(InvalidInput, match="^only integer powers$"):
+            self.powers()[base] ** n
+
     def test_weight_function_product_group_mismatch(self):
         a, b = characters(class_group(-23))[1], characters(class_group(-47))[1]
         with pytest.raises(InvalidInput, match="group mismatch"):
@@ -1661,10 +1722,10 @@ class TestEmbedAgainstOperators:
 class TestAvatarPathScalarOperations:
     """A guard on the integer-residue paths: at D = -407 (h = 16, p = 17,
     family order 48) the avatar families, their pairing measure, a restriction,
-    a refused restriction and a cell mass call a PadicScalar operator only to
-    form each class's c1·c2 and z1·z2 in the pairing measure's atom route:
-    2h = 32 calls of `*`, where arithmetic per coefficient makes thousands,
-    so a fallback to it fails here.  A pushforward of two members without
+    a refused restriction and a cell mass call no PadicScalar operator: the
+    pairing measure's atom route forms each class's c1·c2 and z1·z2 on their
+    fields, where arithmetic per coefficient makes thousands of calls, so a
+    fallback to it fails here.  A pushforward of two members without
     their atoms, the moment route for one pair, multiplies its 9 moment pairs
     and adds each product to 0 (9 `*`, 9 `+`), then divides each of its 9
     Mahler coefficients by n! (`*` by 1/n!, which calls `scale`)."""
@@ -1705,7 +1766,7 @@ class TestAvatarPathScalarOperations:
             restrict_to_units(fam1[1], 2)
         mass = cell_mass(fam1[0], 4, 1, 2)
         monkeypatch.undo()
-        assert calls == ["__mul__"] * 2 * G.h, sorted(set(calls))
+        assert calls == [], sorted(set(calls))
         # the results are the avatars' measures, not empty work
         assert (G.h, p, paired.order, restricted.order) == (16, 17, 9, 16)
         assert mass.precision == 2 and all(mu.order == 48 for mu in fam1 + fam2)

@@ -386,27 +386,27 @@ def test_reading_mahler_twice_gives_the_same_tuple():
 def test_reading_the_other_fields_and_pairing_build_no_series(monkeypatch):
     _, pairs = family_pairs()
     members = [mu for pair in pairs for mu in pair]
-    # the identity class has the avatar 1: its series, which could refuse,
-    # was built at the call; every other lift is at least order - 1
+    # the identity class has the avatar 1; every other lift is at least order - 1
     lifts = [mu.atoms[0][1].unit for mu in members]
     assert lifts[:2] == [1, 1] and min(lifts[2:]) >= 11
     assert [(mu.order, mu.prime, mu.finite) for mu in members] == [(12, 7, False)] * 6
     assert all(type(mu.atoms) is tuple for mu in members)
+    # the call builds no row: order <= p^P is all a row needs to refuse nothing
+    assert all(map(unfilled, members)) and [len(mu._mahler[1]) for mu in members] == [0] * 6
     pairing_measure(pairs, 8)
     pairing_measure(pairs, 11)
     # seven pairs at p = 7: the p-adic gate reads the atoms, not `mahler`
     with pytest.raises(InvalidInput, match="class count divisible by p"):
         pairing_measure((pairs * 3)[:7], 8)
-    # each family's row memo holds only the identity's row
-    assert all(map(unfilled, members)) and [len(mu._mahler[1]) for mu in members] == [1] * 6
+    assert all(map(unfilled, members)) and [len(mu._mahler[1]) for mu in members] == [0] * 6
     calls = []
     fields = measure._binomial_fields
     monkeypatch.setattr(measure, "_binomial_fields",
                         lambda *args: calls.append(args) or fields(*args))
-    members[0].mahler  # from the row built at the call
-    assert calls == [] and not unfilled(members[0])
+    members[0].mahler  # the first read builds the identity's row
+    assert len(calls) == 1 and calls[0][0] == 1 and not unfilled(members[0])
     members[2].mahler
-    assert len(calls) == 1 and unfilled(members[3])
+    assert len(calls) == 2 and unfilled(members[3])
 
 
 def test_two_threads_reading_at_once_build_equal_tuples(monkeypatch):
