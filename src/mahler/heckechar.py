@@ -30,7 +30,7 @@ from functools import lru_cache
 from .arith import (cyclotomic_coeffs, factorint, fundamental_decomposition,
                     isprime, jacobi, sqrt_mod_prime)
 from .errors import Frozen, InvalidInput
-from .padic import PadicScalar, _integer_power, _residue, exact
+from .padic import PadicScalar, _integer_power, _require_int, _residue, exact
 
 # ---------------------------------------------------------------------------
 # discriminants and orders
@@ -763,6 +763,7 @@ def avatar_measure_family(chi0: WeightFunction, chi: WeightFunction,
     at s.  z and c0 of a weight function with `exponents` are read from its
     row (`_row_avatars`), the others embedded one class at a time."""
     from .measure import _avatar_member
+    _require_int("order", order)
     if chi0.group.discriminant != chi.group.discriminant:
         raise InvalidInput("group mismatch")
     if order < 1:

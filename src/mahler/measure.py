@@ -7,8 +7,8 @@ and by which route; each precision rule is stated once, at the code that
 implements it: `_dot` for sums of integer weights, `_shifted` for the
 (1+T)^m basis changes, `_atom_sums` for sums over Dirac masses c·δ_z, and
 `_cell_masses` for cells.  The products c·C(Z, n) over atoms are formed
-only here, the coefficients of avatar family members (`_avatar_member`)
-among them.
+only here, the coefficients of the Dirac masses c·δ_z that
+`_avatar_member` makes, a family member or a p-adic `dirac`, among them.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from operator import mul, sub
 from .arith import int_valuation
 from .errors import Frozen, InvalidInput, PrecisionExhausted
 from .padic import (INF, PadicScalar, _binomial_fields, _binomial_row, _falling_factorial_rows,
-                    _residue, _surjection_head, binomial_series, checked_prime, exact,
-                    is_p_integral)
+                    _require_int, _residue, _surjection_head, binomial_series, checked_prime,
+                    exact, is_p_integral)
 
 
 def _is_exact(xs) -> bool:
@@ -94,17 +94,19 @@ def _dot(row, xs, res, P=INF):
 
 class Measure(Frozen):
     """A bounded measure on Z_p, known through its first `order` Mahler
-    coefficients; `finite` marks a complete expansion (all higher a_n = 0).
-    `atoms`, None or a tuple of (c, z) for µ = Σ c·δ_z, is set only by
-    derived builds, as the public constructor cannot check it.
-
-    The `_mahler` slot of an avatar family member (`_avatar_member`) holds
-    its recipe, a list [order, rows], until `mahler` is first read."""
+    coefficients; `finite`, a bool, marks a complete expansion (all higher
+    a_n = 0).  `atoms`, None or the tuple of (c, z) of µ = Σ c·δ_z, is set
+    only by `_avatar_member` (a p-adic `dirac` or a family member) and by
+    `scale`, as the public constructor cannot check it; the `_mahler` slot
+    of an `_avatar_member` measure holds its recipe, a list [order, rows],
+    until `mahler` is first read."""
 
     __slots__ = ("prime", "_mahler", "finite", "atoms")
 
     def __init__(self, prime: int, mahler, finite: bool = False):
         checked_prime(prime)
+        if type(finite) is not bool:
+            raise InvalidInput(f"finite {finite!r} is not a bool")
         mahler = tuple(mahler)
         if not mahler:
             raise InvalidInput("a measure needs at least one Mahler coefficient")
@@ -171,10 +173,18 @@ class Measure(Frozen):
 
 
 def dirac(z, prime: int, order: int) -> Measure:
-    """The Dirac measure at z in Z_p: Mahler coefficients C(z, n)."""
+    """The Dirac measure at z in Z_p: Mahler coefficients C(z, n), unbuilt
+    for a PadicScalar z known mod p^P, P finite: `_avatar_member`'s atom
+    measure (1 + O(p^P))·δ_z.  `binomial_series` gives the rest and refuses
+    an order below 1 or a z outside Z_p."""
+    _require_int("order", order)
+    if not isinstance(z, (int, Fraction, PadicScalar)):  # a bool is an int
+        raise InvalidInput(f"z {z!r} is not an int, Fraction or PadicScalar")
     if isinstance(z, PadicScalar):
         if z.prime != prime:
             raise InvalidInput("prime mismatch")
+        if order >= 1 and is_p_integral(z, prime) and z.precision is not INF:
+            return _avatar_member(PadicScalar._make(prime, 0, 1, z.precision), z, order, {})
         series, finite = binomial_series(z, order), False
     else:
         z = Fraction(z)
@@ -188,6 +198,7 @@ def dirac(z, prime: int, order: int) -> Measure:
 def moments(mu: Measure, r: int):
     """m_r(µ) = ∫ t^r dµ = Σ_n S(r,n) n! a_n — a finite exact sum over
     n <= min(r, order - 1)."""
+    _require_int("moment index", r)
     if r < 0:
         raise InvalidInput("moment index must be nonnegative")
     if r >= mu.order and not mu.finite:
@@ -286,13 +297,6 @@ def from_plus_basis(c, prime: int, finite: bool) -> Measure:
     c = Measure(prime, c, finite).mahler
     mahler = _scalars(*_shifted(*_readings(c, prime), prime), prime)
     return Measure._from_fields(prime, tuple(mahler), finite, None)
-
-
-def _require_int(name: str, x):
-    """Refuse x unless it is an int and not a bool, before any other check
-    reads it."""
-    if type(x) is bool or not isinstance(x, int):
-        raise InvalidInput(f"{name} {x!r} is not an int")
 
 
 def restrict_to_units(mu: Measure, precision: int | None = None) -> Measure:
@@ -429,6 +433,7 @@ def pairing_measure(pairs, r_max: int) -> Measure:
     through their atoms (`_paired_atoms`); otherwise through r_max + 1
     moments of each, whose cost does not grow with d1·d2, multiplied, added
     and scaled by 1/h with `+` and `*`, exact and p-adic alike."""
+    _require_int("r_max", r_max)
     pairs = list(pairs)
     if not pairs:
         raise InvalidInput("need at least one pair")
@@ -453,8 +458,8 @@ def pairing_measure(pairs, r_max: int) -> Measure:
 
 def _has_padic(mu: Measure) -> bool:
     """Whether a coefficient of µ is a PadicScalar, read off its atoms when
-    it has them: every setter of `atoms` gives PadicScalar coefficients
-    exactly when an atom holds a PadicScalar."""
+    it has them: the atoms of a p-adic `dirac`, of a family member and of
+    their scalings hold PadicScalars, and give PadicScalar coefficients."""
     if mu.atoms:
         return any(type(x) is PadicScalar for atom in mu.atoms for x in atom)
     return any(isinstance(a, PadicScalar) for a in mu.mahler)
@@ -545,14 +550,13 @@ def _atom_scalars(atoms, p: int, size: int, rows: dict, cap=INF) -> tuple:
 
 
 def _avatar_member(c0: PadicScalar, z: PadicScalar, order: int, rows: dict) -> Measure:
-    """The avatar family member c0·δ_z, z a unit known mod p^P, with `order`
-    coefficients and the atoms ((c0, z),): unbuilt until `mahler` is read,
-    rows the family's memo.  Its row of C(Z, n), n < order, refuses exactly
-    when order > p^P, which is refused here, so no row is built at the
-    call: a zero C(Z, n), n > Z, is known mod p^(P - v_p(n·C(n-1, Z))), and
-    v_p(n·C(n-1, Z)) <= log_p n is below P for n < p^P and P at n = p^P.
-    As `Measure.scale` does, a c0 that is not p-integral is refused by
-    `Measure`'s check of the products c0·C(Z, n)."""
+    """The measure c0·δ_z, z in Z_p known mod p^P (an avatar family member,
+    or a p-adic `dirac` with c0 = 1 + O(p^P)), with `order` coefficients and
+    the atoms ((c0, z),): unbuilt until `mahler` is read, rows the family's
+    memo.  Its row of C(Z, n), n < order, refuses exactly when order > p^P
+    (`_binomial_fields`), which is refused here, so no row is built at the
+    call.  As `Measure.scale` does, a c0 that is not p-integral is refused
+    by `Measure`'s check of the products c0·C(Z, n)."""
     p = z.prime
     if order > p ** z.precision:
         raise PrecisionExhausted("zero known to no precision")

@@ -73,6 +73,13 @@ def _integer_power(n) -> int:
     return n
 
 
+def _require_int(name: str, x):
+    """Refuse x unless it is an int and not a bool, before any other check
+    reads it."""
+    if type(x) is bool or not isinstance(x, int):
+        raise InvalidInput(f"{name} {x!r} is not an int")
+
+
 def is_p_integral(q, p: int) -> bool:
     """True when q lies in Z_p: a PadicScalar of valuation >= 0 or a zero,
     an int/Fraction with denominator prime to p."""
@@ -416,13 +423,19 @@ def _binomial_row(Z: int, size: int) -> list:
 
 
 def _binomial_fields(Z: int, p: int, P: int, order: int):
-    """The fields (valuation, unit, relative precision) that
-    `PadicScalar._make(p, 0, C(Z, n), P_n)` stores, for n < order, Z = lift(z)
-    of a PadicScalar z known mod p^P; a zero known mod p^P_n is read as
-    (P_n, 0, 0).  C(Z, n) = C(Z, n-1) (Z - n + 1) / n is taken on integers,
-    and P_n = P + sum_{k<n} w_k - max_{k<n} w_k - v_p(n!) as `binomial_series`
-    derives it.  P_n <= 0 comes only at a zero C(Z, n) = 0, which is refused
-    as a zero known to no precision."""
+    """The fields (valuation, unit, relative precision) of C(z, n), n < order,
+    for a PadicScalar z known mod p^P, lift Z in [0, p^P), as the recurrence
+    C(z, n) = C(z, n-1) (z - n + 1) / n gives them in PadicScalar arithmetic,
+    a zero known mod p^P_n read as (P_n, 0, 0): the one statement of their
+    precision rule.  The factor z - k has valuation w_k = min(v_p(Z - k), P),
+    P at k = Z only, and n divides exactly.  For n <= Z no factor is 0 mod
+    p^P, so C(z, n) keeps the lesser relative precision P - max_{k<n} w_k;
+    past the first zero, at k = Z, a zero known mod p^e times a factor of
+    valuation w is known mod p^(e + w).  Either way C(z, n) is C(Z, n), taken
+    on integers, known mod p^P_n, P_n = P + sum_{k<n} w_k - max_{k<n} w_k
+    - v_p(n!).  For n > Z, P_n = P - v_p(n·C(n-1, Z)), and v_p(n·C(n-1, Z))
+    <= log_p n is below P for n < p^P and P at n = p^P: a zero with P_n <= 0
+    ("zero known to no precision") is refused exactly when order > p^P."""
     c, w_sum, w_max, fact = 1, 0, 0, 0  # C(Z, n), sum/max of w_k, v_p(n!)
     yield 0, 1, P
     for n in range(1, order):
@@ -445,29 +458,11 @@ def binomial_series(z, order: int) -> TruncatedSeries:
 
     Exact int/Fraction inputs give exact coefficients, an integral one from
     the integer row `_binomial_row`.  The exact p-adic zero gives 1 + O(p)
-    and then exact zeros, C(0, n) = 0 for n >= 1.
-
-    A PadicScalar z known mod p^P gives what the recurrence
-    C(z, n) = C(z, n-1) (z - n + 1) / n gives in PadicScalar arithmetic,
-    read off the integer Z = lift(z) in [0, p^P).  The factor z - k is known
-    mod p^P and has valuation w_k = min(v_p(Z - k), P): P at k = Z, and
-    v_p(Z - k) < P at any other k < p^P.  Dividing by n is exact and lowers
-    the valuation by v_p(n).
-    * For n <= Z no factor is 0 mod p^P: a product keeps the lesser
-      relative precision, so C(z, n) is C(Z, n), of valuation
-      sum_{k<n} w_k - v_p(n!) and relative precision P - max_{k<n} w_k.
-    * The factor at k = Z is the first zero, known mod p^P, and a zero
-      known mod p^e times a factor of valuation w is known mod p^(e + w):
-      for n > Z, C(z, n) is the zero C(Z, n) = 0 known mod
-      p^(sum_{k<n} w_k - v_p(n!)), and there max_{k<n} w_k = P.
-    Both are PadicScalar(p, 0, C(Z, n), P_n) with
-    P_n = P + sum_{k<n} w_k - max_{k<n} w_k - v_p(n!); a zero with P_n <= 0
-    is refused as PadicScalar refuses it.  Over k < p^P the w_k are
-    min(v_p(j), P) for j running through Z/p^P, which sum to v_p((p^P)!), so
-    the refusal comes by n = p^P: no factor z - k with k >= p^P is formed.
-    The fields of each C(z, n) come from `_binomial_fields`, which
-    `measure`'s atom sums read too.
+    and then exact zeros, C(0, n) = 0 for n >= 1.  A PadicScalar z known
+    mod p^P gives C(z, n) with the fields of `_binomial_fields`, which
+    refuses an order past p^P.
     """
+    _require_int("order", order)
     if order < 1:
         raise InvalidInput("order must be >= 1")
     if isinstance(z, PadicScalar):

@@ -2,7 +2,7 @@
 
     PYTHONPATH=src python tests/pairing_digest.py [--limit-chars 3000] [--limit-pairs 1200]
 
-Seven digests, one per line:
+Eight digests, one per line:
 
 * `character-terms`: d, m and the group-ring terms, in stored order, of every
   value of every character of every discriminant D with |D| <= limit-chars,
@@ -40,11 +40,20 @@ Seven digests, one per line:
   two level-1 `cell_mass` calls at the residues of z and z + 1 of member 0,
   with avatar z, at every target from 1 to one past the restriction's tail
   bound; every call reads the members' atoms, none their coefficients.
+* `dirac-atoms`: over `paper_oracles.dirac_cases()`, the fields, or the
+  exception type and message, of `dirac` at a PadicScalar with its atom, of
+  `restrict_to_units` and the two level-1 `cell_mass` calls at the residues
+  of z and z + 1 at every target from 1 to one past the restriction's tail
+  bound, and of `pairing_measure` at r_max 0 and 8 of the one pair with
+  member 1 of `paper_oracles.partner_family(p)` and of the one pair with
+  the Dirac mass of the case before at the same prime; all but the first
+  read the atoms.
 
 Two trees compute the same characters, pairings and avatar families, term
 for term, when they print the same `character-terms`, `pairing-terms`,
 `weight-function-terms`, `avatar-family`, `wide-pairing-terms` and
-`family-pairing` lines.  The defaults take about half a minute on one core.
+`family-pairing` lines, and the same p-adic Dirac masses when they print the
+same `dirac-atoms` line.  The defaults take about half a minute on one core.
 """
 
 import argparse
@@ -54,9 +63,9 @@ from fractions import Fraction
 
 from mahler.heckechar import (AlgebraicValue, WeightFunction, avatar_measure_family,
                               characters, class_group, pairing, twisted_pairing)
-from mahler.measure import Measure, cell_mass, pairing_measure, restrict_to_units
+from mahler.measure import Measure, cell_mass, dirac, pairing_measure, restrict_to_units
 from mahler.padic import PadicScalar
-from paper_oracles import family_cases, family_outcome
+from paper_oracles import dirac_cases, family_cases, family_outcome, partner_family
 
 EXTRA_DISCS = (-1999999,)
 WIDE_DISCS = (-4679, -8399)
@@ -147,6 +156,24 @@ def family_pairing(chi0, chi, emb, order) -> list:
     return outcomes
 
 
+def dirac_atoms(z, p, order, partners, last) -> list:
+    """The outcomes of the `dirac-atoms` calls on one Dirac mass; last maps
+    each prime to the Dirac mass before it."""
+    try:
+        mu = dirac(z, p, order)
+        outcomes = [(fields(mu), [fields(x) for atom in mu.atoms for x in atom])]
+    except Exception as exc:
+        return [(type(exc).__name__, str(exc))]
+    for target in range(1, max((order - 1) // (p - 1) - 1, 0) + 2):
+        outcomes.append(attempt(restrict_to_units, mu, target))
+        outcomes += [attempt(cell_mass, mu, a % p, 1, target) for a in (z.lift(), z.lift() + 1)]
+    for other in (partners[p], last.get(p)):
+        if other is not None:
+            outcomes += [attempt(pairing_measure, [(mu, other)], r) for r in (0, 8)]
+    last[p] = mu
+    return outcomes
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--limit-chars", type=int, default=3000)
@@ -204,6 +231,11 @@ def main(argv=None) -> int:
     for case in family_cases():
         paired.update(repr(family_pairing(*case)).encode())
     print("family-pairing", paired.hexdigest())
+
+    diracs, partners, last = hashlib.sha256(), {p: partner_family(p)[1] for p in (3, 5, 7)}, {}
+    for case in dirac_cases():
+        diracs.update(repr(dirac_atoms(*case, partners, last)).encode())
+    print("dirac-atoms", diracs.hexdigest())
     return 0
 
 

@@ -3,7 +3,8 @@ library because no command calls them: the second-order raising recurrence
 on the two-variable Gaussian basis with its finite-difference cross-check,
 the exact l = r closed form of the archimedean local factor, the weight
 factor of a principal ideal, the class-group table composed pair by pair,
-the seeded grid of avatar measure families and their fields,
+the seeded grid of avatar measure families and their fields, the seeded
+corpus of p-adic Dirac masses with a family member to pair them with,
 the quaternionic trace pairing, and small helpers: the valuation of a
 rational, sqrt(d) as an algebraic value, a q-expansion as a
 nearly-holomorphic form, and the trivial-character test."""
@@ -16,10 +17,10 @@ from fractions import Fraction
 from mahler.archimedean import PiPolynomial
 from mahler.errors import InvalidInput
 from mahler.heckechar import (AlgebraicValue, WeightFunction, _enumerate_reduced_forms,
-                              admissible_embedding, characters, class_group, compose_forms,
-                              smallest_admissible_prime)
+                              admissible_embedding, avatar_measure_family, characters,
+                              class_group, compose_forms, smallest_admissible_prime)
 from mahler.modform import NearlyHolomorphic, QExpansion
-from mahler.padic import int_valuation
+from mahler.padic import PadicScalar, int_valuation
 from mahler.quaternion import Mat, mat, mat_add, mat_mul, mat_scale, mat_trace
 
 # ---------------------------------------------------------------------------
@@ -221,6 +222,29 @@ def family_outcome(build, *args):
     return [(type(mu).__name__, mu.prime, mu.finite,
              [(type(a).__name__, a.prime, a.valuation, a.unit, a.precision)
               for a in mu.mahler]) for mu in family]
+
+
+DIRAC_PARTNER_DISCS = {3: -20, 5: -39, 7: -23}  # each p is the least admissible prime
+
+
+def dirac_cases(count: int = 400):
+    """(z, prime, order) for p-adic Dirac masses: p in {3, 5, 7}, z a unit,
+    a non-unit or the zero known mod p^P, P <= 6, and an order from 1 to 48,
+    drawn from a seeded generator; an order past p^P is refused."""
+    rng = random.Random("padic-dirac")
+    for _ in range(count):
+        p, P = rng.choice((3, 5, 7)), rng.randint(1, 6)
+        v = rng.choice((0, 0, rng.randint(1, P)))  # a unit, or valuation v; v = P is zero
+        u = rng.randrange(p ** max(P - v - 1, 0)) * p + rng.randrange(1, p)
+        z = PadicScalar.zero(p, P) if v == P else PadicScalar.from_int(p ** v * u, p, P)
+        yield z, p, rng.randint(1, 48)
+
+
+def partner_family(p: int, order: int = 48):
+    """An avatar family at p of the given order, its avatars known mod p^6."""
+    G = class_group(DIRAC_PARTNER_DISCS[p])
+    chars = characters(G)
+    return avatar_measure_family(chars[0], chars[1], admissible_embedding(G, p, 6), order)
 
 
 # ---------------------------------------------------------------------------

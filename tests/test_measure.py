@@ -12,8 +12,8 @@ from mahler.measure import (Measure, _dot, _residues, cell_mass, cell_tail_valua
                             dirac, from_plus_basis, integrate_step, mahler_from_moments,
                             moments, mult_pushforward, pairing_measure, plus_basis,
                             restrict_to_units)
-from mahler.padic import INF, PadicScalar, exact, stirling_second
-from paper_oracles import rational_valuation
+from mahler.padic import INF, PadicScalar, binomial_series, exact, stirling_second
+from paper_oracles import dirac_cases, family_cases, partner_family, rational_valuation
 
 
 def random_finite_measure(rng, p, max_len=8, spread=9):
@@ -682,6 +682,40 @@ class TestRefusalMessages:
         with pytest.raises(InvalidInput, match=r"^target precision 1000000\.0 is not an int$"):
             restrict_to_units(member, 1e6)
 
+    @pytest.mark.parametrize("name, call", [
+        ("order", lambda n: dirac(2, 3, n)),
+        ("order", lambda n: dirac(PadicScalar.from_int(2, 3, 4), 3, n)),
+        ("order", lambda n: binomial_series(2, n)),
+        ("moment index", lambda n: moments(dirac(2, 3, 4), n)),
+        ("r_max", lambda n: pairing_measure([(dirac(2, 3, 4), dirac(1, 3, 4))], n)),
+        ("r_max", lambda n: mult_pushforward(dirac(2, 3, 4), dirac(2, 3, 4), n)),
+        ("order", lambda n: partner_family(7, n)),
+    ])
+    def test_sizes_must_be_ints(self, name, call):
+        # a float size once ended in a raw TypeError, or in a family member
+        # whose order read 2.5; the type check comes before every other
+        for n in (1.5, 2.0, 2.5, True, False, Fraction(2), "2", None):
+            with pytest.raises(InvalidInput, match=f"^{name} {re.escape(repr(n))} is not an int$"):
+                call(n)
+
+    def test_finite_must_be_a_bool(self):
+        # as the JSON decoder refuses it; a str once made a finite measure
+        for finite in ("no", 1, 0, None, 1.0):
+            shown = re.escape(repr(finite))
+            with pytest.raises(InvalidInput, match=f"^finite {shown} is not a bool$"):
+                Measure(3, [1, 2], finite)
+            with pytest.raises(InvalidInput, match=f"^finite {shown} is not a bool$"):
+                from_plus_basis([1, 2], 3, finite)
+
+    def test_dirac_point_must_be_a_scalar(self):
+        # 2.5 once gave the Dirac at 5/2, "x" a raw ValueError, None a TypeError
+        for z in (2.5, 1.0, "x", None, [1], 1j):
+            shown = re.escape(repr(z))
+            with pytest.raises(InvalidInput, match=f"^z {shown} is not an int, Fraction "
+                                                   "or PadicScalar$"):
+                dirac(z, 3, 3)
+        assert dirac(True, 3, 3) == dirac(1, 3, 3)  # a bool is an int
+
     def test_from_plus_basis_checks_the_list_as_a_measure(self):
         # the shift keeps p-integrality both ways, so the list is checked before it
         with pytest.raises(InvalidInput, match="^coefficient prime mismatch$"):
@@ -1179,6 +1213,12 @@ class TestResiduePathsAgainstOperators:
              for r in range(r_max + 1)]
         return cls.from_moments(b, p)
 
+    @staticmethod
+    def atomless(mu):
+        """µ through `Measure`, which keeps no atoms: a p-adic Dirac mass
+        then takes the residue route, not the more precise atom route."""
+        return Measure(mu.prime, mu.mahler, mu.finite)
+
     # -- the comparisons --------------------------------------------------------
 
     @pytest.mark.parametrize("kind", KINDS)
@@ -1192,6 +1232,7 @@ class TestResiduePathsAgainstOperators:
     @pytest.mark.parametrize("kind", KINDS)
     def test_restrict(self, kind):
         for rng, p, mu in self.cases(kind):
+            mu = self.atomless(mu)
             for precision in (None, 0, 1, 2, 3, 5, 9):
                 assert self.outcome(restrict_to_units, mu, precision) == \
                     self.outcome(self.restrict, mu, precision)
@@ -1199,6 +1240,7 @@ class TestResiduePathsAgainstOperators:
     @pytest.mark.parametrize("kind", KINDS)
     def test_cell_mass(self, kind):
         for rng, p, mu in self.cases(kind, 25):
+            mu = self.atomless(mu)
             for nu in (1, 2):
                 for precision in (None, -1, 0, 1, 2, 4, 12):
                     a = rng.randrange(p ** nu)
@@ -1211,8 +1253,127 @@ class TestResiduePathsAgainstOperators:
         for _ in range(30):
             p = rng.choice((3, 5, 7))
             order = rng.choice((2, 5, 9, 13))
-            pairs = [(self.measure(rng, p, kind, order), self.measure(rng, p, kind, order))
+            pairs = [(self.atomless(self.measure(rng, p, kind, order)),
+                      self.atomless(self.measure(rng, p, kind, order)))
                      for _ in range(rng.randint(1, 4))]
             for r_max in (0, 3, 8):
                 assert self.outcome(pairing_measure, pairs, r_max) == \
                     self.outcome(self.pairing, pairs, r_max)
+
+
+def precision(x):
+    return x.precision if isinstance(x, PadicScalar) else INF
+
+
+class TestPadicDiracAtoms:
+    """`dirac` of a PadicScalar z known mod p^P, P finite, is the atom
+    measure (1 + O(p^P))·δ_z of `_avatar_member`, over
+    `paper_oracles.dirac_cases()`."""
+
+    @staticmethod
+    def values(fn, *args):
+        """The list of values fn returns, a measure's coefficients, or the
+        exception type and message."""
+        try:
+            value = fn(*args)
+        except (InvalidInput, PrecisionExhausted) as exc:
+            return type(exc), str(exc)
+        return list(value.mahler if isinstance(value, Measure) else
+                    value if isinstance(value, tuple) else [value])
+
+    def test_an_unbuilt_atom_measure_with_the_binomial_coefficients(self, monkeypatch):
+        from mahler import measure
+
+        def refuse(*args):
+            raise AssertionError("binomial_series was called")
+        monkeypatch.setattr(measure, "binomial_series", refuse)
+        kinds = set()
+        for z, p, order in dirac_cases():
+            want = self.values(lambda: binomial_series(z, order).coeffs)
+            try:
+                mu = dirac(z, p, order)
+            except PrecisionExhausted as exc:
+                assert want == (PrecisionExhausted, str(exc)) and order > p ** z.precision
+                kinds.add("refused")
+                continue
+            (c, w), = mu.atoms
+            assert w is z and typed(c) == (PadicScalar, 0, 1, z.precision)
+            assert type(mu._mahler) is list and mu.order == order and not mu.finite
+            assert [typed(a) for a in mu.mahler] == [typed(a) for a in want]
+            kinds.add("zero" if z.is_zero else "unit" if z.valuation == 0 else "non-unit")
+        assert kinds == {"refused", "zero", "unit", "non-unit"}
+
+    def test_atom_route_against_the_atomless_copy(self):
+        """Restriction, cell masses, step integrals and pairings of each
+        Dirac mass, and of its scalings by a p-adic unit and by p·k, agree
+        with those of `Measure(p, mu.mahler)`, which has no atoms, mod the
+        lower precision, and are never less precise; where they differ, the
+        copy is refused with PrecisionExhausted."""
+        rng, seen, last = random.Random("dirac atoms"), set(), {}
+        partners = {p: partner_family(p)[1] for p in (3, 5, 7)}
+        for z, p, order in dirac_cases(200):
+            try:
+                mu = dirac(z, p, order)
+            except PrecisionExhausted:
+                continue
+            other, last[p] = last.get(p), mu
+            unit = PadicScalar.from_int(rng.randrange(p ** 5 // p) * p + rng.randrange(1, p),
+                                        p, rng.randint(1, 8))
+            for subject in (mu, mu.scale(unit), mu.scale(p * rng.randrange(1, 50))):
+                copy = Measure(p, subject.mahler)
+                calls = [(restrict_to_units, t) for t in range(1, (order - 1) // (p - 1) + 1)]
+                for t in range(1, 4):
+                    calls += [(cell_mass, a, 1, t) for a in range(p)]
+                    calls += [(cell_mass, z.lift() % p ** 2, 2, t),
+                              (integrate_step, [rng.randint(-3, 3) for _ in range(p)], t)]
+                pairs = [(subject, q, copy, Measure(p, q.mahler))
+                         for q in (partners[p], other) if q is not None]
+                for fn, *args in calls:
+                    seen.add(self.check(self.values(fn, subject, *args),
+                                        self.values(fn, copy, *args)))
+                for s1, s2, c1, c2 in pairs:
+                    for r_max in (0, 3, 8):
+                        seen.add(self.check(self.values(pairing_measure, [(s1, s2)], r_max),
+                                            self.values(pairing_measure, [(c1, c2)], r_max)))
+        assert seen == {"same", "more precise", "newly valued"}
+
+    @staticmethod
+    def check(got, want) -> str:
+        if type(want) is tuple:
+            if got == want:
+                return "same"
+            assert want[0] is PrecisionExhausted and type(got) is list, (got, want)
+            return "newly valued"
+        assert type(got) is list and len(got) == len(want), (got, want)
+        for g, w in zip(got, want):
+            assert g == w and precision(g) >= precision(w), (got, want)
+        return "same" if list(map(precision, got)) == list(map(precision, want)) \
+            else "more precise"
+
+    def test_the_factors_of_an_atom_are_both_padic_or_both_exact(self):
+        """`_product`'s rule, over every kind of measure that carries atoms:
+        p-adic Dirac masses, family members and their scalings."""
+        from mahler.heckechar import avatar_measure_family
+        measures = []
+        for z, p, order in dirac_cases(120):
+            try:
+                measures.append(dirac(z, p, order))
+            except PrecisionExhausted:
+                pass
+        for case in list(family_cases(60))[::3]:
+            try:
+                measures += avatar_measure_family(*case)
+            except (InvalidInput, PrecisionExhausted):
+                pass
+        for mu in list(measures):
+            p = mu.prime
+            for scalar in (PadicScalar.from_int(p + 1, p, 4), PadicScalar.zero(p, 2), p * 7,
+                           Fraction(p, 2), -1):
+                try:
+                    measures.append(mu.scale(scalar))
+                except (InvalidInput, PrecisionExhausted):
+                    pass
+        atoms = [atom for mu in measures for atom in mu.atoms or ()]
+        assert len(atoms) > 500
+        for c, z in atoms:
+            assert (type(c) is PadicScalar) == (type(z) is PadicScalar), (c, z)
