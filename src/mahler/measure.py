@@ -5,10 +5,10 @@ is done in the (1+T)^m basis with integer weights, with no root-of-unity
 arithmetic.  README's "Precision policy" states what every transform gives
 and by which route; each precision rule is stated once, at the code that
 implements it: `_dot` for sums of integer weights, `_shifted` for the
-(1+T)^m basis changes, `_atom_sums` for sums over Dirac masses c·δ_z, and
-`_cell_masses` for cells.  The products c·C(Z, n) over atoms are formed
-only here, the coefficients of the Dirac masses c·δ_z that
-`_avatar_member` makes, a family member or a p-adic `dirac`, among them.
+(1+T)^m basis changes, `padic._atom_sums` for sums over Dirac masses c·δ_z,
+and `_cell_masses` for cells.  `_avatar_member` is the one builder of an
+atom measure c·δ_z (a family member, a p-adic `dirac`, or a scaling of
+either), whose coefficients `padic._atom_scalars` builds when first read.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from operator import mul, sub
 
 from .arith import int_valuation
 from .errors import Frozen, InvalidInput, PrecisionExhausted
-from .padic import (INF, PadicScalar, _binomial_fields, _binomial_row, _falling_factorial_rows,
-                    _require_int, _residue, _surjection_head, binomial_series, checked_prime,
-                    exact, is_p_integral)
+from .padic import (INF, PadicScalar, _atom_fields, _atom_row, _atom_scalars, _atom_sums,
+                    _falling_factorial_rows, _product, _require_int, _residue, _surjection_head,
+                    binomial_series, checked_prime, exact, is_p_integral)
 
 
 def _is_exact(xs) -> bool:
@@ -95,11 +95,11 @@ def _dot(row, xs, res, P=INF):
 class Measure(Frozen):
     """A bounded measure on Z_p, known through its first `order` Mahler
     coefficients; `finite`, a bool, marks a complete expansion (all higher
-    a_n = 0).  `atoms`, None or the tuple of (c, z) of µ = Σ c·δ_z, is set
-    only by `_avatar_member` (a p-adic `dirac` or a family member) and by
-    `scale`, as the public constructor cannot check it; the `_mahler` slot
-    of an `_avatar_member` measure holds its recipe, a list [order, rows],
-    until `mahler` is first read."""
+    a_n = 0).  `atoms`, None or the tuple ((c, z),) of µ = c·δ_z with c and
+    z PadicScalars, is set only by `_avatar_member` (a p-adic `dirac`, a
+    family member or a scaling of either), as the public constructor cannot
+    check it; the `_mahler` slot of such a measure holds its recipe, a list
+    [order, rows], until `mahler` is first read."""
 
     __slots__ = ("prime", "_mahler", "finite", "atoms")
 
@@ -148,24 +148,26 @@ class Measure(Frozen):
         return 0
 
     def scale(self, scalar) -> "Measure":
-        """Multiply by a p-integral scalar (boundedness is preserved).  The
-        products are checked as `Measure` checks them, and carry no atoms,
-        unless the scalar is a p-integral int, Fraction or PadicScalar of the
-        measure's prime; then each atom (c, z) becomes (scalar·c, z), and an
-        exact zero leaves none."""
+        """Multiply by a p-integral scalar (boundedness is preserved).  An
+        atom measure c·δ_z times a nonzero p-integral int, Fraction or
+        PadicScalar of its prime is the unbuilt atom measure (scalar·c)·δ_z;
+        any other product is built at once, without atoms, and checked as
+        `Measure` checks it unless the scalar is of that kind or an exact zero."""
         if not isinstance(scalar, (int, Fraction, PadicScalar)):  # a bool is an int
             raise InvalidInput(f"scalar {scalar!r} is not an int, Fraction or PadicScalar")
-        p = self.prime
+        p, padic = self.prime, type(scalar) is PadicScalar
+        zero = scalar.precision is INF if padic else not scalar
+        known = (scalar.prime == p if padic else type(scalar) in (int, Fraction)) \
+            and is_p_integral(scalar, p)
+        if known and not zero and self.atoms:
+            (c, z), = self.atoms
+            recipe = self._mahler
+            return _avatar_member(scalar * c, z, self.order,
+                                  recipe[1] if type(recipe) is list else {})
         mahler = tuple(exact(scalar * a) for a in self.mahler)
-        if type(scalar) is PadicScalar:
-            known, zero = scalar.prime == p, scalar.precision is INF
-        else:
-            known, zero = type(scalar) in (int, Fraction), not scalar
-        if not (known and is_p_integral(scalar, p)):
+        if not known:
             return Measure(p, mahler, self.finite)
-        atoms = None if zero or self.atoms is None else tuple(
-            (scalar * c, z) for c, z in self.atoms)
-        return Measure._from_fields(p, mahler, self.finite, atoms)
+        return Measure._from_fields(p, mahler, self.finite, None)
 
     def __repr__(self):
         flag = "finite" if self.finite else f"order {self.order}"
@@ -180,6 +182,7 @@ def dirac(z, prime: int, order: int) -> Measure:
     _require_int("order", order)
     if not isinstance(z, (int, Fraction, PadicScalar)):  # a bool is an int
         raise InvalidInput(f"z {z!r} is not an int, Fraction or PadicScalar")
+    checked_prime(prime)
     if isinstance(z, PadicScalar):
         if z.prime != prime:
             raise InvalidInput("prime mismatch")
@@ -191,7 +194,6 @@ def dirac(z, prime: int, order: int) -> Measure:
         if not is_p_integral(z, prime):
             raise InvalidInput("z must lie in Z_p")
         series, finite = binomial_series(z, order), z.denominator == 1 and 0 <= z < order
-    checked_prime(prime)
     return Measure._from_fields(prime, series.coeffs, finite, None)
 
 
@@ -458,11 +460,9 @@ def pairing_measure(pairs, r_max: int) -> Measure:
 
 def _has_padic(mu: Measure) -> bool:
     """Whether a coefficient of µ is a PadicScalar, read off its atoms when
-    it has them: the atoms of a p-adic `dirac`, of a family member and of
-    their scalings hold PadicScalars, and give PadicScalar coefficients."""
-    if mu.atoms:
-        return any(type(x) is PadicScalar for atom in mu.atoms for x in atom)
-    return any(isinstance(a, PadicScalar) for a in mu.mahler)
+    it has them: every atom, `_avatar_member`'s, holds PadicScalars and
+    gives PadicScalar coefficients."""
+    return bool(mu.atoms) or any(isinstance(a, PadicScalar) for a in mu.mahler)
 
 
 def _paired_atoms(pairs, r_max: int, p: int, h: int) -> Measure:
@@ -489,74 +489,14 @@ def _paired_atoms(pairs, r_max: int, p: int, h: int) -> Measure:
         for n, (total, N) in enumerate(zip(totals, precisions))), False, None)
 
 
-def _atom_fields(atoms) -> list:
-    """Each atom (c, z) as the fields of c and of z (`_scalar_fields`)."""
-    return [(_scalar_fields(c), _scalar_fields(z)) for c, z in atoms]
-
-
-def _scalar_fields(x) -> tuple:
-    """(valuation, unit, relative precision) of a PadicScalar, its valuation
-    read as `_val` does, and (0, x, INF) for an exact int or Fraction x."""
-    return (x._val, x.unit, x.rel_precision) if type(x) is PadicScalar else (0, x, INF)
-
-
-def _product(x, y) -> tuple:
-    """The fields of x·y from those of x and y, as `*` gives them: valuation
-    v1 + v2, unit u1·u2 (not reduced: every reader reduces it mod a power of
-    p, or it is exact) and relative precision min(rel1, rel2), so a product
-    of exact values is their exact product.  The factors of one atom are
-    both p-adic or both exact, as in every measure of the library."""
-    return x[0] + y[0], x[1] * y[1], min(x[2], y[2])
-
-
-def _atom_sums(atoms, p: int, size: int, rows: dict):
-    """(totals, precisions) of Σ c·C(Z, n), n < size, over the atoms (c, Z)
-    given by their fields, on integers: each sum is the total known mod
-    p^precision, INF when exact.  C(Z, n) comes from `_atom_row` over rows,
-    on the key of Z: an exact Z itself, else (lift, precision), the lift
-    u·p^v reduced mod p^(v + rel).  A term has valuation v = v_c + v_n and
-    precision v + min(rel_c, rel_n), as `*` gives it, the sum the least."""
-    totals, precisions = [0] * size, [INF] * size
-    for (vc, uc, rc), (vz, uz, rz) in atoms:
-        N = vz + rz
-        key = uz if N == INF else (uz * p ** vz % p ** N, N)
-        for n, (v, u, rel) in enumerate(_atom_row(key, p, size, rows)):
-            v += vc
-            totals[n] += uc * u * p ** v
-            P = v + (rel if rel < rc else rc)
-            if P < precisions[n]:
-                precisions[n] = P
-    return totals, precisions
-
-
-def _atom_row(key, p: int, size: int, rows: dict) -> list:
-    """The fields of C(Z, n), n < size, kept in rows on the key of Z: an
-    exact int Z, its row `_binomial_row` read as (0, C(Z, n), INF); a lift
-    Z known mod p^P, (Z, P), its fields from `_binomial_fields`, which
-    refuses a zero known to no precision."""
-    row = rows.get(key)
-    if row is None:
-        row = rows[key] = [(0, c, INF) for c in _binomial_row(key, size)] \
-            if type(key) is int else list(_binomial_fields(key[0], p, key[1], size))
-    return row
-
-
-def _atom_scalars(atoms, p: int, size: int, rows: dict, cap=INF) -> tuple:
-    """The sums of `_atom_sums` over the atoms (c, z), each one PadicScalar
-    known mod p^min(N, cap)."""
-    totals, precisions = _atom_sums(_atom_fields(atoms), p, size, rows)
-    return tuple(PadicScalar._make(p, 0, total, min(N, cap))
-                 for total, N in zip(totals, precisions))
-
-
 def _avatar_member(c0: PadicScalar, z: PadicScalar, order: int, rows: dict) -> Measure:
     """The measure c0·δ_z, z in Z_p known mod p^P (an avatar family member,
     or a p-adic `dirac` with c0 = 1 + O(p^P)), with `order` coefficients and
     the atoms ((c0, z),): unbuilt until `mahler` is read, rows the family's
     memo.  Its row of C(Z, n), n < order, refuses exactly when order > p^P
-    (`_binomial_fields`), which is refused here, so no row is built at the
-    call.  As `Measure.scale` does, a c0 that is not p-integral is refused
-    by `Measure`'s check of the products c0·C(Z, n)."""
+    (`padic._binomial_fields`), which is refused here, so no row is built at
+    the call.  A c0 that is not p-integral is refused by `Measure`'s check of
+    the products c0·C(Z, n), as `Measure.scale` refuses such a scalar."""
     p = z.prime
     if order > p ** z.precision:
         raise PrecisionExhausted("zero known to no precision")

@@ -21,7 +21,9 @@ a product takes valuation v1 + v2 and relative precision min(rel1, rel2), and
 an exact factor q shifts the valuation by v_p(q); a zero known to no
 precision (N <= 0) is refused with PrecisionExhausted, and `==` reads such a
 difference as equality.  Every result goes through one normalising
-constructor, `PadicScalar._make`.
+constructor, `PadicScalar._make`.  `_atom_sums` restates the product rule
+on integer fields to sum c·C(z, n) over Dirac masses c·δ_z: the one body for
+`binomial_series` of a PadicScalar and for `measure`'s atom measures.
 """
 
 from __future__ import annotations
@@ -38,9 +40,14 @@ from .errors import Frozen, InvalidInput, PrecisionExhausted
 INF = math.inf
 
 
-@lru_cache(maxsize=256)
 def checked_prime(p: int) -> int:
-    """p, once it is known to be prime; any other p is refused."""
+    """p, once it is known to be an int and prime; any other p is refused,
+    a p that is not an int (or is a bool) before the memo hashes it."""
+    return _checked_prime(_require_int("prime", p))
+
+
+@lru_cache(maxsize=256)
+def _checked_prime(p: int) -> int:
     if not isprime(p):
         raise InvalidInput(f"{p} is not prime")
     return p
@@ -74,10 +81,11 @@ def _integer_power(n) -> int:
 
 
 def _require_int(name: str, x):
-    """Refuse x unless it is an int and not a bool, before any other check
+    """x, refused unless it is an int and not a bool, before any other check
     reads it."""
     if type(x) is bool or not isinstance(x, int):
         raise InvalidInput(f"{name} {x!r} is not an int")
+    return x
 
 
 def is_p_integral(q, p: int) -> bool:
@@ -453,14 +461,74 @@ def _binomial_fields(Z: int, p: int, P: int, order: int):
         yield v, r // p ** v, P_n - v
 
 
+def _scalar_fields(x) -> tuple:
+    """(valuation, unit, relative precision) of a PadicScalar, its valuation
+    read as `_val` does, and (0, x, INF) for an exact int or Fraction x."""
+    return (x._val, x.unit, x.rel_precision) if type(x) is PadicScalar else (0, x, INF)
+
+
+def _product(x, y) -> tuple:
+    """The fields of x·y from those of x and y, as `*` gives them: valuation
+    v1 + v2, unit u1·u2 (not reduced: every reader reduces it mod a power of
+    p, or it is exact) and relative precision min(rel1, rel2), so a product
+    of exact values is their exact product.  The factors of one atom are
+    both p-adic or both exact, as in every measure of the library."""
+    return x[0] + y[0], x[1] * y[1], min(x[2], y[2])
+
+
+def _atom_fields(atoms) -> list:
+    """Each atom (c, z) as the fields of c and of z (`_scalar_fields`)."""
+    return [(_scalar_fields(c), _scalar_fields(z)) for c, z in atoms]
+
+
+def _atom_sums(atoms, p: int, size: int, rows: dict):
+    """(totals, precisions) of Σ c·C(Z, n), n < size, over the atoms (c, Z)
+    given by their fields, on integers: each sum is the total known mod
+    p^precision, INF when exact.  C(Z, n) comes from `_atom_row` over rows,
+    on the key of Z: an exact Z itself, else (lift, precision), the lift
+    u·p^v reduced mod p^(v + rel).  A term has valuation v = v_c + v_n and
+    precision v + min(rel_c, rel_n), as `*` gives it, the sum the least."""
+    totals, precisions = [0] * size, [INF] * size
+    for (vc, uc, rc), (vz, uz, rz) in atoms:
+        N = vz + rz
+        key = uz if N == INF else (uz * p ** vz % p ** N, N)
+        for n, (v, u, rel) in enumerate(_atom_row(key, p, size, rows)):
+            v += vc
+            totals[n] += uc * u * p ** v
+            P = v + (rel if rel < rc else rc)
+            if P < precisions[n]:
+                precisions[n] = P
+    return totals, precisions
+
+
+def _atom_row(key, p: int, size: int, rows: dict) -> list:
+    """The fields of C(Z, n), n < size, kept in rows on the key of Z: an
+    exact int Z, its row `_binomial_row` read as (0, C(Z, n), INF); a lift
+    Z known mod p^P, (Z, P), its fields from `_binomial_fields`, which
+    refuses a zero known to no precision."""
+    row = rows.get(key)
+    if row is None:
+        row = rows[key] = [(0, c, INF) for c in _binomial_row(key, size)] \
+            if type(key) is int else list(_binomial_fields(key[0], p, key[1], size))
+    return row
+
+
+def _atom_scalars(atoms, p: int, size: int, rows: dict, cap=INF) -> tuple:
+    """The sums of `_atom_sums` over the atoms (c, z), each one PadicScalar
+    known mod p^min(N, cap)."""
+    totals, precisions = _atom_sums(_atom_fields(atoms), p, size, rows)
+    return tuple(PadicScalar._make(p, 0, total, min(N, cap))
+                 for total, N in zip(totals, precisions))
+
+
 def binomial_series(z, order: int) -> TruncatedSeries:
     """The Amice series (1+T)^z = sum_n C(z,n) T^n for z in Z_p.
 
     Exact int/Fraction inputs give exact coefficients, an integral one from
-    the integer row `_binomial_row`.  The exact p-adic zero gives 1 + O(p)
-    and then exact zeros, C(0, n) = 0 for n >= 1.  A PadicScalar z known
-    mod p^P gives C(z, n) with the fields of `_binomial_fields`, which
-    refuses an order past p^P.
+    the integer row `_binomial_row`.  A PadicScalar z known mod p^P gives
+    `_atom_scalars` of the one atom (1 + O(p^P), z), 1 + O(p) for the exact
+    zero, whose C(0, n), n >= 1, are exact zeros: C(z, n) with the fields
+    of `_binomial_fields`, which refuses an order past p^P.
     """
     _require_int("order", order)
     if order < 1:
@@ -469,12 +537,8 @@ def binomial_series(z, order: int) -> TruncatedSeries:
         if not z.is_zero and z.valuation < 0:
             raise InvalidInput("z must lie in Z_p")
         p, P = z.prime, z.precision
-        if P is INF:
-            return TruncatedSeries._from_fields(
-                (PadicScalar.from_int(1, p, 1),) + (PadicScalar.zero(p),) * (order - 1), p)
-        fields = _binomial_fields(z.lift(), p, P, order)
-        return TruncatedSeries._from_fields(
-            tuple(PadicScalar._make(p, v, u, v + rel) for v, u, rel in fields), p)
+        one = PadicScalar._make(p, 0, 1, 1 if P is INF else P)
+        return TruncatedSeries._from_fields(_atom_scalars(((one, z),), p, order, {}), p)
     z = Fraction(z)
     if z.denominator == 1:
         coeffs = _binomial_row(z.numerator, order)

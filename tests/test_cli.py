@@ -384,6 +384,8 @@ class TestImportFloor:
         (["measure", "restrict", "--file", "MEASURE"],
          ["archimedean", "heckechar", "modform", "quaternion"]),
         (["quat", "ramified", "--a", "-1", "--b", "-1"], ["heckechar", "measure"]),
+        (["padic", "binomial-series", "--z", "1/2", "--p", "3", "--prec", "4"],
+         ["archimedean", "heckechar", "measure", "modform", "quaternion"]),
     ])
     def test_command_loads_only_its_modules(self, tmp_path, argv, absent):
         path = write_measure(tmp_path, "m.json", dirac(2, 3, 4))

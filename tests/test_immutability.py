@@ -20,7 +20,7 @@ import pytest
 
 from mahler.archimedean import LocalFactorParams, PiPolynomial
 from mahler.errors import Frozen, InvalidInput, PrecisionExhausted
-from mahler import measure
+from mahler import measure, padic
 from mahler.heckechar import (AlgebraicValue, PadicEmbedding, QuadOrder,
                               WeightFunction, admissible_embedding,
                               avatar_measure_family, characters, class_group,
@@ -401,8 +401,8 @@ def test_reading_the_other_fields_and_pairing_build_no_series(monkeypatch):
         pairing_measure((pairs * 3)[:7], 8)
     assert all(map(unfilled, members)) and [len(mu._mahler[1]) for mu in members] == [0] * 6
     calls = []
-    fields = measure._binomial_fields
-    monkeypatch.setattr(measure, "_binomial_fields",
+    fields = padic._binomial_fields
+    monkeypatch.setattr(padic, "_binomial_fields",
                         lambda *args: calls.append(args) or fields(*args))
     members[0].mahler  # the first read builds the identity's row
     assert len(calls) == 1 and calls[0][0] == 1 and not unfilled(members[0])

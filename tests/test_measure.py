@@ -12,8 +12,11 @@ from mahler.measure import (Measure, _dot, _residues, cell_mass, cell_tail_valua
                             dirac, from_plus_basis, integrate_step, mahler_from_moments,
                             moments, mult_pushforward, pairing_measure, plus_basis,
                             restrict_to_units)
+from mahler.modform import delta_qexpansion, u_operator
 from mahler.padic import INF, PadicScalar, binomial_series, exact, stirling_second
 from paper_oracles import dirac_cases, family_cases, partner_family, rational_valuation
+from test_immutability import unfilled
+from test_padic import scalar_binomial_series
 
 
 def random_finite_measure(rng, p, max_len=8, spread=9):
@@ -698,6 +701,21 @@ class TestRefusalMessages:
             with pytest.raises(InvalidInput, match=f"^{name} {re.escape(repr(n))} is not an int$"):
                 call(n)
 
+    @pytest.mark.parametrize("call", [
+        lambda p: Measure(p, [1]),
+        lambda p: PadicScalar(p, 0, 1, 3),
+        lambda p: dirac(1, p, 3),
+        lambda p: dirac(PadicScalar.from_int(2, 3, 4), p, 3),
+        lambda p: u_operator(delta_qexpansion(10), p),
+    ])
+    def test_primes_must_be_ints(self, call):
+        # a list once ended in a raw TypeError from the prime memo's hash, a
+        # str, a float and a bool in a raw ValueError; the check comes before
+        # the memo and before a z is read against the prime
+        for p in ([3], "3", 3.0, True, None, Fraction(3)):
+            with pytest.raises(InvalidInput, match=f"^prime {re.escape(repr(p))} is not an int$"):
+                call(p)
+
     def test_finite_must_be_a_bool(self):
         # as the JSON decoder refuses it; a str once made a finite measure
         for finite in ("no", 1, 0, None, 1.0):
@@ -1268,7 +1286,10 @@ def precision(x):
 class TestPadicDiracAtoms:
     """`dirac` of a PadicScalar z known mod p^P, P finite, is the atom
     measure (1 + O(p^P))·δ_z of `_avatar_member`, over
-    `paper_oracles.dirac_cases()`."""
+    `paper_oracles.dirac_cases()`.  Its coefficients are checked against
+    the PadicScalar recurrence C(z, n) = C(z, n-1)·(z - n + 1)/n, not
+    against `binomial_series`, which `padic._atom_scalars` builds as it
+    builds these."""
 
     @staticmethod
     def values(fn, *args):
@@ -1289,7 +1310,7 @@ class TestPadicDiracAtoms:
         monkeypatch.setattr(measure, "binomial_series", refuse)
         kinds = set()
         for z, p, order in dirac_cases():
-            want = self.values(lambda: binomial_series(z, order).coeffs)
+            want = self.values(lambda: tuple(scalar_binomial_series(z, order)))
             try:
                 mu = dirac(z, p, order)
             except PrecisionExhausted as exc:
@@ -1377,3 +1398,86 @@ class TestPadicDiracAtoms:
         assert len(atoms) > 500
         for c, z in atoms:
             assert (type(c) is PadicScalar) == (type(z) is PadicScalar), (c, z)
+
+
+class TestScaledAtomMeasures:
+    """`scale` of an atom measure c·δ_z against the eager products: over the
+    p-adic Dirac masses of `paper_oracles.dirac_cases()` and the members of
+    `family_cases()`, and scalars of every kind, the scaling is the unbuilt
+    atom measure (λ·c)·δ_z exactly when λ is nonzero, p-integral and of the
+    measure's prime; its coefficients are the products λ·a_n field for
+    field, and every refusal is the eager one."""
+
+    @staticmethod
+    def scalars(p: int) -> list:
+        """(λ, whether scaling by λ keeps the atom) for the prime p."""
+        other = 2 if p != 2 else 3
+        return [(p + 1, True), (-1, True), (7 * p, True), (Fraction(p, p + 1), True),
+                (PadicScalar.from_int(p + 1, p, 1), True),
+                (PadicScalar.from_int(2 * p + 1, p, 20), True),
+                (PadicScalar.from_int(3 * p, p, 4), True), (PadicScalar.zero(p, 2), True),
+                (0, False), (Fraction(0), False), (PadicScalar.zero(p), False),
+                (Fraction(1, p), False), (PadicScalar.from_int(1, other, 3), False),
+                (True, False)]
+
+    @staticmethod
+    def outcome(fn, *args):
+        """The measure fn returns as its type, finiteness and typed
+        coefficients, or the exception type and message."""
+        try:
+            mu = fn(*args)
+        except (InvalidInput, PrecisionExhausted) as exc:
+            return type(exc), str(exc)
+        return type(mu), mu.finite, [typed(a) for a in mu.mahler]
+
+    @staticmethod
+    def eager(mu, scalar):
+        """The products λ·a_n of the built coefficients, checked as `Measure`
+        checks them."""
+        return Measure(mu.prime, tuple(exact(scalar * a) for a in mu.mahler))
+
+    def sources(self):
+        """Fresh, unbuilt atom measures, one list per case."""
+        from mahler.heckechar import avatar_measure_family
+        for z, p, order in dirac_cases(150):
+            if order <= p ** z.precision:
+                yield [dirac(z, p, order)]
+        for case in list(family_cases(60))[::3]:
+            try:
+                yield avatar_measure_family(*case)
+            except (InvalidInput, PrecisionExhausted):
+                pass
+
+    def test_scaling_is_the_unbuilt_product_atom(self):
+        kept = refused = 0
+        for members in self.sources():
+            for mu in members:
+                p, ((c, z),), memo = mu.prime, mu.atoms, mu._mahler[1]
+                # every scaling first, those that keep the atom while mu is
+                # unbuilt, over its row memo, and they build nothing
+                scaled = []
+                for scalar, keeps in self.scalars(p):
+                    assert unfilled(mu) or not keeps
+                    try:
+                        scaled.append(mu.scale(scalar))
+                    except (InvalidInput, PrecisionExhausted) as exc:
+                        scaled.append((type(exc), str(exc)))
+                for (scalar, keeps), got in zip(self.scalars(p), scaled):
+                    want = self.outcome(self.eager, mu, scalar)
+                    if type(got) is tuple:
+                        assert not keeps and got == want, (mu, scalar)
+                        refused += 1
+                        continue
+                    assert unfilled(got) == keeps, (mu, scalar)
+                    if keeps:
+                        assert got._mahler[1] is memo
+                        (c2, z2), = got.atoms
+                        assert z2 is z and typed(c2) == typed(scalar * c), (mu, scalar)
+                        assert got.order == mu.order
+                        kept += 1
+                    else:
+                        assert got.atoms is None, (mu, scalar)
+                    assert self.outcome(lambda: got) == want, (mu, scalar)
+                    # a built source gives the same scaling
+                    assert self.outcome(mu.scale, scalar) == want, (mu, scalar)
+        assert kept > 1000 and refused > 100

@@ -33,7 +33,10 @@ corpus of `mahler` argvs is built:
 - `measure pair`, `push` and `moments` on truncated measures of order 8 at
   p = 3 and 5, of PadicScalars or mixed with int and Fraction coefficients,
   inexact and exact zeros among them: h = 1 and 2, and h = 3 = p, which is
-  refused; r_max and r at 0, 3, order - 1 and order, which is refused.
+  refused; r_max and r at 0, 3, order - 1 and order, which is refused;
+- `padic binomial-series` at p in {2, 3, 5, 7}, `--prec` 0-4, z in {0, 1,
+  p, p^2, -1, 1/2, p/5, 1/p, 123456} and orders 1, 2, p^P - 1, p^P and
+  p^P + 1, the last refused for every z known mod p^P.
 
 Each side runs the whole corpus in one subprocess with PYTHONPATH set to its
 `src`, every call through `mahler.cli.main` in-process
@@ -165,6 +168,12 @@ EDGE_CALLS = tuple(
        for kind, suffix in (("padic", "_0"), ("mixed", "_0"), ("zero", ""))
        for p in (3, 5) for r in RMAX])
 
+BINOMIAL_CALLS = tuple(
+    ["padic", "binomial-series", f"--z={z}", "--p", str(p), "--prec", str(P), "--order", str(K)]
+    for p in (2, 3, 5, 7) for P in range(5)
+    for z in ("0", "1", str(p), str(p * p), "-1", "1/2", f"{p}/5", f"1/{p}", "123456")
+    for K in (1, 2, p ** P - 1, p ** P, p ** P + 1))
+
 # run in each side's subprocess: [[workdir, argv], ...] on stdin, one
 # [exit code, stdout, first stderr line] per case on stdout
 WORKER = """
@@ -203,7 +212,7 @@ def corpus(workdir: str) -> list:
     cases += [[home, list(argv)] for argv in RANGE_CALLS]
     for name, obj in EDGE_FILES.items():
         Path(workdir, name).write_text(json.dumps(obj), encoding="utf-8")
-    cases += [[workdir, argv] for argv in EDGE_CALLS]
+    cases += [[workdir, argv] for argv in EDGE_CALLS + BINOMIAL_CALLS]
     return cases
 
 
