@@ -671,7 +671,13 @@ class PadicEmbedding(Frozen):
         sum_k (a_k + b_k s) zeta^k for the lifts s of sqrt(d) and zeta, made one
         PadicScalar known mod p^prec, which is what the sum of its terms in
         PadicScalar arithmetic gives when every a_k and b_k is p-integral; any
-        other value is embedded term by term."""
+        other value is embedded term by term.  An int or Fraction value, which
+        a `WeightFunction` may hold, is read as `_class_sum` reads it; any other
+        value that is not an AlgebraicValue is refused."""
+        if isinstance(value, (int, Fraction)):  # a bool is an int
+            value = AlgebraicValue.from_rational(value, self.d, 1)
+        elif not isinstance(value, AlgebraicValue):
+            raise InvalidInput(f"value {value!r} is not an AlgebraicValue, int or Fraction")
         if value.m != self.m:
             if self.m % value.m:
                 raise InvalidInput("value needs a larger cyclotomic layer than the embedding")

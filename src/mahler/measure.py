@@ -20,7 +20,7 @@ from operator import mul, sub
 
 from .arith import int_valuation
 from .errors import Frozen, InvalidInput, PrecisionExhausted
-from .padic import (INF, PadicScalar, _atom_fields, _atom_row, _atom_scalars, _atom_sums,
+from .padic import (INF, PadicScalar, _atom_fields, _atom_scalars, _atom_sums,
                     _falling_factorial_rows, _product, _require_int, _residue, _surjection_head,
                     binomial_series, checked_prime, exact, is_p_integral)
 
@@ -107,10 +107,8 @@ class Measure(Frozen):
         checked_prime(prime)
         if type(finite) is not bool:
             raise InvalidInput(f"finite {finite!r} is not a bool")
-        mahler = tuple(mahler)
-        if not mahler:
-            raise InvalidInput("a measure needs at least one Mahler coefficient")
-        for a in mahler:
+        checked = []
+        for a in mahler:  # each as it is drawn, so a generator stops at its first refusal
             if not isinstance(a, (int, Fraction, PadicScalar)):  # a bool is an int
                 raise InvalidInput(f"Mahler coefficient {a!r} is not an int, Fraction "
                                    "or PadicScalar")
@@ -119,7 +117,10 @@ class Measure(Frozen):
             if not is_p_integral(a, prime):
                 raise InvalidInput("Mahler coefficient with negative valuation: "
                                    "this is a distribution, not a measure")
-        self._set(prime, mahler, finite, None)
+            checked.append(a)
+        if not checked:
+            raise InvalidInput("a measure needs at least one Mahler coefficient")
+        self._set(prime, tuple(checked), finite, None)
 
     @property
     def mahler(self) -> tuple:
@@ -152,7 +153,8 @@ class Measure(Frozen):
         atom measure c·δ_z times a nonzero p-integral int, Fraction or
         PadicScalar of its prime is the unbuilt atom measure (scalar·c)·δ_z;
         any other product is built at once, without atoms, and checked as
-        `Measure` checks it unless the scalar is of that kind or an exact zero."""
+        `Measure` checks it, each coefficient as it is formed, unless the
+        scalar is of that kind or an exact zero."""
         if not isinstance(scalar, (int, Fraction, PadicScalar)):  # a bool is an int
             raise InvalidInput(f"scalar {scalar!r} is not an int, Fraction or PadicScalar")
         p, padic = self.prime, type(scalar) is PadicScalar
@@ -164,10 +166,10 @@ class Measure(Frozen):
             recipe = self._mahler
             return _avatar_member(scalar * c, z, self.order,
                                   recipe[1] if type(recipe) is list else {})
-        mahler = tuple(exact(scalar * a) for a in self.mahler)
-        if not known:
-            return Measure(p, mahler, self.finite)
-        return Measure._from_fields(p, mahler, self.finite, None)
+        products = (exact(scalar * a) for a in self.mahler)
+        if not known:  # checked as they are formed, so the first refusal stops the products
+            return Measure(p, products, self.finite)
+        return Measure._from_fields(p, tuple(products), self.finite, None)
 
     def __repr__(self):
         flag = "finite" if self.finite else f"order {self.order}"
@@ -495,12 +497,11 @@ def _avatar_member(c0: PadicScalar, z: PadicScalar, order: int, rows: dict) -> M
     the atoms ((c0, z),): unbuilt until `mahler` is read, rows the family's
     memo.  Its row of C(Z, n), n < order, refuses exactly when order > p^P
     (`padic._binomial_fields`), which is refused here, so no row is built at
-    the call.  A c0 that is not p-integral is refused by `Measure`'s check of
-    the products c0·C(Z, n), as `Measure.scale` refuses such a scalar."""
-    p = z.prime
-    if order > p ** z.precision:
+    the call.  A c0 that is not p-integral is refused next, with the message
+    `Measure` gives its first coefficient c0·C(Z, 0), whatever the order."""
+    if order > z.prime ** z.precision:
         raise PrecisionExhausted("zero known to no precision")
-    if is_p_integral(c0, p):
-        return Measure._from_fields(p, [order, rows], False, ((c0, z),))
-    return Measure(p, [c0 * PadicScalar._make(p, v, u, v + rel)
-                       for v, u, rel in _atom_row((z.lift(), z.precision), p, order, rows)])
+    if not is_p_integral(c0, z.prime):
+        raise InvalidInput("Mahler coefficient with negative valuation: "
+                           "this is a distribution, not a measure")
+    return Measure._from_fields(z.prime, [order, rows], False, ((c0, z),))

@@ -1109,6 +1109,23 @@ class TestAvatars:
         with pytest.raises(InvalidInput):
             PadicEmbedding(7, 4, -7, 5)
 
+    def test_int_and_fraction_values_embed_as_rationals(self):
+        # a WeightFunction may hold int and Fraction values, which `pairing`
+        # reads as rationals; `embed` reads them so too, and refuses the rest
+        G = class_group(-23)
+        emb = admissible_embedding(G, smallest_admissible_prime(G), 4)
+        assert (emb.prime, emb.precision) == (7, 4)
+        phi = WeightFunction(G, (0, 0), [2, Fraction(1, 3), -1])
+        avatars = [PadicScalar.from_int(x, 7, 4) for x in (2, 1601, -1)]  # 3·1601 ≡ 1 mod 7^4
+        assert [emb.embed(v) for v in phi.values] == padic_avatar(phi, emb) == avatars
+        family = avatar_measure_family(phi, characters(G)[1], emb, 3)
+        assert [mu.atoms[0][0] for mu in family] == avatars
+        for bad in (PadicScalar.from_int(3, 7, 4), "x"):
+            with pytest.raises(InvalidInput, match="is not an AlgebraicValue, int or Fraction$"):
+                emb.embed(bad)
+            with pytest.raises(InvalidInput, match="is not an AlgebraicValue, int or Fraction$"):
+                padic_avatar(WeightFunction(G, (0, 0), [1, bad, 1]), emb)
+
 
 class TestEmbeddingResidues:
     @staticmethod
@@ -1309,6 +1326,27 @@ class TestFamilyRefusalRule:
                 assert all(unfilled(mu) and mu._mahler[1] == {} for mu in family)
                 if order >= q - 1:
                     assert all(len(mu.mahler) == order for mu in family)
+
+    @pytest.mark.parametrize("order", range(1, 29))
+    def test_a_coefficient_outside_z_p_is_refused_at_every_order(self, order):
+        # c0 = 1/3 at p = 3, P = 3: the refusal is the first coefficient's up
+        # to order p^P = 27, as for a scaling by 1/3 + O(3^3), and past it the
+        # order's, which comes first
+        G = class_group(-16)
+        emb, third = admissible_embedding(G, 3, 3), Fraction(1, 3)
+        chi0 = WeightFunction(G, (0, 0), [AlgebraicValue.from_rational(
+            third, G.order_data.d_K, G.exponent)] * G.h)
+        calls = (lambda: avatar_measure_family(chi0, characters(G)[0], emb, order),
+                 lambda: dirac(PadicScalar.from_int(1, 3, 3), 3, order).scale(
+                     PadicScalar.from_rational(third, 3, 3)))
+        for call in calls:
+            if order <= 27:
+                with pytest.raises(InvalidInput, match="^Mahler coefficient with negative "
+                                   "valuation: this is a distribution, not a measure$"):
+                    call()
+            else:
+                with pytest.raises(PrecisionExhausted, match="^zero known to no precision$"):
+                    call()
 
 
 class TestAvatarFamilyOnIntegers:

@@ -1183,7 +1183,7 @@ class TestResiduePathsAgainstOperators:
 
     @staticmethod
     def scale(mu, s):
-        return Measure(mu.prime, [exact(s * a) for a in mu.mahler], finite=mu.finite)
+        return Measure(mu.prime, (exact(s * a) for a in mu.mahler), finite=mu.finite)
 
     @classmethod
     def restrict(cls, mu, precision):
@@ -1432,9 +1432,9 @@ class TestScaledAtomMeasures:
 
     @staticmethod
     def eager(mu, scalar):
-        """The products λ·a_n of the built coefficients, checked as `Measure`
-        checks them."""
-        return Measure(mu.prime, tuple(exact(scalar * a) for a in mu.mahler))
+        """The products λ·a_n of the built coefficients, each checked as
+        `Measure` checks it when it is formed."""
+        return Measure(mu.prime, (exact(scalar * a) for a in mu.mahler))
 
     def sources(self):
         """Fresh, unbuilt atom measures, one list per case."""

@@ -1,10 +1,18 @@
-"""Check that another tree's CLI prints what this tree's prints.
+"""Check that another tree computes what this tree computes, through the CLI
+and in process.
 
     python tests/tree_diff.py OTHER_SRC
 
 OTHER_SRC is the `src` directory of the other tree, for example of a
-`git archive` of the parent commit unpacked in a scratch directory.  One
-corpus of `mahler` argvs is built:
+`git archive` of the parent commit unpacked in a scratch directory.  Each
+side runs every case in one worker subprocess with PYTHONPATH set to its
+`src`, and the worker checks that `mahler` is imported from there; the two
+workers run at the same time.  The cases fall into nine sections.
+
+`cli` is one corpus of `mahler` argvs, every call through `mahler.cli.main`
+in-process (`perfbench/wl_cli.replay_call`); per case the exit code, the
+stdout bytes and the first line of stderr are compared, and the section's
+digest is that of the JSON list of these.  The corpus:
 
 - cli-cold's calls at seeds 0-3 (`perfbench/wl_cli.build_commands`), with
   their input files written once into a temporary directory that both
@@ -38,23 +46,78 @@ corpus of `mahler` argvs is built:
   p, p^2, -1, 1/2, p/5, 1/p, 123456} and orders 1, 2, p^P - 1, p^P and
   p^P + 1, the last refused for every z known mod p^P.
 
-Each side runs the whole corpus in one subprocess with PYTHONPATH set to its
-`src`, every call through `mahler.cli.main` in-process
-(`perfbench/wl_cli.replay_call`).  Per case the exit code, the stdout bytes
-and the first line of stderr are compared.  The script prints one digest per
-side, then every case that differs, the first with both sides' results, and
-exits 1 on any difference.  The corpus has 278 cases.  It imports
-perfbench, writes nothing there, and takes about 7 s on 2 vCPUs.
+The eight in-process sections compare the characters, pairings, avatar
+families and p-adic Dirac masses that no command prints.  A case's outcome
+is a byte string, compared by its SHA-256, and a section's digest is the
+SHA-256 of its cases' bytes in order:
+
+* `character-terms`, one case per discriminant D with |D| <= 3000 and
+  D = -1999999: D, then d, m and the group-ring terms, in stored order, of
+  every value, character by character;
+* `exponent-rows`, the same cases: D and the `exponents` row (None where
+  there is none) of each character, after checking that a row lists the
+  exponent of each value's one term;
+* `pairing-terms`, one case per D with |D| <= 1200: d, m and the stored
+  terms of `pairing(a, b)` for every pair of characters, and of
+  `twisted_pairing(a, b, psi)` with psi drawn per pair from a seeded
+  generator;
+* `weight-function-terms`, one case per D of WEIGHT_FUNCTION_DISCS: d, m
+  and the stored terms, sorted by exponent, or the exception type and
+  message, of `pairing` and `twisted_pairing` over seeded weight functions
+  that are not characters: scaled characters, int and Fraction constants,
+  roots of unity in a smaller layer, general values of cancelling nonzero
+  weights, and values of another quadratic field, a PadicScalar or a str,
+  which are refused.  The terms are sorted because the order in which a
+  sum of products first meets its exponents is not part of its value;
+* `avatar-family`, one case per `paper_oracles.family_cases()` (every D
+  with |D| <= 200 at orders 1, 2, 16 and 48, a seeded embedding precision
+  from 1 to 6, low enough that some binomial series are refused, and as
+  chi0 a character, a character with one zero value, the non-p-integral
+  constant 1/p or a scaled character): `paper_oracles.family_outcome` of
+  `avatar_measure_family`;
+* `wide-pairing-terms`, one case per seeded pair at D = -4679 and -8399
+  (h = m = 91 and 134), where the factors' exponents can add past one byte:
+  d, m and the stored terms of `pairing(a, b)` and `twisted_pairing(a, b,
+  psi)`;
+* `family-pairing`, the cases of `avatar-family`: the fields, or the
+  exception type and message, of `pairing_measure` of the family paired
+  with itself reversed at r_max 0 and 8, and of `restrict_to_units` and the
+  two level-1 `cell_mass` calls at the residues of z and z + 1 of member 0,
+  with avatar z, at every target from 1 to one past the restriction's tail
+  bound; every call reads the members' atoms, none their coefficients;
+* `dirac-atoms`, one case per `paper_oracles.dirac_cases()`: the fields, or
+  the exception type and message, of `dirac` at a PadicScalar with its
+  atom, of `restrict_to_units` and the two level-1 `cell_mass` calls at the
+  residues of z and z + 1 at every target from 1 to one past the
+  restriction's tail bound, and of `pairing_measure` at r_max 0 and 8 of
+  the one pair with member 1 of `paper_oracles.partner_family(p)` and of
+  the one pair with the Dirac mass of the case before at the same prime.
+
+The script prints each section's digest on each side, then every case that
+differs and, for the first in each section, both sides' results (of an
+in-process case, the first 200 characters of its bytes).  It exits 1 on any
+difference or when a worker fails, 2 on a wrong argument.  There are 1178
+CLI cases and 8810 in-process ones; the whole takes about 17 s on 2 vCPUs.
+It imports perfbench and writes nothing there.
 """
 
 import hashlib
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
+
+if __name__ != "__main__":  # a worker, which imports `mahler` from its side's src
+    from mahler.heckechar import (AlgebraicValue, WeightFunction, avatar_measure_family,
+                                  characters, class_group, pairing, twisted_pairing)
+    from mahler.measure import Measure, cell_mass, dirac, pairing_measure, restrict_to_units
+    from mahler.padic import PadicScalar
+    from paper_oracles import dirac_cases, family_cases, family_outcome, partner_family
 
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
@@ -174,20 +237,6 @@ BINOMIAL_CALLS = tuple(
     for z in ("0", "1", str(p), str(p * p), "-1", "1/2", f"{p}/5", f"1/{p}", "123456")
     for K in (1, 2, p ** P - 1, p ** P, p ** P + 1))
 
-# run in each side's subprocess: [[workdir, argv], ...] on stdin, one
-# [exit code, stdout, first stderr line] per case on stdout
-WORKER = """
-import json, sys
-sys.dont_write_bytecode = True
-sys.path.insert(0, sys.argv[1])
-import wl_cli
-results = []
-for workdir, argv in json.load(sys.stdin):
-    code, out, err = wl_cli.replay_call(argv, workdir)
-    results.append([code, out.decode(), err.decode().split("\\n", 1)[0]])
-json.dump(results, sys.stdout)
-"""
-
 
 def readme_argvs() -> list:
     """The argvs of the ```sh block under the README's `## CLI`."""
@@ -216,38 +265,226 @@ def corpus(workdir: str) -> list:
     return cases
 
 
-def run_side(src: str, cases: list) -> list:
-    env = dict(os.environ, PYTHONPATH=src)
-    env.pop("MAHLER_PREC", None)  # as cli-cold's children run
-    done = subprocess.run([sys.executable, "-c", WORKER, str(PERFBENCH)], env=env,
-                          input=json.dumps(cases), capture_output=True, text=True, check=True)
-    return json.loads(done.stdout)
+EXTRA_DISCS = (-1999999,)
+WIDE_DISCS = (-4679, -8399)
+WIDE_PAIRS = 2000
+WEIGHT_FUNCTION_DISCS = (-23, -39, -47, -56, -84, -104, -263, -407)
+HEAD = 200  # characters of a result printed for the first difference of a section
 
 
-def digest(results: list) -> str:
-    return hashlib.sha256(json.dumps(results).encode()).hexdigest()
+def discriminants(limit: int) -> list:
+    return [D for D in range(-3, -limit - 1, -1) if D % 4 in (0, 1)]
+
+
+def stored(value) -> bytes:
+    return repr((value.d, value.m, tuple(value.terms.items()))).encode()
+
+
+def rational(rng):
+    return rng.choice([rng.randint(-4, 4), Fraction(rng.randint(-9, 9), rng.randint(1, 6))])
+
+
+def weight_functions(rng, G) -> list:
+    """Weight functions of G that are not characters, one of each kind, and
+    two characters."""
+    d, m, h = G.order_data.d_K, G.exponent, G.h
+    chars = characters(G)
+    chi = chars[rng.randrange(h)]
+    low = m // min(q for q in range(2, m + 1) if m % q == 0)  # a proper divisor of m
+    def general(w):
+        def value():
+            layer = rng.choice([1, low, m])
+            size = len(AlgebraicValue.root_of_unity(0, d, layer).coeffs)
+            return AlgebraicValue(d, layer, [(rational(rng), rational(rng))
+                                             for _ in range(rng.randint(1, size))])
+        return WeightFunction(G, w, [value() for _ in range(h)])
+    w = (rng.randint(1, 4), rng.randint(-4, 4))
+    return [
+        WeightFunction(G, (0, 0), [v.scale(rational(rng) or 2) for v in chi.values]),
+        WeightFunction(G, (0, 0), [rng.randint(-3, 3)] * h),
+        WeightFunction(G, (0, 0), [rational(rng) for _ in range(h)]),
+        WeightFunction(G, (0, 0), [AlgebraicValue.root_of_unity(rng.randrange(low), d, low)
+                                   for _ in range(h)]),
+        general(w), general((-w[0], -w[1])), general((0, 0)),
+        WeightFunction(G, (0, 0), [AlgebraicValue.root_of_unity(e, -7 if d != -7 else -3, m)
+                                   for e in range(h)]),
+        WeightFunction(G, (0, 0), [PadicScalar.from_int(3, 7, 4)] + list(chi.values[1:])),
+        WeightFunction(G, (0, 0), list(chi.values[:-1]) + ["x"]),
+        chi, chars[-1],
+    ]
+
+
+def outcome(call, *args) -> bytes:
+    try:
+        value = call(*args)
+        return repr((value.d, value.m, sorted(value.terms.items()))).encode()
+    except Exception as exc:
+        return repr((type(exc).__name__, str(exc))).encode()
+
+
+def fields(x):
+    """The prime, `finite` flag and coefficient fields of a measure, the
+    fields of a PadicScalar, or the type and value of an exact x."""
+    if type(x) is Measure:
+        return x.prime, x.finite, [fields(a) for a in x.mahler]
+    if type(x) is PadicScalar:
+        return x.prime, x.valuation, x.unit, x.precision
+    return type(x).__name__, x
+
+
+def attempt(call, *args):
+    """`fields` of call(*args), or the exception type and message."""
+    try:
+        return fields(call(*args))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def family_pairing(chi0, chi, emb, order) -> list:
+    """The outcomes of the `family-pairing` calls on one family."""
+    try:
+        family = avatar_measure_family(chi0, chi, emb, order)
+    except Exception as exc:
+        return [(type(exc).__name__, str(exc))]
+    p, mu = emb.prime, family[0]
+    outcomes = [attempt(pairing_measure, list(zip(family, family[::-1])), r) for r in (0, 8)]
+    z = mu.atoms[0][1].lift()
+    for target in range(1, max((order - 1) // (p - 1) - 1, 0) + 2):
+        outcomes.append(attempt(restrict_to_units, mu, target))
+        outcomes += [attempt(cell_mass, mu, a % p, 1, target) for a in (z, z + 1)]
+    return outcomes
+
+
+def dirac_atoms(z, p, order, partners, last) -> list:
+    """The outcomes of the `dirac-atoms` calls on one Dirac mass; last maps
+    each prime to the Dirac mass before it."""
+    try:
+        mu = dirac(z, p, order)
+        outcomes = [(fields(mu), [fields(x) for atom in mu.atoms for x in atom])]
+    except Exception as exc:
+        return [(type(exc).__name__, str(exc))]
+    for target in range(1, max((order - 1) // (p - 1) - 1, 0) + 2):
+        outcomes.append(attempt(restrict_to_units, mu, target))
+        outcomes += [attempt(cell_mass, mu, a % p, 1, target) for a in (z.lift(), z.lift() + 1)]
+    for other in (partners[p], last.get(p)):
+        if other is not None:
+            outcomes += [attempt(pairing_measure, [(mu, other)], r) for r in (0, 8)]
+    last[p] = mu
+    return outcomes
+
+
+def family_case(i, chi0, chi, emb, order) -> str:
+    return (f"case {i}: D = {chi.group.discriminant}, p = {emb.prime}, "
+            f"precision {emb.precision}, order {order}")
+
+
+def in_process_cases():
+    """(section, case, outcome bytes) for every in-process case, in order."""
+    for D in discriminants(3000) + list(EXTRA_DISCS):
+        chars = characters(class_group(D))
+        rows = [chi.exponents and memoryview(chi.exponents).cast("H").tolist() for chi in chars]
+        if any(row and row != [next(iter(v.terms)) for v in chi.values]
+               for row, chi in zip(rows, chars)):
+            raise SystemExit(f"D = {D}: the exponent row disagrees with the values")
+        yield "character-terms", f"D = {D}", b"".join(
+            repr(D).encode() + b"".join(map(stored, chi.values)) for chi in chars)
+        yield "exponent-rows", f"D = {D}", b"".join(repr((D, row)).encode() for row in rows)
+    rng = random.Random("pairing-digest")
+    for D in discriminants(1200):
+        chars = characters(class_group(D))
+        yield "pairing-terms", f"D = {D}", b"".join(
+            stored(pairing(a, b)) + stored(twisted_pairing(a, b, chars[rng.randrange(len(chars))]))
+            for a in chars for b in chars)
+    rng = random.Random("weight-function-digest")
+    for D in WEIGHT_FUNCTION_DISCS:
+        phis = weight_functions(rng, class_group(D))
+        yield "weight-function-terms", f"D = {D}", b"".join(
+            outcome(pairing, a, b) + outcome(twisted_pairing, a, b, phis[rng.randrange(len(phis))])
+            for a in phis for b in phis)
+    for i, case in enumerate(family_cases()):
+        yield ("avatar-family", family_case(i, *case),
+               repr(family_outcome(avatar_measure_family, *case)).encode())
+    rng = random.Random("wide-pairing-digest")
+    for D in WIDE_DISCS:
+        chars = characters(class_group(D))
+        for i in range(WIDE_PAIRS):
+            a, b, psi = (chars[rng.randrange(len(chars))] for _ in range(3))
+            yield ("wide-pairing-terms", f"D = {D}, pair {i}",
+                   stored(pairing(a, b)) + stored(twisted_pairing(a, b, psi)))
+    for i, case in enumerate(family_cases()):
+        yield "family-pairing", family_case(i, *case), repr(family_pairing(*case)).encode()
+    partners, last = {p: partner_family(p)[1] for p in (3, 5, 7)}, {}
+    for i, (z, p, order) in enumerate(dirac_cases()):
+        yield ("dirac-atoms", f"case {i}: z = {z}, order {order}",
+               repr(dirac_atoms(z, p, order, partners, last)).encode())
+
+
+def digest(x) -> str:
+    return hashlib.sha256(json.dumps(x).encode()).hexdigest()
+
+
+def work(src: str, workdir: str, side: str) -> None:
+    """One side's worker: writes {section: [digest, [[case, outcome digest,
+    result], ...]]} to side.json in workdir, which holds the CLI corpus."""
+    import mahler
+    import wl_cli
+    if not Path(mahler.__file__).resolve().is_relative_to(Path(src).resolve()):
+        raise SystemExit(f"{side}: mahler is imported from {mahler.__file__}, not from {src}")
+    results, cli = [], []
+    for case_dir, argv in json.loads(Path(workdir, "cases.json").read_text(encoding="utf-8")):
+        code, out, err = wl_cli.replay_call(argv, case_dir)
+        result = [code, out.decode(), err.decode().split("\n", 1)[0]]
+        results.append(result)
+        cli.append([f"in {os.path.basename(case_dir)}: mahler {shlex.join(argv)}", digest(result),
+                    f"exit {code}, stderr {result[2][:HEAD]!r}, stdout {result[1][:HEAD]!r}"])
+    sections, hashes = {"cli": [digest(results), cli]}, {}
+    for name, case, data in in_process_cases():
+        hashes.setdefault(name, hashlib.sha256()).update(data)
+        sections.setdefault(name, [None, []])[1].append(
+            [case, hashlib.sha256(data).hexdigest(), data[:HEAD].decode(errors="replace")])
+    for name, whole in hashes.items():
+        sections[name][0] = whole.hexdigest()
+    Path(workdir, side + ".json").write_text(json.dumps(sections), encoding="utf-8")
+
+
+# a worker's command line: the perfbench and tests directories, which it
+# imports from, then work()'s arguments
+WORKER = ("import sys; sys.path[:0] = sys.argv[1:3]; import tree_diff; "
+          "tree_diff.work(*sys.argv[3:])")
 
 
 def main(argv) -> int:
-    if len(argv) != 1 or not os.path.isdir(argv[0]):
+    if len(argv) != 1 or not os.path.isfile(os.path.join(argv[0], "mahler", "__init__.py")):
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
+    srcs = {"this": str(ROOT / "src"), "other": os.path.abspath(argv[0])}
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env.pop("MAHLER_PREC", None)  # as cli-cold's children run
     with tempfile.TemporaryDirectory() as workdir:
-        cases = corpus(workdir)
-        sides = {"this": run_side(str(ROOT / "src"), cases),
-                 "other": run_side(os.path.abspath(argv[0]), cases)}
-    for name, results in sides.items():
-        print(f"{name}: {digest(results)} over {len(results)} cases")
-    differing = [i for i, (a, b) in enumerate(zip(*sides.values())) if a != b]
-    for i in differing:
-        workdir, argv = cases[i]
-        print(f"differs, in {os.path.basename(workdir)}: mahler {shlex.join(argv)}")
-    if differing:
-        first = differing[0]
-        for name, results in sides.items():
-            code, out, err = results[first]
-            print(f"  {name}: exit {code}, stderr {err[:200]!r}, stdout {out[:200]!r}")
-    return int(bool(differing))
+        Path(workdir, "cases.json").write_text(json.dumps(corpus(workdir)), encoding="utf-8")
+        workers = [subprocess.Popen([sys.executable, "-c", WORKER, str(PERFBENCH),
+                                     str(ROOT / "tests"), src, workdir, side],
+                                    cwd=workdir, env=dict(env, PYTHONPATH=src))
+                   for side, src in srcs.items()]
+        if any([worker.wait() for worker in workers]):  # a list: wait for both
+            print("a worker failed", file=sys.stderr)
+            return 1
+        sides = {side: json.loads(Path(workdir, side + ".json").read_text(encoding="utf-8"))
+                 for side in srcs}
+    this, other = sides.values()
+    for name in this:
+        for side, sections in sides.items():
+            print(f"{name} {side}: {sections[name][0]} over {len(sections[name][1])} cases")
+    differs = False
+    for name in this:
+        differing = [(a, b) for a, b in zip(this[name][1], other[name][1]) if a[1] != b[1]]
+        for (case, _, _), _ in differing:
+            print(f"differs, {name}: {case}")
+        if differing:
+            (_, _, mine), (_, _, theirs) = differing[0]
+            print(f"  this: {mine}\n  other: {theirs}")
+            differs = True
+    return int(differs)
 
 
 if __name__ == "__main__":
